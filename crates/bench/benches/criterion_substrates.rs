@@ -8,8 +8,9 @@ use cyclone::{CycloneCodesign, CycloneConfig};
 use decoder::bposd::BpOsdDecoder;
 use decoder::pauli::{CircuitNoise, PauliFrameSimulator};
 use qccd::compiler::baseline::compile_baseline;
+use qccd::compiler::dynamic::compile_dynamic;
 use qccd::timing::OperationTimes;
-use qccd::topology::baseline_grid;
+use qccd::topology::{baseline_grid, mesh_junction_network};
 use qec::codes::{bb_72_12_6, hgp_225_9_6};
 use qec::schedule::{max_parallel_schedule, parallel_xz_schedule, serial_schedule};
 use rand::rngs::StdRng;
@@ -37,12 +38,28 @@ fn bench_cyclone_compile(c: &mut Criterion) {
 }
 
 fn bench_baseline_compile(c: &mut Criterion) {
-    let code = bb_72_12_6().expect("valid");
     let times = OperationTimes::default();
-    let topo = baseline_grid(code.num_qubits(), 5);
-    let sched = serial_schedule(&code);
-    c.bench_function("baseline compile bb72", |b| {
-        b.iter(|| compile_baseline(&code, &topo, &times, &sched))
+    // HGP-225's grid is where nearly every shuttle meets a full trap, so the
+    // rebalancer's nearest-free-trap search dominates there.
+    for (name, code) in [
+        ("bb72", bb_72_12_6().expect("valid")),
+        ("hgp225", hgp_225_9_6().expect("valid")),
+    ] {
+        let topo = baseline_grid(code.num_qubits(), 5);
+        let sched = serial_schedule(&code);
+        c.bench_function(&format!("baseline compile {name}"), |b| {
+            b.iter(|| compile_baseline(&code, &topo, &times, &sched))
+        });
+    }
+}
+
+fn bench_dynamic_mesh_compile(c: &mut Criterion) {
+    let code = hgp_225_9_6().expect("valid");
+    let times = OperationTimes::default();
+    let topo = mesh_junction_network(code.num_qubits(), 5);
+    let sched = max_parallel_schedule(&code);
+    c.bench_function("dynamic-mesh compile hgp225", |b| {
+        b.iter(|| compile_dynamic(&code, &topo, &times, &sched))
     });
 }
 
@@ -80,6 +97,7 @@ criterion_group!(
         bench_schedules,
         bench_cyclone_compile,
         bench_baseline_compile,
+        bench_dynamic_mesh_compile,
         bench_decoder,
         bench_pauli_frame
 );

@@ -13,7 +13,7 @@ use crate::hardware::Topology;
 use crate::placement::{greedy_cluster_placement, Placement};
 use crate::timing::OperationTimes;
 use qec::schedule::{GateOp, Schedule};
-use qec::{CssCode, StabKind};
+use qec::CssCode;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
@@ -32,21 +32,20 @@ pub(crate) fn run_static_ejf_profiled(
 ) -> (CompiledRound, IdleExposure) {
     let mut sim = ShuttleSim::new(code, topology, placement, times);
 
-    // Dependency edges: for each qubit (data or ancilla), gates touching it are
-    // totally ordered by their position in the listing.
+    // Dependency edges: for each qubit (data or ancilla, indexed by simulator ion
+    // id), gates touching it are totally ordered by their position in the listing.
     let n = gates.len();
+    let ions: Vec<(usize, usize)> = gates
+        .iter()
+        .map(|g| (sim.data_ion(g.data), sim.ancilla_ion(g.kind, g.stabilizer)))
+        .collect();
     let mut deps: Vec<Vec<usize>> = vec![Vec::new(); n];
-    let mut last_use_data: std::collections::HashMap<usize, usize> = Default::default();
-    let mut last_use_anc: std::collections::HashMap<(StabKind, usize), usize> = Default::default();
-    for (i, g) in gates.iter().enumerate() {
-        if let Some(&prev) = last_use_data.get(&g.data) {
-            deps[i].push(prev);
-        }
-        if let Some(&prev) = last_use_anc.get(&(g.kind, g.stabilizer)) {
-            deps[i].push(prev);
-        }
-        last_use_data.insert(g.data, i);
-        last_use_anc.insert((g.kind, g.stabilizer), i);
+    let mut last_use: Vec<Option<usize>> = vec![None; sim.num_ions()];
+    for (i, &(data, ancilla)) in ions.iter().enumerate() {
+        deps[i].extend(last_use[data]);
+        deps[i].extend(last_use[ancilla]);
+        last_use[data] = Some(i);
+        last_use[ancilla] = Some(i);
     }
     let mut dependents: Vec<Vec<usize>> = vec![Vec::new(); n];
     let mut missing: Vec<usize> = vec![0; n];
@@ -86,20 +85,13 @@ pub(crate) fn run_static_ejf_profiled(
         "dependency graph of the gate list must be acyclic"
     );
 
-    // Measure every ancilla after its last gate. The drain is sorted so the
-    // simulator accumulates its float breakdown in a fixed order — HashMap
-    // iteration order would otherwise perturb the sums in the last bit from run
-    // to run, breaking bit-identical caching.
-    let mut last_gate_end: std::collections::HashMap<(StabKind, usize), f64> = Default::default();
-    for (i, g) in gates.iter().enumerate() {
-        let e = last_gate_end.entry((g.kind, g.stabilizer)).or_insert(0.0);
-        *e = e.max(completion[i]);
+    // Measure every gated ancilla after its last gate.
+    let mut last_gate_end: Vec<Option<f64>> = vec![None; sim.num_ions()];
+    for (&(_, ancilla), &end) in ions.iter().zip(&completion) {
+        let e = last_gate_end[ancilla].get_or_insert(0.0);
+        *e = e.max(end);
     }
-    let mut measurements: Vec<((StabKind, usize), f64)> = last_gate_end.into_iter().collect();
-    measurements.sort_by_key(|m| m.0);
-    for ((kind, idx), end) in measurements {
-        sim.measure_ancilla(kind, idx, end);
-    }
+    sim.measure_ancillas(&last_gate_end);
 
     let round = CompiledRound {
         codesign,

@@ -57,28 +57,19 @@ pub fn compile_dynamic_with_placement_profiled(
 ) -> (CompiledRound, IdleExposure) {
     let mut sim = ShuttleSim::new(code, topology, placement, times);
     let mut slice_ready = 0.0f64;
-    let mut ancilla_last_end: std::collections::HashMap<(qec::StabKind, usize), f64> =
-        Default::default();
+    // Latest gate end of every ancilla, indexed by ion id.
+    let mut ancilla_last_end: Vec<Option<f64>> = vec![None; sim.num_ions()];
     for slice in schedule.slices() {
         let mut slice_end = slice_ready;
         for g in slice {
             let end = sim.execute_gate(g.kind, g.stabilizer, g.data, slice_ready);
             slice_end = slice_end.max(end);
-            let e = ancilla_last_end
-                .entry((g.kind, g.stabilizer))
-                .or_insert(0.0);
+            let e = ancilla_last_end[sim.ancilla_ion(g.kind, g.stabilizer)].get_or_insert(0.0);
             *e = e.max(end);
         }
         slice_ready = slice_end;
     }
-    // Sorted drain: a fixed measurement order keeps the simulator's float
-    // accumulation bit-identical from run to run (HashMap order is randomized).
-    let mut measurements: Vec<((qec::StabKind, usize), f64)> =
-        ancilla_last_end.into_iter().collect();
-    measurements.sort_by_key(|m| m.0);
-    for ((kind, idx), end) in measurements {
-        sim.measure_ancilla(kind, idx, end);
-    }
+    sim.measure_ancillas(&ancilla_last_end);
     let round = CompiledRound {
         codesign: format!("{} + dynamic timeslices", topology.name()),
         execution_time: sim.horizon(),

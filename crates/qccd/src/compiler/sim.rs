@@ -16,7 +16,7 @@
 //! intra-trap parallelism" model of §II-B.
 
 use crate::compiler::ComponentTimes;
-use crate::hardware::{NodeId, NodeKind, Topology};
+use crate::hardware::{Bfs, NodeId, NodeKind, Topology};
 use crate::placement::Placement;
 use crate::timing::OperationTimes;
 use qec::{CssCode, StabKind};
@@ -79,6 +79,12 @@ pub type IonId = usize;
 pub struct ShuttleSim<'a> {
     topology: &'a Topology,
     times: &'a OperationTimes,
+    /// Trap node ids in topology order — the rebalancer's candidate order.
+    traps: Vec<NodeId>,
+    /// Search buffers reused by every shuttle and rebalance.
+    bfs: Bfs,
+    /// The current shuttle's path, reused across shuttles.
+    path: Vec<NodeId>,
     num_data: usize,
     num_x: usize,
     /// Current trap of every ion.
@@ -124,6 +130,9 @@ impl<'a> ShuttleSim<'a> {
         ShuttleSim {
             topology,
             times,
+            traps: topology.traps(),
+            bfs: Bfs::new(),
+            path: Vec::new(),
             num_data,
             num_x,
             ion_trap,
@@ -150,6 +159,11 @@ impl<'a> ShuttleSim<'a> {
             StabKind::X => self.num_data + index,
             StabKind::Z => self.num_data + self.num_x + index,
         }
+    }
+
+    /// Number of ions: data qubits, then X ancillas, then Z ancillas.
+    pub fn num_ions(&self) -> usize {
+        self.ion_trap.len()
     }
 
     /// Current trap of an ion.
@@ -223,15 +237,16 @@ impl<'a> ShuttleSim<'a> {
     /// # Panics
     ///
     /// Panics if no path exists between the two traps.
+    // cyclone-lint: hot-path
     pub fn shuttle_ion(&mut self, ion: IonId, target: NodeId, ready: f64) -> f64 {
         let source = self.ion_trap[ion];
         if source == target {
             return ready;
         }
-        let path = self
-            .topology
-            .shortest_path(source, target)
-            .unwrap_or_else(|| panic!("no shuttling path between {source} and {target}"));
+        self.bfs.run(self.topology, source);
+        if !self.bfs.path_into(target, &mut self.path) {
+            panic!("no shuttling path between {source} and {target}");
+        }
         self.num_shuttles += 1;
 
         // Split out of the source trap (the trap is busy for the split).
@@ -242,7 +257,8 @@ impl<'a> ShuttleSim<'a> {
         self.occupancy[source].retain(|&i| i != ion);
 
         // Traverse intermediate nodes.
-        for &node in &path[1..path.len() - 1] {
+        for k in 1..self.path.len() - 1 {
+            let node = self.path[k];
             // Move along the connecting segment.
             t += self.times.shuttle_move;
             self.breakdown.shuttle_move += self.times.shuttle_move;
@@ -277,7 +293,7 @@ impl<'a> ShuttleSim<'a> {
 
         // Capacity check: rebalance if the merge would overflow the trap.
         if self.occupancy[target].len() >= self.trap_capacity(target) {
-            t = self.rebalance(target, ion, t);
+            t = self.rebalance(target, t);
         }
 
         // Merge into the target trap and reorder.
@@ -293,9 +309,11 @@ impl<'a> ShuttleSim<'a> {
         t
     }
 
-    /// Evicts one resident ion (other than `incoming`) from `trap` to the nearest trap
-    /// with room, charging the cost to the rebalance category.
-    fn rebalance(&mut self, trap: NodeId, incoming: IonId, now: f64) -> f64 {
+    /// Evicts one resident ion from the full `trap` (the incoming ion has not merged
+    /// yet, so it is never the victim) to the nearest other trap with room, charging
+    /// the cost to the rebalance category. Distance ties go to the trap earliest in
+    /// topology order. Returns the time both traps are free again.
+    fn rebalance(&mut self, trap: NodeId, now: f64) -> f64 {
         // Choose a victim: prefer an ancilla that is idle, otherwise any resident.
         let victim = match self.occupancy[trap]
             .iter()
@@ -308,18 +326,16 @@ impl<'a> ShuttleSim<'a> {
                 None => return now,
             },
         };
-        let _ = incoming;
-        // Find the nearest trap with room.
+        // Find the nearest trap with room: one search answers every candidate.
+        self.bfs.run(self.topology, trap);
         let mut best: Option<(usize, NodeId)> = None;
-        for &cand in &self.topology.traps() {
-            if cand == trap {
+        for &cand in &self.traps {
+            if cand == trap || self.occupancy[cand].len() >= self.trap_capacity(cand) {
                 continue;
             }
-            if self.occupancy[cand].len() < self.trap_capacity(cand) {
-                if let Some(d) = self.topology.distance(trap, cand) {
-                    if best.map_or(true, |(bd, _)| d < bd) {
-                        best = Some((d, cand));
-                    }
+            if let Some(d) = self.bfs.distance(cand) {
+                if best.map_or(true, |(bd, _)| d < bd) {
+                    best = Some((d, cand));
                 }
             }
         }
@@ -372,11 +388,26 @@ impl<'a> ShuttleSim<'a> {
         self.horizon = self.horizon.max(end);
         end
     }
+    // cyclone-lint: end-hot-path
 
     /// Measures the ancilla of stabilizer (`kind`, `index`) in place, starting no
     /// earlier than `ready`; returns the completion time.
     pub fn measure_ancilla(&mut self, kind: StabKind, index: usize, ready: f64) -> f64 {
-        let ancilla = self.ancilla_ion(kind, index);
+        self.measure_ion(self.ancilla_ion(kind, index), ready)
+    }
+
+    /// Measures, in ion order (X ancillas ascending, then Z ancillas ascending),
+    /// every ancilla with a ready time in `ready` (indexed by ion id; `None` skips
+    /// the ion). A fixed order keeps the float breakdown sums bit-identical.
+    pub fn measure_ancillas(&mut self, ready: &[Option<f64>]) {
+        for (ancilla, &ready) in ready.iter().enumerate().skip(self.num_data) {
+            if let Some(ready) = ready {
+                self.measure_ion(ancilla, ready);
+            }
+        }
+    }
+
+    fn measure_ion(&mut self, ancilla: IonId, ready: f64) -> f64 {
         let trap = self.ion_trap[ancilla];
         let start = self.wait_for_trap(trap, ready);
         let dur = self.times.measurement + self.times.preparation;
@@ -412,6 +443,7 @@ impl<'a> ShuttleSim<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::hardware::TopologyKind;
     use crate::placement::greedy_cluster_placement;
     use crate::topology::{baseline_grid, ring};
     use qec::classical::ClassicalCode;
@@ -605,6 +637,60 @@ mod tests {
         assert_eq!(e.data, vec![0.25; 3]);
         assert_eq!(e.measurement_order(), vec![0.25; 3]);
         assert_eq!(e.horizon, 0.25);
+    }
+
+    /// A full trap (node 0, every ion of the 13-qubit code at home there) wired to
+    /// one empty trap per `via` entry through that many junctions. Edges are added
+    /// in reverse entry order, so the search reaches later traps first.
+    fn full_trap_sim_topology(via: &[usize]) -> Topology {
+        let mut t = Topology::new("rebalance", TopologyKind::BaselineGrid);
+        let full = t.add_trap(25);
+        let traps: Vec<NodeId> = via.iter().map(|_| t.add_trap(5)).collect();
+        for (&trap, &junctions) in traps.iter().zip(via).rev() {
+            let mut at = full;
+            for _ in 0..junctions {
+                let j = t.add_junction();
+                t.add_edge(at, j);
+                at = j;
+            }
+            t.add_edge(at, trap);
+        }
+        t
+    }
+
+    fn everything_in_trap_zero(code: &CssCode) -> Placement {
+        Placement {
+            data_trap: vec![0; code.num_qubits()],
+            x_ancilla_trap: vec![0; code.num_x_stabilizers()],
+            z_ancilla_trap: vec![0; code.num_z_stabilizers()],
+        }
+    }
+
+    #[test]
+    fn rebalance_ties_go_to_the_earlier_trap() {
+        let (code, _, times) = setup();
+        // Traps 1 and 2 are both one hop away; the search discovers trap 2 first,
+        // but trap order decides the tie.
+        let topo = full_trap_sim_topology(&[0, 0]);
+        let placement = everything_in_trap_zero(&code);
+        let mut sim = ShuttleSim::new(&code, &topo, &placement, &times);
+        let victim = sim.ancilla_ion(StabKind::X, 0);
+        let t = sim.rebalance(0, 0.0);
+        assert_eq!(sim.ion_location(victim), 1);
+        assert_eq!(sim.num_rebalances(), 1);
+        assert_eq!(t, times.split + times.shuttle_move + times.merge);
+    }
+
+    #[test]
+    fn rebalance_prefers_the_nearer_trap_over_trap_order() {
+        let (code, _, times) = setup();
+        // Trap 1 sits behind a junction (two hops), trap 2 is adjacent.
+        let topo = full_trap_sim_topology(&[1, 0]);
+        let placement = everything_in_trap_zero(&code);
+        let mut sim = ShuttleSim::new(&code, &topo, &placement, &times);
+        let victim = sim.ancilla_ion(StabKind::X, 0);
+        sim.rebalance(0, 0.0);
+        assert_eq!(sim.ion_location(victim), 2);
     }
 
     #[test]

@@ -8,7 +8,6 @@
 //! spatial-cost analysis.
 
 use serde::{Deserialize, Serialize};
-use std::collections::VecDeque;
 
 /// Index of a node (trap or junction) in a [`Topology`].
 pub type NodeId = usize;
@@ -174,12 +173,12 @@ impl Topology {
 
     /// Number of traps.
     pub fn num_traps(&self) -> usize {
-        self.traps().len()
+        self.nodes.iter().filter(|n| n.is_trap()).count()
     }
 
     /// Number of junctions.
     pub fn num_junctions(&self) -> usize {
-        self.junctions().len()
+        self.nodes.len() - self.num_traps()
     }
 
     /// Number of undirected edges.
@@ -194,39 +193,21 @@ impl Topology {
 
     /// Breadth-first shortest path (as a node sequence including both endpoints).
     ///
-    /// Returns `None` when no path exists.
+    /// Returns `None` when no path exists. A one-off wrapper over [`Bfs`]; callers
+    /// that query repeatedly should own a [`Bfs`] and reuse its buffers.
     pub fn shortest_path(&self, from: NodeId, to: NodeId) -> Option<Vec<NodeId>> {
-        if from == to {
-            return Some(vec![from]);
-        }
-        let mut prev = vec![usize::MAX; self.nodes.len()];
-        let mut queue = VecDeque::new();
-        prev[from] = from;
-        queue.push_back(from);
-        while let Some(u) = queue.pop_front() {
-            for &v in &self.adjacency[u] {
-                if prev[v] == usize::MAX {
-                    prev[v] = u;
-                    if v == to {
-                        let mut path = vec![to];
-                        let mut cur = to;
-                        while cur != from {
-                            cur = prev[cur];
-                            path.push(cur);
-                        }
-                        path.reverse();
-                        return Some(path);
-                    }
-                    queue.push_back(v);
-                }
-            }
-        }
-        None
+        let mut bfs = Bfs::new();
+        bfs.run(self, from);
+        let mut path = Vec::new();
+        bfs.path_into(to, &mut path).then_some(path)
     }
 
-    /// Hop distance between two nodes (`None` if disconnected).
+    /// Hop distance between two nodes (`None` if disconnected). A one-off wrapper
+    /// over [`Bfs`].
     pub fn distance(&self, from: NodeId, to: NodeId) -> Option<usize> {
-        self.shortest_path(from, to).map(|p| p.len() - 1)
+        let mut bfs = Bfs::new();
+        bfs.run(self, from);
+        bfs.distance(to)
     }
 
     /// Whether the graph is connected (ignoring isolated check: empty graphs count as
@@ -235,20 +216,9 @@ impl Topology {
         if self.nodes.is_empty() {
             return true;
         }
-        let mut seen = vec![false; self.nodes.len()];
-        let mut queue = VecDeque::from([0usize]);
-        seen[0] = true;
-        let mut count = 1;
-        while let Some(u) = queue.pop_front() {
-            for &v in &self.adjacency[u] {
-                if !seen[v] {
-                    seen[v] = true;
-                    count += 1;
-                    queue.push_back(v);
-                }
-            }
-        }
-        count == self.nodes.len()
+        let mut bfs = Bfs::new();
+        bfs.run(self, 0);
+        bfs.num_reached() == self.nodes.len()
     }
 
     /// Validates the paper's structural constraints: traps have degree ≤ 2 and
@@ -266,6 +236,99 @@ impl Topology {
     /// True when the topology satisfies the trap-degree and junction-degree limits.
     pub fn is_physically_realizable(&self) -> bool {
         self.constraint_violations().is_empty()
+    }
+}
+
+/// Marks a node the last search did not reach.
+const UNREACHED: usize = usize::MAX;
+
+/// A breadth-first search from one source that records the hop distance to, and
+/// the BFS-tree predecessor of, every node — the single path-finding routine of the
+/// crate.
+///
+/// One [`Bfs::run`] answers every distance and path query from its source, so a
+/// caller comparing many destinations (the rebalancer's nearest-free-trap scan, the
+/// placement fallback) pays one traversal instead of one per candidate. The buffers
+/// are reused across runs: a caller that owns a `Bfs` allocates only when a
+/// topology with more nodes than any before is searched.
+///
+/// Neighbors are visited in adjacency order and every node keeps the predecessor
+/// that discovered it first, so the reconstructed path is exactly the one an
+/// early-exit BFS towards the same destination would return.
+#[derive(Debug, Clone, Default)]
+pub struct Bfs {
+    /// Hop distance from the source, `UNREACHED` for unreached nodes.
+    dist: Vec<usize>,
+    /// BFS-tree predecessor of every reached node (the source is its own).
+    prev: Vec<NodeId>,
+    /// Reached nodes in discovery order; doubles as the FIFO queue.
+    order: Vec<NodeId>,
+}
+
+impl Bfs {
+    /// Empty search buffers.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Searches `topology` from `from`, replacing the previous run's results.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `from` is not a node of `topology`.
+    // cyclone-lint: hot-path
+    pub fn run(&mut self, topology: &Topology, from: NodeId) {
+        let n = topology.num_nodes();
+        assert!(from < n, "source node {from} out of range");
+        self.dist.clear();
+        self.dist.resize(n, UNREACHED);
+        self.prev.clear();
+        self.prev.resize(n, UNREACHED);
+        self.order.clear();
+        self.dist[from] = 0;
+        self.prev[from] = from;
+        self.order.push(from);
+        let mut head = 0;
+        while let Some(&u) = self.order.get(head) {
+            head += 1;
+            let next = self.dist[u] + 1;
+            for &v in topology.neighbors(u) {
+                if self.dist[v] == UNREACHED {
+                    self.dist[v] = next;
+                    self.prev[v] = u;
+                    self.order.push(v);
+                }
+            }
+        }
+    }
+
+    /// Hop distance from the last source to `to` (`None` if unreachable).
+    pub fn distance(&self, to: NodeId) -> Option<usize> {
+        Some(self.dist[to]).filter(|&d| d != UNREACHED)
+    }
+
+    /// Overwrites `path` with the shortest path from the last source to `to`, both
+    /// endpoints included. Returns false (leaving `path` empty) when `to` is
+    /// unreachable.
+    pub fn path_into(&self, to: NodeId, path: &mut Vec<NodeId>) -> bool {
+        path.clear();
+        if self.dist[to] == UNREACHED {
+            return false;
+        }
+        let mut cur = to;
+        path.push(cur);
+        while self.prev[cur] != cur {
+            cur = self.prev[cur];
+            path.push(cur);
+        }
+        path.reverse();
+        true
+    }
+    // cyclone-lint: end-hot-path
+
+    /// Number of nodes the last run reached, its source included.
+    pub fn num_reached(&self) -> usize {
+        self.order.len()
     }
 }
 
@@ -300,6 +363,28 @@ mod tests {
         assert_eq!(p, vec![0, 1, 2, 3, 4]);
         assert_eq!(t.distance(0, 4), Some(4));
         assert_eq!(t.distance(2, 2), Some(0));
+    }
+
+    #[test]
+    fn one_search_answers_every_destination() {
+        let mut t = line_of_traps(4);
+        let lonely = t.add_trap(4);
+        let mut bfs = Bfs::new();
+        bfs.run(&t, 1);
+        assert_eq!(bfs.num_reached(), 4);
+        assert_eq!(
+            (0..5).map(|v| bfs.distance(v)).collect::<Vec<_>>(),
+            vec![Some(1), Some(0), Some(1), Some(2), None]
+        );
+        let mut path = vec![99];
+        assert!(bfs.path_into(3, &mut path));
+        assert_eq!(path, vec![1, 2, 3]);
+        assert!(!bfs.path_into(lonely, &mut path));
+        assert!(path.is_empty());
+        // Reusing the buffers on a smaller graph forgets the larger one.
+        bfs.run(&line_of_traps(2), 0);
+        assert_eq!(bfs.num_reached(), 2);
+        assert_eq!(bfs.distance(1), Some(1));
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! support. [`greedy_cluster_placement`] implements that policy for any topology;
 //! [`round_robin_placement`] is the naive alternative used in ablations.
 
-use crate::hardware::{NodeId, Topology};
+use crate::hardware::{Bfs, NodeId, Topology};
 use qec::{CssCode, StabKind};
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
@@ -164,6 +164,7 @@ pub fn greedy_cluster_placement(code: &CssCode, topology: &Topology) -> Placemen
     let trap_index: std::collections::HashMap<NodeId, usize> =
         traps.iter().enumerate().map(|(i, &t)| (t, i)).collect();
 
+    let mut bfs = Bfs::new();
     let mut place_ancillas = |kind: StabKind| -> Vec<NodeId> {
         code.sector_stabilizers(kind)
             .iter()
@@ -183,16 +184,13 @@ pub fn greedy_cluster_placement(code: &CssCode, topology: &Topology) -> Placemen
                     }
                 }
                 // Fall back to the nearest trap (by hop distance from the best trap)
-                // with room.
+                // with room, ties to the earliest trap.
                 let anchor = best.first().map_or(traps[0], |&(t, _)| t);
-                let mut candidates: Vec<(usize, usize)> = (0..traps.len())
+                bfs.run(topology, anchor);
+                let (_, i) = (0..traps.len())
                     .filter(|&i| load[i] < capacity[i])
-                    .map(|i| (topology.distance(anchor, traps[i]).unwrap_or(usize::MAX), i))
-                    .collect();
-                candidates.sort_unstable();
-                let (_, i) = candidates
-                    .first()
-                    .copied()
+                    .map(|i| (bfs.distance(traps[i]).unwrap_or(usize::MAX), i))
+                    .min()
                     .expect("capacity was pre-checked");
                 load[i] += 1;
                 traps[i]

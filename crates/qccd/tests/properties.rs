@@ -3,12 +3,66 @@
 
 use proptest::prelude::*;
 use qccd::compiler::baseline::compile_baseline;
+use qccd::hardware::{Bfs, NodeId, Topology};
 use qccd::placement::{greedy_cluster_placement, round_robin_placement};
 use qccd::timing::{OperationTimes, SwapKind};
-use qccd::topology::{alternate_grid, baseline_grid, grid_with_side, mesh_junction_network, ring};
+use qccd::topology::{
+    alternate_grid, baseline_grid, fully_connected, grid_with_side, mesh_junction_network,
+    pseudo_opt, ring, single_trap,
+};
 use qec::classical::ClassicalCode;
 use qec::hgp::hypergraph_product;
 use qec::schedule::serial_schedule;
+use std::collections::VecDeque;
+
+/// The early-exit BFS `Topology::shortest_path` used before path finding moved to
+/// the single-source [`Bfs`]: stops as soon as `to` is discovered. Kept as the
+/// reference the production routine must reproduce node for node.
+fn reference_path(t: &Topology, from: NodeId, to: NodeId) -> Option<Vec<NodeId>> {
+    if from == to {
+        return Some(vec![from]);
+    }
+    let mut prev = vec![usize::MAX; t.num_nodes()];
+    let mut queue = VecDeque::new();
+    prev[from] = from;
+    queue.push_back(from);
+    while let Some(u) = queue.pop_front() {
+        for &v in t.neighbors(u) {
+            if prev[v] == usize::MAX {
+                prev[v] = u;
+                if v == to {
+                    let mut path = vec![to];
+                    let mut cur = to;
+                    while cur != from {
+                        cur = prev[cur];
+                        path.push(cur);
+                    }
+                    path.reverse();
+                    return Some(path);
+                }
+                queue.push_back(v);
+            }
+        }
+    }
+    None
+}
+
+/// Builder `which` (one of the eight topology builders) at scale `size`.
+fn build_topology(which: usize, size: usize, cap: usize) -> Topology {
+    match which {
+        0 => baseline_grid(size, cap),
+        1 => grid_with_side(size.div_ceil(4), cap),
+        2 => alternate_grid(size.max(4), cap.max(2)),
+        3 => mesh_junction_network(size.max(4), cap),
+        4 => ring(size, cap),
+        5 => fully_connected(size.min(24), cap),
+        6 => {
+            let c = ClassicalCode::gallager_ldpc(8, 3, 4, size as u64);
+            pseudo_opt(&hypergraph_product(&c, &c).expect("valid"), cap)
+        }
+        _ => single_trap(size),
+    }
+}
 
 proptest! {
     // Deterministic: every case derives from this explicit seed (the workspace's
@@ -58,6 +112,36 @@ proptest! {
         let dbc = t.distance(b, c).unwrap();
         let dac = t.distance(a, c).unwrap();
         prop_assert!(dac <= dab + dbc);
+    }
+
+    #[test]
+    fn bfs_matches_early_exit_reference(
+        which in 0usize..8,
+        size in 1usize..60,
+        cap in 1usize..6,
+        pairs in proptest::collection::vec((any::<u64>(), any::<u64>()), 1..12),
+    ) {
+        let t = build_topology(which, size, cap);
+        let n = t.num_nodes() as u64;
+        // Searching a larger topology first exercises buffer reuse across sizes.
+        let mut bfs = Bfs::new();
+        bfs.run(&baseline_grid(64, 5), 0);
+        let mut path = Vec::new();
+        for (a, b) in pairs {
+            let (from, to) = ((a % n) as usize, (b % n) as usize);
+            let want = reference_path(&t, from, to);
+            prop_assert_eq!(t.shortest_path(from, to), want.clone());
+            prop_assert_eq!(t.distance(from, to), want.as_ref().map(|p| p.len() - 1));
+            // One search from `from` answers every destination exactly as the
+            // early-exit reference does.
+            bfs.run(&t, from);
+            for dest in 0..t.num_nodes() {
+                let want = reference_path(&t, from, dest);
+                prop_assert_eq!(bfs.path_into(dest, &mut path), want.is_some());
+                prop_assert_eq!(&path, want.as_ref().unwrap_or(&Vec::new()));
+                prop_assert_eq!(bfs.distance(dest), want.map(|p| p.len() - 1));
+            }
+        }
     }
 
     #[test]
