@@ -9,9 +9,8 @@
 //!   word-level ordered-statistics path; the warm-started and cold OSD stages
 //!   are also timed separately (same syndromes, precomputed BP suspicion), so
 //!   the warm-start lever's gain is recorded on every run;
-//! * **full-shot (scalar)** — complete Monte-Carlo shots (depolarizing sample +
-//!   X and Z decodes + logical checks) via `MemoryExperiment::sample_one_with`;
-//! * **full-shot (batch)** — the same shots through the bit-sliced 64-lane path
+//! * **full-shot (batch)** — complete Monte-Carlo shots (depolarizing sample +
+//!   X and Z decodes + logical checks) through the bit-sliced 64-lane sampler
 //!   (`MemoryExperiment::sample_batch_with`: word-level syndrome extraction,
 //!   zero-syndrome lane skip, weight-1 fast path, per-syndrome decode cache),
 //!   for the uniform, biased, and schedule-shaped channels, with per-channel
@@ -23,7 +22,8 @@
 //! from the persisted cache. The JSON records which state was measured.
 //!
 //! A counting global allocator verifies the zero-allocation claim: after warmup,
-//! every timed loop — scalar and batch, all channel shapes, cold and warm — must
+//! every timed loop — decoder stages and batch shots, all channel shapes, cold
+//! and warm — must
 //! perform **zero** heap allocations (cache load/store and the weight-1 table
 //! build happen outside the timed loops). Each run overwrites
 //! `BENCH_decoder.json` at the repository root with its measurements, so the
@@ -34,8 +34,9 @@
 //! 50), and `CYCLONE_ENFORCE=1` turns the recorded regression thresholds below
 //! into hard assertions.
 
+use decoder::bp::priors_digest;
 use decoder::bposd::{BpOsdDecoder, DecodeMethod};
-use decoder::memory::{BatchScratch, BatchStats, MemoryConfig, MemoryExperiment, ShotScratch};
+use decoder::memory::{BatchScratch, BatchStats, MemoryConfig, MemoryExperiment};
 use decoder::osd::OsdDecoder;
 use decoder::scratch::DecoderScratch;
 use decoder::simd::{Simd, SimdIsa, SimdMode};
@@ -135,10 +136,12 @@ fn rate(iters: usize, mut routine: impl FnMut(usize)) -> f64 {
     iters as f64 / start.elapsed().as_secs_f64()
 }
 
-/// What one channel's batch measurement produced: the steady-state rate plus
-/// the `BatchStats` / cache-counter deltas of its lanes over the timed loop.
+/// What one channel's batch measurement produced: the steady-state rate, the
+/// heap allocations of the timed loop, and the `BatchStats` / cache-counter
+/// deltas of its lanes over it.
 struct ChannelMeasurement {
     shots_per_sec: f64,
+    allocations: usize,
     stats: BatchStats,
     cache_hits: u64,
     cache_misses: u64,
@@ -181,15 +184,16 @@ fn batch_rate(
         * rate(chunks, |chunk| {
             black_box(exp.sample_batch_with(cfg, chunk * 64, 64, batch));
         });
+    let allocations = allocations() - before;
     assert_eq!(
-        allocations() - before,
-        0,
+        allocations, 0,
         "steady-state sample_batch_with must not allocate"
     );
     let stats1 = batch.stats();
     let (hits1, misses1) = batch.cache_stats();
     ChannelMeasurement {
         shots_per_sec,
+        allocations,
         stats: BatchStats {
             active_lanes: stats1.active_lanes - stats0.active_lanes,
             weight1_hits: stats1.weight1_hits - stats0.weight1_hits,
@@ -205,6 +209,13 @@ fn main() {
     let code = bb_72_12_6().expect("valid");
     let n = code.num_qubits();
     let decoder = BpOsdDecoder::new(code.hz(), 30);
+    // Every decode goes through the keyed priors entry point; the uniform
+    // channel is a constant priors vector.
+    let priors = vec![P; n];
+    let key = priors_digest(&priors);
+    let decode = |dec: &BpOsdDecoder, s: &[bool], scratch: &mut DecoderScratch| {
+        dec.decode_with_priors_keyed_into(s, &priors, key, scratch)
+    };
     let iters = 40 * bench::shots(); // 16k iterations by default, 2k in CI quick mode
     let enforce = std::env::var("CYCLONE_ENFORCE").is_ok_and(|v| v == "1");
     let decode_cache_dir = std::env::var("CYCLONE_DECODE_CACHE_DIR")
@@ -222,18 +233,18 @@ fn main() {
         .collect();
     let mut scratch = DecoderScratch::new();
     for s in &weight1_syndromes {
-        let status = decoder.decode_into(s, P, &mut scratch);
+        let status = decode(&decoder, s, &mut scratch);
         assert_eq!(status.method, DecodeMethod::BeliefPropagation);
     }
     let before = allocations();
     let bp_rate = rate(iters, |i| {
         let s = &weight1_syndromes[i % weight1_syndromes.len()];
-        black_box(decoder.decode_into(black_box(s), P, &mut scratch));
+        black_box(decode(&decoder, black_box(s), &mut scratch));
     });
     assert_eq!(
         allocations() - before,
         0,
-        "steady-state BP-only decode_into must not allocate (dispatched kernel)"
+        "steady-state BP-only decode must not allocate (dispatched kernel)"
     );
 
     // --- BP-only again, kernel dispatch pinned to the scalar reference. -----
@@ -244,18 +255,18 @@ fn main() {
     let scalar_decoder = BpOsdDecoder::new(code.hz(), 30).with_simd(Simd::with_mode(SimdMode::Off));
     let mut scalar_scratch = DecoderScratch::new();
     for s in &weight1_syndromes {
-        let status = scalar_decoder.decode_into(s, P, &mut scalar_scratch);
+        let status = decode(&scalar_decoder, s, &mut scalar_scratch);
         assert_eq!(status.method, DecodeMethod::BeliefPropagation);
     }
     let before = allocations();
     let bp_scalar_rate = rate(iters, |i| {
         let s = &weight1_syndromes[i % weight1_syndromes.len()];
-        black_box(scalar_decoder.decode_into(black_box(s), P, &mut scalar_scratch));
+        black_box(decode(&scalar_decoder, black_box(s), &mut scalar_scratch));
     });
     assert_eq!(
         allocations() - before,
         0,
-        "steady-state BP-only decode_into must not allocate (scalar kernel)"
+        "steady-state BP-only decode must not allocate (scalar kernel)"
     );
     let bp_simd_speedup = bp_rate / bp_scalar_rate;
 
@@ -265,13 +276,13 @@ fn main() {
     while fallback_syndromes.len() < 32 {
         let e: Vec<bool> = (0..n).map(|_| rng.gen_bool(0.08)).collect();
         let s = code.z_syndrome(&e);
-        if decoder.decode_into(&s, P, &mut scratch).method == DecodeMethod::OrderedStatistics {
+        if decode(&decoder, &s, &mut scratch).method == DecodeMethod::OrderedStatistics {
             fallback_syndromes.push(s);
         }
     }
     let osd_rate = rate(iters / 4, |i| {
         let s = &fallback_syndromes[i % fallback_syndromes.len()];
-        black_box(decoder.decode_into(black_box(s), P, &mut scratch));
+        black_box(decode(&decoder, black_box(s), &mut scratch));
     });
 
     // --- OSD stage alone, warm-started vs cold. -----------------------------
@@ -281,7 +292,7 @@ fn main() {
     let suspicions: Vec<Vec<f64>> = fallback_syndromes
         .iter()
         .map(|s| {
-            decoder.decode_into(s, P, &mut scratch);
+            decode(&decoder, s, &mut scratch);
             scratch.llrs().iter().map(|&l| -l).collect()
         })
         .collect();
@@ -316,57 +327,19 @@ fn main() {
     );
     let osd_warm_speedup = osd_warm_rate / osd_cold_rate;
 
-    // --- Scalar full shots, with the zero-allocation check. -----------------
+    // --- Bit-sliced batch shots, per channel kind. --------------------------
+    // The biased channel exercises syndrome flips + per-bit priors; the
+    // "schedule" channel is a fully heterogeneous from_schedule instantiation
+    // (distinct data and ancilla idle exposures).
     let model = HardwareNoiseModel::new(NoiseParameters::new(P), 0.0);
     let exp = MemoryExperiment::new(&code, model, 30);
-    let mut shot_scratch = ShotScratch::new();
-    // Warm up the scratch buffers, including the OSD-fallback path in both sectors
-    // (rare at p = 3e-3, so a burst of high-noise shots forces it deliberately).
+    // A burst of high-noise shots grows the OSD arenas in both sectors (the
+    // fallback is rare at p = 3e-3).
     let noisy = MemoryExperiment::new(
         &code,
         HardwareNoiseModel::new(NoiseParameters::new(0.08), 0.0),
         30,
     );
-    for shot in 0..256usize {
-        let mut rng = StdRng::seed_from_u64(0xC1C1_0DE5 ^ shot as u64);
-        black_box(noisy.sample_one_with(&mut rng, &mut shot_scratch));
-        black_box(exp.sample_one_with(&mut rng, &mut shot_scratch));
-    }
-    let allocs_before = allocations();
-    let shot_rate = rate(iters, |shot| {
-        let mut rng = StdRng::seed_from_u64(0xC1C1_0DE5 ^ shot as u64);
-        black_box(exp.sample_one_with(&mut rng, &mut shot_scratch));
-    });
-    let steady_state_allocs = allocations() - allocs_before;
-    assert_eq!(
-        steady_state_allocs, 0,
-        "steady-state sample_one_with must not allocate"
-    );
-
-    // --- Per-channel-kind scalar sampling throughput. -----------------------
-    // The biased channel exercises syndrome flips + per-bit priors; the
-    // "schedule" channel is a fully heterogeneous from_schedule instantiation
-    // (distinct data and ancilla idle exposures). Both must also be
-    // allocation-free in steady state.
-    let channel_rate = |channel: ErrorChannel| -> f64 {
-        let exp = MemoryExperiment::with_channel(&code, model, channel, 30);
-        let mut scratch = ShotScratch::new();
-        for shot in 0..256usize {
-            let mut rng = StdRng::seed_from_u64(0xC1C1_0DE5 ^ shot as u64);
-            black_box(exp.sample_one_with(&mut rng, &mut scratch));
-        }
-        let before = allocations();
-        let rate = rate(iters, |shot| {
-            let mut rng = StdRng::seed_from_u64(0xC1C1_0DE5 ^ shot as u64);
-            black_box(exp.sample_one_with(&mut rng, &mut scratch));
-        });
-        assert_eq!(
-            allocations() - before,
-            0,
-            "steady-state channel sampling must not allocate"
-        );
-        rate
-    };
     let biased_channel = || ErrorChannel::biased(n, code.num_stabilizers(), P, 2.0 * P);
     let schedule_channel = || {
         let data_idle: Vec<f64> = (0..n).map(|q| 1e-2 * (q % 7) as f64 / 6.0).collect();
@@ -375,10 +348,7 @@ fn main() {
             .collect();
         ErrorChannel::from_schedule(&model, &data_idle, &meas_idle)
     };
-    let biased_rate = channel_rate(biased_channel());
-    let schedule_rate = channel_rate(schedule_channel());
 
-    // --- Bit-sliced batch shots, per channel kind. --------------------------
     // One warm scratch serves every channel: a high-noise burst grows the OSD
     // arenas and decode-cache storage once, then each `batch_rate` re-binds the
     // caches to its channel context allocation-free. When
@@ -414,6 +384,7 @@ fn main() {
     let schedule = structured(schedule_channel());
     let warm = entries_loaded > 0;
     let cache_evictions = batch.cache_evictions();
+    let steady_state_allocs = uniform.allocations + biased.allocations + schedule.allocations;
 
     // The headline figures: the batch path is what `MemoryExperiment::run`
     // executes, so the pre-PR speedup and the structured-channel penalty are
@@ -440,9 +411,6 @@ fn main() {
     println!("  OSD-fallback   {osd_rate:>12.0} decodes/sec (BP failure + OSD)");
     println!("    OSD warm     {osd_warm_rate:>12.0} decodes/sec (stage alone)");
     println!("    OSD cold     {osd_cold_rate:>12.0} decodes/sec ({osd_warm_speedup:.2}x warm-start gain)");
-    println!("  scalar shots   {shot_rate:>12.0} shots/sec (uniform)");
-    println!("    biased       {biased_rate:>12.0} shots/sec");
-    println!("    schedule     {schedule_rate:>12.0} shots/sec");
     println!("  batch shots    {uniform_batch:>12.0} shots/sec (uniform, 64 lanes/word)");
     for (name, m) in [("biased", &biased), ("schedule", &schedule)] {
         println!(
@@ -548,9 +516,6 @@ fn main() {
          \"osd_fallback_decodes_per_sec\": {osd_rate:.1},\n  \
          \"osd_stage_decodes_per_sec\": {{\n    \"warm\": {osd_warm_rate:.1},\n    \
          \"cold\": {osd_cold_rate:.1},\n    \"warm_start_speedup\": {osd_warm_speedup:.2}\n  }},\n  \
-         \"full_shot_shots_per_sec\": {shot_rate:.1},\n  \
-         \"channel_shots_per_sec\": {{\n    \"uniform\": {shot_rate:.1},\n    \
-         \"biased\": {biased_rate:.1},\n    \"schedule\": {schedule_rate:.1}\n  }},\n  \
          \"batch_shots_per_sec\": {{\n    \"uniform\": {uniform_batch:.1},\n    \
          \"biased\": {biased_batch:.1},\n    \"schedule\": {schedule_batch:.1}\n  }},\n  \
          \"batch_channel_stats\": {{\n    \"biased\": {},\n    \"schedule\": {}\n  }},\n  \

@@ -338,11 +338,10 @@ fn main() {
          request reuses an entry only at the exact shot count; a\n\
          precision-targeted request reuses any entry that meets-or-exceeds the\n\
          requested precision (including fixed full-shot entries); in both cases\n\
-         the entry's channel identity must match the request's. Schema-1 files\n\
-         (no `schema` field) and schema-2 files stay readable without migration —\n\
-         their per-point shot counts are what the reuse rules consult, and their\n\
-         entries read back as uniform-channel points (which is what they were);\n\
-         files with a foreign seed or BP iteration count are invalidated wholesale.\n\n\
+         the entry's channel identity must match the request's. Only schema 3\n\
+         is read: a cache is an accelerator, so a schema-1 or schema-2 file is a\n\
+         miss whose points are recomputed, and files with a foreign seed or BP\n\
+         iteration count are invalidated wholesale.\n\n\
          Regenerate with more sampling: `CYCLONE_SHOTS=20000 cargo bench -p bench \
          --bench experiments_md` (or `-- --shots 20000`); add `--target-rse 0.05 \
          --min-failures 400` for publication-grade uniform precision.\n\
@@ -384,9 +383,9 @@ fn main() {
          stage (column-permutation reuse + early-exit elimination, pinned\n\
          bit-identical to the cold reference `decode_into_cold` by a property\n\
          test). Each lane consumes its own seeded per-shot stream, so every\n\
-         table in this file is bit-identical to the scalar per-shot path at any\n\
-         thread count and any batch size (pinned by a property test across the\n\
-         code catalog × channel shapes × batch sizes).\n\n\
+         table in this file is bit-identical to a scalar per-shot reference\n\
+         sampler at any thread count and any batch size (pinned by a property\n\
+         test across the code catalog × channel shapes × batch sizes).\n\n\
          The decode caches persist: `--decode-cache-dir DIR` (or\n\
          `CYCLONE_DECODE_CACHE_DIR`) stores each channel context's cache as\n\
          JSON after a sweep and reloads it on the next run, keyed by a digest\n\
@@ -397,8 +396,8 @@ fn main() {
          the depolarizing maximum (0.75) saturate there with a recorded\n\
          `saturated()` flag instead of being silently clamped mid-sample.\n\n\
          `BENCH_decoder.json` (written by `cargo bench -p bench --bench\n\
-         decoder_hotpath`) records the scalar and batch shot rates per channel\n\
-         shape (`channel_shots_per_sec`, `batch_shots_per_sec`), per-channel\n\
+         decoder_hotpath`) records the batch shot rates per channel shape\n\
+         (`batch_shots_per_sec`), per-channel\n\
          `weight1_fastpath_rate` / `osd_fallback_rate` / `cache_hit_rate`\n\
          (`batch_channel_stats`), the warm and cold OSD stage rates\n\
          (`osd_stage_decodes_per_sec`), conflict evictions\n\

@@ -23,24 +23,21 @@
 //!   an individual point) stops each point at a target relative standard error /
 //!   failure count instead of a fixed shot budget, and the cache records the shots
 //!   actually spent so a cached point is reused whenever it meets-or-exceeds the
-//!   requested precision (cache schema 2; schema-1 fixed-shot files stay readable).
+//!   requested precision.
 
-use decoder::memory::{
-    estimate_points_adaptive_in, LerEstimate, LerPoint, MemoryConfig, PrecisionTarget,
-};
+use decoder::cache::atomic_write;
+use decoder::memory::{estimate_points, LerEstimate, LerPoint, MemoryConfig, PrecisionTarget};
 use noise::ChannelSpec;
 use qec::CssCode;
 use serde_json::Value;
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Version tag written to cache files. Schema 2 added the `mode` header and
 /// meets-or-exceeds reuse of per-entry shot counts; schema 3 added the per-entry
-/// `channel` identity (see [`ChannelSpec::cache_id`]). Schema-1 and schema-2
-/// files stay readable unmigrated: entries carry per-point `shots`/`failures`
-/// already, and a missing `channel` field reads back as `"uniform"` — exactly
-/// the channel every pre-schema-3 point was sampled under.
+/// `channel` identity (see [`ChannelSpec::cache_id`]). Only this schema is read:
+/// a cache is an accelerator, so an older file is a miss and its points are
+/// recomputed.
 pub(crate) const CACHE_SCHEMA: u64 = 3;
 
 /// A deterministic work-shard assignment: of `total` cooperating processes, this
@@ -100,11 +97,7 @@ impl std::fmt::Display for Shard {
 /// Panics when `total` is zero.
 pub fn shard_of(id: &str, total: usize) -> usize {
     assert!(total > 0, "shard layouts need at least one shard");
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for byte in id.bytes() {
-        hash ^= u64::from(byte);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
+    let hash = noise::fnv::Fnv1a::new().write(id.as_bytes()).finish();
     (hash % total as u64) as usize
 }
 
@@ -485,19 +478,11 @@ pub fn run_sweep(spec: &ScenarioSpec, options: &SweepOptions) -> SweepResult {
                     p: point.p,
                     latency: point.latency,
                     channel: options.channel_for(point),
+                    precision: options.target_for(point),
                 }
             })
             .collect();
-        let targets: Vec<Option<PrecisionTarget>> = group
-            .iter()
-            .map(|&i| options.target_for(&spec.points[i]))
-            .collect();
-        let fresh = estimate_points_adaptive_in(
-            &jobs,
-            &targets,
-            &options.config,
-            options.decode_cache_dir.as_deref(),
-        );
+        let fresh = estimate_points(&jobs, &options.config, options.decode_cache_dir.as_deref());
         for (&i, est) in group.iter().zip(fresh) {
             resolved.insert(i, (est, false));
         }
@@ -561,12 +546,12 @@ pub fn run_sweep(spec: &ScenarioSpec, options: &SweepOptions) -> SweepResult {
 }
 
 /// Loads reusable per-point estimates from a cache file. Any structural problem —
-/// missing file, malformed JSON, wrong figure, changed Monte-Carlo configuration —
-/// yields an empty map, i.e. full recomputation.
+/// missing file, malformed JSON, another schema, wrong figure, changed
+/// Monte-Carlo configuration — yields an empty map, i.e. full recomputation.
 ///
 /// Reuse is decided per entry against the *requested* sampling mode of its spec
-/// point: a fixed-budget point requires the exact `config.shots` count (the
-/// pre-adaptive rule, so schema-1 files keep hitting), while a precision-targeted
+/// point: a fixed-budget point requires the exact `config.shots` count, while a
+/// precision-targeted
 /// point reuses any entry that meets-or-exceeds the requested precision — whether
 /// it was produced by an adaptive run, a bigger adaptive cap, or a fixed full-shot
 /// run.
@@ -586,7 +571,8 @@ fn load_cache(
     // f64, which would silently round seeds above 2^53. The header `shots` field is
     // informational only since schema 2: the per-entry shot counts are what the
     // reuse rules consult.
-    if doc.get("figure").and_then(Value::as_str) != Some(spec.figure.as_str())
+    if doc.get("schema").and_then(Value::as_u64) != Some(CACHE_SCHEMA)
+        || doc.get("figure").and_then(Value::as_str) != Some(spec.figure.as_str())
         || doc.get("seed").and_then(Value::as_str) != Some(config.seed.to_string().as_str())
         || doc.get("bp_iterations").and_then(Value::as_u64) != Some(config.bp_iterations as u64)
     {
@@ -606,27 +592,21 @@ fn load_cache(
         let Some(point) = spec.points.iter().find(|p| p.id == id) else {
             continue;
         };
-        let (Some(p), Some(latency), Some(shots), Some(failures)) = (
+        let (Some(p), Some(latency), Some(channel), Some(shots), Some(failures)) = (
             entry.get("p").and_then(Value::as_f64),
             entry.get("latency").and_then(Value::as_f64),
+            entry.get("channel").and_then(Value::as_str),
             entry.get("shots").and_then(Value::as_u64),
             entry.get("failures").and_then(Value::as_u64),
         ) else {
             continue;
         };
-        if p != point.p || latency != point.latency || shots == 0 {
-            continue;
-        }
-        // Channel identity (schema 3): an entry is reusable only for the channel
-        // it was sampled under. Schema-1/2 entries carry no `channel` field and
-        // read back as "uniform" — the channel every pre-schema-3 point used — so
-        // old caches keep hitting for uniform requests and are correctly
-        // invalidated for structured ones.
-        let entry_channel = entry
-            .get("channel")
-            .and_then(Value::as_str)
-            .unwrap_or("uniform");
-        if entry_channel != options.channel_id_for(point) {
+        // An entry is reusable only for the channel it was sampled under.
+        if p != point.p
+            || latency != point.latency
+            || channel != options.channel_id_for(point)
+            || shots == 0
+        {
             continue;
         }
         let (shots, failures) = (shots as usize, failures as usize);
@@ -705,40 +685,6 @@ fn store_cache(
     let mut text = serde_json::to_string(&Value::Object(root));
     text.push('\n');
     atomic_write(path, &text)
-}
-
-/// Writes `text` to `path` atomically: the bytes land in a uniquely named temp file
-/// in the same directory (same filesystem, so the rename cannot degrade to a
-/// copy), which is then renamed over the destination. A crash mid-write leaves at
-/// worst a stray temp file; concurrent writers sharing one cache directory each
-/// publish a complete file, and readers only ever observe one of the complete
-/// versions — never a torn mix.
-pub(crate) fn atomic_write(path: &Path, text: &str) -> std::io::Result<()> {
-    static TEMP_NONCE: AtomicU64 = AtomicU64::new(0);
-    let dir = path.parent().filter(|p| !p.as_os_str().is_empty());
-    if let Some(parent) = dir {
-        std::fs::create_dir_all(parent)?;
-    }
-    let file_name = path
-        .file_name()
-        .ok_or_else(|| {
-            std::io::Error::new(std::io::ErrorKind::InvalidInput, "path has no file name")
-        })?
-        .to_string_lossy()
-        .into_owned();
-    let tmp_name = format!(
-        ".{file_name}.tmp.{}.{}",
-        std::process::id(),
-        TEMP_NONCE.fetch_add(1, Ordering::Relaxed)
-    );
-    let tmp = match dir {
-        Some(parent) => parent.join(&tmp_name),
-        None => PathBuf::from(&tmp_name),
-    };
-    std::fs::write(&tmp, text)?;
-    std::fs::rename(&tmp, path).inspect_err(|_| {
-        let _ = std::fs::remove_file(&tmp);
-    })
 }
 
 #[cfg(test)]

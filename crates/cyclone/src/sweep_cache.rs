@@ -15,11 +15,12 @@
 //! `seed`, and `bp_iterations` (the same identity [`crate::run_sweep`]'s loader
 //! checks). A source that disagrees — or does not parse — is *skipped and
 //! reported*, never silently folded in, and never aborts the merge of the
-//! remaining sources. Schema-1 and schema-2 files are accepted as sources:
-//! their entries simply lack the `channel` field and read back as `"uniform"`,
-//! exactly the channel those entries were sampled under.
+//! remaining sources. Only the current schema (`CACHE_SCHEMA`) parses: an
+//! older file (schema 1 or 2, whose entries lack the `channel` field) is
+//! skipped and reported, like any other incompatible source.
 
-use crate::sweep::{atomic_write, CACHE_SCHEMA};
+use crate::sweep::CACHE_SCHEMA;
+use decoder::cache::atomic_write;
 use serde_json::Value;
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
@@ -95,6 +96,13 @@ fn parse_cache(path: &Path) -> Result<ParsedCache, String> {
     };
     let mut header = root.clone();
     let points = header.remove("points");
+    let schema = header.get("schema").and_then(Value::as_u64);
+    if schema != Some(CACHE_SCHEMA) {
+        return Err(match schema {
+            Some(schema) => format!("schema {schema} is not the current schema {CACHE_SCHEMA}"),
+            None => format!("missing header field `schema` (current schema is {CACHE_SCHEMA})"),
+        });
+    }
     if header.get("figure").and_then(Value::as_str).is_none() {
         return Err("missing string header field `figure`".to_string());
     }
@@ -118,14 +126,15 @@ fn parse_cache(path: &Path) -> Result<ParsedCache, String> {
         let Some(id) = entry.get("id").and_then(Value::as_str) else {
             return Err(format!("entry {index} has no string `id`"));
         };
-        let (Some(_), Some(_), Some(shots), Some(failures)) = (
+        let (Some(_), Some(_), Some(_), Some(shots), Some(failures)) = (
             entry.get("p").and_then(Value::as_f64),
             entry.get("latency").and_then(Value::as_f64),
+            entry.get("channel").and_then(Value::as_str),
             entry.get("shots").and_then(Value::as_u64),
             entry.get("failures").and_then(Value::as_u64),
         ) else {
             return Err(format!(
-                "entry `{id}` is missing one of p/latency/shots/failures"
+                "entry `{id}` is missing one of p/latency/channel/shots/failures"
             ));
         };
         if failures > shots {
@@ -247,8 +256,8 @@ pub fn merge_files(dest: &Path, sources: &[PathBuf]) -> std::io::Result<MergeRep
 /// Summary statistics of one cache file.
 #[derive(Debug, Clone)]
 pub struct CacheStats {
-    /// Schema tag recorded in the file (0 when absent — schema-1 files predate
-    /// the field).
+    /// Schema tag recorded in the file (always `CACHE_SCHEMA`: other schemas
+    /// do not parse).
     pub schema: u64,
     /// The figure the cache belongs to.
     pub figure: String,
@@ -256,8 +265,8 @@ pub struct CacheStats {
     pub seed: String,
     /// The BP iteration cap the entries were decoded under.
     pub bp_iterations: u64,
-    /// Sampling mode recorded in the header (`fixed`, `adaptive`, or `unknown`
-    /// for schema-1 files).
+    /// Sampling mode recorded in the header (`fixed` or `adaptive`; `unknown`
+    /// when the field is absent).
     pub mode: String,
     /// Number of point entries.
     pub entries: usize,
@@ -282,11 +291,7 @@ pub fn stats_file(path: &Path) -> Result<CacheStats, String> {
         .filter_map(|(_, entry)| entry.get("failures").and_then(Value::as_u64))
         .sum::<u64>() as usize;
     Ok(CacheStats {
-        schema: parsed
-            .header
-            .get("schema")
-            .and_then(Value::as_u64)
-            .unwrap_or(0),
+        schema: CACHE_SCHEMA,
         figure: parsed.figure().to_string(),
         seed: parsed.seed().to_string(),
         bp_iterations: parsed.bp_iterations(),
@@ -303,9 +308,9 @@ pub fn stats_file(path: &Path) -> Result<CacheStats, String> {
 }
 
 /// Validates that `path` is a structurally sound cache file: parseable JSON
-/// with the required header fields, a `points` array whose entries all carry
-/// `id`/`p`/`latency`/`shots`/`failures`, no duplicate ids, and no entry with
-/// more failures than shots.
+/// of the current schema with the required header fields, a `points` array
+/// whose entries all carry `id`/`p`/`latency`/`channel`/`shots`/`failures`, no
+/// duplicate ids, and no entry with more failures than shots.
 ///
 /// # Errors
 ///

@@ -582,37 +582,48 @@ fn write_legacy_cache(
 }
 
 #[test]
-fn legacy_schema_1_and_2_caches_serve_uniform_requests_only() {
-    // Pre-channel cache files (schema 1: no header at all; schema 2: header but no
-    // per-entry channel) stay readable unmigrated: their entries were all sampled
-    // under the uniform channel, so they hit for uniform requests and are
-    // invalidated for structured ones.
+fn legacy_schema_1_and_2_caches_are_misses() {
+    // Pre-channel cache files (schema 1: no schema field; schema 2: no
+    // per-entry channel) are not read: a cache is an accelerator, so an old
+    // file is a miss, its points are recomputed, and the rewrite upgrades it.
+    // The offline merge reports such a file as a skipped source.
     let config = quick_config(2);
     for (name, schema) in [("legacy-s1", None), ("legacy-s2", Some(2u64))] {
         let dir = scratch_dir(name);
         let spec = noisy_spec(name);
         write_legacy_cache(&dir, name, schema, &config);
+        let fresh = run_sweep(&spec, &SweepOptions::ephemeral(config));
 
-        let uniform = run_sweep(&spec, &SweepOptions::cached(config, &dir));
+        let rerun = run_sweep(&spec, &SweepOptions::cached(config, &dir));
+        assert_eq!(rerun.cache_hits, 0, "{name}: legacy entries must miss");
+        assert_eq!(rerun.computed, 2);
         assert_eq!(
-            uniform.cache_hits, 2,
-            "{name}: legacy entries must serve uniform requests"
+            rerun.estimates(),
+            fresh.estimates(),
+            "{name}: recomputed, not read"
         );
-        assert_eq!(
-            uniform.points[0].ler.failures, 9,
-            "{name}: counts come from the legacy file"
-        );
-        assert_eq!(uniform.points[1].ler.failures, 21);
+        let upgraded = run_sweep(&spec, &SweepOptions::cached(config, &dir));
+        assert_eq!(upgraded.cache_hits, 2, "{name}: rewritten at schema 3");
 
-        write_legacy_cache(&dir, name, schema, &config);
-        let biased = run_sweep(
-            &spec,
-            &SweepOptions::cached(config, &dir)
-                .with_channel(ChannelSpec::Biased { meas_ratio: 2.0 }),
-        );
+        let legacy = dir.join("legacy.json");
+        write_legacy_cache(&dir, "legacy", schema, &config);
+        let merged = dir.join("merged.json");
+        let report = cyclone::sweep_cache::merge_files(
+            &merged,
+            &[dir.join(format!("{name}.json")), legacy.clone()],
+        )
+        .expect("the schema-3 source parses");
+        assert_eq!(report.sources_merged, 1);
         assert_eq!(
-            biased.cache_hits, 0,
-            "{name}: legacy entries must not serve structured requests"
+            report.sources_skipped.len(),
+            1,
+            "{name}: legacy source skipped"
+        );
+        assert_eq!(report.sources_skipped[0].0, legacy);
+        assert!(
+            report.sources_skipped[0].1.contains("schema"),
+            "{name}: skip reason names the schema: {}",
+            report.sources_skipped[0].1
         );
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -709,4 +720,28 @@ fn decode_cache_dir_is_bit_identical_and_persists_files() {
         assert_eq!(a.ler.ler, c.ler.ler);
     }
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn content_hashes_are_pinned() {
+    // Shard layout (`shard_of`), priors-LLR cache keys (`priors_digest`) and
+    // sweep-cache channel identity (`cache_id`) are persisted or shared across
+    // processes, so their FNV-1a values must never drift. A `usize::MAX` shard
+    // count exposes the full 64-bit hash; "a" is the published FNV-1a vector.
+    use cyclone::sweep::shard_of;
+    let id = "fig14_bb_ler/cyclone/[[72,12,6]]/p=1e-3";
+    assert_eq!(shard_of(id, usize::MAX), 0xc0ff_1981_abf9_c05e);
+    assert_eq!(shard_of("", usize::MAX), 0xcbf2_9ce4_8422_2325);
+    assert_eq!(shard_of("a", usize::MAX), 0xaf63_dc4c_8601_ec8c);
+    assert_eq!(shard_of(id, 7), 5);
+    assert_eq!(shard_of("", 7), 2);
+    use decoder::bp::priors_digest;
+    assert_eq!(priors_digest(&[]), 0xcbf2_9ce4_8422_2325);
+    assert_eq!(priors_digest(&[1e-3; 4]), 0xc7a4_1288_3905_0ee5);
+    assert_eq!(priors_digest(&[0.1, 0.2, 0.45]), 0xbd97_e5f9_312a_cf21);
+    let channel = ErrorChannel::from_rates(vec![1e-3, 2e-3, 3e-3], vec![4e-3, 5e-3]);
+    assert_eq!(
+        ChannelSpec::Explicit(channel).cache_id(),
+        "explicit:bed985dbf60f15ce"
+    );
 }

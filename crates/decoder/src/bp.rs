@@ -7,7 +7,8 @@
 //! the caller typically falls back to ordered-statistics decoding ([`crate::osd`]).
 //!
 //! The Tanner graph is flattened to CSR edge arrays once at construction
-//! ([`TannerGraph`]), and the hot path ([`BeliefPropagation::decode_into`]) keeps both
+//! ([`TannerGraph`]), and the hot path
+//! ([`BeliefPropagation::decode_with_priors_keyed_into`]) keeps both
 //! message directions in flat `f64` arenas indexed by edge id, borrowed from a
 //! caller-owned [`DecoderScratch`] — zero heap allocation per decode in steady state.
 
@@ -21,14 +22,11 @@ use crate::sparse::{SparseBinMat, TannerGraph, PAD_LANES};
 /// priors buffer across many decodes compute this once per rebuild and pay a
 /// single `u64` compare per decode instead of an O(n) float comparison.
 pub fn priors_digest(priors: &[f64]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut hash = noise::fnv::Fnv1a::new();
     for &p in priors {
-        for byte in p.to_bits().to_le_bytes() {
-            hash ^= u64::from(byte);
-            hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-        }
+        hash.write_u64(p.to_bits());
     }
-    hash
+    hash.finish()
 }
 
 /// Result of a BP run (owning variant returned by the allocating wrappers).
@@ -100,17 +98,6 @@ impl BeliefPropagation {
         }
     }
 
-    /// Sets the min-sum normalization factor.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `scale` is not in `(0, 1]`.
-    pub fn with_scale(mut self, scale: f64) -> Self {
-        assert!(scale > 0.0 && scale <= 1.0, "scale must be in (0,1]");
-        self.scale = scale;
-        self
-    }
-
     /// Overrides the check-pass dispatch decided by [`Simd::from_env`] — how
     /// tests and benches pin the scalar reference and the vectorized path side
     /// by side regardless of `CYCLONE_SIMD`.
@@ -134,82 +121,38 @@ impl BeliefPropagation {
         &self.graph
     }
 
-    /// Runs BP for a syndrome with uniform prior error probability `p`.
-    pub fn decode(&self, syndrome: &[bool], p: f64) -> BpResult {
-        let mut scratch = DecoderScratch::new();
-        let status = self.decode_into(syndrome, p, &mut scratch);
-        BpResult {
-            error: scratch.error,
-            llrs: scratch.llrs,
-            converged: status.converged,
-            iterations: status.iterations,
-        }
-    }
-
-    /// Runs BP with per-bit prior error probabilities.
-    ///
-    /// # Panics
-    ///
-    /// Panics if dimensions do not match or a prior is outside `(0, 1)`.
-    pub fn decode_with_priors(&self, syndrome: &[bool], priors: &[f64]) -> BpResult {
-        let mut scratch = DecoderScratch::new();
-        let status = self.decode_with_priors_into(syndrome, priors, &mut scratch);
-        BpResult {
-            error: scratch.error,
-            llrs: scratch.llrs,
-            converged: status.converged,
-            iterations: status.iterations,
-        }
-    }
-
-    /// Runs BP for a syndrome with uniform prior error probability `p`, borrowing all
-    /// working buffers from `scratch`.
-    ///
-    /// The uniform channel LLR is cached in the scratch, so repeated decodes at the
-    /// same `p` (the Monte-Carlo steady state) skip the per-bit `ln` recomputation.
-    /// The error estimate and posterior LLRs are left in
-    /// [`DecoderScratch::error`] / [`DecoderScratch::llrs`].
+    /// Runs BP for a syndrome with uniform prior error probability `p`
+    /// (allocating convenience wrapper around
+    /// [`BeliefPropagation::decode_with_priors_keyed_into`] with constant priors).
     ///
     /// # Panics
     ///
     /// Panics if dimensions do not match or `p` is outside `(0, 1)`.
-    pub fn decode_into(&self, syndrome: &[bool], p: f64, scratch: &mut DecoderScratch) -> BpStatus {
-        let n = self.h.num_cols();
-        assert!(p > 0.0 && p < 1.0, "priors must be in (0,1)");
-        if scratch.cached_uniform != Some((p, n)) {
-            let llr = ((1.0 - p) / p).ln();
-            scratch.channel_llr.clear();
-            scratch.channel_llr.resize(n, llr);
-            scratch.cached_uniform = Some((p, n));
-            scratch.cached_priors_key = None;
+    pub fn decode(&self, syndrome: &[bool], p: f64) -> BpResult {
+        let priors = vec![p; self.h.num_cols()];
+        let mut scratch = DecoderScratch::new();
+        let status = self.decode_with_priors_keyed_into(
+            syndrome,
+            &priors,
+            priors_digest(&priors),
+            &mut scratch,
+        );
+        BpResult {
+            error: scratch.error,
+            llrs: scratch.llrs,
+            converged: status.converged,
+            iterations: status.iterations,
         }
-        self.propagate(syndrome, scratch)
     }
 
-    /// Runs BP with per-bit prior error probabilities, borrowing all working buffers
-    /// from `scratch` (see [`BeliefPropagation::decode_into`]).
+    /// Runs BP with per-bit prior error probabilities, borrowing all working
+    /// buffers from `scratch`; the error estimate and posterior LLRs are left in
+    /// [`DecoderScratch::error`] / [`DecoderScratch::llrs`]. A uniform channel is
+    /// a constant priors vector.
     ///
-    /// The LLR conversion is cached against a content digest of the priors
-    /// ([`priors_digest`], computed here per call), so repeated decodes with equal
-    /// priors — even from a rebuilt buffer — hit without an O(n) float compare.
-    /// Callers that hold their priors fixed across many decodes should precompute
-    /// the digest once and use
-    /// [`BeliefPropagation::decode_with_priors_keyed_into`] instead.
-    ///
-    /// # Panics
-    ///
-    /// Panics if dimensions do not match or a prior is outside `(0, 1)`.
-    pub fn decode_with_priors_into(
-        &self,
-        syndrome: &[bool],
-        priors: &[f64],
-        scratch: &mut DecoderScratch,
-    ) -> BpStatus {
-        self.decode_with_priors_keyed_into(syndrome, priors, priors_digest(priors), scratch)
-    }
-
-    /// [`BeliefPropagation::decode_with_priors_into`] with a caller-precomputed
-    /// [`priors_digest`] key, making the steady-state cache hit a single `u64`
+    /// The LLR conversion is cached in the scratch against `key`, a
+    /// caller-precomputed [`priors_digest`] of `priors`, so repeated decodes
+    /// with the same priors (the Monte-Carlo steady state) pay a single `u64`
     /// compare. `key` must be the digest of `priors`; passing a stale key for a
     /// changed buffer silently decodes with the previously cached LLRs.
     ///
@@ -232,7 +175,6 @@ impl BeliefPropagation {
         assert_eq!(priors.len(), n, "one prior per variable required");
         debug_assert_eq!(key, priors_digest(priors), "key is not the priors digest");
         if scratch.cached_priors_key != Some((key, n)) {
-            scratch.cached_uniform = None;
             scratch.channel_llr.clear();
             scratch.channel_llr.extend(priors.iter().map(|&p| {
                 assert!(p > 0.0 && p < 1.0, "priors must be in (0,1)");
@@ -640,15 +582,33 @@ mod tests {
         }
     }
 
+    /// One scratch decode through the keyed entry point.
+    fn decode_keyed(
+        bp: &BeliefPropagation,
+        s: &[bool],
+        priors: &[f64],
+        scratch: &mut DecoderScratch,
+    ) -> BpStatus {
+        bp.decode_with_priors_keyed_into(s, priors, priors_digest(priors), scratch)
+    }
+
+    /// The error estimate of a fresh-scratch decode.
+    fn fresh_error(bp: &BeliefPropagation, s: &[bool], priors: &[f64]) -> Vec<bool> {
+        let mut scratch = DecoderScratch::new();
+        decode_keyed(bp, s, priors, &mut scratch);
+        scratch.error
+    }
+
     #[test]
     fn priors_bias_the_decision() {
         // Two bits checked by one parity: the syndrome says exactly one is flipped;
         // the bit with the much larger prior should be chosen.
         let h = SparseBinMat::from_row_supports(2, vec![vec![0, 1]]);
         let bp = BeliefPropagation::new(h, 10);
-        let r = bp.decode_with_priors(&[true], &[0.3, 0.001]);
+        let mut scratch = DecoderScratch::new();
+        let r = decode_keyed(&bp, &[true], &[0.3, 0.001], &mut scratch);
         assert!(r.converged);
-        assert_eq!(r.error, vec![true, false]);
+        assert_eq!(scratch.error(), [true, false]);
     }
 
     #[test]
@@ -656,7 +616,7 @@ mod tests {
     fn invalid_prior_rejected() {
         let h = repetition_check(3);
         let bp = BeliefPropagation::new(h, 5);
-        let _ = bp.decode_with_priors(&[false, false], &[0.0, 0.5, 0.5]);
+        let _ = fresh_error(&bp, &[false, false], &[0.0, 0.5, 0.5]);
     }
 
     #[test]
@@ -669,7 +629,7 @@ mod tests {
             e[bit] = true;
             let s = h.syndrome(&e);
             let fresh = bp.decode(&s, 0.05);
-            let status = bp.decode_into(&s, 0.05, &mut scratch);
+            let status = decode_keyed(&bp, &s, &[0.05; 7], &mut scratch);
             assert_eq!(status.converged, fresh.converged);
             assert_eq!(status.iterations, fresh.iterations);
             assert_eq!(scratch.error(), fresh.error.as_slice());
@@ -685,13 +645,13 @@ mod tests {
         e[2] = true;
         let s = h.syndrome(&e);
         let mut scratch = DecoderScratch::new();
-        let a = bp.decode_into(&s, 0.05, &mut scratch);
-        // Different p must refresh the cached channel LLR.
-        let b = bp.decode_into(&s, 0.01, &mut scratch);
+        let a = decode_keyed(&bp, &s, &[0.05; 5], &mut scratch);
+        // A different constant p must refresh the cached channel LLR.
+        let b = decode_keyed(&bp, &s, &[0.01; 5], &mut scratch);
         assert_eq!(scratch.error(), bp.decode(&s, 0.01).error.as_slice());
-        // A priors decode in between must not poison the uniform cache.
-        let _ = bp.decode_with_priors_into(&s, &[0.3, 0.3, 0.3, 0.3, 0.3], &mut scratch);
-        let c = bp.decode_into(&s, 0.05, &mut scratch);
+        // A per-bit priors decode in between must not poison the cache.
+        let _ = decode_keyed(&bp, &s, &[0.3, 0.2, 0.3, 0.3, 0.3], &mut scratch);
+        let c = decode_keyed(&bp, &s, &[0.05; 5], &mut scratch);
         assert_eq!(a.converged, c.converged);
         assert_eq!(a.iterations, c.iterations);
         assert_eq!(scratch.error(), bp.decode(&s, 0.05).error.as_slice());
@@ -702,8 +662,7 @@ mod tests {
     fn priors_llr_cache_hits_and_invalidates() {
         // The per-bit-priors LLR conversion is cached against a content digest;
         // repeated decodes with equal priors hit (the rebuild counter stays put),
-        // and any interleaving with different priors or a uniform decode rebuilds
-        // correctly.
+        // and any interleaving with different priors rebuilds correctly.
         let h = repetition_check(5);
         let bp = BeliefPropagation::new(h.clone(), 20);
         let mut e = vec![false; 5];
@@ -713,48 +672,30 @@ mod tests {
         let priors_b = vec![0.01; 5];
         let mut scratch = DecoderScratch::new();
 
-        let first = bp.decode_with_priors_into(&s, &priors_a, &mut scratch);
+        let first = decode_keyed(&bp, &s, &priors_a, &mut scratch);
         assert_eq!(scratch.priors_rebuilds(), 1);
         let llr_after_first = scratch.channel_llr.clone();
         // Same priors again: the cached LLRs are reused and the result is stable.
-        let second = bp.decode_with_priors_into(&s, &priors_a, &mut scratch);
+        let second = decode_keyed(&bp, &s, &priors_a, &mut scratch);
         assert_eq!(first, second);
         assert_eq!(scratch.priors_rebuilds(), 1);
         assert_eq!(scratch.channel_llr, llr_after_first);
-        assert_eq!(
-            scratch.error(),
-            bp.decode_with_priors(&s, &priors_a).error.as_slice()
-        );
+        assert_eq!(scratch.error(), fresh_error(&bp, &s, &priors_a));
         // A *rebuilt* but value-equal buffer hits too — the digest keys on content,
         // not on the caller's allocation.
         let rebuilt = priors_a.clone();
-        let _ = bp.decode_with_priors_into(&s, &rebuilt, &mut scratch);
-        assert_eq!(scratch.priors_rebuilds(), 1);
-        // The precomputed-key entry point hits the same cache.
-        let key = priors_digest(&priors_a);
-        let keyed = bp.decode_with_priors_keyed_into(&s, &priors_a, key, &mut scratch);
-        assert_eq!(keyed, first);
+        let _ = decode_keyed(&bp, &s, &rebuilt, &mut scratch);
         assert_eq!(scratch.priors_rebuilds(), 1);
 
         // Different priors must rebuild ...
-        let _ = bp.decode_with_priors_into(&s, &priors_b, &mut scratch);
+        let _ = decode_keyed(&bp, &s, &priors_b, &mut scratch);
         assert_eq!(scratch.priors_rebuilds(), 2);
-        assert_eq!(
-            scratch.error(),
-            bp.decode_with_priors(&s, &priors_b).error.as_slice()
-        );
-        // ... a uniform decode in between must invalidate the priors cache ...
-        let _ = bp.decode_into(&s, 0.05, &mut scratch);
-        let after_uniform = bp.decode_with_priors_into(&s, &priors_a, &mut scratch);
-        assert_eq!(after_uniform, first);
+        assert_eq!(scratch.error(), fresh_error(&bp, &s, &priors_b));
+        // ... and switching back rebuilds again, to the same answer.
+        let after_b = decode_keyed(&bp, &s, &priors_a, &mut scratch);
+        assert_eq!(after_b, first);
         assert_eq!(scratch.priors_rebuilds(), 3);
-        assert_eq!(
-            scratch.error(),
-            bp.decode_with_priors(&s, &priors_a).error.as_slice()
-        );
-        // ... and the uniform cache still works after priors decodes.
-        let _ = bp.decode_into(&s, 0.05, &mut scratch);
-        assert_eq!(scratch.error(), bp.decode(&s, 0.05).error.as_slice());
+        assert_eq!(scratch.error(), fresh_error(&bp, &s, &priors_a));
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! statistics post-processing whenever BP fails to reproduce the syndrome (see
 //! DESIGN.md, substitution 2).
 
-use crate::bp::BeliefPropagation;
+use crate::bp::{priors_digest, BeliefPropagation};
 use crate::osd::OsdDecoder;
 use crate::scratch::DecoderScratch;
 use crate::sparse::SparseBinMat;
@@ -59,7 +59,7 @@ impl BpOsdDecoder {
     }
 
     /// The parity-check matrix in the sparse form used by belief propagation (handy
-    /// for allocation-free syndrome computation alongside `decode_into`).
+    /// for allocation-free syndrome computation alongside the scratch decode).
     pub fn check_matrix(&self) -> &SparseBinMat {
         self.bp.matrix()
     }
@@ -76,7 +76,9 @@ impl BpOsdDecoder {
         self.bp.simd()
     }
 
-    /// Decodes `syndrome` assuming a uniform prior error probability `p` per bit.
+    /// Decodes `syndrome` assuming a uniform prior error probability `p` per bit
+    /// (allocating convenience wrapper around
+    /// [`BpOsdDecoder::decode_with_priors_keyed_into`] with constant priors).
     ///
     /// Always returns an error pattern whose syndrome matches (OSD guarantees a
     /// solution for any syndrome in the row space, which is every physically
@@ -84,10 +86,17 @@ impl BpOsdDecoder {
     ///
     /// # Panics
     ///
-    /// Panics if the syndrome length does not match the number of checks.
+    /// Panics if the syndrome length does not match the number of checks, or `p`
+    /// is outside `(0, 1)`.
     pub fn decode(&self, syndrome: &[bool], p: f64) -> Decode {
+        let priors = vec![p; self.check_matrix().num_cols()];
         let mut scratch = DecoderScratch::new();
-        let status = self.decode_into(syndrome, p, &mut scratch);
+        let status = self.decode_with_priors_keyed_into(
+            syndrome,
+            &priors,
+            priors_digest(&priors),
+            &mut scratch,
+        );
         Decode {
             error: scratch.error,
             method: status.method,
@@ -95,48 +104,13 @@ impl BpOsdDecoder {
         }
     }
 
-    /// Scratch-borrowing variant of [`BpOsdDecoder::decode`]: the error pattern is
-    /// left in [`DecoderScratch::error`]. When BP fails to converge and the OSD
-    /// fallback finds the syndrome inconsistent (impossible for physically produced
-    /// syndromes), the BP hard decision is left in place, mirroring the allocating
-    /// path's fallback.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the syndrome length does not match the number of checks.
-    pub fn decode_into(
-        &self,
-        syndrome: &[bool],
-        p: f64,
-        scratch: &mut DecoderScratch,
-    ) -> DecodeStatus {
-        let bp_status = self.bp.decode_into(syndrome, p, scratch);
-        self.finish_decode(syndrome, bp_status, scratch)
-    }
-
-    /// Scratch-borrowing BP+OSD decode with per-bit prior error probabilities: the
-    /// channel-structured counterpart of [`BpOsdDecoder::decode_into`]. With all
-    /// priors equal this computes exactly what the uniform path computes (pinned by
-    /// a property test over the code catalog), but skips its cached-LLR fast path.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the syndrome length does not match the number of checks, or
-    /// `priors` is not one-per-column in `(0, 1)`.
-    pub fn decode_with_priors_into(
-        &self,
-        syndrome: &[bool],
-        priors: &[f64],
-        scratch: &mut DecoderScratch,
-    ) -> DecodeStatus {
-        let bp_status = self.bp.decode_with_priors_into(syndrome, priors, scratch);
-        self.finish_decode(syndrome, bp_status, scratch)
-    }
-
-    /// [`BpOsdDecoder::decode_with_priors_into`] with a caller-precomputed
-    /// [`crate::bp::priors_digest`] key: the steady-state priors-LLR cache hit
-    /// becomes a single `u64` compare (see
-    /// [`BeliefPropagation::decode_with_priors_keyed_into`]).
+    /// Scratch-borrowing BP+OSD decode with per-bit prior error probabilities
+    /// and their caller-precomputed [`priors_digest`] key (the steady-state
+    /// priors-LLR cache hit is a single `u64` compare, see
+    /// [`BeliefPropagation::decode_with_priors_keyed_into`]). The error pattern
+    /// is left in [`DecoderScratch::error`]. When BP fails to converge and the
+    /// OSD fallback finds the syndrome inconsistent (impossible for physically
+    /// produced syndromes), the BP hard decision is left in place.
     ///
     /// # Panics
     ///
@@ -155,8 +129,8 @@ impl BpOsdDecoder {
         self.finish_decode(syndrome, bp_status, scratch)
     }
 
-    /// Shared tail of the `decode_into` variants: accept a converged BP answer or
-    /// run the ordered-statistics fallback on the BP soft output.
+    /// Decode tail: accept a converged BP answer or run the ordered-statistics
+    /// fallback on the BP soft output.
     // cyclone-lint: hot-path
     fn finish_decode(
         &self,
@@ -248,6 +222,17 @@ mod tests {
         }
     }
 
+    /// One scratch decode through the keyed entry point at constant prior `p`.
+    fn decode_uniform_into(
+        dec: &BpOsdDecoder,
+        s: &[bool],
+        p: f64,
+        scratch: &mut DecoderScratch,
+    ) -> DecodeStatus {
+        let priors = vec![p; dec.check_matrix().num_cols()];
+        dec.decode_with_priors_keyed_into(s, &priors, priors_digest(&priors), scratch)
+    }
+
     #[test]
     fn decode_into_reuses_scratch_across_sectors() {
         // One scratch bounced between the X- and Z-sector decoders (different row
@@ -262,7 +247,7 @@ mod tests {
             let e: Vec<bool> = (0..n).map(|_| rng.gen_bool(0.04)).collect();
             for (dec, s) in [(&dec_z, code.z_syndrome(&e)), (&dec_x, code.x_syndrome(&e))] {
                 let fresh = dec.decode(&s, 0.04);
-                let status = dec.decode_into(&s, 0.04, &mut scratch);
+                let status = decode_uniform_into(dec, &s, 0.04, &mut scratch);
                 assert_eq!(status.method, fresh.method);
                 assert_eq!(status.iterations, fresh.iterations);
                 assert_eq!(scratch.error(), fresh.error.as_slice());
@@ -272,25 +257,25 @@ mod tests {
 
     #[test]
     fn uniform_priors_match_the_uniform_path_including_osd_fallback() {
-        // The per-bit-priors entry point with a constant prior must compute exactly
-        // what the scalar path computes, on BP-converged and OSD-fallback syndromes
-        // alike (the sweep-level property test extends this across the catalog).
+        // A constant priors vector through one warm, reused scratch must compute
+        // exactly what the allocating uniform decode computes on a fresh scratch,
+        // on BP-converged and OSD-fallback syndromes alike (the sweep-level
+        // property test extends this across the catalog).
         let code = bb_72_12_6().expect("valid");
         let dec = BpOsdDecoder::new(code.hz(), 12);
         let n = code.num_qubits();
         let p = 0.03;
-        let priors = vec![p; n];
         let mut rng = StdRng::seed_from_u64(0xC1C1_0DE5);
-        let mut scratch_a = DecoderScratch::new();
-        let mut scratch_b = DecoderScratch::new();
+        let mut scratch = DecoderScratch::new();
         let mut fallbacks = 0usize;
         for _ in 0..30 {
             let e: Vec<bool> = (0..n).map(|_| rng.gen_bool(0.06)).collect();
             let s = code.z_syndrome(&e);
-            let uniform = dec.decode_into(&s, p, &mut scratch_a);
-            let with_priors = dec.decode_with_priors_into(&s, &priors, &mut scratch_b);
-            assert_eq!(uniform, with_priors);
-            assert_eq!(scratch_a.error(), scratch_b.error());
+            let uniform = dec.decode(&s, p);
+            let with_priors = decode_uniform_into(&dec, &s, p, &mut scratch);
+            assert_eq!(uniform.method, with_priors.method);
+            assert_eq!(uniform.iterations, with_priors.iterations);
+            assert_eq!(uniform.error.as_slice(), scratch.error());
             if uniform.method == DecodeMethod::OrderedStatistics {
                 fallbacks += 1;
             }

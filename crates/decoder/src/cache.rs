@@ -27,8 +27,48 @@
 //! bound one, so sweep re-runs and CI warm runs skip the compulsory-miss wall
 //! without ever replaying a correction from a foreign matrix or channel.
 
-use std::path::Path;
+use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
+
+/// Writes `text` to `path` atomically (the one atomic-write helper, shared by
+/// decode caches and sweep caches): the bytes land in a uniquely named temp
+/// file in the same directory (created if missing), which is then renamed over
+/// the destination. A crash leaves at worst a stray temp file, and readers only
+/// ever observe a complete version — never a torn mix. The temp name is unique
+/// per process (pid) and per call (a counter; `cyclone-lint` bans wall clocks
+/// in decode modules).
+///
+/// # Errors
+///
+/// Returns any I/O error; the temp file is removed on a failed rename.
+pub fn atomic_write(path: &Path, text: &str) -> std::io::Result<()> {
+    static TEMP_NONCE: AtomicU64 = AtomicU64::new(0);
+    let dir = path.parent().filter(|p| !p.as_os_str().is_empty());
+    if let Some(parent) = dir {
+        std::fs::create_dir_all(parent)?;
+    }
+    let file_name = path
+        .file_name()
+        .ok_or_else(|| {
+            std::io::Error::new(std::io::ErrorKind::InvalidInput, "path has no file name")
+        })?
+        .to_string_lossy()
+        .into_owned();
+    let tmp_name = format!(
+        ".{file_name}.tmp.{}.{}",
+        std::process::id(),
+        TEMP_NONCE.fetch_add(1, Ordering::Relaxed)
+    );
+    let tmp = match dir {
+        Some(parent) => parent.join(&tmp_name),
+        None => PathBuf::from(&tmp_name),
+    };
+    std::fs::write(&tmp, text)?;
+    std::fs::rename(&tmp, path).inspect_err(|_| {
+        let _ = std::fs::remove_file(&tmp);
+    })
+}
 
 /// Associativity: ways per set. Four ways absorb the conflict chains that a
 /// direct-mapped table shows on structured-channel syndrome mixes while keeping
@@ -328,31 +368,7 @@ impl DecodeCache {
             Value::Number(self.corr_words as f64),
         );
         root.insert("entries".to_string(), Value::Array(entries));
-        let text = serde_json::to_string(&Value::Object(root));
-
-        // Atomic publish: unique temp name in the same directory, then rename.
-        let dir = path.parent().unwrap_or_else(|| Path::new("."));
-        let name = path
-            .file_name()
-            .and_then(|n| n.to_str())
-            .unwrap_or("decode-cache.json");
-        // The nonce only has to be unique among concurrent writers of one
-        // path: pid distinguishes processes, a process-wide counter
-        // distinguishes threads. (A wall-clock nonce would work too, but this
-        // module is decode-hot-path territory where `cyclone-lint` bans
-        // `SystemTime` outright — save paths included, so the ban stays a
-        // simple module-wide invariant.)
-        static SAVE_NONCE: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
-        let nonce = SAVE_NONCE.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        let tmp = dir.join(format!(".{name}.tmp.{}.{nonce}", std::process::id()));
-        std::fs::write(&tmp, text)?;
-        match std::fs::rename(&tmp, path) {
-            Ok(()) => Ok(()),
-            Err(err) => {
-                let _ = std::fs::remove_file(&tmp);
-                Err(err)
-            }
-        }
+        atomic_write(path, &serde_json::to_string(&Value::Object(root)))
     }
 
     /// Loads persisted entries from `path` into the cache, which must already

@@ -9,11 +9,14 @@
 //!   ([`simd`]), byte-identical to the scalar reference and overridable via
 //!   `CYCLONE_SIMD`,
 //! * reusable decode workspaces ([`scratch`]) backing the allocation-free
-//!   `decode_into` hot paths,
+//!   `decode_with_priors_keyed_into` hot path,
+//! * a persistent per-context syndrome → correction cache ([`cache`]),
 //! * a circuit-level Pauli-frame simulator for syndrome-extraction circuits
 //!   ([`pauli`]),
 //! * and the Monte-Carlo logical-memory harness that couples compiled execution
-//!   latency to decoherence noise ([`memory`]).
+//!   latency to decoherence noise ([`memory`]): one chunk-scheduled driver,
+//!   [`MemoryExperiment::run`], for fixed budgets and precision targets alike,
+//!   and one point pool, [`memory::estimate_points`].
 //!
 //! # Example
 //!
@@ -43,9 +46,7 @@ pub mod simd;
 pub mod sparse;
 
 pub use bposd::BpOsdDecoder;
-pub use memory::{
-    logical_error_rate, BatchScratch, LerEstimate, MemoryConfig, MemoryExperiment, ShotScratch,
-};
+pub use memory::{logical_error_rate, BatchScratch, LerEstimate, MemoryConfig, MemoryExperiment};
 pub use pauli::{CircuitNoise, PauliFrameSimulator};
 pub use scratch::DecoderScratch;
 pub use simd::{Simd, SimdIsa, SimdMode};

@@ -7,9 +7,9 @@
 //! drives independent X/Z error sampling, BP+OSD decoding, and logical-failure
 //! counting (see DESIGN.md, substitution 3). Sampling is parallelized with `std`
 //! scoped threads; every shot derives its own RNG stream from the base seed, so the
-//! estimate is identical for any worker count. Each worker owns a [`ShotScratch`]
-//! (error/syndrome/residual buffers plus one [`DecoderScratch`] per sector decoder),
-//! so steady-state sampling performs zero heap allocation.
+//! estimate is identical for any worker count. Each worker owns one
+//! [`BatchScratch`] for the whole run, so steady-state sampling performs zero heap
+//! allocation.
 
 use crate::bposd::{BpOsdDecoder, DecodeMethod};
 use crate::cache::DecodeCache;
@@ -21,7 +21,8 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
 
 /// An estimated logical error rate with sampling statistics.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -113,12 +114,11 @@ impl LerEstimate {
 ///
 /// The stopping decision is evaluated on shot *prefixes* of the same seeded
 /// per-shot RNG streams the fixed-budget path uses, so the adaptive result is the
-/// fixed result of its own shot count: bit-identical at any worker count and any
-/// execution batch size.
+/// fixed result of its own shot count: bit-identical at any worker count.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct PrecisionTarget {
     /// Stop once the relative standard error (`std_err / ler`) is at or below this
-    /// (`0.0` never stops early: sample to `max_shots`).
+    /// (a non-positive value never stops early: sample to `max_shots`).
     pub target_rse: f64,
     /// ... and at least this many failures were observed (a floor of 1 is always
     /// applied, so the rse check never runs on a floored zero-failure estimate).
@@ -143,7 +143,9 @@ impl PrecisionTarget {
     /// precision-targeted request). The `max_shots` cap is deliberately not
     /// consulted here: this is the *precision* criterion alone.
     pub fn met_by(&self, shots: usize, failures: usize) -> bool {
-        if shots == 0 || failures < self.min_failures.max(1) {
+        // A non-positive target is never met: an all-failure prefix (ler 1,
+        // std_err 0) would otherwise meet a zero target.
+        if self.target_rse <= 0.0 || shots == 0 || failures < self.min_failures.max(1) {
             return false;
         }
         let est = LerEstimate::from_counts(shots, failures);
@@ -204,26 +206,6 @@ impl MemoryConfig {
     pub fn shot_seed(&self, shot: usize) -> u64 {
         self.seed
             .wrapping_add(0x9E37_79B9_7F4A_7C15u64.wrapping_mul(shot as u64 + 1))
-    }
-}
-
-/// Per-worker sampling workspace: one [`DecoderScratch`] per sector decoder plus the
-/// error/syndrome/residual buffers of a shot, so [`MemoryExperiment::sample_one_with`]
-/// performs zero heap allocation in steady state.
-#[derive(Debug, Clone, Default)]
-pub struct ShotScratch {
-    x_decode: DecoderScratch,
-    z_decode: DecoderScratch,
-    x_error: Vec<bool>,
-    z_error: Vec<bool>,
-    syndrome: Vec<bool>,
-    residual: Vec<bool>,
-}
-
-impl ShotScratch {
-    /// Creates an empty workspace; buffers are sized on first shot.
-    pub fn new() -> Self {
-        Self::default()
     }
 }
 
@@ -350,8 +332,7 @@ pub struct MemoryExperiment<'a> {
     code: &'a CssCode,
     model: HardwareNoiseModel,
     /// The per-qubit channel driving the sampler. Defaults to the uniform channel
-    /// at the model's effective error rate, which reproduces the historical scalar
-    /// path bit-for-bit.
+    /// at the model's effective error rate.
     channel: ErrorChannel,
     /// Per-bit decoder priors: the channel's data rates clamped to the decoder's
     /// numerically safe range (rebuilt whenever the channel changes).
@@ -395,22 +376,16 @@ fn supports_of(ops: &[Vec<bool>]) -> Vec<Vec<usize>> {
 /// matrices and caps compute identical corrections, so tagging by content (not
 /// identity) lets a [`DecodeCache`] survive experiment rebuilds over the same code.
 fn matrix_tag(h: &BitMat, bp_iterations: usize) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut eat = |word: u64| {
-        for byte in word.to_le_bytes() {
-            hash ^= u64::from(byte);
-            hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    };
-    eat(h.num_rows() as u64);
-    eat(h.num_cols() as u64);
-    eat(bp_iterations as u64);
+    let mut hash = noise::fnv::Fnv1a::new();
+    hash.write_u64(h.num_rows() as u64)
+        .write_u64(h.num_cols() as u64)
+        .write_u64(bp_iterations as u64);
     for r in 0..h.num_rows() {
         for &w in h.row_words(r) {
-            eat(w);
+            hash.write_u64(w);
         }
     }
-    hash
+    hash.finish()
 }
 
 /// Mixes a decode-context base tag with the priors identity of the current channel.
@@ -502,8 +477,7 @@ impl<'a> MemoryExperiment<'a> {
     }
 
     /// Sets (or clears) the persistent decode-cache directory. When set, every
-    /// worker of [`run`](MemoryExperiment::run) and
-    /// [`run_adaptive_batched`](MemoryExperiment::run_adaptive_batched) loads
+    /// worker of [`run`](MemoryExperiment::run) loads
     /// matching per-sector cache files before sampling and stores its caches
     /// back afterwards (atomic rename, last writer wins — every complete file is
     /// valid, entries are pure decoder outputs). Files are keyed by code label,
@@ -515,8 +489,10 @@ impl<'a> MemoryExperiment<'a> {
     }
 
     /// The current per-sector decode-context tags `(x, z)`: the matrix digests
-    /// mixed with the active channel's priors identity. This is the identity
-    /// under which [`DecodeCache`]s bind and persisted cache files are named.
+    /// mixed with the active channel's priors identity (the clamped rate for a
+    /// uniform channel, else the priors digest). This is the one place the tag
+    /// is computed: [`DecodeCache`]s bind, weight-1 tables build, and persisted
+    /// cache files are named under it.
     fn sector_contexts(&self) -> (u64, u64) {
         let prior_bits = match self.channel.uniform_rate() {
             Some(p) => p.clamp(1e-9, 0.45).to_bits(),
@@ -598,133 +574,28 @@ impl<'a> MemoryExperiment<'a> {
         self.priors_key = crate::bp::priors_digest(&self.priors);
     }
 
-    /// The effective per-qubit, per-round error rate driving the sampling.
-    pub fn effective_error_rate(&self) -> f64 {
-        self.model.effective_error_rate()
-    }
-
-    /// Runs one shot with the given RNG; returns `true` when a logical error occurred.
-    ///
-    /// Allocating convenience wrapper around [`MemoryExperiment::sample_one_with`].
-    pub fn sample_one<R: Rng>(&self, rng: &mut R) -> bool {
-        self.sample_one_with(rng, &mut ShotScratch::new())
-    }
-
-    /// Runs one shot with the given RNG, borrowing all working buffers from
-    /// `scratch`; returns `true` when a logical error occurred. In steady state
-    /// (after the first shot has sized the buffers) this performs no heap allocation.
-    ///
-    /// With the uniform channel this is the historical scalar path — same RNG
-    /// stream, same cached-LLR `decode_into` — bit for bit. A structured channel
-    /// samples each data qubit at its own rate, flips extracted syndrome bits at
-    /// the channel's measurement rates, and decodes with matching per-bit priors
-    /// via `decode_with_priors_into`.
+    /// One sector decode through the keyed per-bit priors (a uniform channel is
+    /// a constant priors vector). Returns the decode status (which stage resolved
+    /// the syndrome) for fallback-rate telemetry.
     // cyclone-lint: hot-path
-    pub fn sample_one_with<R: Rng>(&self, rng: &mut R, scratch: &mut ShotScratch) -> bool {
-        let n = self.code.num_qubits();
-        let uniform = self.channel.uniform_rate();
-        // Depolarizing channel: X, Y, Z each with p/3. X-frame = X or Y; Z-frame = Z or Y.
-        scratch.x_error.clear();
-        scratch.x_error.resize(n, false);
-        scratch.z_error.clear();
-        scratch.z_error.resize(n, false);
-        // Rates arrive pre-validated: `ErrorChannel::from_rates` saturates at the
-        // depolarizing maximum once, at construction, with `saturated()` recording
-        // the fact — no silent per-draw clamp here.
-        match uniform {
-            Some(p) => {
-                for q in 0..n {
-                    if rng.gen_bool(p) {
-                        depolarize(rng, scratch, q);
-                    }
-                }
-            }
-            None => {
-                for (q, &pq) in self.channel.data().iter().enumerate() {
-                    if rng.gen_bool(pq) {
-                        depolarize(rng, scratch, q);
-                    }
-                }
-            }
-        }
-        // Measurement flip rates per sector: the X decoder consumes Z-stabilizer
-        // checks (rows of Hz, the tail of the channel's check-major layout), the Z
-        // decoder consumes X-stabilizer checks (the head).
-        let (x_check_rates, z_check_rates) = if self.channel.has_measurement_noise() {
-            let split = self.code.num_x_stabilizers();
-            let m = self.channel.measurement();
-            (&m[..split], &m[split..])
-        } else {
-            (&[] as &[f64], &[] as &[f64])
-        };
-        // X errors are detected by Z stabilizers and corrected by the X decoder.
-        self.x_decoder
-            .check_matrix()
-            .syndrome_into(&scratch.x_error, &mut scratch.syndrome);
-        flip_syndrome(rng, &mut scratch.syndrome, z_check_rates);
-        self.decode_sector(
-            &self.x_decoder,
-            uniform,
-            &scratch.syndrome,
-            &mut scratch.x_decode,
-        );
-        xor_into(
-            &scratch.x_error,
-            scratch.x_decode.error(),
-            &mut scratch.residual,
-        );
-        if self.code.x_error_is_logical(&scratch.residual) {
-            return true;
-        }
-        // Z errors are detected by X stabilizers.
-        self.z_decoder
-            .check_matrix()
-            .syndrome_into(&scratch.z_error, &mut scratch.syndrome);
-        flip_syndrome(rng, &mut scratch.syndrome, x_check_rates);
-        self.decode_sector(
-            &self.z_decoder,
-            uniform,
-            &scratch.syndrome,
-            &mut scratch.z_decode,
-        );
-        xor_into(
-            &scratch.z_error,
-            scratch.z_decode.error(),
-            &mut scratch.residual,
-        );
-        self.code.z_error_is_logical(&scratch.residual)
-    }
-
-    /// One sector decode: the uniform channel keeps the cached-LLR scalar path,
-    /// structured channels pass the per-bit priors. Returns the decode status
-    /// (which stage resolved the syndrome) for fallback-rate telemetry.
     fn decode_sector(
         &self,
         decoder: &BpOsdDecoder,
-        uniform: Option<f64>,
         syndrome: &[bool],
         scratch: &mut DecoderScratch,
     ) -> crate::bposd::DecodeStatus {
-        match uniform {
-            Some(p) => decoder.decode_into(syndrome, p.clamp(1e-9, 0.45), scratch),
-            None => decoder.decode_with_priors_keyed_into(
-                syndrome,
-                &self.priors,
-                self.priors_key,
-                scratch,
-            ),
-        }
+        decoder.decode_with_priors_keyed_into(syndrome, &self.priors, self.priors_key, scratch)
     }
 
     /// Samples and decodes up to 64 Monte-Carlo shots at once, bit-sliced one shot
     /// per `u64` lane; returns the failure mask (bit `k` set iff shot
     /// `first_shot + k` suffered a logical error). `count` must be in `1..=64`.
     ///
-    /// Bit-identical to running [`MemoryExperiment::sample_one_with`] per shot:
-    /// every shot draws from its own seeded stream
+    /// Bit-identical to a scalar per-shot sampler (the reference oracle in
+    /// `tests/oracle`): every shot draws from its own seeded stream
     /// (`config.shot_seed(first_shot + k)`) in exactly the scalar order — data
     /// qubits, then Z-sector measurement flips, then X-sector flips. (The scalar
-    /// path skips the X-sector flips when the X sector already failed; drawing
+    /// oracle skips the X-sector flips when the X sector already failed; drawing
     /// them here is harmless because nothing ever consumes the remainder of a
     /// shot's stream.) Syndrome extraction, measurement flips, and
     /// logical-failure parities are all word-level; BP+OSD runs only for lanes
@@ -764,6 +635,8 @@ impl<'a> MemoryExperiment<'a> {
         for k in 0..count {
             let lane = 1u64 << k;
             let mut rng = StdRng::seed_from_u64(config.shot_seed(first_shot + k));
+            // The constant-rate loop is measurably faster than reading every
+            // rate from the channel, so the uniform channel keeps its own loop.
             match uniform {
                 Some(p) => {
                     for q in 0..n {
@@ -793,16 +666,12 @@ impl<'a> MemoryExperiment<'a> {
                 }
             }
         }
-        let prior_bits = match uniform {
-            Some(p) => p.clamp(1e-9, 0.45).to_bits(),
-            None => self.priors_key,
-        };
+        let (x_ctx, z_ctx) = self.sector_contexts();
         // X errors are detected by Z stabilizers and corrected by the X decoder;
         // a residual logical X anticommutes with some logical Z.
         let fail_x = self.batch_decode_sector(
             &self.x_decoder,
-            uniform,
-            mix_ctx(self.x_ctx, prior_bits),
+            x_ctx,
             &batch.x_err_words,
             &batch.zflip_words,
             &self.logical_z_supports,
@@ -812,8 +681,7 @@ impl<'a> MemoryExperiment<'a> {
         );
         let fail_z = self.batch_decode_sector(
             &self.z_decoder,
-            uniform,
-            mix_ctx(self.z_ctx, prior_bits),
+            z_ctx,
             &batch.z_err_words,
             &batch.xflip_words,
             &self.logical_x_supports,
@@ -837,7 +705,6 @@ impl<'a> MemoryExperiment<'a> {
     fn batch_decode_sector(
         &self,
         decoder: &BpOsdDecoder,
-        uniform: Option<f64>,
         ctx: u64,
         err_words: &[u64],
         flip_words: &[u64],
@@ -867,7 +734,7 @@ impl<'a> MemoryExperiment<'a> {
             // channels skip the table: weight-1 syndromes are rare there and the
             // m warm-up decodes would not pay for themselves.)
             if !flip_words.is_empty() {
-                self.ensure_weight1(decoder, uniform, ctx, lanes, sector);
+                self.ensure_weight1(decoder, ctx, lanes, sector);
             }
             let syn_len = m.div_ceil(64).max(1);
             let corr_len = n.div_ceil(64).max(1);
@@ -925,8 +792,7 @@ impl<'a> MemoryExperiment<'a> {
                 if hit {
                     continue;
                 }
-                let status =
-                    self.decode_sector(decoder, uniform, &lanes.syndrome, &mut sector.decode);
+                let status = self.decode_sector(decoder, &lanes.syndrome, &mut sector.decode);
                 stats.decoded += 1;
                 if status.method == DecodeMethod::OrderedStatistics {
                     stats.osd_fallbacks += 1;
@@ -962,7 +828,6 @@ impl<'a> MemoryExperiment<'a> {
     fn ensure_weight1(
         &self,
         decoder: &BpOsdDecoder,
-        uniform: Option<f64>,
         ctx: u64,
         lanes: &mut LaneBuffers,
         sector: &mut SectorBatch,
@@ -983,7 +848,7 @@ impl<'a> MemoryExperiment<'a> {
             lanes.syndrome.clear();
             lanes.syndrome.resize(m, false);
             lanes.syndrome[r] = true;
-            self.decode_sector(decoder, uniform, &lanes.syndrome, &mut sector.decode);
+            self.decode_sector(decoder, &lanes.syndrome, &mut sector.decode);
             let row = &mut w1.corr[r * corr_len..(r + 1) * corr_len];
             for (q, &e) in sector.decode.error().iter().enumerate() {
                 if e {
@@ -994,234 +859,169 @@ impl<'a> MemoryExperiment<'a> {
         w1.built = true;
     }
 
-    /// Runs the full Monte-Carlo experiment in parallel and returns the LER estimate.
+    /// Runs the Monte-Carlo experiment in parallel and returns the LER estimate.
     ///
-    /// Each shot is seeded independently from [`MemoryConfig::seed`], so the estimate
-    /// is bit-identical for every `threads` setting (workers pull 64-shot batches
-    /// from a shared counter purely for load balancing, and the bit-sliced batch
-    /// path is bit-identical to the scalar per-shot path). Every worker owns one
-    /// [`BatchScratch`], so sampling allocates only at worker startup, never per
-    /// shot.
-    pub fn run(&self, config: &MemoryConfig) -> LerEstimate {
-        // A zero-shot configuration yields the explicit empty estimate instead of
+    /// With `target = None` this samples the fixed budget of `config.shots`
+    /// shots. With `Some(target)` it stops at the smallest shot count meeting
+    /// the [`PrecisionTarget`], capped by `target.max_shots` (`config.shots` is
+    /// then ignored). The adaptive result is therefore the fixed result of its
+    /// own shot count: the stop rule chooses the budget, never the sample.
+    ///
+    /// Every shot draws from its own seeded stream ([`MemoryConfig::shot_seed`]),
+    /// so the estimate is bit-identical for every `config.threads` setting.
+    /// Workers pull 64-shot chunks from one shared counter and keep one
+    /// [`BatchScratch`] for the whole run, so sampling allocates only at worker
+    /// startup. Each finished chunk's failure mask is recorded; with a target,
+    /// the contiguous finished prefix is checked shot by shot, and workers stop
+    /// pulling chunks once it meets the target.
+    pub fn run(&self, config: &MemoryConfig, target: Option<&PrecisionTarget>) -> LerEstimate {
+        let shots = target.map_or(config.shots, |t| t.max_shots);
+        // A zero-shot budget yields the explicit empty estimate instead of
         // fabricating a phantom 1-shot zero-failure floor.
-        if config.shots == 0 {
+        if shots == 0 {
             return LerEstimate::empty();
         }
         let workers = config.worker_count().max(1);
-        let shots = config.shots;
         let chunks = shots.div_ceil(64);
-        let failures = AtomicUsize::new(0);
         let next_chunk = AtomicUsize::new(0);
-        // Warm-up: on structured channels, pre-seed the decode caches by
-        // sampling a short shot prefix once on a single scratch, so the
-        // compulsory misses of the hottest syndromes (and the weight-1 table
-        // builds) are paid once instead of once per worker — every worker then
-        // starts from a *clone* of the warm scratch. Masks are discarded and
-        // the workers re-sample the prefix from the same per-shot RNG streams,
-        // so failure counting and bit-identity are untouched: cache entries are
-        // pure decoder outputs. Skipped for uniform channels (no decode cache
-        // on that path) and for runs too small to amortize the replay.
-        let warm = (self.channel.has_measurement_noise()
-            && shots > DECODE_WARMUP_SHOTS
-            && (workers > 1 || self.decode_cache_dir.is_some()))
-        .then(|| {
+        let record = Mutex::new(FailureRecord::new(shots, target.copied()));
+        // Warm-up: pre-seed the decode caches by sampling a short shot prefix
+        // once on a single scratch, so the compulsory misses of the hottest
+        // syndromes (and the weight-1 table builds) are paid once instead of
+        // once per worker — every worker then starts from a *clone* of the warm
+        // scratch. Masks are discarded and the workers re-sample the prefix from
+        // the same per-shot RNG streams, so failure counting and bit-identity are
+        // untouched: cache entries are pure decoder outputs. Uniform channels use
+        // the decode cache too; the measurement-noise gate is where the replay
+        // was measured to pay off. Skipped for runs too small to amortize the
+        // replay, and for targets, which may stop inside the prefix.
+        let fresh = || {
             let mut batch = BatchScratch::new();
             if let Some(dir) = &self.decode_cache_dir {
                 self.load_decode_caches(dir, &mut batch);
             }
-            let mut start = 0;
-            while start < DECODE_WARMUP_SHOTS {
+            batch
+        };
+        // Persistence is best-effort: a read-only directory must not fail the
+        // estimate.
+        let store = |batch: &BatchScratch| {
+            if let Some(dir) = &self.decode_cache_dir {
+                let _ = self.store_decode_caches(dir, batch);
+            }
+        };
+        let warm = (target.is_none()
+            && self.channel.has_measurement_noise()
+            && shots > DECODE_WARMUP_SHOTS
+            && (workers > 1 || self.decode_cache_dir.is_some()))
+        .then(|| {
+            let mut batch = fresh();
+            for start in (0..DECODE_WARMUP_SHOTS).step_by(64) {
                 let count = 64.min(DECODE_WARMUP_SHOTS - start);
                 let _ = self.sample_batch_with(config, start, count, &mut batch);
-                start += count;
             }
-            if let Some(dir) = &self.decode_cache_dir {
-                // Best-effort, like the per-worker store below.
-                let _ = self.store_decode_caches(dir, &batch);
-            }
+            store(&batch);
             batch
         });
+        let work = || {
+            let mut batch = warm.as_ref().map_or_else(fresh, Clone::clone);
+            loop {
+                let chunk = next_chunk.fetch_add(1, Ordering::Relaxed);
+                if chunk >= chunks {
+                    break;
+                }
+                let start = chunk * 64;
+                let count = 64.min(shots - start);
+                let mask = self.sample_batch_with(config, start, count, &mut batch);
+                if record.lock().expect("unpoisoned").add(chunk, mask) {
+                    break;
+                }
+            }
+            store(&batch);
+        };
+        // The calling thread is one of the workers.
         std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|| {
-                    let mut batch = match &warm {
-                        Some(warm) => warm.clone(),
-                        None => BatchScratch::new(),
-                    };
-                    if warm.is_none() {
-                        if let Some(dir) = &self.decode_cache_dir {
-                            self.load_decode_caches(dir, &mut batch);
-                        }
-                    }
-                    let mut local_failures = 0usize;
-                    loop {
-                        let chunk = next_chunk.fetch_add(1, Ordering::Relaxed);
-                        if chunk >= chunks {
-                            break;
-                        }
-                        let start = chunk * 64;
-                        let count = 64.min(shots - start);
-                        let mask = self.sample_batch_with(config, start, count, &mut batch);
-                        local_failures += mask.count_ones() as usize;
-                    }
-                    if let Some(dir) = &self.decode_cache_dir {
-                        // Persistence is best-effort: a read-only directory must
-                        // not fail the estimate.
-                        let _ = self.store_decode_caches(dir, &batch);
-                    }
-                    failures.fetch_add(local_failures, Ordering::Relaxed);
-                });
+            for _ in 1..workers {
+                scope.spawn(work);
             }
+            work();
         });
-        LerEstimate::from_counts(shots, failures.load(Ordering::Relaxed))
-    }
-
-    /// Runs an adaptive (stop-at-precision) Monte-Carlo experiment with the default
-    /// execution batch size ([`ADAPTIVE_BATCH`]).
-    ///
-    /// Shots use exactly the per-shot RNG streams of [`MemoryExperiment::run`]
-    /// (derived from [`MemoryConfig::seed`]), and the run stops at the smallest shot
-    /// count meeting `target` (see [`PrecisionTarget`]), capped by
-    /// `target.max_shots`. The returned estimate is therefore bit-identical to a
-    /// fixed-budget [`run`](MemoryExperiment::run) of the same shot count — the
-    /// adaptive path only *chooses* the budget, it never changes the sample.
-    /// `config.shots` is ignored; `config.threads` parallelizes within each batch.
-    pub fn run_adaptive(&self, config: &MemoryConfig, target: &PrecisionTarget) -> LerEstimate {
-        self.run_adaptive_batched(config, target, ADAPTIVE_BATCH)
-    }
-
-    /// [`run_adaptive`](MemoryExperiment::run_adaptive) with an explicit initial
-    /// execution batch size.
-    ///
-    /// Batching only controls how many shots are sampled between stop-rule
-    /// evaluations — the stopping decision is made on per-shot prefixes of the
-    /// batch, so the result is bit-identical for every `batch` and every
-    /// `config.threads` setting. Batches grow geometrically (doubling up to
-    /// [`ADAPTIVE_BATCH_CAP`]) so a cap-bound point pays O(log) batch handoffs
-    /// instead of one per `batch` shots.
-    pub fn run_adaptive_batched(
-        &self,
-        config: &MemoryConfig,
-        target: &PrecisionTarget,
-        batch: usize,
-    ) -> LerEstimate {
-        let max_shots = target.max_shots;
-        if max_shots == 0 {
-            return LerEstimate::empty();
-        }
-        let mut batch = batch.max(1);
-        let workers = config.worker_count().max(1);
-        let mut done = 0usize;
-        let mut failures = 0usize;
-        let mut scratch = BatchScratch::new();
-        if let Some(dir) = &self.decode_cache_dir {
-            self.load_decode_caches(dir, &mut scratch);
-        }
-        let mut flags: Vec<AtomicBool> = Vec::new();
-        let mut result = None;
-        'sampling: while done < max_shots {
-            let n = batch.min(max_shots - done);
-            batch = batch.saturating_mul(2).min(ADAPTIVE_BATCH_CAP);
-            if workers == 1 {
-                // Single-worker fast path: sample bit-sliced 64-shot chunks but
-                // still evaluate the stop rule after every shot — the decision
-                // uses only the per-shot prefix, so stopping mid-chunk discards
-                // already-sampled lanes without affecting the returned estimate.
-                let mut off = 0usize;
-                while off < n {
-                    let c = 64.min(n - off);
-                    let mask = self.sample_batch_with(config, done + off, c, &mut scratch);
-                    for k in 0..c {
-                        if (mask >> k) & 1 == 1 {
-                            failures += 1;
-                        }
-                        if target.met_by(done + off + k + 1, failures) {
-                            result = Some(LerEstimate::from_counts(done + off + k + 1, failures));
-                            break 'sampling;
-                        }
-                    }
-                    off += c;
-                }
-            } else {
-                // Sample the whole batch in parallel (each 64-shot chunk owns its
-                // seeded streams and disjoint flag slots), then scan the flags in
-                // shot order for the earliest prefix meeting the target.
-                flags.clear();
-                flags.resize_with(n, || AtomicBool::new(false));
-                let chunks = n.div_ceil(64);
-                let next = AtomicUsize::new(0);
-                std::thread::scope(|scope| {
-                    for _ in 0..workers {
-                        scope.spawn(|| {
-                            let mut batch = BatchScratch::new();
-                            if let Some(dir) = &self.decode_cache_dir {
-                                self.load_decode_caches(dir, &mut batch);
-                            }
-                            loop {
-                                let chunk = next.fetch_add(1, Ordering::Relaxed);
-                                if chunk >= chunks {
-                                    break;
-                                }
-                                let start = chunk * 64;
-                                let c = 64.min(n - start);
-                                let mask =
-                                    self.sample_batch_with(config, done + start, c, &mut batch);
-                                for k in 0..c {
-                                    if (mask >> k) & 1 == 1 {
-                                        flags[start + k].store(true, Ordering::Relaxed);
-                                    }
-                                }
-                            }
-                            if let Some(dir) = &self.decode_cache_dir {
-                                let _ = self.store_decode_caches(dir, &batch);
-                            }
-                        });
-                    }
-                });
-                for (k, flag) in flags.iter().enumerate() {
-                    if flag.load(Ordering::Relaxed) {
-                        failures += 1;
-                    }
-                    if target.met_by(done + k + 1, failures) {
-                        result = Some(LerEstimate::from_counts(done + k + 1, failures));
-                        break 'sampling;
-                    }
-                }
-            }
-            done += n;
-        }
-        if let Some(dir) = &self.decode_cache_dir {
-            // Best-effort: the single-worker scratch accumulated this run's
-            // syndromes (multi-worker rounds stored theirs per worker above).
-            let _ = self.store_decode_caches(dir, &scratch);
-        }
-        result.unwrap_or_else(|| LerEstimate::from_counts(done, failures))
+        record.into_inner().expect("unpoisoned").estimate()
     }
 }
 
-/// Shot-prefix length of the structured-channel decode-cache warm-up in
-/// [`MemoryExperiment::run`]: three 64-shot batches, enough to populate the
-/// caches with the hottest low-weight syndromes (and build the weight-1 tables)
-/// before the worker pool fans out, small enough that replaying the prefix is
-/// noise. Warm-up never affects results — cache entries are pure decoder
-/// outputs and the workers re-sample the prefix from the same per-shot RNG
-/// streams.
+/// The failure record of one [`MemoryExperiment::run`]: chunk failure masks
+/// arrive in any order and are folded into a contiguous shot prefix, checked
+/// shot by shot against the target (if any).
+#[derive(Debug)]
+struct FailureRecord {
+    /// Shot budget: `config.shots`, or the target's cap.
+    shots: usize,
+    target: Option<PrecisionTarget>,
+    /// Failure mask of every finished chunk not yet folded (`None` = pending).
+    masks: Vec<Option<u64>>,
+    /// Chunks `0..folded` are counted in `failures`.
+    folded: usize,
+    failures: usize,
+    /// The stop point, once the folded prefix meets the target.
+    met: Option<LerEstimate>,
+}
+
+impl FailureRecord {
+    fn new(shots: usize, target: Option<PrecisionTarget>) -> Self {
+        FailureRecord {
+            shots,
+            target,
+            masks: vec![None; shots.div_ceil(64)],
+            folded: 0,
+            failures: 0,
+            met: None,
+        }
+    }
+
+    /// Records one chunk's failure mask and folds every newly contiguous chunk;
+    /// returns whether the target has been met (workers then stop pulling).
+    fn add(&mut self, chunk: usize, mask: u64) -> bool {
+        self.masks[chunk] = Some(mask);
+        while self.met.is_none() {
+            let Some(mask) = self.masks.get(self.folded).copied().flatten() else {
+                break;
+            };
+            let start = self.folded * 64;
+            match self.target {
+                None => self.failures += mask.count_ones() as usize,
+                Some(target) => {
+                    for k in 0..64.min(self.shots - start) {
+                        self.failures += ((mask >> k) & 1) as usize;
+                        if target.met_by(start + k + 1, self.failures) {
+                            self.met = Some(LerEstimate::from_counts(start + k + 1, self.failures));
+                            break;
+                        }
+                    }
+                }
+            }
+            self.folded += 1;
+        }
+        self.met.is_some()
+    }
+
+    /// The stop point, or the full budget when the target was never met.
+    fn estimate(&self) -> LerEstimate {
+        self.met
+            .unwrap_or_else(|| LerEstimate::from_counts(self.shots, self.failures))
+    }
+}
+
+/// Shot-prefix length of the decode-cache warm-up in [`MemoryExperiment::run`]:
+/// three 64-shot batches, enough to populate the caches with the hottest
+/// low-weight syndromes (and build the weight-1 tables) before the worker pool
+/// fans out, small enough that replaying the prefix is noise. Warm-up never
+/// affects results — cache entries are pure decoder outputs and the workers
+/// re-sample the prefix from the same per-shot RNG streams.
 pub const DECODE_WARMUP_SHOTS: usize = 192;
-
-/// Default initial execution batch size of [`MemoryExperiment::run_adaptive`]:
-/// large enough to amortize thread handoffs, small enough that a high-failure point
-/// stops within a few batches. Batch sizes never affect results, only scheduling.
-pub const ADAPTIVE_BATCH: usize = 256;
-
-/// Ceiling of the geometric batch growth in
-/// [`MemoryExperiment::run_adaptive_batched`]: bounds both the flag-buffer size
-/// and the shots sampled past a satisfiable stopping point.
-pub const ADAPTIVE_BATCH_CAP: usize = 16_384;
 
 /// One operating point of a logical-error-rate sweep: a code evaluated at physical
 /// error rate `p` with a syndrome-extraction round latency of `latency` seconds,
-/// optionally under a structured error channel.
+/// optionally under a structured error channel and a precision target.
 #[derive(Debug, Clone, Copy)]
 pub struct LerPoint<'a> {
     /// The code under test.
@@ -1231,8 +1031,11 @@ pub struct LerPoint<'a> {
     /// Round latency in seconds (drives the decoherence contribution).
     pub latency: f64,
     /// How the hardware model is lifted to a per-qubit channel: `None` (or
-    /// [`ChannelSpec::Uniform`]) is the historical scalar path, bit for bit.
+    /// [`ChannelSpec::Uniform`]) is the uniform channel.
     pub channel: Option<&'a ChannelSpec>,
+    /// `None` samples the fixed `config.shots` budget; `Some` stops at the
+    /// target's precision (see [`MemoryExperiment::run`]).
+    pub precision: Option<PrecisionTarget>,
 }
 
 /// Estimates every point of a sweep across a shared worker pool at *point*
@@ -1240,73 +1043,40 @@ pub struct LerPoint<'a> {
 ///
 /// This is the parallel primitive under the `cyclone::sweep` engine: sweeps are
 /// embarrassingly parallel across operating points, so instead of parallelizing the
-/// shots *within* one point (as [`MemoryExperiment::run`] does) the pool runs whole
-/// points concurrently, each single-threaded. Every point is evaluated exactly as
-/// [`logical_error_rate`] would — same shot count, same per-shot RNG streams derived
-/// from [`MemoryConfig::seed`] — so the result vector is bit-identical to the serial
-/// loop at every worker count.
+/// shots *within* one point the pool runs whole points concurrently, each
+/// single-threaded through [`MemoryExperiment::run`] with the point's own
+/// precision target. Fixed and adaptive points may be mixed in one call. Every
+/// point uses the per-shot RNG streams derived from [`MemoryConfig::seed`], so the
+/// result vector is bit-identical to the serial loop at every worker count.
 ///
 /// Workers reuse one [`MemoryExperiment`] (the expensive-to-build sector decoder
 /// pair) per distinct code, moving it between operating points with
 /// [`MemoryExperiment::set_model`]. `config.threads` sizes the pool (0 = available
 /// parallelism, capped at 16).
-pub fn estimate_points(points: &[LerPoint<'_>], config: &MemoryConfig) -> Vec<LerEstimate> {
-    estimate_points_adaptive(points, &vec![None; points.len()], config)
-}
-
-/// [`estimate_points`] with an optional [`PrecisionTarget`] per point: `None` runs
-/// the fixed `config.shots` budget exactly as before; `Some(target)` samples the
-/// point adaptively (stop at precision, capped by `target.max_shots`, see
-/// [`MemoryExperiment::run_adaptive`]). Fixed and adaptive points may be mixed in
-/// one call and share the pool.
 ///
-/// # Panics
-///
-/// Panics if `targets` is not exactly one entry per point.
-pub fn estimate_points_adaptive(
+/// When `decode_cache_dir` is set, every point's experiment loads matching
+/// per-sector decode-cache files before sampling and stores them back after (see
+/// [`MemoryExperiment::set_decode_cache_dir`]), so sweep re-runs skip the
+/// compulsory-miss wall. Cache files never affect estimates — entries are exact
+/// decoder outputs keyed by the full decode context.
+pub fn estimate_points(
     points: &[LerPoint<'_>],
-    targets: &[Option<PrecisionTarget>],
-    config: &MemoryConfig,
-) -> Vec<LerEstimate> {
-    estimate_points_adaptive_in(points, targets, config, None)
-}
-
-/// [`estimate_points_adaptive`] with an optional persistent decode-cache
-/// directory: when `decode_cache_dir` is set, every point's experiment loads
-/// matching per-sector decode-cache files before sampling and stores them back
-/// after (see [`MemoryExperiment::set_decode_cache_dir`]), so sweep re-runs and
-/// refinement passes skip the compulsory-miss wall. Cache files never affect
-/// estimates — entries are exact decoder outputs keyed by the full decode
-/// context — so results remain bit-identical with or without the directory.
-///
-/// # Panics
-///
-/// Panics if `targets` is not exactly one entry per point.
-pub fn estimate_points_adaptive_in(
-    points: &[LerPoint<'_>],
-    targets: &[Option<PrecisionTarget>],
     config: &MemoryConfig,
     decode_cache_dir: Option<&Path>,
 ) -> Vec<LerEstimate> {
-    assert_eq!(
-        points.len(),
-        targets.len(),
-        "need exactly one precision target slot per point"
-    );
     if points.is_empty() {
         return Vec::new();
     }
     let workers = config.worker_count().max(1).min(points.len());
-    // Each point samples with a single worker thread; both the fixed and the
-    // adaptive estimate are thread-count invariant, so this only affects
-    // scheduling, never the values.
+    // Each point samples with a single worker thread; the estimate is
+    // thread-count invariant, so this only affects scheduling, never the values.
     let point_config = MemoryConfig {
         threads: 1,
         ..*config
     };
     let next_point = AtomicUsize::new(0);
-    let results: Vec<std::sync::Mutex<Option<LerEstimate>>> =
-        points.iter().map(|_| std::sync::Mutex::new(None)).collect();
+    let results: Vec<Mutex<Option<LerEstimate>>> =
+        points.iter().map(|_| Mutex::new(None)).collect();
     std::thread::scope(|scope| {
         for _ in 0..workers {
             scope.spawn(|| {
@@ -1343,8 +1113,7 @@ pub fn estimate_points_adaptive_in(
                     };
                     exp.set_decode_cache_dir(decode_cache_dir.map(Path::to_path_buf));
                     // A structured channel replaces the uniform one set_model just
-                    // installed; uniform specs skip the rebuild and keep the
-                    // historical fast path byte-for-byte.
+                    // installed; uniform specs skip the rebuild.
                     if let Some(spec) = point.channel {
                         if !spec.is_uniform() {
                             exp.set_channel(spec.instantiate(
@@ -1354,10 +1123,7 @@ pub fn estimate_points_adaptive_in(
                             ));
                         }
                     }
-                    let estimate = match &targets[i] {
-                        None => exp.run(&point_config),
-                        Some(target) => exp.run_adaptive(&point_config, target),
-                    };
+                    let estimate = exp.run(&point_config, point.precision.as_ref());
                     *results[i].lock().expect("unpoisoned") = Some(estimate);
                 }
             });
@@ -1374,30 +1140,10 @@ pub fn estimate_points_adaptive_in(
 }
 
 // cyclone-lint: hot-path
-/// XORs two equal-length slices into a reused output buffer.
-fn xor_into(a: &[bool], b: &[bool], out: &mut Vec<bool>) {
-    debug_assert_eq!(a.len(), b.len());
-    out.clear();
-    out.extend(a.iter().zip(b).map(|(&x, &y)| x ^ y));
-}
-
-/// Applies one depolarizing event to qubit `q`: X, Y, Z each with probability 1/3
-/// (X-frame = X or Y; Z-frame = Z or Y).
-#[inline]
-fn depolarize<R: Rng>(rng: &mut R, scratch: &mut ShotScratch, q: usize) {
-    match rng.gen_range(0..3) {
-        0 => scratch.x_error[q] = true,
-        1 => scratch.z_error[q] = true,
-        _ => {
-            scratch.x_error[q] = true;
-            scratch.z_error[q] = true;
-        }
-    }
-}
-
-/// Bit-sliced [`depolarize`]: applies one depolarizing event to qubit `q` in the
-/// lane selected by `lane`, drawing the same single `gen_range(0..3)` the scalar
-/// path draws so the per-shot RNG streams stay aligned.
+/// Bit-sliced depolarizing event: applies X, Y or Z (each with probability 1/3)
+/// to qubit `q` in the lane selected by `lane` (X-frame = X or Y; Z-frame = Z or
+/// Y), drawing one `gen_range(0..3)` so the per-shot RNG streams stay aligned
+/// with the scalar reference sampler.
 #[inline]
 fn depolarize_words<R: Rng>(rng: &mut R, batch: &mut BatchScratch, q: usize, lane: u64) {
     match rng.gen_range(0..3) {
@@ -1406,26 +1152,6 @@ fn depolarize_words<R: Rng>(rng: &mut R, batch: &mut BatchScratch, q: usize, lan
         _ => {
             batch.x_err_words[q] |= lane;
             batch.z_err_words[q] |= lane;
-        }
-    }
-}
-
-/// Flips each extracted syndrome bit with its check's measurement error rate.
-/// An empty rate slice (noiseless measurement) draws nothing from the RNG, so the
-/// uniform channel's stream stays bit-identical to the historical path.
-#[inline]
-fn flip_syndrome<R: Rng>(rng: &mut R, syndrome: &mut [bool], rates: &[f64]) {
-    if rates.is_empty() {
-        return;
-    }
-    debug_assert_eq!(
-        syndrome.len(),
-        rates.len(),
-        "one measurement rate per check"
-    );
-    for (bit, &p) in syndrome.iter_mut().zip(rates) {
-        if rng.gen_bool(p) {
-            *bit = !*bit;
         }
     }
 }
@@ -1440,7 +1166,7 @@ pub fn logical_error_rate(
     config: &MemoryConfig,
 ) -> LerEstimate {
     let model = HardwareNoiseModel::new(noise::NoiseParameters::new(p), latency);
-    MemoryExperiment::new(code, model, config.bp_iterations).run(config)
+    MemoryExperiment::new(code, model, config.bp_iterations).run(config, None)
 }
 
 #[cfg(test)]
@@ -1454,10 +1180,13 @@ mod tests {
         let code = bb_72_12_6().expect("valid");
         let model = HardwareNoiseModel::new(NoiseParameters::new(1e-4), 0.0);
         let exp = MemoryExperiment::new(&code, model, 25);
-        let est = exp.run(&MemoryConfig {
-            shots: 300,
-            ..Default::default()
-        });
+        let est = exp.run(
+            &MemoryConfig {
+                shots: 300,
+                ..Default::default()
+            },
+            None,
+        );
         assert!(
             est.ler < 0.1,
             "LER {} too high at p=1e-4 with zero latency",
@@ -1487,10 +1216,13 @@ mod tests {
         let code = bb_72_12_6().expect("valid");
         let model = HardwareNoiseModel::new(NoiseParameters::new(0.2), 0.0);
         let exp = MemoryExperiment::new(&code, model, 10);
-        let est = exp.run(&MemoryConfig {
-            shots: 100,
-            ..Default::default()
-        });
+        let est = exp.run(
+            &MemoryConfig {
+                shots: 100,
+                ..Default::default()
+            },
+            None,
+        );
         assert!(est.ler > 0.2, "LER {} suspiciously low at p=0.2", est.ler);
     }
 
@@ -1508,9 +1240,9 @@ mod tests {
             threads: 0,
             seed: 0xC1C1_0DE5,
         };
-        let auto = exp.run(&base);
-        let single = exp.run(&MemoryConfig { threads: 1, ..base });
-        let four = exp.run(&MemoryConfig { threads: 4, ..base });
+        let auto = exp.run(&base, None);
+        let single = exp.run(&MemoryConfig { threads: 1, ..base }, None);
+        let four = exp.run(&MemoryConfig { threads: 4, ..base }, None);
         assert_eq!(auto.failures, single.failures);
         assert_eq!(auto.failures, four.failures);
         assert_eq!(auto.ler, single.ler);
@@ -1583,6 +1315,30 @@ mod tests {
     }
 
     #[test]
+    fn non_positive_target_is_never_met_even_by_an_all_failure_prefix() {
+        // Regression: an all-failure prefix has ler = 1 and std_err = 0, and
+        // `0 <= 0 * 1` used to meet a zero target.
+        for rse in [0.0, -0.5] {
+            let t = PrecisionTarget::new(rse, 1, 100);
+            assert!(!t.met_by(1, 1));
+            assert!(!t.met_by(64, 64));
+        }
+        assert!(!PrecisionTarget::new(0.0, 0, 100).met_by(1, 1));
+        // A zero target samples to the cap, like the fixed budget.
+        let code = bb_72_12_6().expect("valid");
+        let model = HardwareNoiseModel::new(NoiseParameters::new(0.3), 0.0);
+        let exp = MemoryExperiment::new(&code, model, 5);
+        let config = MemoryConfig {
+            shots: 70,
+            bp_iterations: 5,
+            threads: 1,
+            seed: 0xC1C1_0DE5,
+        };
+        let capped = exp.run(&config, Some(&PrecisionTarget::new(0.0, 1, 70)));
+        assert_eq!(capped, exp.run(&config, None));
+    }
+
+    #[test]
     fn adaptive_estimate_is_a_prefix_of_the_fixed_path() {
         // The adaptive run must return exactly what a fixed-budget run of its own
         // shot count returns: the stop rule chooses the budget, never the sample.
@@ -1596,7 +1352,7 @@ mod tests {
             seed: 0xC1C1_0DE5,
         };
         let target = PrecisionTarget::new(0.35, 8, 5_000);
-        let adaptive = exp.run_adaptive(&config, &target);
+        let adaptive = exp.run(&config, Some(&target));
         assert!(adaptive.shots < 5_000, "high-failure point must stop early");
         assert!(target.met_by(adaptive.shots, adaptive.failures));
         assert!(
@@ -1606,10 +1362,13 @@ mod tests {
             ),
             "must stop at the *smallest* qualifying prefix"
         );
-        let fixed = exp.run(&MemoryConfig {
-            shots: adaptive.shots,
-            ..config
-        });
+        let fixed = exp.run(
+            &MemoryConfig {
+                shots: adaptive.shots,
+                ..config
+            },
+            None,
+        );
         assert_eq!(
             adaptive, fixed,
             "adaptive result must be the fixed result of its shot count"
@@ -1628,18 +1387,14 @@ mod tests {
             seed: 0xC1C1_0DE5,
         };
         let target = PrecisionTarget::new(0.4, 6, 2_000);
-        let reference = exp.run_adaptive_batched(&base, &target, 1);
-        for (threads, batch) in [(1usize, 7usize), (1, 64), (4, 1), (4, 32), (4, 997)] {
-            let got = exp.run_adaptive_batched(&MemoryConfig { threads, ..base }, &target, batch);
-            assert_eq!(
-                got, reference,
-                "threads={threads} batch={batch} diverged from the single-shot reference"
-            );
+        // Workers fold 64-shot chunks in whatever order they finish; the stop
+        // point is decided on the contiguous prefix, so no schedule moves it.
+        let reference = exp.run(&base, Some(&target));
+        assert!(reference.shots > 64, "stop point must span several chunks");
+        for threads in [2usize, 3, 4, 7] {
+            let got = exp.run(&MemoryConfig { threads, ..base }, Some(&target));
+            assert_eq!(got, reference, "threads={threads} diverged");
         }
-        assert_eq!(
-            exp.run_adaptive(&MemoryConfig { threads: 4, ..base }, &target),
-            reference
-        );
     }
 
     #[test]
@@ -1656,17 +1411,20 @@ mod tests {
             seed: 0xC1C1_0DE5,
         };
         let target = PrecisionTarget::new(0.1, 1_000_000, 300);
-        let capped = exp.run_adaptive(&config, &target);
+        let capped = exp.run(&config, Some(&target));
         assert_eq!(capped.shots, 300);
         assert_eq!(
             capped,
-            exp.run(&MemoryConfig {
-                shots: 300,
-                ..config
-            })
+            exp.run(
+                &MemoryConfig {
+                    shots: 300,
+                    ..config
+                },
+                None
+            )
         );
         // A zero-shot cap is the empty estimate, like a zero-shot fixed config.
-        let empty = exp.run_adaptive(&config, &PrecisionTarget::new(0.1, 1, 0));
+        let empty = exp.run(&config, Some(&PrecisionTarget::new(0.1, 1, 0)));
         assert!(empty.is_empty());
     }
 
@@ -1679,23 +1437,24 @@ mod tests {
             threads: 4,
             seed: 0xC1C1_0DE5,
         };
+        let target = PrecisionTarget::new(0.4, 6, 4_000);
         let points = [
             LerPoint {
                 code: &code,
                 p: 0.05,
                 latency: 0.0,
                 channel: None,
+                precision: None,
             },
             LerPoint {
                 code: &code,
                 p: 0.05,
                 latency: 0.0,
                 channel: None,
+                precision: Some(target),
             },
         ];
-        let target = PrecisionTarget::new(0.4, 6, 4_000);
-        let targets = [None, Some(target)];
-        let mixed = estimate_points_adaptive(&points, &targets, &config);
+        let mixed = estimate_points(&points, &config, None);
         // The fixed slot matches the plain fixed path ...
         assert_eq!(mixed[0], logical_error_rate(&code, 0.05, 0.0, &config));
         // ... and the adaptive slot matches a direct adaptive run.
@@ -1703,29 +1462,31 @@ mod tests {
         let exp = MemoryExperiment::new(&code, model, config.bp_iterations);
         assert_eq!(
             mixed[1],
-            exp.run_adaptive(
+            exp.run(
                 &MemoryConfig {
                     threads: 1,
                     ..config
                 },
-                &target
+                Some(&target)
             )
         );
     }
 
     #[test]
     fn scratch_sampling_matches_allocating_sampling() {
+        // One dirty batch scratch (warm decode caches and weight-1 tables) must
+        // sample exactly what a freshly allocated scratch samples per batch.
         let code = bb_72_12_6().expect("valid");
         let model = HardwareNoiseModel::new(NoiseParameters::new(6e-3), 2e-3);
         let exp = MemoryExperiment::new(&code, model, 20);
-        let mut scratch = ShotScratch::new();
-        for shot in 0..40u64 {
-            let mut rng_a = StdRng::seed_from_u64(0xC1C1_0DE5 ^ shot);
-            let mut rng_b = StdRng::seed_from_u64(0xC1C1_0DE5 ^ shot);
+        let cfg = MemoryConfig::default();
+        let mut scratch = BatchScratch::new();
+        for chunk in 0..12 {
+            let count = 1 + chunk * 5;
             assert_eq!(
-                exp.sample_one(&mut rng_a),
-                exp.sample_one_with(&mut rng_b, &mut scratch),
-                "shot {shot} diverged between allocating and scratch paths"
+                exp.sample_batch_with(&cfg, chunk * 64, count, &mut BatchScratch::new()),
+                exp.sample_batch_with(&cfg, chunk * 64, count, &mut scratch),
+                "chunk {chunk} diverged between fresh and reused scratch"
             );
         }
     }
@@ -1745,21 +1506,24 @@ mod tests {
                 p: 2e-3,
                 latency: 0.0,
                 channel: None,
+                precision: None,
             },
             LerPoint {
                 code: &code,
                 p: 2e-3,
                 latency: 0.05,
                 channel: None,
+                precision: None,
             },
             LerPoint {
                 code: &code,
                 p: 8e-3,
                 latency: 0.01,
                 channel: None,
+                precision: None,
             },
         ];
-        let pooled = estimate_points(&points, &cfg);
+        let pooled = estimate_points(&points, &cfg, None);
         assert_eq!(pooled.len(), 3);
         for (point, est) in points.iter().zip(&pooled) {
             let direct = logical_error_rate(point.code, point.p, point.latency, &cfg);
@@ -1785,10 +1549,11 @@ mod tests {
                 p,
                 latency: 0.02,
                 channel: None,
+                precision: None,
             })
             .collect();
-        let serial = estimate_points(&points, &base);
-        let pooled = estimate_points(&points, &MemoryConfig { threads: 4, ..base });
+        let serial = estimate_points(&points, &base, None);
+        let pooled = estimate_points(&points, &MemoryConfig { threads: 4, ..base }, None);
         for (a, b) in serial.iter().zip(&pooled) {
             assert_eq!(a.failures, b.failures);
             assert_eq!(a.ler, b.ler);
@@ -1797,7 +1562,7 @@ mod tests {
 
     #[test]
     fn estimate_points_handles_empty_input() {
-        assert!(estimate_points(&[], &MemoryConfig::default()).is_empty());
+        assert!(estimate_points(&[], &MemoryConfig::default(), None).is_empty());
     }
 
     #[test]
@@ -1812,10 +1577,10 @@ mod tests {
             threads: 2,
             seed: 0xC1C1_0DE5,
         };
-        let scalar = MemoryExperiment::new(&code, model, cfg.bp_iterations).run(&cfg);
+        let scalar = MemoryExperiment::new(&code, model, cfg.bp_iterations).run(&cfg, None);
         let channel = noise::ErrorChannel::uniform(code.num_qubits(), model.effective_error_rate());
-        let channeled =
-            MemoryExperiment::with_channel(&code, model, channel, cfg.bp_iterations).run(&cfg);
+        let channeled = MemoryExperiment::with_channel(&code, model, channel, cfg.bp_iterations)
+            .run(&cfg, None);
         assert_eq!(scalar, channeled);
     }
 
@@ -1833,7 +1598,7 @@ mod tests {
             seed: 0xC1C1_0DE5,
         };
         let p = model.effective_error_rate();
-        let uniform = MemoryExperiment::new(&code, model, cfg.bp_iterations).run(&cfg);
+        let uniform = MemoryExperiment::new(&code, model, cfg.bp_iterations).run(&cfg, None);
         let biased = noise::ErrorChannel::biased(
             code.num_qubits(),
             code.num_stabilizers(),
@@ -1841,7 +1606,7 @@ mod tests {
             (20.0 * p).min(0.45),
         );
         let noisy =
-            MemoryExperiment::with_channel(&code, model, biased, cfg.bp_iterations).run(&cfg);
+            MemoryExperiment::with_channel(&code, model, biased, cfg.bp_iterations).run(&cfg, None);
         assert!(
             noisy.failures > uniform.failures,
             "strong measurement noise ({} failures) should beat uniform ({} failures)",
@@ -1870,8 +1635,8 @@ mod tests {
             seed: 0xC1C1_0DE5,
         };
         let exp = MemoryExperiment::with_channel(&code, model, channel, base.bp_iterations);
-        let single = exp.run(&base);
-        let four = exp.run(&MemoryConfig { threads: 4, ..base });
+        let single = exp.run(&base, None);
+        let four = exp.run(&MemoryConfig { threads: 4, ..base }, None);
         assert_eq!(single, four);
     }
 
@@ -1895,18 +1660,21 @@ mod tests {
         let mut exp = MemoryExperiment::with_channel(&code, model, channel, base.bp_iterations);
         // threads 1 without a cache dir skips the warm-up entirely: the
         // unwarmed reference.
-        let reference = exp.run(&base);
+        let reference = exp.run(&base, None);
         // Multi-worker path: warm-up runs, workers clone the warm scratch.
-        assert_eq!(exp.run(&MemoryConfig { threads: 4, ..base }), reference);
+        assert_eq!(
+            exp.run(&MemoryConfig { threads: 4, ..base }, None),
+            reference
+        );
         // Cache-dir path: warm-up runs and persists, cold and warm alike.
         let dir =
             std::env::temp_dir().join(format!("cyclone-warmup-identity-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         exp.set_decode_cache_dir(Some(dir.clone()));
-        assert_eq!(exp.run(&base), reference, "cold persistent caches");
-        assert_eq!(exp.run(&base), reference, "warm persistent caches");
+        assert_eq!(exp.run(&base, None), reference, "cold persistent caches");
+        assert_eq!(exp.run(&base, None), reference, "warm persistent caches");
         assert_eq!(
-            exp.run(&MemoryConfig { threads: 4, ..base }),
+            exp.run(&MemoryConfig { threads: 4, ..base }, None),
             reference,
             "warm caches across a worker pool"
         );
@@ -1923,7 +1691,7 @@ mod tests {
             shots: 150,
             ..Default::default()
         };
-        let fresh = MemoryExperiment::new(&code, model, cfg.bp_iterations).run(&cfg);
+        let fresh = MemoryExperiment::new(&code, model, cfg.bp_iterations).run(&cfg, None);
         let biased =
             noise::ErrorChannel::biased(code.num_qubits(), code.num_stabilizers(), 5e-3, 0.3);
         let mut exp = MemoryExperiment::with_channel(&code, model, biased, cfg.bp_iterations);
@@ -1933,7 +1701,7 @@ mod tests {
             exp.channel().uniform_rate(),
             Some(model.effective_error_rate())
         );
-        assert_eq!(exp.run(&cfg), fresh);
+        assert_eq!(exp.run(&cfg, None), fresh);
     }
 
     #[test]
@@ -1952,21 +1720,24 @@ mod tests {
                 p: 5e-3,
                 latency: 0.0,
                 channel: None,
+                precision: None,
             },
             LerPoint {
                 code: &code,
                 p: 5e-3,
                 latency: 0.0,
                 channel: Some(&ChannelSpec::Uniform),
+                precision: None,
             },
             LerPoint {
                 code: &code,
                 p: 5e-3,
                 latency: 0.0,
                 channel: Some(&biased),
+                precision: None,
             },
         ];
-        let estimates = estimate_points(&points, &cfg);
+        let estimates = estimate_points(&points, &cfg, None);
         // None and an explicit Uniform spec are the same path ...
         assert_eq!(estimates[0], estimates[1]);
         assert_eq!(estimates[0], logical_error_rate(&code, 5e-3, 0.0, &cfg));
@@ -1994,8 +1765,9 @@ mod tests {
             seed: 0xC1C1_0DE5,
         };
         let exp = MemoryExperiment::with_channel(&code, model, channel.clone(), cfg.bp_iterations);
-        let a = exp.run(&cfg);
-        let b = MemoryExperiment::with_channel(&code, model, channel, cfg.bp_iterations).run(&cfg);
+        let a = exp.run(&cfg, None);
+        let b = MemoryExperiment::with_channel(&code, model, channel, cfg.bp_iterations)
+            .run(&cfg, None);
         assert_eq!(a, b, "schedule-channel sampling must be deterministic");
         assert_eq!(a.shots, cfg.shots);
     }
@@ -2020,14 +1792,17 @@ mod tests {
         assert!(over.saturated());
         let at_max = noise::ErrorChannel::from_rates(vec![0.75; n], Vec::new());
         assert!(!at_max.saturated());
-        let a = MemoryExperiment::with_channel(&code, model, over, cfg.bp_iterations).run(&cfg);
-        let b = MemoryExperiment::with_channel(&code, model, at_max, cfg.bp_iterations).run(&cfg);
+        let a =
+            MemoryExperiment::with_channel(&code, model, over, cfg.bp_iterations).run(&cfg, None);
+        let b =
+            MemoryExperiment::with_channel(&code, model, at_max, cfg.bp_iterations).run(&cfg, None);
         assert_eq!(a, b, "saturated channel must sample at the maximum");
         // Below the old clamp nothing changes: 0.7 stays 0.7 and differs from
         // the saturated stream.
         let below = noise::ErrorChannel::from_rates(vec![0.7; n], Vec::new());
         assert!(!below.saturated());
-        let c = MemoryExperiment::with_channel(&code, model, below, cfg.bp_iterations).run(&cfg);
+        let c =
+            MemoryExperiment::with_channel(&code, model, below, cfg.bp_iterations).run(&cfg, None);
         assert_ne!(a.failures, 0);
         assert!(
             c.failures <= a.failures,
@@ -2127,10 +1902,10 @@ mod tests {
         };
 
         let mut exp = MemoryExperiment::with_channel(&code, model, channel.clone(), 20);
-        let cold = exp.run(&cfg);
+        let cold = exp.run(&cfg, None);
 
         exp.set_decode_cache_dir(Some(dir.clone()));
-        let writing = exp.run(&cfg);
+        let writing = exp.run(&cfg, None);
         assert_eq!(
             cold.failures, writing.failures,
             "cache dir must not change results"
@@ -2151,7 +1926,7 @@ mod tests {
             "persisted entries must load for the same context"
         );
         warm_exp.set_decode_cache_dir(Some(dir.clone()));
-        let warm = warm_exp.run(&cfg);
+        let warm = warm_exp.run(&cfg, None);
         assert_eq!(cold.failures, warm.failures);
         assert_eq!(cold.ler, warm.ler);
 
@@ -2180,10 +1955,10 @@ mod tests {
         // Adaptive runs accept the directory too and stay bit-identical.
         let target = PrecisionTarget::new(0.3, 1, 400);
         let plain = MemoryExperiment::with_channel(&code, model, channel.clone(), 20)
-            .run_adaptive(&cfg, &target);
+            .run(&cfg, Some(&target));
         let mut adaptive_exp = MemoryExperiment::with_channel(&code, model, channel, 20);
         adaptive_exp.set_decode_cache_dir(Some(dir.clone()));
-        let adaptive = adaptive_exp.run_adaptive(&cfg, &target);
+        let adaptive = adaptive_exp.run(&cfg, Some(&target));
         assert_eq!(plain.failures, adaptive.failures);
         assert_eq!(plain.shots, adaptive.shots);
 
@@ -2202,24 +1977,25 @@ mod tests {
                 p: 4e-3,
                 latency: 0.0,
                 channel: Some(&spec),
+                precision: None,
             },
             LerPoint {
                 code: &code,
                 p: 4e-3,
                 latency: 0.0,
                 channel: None,
+                precision: None,
             },
         ];
-        let targets = [None, None];
         let cfg = MemoryConfig {
             shots: 200,
             bp_iterations: 20,
             threads: 2,
             seed: 0xC1C1_0DE5,
         };
-        let plain = estimate_points_adaptive(&points, &targets, &cfg);
-        let writing = estimate_points_adaptive_in(&points, &targets, &cfg, Some(dir.as_path()));
-        let warm = estimate_points_adaptive_in(&points, &targets, &cfg, Some(dir.as_path()));
+        let plain = estimate_points(&points, &cfg, None);
+        let writing = estimate_points(&points, &cfg, Some(dir.as_path()));
+        let warm = estimate_points(&points, &cfg, Some(dir.as_path()));
         for (a, b) in plain.iter().zip(&writing) {
             assert_eq!(a.failures, b.failures);
         }
@@ -2236,6 +2012,29 @@ mod tests {
     }
 
     #[test]
+    fn decode_context_tags_are_pinned() {
+        // The tags name persisted decode-cache files, so the matrix digest and
+        // its mix with the priors identity must never drift.
+        let code = bb_72_12_6().expect("valid");
+        let model = HardwareNoiseModel::new(NoiseParameters::new(3e-3), 0.0);
+        let mut exp = MemoryExperiment::new(&code, model, 20);
+        assert_eq!(
+            exp.sector_contexts(),
+            (0x6979_f1ae_9060_ca28, 0x47ec_5680_aac6_1823)
+        );
+        exp.set_channel(noise::ErrorChannel::biased(
+            code.num_qubits(),
+            code.num_stabilizers(),
+            3e-3,
+            6e-3,
+        ));
+        assert_eq!(
+            exp.sector_contexts(),
+            (0x9854_98d6_2c05_bf21, 0xe003_ae75_d17f_6894)
+        );
+    }
+
+    #[test]
     fn set_model_matches_fresh_experiment() {
         let code = bb_72_12_6().expect("valid");
         let cfg = MemoryConfig {
@@ -2249,7 +2048,7 @@ mod tests {
             cfg.bp_iterations,
         );
         exp.set_model(HardwareNoiseModel::new(NoiseParameters::new(5e-3), 0.1));
-        let reused = exp.run(&cfg);
+        let reused = exp.run(&cfg, None);
         assert_eq!(fresh.failures, reused.failures);
         assert_eq!(fresh.ler, reused.ler);
     }

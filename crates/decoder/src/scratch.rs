@@ -1,9 +1,9 @@
 //! Reusable decoder workspaces.
 //!
 //! [`DecoderScratch`] owns every working buffer the BP / OSD / BP+OSD hot paths need:
-//! the flat message arenas of belief propagation, the channel-LLR vector (with a
-//! cached uniform-prior fill), and the ordered-statistics column permutation and
-//! word-packed augmented matrix. The `decode_into` entry points of
+//! the flat message arenas of belief propagation, the channel-LLR vector (cached
+//! against the priors digest), and the ordered-statistics column permutation and
+//! word-packed augmented matrix. The scratch entry points of
 //! [`crate::bp::BeliefPropagation`], [`crate::osd::OsdDecoder`], and
 //! [`crate::bposd::BpOsdDecoder`] borrow all of their state from one of these, so a
 //! caller that keeps a scratch alive (one per worker thread, typically) performs zero
@@ -101,23 +101,21 @@ impl LaneArenaU64 {
     }
 }
 
-/// A caller-owned workspace for the BP / OSD / BP+OSD `decode_into` paths.
+/// A caller-owned workspace for the BP / OSD / BP+OSD scratch decode paths.
 ///
 /// Create one with [`DecoderScratch::new`] and pass it to every decode; the buffers
 /// size themselves to the decoder on first use. A single scratch may be moved freely
 /// between decoders of different shapes (buffers regrow as needed), but steady-state
 /// zero allocation requires dedicating one scratch per decoder, as
-/// [`crate::memory::ShotScratch`] does for the X/Z sector pair.
+/// [`crate::memory::BatchScratch`] does for the X/Z sector pair.
 #[derive(Debug, Clone, Default)]
 pub struct DecoderScratch {
     // Belief propagation -----------------------------------------------------
     /// Per-variable channel log-likelihood ratios.
     pub(crate) channel_llr: Vec<f64>,
-    /// Cache key for `channel_llr` when it holds a uniform-prior fill: `(p, n)`.
-    pub(crate) cached_uniform: Option<(f64, usize)>,
-    /// Cache key for `channel_llr` when it holds a per-bit-priors fill: the
-    /// content digest and length of the priors it was built from
-    /// ([`crate::bp::priors_digest`]). Keying on the digest instead of the exact
+    /// Cache key for `channel_llr`: the content digest
+    /// ([`crate::bp::priors_digest`]) and length of the priors it was built
+    /// from. Keying on the digest instead of the exact
     /// `Vec<f64>` makes the steady-state hit a single `u64` compare — callers that
     /// precompute the digest once per channel ([`crate::memory::MemoryExperiment`])
     /// pay O(1) per decode instead of an O(n) float compare.
@@ -178,11 +176,13 @@ impl DecoderScratch {
         Self::default()
     }
 
-    /// The error estimate produced by the most recent `decode_into` call.
+    /// The error estimate produced by the most recent scratch decode.
     ///
-    /// After [`crate::bp::BeliefPropagation::decode_into`] this is the BP hard
-    /// decision; after [`crate::osd::OsdDecoder::decode_into`] returns `true`, or
-    /// after [`crate::bposd::BpOsdDecoder::decode_into`], it is the final solution.
+    /// After [`crate::bp::BeliefPropagation::decode_with_priors_keyed_into`] this
+    /// is the BP hard decision; after [`crate::osd::OsdDecoder::decode_into`]
+    /// returns `true`, or after
+    /// [`crate::bposd::BpOsdDecoder::decode_with_priors_keyed_into`], it is the
+    /// final solution.
     pub fn error(&self) -> &[bool] {
         &self.error
     }
@@ -192,9 +192,9 @@ impl DecoderScratch {
         &self.llrs
     }
 
-    /// How many per-bit-priors decodes rebuilt the channel-LLR vector (i.e. missed
-    /// the priors-LLR cache). The steady state of a structured-channel Monte-Carlo
-    /// run rebuilds once and hits thereafter.
+    /// How many decodes rebuilt the channel-LLR vector (i.e. missed the
+    /// priors-LLR cache). The steady state of a Monte-Carlo run rebuilds once and
+    /// hits thereafter.
     pub fn priors_rebuilds(&self) -> usize {
         self.priors_rebuilds
     }
@@ -209,7 +209,6 @@ mod tests {
         let s = DecoderScratch::new();
         assert!(s.error().is_empty());
         assert!(s.llrs().is_empty());
-        assert!(s.cached_uniform.is_none());
         assert!(s.cached_priors_key.is_none());
         assert_eq!(s.priors_rebuilds(), 0);
     }

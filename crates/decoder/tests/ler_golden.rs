@@ -73,9 +73,9 @@ fn channels(code: &CssCode) -> [(&'static str, f64, ChannelSpec); 3] {
 /// One driver run: the fixed 256-shot budget or the precision target.
 fn run_driver(exp: &MemoryExperiment<'_>, adaptive: bool, threads: usize) -> LerEstimate {
     if adaptive {
-        exp.run_adaptive(&config(0, threads), &target())
+        exp.run(&config(0, threads), Some(&target()))
     } else {
-        exp.run(&config(256, threads))
+        exp.run(&config(256, threads), None)
     }
 }
 

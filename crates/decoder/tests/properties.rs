@@ -1,9 +1,11 @@
 //! Property-based tests of the decoding substrate: BP+OSD correctness invariants and
 //! noise-model monotonicity at the memory-experiment level.
 
-use decoder::bp::BeliefPropagation;
+mod oracle;
+
+use decoder::bp::{priors_digest, BeliefPropagation};
 use decoder::bposd::{BpOsdDecoder, DecodeMethod};
-use decoder::memory::{BatchScratch, MemoryConfig, MemoryExperiment, ShotScratch};
+use decoder::memory::{BatchScratch, MemoryConfig, MemoryExperiment};
 use decoder::osd::OsdDecoder;
 use decoder::scratch::DecoderScratch;
 use decoder::simd::{Simd, SimdMode};
@@ -14,6 +16,13 @@ use qec::classical::ClassicalCode;
 use qec::hgp::square_hypergraph_product;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+
+/// A constant priors vector of length `n` at rate `p`, and its digest key.
+fn uniform_priors(n: usize, p: f64) -> (Vec<f64>, u64) {
+    let priors = vec![p; n];
+    let key = priors_digest(&priors);
+    (priors, key)
+}
 
 proptest! {
     // Deterministic: every case derives from this explicit seed (the workspace's
@@ -76,10 +85,11 @@ proptest! {
         let error: Vec<bool> = (0..n).map(|_| rng.gen_bool(p)).collect();
         let syndrome = code.z_syndrome(&error);
 
+        let (priors, key) = uniform_priors(n, p);
         let bp = BeliefPropagation::new(SparseBinMat::from_bitmat(h), bp_iterations);
         let bp_legacy = bp.decode(&syndrome, p);
         let mut scratch = DecoderScratch::new();
-        let bp_status = bp.decode_into(&syndrome, p, &mut scratch);
+        let bp_status = bp.decode_with_priors_keyed_into(&syndrome, &priors, key, &mut scratch);
         prop_assert_eq!(bp_status.converged, bp_legacy.converged);
         prop_assert_eq!(bp_status.iterations, bp_legacy.iterations);
         prop_assert_eq!(scratch.error(), bp_legacy.error.as_slice());
@@ -89,7 +99,7 @@ proptest! {
         // and the fallback branch must match the allocating path bit for bit.
         let dec = BpOsdDecoder::new(h, bp_iterations);
         let legacy = dec.decode(&syndrome, p);
-        let status = dec.decode_into(&syndrome, p, &mut scratch);
+        let status = dec.decode_with_priors_keyed_into(&syndrome, &priors, key, &mut scratch);
         prop_assert_eq!(status.method, legacy.method);
         prop_assert_eq!(status.iterations, legacy.iterations);
         prop_assert_eq!(scratch.error(), legacy.error.as_slice());
@@ -97,8 +107,8 @@ proptest! {
             prop_assert_eq!(status.method, DecodeMethod::OrderedStatistics);
         }
         // And a second decode of the same syndrome through the warm scratch (the
-        // cached uniform channel LLR path) must be stable.
-        let again = dec.decode_into(&syndrome, p, &mut scratch);
+        // cached channel-LLR path) must be stable.
+        let again = dec.decode_with_priors_keyed_into(&syndrome, &priors, key, &mut scratch);
         prop_assert_eq!(again.method, status.method);
         prop_assert_eq!(scratch.error(), legacy.error.as_slice());
     }
@@ -110,39 +120,40 @@ proptest! {
         bp_iterations in 2usize..20,
         code_pick in 0usize..3,
     ) {
-        // The channel refactor routes structured noise through
-        // `decode_with_priors_into`; with a constant prior vector that entry point
-        // must compute exactly what the cached-LLR `decode_into` fast path
-        // computes — same hard decisions, same posteriors, same OSD fallbacks —
-        // across the code catalog. One dirty scratch per side bounces between the
-        // X and Z sector decoders, so the uniform-LLR cache is repeatedly
-        // invalidated and rebuilt exactly as in the Monte-Carlo steady state.
+        // A uniform channel decodes through the keyed priors entry point with a
+        // constant priors vector. Through one dirty scratch whose channel-LLR
+        // cache is repeatedly invalidated — bounced between the X and Z sector
+        // decoders and interleaved with a per-bit priors decode — it must
+        // compute exactly what a fresh allocating decode computes: same hard
+        // decisions, same posteriors, same OSD fallbacks, across the catalog.
         let code = match code_pick {
             0 => qec::codes::bb_72_12_6().expect("valid"),
             1 => qec::codes::hgp_100().expect("valid"),
             _ => qec::codes::bb_90_8_10().expect("valid"),
         };
         let n = code.num_qubits();
-        let priors = vec![p; n];
+        let (priors, key) = uniform_priors(n, p);
+        let skewed: Vec<f64> = (0..n).map(|q| p * (1.0 + (q % 3) as f64)).collect();
+        let skewed_key = priors_digest(&skewed);
         let mut rng = StdRng::seed_from_u64(0xC1C1_0DE5 ^ seed);
         let error: Vec<bool> = (0..n).map(|_| rng.gen_bool(p)).collect();
-        let mut uniform_scratch = DecoderScratch::new();
-        let mut priors_scratch = DecoderScratch::new();
+        let mut scratch = DecoderScratch::new();
         for (h, syndrome) in [
             (code.hz(), code.z_syndrome(&error)),
             (code.hx(), code.x_syndrome(&error)),
         ] {
             let dec = BpOsdDecoder::new(h, bp_iterations);
-            let uniform = dec.decode_into(&syndrome, p, &mut uniform_scratch);
-            let with_priors =
-                dec.decode_with_priors_into(&syndrome, &priors, &mut priors_scratch);
-            prop_assert_eq!(uniform, with_priors);
-            prop_assert_eq!(uniform_scratch.error(), priors_scratch.error());
-            prop_assert_eq!(uniform_scratch.llrs(), priors_scratch.llrs());
-            // The cached-LLR fast path must survive the comparison: decoding the
-            // same syndrome again through the warm uniform scratch is stable.
-            let again = dec.decode_into(&syndrome, p, &mut uniform_scratch);
-            prop_assert_eq!(again, uniform);
+            let bp = BeliefPropagation::new(SparseBinMat::from_bitmat(h), bp_iterations);
+            let fresh = dec.decode(&syndrome, p);
+            let fresh_bp = bp.decode(&syndrome, p);
+            let _ = dec.decode_with_priors_keyed_into(&syndrome, &skewed, skewed_key, &mut scratch);
+            let cached = dec.decode_with_priors_keyed_into(&syndrome, &priors, key, &mut scratch);
+            prop_assert_eq!(cached.method, fresh.method);
+            prop_assert_eq!(cached.iterations, fresh.iterations);
+            prop_assert_eq!(scratch.error(), fresh.error.as_slice());
+            let bp_cached = bp.decode_with_priors_keyed_into(&syndrome, &priors, key, &mut scratch);
+            prop_assert_eq!(bp_cached.converged, fresh_bp.converged);
+            prop_assert_eq!(scratch.llrs(), fresh_bp.llrs.as_slice());
         }
     }
 
@@ -188,8 +199,9 @@ proptest! {
         };
         // One dirty batch scratch (and decode cache) across every batch size —
         // cache hits must be indistinguishable from misses.
+        let oracle = oracle::ScalarSampler::new(&code, exp.channel().clone(), 8);
         let mut batch_scratch = BatchScratch::new();
-        let mut shot_scratch = ShotScratch::new();
+        let mut shot_scratch = oracle::ShotScratch::default();
         for &total in &[1usize, 7, 64, 200] {
             let mut start = 0usize;
             while start < total {
@@ -197,7 +209,12 @@ proptest! {
                 let mask = exp.sample_batch_with(&config, start, count, &mut batch_scratch);
                 for k in 0..count {
                     let mut rng = StdRng::seed_from_u64(config.shot_seed(start + k));
-                    let scalar = exp.sample_one_with(&mut rng, &mut shot_scratch);
+                    let scalar = oracle.sample_one_with(&mut rng, &mut shot_scratch);
+                    if k == 0 {
+                        // The allocating wrapper samples the same shot identically.
+                        let mut rng = StdRng::seed_from_u64(config.shot_seed(start));
+                        prop_assert_eq!(oracle.sample_one(&mut rng), scalar);
+                    }
                     prop_assert_eq!(
                         (mask >> k) & 1 == 1,
                         scalar,
@@ -259,7 +276,8 @@ proptest! {
                 // Produce the suspicion vector the real fallback would see: the
                 // negated BP posterior LLRs left in the scratch by a full decode.
                 let dec = BpOsdDecoder::new(h, bp_iterations);
-                dec.decode_into(&syndrome, p_eff.clamp(1e-9, 0.45), &mut bp_scratch);
+                let (priors, key) = uniform_priors(n, p_eff.clamp(1e-9, 0.45));
+                dec.decode_with_priors_keyed_into(&syndrome, &priors, key, &mut bp_scratch);
                 let suspicion: Vec<f64> = bp_scratch.llrs().iter().map(|&l| -l).collect();
                 let osd = OsdDecoder::new(h.clone());
                 let mut cold = DecoderScratch::new();
@@ -286,8 +304,8 @@ proptest! {
         // scalar reference (CYCLONE_SIMD=off) byte for byte: same convergence
         // verdict and iteration count, same hard decisions, and bit-equal
         // posterior LLRs — across the code catalog, all three channel shapes
-        // (uniform via the cached-LLR path, biased and schedule-derived via
-        // per-bit priors), both sectors, converged and exhausted runs (the low
+        // (uniform, biased and schedule-derived priors, plus a constant priors
+        // vector at the effective rate), both sectors, converged and exhausted runs (the low
         // iteration caps force plenty of non-convergence), and syndromes the
         // error alone would not produce (random measurement flips, including
         // ones outside the column space). On hosts without a vector ISA,
@@ -315,6 +333,8 @@ proptest! {
         };
         // Exactly the priors clamp `MemoryExperiment::rebuild_priors` applies.
         let priors: Vec<f64> = channel.data().iter().map(|&r| r.clamp(1e-9, 0.45)).collect();
+        let key = priors_digest(&priors);
+        let (uniform, uniform_key) = uniform_priors(n, p_eff.clamp(1e-9, 0.45));
         let mut rng = StdRng::seed_from_u64(0xC1C1_0DE5 ^ seed);
         let error: Vec<bool> = (0..n).map(|_| rng.gen_bool(p_eff)).collect();
         // One dirty scratch per side, bounced across sectors and channel kinds —
@@ -334,8 +354,13 @@ proptest! {
                 .with_simd(Simd::with_mode(SimdMode::Force));
             let scalar_bp = BeliefPropagation::new(SparseBinMat::from_bitmat(h), bp_iterations)
                 .with_simd(Simd::with_mode(SimdMode::Off));
-            let a = simd_bp.decode_with_priors_into(&syndrome, &priors, &mut simd_scratch);
-            let b = scalar_bp.decode_with_priors_into(&syndrome, &priors, &mut scalar_scratch);
+            let a = simd_bp.decode_with_priors_keyed_into(&syndrome, &priors, key, &mut simd_scratch);
+            let b = scalar_bp.decode_with_priors_keyed_into(
+                &syndrome,
+                &priors,
+                key,
+                &mut scalar_scratch,
+            );
             prop_assert_eq!(a, b, "priors-path status diverged");
             prop_assert_eq!(simd_scratch.error(), scalar_scratch.error());
             let simd_bits: Vec<u64> =
@@ -343,9 +368,18 @@ proptest! {
             let scalar_bits: Vec<u64> =
                 scalar_scratch.llrs().iter().map(|v| v.to_bits()).collect();
             prop_assert_eq!(simd_bits, scalar_bits, "priors-path LLRs not byte-identical");
-            let ua = simd_bp.decode_into(&syndrome, p_eff.clamp(1e-9, 0.45), &mut simd_scratch);
-            let ub =
-                scalar_bp.decode_into(&syndrome, p_eff.clamp(1e-9, 0.45), &mut scalar_scratch);
+            let ua = simd_bp.decode_with_priors_keyed_into(
+                &syndrome,
+                &uniform,
+                uniform_key,
+                &mut simd_scratch,
+            );
+            let ub = scalar_bp.decode_with_priors_keyed_into(
+                &syndrome,
+                &uniform,
+                uniform_key,
+                &mut scalar_scratch,
+            );
             prop_assert_eq!(ua, ub, "uniform-path status diverged");
             prop_assert_eq!(simd_scratch.error(), scalar_scratch.error());
             let simd_bits: Vec<u64> =
@@ -384,6 +418,7 @@ fn simd_propagate_matches_scalar_on_adversarial_row_shapes() {
     );
     let mut simd_scratch = DecoderScratch::new();
     let mut scalar_scratch = DecoderScratch::new();
+    let (priors, key) = uniform_priors(11, 0.05);
     for iterations in [1usize, 3, 30] {
         let simd_bp = BeliefPropagation::new(h.clone(), iterations)
             .with_simd(Simd::with_mode(SimdMode::Force));
@@ -391,8 +426,14 @@ fn simd_propagate_matches_scalar_on_adversarial_row_shapes() {
             BeliefPropagation::new(h.clone(), iterations).with_simd(Simd::with_mode(SimdMode::Off));
         for pattern in 0u32..32 {
             let syndrome: Vec<bool> = (0..5).map(|r| (pattern >> r) & 1 == 1).collect();
-            let a = simd_bp.decode_into(&syndrome, 0.05, &mut simd_scratch);
-            let b = scalar_bp.decode_into(&syndrome, 0.05, &mut scalar_scratch);
+            let a =
+                simd_bp.decode_with_priors_keyed_into(&syndrome, &priors, key, &mut simd_scratch);
+            let b = scalar_bp.decode_with_priors_keyed_into(
+                &syndrome,
+                &priors,
+                key,
+                &mut scalar_scratch,
+            );
             assert_eq!(a, b, "status diverged on syndrome {pattern:05b}");
             assert_eq!(simd_scratch.error(), scalar_scratch.error());
             let simd_bits: Vec<u64> = simd_scratch.llrs().iter().map(|v| v.to_bits()).collect();
@@ -415,8 +456,8 @@ fn memory_experiment_is_deterministic_for_fixed_seed() {
         threads: 3,
         seed: 42,
     };
-    let a = MemoryExperiment::new(&code, model, cfg.bp_iterations).run(&cfg);
-    let b = MemoryExperiment::new(&code, model, cfg.bp_iterations).run(&cfg);
+    let a = MemoryExperiment::new(&code, model, cfg.bp_iterations).run(&cfg, None);
+    let b = MemoryExperiment::new(&code, model, cfg.bp_iterations).run(&cfg, None);
     assert_eq!(
         a.failures, b.failures,
         "same seed and shot split must reproduce"

@@ -183,7 +183,8 @@ impl ErrorChannel {
     }
 
     /// `Some(p)` when the channel is the uniform channel at rate `p` (identical
-    /// data rates, noiseless measurement) — the decoder's fast-path key.
+    /// data rates, noiseless measurement) — the sampler's constant-rate loop
+    /// key.
     pub fn uniform_rate(&self) -> Option<f64> {
         self.uniform
     }
@@ -200,22 +201,14 @@ impl ErrorChannel {
     /// Floats survive the sweep cache's JSON round trip bit-exactly (shortest
     /// round-trip formatting), so equal channels digest equal across runs.
     pub fn digest(&self) -> u64 {
-        let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-        let mut eat = |word: u64| {
-            for byte in word.to_le_bytes() {
-                hash ^= u64::from(byte);
-                hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+        let mut hash = crate::fnv::Fnv1a::new();
+        for rates in [&self.data, &self.measurement] {
+            hash.write_u64(rates.len() as u64);
+            for &p in rates {
+                hash.write_u64(p.to_bits());
             }
-        };
-        eat(self.data.len() as u64);
-        for &p in &self.data {
-            eat(p.to_bits());
         }
-        eat(self.measurement.len() as u64);
-        for &p in &self.measurement {
-            eat(p.to_bits());
-        }
-        hash
+        hash.finish()
     }
 }
 
@@ -279,7 +272,7 @@ impl ChannelSpec {
     /// The compact identity string written into sweep-cache entries (schema 3) and
     /// compared on reads: `"uniform"`, `"biased:<ratio>"`, or
     /// `"explicit:<digest>"`. Two points with different ids never share a cache
-    /// entry; schema-1/2 entries (no channel field) read back as `"uniform"`.
+    /// entry.
     pub fn cache_id(&self) -> String {
         match self {
             ChannelSpec::Uniform => "uniform".to_string(),

@@ -28,6 +28,7 @@
 
 pub mod channel;
 pub mod decoherence;
+pub mod fnv;
 pub mod model;
 
 pub use channel::{ChannelSpec, ErrorChannel};
