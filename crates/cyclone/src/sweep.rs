@@ -551,10 +551,9 @@ pub fn run_sweep(spec: &ScenarioSpec, options: &SweepOptions) -> SweepResult {
 ///
 /// Reuse is decided per entry against the *requested* sampling mode of its spec
 /// point: a fixed-budget point requires the exact `config.shots` count, while a
-/// precision-targeted
-/// point reuses any entry that meets-or-exceeds the requested precision — whether
-/// it was produced by an adaptive run, a bigger adaptive cap, or a fixed full-shot
-/// run.
+/// precision-targeted point reuses any entry that meets-or-exceeds the requested
+/// precision — whether it was produced by an adaptive run, a bigger adaptive cap,
+/// or a fixed full-shot run.
 fn load_cache(
     path: &Path,
     spec: &ScenarioSpec,

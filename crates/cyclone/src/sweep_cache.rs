@@ -96,12 +96,10 @@ fn parse_cache(path: &Path) -> Result<ParsedCache, String> {
     };
     let mut header = root.clone();
     let points = header.remove("points");
-    let schema = header.get("schema").and_then(Value::as_u64);
-    if schema != Some(CACHE_SCHEMA) {
-        return Err(match schema {
-            Some(schema) => format!("schema {schema} is not the current schema {CACHE_SCHEMA}"),
-            None => format!("missing header field `schema` (current schema is {CACHE_SCHEMA})"),
-        });
+    if header.get("schema").and_then(Value::as_u64) != Some(CACHE_SCHEMA) {
+        return Err(format!(
+            "not a schema-{CACHE_SCHEMA} cache (older schemas are not read)"
+        ));
     }
     if header.get("figure").and_then(Value::as_str).is_none() {
         return Err("missing string header field `figure`".to_string());

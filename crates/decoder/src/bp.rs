@@ -52,14 +52,15 @@ pub struct BpStatus {
     pub iterations: usize,
 }
 
+/// Min-sum normalization (scaling) factor of the check-node messages.
+const MIN_SUM_SCALE: f64 = 0.75;
+
 /// Normalized min-sum belief propagation decoder.
 #[derive(Debug, Clone)]
 pub struct BeliefPropagation {
     h: SparseBinMat,
     graph: TannerGraph,
     max_iterations: usize,
-    /// Min-sum normalization (scaling) factor, typically 0.625–1.0.
-    scale: f64,
     /// Word-packed row supports of `h` (`mask_words` words per check), for the
     /// AND/XOR-popcount convergence check.
     check_masks: Vec<u64>,
@@ -91,7 +92,6 @@ impl BeliefPropagation {
             h,
             graph,
             max_iterations,
-            scale: 0.75,
             check_masks,
             mask_words,
             simd: Simd::from_env(),
@@ -262,7 +262,7 @@ impl BeliefPropagation {
         let err_words = &mut scratch.err_words;
         let channel_llr = &scratch.channel_llr;
         let check_masks = &self.check_masks;
-        let scale = self.scale;
+        let scale = MIN_SUM_SCALE;
 
         for iteration in 1..=self.max_iterations {
             // Check-node update (min-sum with sign handling and syndrome parity).
@@ -427,7 +427,7 @@ impl BeliefPropagation {
         let group_ptr = graph.group_ptr();
         let edge_vars = graph.edge_vars();
         let edge_slots = graph.edge_slots();
-        let scale = self.scale;
+        let scale = MIN_SUM_SCALE;
         let avx2 = self.simd.isa() == SimdIsa::Avx2;
 
         // Per-decode init: the syndrome is constant across iterations, so its

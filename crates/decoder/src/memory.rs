@@ -891,10 +891,11 @@ impl<'a> MemoryExperiment<'a> {
         // once per worker — every worker then starts from a *clone* of the warm
         // scratch. Masks are discarded and the workers re-sample the prefix from
         // the same per-shot RNG streams, so failure counting and bit-identity are
-        // untouched: cache entries are pure decoder outputs. Uniform channels use
-        // the decode cache too; the measurement-noise gate is where the replay
-        // was measured to pay off. Skipped for runs too small to amortize the
-        // replay, and for targets, which may stop inside the prefix.
+        // untouched: cache entries are pure decoder outputs. The gate is
+        // measurement noise, not cache use (uniform channels use the decode
+        // cache too); whether the replay pays for itself is not yet measured.
+        // Skipped for runs too small to amortize the replay, and for targets,
+        // which may stop inside the prefix.
         let fresh = || {
             let mut batch = BatchScratch::new();
             if let Some(dir) = &self.decode_cache_dir {
