@@ -34,6 +34,7 @@
 //! 50), and `CYCLONE_ENFORCE=1` turns the recorded regression thresholds below
 //! into hard assertions.
 
+use bench::runner::RunContext;
 use decoder::bp::priors_digest;
 use decoder::bposd::{BpOsdDecoder, DecodeMethod};
 use decoder::memory::{BatchScratch, BatchStats, MemoryConfig, MemoryExperiment};
@@ -46,7 +47,6 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::hint::black_box;
-use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 
@@ -86,7 +86,7 @@ const ENFORCE_MIN_WARM_STRUCTURED_BATCH_SHOTS_PER_SEC: f64 = 300_000.0;
 /// SIMD-only regression floor for the BP kernel gain, applied under
 /// `CYCLONE_ENFORCE=1` when the dispatched ISA is AVX2 (this container's
 /// acceptance ISA): `bp_only_decodes_per_sec` must be at least this multiple of
-/// the forced-scalar rate measured in the same run. Hosts that dispatch SSE2 or
+/// the scalar-reference rate measured in the same run. Hosts that dispatch SSE2 or
 /// scalar record the honest ratio (or `simd_not_available`) without enforcing.
 const ENFORCE_MIN_BP_SIMD_SPEEDUP: f64 = 1.5;
 
@@ -216,12 +216,10 @@ fn main() {
     let decode = |dec: &BpOsdDecoder, s: &[bool], scratch: &mut DecoderScratch| {
         dec.decode_with_priors_keyed_into(s, &priors, key, scratch)
     };
-    let iters = 40 * bench::shots(); // 16k iterations by default, 2k in CI quick mode
-    let enforce = std::env::var("CYCLONE_ENFORCE").is_ok_and(|v| v == "1");
-    let decode_cache_dir = std::env::var("CYCLONE_DECODE_CACHE_DIR")
-        .ok()
-        .filter(|s| !s.trim().is_empty())
-        .map(PathBuf::from);
+    let ctx = RunContext::from_env();
+    let iters = 40 * ctx.config.shots; // 16k iterations by default, 2k in CI quick mode
+    let enforce = ctx.enforce;
+    let decode_cache_dir = ctx.sweep.decode_cache_dir;
 
     // --- BP-only: weight-1 errors, cycled over every qubit. -----------------
     let weight1_syndromes: Vec<Vec<bool>> = (0..n)
@@ -399,10 +397,9 @@ fn main() {
 
     println!("decoder hot path, [[72,12,6]] BB code at p = {P:.0e} ({iters} iterations)");
     println!(
-        "  simd dispatch: {} ({} lanes{})",
+        "  simd dispatch: {} ({} lanes)",
         simd.isa_name(),
-        simd.lanes(),
-        if simd.forced() { ", forced" } else { "" }
+        simd.lanes()
     );
     println!("  BP-only        {bp_rate:>12.0} decodes/sec");
     println!(
@@ -465,7 +462,7 @@ fn main() {
             );
         }
         // SIMD-only thresholds are tied to the acceptance ISA: SSE2 and scalar
-        // hosts record honest numbers without gating on them, and a forced
+        // hosts record honest numbers without gating on them, and a
         // `CYCLONE_SIMD=off` enforce run stays on the scalar-safe ceilings.
         if simd.isa() == SimdIsa::Avx2 {
             assert!(
@@ -500,7 +497,7 @@ fn main() {
         )
     };
     // Mirrors the sweep bench's `scaling_not_measurable` convention: a host
-    // (or a forced `CYCLONE_SIMD=off` run) without a vector ISA records an
+    // (or a `CYCLONE_SIMD=off` run) without a vector ISA records an
     // honest marker instead of a ~1.0x ratio that would read as a regression.
     let speedup_field = if simd.is_vectorized() {
         format!("{bp_simd_speedup:.2}")
@@ -509,7 +506,7 @@ fn main() {
     };
     let json = format!(
         "{{\n  \"code\": \"{}\",\n  \"p\": {P},\n  \"iterations\": {iters},\n  \
-         \"simd\": {{\n    \"isa\": \"{}\",\n    \"forced\": {},\n    \"lanes\": {}\n  }},\n  \
+         \"simd\": {{\n    \"isa\": \"{}\",\n    \"lanes\": {}\n  }},\n  \
          \"bp_only_decodes_per_sec\": {bp_rate:.1},\n  \
          \"bp_scalar_decodes_per_sec\": {bp_scalar_rate:.1},\n  \
          \"bp_simd_speedup\": {speedup_field},\n  \
@@ -528,7 +525,6 @@ fn main() {
          \"speedup_vs_pre_pr\": {speedup:.2}\n}}\n",
         code.descriptor(),
         simd.isa_name(),
-        simd.forced(),
         simd.lanes(),
         channel_stats(&biased),
         channel_stats(&schedule),

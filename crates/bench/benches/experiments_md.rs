@@ -32,7 +32,7 @@ fn standard_registry_len(rows: &[cyclone::experiments::HeteroRow]) -> usize {
 fn main() {
     let ctx = RunContext::from_env();
     let times = OperationTimes::default();
-    let catalog = bench::catalog();
+    let catalog = bench::catalog(ctx.full);
     let codes: Vec<_> = catalog.iter().map(|e| e.code.clone()).collect();
     let sens = bench::sensitivity_code();
     let mut rows: Vec<Row> = Vec::new();
@@ -53,7 +53,12 @@ fn main() {
     });
 
     // Fig. 5 — baseline LER vs latency reduction.
-    let fig5 = fig5_latency_vs_ler_with(&bench::hgp_codes(), 5e-4, &[1.0, 2.0, 4.0], &ctx.sweep);
+    let fig5 = fig5_latency_vs_ler_with(
+        &bench::hgp_codes(ctx.full),
+        5e-4,
+        &[1.0, 2.0, 4.0],
+        &ctx.sweep,
+    );
     let first = &fig5[0];
     let fastest = &fig5[2];
     rows.push(Row {
@@ -118,8 +123,8 @@ fn main() {
 
     // Figs. 14/15 — LER comparison.
     for (figure, label, codes) in [
-        ("Fig. 14", "BB", bench::bb_codes()),
-        ("Fig. 15", "HGP", bench::hgp_codes()),
+        ("Fig. 14", "BB", bench::bb_codes(ctx.full)),
+        ("Fig. 15", "HGP", bench::hgp_codes(ctx.full)),
     ] {
         let cache_name = if label == "BB" {
             "fig14_bb_ler"
@@ -325,8 +330,8 @@ fn main() {
            `--max-shots` (default 20 × the fixed budget). High-failure points stop\n\
            orders of magnitude early; low-failure points sample deeper than the\n\
            fixed budget, so precision *improves* where it was worst. `--full` runs\n\
-           are adaptive by default; `--fixed` (or `--target-rse 0`) pins the fixed\n\
-           path, which reproduces the pre-adaptive tables byte-for-byte.\n\n\
+           are adaptive by default; `--fixed` pins the fixed path, which\n\
+           reproduces the pre-adaptive tables byte-for-byte.\n\n\
          Every point also samples under an **error channel** (`--noise\n\
          uniform|biased:<ratio>|schedule`): `uniform` is the historical scalar\n\
          model, `biased:<ratio>` adds measurement flips at `<ratio>` times the\n\
@@ -377,7 +382,7 @@ fn main() {
          entirely, weight-1 (single-check) syndromes resolve from a per-check\n\
          correction table built by running the real decoder once per check at\n\
          context bind, and a 4-way set-associative per-syndrome decode cache\n\
-         (`CYCLONE_DECODE_CACHE_SLOTS` slots, conflict evictions counted)\n\
+         (16,384 slots, conflict evictions counted)\n\
          replays repeated syndromes as a word-compare plus a copy. Lanes that\n\
          still reach the OSD fallback hit a warm-started ordered-statistics\n\
          stage (column-permutation reuse + early-exit elimination, pinned\n\

@@ -8,8 +8,8 @@ fn main() {
     bench::runner::figure(
         "fig03_parallel_speedup",
         "Fig. 3: fully parallel vs fully serial schedule speedup",
-        |_ctx| {
-            let rows = fig3_parallel_speedup(&bench::catalog());
+        |ctx| {
+            let rows = fig3_parallel_speedup(&bench::catalog(ctx.full));
             let mut table = Table::new(&[
                 "code",
                 "family",

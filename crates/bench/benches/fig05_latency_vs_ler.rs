@@ -10,7 +10,7 @@ fn main() {
         "fig05_latency_vs_ler",
         "Fig. 5: baseline LER vs latency reduction at p = 5e-4 (HGP codes)",
         |ctx| {
-            let codes = bench::hgp_codes();
+            let codes = bench::hgp_codes(ctx.full);
             let rows = fig5_latency_vs_ler_with(&codes, 5e-4, &[1.0, 2.0, 4.0], &ctx.sweep);
             let mut table = Table::new(&["code", "speedup", "latency (ms)", "LER", "shots"]);
             for r in rows {

@@ -9,7 +9,7 @@ fn main() {
         "fig14_bb_ler",
         "Fig. 14: Cyclone (C) vs baseline (B) logical error rate — BB codes",
         |ctx| {
-            let codes = bench::bb_codes();
+            let codes = bench::bb_codes(ctx.full);
             let rows = ler_comparison_with("fig14_bb_ler", &codes, &error_rate_grid(), &ctx.sweep);
             let mut table = Table::new(&[
                 "code",

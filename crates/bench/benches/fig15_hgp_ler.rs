@@ -9,7 +9,7 @@ fn main() {
         "fig15_hgp_ler",
         "Fig. 15: Cyclone (C) vs baseline (B) logical error rate — HGP codes",
         |ctx| {
-            let codes = bench::hgp_codes();
+            let codes = bench::hgp_codes(ctx.full);
             let rows = ler_comparison_with("fig15_hgp_ler", &codes, &error_rate_grid(), &ctx.sweep);
             let mut table = Table::new(&[
                 "code",

@@ -9,8 +9,11 @@ fn main() {
     bench::runner::figure(
         "fig16_spacetime",
         "Fig. 16: spacetime cost (traps x execution time x ancillas), baseline vs Cyclone",
-        |_ctx| {
-            let codes: Vec<_> = bench::catalog().into_iter().map(|e| e.code).collect();
+        |ctx| {
+            let codes: Vec<_> = bench::catalog(ctx.full)
+                .into_iter()
+                .map(|e| e.code)
+                .collect();
             let rows = fig16_spacetime(&codes, &OperationTimes::default());
             let mut table = Table::new(&[
                 "code",

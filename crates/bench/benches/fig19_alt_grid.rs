@@ -9,8 +9,11 @@ fn main() {
     bench::runner::figure(
         "fig19_alt_grid",
         "Fig. 19: execution time — alternate grid vs baseline vs Cyclone",
-        |_ctx| {
-            let codes: Vec<_> = bench::catalog().into_iter().map(|e| e.code).collect();
+        |ctx| {
+            let codes: Vec<_> = bench::catalog(ctx.full)
+                .into_iter()
+                .map(|e| e.code)
+                .collect();
             let rows = fig19_execution_times(&codes, &OperationTimes::default());
             let mut table = Table::new(&[
                 "code",

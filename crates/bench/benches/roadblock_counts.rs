@@ -11,7 +11,7 @@ fn main() {
     bench::runner::figure(
         "roadblock_counts",
         "Roadblock census: baseline grid vs Cyclone",
-        |_ctx| {
+        |ctx| {
             let times = OperationTimes::default();
             let mut table = Table::new(&[
                 "code",
@@ -21,7 +21,7 @@ fn main() {
                 "C roadblocks",
                 "C wait (ms)",
             ]);
-            for entry in bench::catalog() {
+            for entry in bench::catalog(ctx.full) {
                 let base = baseline_round(&entry.code, &times);
                 let cyc = cyclone_round(&entry.code, &times);
                 assert_eq!(

@@ -9,8 +9,11 @@ fn main() {
     bench::runner::figure(
         "spatial_summary",
         "Spatial summary: baseline (B) vs Cyclone (C)",
-        |_ctx| {
-            let codes: Vec<_> = bench::catalog().into_iter().map(|e| e.code).collect();
+        |ctx| {
+            let codes: Vec<_> = bench::catalog(ctx.full)
+                .into_iter()
+                .map(|e| e.code)
+                .collect();
             let rows = spatial_summary(&codes);
             let mut table = Table::new(&[
                 "code",

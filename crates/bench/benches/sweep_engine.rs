@@ -25,11 +25,13 @@
 //! precision with the surplus shots saved (high-LER points); the JSON records
 //! wall-clock and total shots spent for both modes, per figure.
 //!
-//! `CYCLONE_SHOTS` scales the per-point work (CI uses 50). The binary re-execs
-//! itself as the fleet's workers (`--worker-shard i/N --fleet-dir DIR
-//! --worker-shots S`); those flags are internal to the measurement.
+//! `--shots` / `CYCLONE_SHOTS` scales the per-point work (CI uses 50); the
+//! settings resolve through [`RunContext`] like every figure's. The binary
+//! re-execs itself as the fleet's workers (`--worker-shard i/N --fleet-dir DIR
+//! --worker-shots S`, plus `--decode-cache-dir` when set); those flags are
+//! internal to the measurement.
 
-use bench::runner::{merge_shard_caches, shard_cache_dir};
+use bench::runner::{merge_shard_caches, shard_cache_dir, RunContext};
 use cyclone::experiments::{fig5_spec, ler_comparison_spec};
 use cyclone::sweep::{run_sweep, ScenarioSpec, Shard, SweepOptions, SweepResult};
 use decoder::memory::{MemoryConfig, PrecisionTarget};
@@ -39,6 +41,10 @@ use std::time::Instant;
 /// Latency division factors: six per code, so the pool has enough points to fill
 /// four workers.
 const SPEEDUPS: [f64; 6] = [1.0, 1.5, 2.0, 3.0, 4.0, 8.0];
+
+/// Fleet size when `--shards` / `CYCLONE_SHARDS` asks for fewer than two
+/// worker processes, which would measure no fleet at all.
+const DEFAULT_WORKER_PROCESSES: usize = 4;
 
 /// Sharded-throughput regression floor under `CYCLONE_ENFORCE=1` on hosts with
 /// 4+ cores: 4 worker processes over 12 embarrassingly parallel points must
@@ -82,25 +88,24 @@ fn timed_run(spec: &ScenarioSpec, options: &SweepOptions) -> (SweepResult, f64) 
     (result, start.elapsed().as_secs_f64())
 }
 
-/// Applies the fleet-shared decode-cache directory when the environment
-/// requests one (the sharded path's warm-start lever; estimates are
-/// bit-identical either way).
-fn with_env_decode_cache(options: SweepOptions) -> SweepOptions {
-    match std::env::var("CYCLONE_DECODE_CACHE_DIR") {
-        Ok(dir) if !dir.trim().is_empty() => options.with_decode_cache_dir(dir),
-        _ => options,
+/// Applies the fleet-shared decode-cache directory, if one was requested (the
+/// sharded path's warm-start lever; estimates are bit-identical either way).
+fn with_decode_cache(options: SweepOptions, dir: Option<&Path>) -> SweepOptions {
+    match dir {
+        Some(dir) => options.with_decode_cache_dir(dir),
+        None => options,
     }
 }
 
 /// Worker-process entry: compute this shard of the fig5 workload into its
 /// shard-local cache under the fleet directory, checkpointing per point.
-fn worker_main(shard: Shard, fleet_dir: &Path, shots: usize) {
+fn worker_main(shard: Shard, fleet_dir: &Path, shots: usize, decode_cache_dir: Option<&Path>) {
     let spec = fig5_workload();
     let options = SweepOptions::cached(config(1, shots), shard_cache_dir(fleet_dir, shard))
         .with_shard(shard)
         .with_checkpoint(1)
         .with_fallback_cache_dir(fleet_dir);
-    let result = run_sweep(&spec, &with_env_decode_cache(options));
+    let result = run_sweep(&spec, &with_decode_cache(options, decode_cache_dir));
     assert_eq!(
         result.computed + result.cache_hits + result.skipped,
         spec.points.len()
@@ -112,7 +117,12 @@ fn worker_main(shard: Shard, fleet_dir: &Path, shots: usize) {
 /// from the merged cache. Returns the assembled result and the wall-clock of
 /// the whole pipeline (spawn → merge → assemble), which is what a user of
 /// `--shards N` actually waits for.
-fn timed_sharded(shots: usize, workers: usize, fleet_dir: &Path) -> (SweepResult, f64) {
+fn timed_sharded(
+    shots: usize,
+    workers: usize,
+    fleet_dir: &Path,
+    decode_cache_dir: Option<&Path>,
+) -> (SweepResult, f64) {
     let _ = std::fs::remove_dir_all(fleet_dir);
     // cyclone-lint: allow(io-unwrap) -- bench harness setup is fail-fast: no fleet dir means no shards to measure
     std::fs::create_dir_all(fleet_dir).expect("create fleet dir");
@@ -123,15 +133,18 @@ fn timed_sharded(shots: usize, workers: usize, fleet_dir: &Path) -> (SweepResult
     let start = Instant::now();
     let mut children = Vec::new();
     for index in 0..workers {
-        let child = std::process::Command::new(&exe)
+        let mut worker = std::process::Command::new(&exe);
+        worker
             .arg("--worker-shard")
             .arg(format!("{index}/{workers}"))
             .arg("--fleet-dir")
             .arg(fleet_dir)
             .arg("--worker-shots")
-            .arg(shots.to_string())
-            .env_remove("CYCLONE_SHARDS")
-            .env_remove("CYCLONE_SHARD")
+            .arg(shots.to_string());
+        if let Some(dir) = decode_cache_dir {
+            worker.arg("--decode-cache-dir").arg(dir);
+        }
+        let child = worker
             .stdout(std::process::Stdio::null())
             .spawn()
             .expect("spawn fleet worker");
@@ -144,7 +157,10 @@ fn timed_sharded(shots: usize, workers: usize, fleet_dir: &Path) -> (SweepResult
     merge_shard_caches(fleet_dir).expect("merge shard caches");
     let (result, _) = timed_run(
         &spec,
-        &with_env_decode_cache(SweepOptions::cached(config(1, shots), fleet_dir)),
+        &with_decode_cache(
+            SweepOptions::cached(config(1, shots), fleet_dir),
+            decode_cache_dir,
+        ),
     );
     let elapsed = start.elapsed().as_secs_f64();
     assert_eq!(
@@ -210,8 +226,9 @@ fn adaptive_vs_fixed(figure: &str, spec: &ScenarioSpec, threads: usize, shots: u
 }
 
 fn main() {
-    // Worker re-exec: `--worker-shard i/N --fleet-dir DIR --worker-shots S` is
-    // this binary calling itself; compute the shard and exit.
+    // Worker re-exec: `--worker-shard i/N --fleet-dir DIR --worker-shots S
+    // [--decode-cache-dir DIR]` is this binary calling itself; compute the
+    // shard and exit.
     let args: Vec<String> = std::env::args().skip(1).collect();
     let flag = |name: &str| {
         args.iter()
@@ -224,22 +241,25 @@ fn main() {
         let shots = flag("--worker-shots")
             .and_then(|s| s.parse().ok())
             .expect("--worker-shots");
-        worker_main(shard, &fleet_dir, shots);
+        let decode_cache_dir = flag("--decode-cache-dir").map(Path::new);
+        worker_main(shard, &fleet_dir, shots, decode_cache_dir);
         return;
     }
+    let ctx = RunContext::from_env();
+    let decode_cache_dir = ctx.sweep.decode_cache_dir.as_deref();
 
     // Scale up the per-point work so the measurement dominates thread startup and
     // timer noise (1000 shots/point in CI quick mode, 8000 by default).
-    let shots = 20 * bench::shots();
-    let threaded_workers = match bench::threads() {
+    let shots = 20 * ctx.config.shots;
+    let threaded_workers = match ctx.config.threads {
         0 | 1 => 4,
         n => n,
     };
-    let worker_processes = std::env::var("CYCLONE_SHARDS")
-        .ok()
-        .and_then(|s| s.trim().parse::<usize>().ok())
-        .filter(|&n| n > 0)
-        .unwrap_or(4);
+    let worker_processes = if ctx.shards < 2 {
+        DEFAULT_WORKER_PROCESSES
+    } else {
+        ctx.shards
+    };
     let spec = fig5_workload();
     let points = spec.points.len();
 
@@ -258,7 +278,8 @@ fn main() {
         timed_run(&spec, &SweepOptions::ephemeral(config(1, fleet_shots)));
     let fleet_dir =
         std::env::temp_dir().join(format!("cyclone-sweep-fleet-{}", std::process::id()));
-    let (sharded, sharded_seconds) = timed_sharded(fleet_shots, worker_processes, &fleet_dir);
+    let (sharded, sharded_seconds) =
+        timed_sharded(fleet_shots, worker_processes, &fleet_dir, decode_cache_dir);
     let _ = std::fs::remove_dir_all(&fleet_dir);
 
     // The engine must be bit-identical at any pool size and any process count.
@@ -313,8 +334,7 @@ fn main() {
 
     // On a multi-core host the fleet must actually scale; a single core cannot
     // show a wall-clock win, so there is nothing to enforce there.
-    let enforce = std::env::var("CYCLONE_ENFORCE").is_ok_and(|v| v == "1");
-    if enforce && host_cores >= 2 {
+    if ctx.enforce && host_cores >= 2 {
         let floor = if host_cores >= 4 {
             ENFORCE_SHARDED_SPEEDUP_4CORE
         } else {

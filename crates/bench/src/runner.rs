@@ -2,72 +2,19 @@
 //!
 //! A figure binary is three lines: pick codes, call its `cyclone::experiments`
 //! declaration, format rows into a [`Table`](crate::Table). Everything else —
-//! command-line parsing, Monte-Carlo configuration, sweep-cache control, and
-//! table/CSV/JSON emission — lives here, so the 17 binaries share one frontend
-//! instead of 17 copies of the loop.
+//! the run configuration, sweep-cache control, worker fleets, and
+//! table/CSV/JSON emission — lives here, so the binaries share one frontend
+//! instead of one copy of the loop each.
 //!
-//! # Command line
+//! # Configuration
 //!
-//! Flags can be passed after `--` with `cargo bench -p bench --bench figNN -- ...`:
-//!
-//! * `--shots N` — Monte-Carlo shots per LER point (`CYCLONE_SHOTS`); the fixed
-//!   budget, and the adaptive mode's reference for the default shot cap.
-//! * `--threads N` — point-level sweep pool size, 0 = auto (`CYCLONE_THREADS`).
-//! * `--full` — run the full code catalog (`CYCLONE_FULL=1`). Full runs sample
-//!   **adaptively** by default (see below).
-//! * `--quick` — shorthand for `--shots 50`.
-//! * `--csv` — CSV output instead of an aligned table (`CYCLONE_CSV=1`).
-//! * `--no-cache` — bypass the sweep cache (`CYCLONE_NO_CACHE=1`).
-//! * `--cache-dir DIR` — cache directory (`CYCLONE_SWEEP_DIR`, default `sweeps/`
-//!   at the repository root).
-//! * `--decode-cache-dir DIR` — persist per-context decode caches (syndrome →
-//!   correction tables) under DIR across runs (`CYCLONE_DECODE_CACHE_DIR`;
-//!   unset = in-memory only). Estimates are bit-identical either way — entries
-//!   are pure decoder outputs — so this is purely a warm-start lever.
-//!
-//! Distributed (multi-process) sweeps:
-//!
-//! * `--shards N` — coordinator mode (`CYCLONE_SHARDS`): before the figure
-//!   builds, self-exec N worker processes, each computing the deterministic
-//!   subset of points its shard owns into a shard-local cache
-//!   (`<cache>/shards/<i>-of-<N>/`), then merge the shard caches into the main
-//!   cache. The figure's own sweep then runs serially over all-cache-hits, so
-//!   output is bit-identical to an unsharded run. Requires caching (`--no-cache`
-//!   disables the fleet).
-//! * `--shard i/N` — worker mode (`CYCLONE_SHARD`): compute only the points
-//!   shard `i` of `N` owns, into the shard-local cache, checkpointing after
-//!   every computed point so a killed worker loses at most the in-flight point.
-//!   The main cache is consulted read-only for pre-existing hits.
-//! * `--checkpoint-every K` — override the checkpoint cadence
-//!   (`CYCLONE_CHECKPOINT_EVERY`; worker default 1, `0` = single final write).
-//!
-//! Adaptive (precision-targeted) sampling:
-//!
-//! * `--target-rse X` — stop each LER point at relative standard error ≤ X
-//!   (`CYCLONE_TARGET_RSE`). Setting it enables adaptive mode anywhere; `0`
-//!   disables it explicitly. Default when adaptive: 0.1.
-//! * `--min-failures N` — require ≥ N failures before stopping
-//!   (`CYCLONE_MIN_FAILURES`, default 100).
-//! * `--max-shots N` — per-point shot cap (`CYCLONE_MAX_SHOTS`; default
-//!   `20 × shots`, so low-LER points may sample *deeper* than the fixed budget).
-//! * `--fixed` — force the fixed `--shots` budget even with `--full`
-//!   (`CYCLONE_FIXED=1`); the resulting tables are bit-identical to the
-//!   pre-adaptive engine.
-//!
-//! Channel-structured noise:
-//!
-//! * `--noise uniform|biased:<ratio>|schedule` — the error channel every
-//!   Monte-Carlo point samples under (`CYCLONE_NOISE`). `uniform` (the default)
-//!   is the historical scalar model, bit-identical to the pre-channel engine.
-//!   `biased:<ratio>` adds measurement flips at `<ratio>` times the effective
-//!   data rate to every sweep point (cache entries are keyed per channel, so
-//!   biased and uniform runs never poison each other). `schedule` requests
-//!   per-qubit channels derived from each codesign's compiled idle exposure —
-//!   figures that compile profiled rounds (`fig_hetero`) resolve it per point;
-//!   figures that only know latencies fall back to uniform and say so.
-//!
-//! Unknown flags (e.g. the `--bench` cargo appends) are ignored. Flags override the
-//! corresponding environment variables for the run.
+//! Every option is one row of `OPTIONS`: its flag, its `CYCLONE_*` variable,
+//! its default and its parser. The options table in the README lists the same
+//! rows with their effects, and a test keeps the two in step. Flags go after
+//! `--` (`cargo bench -p bench --bench figNN -- --shots 2000`) and beat their
+//! variables; an empty value counts as unset. Any other value parses or is an
+//! error naming the option and the value, and so is an unknown argument
+//! (except the `--bench` that cargo appends).
 
 use crate::Table;
 use cyclone::sweep::{Shard, SweepOptions};
@@ -82,7 +29,8 @@ use std::path::{Path, PathBuf};
 /// so this pairs naturally with [`DEFAULT_MIN_FAILURES`]).
 pub const DEFAULT_TARGET_RSE: f64 = 0.1;
 
-/// Default failure floor of adaptive runs (the classic stop-at-100-failures rule).
+/// Default failure floor of adaptive runs (the classic stop-at-100-failures rule;
+/// the `--min-failures` row of the option table parses to it).
 pub const DEFAULT_MIN_FAILURES: usize = 100;
 
 /// Default per-point shot cap of adaptive runs, as a multiple of the fixed budget:
@@ -91,9 +39,10 @@ pub const DEFAULT_MIN_FAILURES: usize = 100;
 pub const MAX_SHOTS_FACTOR: usize = 20;
 
 /// The resolved `--noise` / `CYCLONE_NOISE` channel mode.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub enum NoiseFlag {
     /// The historical scalar model (the default).
+    #[default]
     Uniform,
     /// Measurement flips at this ratio of the effective data rate on every point.
     Biased(f64),
@@ -104,8 +53,7 @@ pub enum NoiseFlag {
 
 impl NoiseFlag {
     /// Parses `uniform`, `biased:<ratio>` (finite, non-negative ratio), or
-    /// `schedule`; anything else is malformed (`None`), falling back per the
-    /// workspace convention.
+    /// `schedule`; anything else is malformed (`None`).
     pub fn parse(raw: &str) -> Option<Self> {
         let raw = raw.trim();
         match raw {
@@ -134,229 +82,331 @@ pub struct RunContext {
     /// active, `None` = fixed shot budget, and the default channel spec in
     /// `sweep.channel` when `--noise biased:<ratio>` is active).
     pub sweep: SweepOptions,
-    /// CSV output requested (`--csv` / `CYCLONE_CSV`).
+    /// CSV output requested (`--csv`).
     pub csv: bool,
-    /// Full code catalog requested (`--full` / `CYCLONE_FULL`).
+    /// Full code catalog requested (`--full`).
     pub full: bool,
-    /// The requested channel mode (`--noise` / `CYCLONE_NOISE`). `Biased` is
-    /// already threaded into [`RunContext::sweep`]; `Schedule` is advisory — a
-    /// figure that compiles profiled rounds resolves it per point.
+    /// The requested channel mode (`--noise`). `Biased` is already threaded
+    /// into [`RunContext::sweep`]; `Schedule` is advisory — a figure that
+    /// compiles profiled rounds resolves it per point.
     pub noise: NoiseFlag,
-    /// Requested worker-process count (`--shards` / `CYCLONE_SHARDS`, default 1).
-    /// `>= 2` without a shard assignment makes this process a fleet coordinator
-    /// (see [`RunContext::run_worker_fleet`]).
+    /// Requested worker-process count (`--shards`, default 1). `>= 2` without
+    /// a shard assignment makes this process a fleet coordinator (see
+    /// [`RunContext::run_worker_fleet`]).
     pub shards: usize,
-    /// This process's shard assignment (`--shard i/N` / `CYCLONE_SHARD`).
-    /// `Some` makes this a worker: [`RunContext::sweep`] is already pointed at
-    /// the shard-local cache with the main cache as read-only fallback.
+    /// This process's shard assignment (`--shard i/N`, passed by the
+    /// coordinator). `Some` makes this a worker: [`RunContext::sweep`] is
+    /// already pointed at the shard-local cache with the main cache as
+    /// read-only fallback, checkpointed after every computed point.
     pub shard: Option<Shard>,
+    /// Recorded bench thresholds are hard failures (`CYCLONE_ENFORCE`).
+    pub enforce: bool,
+}
+
+/// The option values as parsed, before [`RunContext::from_args`] assembles them.
+#[derive(Debug, Default)]
+struct Settings {
+    shots: usize,
+    threads: usize,
+    full: bool,
+    csv: bool,
+    no_cache: bool,
+    cache_dir: Option<PathBuf>,
+    decode_cache_dir: Option<PathBuf>,
+    target_rse: Option<f64>,
+    min_failures: usize,
+    max_shots: Option<usize>,
+    fixed: bool,
+    noise: NoiseFlag,
+    shards: usize,
+    shard: Option<Shard>,
+    enforce: bool,
+}
+
+/// One run option.
+struct Opt {
+    /// The flag with its value placeholder (`"--shots N"`); a flag without one
+    /// is a switch. Empty: no flag.
+    flag: &'static str,
+    /// The environment variable. Empty: no variable.
+    env: &'static str,
+    /// The default, parsed before the variable and the flag. Empty: unset.
+    default: &'static str,
+    /// Stores a trimmed, non-empty value (a switch flag stores `"1"`), or says
+    /// what was expected instead.
+    set: fn(&mut Settings, &str) -> Result<(), &'static str>,
+}
+
+impl Opt {
+    /// The flag without its placeholder.
+    fn flag_name(&self) -> &'static str {
+        self.flag.split(' ').next().unwrap_or_default()
+    }
+}
+
+/// Every run option, in the order of the README options table.
+const OPTIONS: &[Opt] = &[
+    Opt {
+        flag: "--shots N",
+        env: "CYCLONE_SHOTS",
+        default: "400",
+        set: |s, v| positive(v).map(|v| s.shots = v),
+    },
+    Opt {
+        flag: "--threads N",
+        env: "CYCLONE_THREADS",
+        default: "0",
+        set: |s, v| count(v).map(|v| s.threads = v),
+    },
+    Opt {
+        flag: "--quick",
+        env: "",
+        default: "",
+        set: |s, _| {
+            s.shots = 50;
+            Ok(())
+        },
+    },
+    Opt {
+        flag: "--full",
+        env: "CYCLONE_FULL",
+        default: "0",
+        set: |s, v| switch(v).map(|v| s.full = v),
+    },
+    Opt {
+        flag: "--csv",
+        env: "CYCLONE_CSV",
+        default: "0",
+        set: |s, v| switch(v).map(|v| s.csv = v),
+    },
+    Opt {
+        flag: "--no-cache",
+        env: "CYCLONE_NO_CACHE",
+        default: "0",
+        set: |s, v| switch(v).map(|v| s.no_cache = v),
+    },
+    Opt {
+        flag: "--cache-dir DIR",
+        env: "CYCLONE_SWEEP_DIR",
+        default: "",
+        set: |s, v| path(v).map(|v| s.cache_dir = Some(v)),
+    },
+    Opt {
+        flag: "--decode-cache-dir DIR",
+        env: "CYCLONE_DECODE_CACHE_DIR",
+        default: "",
+        set: |s, v| path(v).map(|v| s.decode_cache_dir = Some(v)),
+    },
+    Opt {
+        flag: "--target-rse X",
+        env: "CYCLONE_TARGET_RSE",
+        default: "",
+        set: |s, v| positive_real(v).map(|v| s.target_rse = Some(v)),
+    },
+    Opt {
+        flag: "--min-failures N",
+        env: "CYCLONE_MIN_FAILURES",
+        default: "100",
+        set: |s, v| count(v).map(|v| s.min_failures = v),
+    },
+    Opt {
+        flag: "--max-shots N",
+        env: "CYCLONE_MAX_SHOTS",
+        default: "",
+        set: |s, v| positive(v).map(|v| s.max_shots = Some(v)),
+    },
+    Opt {
+        flag: "--fixed",
+        env: "CYCLONE_FIXED",
+        default: "0",
+        set: |s, v| switch(v).map(|v| s.fixed = v),
+    },
+    Opt {
+        flag: "--noise MODE",
+        env: "CYCLONE_NOISE",
+        default: "uniform",
+        set: |s, v| {
+            let noise = NoiseFlag::parse(v).map(|noise| s.noise = noise);
+            noise.ok_or("expected uniform, biased:<ratio> or schedule")
+        },
+    },
+    Opt {
+        flag: "--shards N",
+        env: "CYCLONE_SHARDS",
+        default: "1",
+        set: |s, v| positive(v).map(|v| s.shards = v),
+    },
+    Opt {
+        flag: "--shard i/N",
+        env: "",
+        default: "",
+        set: |s, v| {
+            let shard = Shard::parse(v).map(|shard| s.shard = Some(shard));
+            shard.ok_or("expected i/N with i < N")
+        },
+    },
+    Opt {
+        flag: "",
+        env: "CYCLONE_ENFORCE",
+        default: "0",
+        set: |s, v| switch(v).map(|v| s.enforce = v),
+    },
+];
+
+fn positive(raw: &str) -> Result<usize, &'static str> {
+    let n = raw.parse::<usize>().ok().filter(|&n| n > 0);
+    n.ok_or("expected a positive integer")
+}
+
+fn positive_real(raw: &str) -> Result<f64, &'static str> {
+    let x = raw
+        .parse::<f64>()
+        .ok()
+        .filter(|x| x.is_finite() && *x > 0.0);
+    x.ok_or("expected a finite number > 0")
+}
+
+fn count(raw: &str) -> Result<usize, &'static str> {
+    raw.parse().map_err(|_| "expected a non-negative integer")
+}
+
+fn switch(raw: &str) -> Result<bool, &'static str> {
+    match raw {
+        "0" => Ok(false),
+        "1" => Ok(true),
+        _ => Err("expected 0 or 1"),
+    }
+}
+
+fn path(raw: &str) -> Result<PathBuf, &'static str> {
+    Ok(raw.into())
+}
+
+/// Stores `raw` through `opt`'s parser; `name` is how the error names the option.
+fn apply(settings: &mut Settings, opt: &Opt, name: &str, raw: &str) -> Result<(), String> {
+    let raw = raw.trim();
+    if raw.is_empty() {
+        return Ok(());
+    }
+    (opt.set)(settings, raw).map_err(|expected| format!("{name} {raw:?}: {expected}"))
 }
 
 impl RunContext {
-    /// Resolves the context from the process arguments and environment.
+    /// Resolves the context from the process arguments and environment. A
+    /// malformed value or an unknown argument is printed and exits the
+    /// process with status 2, before anything is built.
     pub fn from_env() -> Self {
         let args: Vec<String> = std::env::args().skip(1).collect();
-        Self::from_args(&args)
+        Self::from_args(&args, |name| std::env::var(name).ok()).unwrap_or_else(|err| {
+            eprintln!("error: {err}");
+            std::process::exit(2)
+        })
     }
 
-    /// Resolves the context from explicit arguments (tests use this directly).
-    pub fn from_args(args: &[String]) -> Self {
-        let env = |name: &str| std::env::var(name).ok();
-        let mut shots = crate::shots();
-        let mut threads = crate::threads();
-        let mut no_cache = crate::flag_from(env("CYCLONE_NO_CACHE").as_deref());
-        let mut cache_dir = env("CYCLONE_SWEEP_DIR")
-            .filter(|s| !s.trim().is_empty())
-            .map(PathBuf::from)
-            .unwrap_or_else(default_sweep_dir);
-        let mut decode_cache_dir = env("CYCLONE_DECODE_CACHE_DIR")
-            .filter(|s| !s.trim().is_empty())
-            .map(PathBuf::from);
-        let mut csv = crate::csv_output();
-        let mut full = crate::full_run();
-        // `Some(0.0)` is an explicit disable; `None` defers to the `--full`
-        // default. A malformed or non-finite value is treated as unset (the
-        // workspace's malformed-fallback convention), never as a disable — and a
-        // malformed *flag* value keeps whatever the environment resolved to.
-        let parse_rse = |s: &str| s.trim().parse::<f64>().ok().filter(|v| v.is_finite());
-        let parse_cap = |s: &str| s.trim().parse::<usize>().ok().filter(|&n| n > 0);
-        let mut target_rse: Option<f64> = env("CYCLONE_TARGET_RSE").as_deref().and_then(parse_rse);
-        let mut min_failures =
-            crate::env_parse(env("CYCLONE_MIN_FAILURES").as_deref(), DEFAULT_MIN_FAILURES);
-        let mut max_shots: Option<usize> = env("CYCLONE_MAX_SHOTS").as_deref().and_then(parse_cap);
-        let mut fixed = crate::flag_from(env("CYCLONE_FIXED").as_deref());
-        let mut noise = env("CYCLONE_NOISE")
-            .as_deref()
-            .and_then(NoiseFlag::parse)
-            .unwrap_or(NoiseFlag::Uniform);
-        let mut shards = env("CYCLONE_SHARDS")
-            .as_deref()
-            .and_then(parse_cap)
-            .unwrap_or(1);
-        let mut shard = env("CYCLONE_SHARD").as_deref().and_then(Shard::parse);
-        // `Some(0)` is an explicit single-final-write request; `None` defers to
-        // the mode default (workers checkpoint after every point).
-        let parse_every = |s: &str| s.trim().parse::<usize>().ok();
-        let mut checkpoint: Option<usize> = env("CYCLONE_CHECKPOINT_EVERY")
-            .as_deref()
-            .and_then(parse_every);
-
-        let mut i = 0;
-        while i < args.len() {
-            match args[i].as_str() {
-                "--shots" => {
-                    if let Some(value) = args.get(i + 1) {
-                        shots = crate::shots_from(Some(value));
-                        i += 1;
-                    }
-                }
-                "--threads" => {
-                    if let Some(value) = args.get(i + 1) {
-                        threads = crate::threads_from(Some(value));
-                        i += 1;
-                    }
-                }
-                "--quick" => shots = 50,
-                "--full" => full = true,
-                "--csv" => csv = true,
-                "--no-cache" => no_cache = true,
-                "--cache-dir" => {
-                    if let Some(value) = args.get(i + 1) {
-                        cache_dir = PathBuf::from(value);
-                        i += 1;
-                    }
-                }
-                "--decode-cache-dir" => {
-                    if let Some(value) = args.get(i + 1) {
-                        decode_cache_dir = Some(PathBuf::from(value));
-                        i += 1;
-                    }
-                }
-                "--target-rse" => {
-                    if let Some(value) = args.get(i + 1) {
-                        target_rse = parse_rse(value).or(target_rse);
-                        i += 1;
-                    }
-                }
-                "--min-failures" => {
-                    if let Some(value) = args.get(i + 1) {
-                        min_failures = crate::env_parse(Some(value), min_failures);
-                        i += 1;
-                    }
-                }
-                "--max-shots" => {
-                    if let Some(value) = args.get(i + 1) {
-                        max_shots = parse_cap(value).or(max_shots);
-                        i += 1;
-                    }
-                }
-                "--fixed" => fixed = true,
-                "--shards" => {
-                    if let Some(value) = args.get(i + 1) {
-                        shards = parse_cap(value).unwrap_or(shards);
-                        i += 1;
-                    }
-                }
-                "--shard" => {
-                    if let Some(value) = args.get(i + 1) {
-                        shard = Shard::parse(value).or(shard);
-                        i += 1;
-                    }
-                }
-                "--checkpoint-every" => {
-                    if let Some(value) = args.get(i + 1) {
-                        checkpoint = parse_every(value).or(checkpoint);
-                        i += 1;
-                    }
-                }
-                "--noise" => {
-                    if let Some(value) = args.get(i + 1) {
-                        // A malformed value keeps whatever the environment
-                        // resolved to (the workspace's malformed-flag rule).
-                        noise = NoiseFlag::parse(value).unwrap_or(noise);
-                        i += 1;
-                    }
-                }
-                _ => {}
+    /// Resolves the context from explicit arguments and an environment lookup
+    /// (tests pass a fixed one): defaults, then variables, then flags.
+    ///
+    /// # Errors
+    ///
+    /// A value its option does not parse, naming the option and the value; an
+    /// unknown argument; a flag missing its value.
+    pub fn from_args(
+        args: &[String],
+        env: impl Fn(&str) -> Option<String>,
+    ) -> Result<Self, String> {
+        let mut s = Settings::default();
+        for opt in OPTIONS {
+            let name = if opt.env.is_empty() {
+                opt.flag_name()
+            } else {
+                opt.env
+            };
+            apply(&mut s, opt, name, opt.default)?;
+            if !opt.env.is_empty() {
+                apply(&mut s, opt, opt.env, &env(opt.env).unwrap_or_default())?;
             }
-            i += 1;
+        }
+        let mut args = args.iter();
+        while let Some(arg) = args.next() {
+            if arg == "--bench" {
+                continue;
+            }
+            let opt = OPTIONS
+                .iter()
+                .find(|opt| !opt.flag.is_empty() && opt.flag_name() == arg)
+                .ok_or_else(|| format!("unknown argument {arg:?}"))?;
+            let value = if opt.flag.contains(' ') {
+                args.next().ok_or_else(|| format!("{arg}: missing value"))?
+            } else {
+                "1"
+            };
+            apply(&mut s, opt, arg, value)?;
         }
 
         let config = MemoryConfig {
-            shots,
+            shots: s.shots,
             bp_iterations: 30,
-            threads,
+            threads: s.threads,
             seed: 0xC1C1_0DE5,
         };
-        // Adaptive mode: explicitly requested via a positive --target-rse, or the
-        // --full default. --fixed (or --target-rse 0) pins the fixed-shot path,
-        // which is bit-identical to the pre-adaptive engine.
-        let precision = match (fixed, target_rse, full) {
-            (true, _, _) => None,
-            (false, Some(rse), _) if rse <= 0.0 => None,
-            (false, Some(rse), _) => Some(rse),
-            (false, None, true) => Some(DEFAULT_TARGET_RSE),
-            (false, None, false) => None,
-        }
-        .map(|rse| PrecisionTarget {
-            target_rse: rse,
-            min_failures,
-            max_shots: max_shots.unwrap_or_else(|| shots.saturating_mul(MAX_SHOTS_FACTOR)),
-        });
-        let mut sweep = if no_cache {
+        let cache_dir = s.cache_dir.unwrap_or_else(default_sweep_dir);
+        let mut sweep = if s.no_cache {
             SweepOptions::ephemeral(config)
         } else {
             // Workers write a shard-local cache (the main cache stays a
             // read-only fallback), so N processes never race on one file.
-            let dir = match shard {
+            let dir = match s.shard {
                 Some(shard) => shard_cache_dir(&cache_dir, shard),
                 None => cache_dir.clone(),
             };
             SweepOptions::cached(config, dir)
         };
-        if let Some(target) = precision {
-            sweep = sweep.with_precision(target);
+        // Adaptive when --target-rse is set, or by default with --full;
+        // --fixed pins the fixed budget, bit-identical to the pre-adaptive
+        // engine.
+        let target_rse = s.target_rse.or(s.full.then_some(DEFAULT_TARGET_RSE));
+        if let Some(target_rse) = target_rse.filter(|_| !s.fixed) {
+            sweep = sweep.with_precision(PrecisionTarget {
+                target_rse,
+                min_failures: s.min_failures,
+                max_shots: s
+                    .max_shots
+                    .unwrap_or_else(|| s.shots.saturating_mul(MAX_SHOTS_FACTOR)),
+            });
         }
-        if let NoiseFlag::Biased(ratio) = noise {
+        if let NoiseFlag::Biased(ratio) = s.noise {
             sweep = sweep.with_channel(ChannelSpec::Biased { meas_ratio: ratio });
         }
-        if let Some(dir) = decode_cache_dir {
+        if let Some(dir) = s.decode_cache_dir {
             // One decode-cache directory for the whole fleet: its atomic-rename
             // save path is multi-process safe, and sharing lets workers warm
             // each other's structured-channel caches.
             sweep = sweep.with_decode_cache_dir(dir);
         }
-        if let Some(shard) = shard {
-            sweep = sweep.with_shard(shard);
-            if !no_cache {
+        if let Some(shard) = s.shard {
+            // A worker checkpoints after every computed point, so a killed
+            // worker loses at most the in-flight one.
+            sweep = sweep.with_shard(shard).with_checkpoint(1);
+            if !s.no_cache {
                 sweep = sweep.with_fallback_cache_dir(cache_dir);
             }
         }
-        sweep = sweep.with_checkpoint(checkpoint.unwrap_or(usize::from(shard.is_some())));
-        RunContext {
+        Ok(RunContext {
             config,
             sweep,
-            csv,
-            full,
-            noise,
-            shards,
-            shard,
-        }
+            csv: s.csv,
+            full: s.full,
+            noise: s.noise,
+            shards: s.shards,
+            shard: s.shard,
+            enforce: s.enforce,
+        })
     }
 
     /// The cache directory, when caching is enabled. For a worker this is the
-    /// shard-local directory; [`RunContext::main_cache_dir`] is the merged view.
-    pub fn cache_dir(&self) -> Option<&std::path::Path> {
+    /// shard-local directory; the main cache is `sweep.fallback_cache_dir`.
+    pub fn cache_dir(&self) -> Option<&Path> {
         self.sweep.cache_dir.as_deref()
-    }
-
-    /// The fleet-wide cache directory: the fallback for a worker (its
-    /// `cache_dir` is shard-local), the cache dir itself otherwise.
-    pub fn main_cache_dir(&self) -> Option<&std::path::Path> {
-        self.sweep
-            .fallback_cache_dir
-            .as_deref()
-            .or_else(|| self.cache_dir())
     }
 
     /// Coordinator step: when `--shards N` (N ≥ 2) was requested, caching is on,
@@ -392,8 +442,6 @@ impl RunContext {
                 .args(&forwarded)
                 .arg("--shard")
                 .arg(shard.to_string())
-                .env_remove("CYCLONE_SHARDS")
-                .env_remove("CYCLONE_SHARD")
                 .stdout(std::process::Stdio::piped())
                 .stderr(std::process::Stdio::piped())
                 .spawn();
@@ -417,19 +465,6 @@ impl RunContext {
             }
         }
         merge_shard_caches(&main_dir)
-    }
-
-    /// Re-exports the resolved values into the environment so the env-reading
-    /// helpers (code catalog selection, CSV rendering) agree with the flags.
-    ///
-    /// Only [`figure`] calls this, from a bench binary's single-threaded `main` —
-    /// it must NOT be called from library code or tests, where mutating the
-    /// process environment races with the parallel test harness.
-    fn export_env(&self) {
-        std::env::set_var("CYCLONE_SHOTS", self.config.shots.to_string());
-        std::env::set_var("CYCLONE_THREADS", self.config.threads.to_string());
-        std::env::set_var("CYCLONE_CSV", if self.csv { "1" } else { "0" });
-        std::env::set_var("CYCLONE_FULL", if self.full { "1" } else { "0" });
     }
 }
 
@@ -545,7 +580,6 @@ pub fn figure<R: Into<FigureReport>>(
     build: impl FnOnce(&RunContext) -> R,
 ) {
     let context = RunContext::from_env();
-    context.export_env();
     // Coordinator mode: fan the figure's points out across worker processes
     // first, so the build below runs all-cache-hits over the merged result —
     // bit-identical to a serial run, just computed by N cores.
@@ -561,7 +595,7 @@ pub fn figure<R: Into<FigureReport>>(
         Err(err) => eprintln!("warning: worker fleet failed ({err}); computing serially"),
     }
     let report: FigureReport = build(&context).into();
-    report.table.print(title);
+    report.table.print(title, context.csv);
     if let Some(shard) = context.shard {
         println!("(worker shard {shard}: skipped points belong to other shards)");
     }
@@ -635,122 +669,197 @@ mod tests {
         list.iter().map(|s| s.to_string()).collect()
     }
 
+    /// Resolves `list` against a fixed environment (tests never read or write
+    /// the process environment).
+    fn parse(list: &[&str], vars: &[(&str, &str)]) -> Result<RunContext, String> {
+        RunContext::from_args(&args(list), |name| {
+            vars.iter()
+                .find(|(var, _)| *var == name)
+                .map(|(_, value)| value.to_string())
+        })
+    }
+
+    fn resolve(list: &[&str]) -> RunContext {
+        parse(list, &[]).expect("well-formed arguments")
+    }
+
+    /// Per option, in `OPTIONS` order (keyed by flag, or by variable when there
+    /// is no flag): a well-formed value and values its parser rejects.
+    const CASES: &[(&str, &str, &[&str])] = &[
+        ("--shots", "77", &["2k", "0", "abc"]),
+        ("--threads", "3", &["-1", "x"]),
+        ("--quick", "", &[]),
+        ("--full", "1", &["true"]),
+        ("--csv", "1", &["yes"]),
+        ("--no-cache", "1", &["2"]),
+        ("--cache-dir", "/tmp/sweep-test", &[]),
+        ("--decode-cache-dir", "/tmp/decode-test", &[]),
+        ("--target-rse", "0.25", &["nan", "inf", "0", "-0.1", "O.1"]),
+        ("--min-failures", "30", &["4OO", "-1"]),
+        ("--max-shots", "9000", &["x", "0"]),
+        ("--fixed", "1", &["on"]),
+        ("--noise", "biased:2", &["biased:-1", "gaussian"]),
+        ("--shards", "4", &["0"]),
+        ("--shard", "2/4", &["4/4", "2"]),
+        ("CYCLONE_ENFORCE", "1", &["true"]),
+    ];
+
+    #[test]
+    fn every_option_parses_or_names_the_malformed_value() {
+        assert_eq!(CASES.len(), OPTIONS.len());
+        for (opt, &(key, good, bad)) in OPTIONS.iter().zip(CASES) {
+            let flag = opt.flag_name();
+            assert_eq!(key, if flag.is_empty() { opt.env } else { flag });
+            let takes_value = opt.flag.contains(' ');
+            // A well-formed value resolves alike through the flag and the
+            // variable.
+            let by_flag = (!flag.is_empty()).then(|| {
+                let list = if takes_value {
+                    vec![flag, good]
+                } else {
+                    vec![flag]
+                };
+                format!("{:?}", parse(&list, &[]).expect(key))
+            });
+            if !opt.env.is_empty() {
+                let by_env = format!("{:?}", parse(&[], &[(opt.env, good)]).expect(key));
+                if let Some(by_flag) = by_flag {
+                    assert_eq!(by_flag, by_env, "{key}");
+                }
+            }
+            for value in bad {
+                if takes_value {
+                    let err = parse(&[flag, value], &[]).unwrap_err();
+                    assert!(err.contains(flag) && err.contains(value), "{err}");
+                }
+                if !opt.env.is_empty() {
+                    let err = parse(&[], &[(opt.env, value)]).unwrap_err();
+                    assert!(err.contains(opt.env) && err.contains(value), "{err}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn flags_beat_their_variables() {
+        let vars = [
+            ("CYCLONE_SHOTS", "900"),
+            ("CYCLONE_NOISE", "biased:2"),
+            ("CYCLONE_CSV", "0"),
+        ];
+        let ctx = parse(&["--shots", "77", "--noise", "schedule", "--csv"], &vars).unwrap();
+        assert_eq!(ctx.config.shots, 77);
+        assert_eq!(ctx.noise, NoiseFlag::Schedule);
+        assert!(ctx.csv);
+        // Without the flags the variables apply; an empty one is unset.
+        let ctx = parse(&[], &vars).unwrap();
+        assert_eq!(ctx.config.shots, 900);
+        assert_eq!(ctx.noise, NoiseFlag::Biased(2.0));
+        assert_eq!(
+            parse(&[], &[("CYCLONE_SHOTS", " ")]).unwrap().config.shots,
+            400
+        );
+    }
+
+    #[test]
+    fn unknown_arguments_are_errors_except_cargo_bench() {
+        let err = parse(&["--shot", "50"], &[]).unwrap_err();
+        assert!(err.contains("--shot"), "{err}");
+        let err = parse(&["--shots"], &[]).unwrap_err();
+        assert!(err.contains("--shots") && err.contains("missing"), "{err}");
+        assert_eq!(resolve(&["--quick", "--bench"]).config.shots, 50);
+    }
+
+    #[test]
+    fn full_flag_alone_selects_the_full_catalog() {
+        let ctx = resolve(&["--full"]);
+        let full = crate::catalog(ctx.full);
+        assert!(full.len() > crate::catalog(false).len());
+        assert!(full.iter().any(|entry| entry.label == "[[625,25,8]]"));
+    }
+
+    #[test]
+    fn readme_options_table_matches_the_option_table() {
+        let readme = include_str!("../../../README.md");
+        let rows: Vec<Vec<&str>> = readme
+            .lines()
+            .skip_while(|line| !line.starts_with("| flag | env | default | effect |"))
+            .skip(2)
+            .take_while(|line| line.starts_with('|'))
+            .map(|line| line.split('|').skip(1).take(3).map(str::trim).collect())
+            // The decoder reads CYCLONE_SIMD itself (`Simd::from_env`).
+            .filter(|row: &Vec<&str>| row[1] != "`CYCLONE_SIMD`")
+            .collect();
+        let cell = |s: &str| {
+            if s.is_empty() {
+                "—".to_string()
+            } else {
+                format!("`{s}`")
+            }
+        };
+        let expected: Vec<Vec<String>> = OPTIONS
+            .iter()
+            .map(|opt| vec![cell(opt.flag), cell(opt.env), cell(opt.default)])
+            .collect();
+        assert_eq!(rows, expected);
+    }
+
     #[test]
     fn flags_override_defaults() {
-        let ctx = RunContext::from_args(&args(&[
-            "--shots",
-            "77",
-            "--threads",
-            "3",
-            "--no-cache",
-            "--ignored-flag",
-        ]));
+        let ctx = resolve(&["--shots", "77", "--threads", "3", "--no-cache"]);
         assert_eq!(ctx.config.shots, 77);
         assert_eq!(ctx.config.threads, 3);
         assert!(ctx.cache_dir().is_none());
         assert_eq!(ctx.config.seed, 0xC1C1_0DE5);
+        assert!(!ctx.enforce);
     }
 
     #[test]
     fn quick_flag_sets_ci_shot_count() {
-        let ctx = RunContext::from_args(&args(&["--quick"]));
-        assert_eq!(ctx.config.shots, 50);
+        assert_eq!(resolve(&["--quick"]).config.shots, 50);
     }
 
     #[test]
     fn cache_dir_flag_redirects_the_cache() {
-        let ctx = RunContext::from_args(&args(&["--cache-dir", "/tmp/sweep-test"]));
+        let ctx = resolve(&["--cache-dir", "/tmp/sweep-test"]);
+        assert_eq!(ctx.cache_dir(), Some(Path::new("/tmp/sweep-test")));
         assert_eq!(
-            ctx.cache_dir(),
-            Some(std::path::Path::new("/tmp/sweep-test"))
+            resolve(&[]).cache_dir(),
+            Some(default_sweep_dir().as_path())
         );
     }
 
     #[test]
     fn decode_cache_dir_flag_threads_into_sweep_options() {
         // Default: no persistent decode cache (in-memory only).
-        let ctx = RunContext::from_args(&args(&["--shots", "100"]));
-        assert!(ctx.sweep.decode_cache_dir.is_none());
+        assert!(resolve(&["--shots", "100"])
+            .sweep
+            .decode_cache_dir
+            .is_none());
 
-        let ctx = RunContext::from_args(&args(&["--decode-cache-dir", "/tmp/decode-test"]));
+        let ctx = resolve(&["--decode-cache-dir", "/tmp/decode-test"]);
         assert_eq!(
             ctx.sweep.decode_cache_dir.as_deref(),
-            Some(std::path::Path::new("/tmp/decode-test"))
+            Some(Path::new("/tmp/decode-test"))
         );
 
         // Orthogonal to the sweep cache: --no-cache disables result caching but
         // leaves the decode cache alone.
-        let ctx = RunContext::from_args(&args(&[
-            "--no-cache",
-            "--decode-cache-dir",
-            "/tmp/decode-test",
-        ]));
+        let ctx = resolve(&["--no-cache", "--decode-cache-dir", "/tmp/decode-test"]);
         assert!(ctx.cache_dir().is_none());
         assert!(ctx.sweep.decode_cache_dir.is_some());
-    }
-
-    #[test]
-    fn malformed_flag_values_fall_back() {
-        let ctx = RunContext::from_args(&args(&["--shots", "abc"]));
-        assert_eq!(ctx.config.shots, crate::DEFAULT_SHOTS);
-        let ctx = RunContext::from_args(&args(&["--threads", "x"]));
-        assert_eq!(ctx.config.threads, crate::AUTO_THREADS);
     }
 
     #[test]
     fn default_runs_stay_on_the_fixed_path() {
         // No adaptive flags, no --full → precision target absent, so sweeps are
         // bit-identical to the pre-adaptive engine.
-        let ctx = RunContext::from_args(&args(&["--shots", "200"]));
-        assert!(ctx.sweep.precision.is_none());
-    }
-
-    #[test]
-    fn malformed_target_rse_defers_to_the_mode_default() {
-        // A typo'd value is "unset", never an accidental disable: with --full the
-        // adaptive default still applies, without it the run stays fixed.
-        let ctx = RunContext::from_args(&args(&["--full", "--target-rse", "O.1"]));
-        let target = ctx
-            .sweep
-            .precision
-            .expect("malformed value must not disable --full adaptive");
-        assert_eq!(target.target_rse, DEFAULT_TARGET_RSE);
-        let ctx = RunContext::from_args(&args(&["--target-rse", "abc"]));
-        assert!(ctx.sweep.precision.is_none());
-        // Non-finite values are malformed too: NaN must not slip past the
-        // disable guard into a stop rule that can never fire.
-        let ctx = RunContext::from_args(&args(&["--full", "--target-rse", "nan"]));
-        assert_eq!(
-            ctx.sweep.precision.map(|t| t.target_rse),
-            Some(DEFAULT_TARGET_RSE)
-        );
-        let ctx = RunContext::from_args(&args(&["--target-rse", "inf"]));
-        assert!(ctx.sweep.precision.is_none());
-    }
-
-    #[test]
-    fn malformed_adaptive_flag_values_keep_earlier_settings() {
-        // A malformed --min-failures/--max-shots value falls back to whatever was
-        // already resolved (the documented env→flag override never *discards* a
-        // valid env setting on a typo'd flag).
-        let ctx = RunContext::from_args(&args(&[
-            "--shots",
-            "400",
-            "--target-rse",
-            "0.2",
-            "--min-failures",
-            "4OO",
-            "--max-shots",
-            "x",
-        ]));
-        let target = ctx.sweep.precision.expect("adaptive");
-        assert_eq!(target.min_failures, DEFAULT_MIN_FAILURES);
-        assert_eq!(target.max_shots, 400 * MAX_SHOTS_FACTOR);
+        assert!(resolve(&["--shots", "200"]).sweep.precision.is_none());
     }
 
     #[test]
     fn full_runs_sample_adaptively_by_default() {
-        let ctx = RunContext::from_args(&args(&["--shots", "1000", "--full"]));
+        let ctx = resolve(&["--shots", "1000", "--full"]);
         let target = ctx
             .sweep
             .precision
@@ -758,19 +867,17 @@ mod tests {
         assert_eq!(target.target_rse, DEFAULT_TARGET_RSE);
         assert_eq!(target.min_failures, DEFAULT_MIN_FAILURES);
         assert_eq!(target.max_shots, 1000 * MAX_SHOTS_FACTOR);
-        assert_eq!(ctx.sweep.precision, Some(target));
     }
 
     #[test]
     fn fixed_flag_pins_the_fixed_path_even_in_full_mode() {
-        let ctx = RunContext::from_args(&args(&["--full", "--fixed"]));
+        let ctx = resolve(&["--full", "--fixed"]);
         assert!(ctx.full);
         assert!(
             ctx.sweep.precision.is_none(),
             "--fixed must win over the --full default"
         );
-        // --target-rse 0 is the explicit-disable spelling of the same thing.
-        let ctx = RunContext::from_args(&args(&["--full", "--target-rse", "0"]));
+        let ctx = resolve(&["--target-rse", "0.2", "--fixed"]);
         assert!(ctx.sweep.precision.is_none());
     }
 
@@ -789,12 +896,12 @@ mod tests {
     #[test]
     fn noise_flag_threads_the_channel_into_sweep_options() {
         // Default: uniform, no channel on the sweep — bit-identical engine.
-        let ctx = RunContext::from_args(&args(&["--shots", "100"]));
+        let ctx = resolve(&["--shots", "100"]);
         assert_eq!(ctx.noise, NoiseFlag::Uniform);
         assert!(ctx.sweep.channel.is_none());
 
         // biased:<ratio> becomes the engine-wide default channel.
-        let ctx = RunContext::from_args(&args(&["--noise", "biased:3"]));
+        let ctx = resolve(&["--noise", "biased:3"]);
         assert_eq!(ctx.noise, NoiseFlag::Biased(3.0));
         assert_eq!(
             ctx.sweep.channel,
@@ -803,19 +910,18 @@ mod tests {
 
         // schedule is advisory: the sweep default stays uniform, figures that can
         // resolve per-codesign channels read ctx.noise.
-        let ctx = RunContext::from_args(&args(&["--noise", "schedule"]));
+        let ctx = resolve(&["--noise", "schedule"]);
         assert_eq!(ctx.noise, NoiseFlag::Schedule);
         assert!(ctx.sweep.channel.is_none());
 
-        // Malformed values keep the earlier resolution.
-        let ctx = RunContext::from_args(&args(&["--noise", "biased:3", "--noise", "bogus"]));
-        assert_eq!(ctx.noise, NoiseFlag::Biased(3.0));
+        // A malformed value is an error even after a valid one.
+        assert!(parse(&["--noise", "biased:3", "--noise", "bogus"], &[]).is_err());
     }
 
     #[test]
     fn shard_flags_resolve_worker_and_coordinator_modes() {
         // Default: one shard, no assignment, single final cache write.
-        let ctx = RunContext::from_args(&args(&["--shots", "100"]));
+        let ctx = resolve(&["--shots", "100"]);
         assert_eq!(ctx.shards, 1);
         assert!(ctx.shard.is_none());
         assert!(ctx.sweep.shard.is_none());
@@ -823,19 +929,14 @@ mod tests {
 
         // Coordinator: --shards alone never shards the local sweep (the fleet
         // does the sharded work; this process runs the all-hits serial pass).
-        let ctx = RunContext::from_args(&args(&["--shards", "4"]));
+        let ctx = resolve(&["--shards", "4"]);
         assert_eq!(ctx.shards, 4);
         assert!(ctx.shard.is_none());
         assert!(ctx.sweep.shard.is_none());
 
         // Worker: shard-local cache under the main dir, main dir as read-only
         // fallback, checkpoint after every point.
-        let ctx = RunContext::from_args(&args(&[
-            "--cache-dir",
-            "/tmp/sweep-shard-test",
-            "--shard",
-            "2/4",
-        ]));
+        let ctx = resolve(&["--cache-dir", "/tmp/sweep-shard-test", "--shard", "2/4"]);
         assert_eq!(ctx.shard, Some(Shard::new(2, 4)));
         assert_eq!(ctx.sweep.shard, Some(Shard::new(2, 4)));
         assert_eq!(
@@ -846,27 +947,11 @@ mod tests {
             ctx.sweep.fallback_cache_dir.as_deref(),
             Some(Path::new("/tmp/sweep-shard-test"))
         );
-        assert_eq!(
-            ctx.main_cache_dir(),
-            Some(Path::new("/tmp/sweep-shard-test"))
-        );
         assert_eq!(ctx.sweep.checkpoint, 1);
-
-        // Explicit cadence override, and the 0 = single-final-write spelling.
-        let ctx = RunContext::from_args(&args(&["--shard", "0/2", "--checkpoint-every", "5"]));
-        assert_eq!(ctx.sweep.checkpoint, 5);
-        let ctx = RunContext::from_args(&args(&["--shard", "0/2", "--checkpoint-every", "0"]));
-        assert_eq!(ctx.sweep.checkpoint, 0);
-
-        // Malformed values keep earlier resolutions (the workspace convention).
-        let ctx = RunContext::from_args(&args(&["--shard", "4/4"]));
-        assert!(ctx.shard.is_none(), "out-of-range shard is malformed");
-        let ctx = RunContext::from_args(&args(&["--shards", "0"]));
-        assert_eq!(ctx.shards, 1);
 
         // --no-cache disables the sharded cache plumbing but keeps the shard
         // restriction itself.
-        let ctx = RunContext::from_args(&args(&["--no-cache", "--shard", "1/3"]));
+        let ctx = resolve(&["--no-cache", "--shard", "1/3"]);
         assert!(ctx.cache_dir().is_none());
         assert!(ctx.sweep.fallback_cache_dir.is_none());
         assert_eq!(ctx.sweep.shard, Some(Shard::new(1, 3)));
@@ -884,8 +969,22 @@ mod tests {
     }
 
     #[test]
+    fn forwardable_args_reparse_in_a_worker() {
+        let coordinator = args(&[
+            "--shots", "50", "--shards", "4", "--noise", "biased:2", "--bench",
+        ]);
+        let mut worker = forwardable_args(coordinator.into_iter());
+        worker.extend(args(&["--shard", "1/4"]));
+        let ctx = RunContext::from_args(&worker, |_| None).expect("worker arguments parse");
+        assert_eq!(ctx.shard, Some(Shard::new(1, 4)));
+        assert_eq!(ctx.shards, 1);
+        assert_eq!(ctx.config.shots, 50);
+        assert_eq!(ctx.noise, NoiseFlag::Biased(2.0));
+    }
+
+    #[test]
     fn adaptive_flags_resolve_a_precision_target() {
-        let ctx = RunContext::from_args(&args(&[
+        let ctx = resolve(&[
             "--shots",
             "400",
             "--target-rse",
@@ -894,7 +993,7 @@ mod tests {
             "30",
             "--max-shots",
             "9000",
-        ]));
+        ]);
         let target = ctx
             .sweep
             .precision

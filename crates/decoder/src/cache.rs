@@ -13,9 +13,10 @@
 //!
 //! The cache is 4-way set-associative with round-robin eviction inside a set —
 //! direct mapping showed measurable conflict misses at 16k slots once structured
-//! channels fattened the syndrome distribution. Total slot count is configurable
-//! via `CYCLONE_DECODE_CACHE_SLOTS` (power of two), and conflict evictions are
-//! counted next to hits/misses so associativity gains stay observable.
+//! channels fattened the syndrome distribution. The slot count is
+//! [`DEFAULT_SLOTS`] ([`DecodeCache::with_slots`] takes another power of two),
+//! and conflict evictions are counted next to hits/misses so associativity
+//! gains stay observable.
 //!
 //! The cache is context-tagged: [`DecodeCache::ensure`] clears it whenever the
 //! decoding context (matrix shape + priors identity) changes, so a scratch that
@@ -29,7 +30,6 @@
 
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::OnceLock;
 
 /// Writes `text` to `path` atomically (the one atomic-write helper, shared by
 /// decode caches and sweep caches): the bytes land in a uniquely named temp
@@ -87,37 +87,6 @@ const PERSIST_SCHEMA: u64 = 1;
 /// File-format marker written by [`DecodeCache::save_to`].
 const PERSIST_KIND: &str = "cyclone-decode-cache";
 
-/// Parses a `CYCLONE_DECODE_CACHE_SLOTS`-style override. `None` (unset) yields
-/// [`DEFAULT_SLOTS`]; a set value must parse as a power of two with at least
-/// one full set ([`WAYS`] slots).
-fn parse_slots(raw: Option<&str>) -> Result<usize, String> {
-    let Some(raw) = raw else {
-        return Ok(DEFAULT_SLOTS);
-    };
-    let value: usize = raw
-        .trim()
-        .parse()
-        .map_err(|_| format!("CYCLONE_DECODE_CACHE_SLOTS: not an integer: {raw:?}"))?;
-    if !value.is_power_of_two() || value < WAYS {
-        return Err(format!(
-            "CYCLONE_DECODE_CACHE_SLOTS: must be a power of two >= {WAYS}, got {value}"
-        ));
-    }
-    Ok(value)
-}
-
-/// The process-wide slot count (env override read once).
-fn env_slots() -> usize {
-    static SLOTS: OnceLock<usize> = OnceLock::new();
-    *SLOTS.get_or_init(|| {
-        let raw = std::env::var("CYCLONE_DECODE_CACHE_SLOTS").ok();
-        match parse_slots(raw.as_deref()) {
-            Ok(slots) => slots,
-            Err(message) => panic!("{message}"),
-        }
-    })
-}
-
 /// A set-associative syndrome → correction cache for one decoding context.
 #[derive(Debug, Clone)]
 pub struct DecodeCache {
@@ -153,16 +122,10 @@ impl Default for DecodeCache {
 }
 
 impl DecodeCache {
-    /// Creates an empty cache sized by `CYCLONE_DECODE_CACHE_SLOTS` (default
-    /// [`DEFAULT_SLOTS`]); storage is allocated by the first
-    /// [`DecodeCache::ensure`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `CYCLONE_DECODE_CACHE_SLOTS` is set to anything other than a
-    /// power of two with at least one full set.
+    /// Creates an empty cache of [`DEFAULT_SLOTS`] slots; storage is allocated
+    /// by the first [`DecodeCache::ensure`].
     pub fn new() -> Self {
-        Self::with_slots(env_slots())
+        Self::with_slots(DEFAULT_SLOTS)
     }
 
     /// Creates an empty cache with an explicit total slot count (must be a
@@ -550,14 +513,9 @@ mod tests {
     }
 
     #[test]
-    fn slots_parse_validates() {
-        assert_eq!(parse_slots(None), Ok(DEFAULT_SLOTS));
-        assert_eq!(parse_slots(Some("4096")), Ok(4096));
-        assert_eq!(parse_slots(Some(" 64 ")), Ok(64));
-        assert!(parse_slots(Some("1000")).is_err()); // not a power of two
-        assert!(parse_slots(Some("2")).is_err()); // below one set
-        assert!(parse_slots(Some("zero")).is_err());
-        assert!(parse_slots(Some("-64")).is_err());
+    #[should_panic(expected = "power of two")]
+    fn with_slots_rejects_less_than_one_set() {
+        let _ = DecodeCache::with_slots(WAYS / 2);
     }
 
     #[test]

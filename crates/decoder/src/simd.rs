@@ -22,12 +22,9 @@
 //! `is_x86_feature_detected!` picks AVX2 (4 × `f64`) or SSE2 (2 × `f64`)
 //! kernels from [`std::arch`], with the portable scalar path — the
 //! property-pinned reference — as the fallback on other architectures. The
-//! `CYCLONE_SIMD` environment variable overrides the choice: `auto` (default)
-//! detects, `force` records that the override was requested (selection is the
-//! same as `auto` — on hosts without vector units it still falls back to
-//! scalar, and benches report `simd_not_available` instead of a fake ratio),
-//! and `off` pins the scalar reference. Malformed values fall back to `auto`,
-//! matching the `bench::env_parse` convention.
+//! `CYCLONE_SIMD` environment variable takes two values: `auto` (the default;
+//! empty counts as unset) detects, and `off` pins the scalar reference. Any
+//! other value panics with a message naming the variable.
 //!
 //! Why hand-written kernels instead of trusting the auto-vectorizer: the check
 //! pass mixes a data-dependent two-min select ladder with sign-predicate
@@ -53,73 +50,54 @@ pub enum SimdIsa {
 pub enum SimdMode {
     /// Detect the best available ISA (the default).
     Auto,
-    /// Same selection as `Auto`, but recorded as an explicit override — benches
-    /// report `simd_not_available` honestly when no vector ISA exists.
-    Force,
     /// Pin the scalar reference path.
     Off,
 }
 
 /// The capability report of one dispatch decision: which ISA the decoder's
-/// check pass runs on, and whether `CYCLONE_SIMD` overrode auto-detection.
-/// Selected once at [`crate::bp::BeliefPropagation::new`] and carried by the
-/// decoder; benches serialize it as `simd: {isa, forced, lanes}`.
+/// check pass runs on. Selected once at [`crate::bp::BeliefPropagation::new`]
+/// and carried by the decoder; benches serialize it as `simd: {isa, lanes}`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Simd {
     isa: SimdIsa,
-    forced: bool,
 }
 
 impl Simd {
-    /// Reads `CYCLONE_SIMD` (`auto` | `force` | `off`; malformed values fall
-    /// back to `auto`) and resolves the dispatch.
+    /// Reads `CYCLONE_SIMD` and resolves the dispatch.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `CYCLONE_SIMD` is set to anything but `auto`, `off` or empty.
     pub fn from_env() -> Self {
-        let mode = match std::env::var("CYCLONE_SIMD") {
-            Ok(v) => match v.trim() {
-                "force" => SimdMode::Force,
-                "off" => SimdMode::Off,
-                _ => SimdMode::Auto,
-            },
-            Err(_) => SimdMode::Auto,
-        };
-        Self::with_mode(mode)
+        let raw = std::env::var("CYCLONE_SIMD").unwrap_or_default();
+        match raw.trim() {
+            "" | "auto" => Self::with_mode(SimdMode::Auto),
+            "off" => Self::with_mode(SimdMode::Off),
+            other => panic!("CYCLONE_SIMD {other:?}: expected auto or off"),
+        }
     }
 
-    /// Resolves an explicit mode (tests and benches construct forced-scalar and
-    /// forced-vector decoders side by side through this).
+    /// Resolves an explicit mode (tests and benches construct dispatched and
+    /// scalar decoders side by side through this).
     pub fn with_mode(mode: SimdMode) -> Self {
         match mode {
             SimdMode::Auto => Simd {
                 isa: best_available(),
-                forced: false,
             },
-            SimdMode::Force => Simd {
-                isa: best_available(),
-                forced: true,
-            },
-            SimdMode::Off => Simd {
-                isa: SimdIsa::Scalar,
-                forced: true,
-            },
+            SimdMode::Off => Self::scalar(),
         }
     }
 
-    /// The scalar reference path, not forced (what non-x86 hosts auto-detect).
+    /// The scalar reference path (what non-x86 hosts auto-detect).
     pub fn scalar() -> Self {
         Simd {
             isa: SimdIsa::Scalar,
-            forced: false,
         }
     }
 
     /// The dispatched instruction set.
     pub fn isa(&self) -> SimdIsa {
         self.isa
-    }
-
-    /// Whether `CYCLONE_SIMD` overrode auto-detection (`force` or `off`).
-    pub fn forced(&self) -> bool {
-        self.forced
     }
 
     /// `f64` lanes per vector on the dispatched path (1 on the scalar path).
@@ -611,15 +589,10 @@ mod tests {
     #[test]
     fn mode_parsing_and_report_shape() {
         let auto = Simd::with_mode(SimdMode::Auto);
-        let force = Simd::with_mode(SimdMode::Force);
         let off = Simd::with_mode(SimdMode::Off);
-        assert!(!auto.forced());
-        assert!(force.forced());
-        assert!(off.forced());
-        assert_eq!(off.isa(), SimdIsa::Scalar);
+        assert_eq!(off, Simd::scalar());
         assert_eq!(off.lanes(), 1);
         assert!(!off.is_vectorized());
-        assert_eq!(auto.isa(), force.isa(), "force selects what auto selects");
         #[cfg(target_arch = "x86_64")]
         {
             assert!(auto.is_vectorized(), "x86-64 always has at least SSE2");

@@ -300,7 +300,7 @@ proptest! {
         channel_pick in 0usize..3,
         flip_bits in 0u64..8,
     ) {
-        // The vectorized propagate path (CYCLONE_SIMD=force) must reproduce the
+        // The vectorized propagate path (CYCLONE_SIMD=auto) must reproduce the
         // scalar reference (CYCLONE_SIMD=off) byte for byte: same convergence
         // verdict and iteration count, same hard decisions, and bit-equal
         // posterior LLRs — across the code catalog, all three channel shapes
@@ -351,7 +351,7 @@ proptest! {
                 syndrome[at] = !syndrome[at];
             }
             let simd_bp = BeliefPropagation::new(SparseBinMat::from_bitmat(h), bp_iterations)
-                .with_simd(Simd::with_mode(SimdMode::Force));
+                .with_simd(Simd::with_mode(SimdMode::Auto));
             let scalar_bp = BeliefPropagation::new(SparseBinMat::from_bitmat(h), bp_iterations)
                 .with_simd(Simd::with_mode(SimdMode::Off));
             let a = simd_bp.decode_with_priors_keyed_into(&syndrome, &priors, key, &mut simd_scratch);
@@ -421,7 +421,7 @@ fn simd_propagate_matches_scalar_on_adversarial_row_shapes() {
     let (priors, key) = uniform_priors(11, 0.05);
     for iterations in [1usize, 3, 30] {
         let simd_bp = BeliefPropagation::new(h.clone(), iterations)
-            .with_simd(Simd::with_mode(SimdMode::Force));
+            .with_simd(Simd::with_mode(SimdMode::Auto));
         let scalar_bp =
             BeliefPropagation::new(h.clone(), iterations).with_simd(Simd::with_mode(SimdMode::Off));
         for pattern in 0u32..32 {

@@ -24,7 +24,7 @@
 //!   idioms (`clear`/`resize`/`extend` on reused buffers) are deliberately not
 //!   flagged — they are the sanctioned way to size scratch space.
 //! * `config-registry` — every `CYCLONE_*` env var referenced by non-test code
-//!   must have a row in the README env table, and every documented row must
+//!   must have a row in the README options table, and every documented row must
 //!   still be referenced by code.
 //! * `io-unwrap` — bare `.unwrap()`/`.expect(...)` on a statement that performs
 //!   file I/O, in non-test code. Cache and sweep files are throwaway inputs;

@@ -468,12 +468,12 @@ fn unsafe_safety(file: &SourceFile, out: &mut Vec<(Finding, bool)>) {
 }
 
 /// Rule `config-registry`: every `CYCLONE_*` env var referenced by non-test
-/// code must appear in the README env table, and vice versa.
+/// code must appear in the README options table, and vice versa.
 ///
 /// Code references are collected from string literals only (env vars are
 /// always read via string names; prose in comments does not count as a
-/// reference). Documented vars are rows of any markdown table whose first cell
-/// is a backticked `CYCLONE_*` name.
+/// reference). Documented vars are cells of any markdown table that hold
+/// exactly a backticked `CYCLONE_*` name.
 pub fn config_registry(files: &[SourceFile], readme_path: &str, readme_text: &str) -> Vec<Finding> {
     let mut referenced: BTreeMap<String, (String, usize)> = BTreeMap::new();
     for file in files {
@@ -492,20 +492,20 @@ pub fn config_registry(files: &[SourceFile], readme_path: &str, readme_text: &st
     }
     let mut documented: BTreeMap<String, usize> = BTreeMap::new();
     for (idx, line) in readme_text.lines().enumerate() {
-        let trimmed = line.trim_start();
-        let Some(cell) = trimmed.strip_prefix('|') else {
+        let Some(row) = line.trim_start().strip_prefix('|') else {
             continue;
         };
-        let cell = cell.trim_start();
-        let Some(name) = cell.strip_prefix('`') else {
-            continue;
-        };
-        let Some(close) = name.find('`') else {
-            continue;
-        };
-        let name = &name[..close];
-        if name.starts_with("CYCLONE_") && name.len() > "CYCLONE_".len() {
-            documented.entry(name.to_string()).or_insert(idx + 1);
+        for cell in row.split('|') {
+            let Some(name) = cell
+                .trim()
+                .strip_prefix('`')
+                .and_then(|c| c.strip_suffix('`'))
+            else {
+                continue;
+            };
+            if name.starts_with("CYCLONE_") && name.len() > "CYCLONE_".len() {
+                documented.entry(name.to_string()).or_insert(idx + 1);
+            }
         }
     }
     let mut findings = Vec::new();
@@ -516,7 +516,7 @@ pub fn config_registry(files: &[SourceFile], readme_path: &str, readme_text: &st
                 path: path.clone(),
                 line: *line,
                 message: format!(
-                    "`{var}` is read by code but has no row in the {readme_path} env table"
+                    "`{var}` is read by code but has no row in the {readme_path} options table"
                 ),
             });
         }
@@ -528,7 +528,7 @@ pub fn config_registry(files: &[SourceFile], readme_path: &str, readme_text: &st
                 path: readme_path.to_string(),
                 line: *line,
                 message: format!(
-                    "`{var}` is documented in the env table but no non-test code references it"
+                    "`{var}` is documented in the options table but no non-test code references it"
                 ),
             });
         }
