@@ -226,6 +226,25 @@ mod tests {
     }
 
     #[test]
+    fn env_parse_is_generic_over_fromstr() {
+        // usize / f64 / switch variables share the trim + empty-is-unset rule.
+        assert_eq!(with_var("CYCLONE_SHOTS", " 42 ").unwrap().config.shots, 42);
+        assert_eq!(with_var("CYCLONE_SHOTS", "").unwrap().config.shots, 400);
+        assert!(with_var("CYCLONE_CSV", "1").unwrap().csv);
+        let ctx = with_var("CYCLONE_TARGET_RSE", " 2.5 ").unwrap();
+        assert_eq!(ctx.sweep.precision.map(|t| t.target_rse), Some(2.5));
+        assert!(with_var("CYCLONE_TARGET_RSE", "")
+            .unwrap()
+            .sweep
+            .precision
+            .is_none());
+        for (name, bad) in [("CYCLONE_SHOTS", "nope"), ("CYCLONE_TARGET_RSE", "x")] {
+            let err = with_var(name, bad).unwrap_err();
+            assert!(err.contains(name) && err.contains(bad), "{err}");
+        }
+    }
+
+    #[test]
     fn shots_parsing_defaults_and_overrides() {
         assert_eq!(with_var("CYCLONE_SHOTS", "50").unwrap().config.shots, 50);
         assert_eq!(

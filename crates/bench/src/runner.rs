@@ -851,10 +851,77 @@ mod tests {
     }
 
     #[test]
+    fn malformed_flag_values_fall_back() {
+        // Only an empty value falls back (to the default or the variable); a
+        // malformed one is an error naming the flag, never a silent default.
+        assert_eq!(resolve(&["--shots", ""]).config.shots, 400);
+        assert_eq!(resolve(&["--threads", " "]).config.threads, 0);
+        let ctx = parse(&["--shots", ""], &[("CYCLONE_SHOTS", "90")]).unwrap();
+        assert_eq!(ctx.config.shots, 90);
+        for (flag, bad) in [("--shots", "abc"), ("--threads", "x")] {
+            let err = parse(&[flag, bad], &[]).unwrap_err();
+            assert!(err.contains(flag) && err.contains(bad), "{err}");
+        }
+    }
+
+    #[test]
     fn default_runs_stay_on_the_fixed_path() {
         // No adaptive flags, no --full → precision target absent, so sweeps are
         // bit-identical to the pre-adaptive engine.
         assert!(resolve(&["--shots", "200"]).sweep.precision.is_none());
+    }
+
+    #[test]
+    fn malformed_target_rse_defers_to_the_mode_default() {
+        // An empty value is unset, never a disable: with --full the adaptive
+        // default applies, without it the run stays fixed.
+        let ctx = resolve(&["--full", "--target-rse", ""]);
+        let target = ctx.sweep.precision.expect("--full samples adaptively");
+        assert_eq!(target.target_rse, DEFAULT_TARGET_RSE);
+        assert!(resolve(&["--target-rse", ""]).sweep.precision.is_none());
+        let ctx = parse(&["--full"], &[("CYCLONE_TARGET_RSE", " ")]).unwrap();
+        assert_eq!(
+            ctx.sweep.precision.map(|t| t.target_rse),
+            Some(DEFAULT_TARGET_RSE)
+        );
+        // A typo or a non-finite value is an error in either mode: NaN must not
+        // reach a stop rule that can never fire.
+        for mode in [&["--full"][..], &[]] {
+            for bad in ["O.1", "abc", "nan", "inf"] {
+                let list = [mode, &["--target-rse", bad][..]].concat();
+                let err = parse(&list, &[]).unwrap_err();
+                assert!(err.contains("--target-rse") && err.contains(bad), "{err}");
+            }
+        }
+    }
+
+    #[test]
+    fn malformed_adaptive_flag_values_keep_earlier_settings() {
+        // An empty --min-failures/--max-shots keeps what the variables set; a
+        // malformed one is an error rather than a silent discard of them.
+        let vars = [
+            ("CYCLONE_MIN_FAILURES", "40"),
+            ("CYCLONE_MAX_SHOTS", "5000"),
+        ];
+        let list = [
+            "--target-rse",
+            "0.2",
+            "--min-failures",
+            "",
+            "--max-shots",
+            "",
+        ];
+        let target = parse(&list, &vars)
+            .unwrap()
+            .sweep
+            .precision
+            .expect("adaptive");
+        assert_eq!(target.min_failures, 40);
+        assert_eq!(target.max_shots, 5000);
+        for (flag, bad) in [("--min-failures", "4OO"), ("--max-shots", "x")] {
+            let err = parse(&["--target-rse", "0.2", flag, bad], &vars).unwrap_err();
+            assert!(err.contains(flag) && err.contains(bad), "{err}");
+        }
     }
 
     #[test]
