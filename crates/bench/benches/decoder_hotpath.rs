@@ -4,7 +4,9 @@
 //! criterion shim's statistics are no richer — see `crates/shims/README.md`):
 //!
 //! * **BP-only** — decodes of weight-1-error syndromes, which belief propagation
-//!   resolves without the OSD fallback;
+//!   resolves without the OSD fallback, timed in alternating rounds against
+//!   the scalar CSR reference (`crates/decoder/tests/oracle/bp.rs`, included
+//!   below) on the same syndromes;
 //! * **OSD-fallback** — decodes of syndromes on which BP fails, exercising the
 //!   word-level ordered-statistics path; the warm-started and cold OSD stages
 //!   are also timed separately (same syndromes, precomputed BP suspicion), so
@@ -40,7 +42,8 @@ use decoder::bposd::{BpOsdDecoder, DecodeMethod};
 use decoder::memory::{BatchScratch, BatchStats, MemoryConfig, MemoryExperiment};
 use decoder::osd::OsdDecoder;
 use decoder::scratch::DecoderScratch;
-use decoder::simd::{Simd, SimdIsa, SimdMode};
+use decoder::simd::SimdIsa;
+use decoder::sparse::SparseBinMat;
 use noise::{ErrorChannel, HardwareNoiseModel, NoiseParameters};
 use qec::codes::bb_72_12_6;
 use rand::rngs::StdRng;
@@ -49,6 +52,10 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::hint::black_box;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
+
+/// The scalar min-sum reference the decoder's lane kernels are pinned to.
+#[path = "../../decoder/tests/oracle/bp.rs"]
+mod oracle_bp;
 
 /// Full-shot throughput measured at the pre-refactor commit (`be2e5a4`, allocating
 /// `sample_one`, per-decode Tanner rebuild, bit-level OSD) on this container:
@@ -83,11 +90,14 @@ const ENFORCE_MAX_WARM_STRUCTURED_PENALTY: f64 = 5.0;
 /// (measured ~2M shots/sec on this container).
 const ENFORCE_MIN_WARM_STRUCTURED_BATCH_SHOTS_PER_SEC: f64 = 300_000.0;
 
-/// SIMD-only regression floor for the BP kernel gain, applied under
-/// `CYCLONE_ENFORCE=1` when the dispatched ISA is AVX2 (this container's
-/// acceptance ISA): `bp_only_decodes_per_sec` must be at least this multiple of
-/// the scalar-reference rate measured in the same run. Hosts that dispatch SSE2 or
-/// scalar record the honest ratio (or `simd_not_available`) without enforcing.
+/// AVX2-only regression floor for the BP kernel gain, applied under
+/// `CYCLONE_ENFORCE=1` when the dispatch is the AVX2 compilation:
+/// `bp_only_decodes_per_sec` must be at least this multiple of the rate of
+/// the scalar CSR reference (`crates/decoder/tests/oracle/bp.rs`) measured in
+/// the same run. The baseline compilation of the kernels is itself
+/// vectorized, so the ratio is always taken against that fixed reference
+/// program, never against `CYCLONE_SIMD=off`. Other dispatches record the
+/// ratio without enforcing it.
 const ENFORCE_MIN_BP_SIMD_SPEEDUP: f64 = 1.5;
 
 /// SIMD-only ceiling for the worst cold structured-channel penalty under
@@ -96,6 +106,10 @@ const ENFORCE_MIN_BP_SIMD_SPEEDUP: f64 = 1.5;
 /// 22× (the scalar-safe [`ENFORCE_MAX_STRUCTURED_PENALTY`] ceiling still
 /// applies to `CYCLONE_SIMD=off` runs).
 const ENFORCE_MAX_SIMD_STRUCTURED_PENALTY: f64 = 22.0;
+
+/// Alternating timing rounds of the BP-only comparison; each side reports its
+/// best round.
+const BP_ROUNDS: usize = 5;
 
 /// The physical error rate of the acceptance measurement.
 const P: f64 = 3e-3;
@@ -229,42 +243,48 @@ fn main() {
             code.z_syndrome(&e)
         })
         .collect();
+    // The scalar CSR reference decodes the same syndromes; warm-up checks the
+    // two agree bit for bit.
+    let simd = decoder.simd();
+    let scalar_ref = oracle_bp::ScalarBp::new(&SparseBinMat::from_bitmat(code.hz()), 30);
+    let mut scalar_scratch = oracle_bp::ScalarBpScratch::default();
     let mut scratch = DecoderScratch::new();
     for s in &weight1_syndromes {
         let status = decode(&decoder, s, &mut scratch);
         assert_eq!(status.method, DecodeMethod::BeliefPropagation);
+        let reference = scalar_ref.decode(s, &priors, key, &mut scalar_scratch);
+        assert_eq!(reference.iterations, status.iterations);
+        assert_eq!(scalar_scratch.error(), scratch.error());
+        assert!(scalar_scratch
+            .llrs()
+            .iter()
+            .zip(scratch.llrs())
+            .all(|(a, b)| a.to_bits() == b.to_bits()));
     }
-    let before = allocations();
-    let bp_rate = rate(iters, |i| {
-        let s = &weight1_syndromes[i % weight1_syndromes.len()];
-        black_box(decode(&decoder, black_box(s), &mut scratch));
-    });
-    assert_eq!(
-        allocations() - before,
-        0,
-        "steady-state BP-only decode must not allocate (dispatched kernel)"
-    );
-
-    // --- BP-only again, kernel dispatch pinned to the scalar reference. -----
     // Same syndromes, same run, so `bp_rate / bp_scalar_rate` is an honest
-    // same-host measure of the SIMD check-pass gain (the property suite pins
-    // the two paths bit-identical, so this is purely a throughput ratio).
-    let simd = decoder.simd();
-    let scalar_decoder = BpOsdDecoder::new(code.hz(), 30).with_simd(Simd::with_mode(SimdMode::Off));
-    let mut scalar_scratch = DecoderScratch::new();
-    for s in &weight1_syndromes {
-        let status = decode(&scalar_decoder, s, &mut scalar_scratch);
-        assert_eq!(status.method, DecodeMethod::BeliefPropagation);
-    }
+    // same-host measure of the lane-kernel gain (bit-identical outputs, so
+    // this is purely a throughput ratio). The two are timed in alternating
+    // rounds and each keeps its best round, so a burst of load from other
+    // processes on a shared host is discarded on either side instead of
+    // skewing the ratio.
+    let (mut bp_rate, mut bp_scalar_rate) = (0.0f64, 0.0f64);
     let before = allocations();
-    let bp_scalar_rate = rate(iters, |i| {
-        let s = &weight1_syndromes[i % weight1_syndromes.len()];
-        black_box(decode(&scalar_decoder, black_box(s), &mut scalar_scratch));
-    });
+    for _ in 0..BP_ROUNDS {
+        let round = rate(iters / BP_ROUNDS, |i| {
+            let s = &weight1_syndromes[i % weight1_syndromes.len()];
+            black_box(decode(&decoder, black_box(s), &mut scratch));
+        });
+        bp_rate = bp_rate.max(round);
+        let round = rate(iters / BP_ROUNDS, |i| {
+            let s = &weight1_syndromes[i % weight1_syndromes.len()];
+            black_box(scalar_ref.decode(black_box(s), &priors, key, &mut scalar_scratch));
+        });
+        bp_scalar_rate = bp_scalar_rate.max(round);
+    }
     assert_eq!(
         allocations() - before,
         0,
-        "steady-state BP-only decode must not allocate (scalar kernel)"
+        "steady-state BP-only decodes must not allocate"
     );
     let bp_simd_speedup = bp_rate / bp_scalar_rate;
 
@@ -396,11 +416,7 @@ fn main() {
     let cache_hit_rate = biased.cache_hit_rate();
 
     println!("decoder hot path, [[72,12,6]] BB code at p = {P:.0e} ({iters} iterations)");
-    println!(
-        "  simd dispatch: {} ({} lanes)",
-        simd.isa_name(),
-        simd.lanes()
-    );
+    println!("  simd dispatch: {}", simd.isa_name());
     println!("  BP-only        {bp_rate:>12.0} decodes/sec");
     println!(
         "    scalar ref   {bp_scalar_rate:>12.0} decodes/sec ({bp_simd_speedup:.2}x kernel gain)"
@@ -461,8 +477,8 @@ fn main() {
                  {ENFORCE_MIN_WARM_STRUCTURED_BATCH_SHOTS_PER_SEC:.0} shots/sec"
             );
         }
-        // SIMD-only thresholds are tied to the acceptance ISA: SSE2 and scalar
-        // hosts record honest numbers without gating on them, and a
+        // Kernel thresholds are tied to the AVX2 compilation: other dispatches
+        // record honest numbers without gating on them, and a
         // `CYCLONE_SIMD=off` enforce run stays on the scalar-safe ceilings.
         if simd.isa() == SimdIsa::Avx2 {
             assert!(
@@ -496,20 +512,12 @@ fn main() {
             m.cache_hit_rate(),
         )
     };
-    // Mirrors the sweep bench's `scaling_not_measurable` convention: a host
-    // (or a `CYCLONE_SIMD=off` run) without a vector ISA records an
-    // honest marker instead of a ~1.0x ratio that would read as a regression.
-    let speedup_field = if simd.is_vectorized() {
-        format!("{bp_simd_speedup:.2}")
-    } else {
-        "\"simd_not_available\"".to_owned()
-    };
     let json = format!(
         "{{\n  \"code\": \"{}\",\n  \"p\": {P},\n  \"iterations\": {iters},\n  \
-         \"simd\": {{\n    \"isa\": \"{}\",\n    \"lanes\": {}\n  }},\n  \
+         \"simd\": {{\n    \"isa\": \"{}\"\n  }},\n  \
          \"bp_only_decodes_per_sec\": {bp_rate:.1},\n  \
          \"bp_scalar_decodes_per_sec\": {bp_scalar_rate:.1},\n  \
-         \"bp_simd_speedup\": {speedup_field},\n  \
+         \"bp_simd_speedup\": {bp_simd_speedup:.2},\n  \
          \"osd_fallback_decodes_per_sec\": {osd_rate:.1},\n  \
          \"osd_stage_decodes_per_sec\": {{\n    \"warm\": {osd_warm_rate:.1},\n    \
          \"cold\": {osd_cold_rate:.1},\n    \"warm_start_speedup\": {osd_warm_speedup:.2}\n  }},\n  \
@@ -525,7 +533,6 @@ fn main() {
          \"speedup_vs_pre_pr\": {speedup:.2}\n}}\n",
         code.descriptor(),
         simd.isa_name(),
-        simd.lanes(),
         channel_stats(&biased),
         channel_stats(&schedule),
         decode_cache_dir.is_some(),

@@ -110,6 +110,27 @@ fn corrupt_cache_falls_back_to_recompute() {
 }
 
 #[test]
+fn deeply_nested_cache_file_is_a_miss() {
+    // 200,000 unclosed arrays: a parser without a depth limit recurses once
+    // per bracket and overflows the stack, killing the run. The cache reader
+    // must report a miss instead, and the sweep recompute the same estimates.
+    let dir = scratch_dir("nested");
+    let spec = tiny_spec("nested");
+    let options = SweepOptions::cached(quick_config(2), &dir);
+    let first = run_sweep(&spec, &options);
+
+    std::fs::write(dir.join("nested.json"), "[".repeat(200_000)).expect("write");
+    let after = run_sweep(&spec, &options);
+    assert_eq!(after.cache_hits, 0, "a nested file must not serve hits");
+    assert_eq!(after.computed, 4);
+    for (a, b) in first.points.iter().zip(&after.points) {
+        assert_eq!(a.ler.failures, b.ler.failures, "point {} diverged", a.id);
+        assert_eq!(a.ler.ler.to_bits(), b.ler.ler.to_bits());
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn changed_configuration_invalidates_the_cache() {
     let dir = scratch_dir("config");
     let spec = tiny_spec("config");

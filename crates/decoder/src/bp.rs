@@ -6,14 +6,15 @@
 //! error and a hard decision `ê`. If `H·ê = s` the decoder has converged; otherwise
 //! the caller typically falls back to ordered-statistics decoding ([`crate::osd`]).
 //!
-//! The Tanner graph is flattened to CSR edge arrays once at construction
-//! ([`TannerGraph`]), and the hot path
-//! ([`BeliefPropagation::decode_with_priors_keyed_into`]) keeps both
-//! message directions in flat `f64` arenas indexed by edge id, borrowed from a
-//! caller-owned [`DecoderScratch`] — zero heap allocation per decode in steady state.
+//! The Tanner graph is flattened once at construction into a row-interleaved
+//! slot layout ([`TannerGraph`]), and the hot path
+//! ([`BeliefPropagation::decode_with_priors_keyed_into`]) keeps both message
+//! directions in flat `f64` arenas over those slots, borrowed from a
+//! caller-owned [`DecoderScratch`] — zero heap allocation per decode in steady
+//! state.
 
 use crate::scratch::DecoderScratch;
-use crate::simd::{Simd, SimdIsa};
+use crate::simd::Simd;
 use crate::sparse::{SparseBinMat, TannerGraph, PAD_LANES};
 
 /// A 64-bit FNV-1a digest over the exact bit patterns of a priors vector — the
@@ -66,8 +67,8 @@ pub struct BeliefPropagation {
     check_masks: Vec<u64>,
     /// Words per check row in `check_masks`: `num_cols.div_ceil(64)`.
     mask_words: usize,
-    /// Which check-pass implementation `propagate` dispatches to, decided once
-    /// at construction ([`Simd::from_env`]); see [`crate::simd`].
+    /// Which compilation of the [`crate::simd`] kernels `propagate` runs,
+    /// decided once at construction ([`Simd::from_env`]).
     simd: Simd,
 }
 
@@ -98,15 +99,15 @@ impl BeliefPropagation {
         }
     }
 
-    /// Overrides the check-pass dispatch decided by [`Simd::from_env`] — how
-    /// tests and benches pin the scalar reference and the vectorized path side
-    /// by side regardless of `CYCLONE_SIMD`.
+    /// Overrides the kernel dispatch decided by [`Simd::from_env`] — how tests
+    /// and benches run both compilations side by side regardless of
+    /// `CYCLONE_SIMD`.
     pub fn with_simd(mut self, simd: Simd) -> Self {
         self.simd = simd;
         self
     }
 
-    /// The check-pass dispatch this decoder runs with.
+    /// The kernel dispatch this decoder runs with.
     pub fn simd(&self) -> Simd {
         self.simd
     }
@@ -114,11 +115,6 @@ impl BeliefPropagation {
     /// The parity-check matrix.
     pub fn matrix(&self) -> &SparseBinMat {
         &self.h
-    }
-
-    /// The flattened Tanner graph.
-    pub fn graph(&self) -> &TannerGraph {
-        &self.graph
     }
 
     /// Runs BP for a syndrome with uniform prior error probability `p`
@@ -186,183 +182,16 @@ impl BeliefPropagation {
         self.propagate(syndrome, scratch)
     }
 
-    /// Runs the flooding min-sum schedule, dispatching to the vectorized or the
-    /// scalar propagate path per the construction-time [`Simd`] decision. The
-    /// two paths are byte-identical by design (property-pinned in
-    /// `tests/properties.rs`): the vectorized path only replaces the order-free
-    /// check-pass reductions and the hard-decision predicate packing, never the
-    /// order-sensitive variable-pass summation.
-    fn propagate(&self, syndrome: &[bool], scratch: &mut DecoderScratch) -> BpStatus {
-        match self.simd.isa() {
-            SimdIsa::Scalar => self.propagate_scalar(syndrome, scratch),
-            #[cfg(target_arch = "x86_64")]
-            SimdIsa::Avx2 | SimdIsa::Sse2 => self.propagate_simd(syndrome, scratch),
-            // A vector ISA can only be dispatched on x86-64 (`best_available`
-            // is cfg-gated), so this arm is unreachable elsewhere.
-            #[cfg(not(target_arch = "x86_64"))]
-            SimdIsa::Avx2 | SimdIsa::Sse2 => unreachable!("vector ISA dispatched off x86-64"),
-        }
-    }
-
-    /// The scalar flooding min-sum schedule over the flattened graph — the
-    /// authoritative property-pinned reference path. Message accumulation
-    /// visits edges in exactly the order of the historical nested-`Vec`
-    /// implementation (row-major on the check side, ascending-check on the variable
-    /// side), so results are bit-identical to it.
+    /// The flooding min-sum schedule over the row-interleaved layout
+    /// ([`TannerGraph::edge_slots`], lane = check within its group of
+    /// [`PAD_LANES`]): the check-node pass and the hard-decision packing run
+    /// in the [`crate::simd`] kernels, in the compilation the construction-time
+    /// [`Simd`] chose; the variable-node pass is the order-sensitive scalar
+    /// accumulation.
     ///
-    /// Hot-loop structure (every transformation below preserves bit-identity):
-    ///
-    /// * `check_to_var`, `llrs`, `error`, and `err_words` are length-ensured, not
-    ///   refilled — the check pass writes every edge and the variable pass writes
-    ///   every column before anything reads them, and `new()` guarantees at least
-    ///   one iteration;
-    /// * the check pass handles signs branchlessly: `neg` carries the parity of
-    ///   `msg < 0.0` (NOT the IEEE sign bit — `-0.0` must stay "positive", exactly
-    ///   as the branching `total_sign` original), and each output is
-    ///   `±(scale · mag_excl)`, bit-equal to the original
-    ///   `(scale · sign_excl) · mag_excl` because IEEE multiplication signs are
-    ///   exact (sign = XOR of operand signs, magnitude independent of them);
-    /// * the convergence check ANDs the precomputed word-packed row masks against
-    ///   a packed hard-decision vector maintained by the variable pass — pure
-    ///   boolean parity, order-insensitive by commutativity of XOR.
-    // cyclone-lint: hot-path
-    fn propagate_scalar(&self, syndrome: &[bool], scratch: &mut DecoderScratch) -> BpStatus {
-        let m = self.h.num_rows();
-        let n = self.h.num_cols();
-        let graph = &self.graph;
-        assert_eq!(
-            syndrome.len(),
-            m,
-            "syndrome length must equal number of checks"
-        );
-
-        let num_edges = graph.num_edges();
-        if scratch.check_to_var.len() != num_edges {
-            scratch.check_to_var.resize(num_edges, 0.0);
-        }
-        if scratch.llrs.len() != n {
-            scratch.llrs.resize(n, 0.0);
-        }
-        if scratch.error.len() != n {
-            scratch.error.resize(n, false);
-        }
-        let mask_words = self.mask_words;
-        if scratch.err_words.len() != mask_words {
-            scratch.err_words.resize(mask_words, 0);
-        }
-        scratch.var_to_check.clear();
-        scratch
-            .var_to_check
-            .extend(graph.edge_vars().iter().map(|&c| scratch.channel_llr[c]));
-
-        let check_to_var = &mut scratch.check_to_var;
-        let var_to_check = &mut scratch.var_to_check;
-        let llrs = &mut scratch.llrs;
-        let error = &mut scratch.error;
-        let err_words = &mut scratch.err_words;
-        let channel_llr = &scratch.channel_llr;
-        let check_masks = &self.check_masks;
-        let scale = MIN_SUM_SCALE;
-
-        for iteration in 1..=self.max_iterations {
-            // Check-node update (min-sum with sign handling and syndrome parity).
-            for (r, &syn) in syndrome.iter().enumerate() {
-                let range = graph.check_edges(r);
-                // cyclone-lint: allow(hot-path-alloc) -- Range<usize>::clone is a stack copy, no heap allocation
-                let msgs = &var_to_check[range.clone()];
-                let mut neg = u64::from(syn);
-                let mut min1 = f64::INFINITY;
-                let mut min2 = f64::INFINITY;
-                let mut min1_idx = usize::MAX;
-                for (j, &msg) in msgs.iter().enumerate() {
-                    neg ^= u64::from(msg < 0.0);
-                    let mag = msg.abs();
-                    // Select-form two-minimum tracking: identical updates to the
-                    // classic `if mag < min1 { shift } else if mag < min2 { .. }`
-                    // ladder, but branch-free (data-dependent float branches on
-                    // near-random magnitudes mispredict ~half the time).
-                    let new1 = mag < min1;
-                    min2 = if new1 {
-                        min1
-                    } else if mag < min2 {
-                        mag
-                    } else {
-                        min2
-                    };
-                    min1 = if new1 { mag } else { min1 };
-                    min1_idx = if new1 { j } else { min1_idx };
-                }
-                let scaled1 = scale * min1;
-                let scaled2 = scale * min2;
-                for (j, (&msg, out)) in msgs.iter().zip(&mut check_to_var[range]).enumerate() {
-                    let flip = (neg ^ u64::from(msg < 0.0)) << 63;
-                    let v = if j == min1_idx { scaled2 } else { scaled1 };
-                    *out = f64::from_bits(v.to_bits() ^ flip);
-                }
-            }
-            // Variable-node update, hard decision, and the packed copy of it the
-            // convergence check consumes. Totals are accumulated in a single
-            // row-major edge pass: for any one column, ascending edge id IS
-            // ascending check order (edges are numbered row-major), so each
-            // column's additions happen in exactly the historical
-            // `for e in var_edges(c)` order — bit-identical, with contiguous
-            // `check_to_var` reads instead of a per-variable gather.
-            llrs.copy_from_slice(channel_llr);
-            for (&c, &ctv) in graph.edge_vars().iter().zip(check_to_var.iter()) {
-                llrs[c] += ctv;
-            }
-            for w in err_words.iter_mut() {
-                *w = 0;
-            }
-            for (c, (&total, slot)) in llrs.iter().zip(error.iter_mut()).enumerate() {
-                let bit = total < 0.0;
-                *slot = bit;
-                err_words[c >> 6] |= u64::from(bit) << (c & 63);
-            }
-            // Convergence: does the hard decision reproduce the syndrome?
-            let matches = syndrome.iter().enumerate().all(|(r, &syn)| {
-                let mask = &check_masks[r * mask_words..(r + 1) * mask_words];
-                let mut acc = 0u64;
-                for (&mw, &ew) in mask.iter().zip(err_words.iter()) {
-                    acc ^= mw & ew;
-                }
-                (acc.count_ones() & 1 == 1) == syn
-            });
-            if matches {
-                return BpStatus {
-                    converged: true,
-                    iterations: iteration,
-                };
-            }
-            // Variable→check writeback feeds only the *next* check pass, so it
-            // is skipped when this was the last iteration — output-invariant,
-            // and it removes one full edge sweep from every converging decode.
-            if iteration < self.max_iterations {
-                for ((&c, &ctv), out) in graph
-                    .edge_vars()
-                    .iter()
-                    .zip(check_to_var.iter())
-                    .zip(var_to_check.iter_mut())
-                {
-                    *out = llrs[c] - ctv;
-                }
-            }
-        }
-        BpStatus {
-            converged: false,
-            iterations: self.max_iterations,
-        }
-    }
-    // cyclone-lint: end-hot-path
-
-    /// The vectorized propagate path: the same flooding schedule as
-    /// [`BeliefPropagation::propagate_scalar`], with the check-node pass and the
-    /// hard-decision predicate packing dispatched to the [`crate::simd`] kernels
-    /// over the row-interleaved layout ([`TannerGraph::edge_slots`], lane =
-    /// check within its group of four).
-    ///
-    /// Byte-identity with the scalar path (property-pinned in
-    /// `tests/properties.rs`) rests on three invariants:
+    /// Byte-identity with the per-row scalar reference (property-pinned in
+    /// `tests/properties.rs` against `tests/oracle/bp.rs`) rests on three
+    /// invariants:
     ///
     /// * each kernel lane runs one check's reduction in isolation — the exact
     ///   strict-`<` two-min ladder and sign-parity XOR of the scalar row loop,
@@ -371,21 +200,20 @@ impl BeliefPropagation {
     /// * padding slots hold `+∞` with a positive sign — the neutral element of
     ///   both check-pass reductions — written once at decode start and never
     ///   touched again, because the variable pass walks only the real edges
-    ///   (through `edge_slots`, in exact row-major order, keeping the
-    ///   order-sensitive scalar accumulation untouched);
+    ///   (through `edge_slots`, in exact row-major order, so every column's
+    ///   additions happen in ascending-check order);
     /// * the check pass emits `scaled2` at every lane position whose magnitude
-    ///   *equals* the row minimum (the scalar path excludes only the first such
+    ///   *equals* the row minimum (the scalar row excludes only the first such
     ///   index) — identical bits, because tied magnitudes force `min2 == min1`
     ///   and hence `scaled2 == scaled1`.
     ///
-    /// Only compiled on x86-64 — the only architecture the dispatch selects
-    /// vector ISAs on.
+    /// Signs are handled branchlessly: parity is over `msg < 0.0` (NOT the IEEE
+    /// sign bit — `-0.0` stays "positive"), and each output is
+    /// `±(scale · mag_excl)`, exact because IEEE multiplication signs are the
+    /// XOR of the operand signs. Convergence ANDs the precomputed word-packed
+    /// row masks against the packed hard decision — pure boolean parity.
     // cyclone-lint: hot-path
-    #[cfg(target_arch = "x86_64")]
-    fn propagate_simd(&self, syndrome: &[bool], scratch: &mut DecoderScratch) -> BpStatus {
-        use crate::simd::{
-            check_pass_avx2, check_pass_sse2, hard_decision_avx2, hard_decision_sse2,
-        };
+    fn propagate(&self, syndrome: &[bool], scratch: &mut DecoderScratch) -> BpStatus {
         let m = self.h.num_rows();
         let n = self.h.num_cols();
         let graph = &self.graph;
@@ -396,9 +224,10 @@ impl BeliefPropagation {
         );
 
         let num_slots = graph.num_interleaved_slots();
-        // Rounded up so the hard-decision kernel's lane-wide reads past `n`
-        // stay in bounds (the `+∞` tail is set below, once per decode).
-        let padded_n = n.next_multiple_of(PAD_LANES);
+        let mask_words = self.mask_words;
+        // 64 entries per packed word, so the hard-decision kernel reads whole
+        // words (the `+∞` tail is set below, once per decode).
+        let padded_n = mask_words * 64;
         let lane_rows = graph.num_row_groups() * PAD_LANES;
         scratch.ctv_lanes.ensure_len(num_slots);
         scratch.vtc_lanes.ensure_len(num_slots);
@@ -410,7 +239,6 @@ impl BeliefPropagation {
         if scratch.error.len() != n {
             scratch.error.resize(n, false);
         }
-        let mask_words = self.mask_words;
         if scratch.err_words.len() != mask_words {
             scratch.err_words.resize(mask_words, 0);
         }
@@ -427,8 +255,8 @@ impl BeliefPropagation {
         let group_ptr = graph.group_ptr();
         let edge_vars = graph.edge_vars();
         let edge_slots = graph.edge_slots();
+        let simd = self.simd;
         let scale = MIN_SUM_SCALE;
-        let avx2 = self.simd.isa() == SimdIsa::Avx2;
 
         // Per-decode init: the syndrome is constant across iterations, so its
         // lane masks are built once (phantom lanes past `m` stay zero); message
@@ -450,37 +278,16 @@ impl BeliefPropagation {
         }
 
         for iteration in 1..=self.max_iterations {
-            if avx2 {
-                // SAFETY: this branch is reached only when construction-time
-                // dispatch observed `is_x86_feature_detected!("avx2")`; the
-                // group pointers bound both message arenas and `syn_mask` holds
-                // one word per lane-row by the `TannerGraph` construction and
-                // the sizing above.
-                unsafe { check_pass_avx2(syn_mask, group_ptr, var_to_check, check_to_var, scale) }
-            } else {
-                // SAFETY: SSE2 is the x86-64 compilation baseline — always
-                // available here; same layout contract as above.
-                unsafe { check_pass_sse2(syn_mask, group_ptr, var_to_check, check_to_var, scale) }
-            }
-            // Variable-node update: the order-sensitive scalar accumulation,
-            // untouched — `edge_slots` visits the interleaved arena in exact
-            // row-major real-edge order, so every column's additions happen in
-            // the reference path's order. Padding slots are never read here.
+            simd.check_pass(syn_mask, group_ptr, var_to_check, check_to_var, scale);
+            // Variable-node update: `edge_slots` visits the interleaved arena
+            // in exact row-major real-edge order, so every column's additions
+            // happen in ascending-check order. Padding slots are never read.
             llrs_pad[..n].copy_from_slice(channel_llr);
             for (&c, &slot) in edge_vars.iter().zip(edge_slots.iter()) {
                 llrs_pad[c] += check_to_var[slot as usize];
             }
-            if avx2 {
-                // SAFETY: AVX2 verified at dispatch (above); `llrs_pad` is
-                // sized `padded_n >= n.div_ceil(4) * 4` and `err_words` holds
-                // `n.div_ceil(64)` words.
-                unsafe { hard_decision_avx2(llrs_pad, n, err_words) }
-            } else {
-                // SAFETY: SSE2 baseline; same size contract.
-                unsafe { hard_decision_sse2(llrs_pad, n, err_words) }
-            }
-            // Convergence: identical mask-based check as the scalar path — the
-            // kernels pack the same `llr < 0.0` predicate bits.
+            simd.hard_decision(llrs_pad, err_words);
+            // Convergence: does the hard decision reproduce the syndrome?
             let matches = syndrome.iter().enumerate().all(|(r, &syn)| {
                 let mask = &check_masks[r * mask_words..(r + 1) * mask_words];
                 let mut acc = 0u64;
@@ -499,8 +306,9 @@ impl BeliefPropagation {
                     iterations: iteration,
                 };
             }
-            // Variable→check writeback feeds only the *next* check pass — same
-            // last-iteration skip as the scalar path (output-invariant).
+            // Variable→check writeback feeds only the *next* check pass, so it
+            // is skipped when this was the last iteration — output-invariant,
+            // and it removes one full edge sweep from every converging decode.
             if iteration < self.max_iterations {
                 for (&c, &slot) in edge_vars.iter().zip(edge_slots.iter()) {
                     let s = slot as usize;

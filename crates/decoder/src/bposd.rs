@@ -80,9 +80,12 @@ impl BpOsdDecoder {
     /// (allocating convenience wrapper around
     /// [`BpOsdDecoder::decode_with_priors_keyed_into`] with constant priors).
     ///
-    /// Always returns an error pattern whose syndrome matches (OSD guarantees a
-    /// solution for any syndrome in the row space, which is every physically
-    /// producible syndrome).
+    /// The returned pattern reproduces the syndrome whenever the syndrome lies
+    /// in the column space of `H` (OSD finds a solution for every such
+    /// syndrome). Under measurement noise it need not: a flipped check
+    /// measurement can move the syndrome outside the column space, and then
+    /// BP cannot converge, OSD finds no solution, and the BP hard decision is
+    /// returned with [`DecodeMethod::OrderedStatistics`].
     ///
     /// # Panics
     ///
@@ -109,8 +112,9 @@ impl BpOsdDecoder {
     /// priors-LLR cache hit is a single `u64` compare, see
     /// [`BeliefPropagation::decode_with_priors_keyed_into`]). The error pattern
     /// is left in [`DecoderScratch::error`]. When BP fails to converge and the
-    /// OSD fallback finds the syndrome inconsistent (impossible for physically
-    /// produced syndromes), the BP hard decision is left in place.
+    /// OSD fallback finds the syndrome inconsistent — outside the column space
+    /// of `H`, as flipped check measurements routinely make it — the BP hard
+    /// decision is left in place.
     ///
     /// # Panics
     ///
@@ -281,6 +285,34 @@ mod tests {
             }
         }
         assert!(fallbacks > 0, "test must exercise the OSD fallback");
+    }
+
+    #[test]
+    fn inconsistent_syndrome_keeps_the_bp_hard_decision() {
+        // A single flipped check measurement on a zero error: a weight-1
+        // syndrome outside the column space of H. No error pattern produces
+        // it, so BP cannot converge, OSD finds no solution, and the decoder
+        // reports the OSD stage while leaving BP's hard decision in place.
+        let code = bb_72_12_6().expect("valid");
+        let h = code.hz();
+        let dec = BpOsdDecoder::new(h, 30);
+        let m = code.num_z_stabilizers();
+        let syndrome = (0..m)
+            .map(|r| {
+                let mut s = vec![false; m];
+                s[r] = true;
+                s
+            })
+            .find(|s| h.solve(s).is_none())
+            .expect("[[72,12,6]] has redundant checks");
+        let mut scratch = DecoderScratch::new();
+        let status = decode_uniform_into(&dec, &syndrome, 0.01, &mut scratch);
+        assert_eq!(status.method, DecodeMethod::OrderedStatistics);
+        assert_eq!(status.iterations, 30);
+        let bp = dec.bp.decode(&syndrome, 0.01);
+        assert!(!bp.converged);
+        assert_eq!(scratch.error(), bp.error.as_slice());
+        assert_ne!(h.mul_vec(scratch.error()), syndrome);
     }
 
     #[test]

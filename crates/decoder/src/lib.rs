@@ -2,12 +2,12 @@
 //!
 //! This crate provides the decoding substrate of the Cyclone reproduction:
 //!
-//! * a sparse binary matrix type and flattened (CSR) Tanner graphs ([`sparse`]),
+//! * a sparse binary matrix type and flattened Tanner graphs ([`sparse`]),
 //! * normalized min-sum belief propagation ([`bp`]) with an ordered-statistics
 //!   fallback ([`osd`]), combined in [`bposd`],
-//! * explicitly vectorized min-sum check-pass kernels with runtime ISA dispatch
-//!   ([`simd`]), byte-identical to the scalar reference and overridable via
-//!   `CYCLONE_SIMD`,
+//! * the min-sum lane kernels, compiled for the baseline ISA and for AVX2 with
+//!   runtime dispatch ([`simd`]), byte-identical to the scalar reference and
+//!   overridable via `CYCLONE_SIMD`,
 //! * reusable decode workspaces ([`scratch`]) backing the allocation-free
 //!   `decode_with_priors_keyed_into` hot path,
 //! * a persistent per-context syndrome → correction cache ([`cache`]),
@@ -49,4 +49,4 @@ pub use bposd::BpOsdDecoder;
 pub use memory::{logical_error_rate, BatchScratch, LerEstimate, MemoryConfig, MemoryExperiment};
 pub use pauli::{CircuitNoise, PauliFrameSimulator};
 pub use scratch::DecoderScratch;
-pub use simd::{Simd, SimdIsa, SimdMode};
+pub use simd::{Simd, SimdIsa};

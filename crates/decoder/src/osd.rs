@@ -58,8 +58,9 @@ impl OsdDecoder {
 
     /// Decodes a syndrome given per-bit "suspicion" scores (higher = more likely in
     /// error, e.g. `-llr` from BP). Returns an error vector `e` with `H·e = syndrome`,
-    /// or `None` if the syndrome is not in the column space of `H` (cannot happen for
-    /// syndromes generated by real error patterns).
+    /// or `None` if the syndrome is not in the column space of `H` — which a
+    /// flipped check measurement can cause even when the data error is
+    /// correctable.
     ///
     /// # Panics
     ///

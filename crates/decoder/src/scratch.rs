@@ -24,10 +24,10 @@ struct F64Chunk([f64; PAD_LANES]);
 #[derive(Debug, Clone, Copy)]
 struct U64Chunk([u64; PAD_LANES]);
 
-/// A 32-byte-aligned `f64` arena backing the SIMD message buffers.
+/// A 32-byte-aligned `f64` arena backing the BP message buffers.
 ///
-/// The vector kernels in [`crate::simd`] issue full-width four-lane loads and
-/// stores over these buffers every iteration. A plain `Vec<f64>` is only
+/// The lane kernels in [`crate::simd`] issue full-width four-lane loads and
+/// stores over these buffers every iteration (under the AVX2 compilation). A plain `Vec<f64>` is only
 /// guaranteed 16-byte alignment by the allocator, and a 16-mod-32 base address
 /// makes every 256-bit access straddle two cache lines — measured to cost the
 /// AVX2 check pass roughly a quarter of its throughput on the `[[72,12,6]]`
@@ -124,33 +124,23 @@ pub struct DecoderScratch {
     /// misses). Decodes minus rebuilds = cache hits; exposed for tests via
     /// [`DecoderScratch::priors_rebuilds`].
     pub(crate) priors_rebuilds: usize,
-    /// Check→variable messages, indexed by Tanner-graph edge id (scalar
-    /// propagate path only; the SIMD path uses [`DecoderScratch::ctv_lanes`]).
-    pub(crate) check_to_var: Vec<f64>,
-    /// Variable→check messages, indexed by Tanner-graph edge id (scalar
-    /// propagate path only; the SIMD path uses [`DecoderScratch::vtc_lanes`]).
-    pub(crate) var_to_check: Vec<f64>,
-    /// Check→variable messages in the row-interleaved SIMD layout
+    /// Check→variable messages in the row-interleaved layout
     /// ([`crate::sparse::TannerGraph::edge_slots`]), 32-byte aligned so the
-    /// kernels' full-width accesses never split cache lines. Empty on the
-    /// scalar path. Keeping the SIMD arenas separate from the edge-indexed
-    /// vectors also lets one scratch alternate between vectorized and scalar
-    /// decoders without re-sizing churn.
+    /// kernels' full-width accesses never split cache lines.
     pub(crate) ctv_lanes: LaneArenaF64,
-    /// Variable→check messages in the row-interleaved SIMD layout; padding
-    /// slots hold `+∞` (see [`crate::bp`]). Empty on the scalar path.
+    /// Variable→check messages in the row-interleaved layout; padding slots
+    /// hold `+∞` (see [`crate::bp`]).
     pub(crate) vtc_lanes: LaneArenaF64,
     /// Posterior log-likelihood ratios (one per variable).
     pub(crate) llrs: Vec<f64>,
-    /// Lane-padded posterior accumulator used by the SIMD propagate path: slots
-    /// `0..n` mirror `llrs`; the tail up to the next lane multiple holds `+∞`
-    /// so the hard-decision kernel's full-vector reads past `n` stay in bounds
-    /// and benign (see [`crate::simd`]). Empty on the scalar path.
+    /// Padded posterior accumulator: slots `0..n` mirror `llrs`; the tail up
+    /// to the next multiple of 64 holds `+∞`, so the hard-decision kernel
+    /// packs whole words without a tail mask (see [`crate::simd`]).
     pub(crate) llrs_pad: LaneArenaF64,
-    /// Per-check syndrome masks consumed by the SIMD check pass: word `r` is
+    /// Per-check syndrome masks consumed by the check-pass kernel: word `r` is
     /// all-ones when syndrome bit `r` is set, zero otherwise (and zero for the
     /// phantom lanes past the last check). Refilled once per decode — the
-    /// syndrome is constant across iterations. Empty on the scalar path.
+    /// syndrome is constant across iterations.
     pub(crate) syn_mask: LaneArenaU64,
     /// Hard-decision error estimate; also receives the OSD solution.
     pub(crate) error: Vec<bool>,

@@ -1,62 +1,53 @@
-//! Explicitly vectorized min-sum kernels with runtime ISA dispatch.
+//! The min-sum lane kernels and their runtime ISA dispatch.
 //!
-//! The BP check-node pass is the one hot loop whose reductions are both
-//! expensive and **order-free**: per-row sign parity is an XOR of `msg < 0.0`
-//! predicates (XOR commutes), and the two-smallest-magnitude scan computes the
-//! two minima of a multiset (`min` over IEEE `f64` is exact — no rounding, so
-//! the result does not depend on scan order). That makes lane-parallel row
-//! processing produce **byte-identical** messages to the scalar pass — unlike
-//! the variable-node pass, whose floating-point summation is order-sensitive
-//! and stays scalar. See [`crate::bp::BeliefPropagation`] for the dispatch
-//! site; the **row-interleaved** layout the kernels consume is built by
-//! [`crate::sparse::TannerGraph`]: checks are processed in groups of four,
-//! lane = check, so each lane runs its own row's strict-`<` two-min ladder and
-//! sign-parity XOR — the kernels contain *no* horizontal (cross-lane)
-//! operations at all, which is what makes them profitable on the low-degree
-//! rows of quantum LDPC checks. Padding slots (rows shorter than their group's
-//! depth, phantom lanes past the last check) hold neutral messages (`+∞`
-//! magnitude, positive sign) that no strict-`<` comparison ever promotes, so
-//! they cannot perturb either reduction.
+//! Two loops of the BP iteration are written once, in safe Rust, over the
+//! **row-interleaved** arenas built by [`crate::sparse::TannerGraph`]: the
+//! check-node pass and the word-packed hard decision. Checks are processed in
+//! groups of [`PAD_LANES`], lane = check, so each lane runs its own row's
+//! strict-`<` two-min ladder and sign-parity XOR. Padding slots (rows shorter
+//! than their group's depth, phantom lanes past the last check) hold neutral
+//! messages (`+∞` magnitude, positive sign) that no strict-`<` comparison ever
+//! promotes, so they cannot perturb either reduction.
 //!
-//! Dispatch is decided **once** at decoder construction ([`Simd::from_env`]):
-//! `is_x86_feature_detected!` picks AVX2 (4 × `f64`) or SSE2 (2 × `f64`)
-//! kernels from [`std::arch`], with the portable scalar path — the
-//! property-pinned reference — as the fallback on other architectures. The
-//! `CYCLONE_SIMD` environment variable takes two values: `auto` (the default;
-//! empty counts as unset) detects, and `off` pins the scalar reference. Any
-//! other value panics with a message naming the variable.
+//! Each kernel is compiled twice: once for the target's baseline ISA (what
+//! [`Simd::scalar`] and non-x86 hosts run; the compiler is free to vectorize
+//! it, e.g. with SSE2 on x86-64) and once inside a
+//! `#[target_feature(enable = "avx2")]` wrapper, chosen once at decoder
+//! construction by `is_x86_feature_detected!` ([`Simd::detect`]). Only the two
+//! kernels are compiled under AVX2, not the whole propagate loop.
 //!
-//! Why hand-written kernels instead of trusting the auto-vectorizer: the check
-//! pass mixes a data-dependent two-min select ladder with sign-predicate
-//! parity, exactly the pattern compilers decline to vectorize (or vectorize
-//! differently across versions, silently changing instruction selection). The
-//! compiler must not be left to decide — bit-identity across `CYCLONE_SIMD`
-//! settings is asserted in CI, so the vector and scalar paths have to be
-//! *designed* equivalent, not hoped equivalent.
+//! Why both compilations are bit-identical to each other and to the
+//! per-row scalar reference without hand-written intrinsics: Rust never
+//! reassociates or contracts floating-point operations, and the lane kernel
+//! has no horizontal (cross-lane) operations — every lane performs exactly the
+//! comparisons, selects, sign-bit XORs and one IEEE multiply of the scalar row
+//! update, in row order. The vector width therefore changes only speed. The
+//! order-sensitive variable-node summation stays outside the kernels.
+//! Vectorization quality still depends on the compiler, so the kernel-level
+//! tests below and the property tests in `tests/properties.rs` pin both
+//! compilations to the scalar reference byte for byte.
+//!
+//! The `CYCLONE_SIMD` environment variable takes two values: `auto` (the
+//! default; empty counts as unset) detects, and `off` pins the baseline
+//! compilation. [`Simd::parse`] is the one parser of that value.
 
-/// Which instruction set the dispatched kernels use.
+use crate::sparse::PAD_LANES;
+
+/// The IEEE-754 sign bit of an `f64`.
+const SIGN_BIT: u64 = 1 << 63;
+
+/// Which compilation of the kernels the decoder runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SimdIsa {
-    /// 256-bit AVX2 kernels, four `f64` lanes.
+    /// The kernels compiled with AVX2 enabled (four `f64` per vector).
     Avx2,
-    /// 128-bit SSE2 kernels, two `f64` lanes (x86-64 baseline).
-    Sse2,
-    /// The portable scalar reference path.
+    /// The kernels compiled for the target's baseline ISA.
     Scalar,
 }
 
-/// How the `CYCLONE_SIMD` environment variable asked dispatch to behave.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SimdMode {
-    /// Detect the best available ISA (the default).
-    Auto,
-    /// Pin the scalar reference path.
-    Off,
-}
-
-/// The capability report of one dispatch decision: which ISA the decoder's
-/// check pass runs on. Selected once at [`crate::bp::BeliefPropagation::new`]
-/// and carried by the decoder; benches serialize it as `simd: {isa, lanes}`.
+/// The dispatch decision: which compilation of the kernels the decoder's BP
+/// runs. Selected once at [`crate::bp::BeliefPropagation::new`] and carried by
+/// the decoder; benches record it by [`Simd::isa_name`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Simd {
     isa: SimdIsa,
@@ -67,342 +58,192 @@ impl Simd {
     ///
     /// # Panics
     ///
-    /// Panics if `CYCLONE_SIMD` is set to anything but `auto`, `off` or empty.
+    /// Panics if `CYCLONE_SIMD` is set to anything but `auto`, `off` or empty
+    /// (the figure runner rejects such a value before any decoder is built).
     pub fn from_env() -> Self {
         let raw = std::env::var("CYCLONE_SIMD").unwrap_or_default();
+        Self::parse(&raw).unwrap_or_else(|expected| panic!("CYCLONE_SIMD {raw:?}: {expected}"))
+    }
+
+    /// Parses a `CYCLONE_SIMD` value: `auto` or empty detects, `off` pins the
+    /// baseline compilation.
+    ///
+    /// # Errors
+    ///
+    /// Any other value, with what was expected instead.
+    pub fn parse(raw: &str) -> Result<Self, &'static str> {
         match raw.trim() {
-            "" | "auto" => Self::with_mode(SimdMode::Auto),
-            "off" => Self::with_mode(SimdMode::Off),
-            other => panic!("CYCLONE_SIMD {other:?}: expected auto or off"),
+            "" | "auto" => Ok(Self::detect()),
+            "off" => Ok(Self::scalar()),
+            _ => Err("expected auto or off"),
         }
     }
 
-    /// Resolves an explicit mode (tests and benches construct dispatched and
-    /// scalar decoders side by side through this).
-    pub fn with_mode(mode: SimdMode) -> Self {
-        match mode {
-            SimdMode::Auto => Simd {
-                isa: best_available(),
-            },
-            SimdMode::Off => Self::scalar(),
+    /// The AVX2 compilation when this host supports it, else the baseline one.
+    pub fn detect() -> Self {
+        #[cfg(target_arch = "x86_64")]
+        if is_x86_feature_detected!("avx2") {
+            return Simd { isa: SimdIsa::Avx2 };
         }
+        Self::scalar()
     }
 
-    /// The scalar reference path (what non-x86 hosts auto-detect).
+    /// The baseline compilation (what non-x86 hosts detect).
     pub fn scalar() -> Self {
         Simd {
             isa: SimdIsa::Scalar,
         }
     }
 
-    /// The dispatched instruction set.
+    /// The dispatched compilation.
     pub fn isa(&self) -> SimdIsa {
         self.isa
     }
 
-    /// `f64` lanes per vector on the dispatched path (1 on the scalar path).
-    pub fn lanes(&self) -> usize {
-        match self.isa {
-            SimdIsa::Avx2 => 4,
-            SimdIsa::Sse2 => 2,
-            SimdIsa::Scalar => 1,
-        }
-    }
-
-    /// Whether a vector ISA (not the scalar reference) was dispatched.
-    pub fn is_vectorized(&self) -> bool {
-        self.isa != SimdIsa::Scalar
-    }
-
-    /// The ISA name as recorded in bench artifacts.
+    /// The compilation's name as recorded in bench artifacts.
     pub fn isa_name(&self) -> &'static str {
         match self.isa {
             SimdIsa::Avx2 => "avx2",
-            SimdIsa::Sse2 => "sse2",
             SimdIsa::Scalar => "scalar",
         }
     }
-}
 
-/// The best vector ISA this host supports (SSE2 is the x86-64 baseline, so the
-/// detection can only upgrade from there).
-#[cfg(target_arch = "x86_64")]
-fn best_available() -> SimdIsa {
-    if is_x86_feature_detected!("avx2") {
-        SimdIsa::Avx2
-    } else {
-        SimdIsa::Sse2
-    }
-}
-
-/// Non-x86 hosts run the portable scalar reference.
-#[cfg(not(target_arch = "x86_64"))]
-fn best_available() -> SimdIsa {
-    SimdIsa::Scalar
-}
-
-#[cfg(target_arch = "x86_64")]
-mod x86 {
-    use std::arch::x86_64::*;
-
-    /// The vectorized min-sum check-node pass over the row-interleaved layout:
-    /// AVX2, four `f64` lanes, lane = check within its row group. Reads
-    /// `var_to_check`, writes `check_to_var` (both in interleaved slot
-    /// numbering; padding slots must hold `+∞` on entry — they are read, and
-    /// written with never-consumed values, but their `var_to_check` side is
-    /// never modified). `syn_mask` holds one word per lane-row — all-ones for
-    /// a set syndrome bit, zero otherwise (phantom rows: zero).
-    ///
-    /// Per lane, this is *exactly* the scalar row update: the strict-`<`
-    /// select-form two-min ladder over the lane's messages in row order, sign
-    /// parity accumulated by XOR of full-width `msg < 0.0` masks seeded with
-    /// the syndrome mask, and outputs `±(scale · min-excluding-self)` formed by
-    /// sign-bit XOR. The only divergence is tie handling: the output half
-    /// emits `scaled2` at *every* lane position whose magnitude equals the row
-    /// minimum (the scalar path excludes only the first such index) — same
-    /// bits, because tied magnitudes force `min2 == min1` and hence
-    /// `scaled2 == scaled1`.
-    ///
-    /// # Safety
-    ///
-    /// The caller must have verified AVX2 support (the dispatch in
-    /// [`crate::bp::BeliefPropagation`] selects this only when
-    /// `is_x86_feature_detected!("avx2")` reported it); `group_ptr` must be a
-    /// valid interleaved group-pointer array for both message slices (monotone,
-    /// bounded by their length, every span a multiple of 4 long), and
-    /// `syn_mask` must hold at least `4 · (group_ptr.len() - 1)` words.
-    #[target_feature(enable = "avx2")]
-    pub(crate) unsafe fn check_pass_avx2(
+    /// Runs [`check_pass`] in the dispatched compilation.
+    pub(crate) fn check_pass(
+        self,
         syn_mask: &[u64],
         group_ptr: &[usize],
         var_to_check: &[f64],
         check_to_var: &mut [f64],
         scale: f64,
     ) {
-        let zero = _mm256_setzero_pd();
-        let sign_bit = _mm256_set1_pd(-0.0);
-        let inf = _mm256_set1_pd(f64::INFINITY);
-        let scale_v = _mm256_set1_pd(scale);
-        for g in 0..group_ptr.len() - 1 {
-            let start = group_ptr[g];
-            let end = group_ptr[g + 1];
-
-            // Reduction half: per-lane (= per-check) sign-predicate parity and
-            // two minima. Seeding the parity accumulator with the syndrome
-            // masks folds `neg = syn ^ parity` into the XOR chain for free.
-            let mut sign_acc =
-                // SAFETY: `syn_mask` holds 4 words per group; reinterpreting
-                // the mask words as `f64` lanes is a pure bit-pattern load.
-                unsafe { _mm256_loadu_pd(syn_mask.as_ptr().add(g * 4).cast::<f64>()) };
-            let mut vmin1 = inf;
-            let mut vmin2 = inf;
-            let mut e = start;
-            while e < end {
-                // SAFETY: `e..e + 4` is inside the group span, which the
-                // layout guarantees is in bounds of `var_to_check`; loadu has
-                // no alignment requirement.
-                let m = unsafe { _mm256_loadu_pd(var_to_check.as_ptr().add(e)) };
-                let neg_mask = _mm256_cmp_pd::<_CMP_LT_OQ>(m, zero);
-                sign_acc = _mm256_xor_pd(sign_acc, neg_mask);
-                let mag = _mm256_andnot_pd(sign_bit, m);
-                let new1 = _mm256_cmp_pd::<_CMP_LT_OQ>(mag, vmin1);
-                let lt2 = _mm256_cmp_pd::<_CMP_LT_OQ>(mag, vmin2);
-                // min2 = new1 ? min1 : (mag < min2 ? mag : min2); min1 = min.
-                let min2_keep = _mm256_blendv_pd(vmin2, mag, lt2);
-                vmin2 = _mm256_blendv_pd(min2_keep, vmin1, new1);
-                vmin1 = _mm256_blendv_pd(vmin1, mag, new1);
-                e += 4;
-            }
-            // `mulpd` is the same IEEE double multiply the scalar path's
-            // `scale * min` performs — per-lane, exact, no reassociation.
-            let flip_base = _mm256_and_pd(sign_acc, sign_bit);
-            let s1 = _mm256_mul_pd(scale_v, vmin1);
-            let s2 = _mm256_mul_pd(scale_v, vmin2);
-
-            // Output half: ±(scale · min-excluding-self) with the sign flipped
-            // where neg ^ (msg < 0.0) — pure sign-bit XOR, bit-exact.
-            let mut e = start;
-            while e < end {
-                // SAFETY: same in-bounds argument as the reduction loop, for
-                // both the load and the store through the group span.
-                unsafe {
-                    let m = _mm256_loadu_pd(var_to_check.as_ptr().add(e));
-                    let neg_mask = _mm256_cmp_pd::<_CMP_LT_OQ>(m, zero);
-                    let flip = _mm256_xor_pd(flip_base, _mm256_and_pd(neg_mask, sign_bit));
-                    let mag = _mm256_andnot_pd(sign_bit, m);
-                    let is_min = _mm256_cmp_pd::<_CMP_EQ_OQ>(mag, vmin1);
-                    let val = _mm256_blendv_pd(s1, s2, is_min);
-                    _mm256_storeu_pd(check_to_var.as_mut_ptr().add(e), _mm256_xor_pd(val, flip));
-                }
-                e += 4;
-            }
-        }
-    }
-
-    /// The word-packed hard-decision update, AVX2: packs `llrs[c] < 0.0`
-    /// predicates into `err_words` (bit `c & 63` of word `c >> 6`), exactly the
-    /// bits the mask-based convergence check consumes. `err_words` is zeroed
-    /// here; lanes at `c >= n` (the phantom/padding tail) are masked off.
-    ///
-    /// # Safety
-    ///
-    /// Caller must have verified AVX2 support; `llrs` must be padded to at
-    /// least `n.div_ceil(4) * 4` entries and `err_words` must hold
-    /// `n.div_ceil(64)` words.
-    #[target_feature(enable = "avx2")]
-    pub(crate) unsafe fn hard_decision_avx2(llrs: &[f64], n: usize, err_words: &mut [u64]) {
-        let zero = _mm256_setzero_pd();
-        for w in err_words.iter_mut() {
-            *w = 0;
-        }
-        let mut b = 0;
-        while b < n {
-            // SAFETY: `b < n` and `llrs` is padded past `n` to a multiple of 4,
-            // so the 4-lane read stays in bounds.
-            let m = unsafe { _mm256_loadu_pd(llrs.as_ptr().add(b)) };
-            let mut bits = _mm256_movemask_pd(_mm256_cmp_pd::<_CMP_LT_OQ>(m, zero)) as u64;
-            if b + 4 > n {
-                bits &= (1u64 << (n - b)) - 1;
-            }
-            err_words[b >> 6] |= bits << (b & 63);
-            b += 4;
-        }
-    }
-
-    /// SSE2 `blendv` emulation (`_mm_blendv_pd` is SSE4.1): lanes where `mask`
-    /// is all-ones take `b`, others take `a`. Exact for the full-width masks
-    /// `cmp` produces.
-    #[inline(always)]
-    fn sse2_blendv(a: __m128d, b: __m128d, mask: __m128d) -> __m128d {
-        // SAFETY: pure register-to-register SSE2 bit operations, no memory
-        // access; SSE2 is the x86-64 baseline so these are always available.
-        unsafe { _mm_or_pd(_mm_and_pd(mask, b), _mm_andnot_pd(mask, a)) }
-    }
-
-    /// The vectorized check-node pass, SSE2 — same contract and per-lane logic
-    /// as [`check_pass_avx2`], walking each 4-lane group as two 2-lane halves
-    /// (low lanes 0–1, high lanes 2–3), so both ISAs consume the same
-    /// interleaved layout.
-    ///
-    /// # Safety
-    ///
-    /// `group_ptr` must be a valid interleaved group-pointer array bounding
-    /// both slices and `syn_mask` must hold `4 · (group_ptr.len() - 1)` words
-    /// (SSE2 itself is the x86-64 baseline).
-    #[target_feature(enable = "sse2")]
-    pub(crate) unsafe fn check_pass_sse2(
-        syn_mask: &[u64],
-        group_ptr: &[usize],
-        var_to_check: &[f64],
-        check_to_var: &mut [f64],
-        scale: f64,
-    ) {
-        let zero = _mm_setzero_pd();
-        let sign_bit = _mm_set1_pd(-0.0);
-        let inf = _mm_set1_pd(f64::INFINITY);
-        let scale_v = _mm_set1_pd(scale);
-        for g in 0..group_ptr.len() - 1 {
-            let start = group_ptr[g];
-            let end = group_ptr[g + 1];
-
-            // SAFETY: `syn_mask` holds 4 words per group; pure bit-pattern
-            // loads of the low and high lane pairs.
-            let (mut acc_lo, mut acc_hi) = unsafe {
-                let p = syn_mask.as_ptr().add(g * 4).cast::<f64>();
-                (_mm_loadu_pd(p), _mm_loadu_pd(p.add(2)))
+        #[cfg(target_arch = "x86_64")]
+        if self.isa == SimdIsa::Avx2 {
+            // SAFETY: an `Avx2` dispatch is only built by `detect`, after
+            // `is_x86_feature_detected!("avx2")` reported the feature.
+            return unsafe {
+                avx2::check_pass(syn_mask, group_ptr, var_to_check, check_to_var, scale)
             };
-            let (mut min1_lo, mut min1_hi) = (inf, inf);
-            let (mut min2_lo, mut min2_hi) = (inf, inf);
-            let mut e = start;
-            while e < end {
-                // SAFETY: `e..e + 4` lies inside the group span, in bounds of
-                // `var_to_check`; loadu is unaligned-safe.
-                let (m_lo, m_hi) = unsafe {
-                    let p = var_to_check.as_ptr().add(e);
-                    (_mm_loadu_pd(p), _mm_loadu_pd(p.add(2)))
-                };
-                acc_lo = _mm_xor_pd(acc_lo, _mm_cmplt_pd(m_lo, zero));
-                acc_hi = _mm_xor_pd(acc_hi, _mm_cmplt_pd(m_hi, zero));
-                let mag_lo = _mm_andnot_pd(sign_bit, m_lo);
-                let mag_hi = _mm_andnot_pd(sign_bit, m_hi);
-                let new1_lo = _mm_cmplt_pd(mag_lo, min1_lo);
-                let new1_hi = _mm_cmplt_pd(mag_hi, min1_hi);
-                let lt2_lo = _mm_cmplt_pd(mag_lo, min2_lo);
-                let lt2_hi = _mm_cmplt_pd(mag_hi, min2_hi);
-                min2_lo = sse2_blendv(sse2_blendv(min2_lo, mag_lo, lt2_lo), min1_lo, new1_lo);
-                min2_hi = sse2_blendv(sse2_blendv(min2_hi, mag_hi, lt2_hi), min1_hi, new1_hi);
-                min1_lo = sse2_blendv(min1_lo, mag_lo, new1_lo);
-                min1_hi = sse2_blendv(min1_hi, mag_hi, new1_hi);
-                e += 4;
-            }
-            let flip_lo = _mm_and_pd(acc_lo, sign_bit);
-            let flip_hi = _mm_and_pd(acc_hi, sign_bit);
-            let s1_lo = _mm_mul_pd(scale_v, min1_lo);
-            let s1_hi = _mm_mul_pd(scale_v, min1_hi);
-            let s2_lo = _mm_mul_pd(scale_v, min2_lo);
-            let s2_hi = _mm_mul_pd(scale_v, min2_hi);
-
-            let mut e = start;
-            while e < end {
-                // SAFETY: same in-bounds argument as the reduction loop.
-                unsafe {
-                    let p = var_to_check.as_ptr().add(e);
-                    let (m_lo, m_hi) = (_mm_loadu_pd(p), _mm_loadu_pd(p.add(2)));
-                    let neg_lo = _mm_cmplt_pd(m_lo, zero);
-                    let neg_hi = _mm_cmplt_pd(m_hi, zero);
-                    let f_lo = _mm_xor_pd(flip_lo, _mm_and_pd(neg_lo, sign_bit));
-                    let f_hi = _mm_xor_pd(flip_hi, _mm_and_pd(neg_hi, sign_bit));
-                    let mag_lo = _mm_andnot_pd(sign_bit, m_lo);
-                    let mag_hi = _mm_andnot_pd(sign_bit, m_hi);
-                    let v_lo = sse2_blendv(s1_lo, s2_lo, _mm_cmpeq_pd(mag_lo, min1_lo));
-                    let v_hi = sse2_blendv(s1_hi, s2_hi, _mm_cmpeq_pd(mag_hi, min1_hi));
-                    let q = check_to_var.as_mut_ptr().add(e);
-                    _mm_storeu_pd(q, _mm_xor_pd(v_lo, f_lo));
-                    _mm_storeu_pd(q.add(2), _mm_xor_pd(v_hi, f_hi));
-                }
-                e += 4;
-            }
         }
+        check_pass(syn_mask, group_ptr, var_to_check, check_to_var, scale);
     }
 
-    /// The word-packed hard-decision update, SSE2 — same contract as
-    /// [`hard_decision_avx2`] (the 2-lane step divides the 4-padded buffer).
-    ///
-    /// # Safety
-    ///
-    /// `llrs` must be padded to at least `n.div_ceil(2) * 2` entries and
-    /// `err_words` must hold `n.div_ceil(64)` words.
-    #[target_feature(enable = "sse2")]
-    pub(crate) unsafe fn hard_decision_sse2(llrs: &[f64], n: usize, err_words: &mut [u64]) {
-        let zero = _mm_setzero_pd();
-        for w in err_words.iter_mut() {
-            *w = 0;
+    /// Runs [`hard_decision`] in the dispatched compilation.
+    pub(crate) fn hard_decision(self, llrs_pad: &[f64], err_words: &mut [u64]) {
+        #[cfg(target_arch = "x86_64")]
+        if self.isa == SimdIsa::Avx2 {
+            // SAFETY: as in `check_pass`, AVX2 was detected on this host.
+            return unsafe { avx2::hard_decision(llrs_pad, err_words) };
         }
-        let mut b = 0;
-        while b < n {
-            // SAFETY: `b < n` and `llrs` is padded past `n`, so the 2-lane
-            // read stays in bounds.
-            let m = unsafe { _mm_loadu_pd(llrs.as_ptr().add(b)) };
-            let mut bits = _mm_movemask_pd(_mm_cmplt_pd(m, zero)) as u64;
-            if b + 2 > n {
-                bits &= 1;
+        hard_decision(llrs_pad, err_words);
+    }
+}
+
+/// The AVX2 compilation of the two kernels.
+#[cfg(target_arch = "x86_64")]
+mod avx2 {
+    #[target_feature(enable = "avx2")]
+    pub(super) fn check_pass(
+        syn_mask: &[u64],
+        group_ptr: &[usize],
+        var_to_check: &[f64],
+        check_to_var: &mut [f64],
+        scale: f64,
+    ) {
+        super::check_pass(syn_mask, group_ptr, var_to_check, check_to_var, scale);
+    }
+
+    #[target_feature(enable = "avx2")]
+    pub(super) fn hard_decision(llrs_pad: &[f64], err_words: &mut [u64]) {
+        super::hard_decision(llrs_pad, err_words);
+    }
+}
+
+/// The min-sum check-node pass over the row-interleaved layout: reads
+/// `var_to_check`, writes `check_to_var` (both in interleaved slot numbering;
+/// padding slots must hold `+∞`, and are written with never-consumed values).
+/// Group `g` owns slots `group_ptr[g]..group_ptr[g + 1]`; `syn_mask` holds one
+/// word per lane-row, all-ones for a set syndrome bit and zero otherwise.
+///
+/// Per lane this is exactly the scalar row update: the strict-`<` two-min
+/// ladder over the lane's messages in row order, sign parity as the XOR of
+/// full-width `msg < 0.0` masks seeded with the syndrome mask, and outputs
+/// `±(scale · min-excluding-self)` formed by sign-bit XOR. Where the scalar
+/// row excludes only the first index holding the minimum, this emits `scaled2`
+/// at every lane position whose magnitude equals it — the same bits, because
+/// tied magnitudes force `min2 == min1` and hence `scaled2 == scaled1`.
+#[inline(always)]
+fn check_pass(
+    syn_mask: &[u64],
+    group_ptr: &[usize],
+    var_to_check: &[f64],
+    check_to_var: &mut [f64],
+    scale: f64,
+) {
+    for (span, syn) in group_ptr.windows(2).zip(syn_mask.chunks_exact(PAD_LANES)) {
+        let (start, end) = (span[0], span[1]);
+        let mut sign = [0u64; PAD_LANES];
+        sign.copy_from_slice(syn);
+        let mut min1 = [f64::INFINITY; PAD_LANES];
+        let mut min2 = [f64::INFINITY; PAD_LANES];
+        for msgs in var_to_check[start..end].chunks_exact(PAD_LANES) {
+            for lane in 0..PAD_LANES {
+                let msg = msgs[lane];
+                sign[lane] ^= u64::from(msg < 0.0).wrapping_neg();
+                let mag = msg.abs();
+                let new1 = mag < min1[lane];
+                let kept2 = if mag < min2[lane] { mag } else { min2[lane] };
+                min2[lane] = if new1 { min1[lane] } else { kept2 };
+                min1[lane] = if new1 { mag } else { min1[lane] };
             }
-            err_words[b >> 6] |= bits << (b & 63);
-            b += 2;
+        }
+        let mut scaled1 = [0.0f64; PAD_LANES];
+        let mut scaled2 = [0.0f64; PAD_LANES];
+        for lane in 0..PAD_LANES {
+            scaled1[lane] = scale * min1[lane];
+            scaled2[lane] = scale * min2[lane];
+            sign[lane] &= SIGN_BIT;
+        }
+        for (msgs, out) in var_to_check[start..end]
+            .chunks_exact(PAD_LANES)
+            .zip(check_to_var[start..end].chunks_exact_mut(PAD_LANES))
+        {
+            for lane in 0..PAD_LANES {
+                let msg = msgs[lane];
+                let flip = sign[lane] ^ (u64::from(msg < 0.0) << 63);
+                let v = if msg.abs() == min1[lane] {
+                    scaled2[lane]
+                } else {
+                    scaled1[lane]
+                };
+                out[lane] = f64::from_bits(v.to_bits() ^ flip);
+            }
         }
     }
 }
 
-#[cfg(target_arch = "x86_64")]
-pub(crate) use x86::{check_pass_avx2, check_pass_sse2, hard_decision_avx2, hard_decision_sse2};
+/// The word-packed hard decision: bit `c & 63` of `err_words[c >> 6]` is
+/// `llrs_pad[c] < 0.0`, exactly the bits the mask-based convergence check
+/// consumes. `llrs_pad` holds 64 entries per word; entries past the variable
+/// count must be `+∞`, which packs as a zero bit (so does `-0.0` and `NaN`).
+#[inline(always)]
+fn hard_decision(llrs_pad: &[f64], err_words: &mut [u64]) {
+    for (word, llrs) in err_words.iter_mut().zip(llrs_pad.chunks_exact(64)) {
+        let mut bits = 0u64;
+        for (b, &llr) in llrs.iter().enumerate() {
+            bits |= u64::from(llr < 0.0) << b;
+        }
+        *word = bits;
+    }
+}
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
     /// Scalar reference of one check-row update, lifted verbatim from the
-    /// property-pinned `propagate` loop — the ground truth the kernels must
-    /// match bit for bit.
+    /// property-pinned reference loop — the ground truth both compilations of
+    /// the kernel must match bit for bit.
     fn scalar_check_row(syn: bool, msgs: &[f64], scale: f64, out: &mut [f64]) {
         let mut neg = u64::from(syn);
         let mut min1 = f64::INFINITY;
@@ -433,11 +274,9 @@ mod tests {
 
     /// Builds a row-interleaved arena from per-row message lists (lane = row
     /// within its group of four, padding = `+∞`, group depth = max degree),
-    /// runs the requested kernel over it, and asserts the real-edge outputs
-    /// are byte-identical to the scalar reference.
-    #[cfg(target_arch = "x86_64")]
-    fn assert_kernel_matches_scalar(rows: &[(bool, Vec<f64>)], scale: f64, isa: SimdIsa) {
-        use crate::sparse::PAD_LANES;
+    /// runs the kernel in `simd`'s compilation over it, and asserts the
+    /// real-edge outputs are byte-identical to the scalar reference.
+    fn assert_kernel_matches_scalar(rows: &[(bool, Vec<f64>)], scale: f64, simd: Simd) {
         let m = rows.len();
         let groups = m.div_ceil(PAD_LANES);
         let mut group_ptr = vec![0usize];
@@ -468,30 +307,13 @@ mod tests {
             syn_mask[r] = if syn { u64::MAX } else { 0 };
         }
         let mut check_to_var = vec![0.0f64; base];
-        match isa {
-            // SAFETY: the test harness only calls this arm after
-            // `is_x86_feature_detected!` confirmed the ISA on this host.
-            SimdIsa::Avx2 => unsafe {
-                check_pass_avx2(
-                    &syn_mask,
-                    &group_ptr,
-                    &var_to_check,
-                    &mut check_to_var,
-                    scale,
-                );
-            },
-            // SAFETY: SSE2 is the x86-64 baseline — always available here.
-            SimdIsa::Sse2 => unsafe {
-                check_pass_sse2(
-                    &syn_mask,
-                    &group_ptr,
-                    &var_to_check,
-                    &mut check_to_var,
-                    scale,
-                );
-            },
-            SimdIsa::Scalar => unreachable!("scalar has no kernel"),
-        }
+        simd.check_pass(
+            &syn_mask,
+            &group_ptr,
+            &var_to_check,
+            &mut check_to_var,
+            scale,
+        );
         for (r, (syn, msgs)) in rows.iter().enumerate() {
             let mut expect = vec![0.0f64; msgs.len()];
             scalar_check_row(*syn, msgs, scale, &mut expect);
@@ -500,7 +322,8 @@ mod tests {
                 assert_eq!(
                     got.to_bits(),
                     want.to_bits(),
-                    "row {r} edge {j} ({isa:?}): got {got:?}, want {want:?}"
+                    "row {r} edge {j} ({}): got {got:?}, want {want:?}",
+                    simd.isa_name()
                 );
             }
         }
@@ -509,7 +332,6 @@ mod tests {
     /// Adversarial rows: `-0.0` messages (sign predicate must treat them as
     /// positive), exact magnitude ties, infinities, degree-1 and empty rows,
     /// and degrees that are not lane multiples.
-    #[cfg(target_arch = "x86_64")]
     fn adversarial_rows() -> Vec<(bool, Vec<f64>)> {
         vec![
             (true, vec![1.5, -2.5, 0.75, -0.25, 3.0]), // degree 5: one partial vector
@@ -524,32 +346,31 @@ mod tests {
                 true,
                 vec![-4.0, -3.0, -2.0, -1.0, -5.0, -6.0, -7.0, -8.0, -9.0],
             ),
+            (true, vec![-0.0, -0.0]),                        // tied zeros
+            (false, vec![f64::NEG_INFINITY, f64::INFINITY]), // tied infinities
         ]
     }
 
-    #[cfg(target_arch = "x86_64")]
     #[test]
-    fn sse2_check_pass_is_bit_identical_to_scalar() {
-        assert_kernel_matches_scalar(&adversarial_rows(), 0.75, SimdIsa::Sse2);
-        assert_kernel_matches_scalar(&adversarial_rows(), 1.0, SimdIsa::Sse2);
+    fn baseline_check_pass_is_bit_identical_to_scalar() {
+        assert_kernel_matches_scalar(&adversarial_rows(), 0.75, Simd::scalar());
+        assert_kernel_matches_scalar(&adversarial_rows(), 1.0, Simd::scalar());
     }
 
-    #[cfg(target_arch = "x86_64")]
     #[test]
     fn avx2_check_pass_is_bit_identical_to_scalar() {
-        if !is_x86_feature_detected!("avx2") {
-            eprintln!("avx2 not available on this host; kernel covered by SSE2 test only");
-            return;
+        let simd = Simd::detect();
+        if simd.isa() != SimdIsa::Avx2 {
+            eprintln!("avx2 not available on this host; kernel covered by the baseline test");
         }
-        assert_kernel_matches_scalar(&adversarial_rows(), 0.75, SimdIsa::Avx2);
-        assert_kernel_matches_scalar(&adversarial_rows(), 1.0, SimdIsa::Avx2);
+        assert_kernel_matches_scalar(&adversarial_rows(), 0.75, simd);
+        assert_kernel_matches_scalar(&adversarial_rows(), 1.0, simd);
     }
 
-    #[cfg(target_arch = "x86_64")]
     #[test]
     fn hard_decision_kernels_pack_sign_predicates() {
-        // 70 entries straddles a word boundary; the padded tail (negative
-        // values past n) must be masked off, and -0.0 / NaN count as positive.
+        // 70 entries straddle a word boundary; the `+∞` tail packs as zeros,
+        // and -0.0 / NaN count as positive.
         let n: usize = 70;
         let mut llrs: Vec<f64> = (0..n)
             .map(|c| match c % 5 {
@@ -560,45 +381,40 @@ mod tests {
                 _ => 2.5,
             })
             .collect();
-        llrs.resize(n.next_multiple_of(4), -1.0); // poisoned padding
         let words = n.div_ceil(64);
+        llrs.resize(words * 64, f64::INFINITY);
         let expect: Vec<u64> = (0..words)
             .map(|w| {
                 let mut word = 0u64;
                 for b in 0..64 {
                     let c = w * 64 + b;
-                    if c < n && llrs[c] < 0.0 {
+                    if c < n && c % 5 == 0 {
                         word |= 1 << b;
                     }
                 }
                 word
             })
             .collect();
-        let mut got = vec![u64::MAX; words];
-        // SAFETY: SSE2 is the x86-64 baseline; buffers sized per the contract.
-        unsafe { hard_decision_sse2(&llrs, n, &mut got) };
-        assert_eq!(got, expect, "sse2 hard decision");
-        if is_x86_feature_detected!("avx2") {
+        for simd in [Simd::scalar(), Simd::detect()] {
             let mut got = vec![u64::MAX; words];
-            // SAFETY: guarded by the runtime AVX2 check directly above.
-            unsafe { hard_decision_avx2(&llrs, n, &mut got) };
-            assert_eq!(got, expect, "avx2 hard decision");
+            simd.hard_decision(&llrs, &mut got);
+            assert_eq!(got, expect, "{} hard decision", simd.isa_name());
         }
     }
 
     #[test]
     fn mode_parsing_and_report_shape() {
-        let auto = Simd::with_mode(SimdMode::Auto);
-        let off = Simd::with_mode(SimdMode::Off);
-        assert_eq!(off, Simd::scalar());
-        assert_eq!(off.lanes(), 1);
-        assert!(!off.is_vectorized());
-        #[cfg(target_arch = "x86_64")]
-        {
-            assert!(auto.is_vectorized(), "x86-64 always has at least SSE2");
-            assert!(auto.lanes() >= 2);
-        }
+        assert_eq!(Simd::parse("off"), Ok(Simd::scalar()));
+        assert_eq!(Simd::parse(" auto "), Ok(Simd::detect()));
+        assert_eq!(Simd::parse(""), Ok(Simd::detect()));
+        assert_eq!(Simd::parse("sse2"), Err("expected auto or off"));
         assert_eq!(Simd::scalar().isa_name(), "scalar");
-        assert!(matches!(auto.isa_name(), "avx2" | "sse2" | "scalar"));
+        let detected = Simd::detect();
+        #[cfg(target_arch = "x86_64")]
+        assert_eq!(
+            detected.isa() == SimdIsa::Avx2,
+            is_x86_feature_detected!("avx2")
+        );
+        assert!(matches!(detected.isa_name(), "avx2" | "scalar"));
     }
 }

@@ -126,23 +126,20 @@ impl SparseBinMat {
     // cyclone-lint: end-hot-path
 }
 
-/// Lane width of the row-interleaved SIMD layout: checks are processed in
-/// groups of four, one per `f64` lane of an AVX2 vector. SSE2 kernels walk the
-/// same layout as two 2-lane halves, so one layout serves every dispatched ISA
-/// (see [`crate::simd`]).
+/// Lane width of the row-interleaved layout: checks are processed in groups of
+/// four, one per `f64` lane of an AVX2 vector. Both compilations of the
+/// [`crate::simd`] kernels walk the same layout.
 pub const PAD_LANES: usize = 4;
 
-/// A flattened (CSR-style) Tanner graph derived from a [`SparseBinMat`].
+/// A flattened Tanner graph derived from a [`SparseBinMat`].
 ///
-/// Edges (nonzero entries of `H`) are numbered row-major: edge ids of check `r` are
-/// the contiguous range `row_ptr[r]..row_ptr[r + 1]`, and `col_of_edge` maps each edge
-/// to its variable. The column side indexes the *same* edge ids, grouped per variable
-/// in ascending-check order, so belief propagation can store both message directions
-/// in two flat `f64` arenas indexed by edge id — no per-decode adjacency rebuild and
-/// no nested `Vec`s on the hot path.
+/// Edges (nonzero entries of `H`) are numbered row-major, and `col_of_edge`
+/// maps each edge to its variable. For any one variable, ascending edge id is
+/// ascending check order, so a single row-major edge sweep accumulates every
+/// column in exactly that order.
 ///
-/// Alongside the exact layout, the graph carries a **row-interleaved** slot
-/// numbering for the SIMD check pass ([`crate::simd`]): checks are processed in
+/// The message arenas use a **row-interleaved** slot numbering for the
+/// check-pass kernel ([`crate::simd`]): checks are processed in
 /// groups of [`PAD_LANES`], lane = check, so every per-row reduction — sign
 /// parity (XOR of `msg < 0.0` predicates) and the two-smallest-magnitude scan —
 /// stays entirely lane-wise with *no* horizontal combine. Group `g` owns slots
@@ -158,10 +155,7 @@ pub const PAD_LANES: usize = 4;
 pub struct TannerGraph {
     num_checks: usize,
     num_vars: usize,
-    row_ptr: Vec<usize>,
     col_of_edge: Vec<usize>,
-    col_ptr: Vec<usize>,
-    col_edges: Vec<usize>,
     /// Interleaved group pointers: row group `g` (checks
     /// `g·PAD_LANES..(g+1)·PAD_LANES`) owns slots `group_ptr[g]..group_ptr[g+1]`,
     /// always a multiple of [`PAD_LANES`] long.
@@ -178,31 +172,7 @@ impl TannerGraph {
     pub fn new(h: &SparseBinMat) -> Self {
         let m = h.num_rows();
         let n = h.num_cols();
-        let mut row_ptr = Vec::with_capacity(m + 1);
-        let mut col_of_edge = Vec::with_capacity(h.num_entries());
-        row_ptr.push(0);
-        for r in 0..m {
-            col_of_edge.extend_from_slice(h.row(r));
-            row_ptr.push(col_of_edge.len());
-        }
-        // Column-side edge index: bucket edge ids by variable. Scanning edges in
-        // ascending id order fills each bucket in ascending-check order, matching the
-        // iteration order of the per-decode `col_slots` rebuild this replaces (so
-        // floating-point accumulation order — and thus every LER estimate — is
-        // bit-identical).
-        let mut col_ptr = vec![0usize; n + 1];
-        for &c in &col_of_edge {
-            col_ptr[c + 1] += 1;
-        }
-        for c in 0..n {
-            col_ptr[c + 1] += col_ptr[c];
-        }
-        let mut fill = col_ptr.clone();
-        let mut col_edges = vec![0usize; col_of_edge.len()];
-        for (e, &c) in col_of_edge.iter().enumerate() {
-            col_edges[fill[c]] = e;
-            fill[c] += 1;
-        }
+        let col_of_edge: Vec<usize> = (0..m).flat_map(|r| h.row(r)).copied().collect();
         // Row-interleaved layout: lane = check within its group of PAD_LANES,
         // group depth = the maximum degree among the group's checks. Message j
         // of check r lands at slot `group_ptr[g] + j·PAD_LANES + (r mod
@@ -210,7 +180,9 @@ impl TannerGraph {
         // vector across its lanes.
         let groups = m.div_ceil(PAD_LANES);
         let mut group_ptr = Vec::with_capacity(groups + 1);
-        let mut edge_slots = vec![0u32; col_of_edge.len()];
+        // Rows are visited in ascending order, so `edge_slots` fills in
+        // row-major edge order.
+        let mut edge_slots = Vec::with_capacity(col_of_edge.len());
         group_ptr.push(0);
         let mut base = 0usize;
         for g in 0..groups {
@@ -218,12 +190,11 @@ impl TannerGraph {
             let last = (first + PAD_LANES).min(m);
             let depth = (first..last).map(|r| h.row(r).len()).max().unwrap_or(0);
             for (lane, r) in (first..last).enumerate() {
-                for (j, slot) in edge_slots[row_ptr[r]..row_ptr[r + 1]]
-                    .iter_mut()
-                    .enumerate()
-                {
-                    *slot = u32::try_from(base + j * PAD_LANES + lane)
-                        .expect("interleaved arena exceeds u32 slot indexing");
+                for j in 0..h.row(r).len() {
+                    edge_slots.push(
+                        u32::try_from(base + j * PAD_LANES + lane)
+                            .expect("interleaved arena exceeds u32 slot indexing"),
+                    );
                 }
             }
             base += depth * PAD_LANES;
@@ -241,10 +212,7 @@ impl TannerGraph {
         TannerGraph {
             num_checks: m,
             num_vars: n,
-            row_ptr,
             col_of_edge,
-            col_ptr,
-            col_edges,
             group_ptr,
             edge_slots,
             pad_slots,
@@ -261,38 +229,14 @@ impl TannerGraph {
         self.num_vars
     }
 
-    /// Total number of edges (nonzero entries of `H`).
-    pub fn num_edges(&self) -> usize {
-        self.col_of_edge.len()
-    }
-
-    /// The contiguous edge-id range of check `r`.
-    #[inline]
-    pub fn check_edges(&self, r: usize) -> std::ops::Range<usize> {
-        self.row_ptr[r]..self.row_ptr[r + 1]
-    }
-
-    /// The variable an edge touches.
-    #[inline]
-    pub fn var_of(&self, edge: usize) -> usize {
-        self.col_of_edge[edge]
-    }
-
-    /// The edge ids incident to variable `c`, in ascending-check order.
-    #[inline]
-    pub fn var_edges(&self, c: usize) -> &[usize] {
-        &self.col_edges[self.col_ptr[c]..self.col_ptr[c + 1]]
-    }
-
-    /// Every edge's variable, indexed by edge id (the flat CSR column array —
-    /// `edge_vars()[e] == var_of(e)` without the per-call indexing).
+    /// Every edge's variable, indexed by row-major edge id.
     #[inline]
     pub fn edge_vars(&self) -> &[usize] {
         &self.col_of_edge
     }
 
     /// Total number of interleaved slots (real edges plus padding), i.e. the
-    /// length of the SIMD message arenas.
+    /// length of the message arenas.
     #[inline]
     pub fn num_interleaved_slots(&self) -> usize {
         *self.group_ptr.last().expect("group_ptr is never empty")
@@ -320,7 +264,7 @@ impl TannerGraph {
     }
 
     /// The interleaved slots that hold no real edge, ascending — the padding
-    /// positions the SIMD per-decode init neutralizes with `+∞`.
+    /// positions the per-decode init neutralizes with `+∞`.
     #[inline]
     pub fn pad_slots(&self) -> &[u32] {
         &self.pad_slots
@@ -398,25 +342,26 @@ mod tests {
         let g = TannerGraph::new(&s);
         assert_eq!(g.num_checks(), 2);
         assert_eq!(g.num_vars(), 3);
-        assert_eq!(g.num_edges(), 4);
-        assert_eq!(g.check_edges(0), 0..2);
-        assert_eq!(g.check_edges(1), 2..4);
-        assert_eq!(g.var_of(1), 2);
-        assert_eq!(g.var_edges(2), &[1, 3]);
-        assert_eq!(g.var_edges(0), &[0]);
-        assert_eq!(g.var_edges(1), &[2]);
+        assert_eq!(g.edge_vars(), &[0, 2, 1, 2]);
+        // Check side: both checks share one four-slot group, lane = check.
+        assert_eq!(g.group_ptr(), &[0, 8]);
+        assert_eq!(g.edge_slots(), &[0, 4, 1, 5]);
     }
 
     #[test]
     fn tanner_graph_column_order_is_check_ascending() {
         let s = SparseBinMat::from_row_supports(2, vec![vec![0], vec![0], vec![0, 1]]);
         let g = TannerGraph::new(&s);
-        // Column 0 is touched by checks 0, 1, 2 via edges 0, 1, 2 in that order.
-        assert_eq!(g.var_edges(0), &[0, 1, 2]);
-        assert_eq!(g.var_of(2), 0);
+        // Column 0 is touched by checks 0, 1, 2 via edges 0, 1, 2 in that order,
+        // so a row-major edge sweep accumulates it in ascending-check order.
+        let col0: Vec<usize> = (0..g.edge_vars().len())
+            .filter(|&e| g.edge_vars()[e] == 0)
+            .collect();
+        assert_eq!(col0, [0, 1, 2]);
+        assert_eq!(g.edge_vars()[2], 0);
     }
 
-    /// The row-interleaved construction invariants the SIMD check pass relies
+    /// The row-interleaved construction invariants the check-pass kernel relies
     /// on: lane-aligned group spans sized by the group's maximum degree, slot
     /// `group_base + j·PAD_LANES + lane` holding message `j` of check
     /// `group·PAD_LANES + lane`, and every real edge owning a unique in-bounds
@@ -450,7 +395,7 @@ mod tests {
         }
         assert_eq!(g.num_interleaved_slots(), *ptr.last().unwrap());
         // Each real edge's slot encodes (group, position, lane) of its check.
-        assert_eq!(g.edge_slots().len(), g.num_edges());
+        assert_eq!(g.edge_slots().len(), g.edge_vars().len());
         let mut edge = 0usize;
         let mut seen = vec![false; g.num_interleaved_slots()];
         for (r, row) in rows.iter().enumerate() {
@@ -470,6 +415,6 @@ mod tests {
             .filter(|&s| !seen[s])
             .collect();
         assert_eq!(pads, expect_pads);
-        assert_eq!(pads.len() + g.num_edges(), g.num_interleaved_slots());
+        assert_eq!(pads.len() + g.edge_vars().len(), g.num_interleaved_slots());
     }
 }

@@ -1,7 +1,12 @@
-//! The scalar per-shot reference sampler: one shot at a time over `bool`
-//! vectors, one BP+OSD decode per sector, no caches. It is the oracle the
-//! bit-sliced batch sampler (`MemoryExperiment::sample_batch_with`) is pinned
-//! against, shot for shot.
+//! Independent references the production paths are pinned against.
+//!
+//! This module is the scalar per-shot reference sampler: one shot at a time
+//! over `bool` vectors, one BP+OSD decode per sector, no caches. It is the
+//! oracle the bit-sliced batch sampler (`MemoryExperiment::sample_batch_with`)
+//! is pinned against, shot for shot. [`bp`] is the scalar min-sum reference
+//! the decoder's lane kernels are pinned against.
+
+pub mod bp;
 
 use decoder::bp::priors_digest;
 use decoder::bposd::BpOsdDecoder;

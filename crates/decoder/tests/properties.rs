@@ -8,9 +8,10 @@ use decoder::bposd::{BpOsdDecoder, DecodeMethod};
 use decoder::memory::{BatchScratch, MemoryConfig, MemoryExperiment};
 use decoder::osd::OsdDecoder;
 use decoder::scratch::DecoderScratch;
-use decoder::simd::{Simd, SimdMode};
+use decoder::simd::Simd;
 use decoder::sparse::SparseBinMat;
 use noise::{ErrorChannel, HardwareNoiseModel, NoiseParameters};
+use oracle::bp::{ScalarBp, ScalarBpScratch};
 use proptest::prelude::*;
 use qec::classical::ClassicalCode;
 use qec::hgp::square_hypergraph_product;
@@ -22,6 +23,53 @@ fn uniform_priors(n: usize, p: f64) -> (Vec<f64>, u64) {
     let priors = vec![p; n];
     let key = priors_digest(&priors);
     (priors, key)
+}
+
+/// Reused buffers of [`assert_kernels_match_oracle`]: one for the scalar
+/// oracle and one per kernel compilation.
+#[derive(Default)]
+struct PinScratch {
+    oracle: ScalarBpScratch,
+    kernels: [DecoderScratch; 2],
+}
+
+/// The exact bit patterns of an LLR vector.
+fn llr_bits(llrs: &[f64]) -> Vec<u64> {
+    llrs.iter().map(|v| v.to_bits()).collect()
+}
+
+/// Decodes `syndrome` with the scalar oracle and with both compilations of the
+/// lane kernels (`Simd::detect()` and `Simd::scalar()`), each through its own
+/// reused scratch, and asserts they agree byte for byte: convergence verdict,
+/// iteration count, hard decision and the bits of every posterior LLR.
+fn assert_kernels_match_oracle(
+    h: &SparseBinMat,
+    bp_iterations: usize,
+    syndrome: &[bool],
+    priors: &[f64],
+    scratch: &mut PinScratch,
+) {
+    let key = priors_digest(priors);
+    let want = ScalarBp::new(h, bp_iterations).decode(syndrome, priors, key, &mut scratch.oracle);
+    for (simd, kernel_scratch) in [Simd::detect(), Simd::scalar()]
+        .into_iter()
+        .zip(&mut scratch.kernels)
+    {
+        let bp = BeliefPropagation::new(h.clone(), bp_iterations).with_simd(simd);
+        let got = bp.decode_with_priors_keyed_into(syndrome, priors, key, kernel_scratch);
+        let isa = simd.isa_name();
+        assert_eq!(got, want, "{isa} status diverged on {syndrome:?}");
+        assert_eq!(
+            kernel_scratch.error(),
+            scratch.oracle.error(),
+            "{isa} error"
+        );
+        assert_eq!(
+            llr_bits(kernel_scratch.llrs()),
+            llr_bits(scratch.oracle.llrs()),
+            "{isa} LLRs not byte-identical on {syndrome:?}"
+        );
+    }
 }
 
 proptest! {
@@ -300,18 +348,15 @@ proptest! {
         channel_pick in 0usize..3,
         flip_bits in 0u64..8,
     ) {
-        // The vectorized propagate path (CYCLONE_SIMD=auto) must reproduce the
-        // scalar reference (CYCLONE_SIMD=off) byte for byte: same convergence
-        // verdict and iteration count, same hard decisions, and bit-equal
-        // posterior LLRs — across the code catalog, all three channel shapes
-        // (uniform, biased and schedule-derived priors, plus a constant priors
-        // vector at the effective rate), both sectors, converged and exhausted runs (the low
+        // Both compilations of the lane kernels (`Simd::detect()`, AVX2 where
+        // available, and `Simd::scalar()`, the baseline compilation) must
+        // reproduce the scalar CSR oracle byte for byte — across the code
+        // catalog, all three channel shapes (uniform, biased and
+        // schedule-derived priors, plus a constant priors vector at the
+        // effective rate), both sectors, converged and exhausted runs (the low
         // iteration caps force plenty of non-convergence), and syndromes the
         // error alone would not produce (random measurement flips, including
-        // ones outside the column space). On hosts without a vector ISA,
-        // `force` resolves to the scalar path and the comparison is trivially
-        // green. Kernel-level adversarial inputs (-0.0, ties, infinities) are
-        // pinned separately in `decoder::simd`'s unit tests.
+        // ones outside the column space).
         let code = match code_pick {
             0 => qec::codes::bb_72_12_6().expect("valid"),
             1 => qec::codes::hgp_100().expect("valid"),
@@ -333,15 +378,12 @@ proptest! {
         };
         // Exactly the priors clamp `MemoryExperiment::rebuild_priors` applies.
         let priors: Vec<f64> = channel.data().iter().map(|&r| r.clamp(1e-9, 0.45)).collect();
-        let key = priors_digest(&priors);
-        let (uniform, uniform_key) = uniform_priors(n, p_eff.clamp(1e-9, 0.45));
+        let (uniform, _) = uniform_priors(n, p_eff.clamp(1e-9, 0.45));
         let mut rng = StdRng::seed_from_u64(0xC1C1_0DE5 ^ seed);
         let error: Vec<bool> = (0..n).map(|_| rng.gen_bool(p_eff)).collect();
         // One dirty scratch per side, bounced across sectors and channel kinds —
-        // the Monte-Carlo steady state, with `llrs_pad` reused iteration to
-        // iteration exactly as in production.
-        let mut simd_scratch = DecoderScratch::new();
-        let mut scalar_scratch = DecoderScratch::new();
+        // the Monte-Carlo steady state.
+        let mut scratch = PinScratch::default();
         for (h, mut syndrome) in [
             (code.hz(), code.z_syndrome(&error)),
             (code.hx(), code.x_syndrome(&error)),
@@ -350,43 +392,10 @@ proptest! {
                 let at = rng.gen_range(0..syndrome.len());
                 syndrome[at] = !syndrome[at];
             }
-            let simd_bp = BeliefPropagation::new(SparseBinMat::from_bitmat(h), bp_iterations)
-                .with_simd(Simd::with_mode(SimdMode::Auto));
-            let scalar_bp = BeliefPropagation::new(SparseBinMat::from_bitmat(h), bp_iterations)
-                .with_simd(Simd::with_mode(SimdMode::Off));
-            let a = simd_bp.decode_with_priors_keyed_into(&syndrome, &priors, key, &mut simd_scratch);
-            let b = scalar_bp.decode_with_priors_keyed_into(
-                &syndrome,
-                &priors,
-                key,
-                &mut scalar_scratch,
-            );
-            prop_assert_eq!(a, b, "priors-path status diverged");
-            prop_assert_eq!(simd_scratch.error(), scalar_scratch.error());
-            let simd_bits: Vec<u64> =
-                simd_scratch.llrs().iter().map(|v| v.to_bits()).collect();
-            let scalar_bits: Vec<u64> =
-                scalar_scratch.llrs().iter().map(|v| v.to_bits()).collect();
-            prop_assert_eq!(simd_bits, scalar_bits, "priors-path LLRs not byte-identical");
-            let ua = simd_bp.decode_with_priors_keyed_into(
-                &syndrome,
-                &uniform,
-                uniform_key,
-                &mut simd_scratch,
-            );
-            let ub = scalar_bp.decode_with_priors_keyed_into(
-                &syndrome,
-                &uniform,
-                uniform_key,
-                &mut scalar_scratch,
-            );
-            prop_assert_eq!(ua, ub, "uniform-path status diverged");
-            prop_assert_eq!(simd_scratch.error(), scalar_scratch.error());
-            let simd_bits: Vec<u64> =
-                simd_scratch.llrs().iter().map(|v| v.to_bits()).collect();
-            let scalar_bits: Vec<u64> =
-                scalar_scratch.llrs().iter().map(|v| v.to_bits()).collect();
-            prop_assert_eq!(simd_bits, scalar_bits, "uniform-path LLRs not byte-identical");
+            let h = SparseBinMat::from_bitmat(h);
+            for priors in [&priors, &uniform] {
+                assert_kernels_match_oracle(&h, bp_iterations, &syndrome, priors, &mut scratch);
+            }
         }
     }
 
@@ -401,11 +410,14 @@ proptest! {
 
 #[test]
 fn simd_propagate_matches_scalar_on_adversarial_row_shapes() {
-    // Row degrees chosen to stress the padded-CSR layout: an empty row (no
-    // padded range at all), a degree-1 row (min2 stays +∞, its one output is
-    // scale·min2 = +∞-scaled), a lane-exact degree-4 row, and degrees 5 and 9
-    // (one partial vector, two-vectors-plus-partial) — every syndrome pattern,
-    // several iteration caps, both converged and exhausted runs.
+    // Row degrees chosen to stress the interleaved layout: an empty row, a
+    // degree-1 row (min2 stays +∞, so its one output is ±∞ and the variable's
+    // later messages go infinite or NaN), a lane-exact degree-4 row, and
+    // degrees 5 and 9 (one partial vector, two vectors plus a partial one) —
+    // every syndrome pattern, several iteration caps, converged and exhausted
+    // runs. The priors add exact magnitude ties (uniform), zero channel LLRs
+    // whose sign flips make -0.0 messages (p = 0.5), and an infinite channel
+    // LLR (a subnormal prior).
     let h = SparseBinMat::from_row_supports(
         11,
         vec![
@@ -416,32 +428,20 @@ fn simd_propagate_matches_scalar_on_adversarial_row_shapes() {
             vec![0, 5, 7, 9, 10],
         ],
     );
-    let mut simd_scratch = DecoderScratch::new();
-    let mut scalar_scratch = DecoderScratch::new();
-    let (priors, key) = uniform_priors(11, 0.05);
+    let (uniform, _) = uniform_priors(11, 0.05);
+    let zeros: Vec<f64> = (0..11)
+        .map(|c| if c % 2 == 0 { 0.5 } else { 0.05 })
+        .collect();
+    let mut infinite = zeros.clone();
+    infinite[5] = f64::from_bits(1);
+    infinite[3] = 0.3;
+    let mut scratch = PinScratch::default();
     for iterations in [1usize, 3, 30] {
-        let simd_bp = BeliefPropagation::new(h.clone(), iterations)
-            .with_simd(Simd::with_mode(SimdMode::Auto));
-        let scalar_bp =
-            BeliefPropagation::new(h.clone(), iterations).with_simd(Simd::with_mode(SimdMode::Off));
-        for pattern in 0u32..32 {
-            let syndrome: Vec<bool> = (0..5).map(|r| (pattern >> r) & 1 == 1).collect();
-            let a =
-                simd_bp.decode_with_priors_keyed_into(&syndrome, &priors, key, &mut simd_scratch);
-            let b = scalar_bp.decode_with_priors_keyed_into(
-                &syndrome,
-                &priors,
-                key,
-                &mut scalar_scratch,
-            );
-            assert_eq!(a, b, "status diverged on syndrome {pattern:05b}");
-            assert_eq!(simd_scratch.error(), scalar_scratch.error());
-            let simd_bits: Vec<u64> = simd_scratch.llrs().iter().map(|v| v.to_bits()).collect();
-            let scalar_bits: Vec<u64> = scalar_scratch.llrs().iter().map(|v| v.to_bits()).collect();
-            assert_eq!(
-                simd_bits, scalar_bits,
-                "LLRs not byte-identical on syndrome {pattern:05b}"
-            );
+        for priors in [&uniform, &zeros, &infinite] {
+            for pattern in 0u32..32 {
+                let syndrome: Vec<bool> = (0..5).map(|r| (pattern >> r) & 1 == 1).collect();
+                assert_kernels_match_oracle(&h, iterations, &syndrome, priors, &mut scratch);
+            }
         }
     }
 }

@@ -31,15 +31,20 @@
 //!   corrupt ones must degrade to recompute, not panic.
 //! * `unsafe-safety` — an `unsafe` block, fn, or impl in non-test library code
 //!   without an adjacent safety argument: a `// SAFETY:` comment on or directly
-//!   above the line, or a `/// # Safety` doc section on the item. The SIMD
-//!   check-pass kernels (`decoder::simd`) are the workspace's sanctioned
-//!   `unsafe` surface; every new entry must carry its soundness argument.
+//!   above the line, or a `/// # Safety` doc section on the item. Every
+//!   `unsafe` entry (the AVX2 kernel calls in `decoder::simd`, the aligned
+//!   arena views in `decoder::scratch`) must carry its soundness argument.
 //! * `annotation` — malformed suppressions: `allow` without a reason, unknown
 //!   rule names, unbalanced hot-path markers. Suppressions are part of the
 //!   contract, so their syntax is linted too.
 //!
 //! Suppression: `// cyclone-lint: allow(<rule>[, <rule>...]) -- <reason>` on
 //! the offending line or the line above it. The reason is mandatory.
+//!
+//! Alongside the findings, the report carries the library size: physical
+//! lines outside `#[cfg(test)] mod tests` blocks in the `src/` trees of the
+//! [`LIBRARY_CRATES`], in total and per crate. It is a tracked metric, not a
+//! gate.
 
 pub mod rules;
 pub mod scan;
@@ -59,6 +64,10 @@ pub const RULE_NAMES: &[&str] = &[
     "unsafe-safety",
     "annotation",
 ];
+
+/// The crates whose `src/` trees count toward the library size, in report
+/// order.
+pub const LIBRARY_CRATES: &[&str] = &["qec", "noise", "decoder", "qccd", "cyclone", "bench"];
 
 /// What kind of source a file is; decides which rules apply.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -125,12 +134,20 @@ pub struct Report {
     pub files_scanned: usize,
     /// `allow` annotations that actually suppressed at least one finding.
     pub suppressions_used: usize,
+    /// Library lines per crate, in [`LIBRARY_CRATES`] order (see
+    /// [`library_lines`]).
+    pub library_lines: Vec<(&'static str, usize)>,
 }
 
 impl Report {
     /// Whether the workspace is lint-clean.
     pub fn clean(&self) -> bool {
         self.findings.is_empty()
+    }
+
+    /// Library lines summed over every crate.
+    pub fn library_total(&self) -> usize {
+        self.library_lines.iter().map(|&(_, lines)| lines).sum()
     }
 
     /// Serializes the report as machine-readable JSON (schema 1).
@@ -164,9 +181,15 @@ impl Report {
             ));
         }
         json.push_str(&format!(
-            "],\"files_scanned\":{},\"suppressions_used\":{}}}\n",
-            self.files_scanned, self.suppressions_used
+            "],\"files_scanned\":{},\"suppressions_used\":{},\"library_lines\":{{\"total\":{}",
+            self.files_scanned,
+            self.suppressions_used,
+            self.library_total()
         ));
+        for (krate, lines) in &self.library_lines {
+            json.push_str(&format!(",\"{krate}\":{lines}"));
+        }
+        json.push_str("}}\n");
         json
     }
 }
@@ -360,6 +383,18 @@ pub fn lint_sources(files: &[(String, String)], readme: Option<(&str, &str)>) ->
         parsed.push(file);
     }
     report.files_scanned = parsed.len();
+    report.library_lines = LIBRARY_CRATES
+        .iter()
+        .map(|&krate| {
+            let prefix = format!("crates/{krate}/src/");
+            let lines = parsed
+                .iter()
+                .filter(|file| file.path.starts_with(&prefix))
+                .map(|file| library_lines(&file.lines))
+                .sum();
+            (krate, lines)
+        })
+        .collect();
     for file in &parsed {
         for (finding, was_suppressed) in rules::lint_file(file) {
             if was_suppressed {
@@ -379,6 +414,41 @@ pub fn lint_sources(files: &[(String, String)], readme: Option<(&str, &str)>) ->
         .findings
         .sort_by(|a, b| (&a.path, a.line, a.rule).cmp(&(&b.path, b.line, b.rule)));
     report
+}
+
+/// Physical lines of a lexed file outside its `#[cfg(test)] mod tests`
+/// blocks (the attribute line through the module's closing brace).
+pub fn library_lines(lines: &[Line]) -> usize {
+    let mut count = 0;
+    let mut idx = 0;
+    while idx < lines.len() {
+        let opens_tests = lines[idx].code.trim() == "#[cfg(test)]"
+            && lines
+                .get(idx + 1)
+                .is_some_and(|next| next.code.trim_start().starts_with("mod tests"));
+        if !opens_tests {
+            count += 1;
+            idx += 1;
+            continue;
+        }
+        let mut depth = 0i64;
+        let mut opened = false;
+        idx += 1;
+        while idx < lines.len() && !(opened && depth == 0) {
+            for c in lines[idx].code.chars() {
+                match c {
+                    '{' => {
+                        depth += 1;
+                        opened = true;
+                    }
+                    '}' => depth -= 1,
+                    _ => {}
+                }
+            }
+            idx += 1;
+        }
+    }
+    count
 }
 
 /// Walks `root` (a workspace checkout) and lints every non-shim `.rs` file

@@ -104,6 +104,16 @@ fn main() -> ExitCode {
         report.files_scanned,
         report.suppressions_used
     );
+    let per_crate: Vec<String> = report
+        .library_lines
+        .iter()
+        .map(|(krate, lines)| format!("{krate} {lines}"))
+        .collect();
+    println!(
+        "cyclone-lint: library size {} lines ({})",
+        report.library_total(),
+        per_crate.join(", ")
+    );
     if report.clean() {
         ExitCode::SUCCESS
     } else {

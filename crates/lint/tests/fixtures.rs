@@ -459,4 +459,39 @@ pub fn f(path: &std::path::Path) -> String {
     assert!(json.starts_with("{\"schema\":1,"));
     assert!(json.contains("\"rule\":\"io-unwrap\""));
     assert!(json.contains("\"files_scanned\":1"));
+    assert!(json.contains("\"library_lines\":{\"total\":4,\"qec\":0,"));
+    assert!(json.contains("\"cyclone\":4,\"bench\":0}}"));
+}
+
+// ------------------------------------------------------------- library size
+
+#[test]
+fn library_size_skips_test_modules_only() {
+    let src = "\
+//! Docs count.
+pub fn f() -> &'static str {
+    \"#[cfg(test)] { in a string }\"
+}
+
+#[cfg(test)]
+mod tests {
+    #[test]
+    fn braces_in_strings_do_not_end_it() {
+        let _ = \"}}}\";
+    }
+}
+#[cfg(test)]
+fn helper() {}
+";
+    // Everything but the seven-line `mod tests` block, `#[cfg(test)]`
+    // attribute included; a test-only item outside `mod tests` still counts.
+    let report = lint_one("crates/decoder/src/bp.rs", src);
+    assert_eq!(report.library_total(), 7);
+    assert_eq!(report.library_lines[2], ("decoder", 7));
+    // Files outside a library crate's `src/` do not count.
+    assert_eq!(
+        lint_one("crates/decoder/tests/oracle/bp.rs", src).library_total(),
+        0
+    );
+    assert_eq!(lint_one("crates/lint/src/lib.rs", src).library_total(), 0);
 }

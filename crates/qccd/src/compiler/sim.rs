@@ -334,7 +334,7 @@ impl<'a> ShuttleSim<'a> {
                 continue;
             }
             if let Some(d) = self.bfs.distance(cand) {
-                if best.map_or(true, |(bd, _)| d < bd) {
+                if best.is_none_or(|(bd, _)| d < bd) {
                     best = Some((d, cand));
                 }
             }

@@ -146,7 +146,7 @@ impl ClassicalCode {
         let m = n * wc / wr;
         let mut rng = StdRng::seed_from_u64(seed);
         // Column stubs: column c appears wc times.
-        let base_stubs: Vec<usize> = (0..n).flat_map(|c| std::iter::repeat(c).take(wc)).collect();
+        let base_stubs: Vec<usize> = (0..n).flat_map(|c| std::iter::repeat_n(c, wc)).collect();
         let mut supports: Vec<Vec<usize>> = Vec::new();
         'attempt: for _ in 0..200 {
             let mut stubs = base_stubs.clone();

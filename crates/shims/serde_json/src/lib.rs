@@ -172,12 +172,22 @@ impl fmt::Display for Error {
 
 impl std::error::Error for Error {}
 
+/// The deepest array/object nesting [`from_str`] accepts (serde_json's own
+/// recursion limit). Past it the parser returns an error instead of recursing
+/// further, so a corrupt input cannot overflow the stack.
+pub const MAX_DEPTH: usize = 128;
+
 /// Parses a JSON document into a [`Value`] (the shim's stand-in for
 /// `serde_json::from_str`; it returns the dynamic tree instead of a typed value).
+///
+/// # Errors
+///
+/// A malformed document, or one nested deeper than [`MAX_DEPTH`].
 pub fn from_str(input: &str) -> Result<Value, Error> {
     let mut parser = Parser {
         bytes: input.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     parser.skip_ws();
     let value = parser.value()?;
@@ -191,6 +201,8 @@ pub fn from_str(input: &str) -> Result<Value, Error> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -235,8 +247,19 @@ impl<'a> Parser<'a> {
             Some(b't') => self.literal("true", Value::Bool(true)),
             Some(b'f') => self.literal("false", Value::Bool(false)),
             Some(b'"') => self.string().map(Value::String),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(open @ (b'[' | b'{')) => {
+                if self.depth == MAX_DEPTH {
+                    return Err(self.err(&format!("nesting deeper than {MAX_DEPTH} levels")));
+                }
+                self.depth += 1;
+                let value = if open == b'[' {
+                    self.array()
+                } else {
+                    self.object()
+                };
+                self.depth -= 1;
+                value
+            }
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
             _ => Err(self.err("expected a JSON value")),
         }
@@ -494,6 +517,18 @@ mod tests {
         assert!(from_str("1 2").is_err());
         assert!(from_str("\"unterminated").is_err());
         assert!(from_str("nul").is_err());
+    }
+
+    #[test]
+    fn nesting_past_the_depth_limit_is_an_error_not_a_stack_overflow() {
+        let nested = |depth: usize| "[".repeat(depth) + &"]".repeat(depth);
+        assert!(from_str(&nested(MAX_DEPTH)).is_ok());
+        let err = from_str(&nested(MAX_DEPTH + 1)).unwrap_err();
+        assert!(err.message.contains("nesting"), "{err}");
+        assert_eq!(err.offset, MAX_DEPTH);
+        // Far deeper than any stack could recurse, and unterminated.
+        assert!(from_str(&"[".repeat(200_000)).is_err());
+        assert!(from_str(&r#"{"a":"#.repeat(200_000)).is_err());
     }
 
     #[test]
