@@ -170,6 +170,12 @@ impl ChannelMeasurement {
         self.stats.osd_fallbacks as f64 / self.stats.active_lanes.max(1) as f64
     }
 
+    /// The share of active lanes whose OSD fallback was skipped because the
+    /// left-kernel parity proved the syndrome inconsistent.
+    fn inconsistent_rate(&self) -> f64 {
+        self.stats.inconsistent as f64 / self.stats.active_lanes.max(1) as f64
+    }
+
     fn cache_hit_rate(&self) -> f64 {
         self.cache_hits as f64 / (self.cache_hits + self.cache_misses).max(1) as f64
     }
@@ -213,6 +219,7 @@ fn batch_rate(
             weight1_hits: stats1.weight1_hits - stats0.weight1_hits,
             decoded: stats1.decoded - stats0.decoded,
             osd_fallbacks: stats1.osd_fallbacks - stats0.osd_fallbacks,
+            inconsistent: stats1.inconsistent - stats0.inconsistent,
         },
         cache_hits: hits1 - hits0,
         cache_misses: misses1 - misses0,
@@ -427,10 +434,12 @@ fn main() {
     println!("  batch shots    {uniform_batch:>12.0} shots/sec (uniform, 64 lanes/word)");
     for (name, m) in [("biased", &biased), ("schedule", &schedule)] {
         println!(
-            "    {name:<9}  {:>12.0} shots/sec (weight-1 fast path {:.1}%, OSD fallback {:.1}% of active lanes)",
+            "    {name:<9}  {:>12.0} shots/sec (weight-1 fast path {:.1}%, OSD fallback {:.1}%, \
+             OSD skipped as inconsistent {:.1}% of active lanes)",
             m.shots_per_sec,
             100.0 * m.weight1_fastpath_rate(),
             100.0 * m.osd_fallback_rate(),
+            100.0 * m.inconsistent_rate(),
         );
     }
     println!(
@@ -506,9 +515,11 @@ fn main() {
     let channel_stats = |m: &ChannelMeasurement| {
         format!(
             "{{\n      \"weight1_fastpath_rate\": {:.3},\n      \
-             \"osd_fallback_rate\": {:.3},\n      \"cache_hit_rate\": {:.3}\n    }}",
+             \"osd_fallback_rate\": {:.3},\n      \"inconsistent_rate\": {:.3},\n      \
+             \"cache_hit_rate\": {:.3}\n    }}",
             m.weight1_fastpath_rate(),
             m.osd_fallback_rate(),
+            m.inconsistent_rate(),
             m.cache_hit_rate(),
         )
     };

@@ -51,6 +51,10 @@ pub struct BpStatus {
     pub converged: bool,
     /// Number of iterations executed.
     pub iterations: usize,
+    /// Whether the syndrome lies in the column space of `H`, i.e. some error
+    /// pattern produces it. Decided exactly by the left-kernel parities (see
+    /// [`BeliefPropagation::new`]); `false` implies `!converged`.
+    pub consistent: bool,
 }
 
 /// Min-sum normalization (scaling) factor of the check-node messages.
@@ -67,6 +71,11 @@ pub struct BeliefPropagation {
     check_masks: Vec<u64>,
     /// Words per check row in `check_masks`: `num_cols.div_ceil(64)`.
     mask_words: usize,
+    /// A basis of the left kernel of `h` (the `y` with `yᵀH = 0`), packed
+    /// check-major 64 vectors at a time: bit `j` of `left_kernel[g * m + r]`
+    /// is entry `r` of basis vector `64g + j`. Empty when `h` has full row
+    /// rank.
+    left_kernel: Vec<u64>,
     /// Which compilation of the [`crate::simd`] kernels `propagate` runs,
     /// decided once at construction ([`Simd::from_env`]).
     simd: Simd,
@@ -75,6 +84,14 @@ pub struct BeliefPropagation {
 impl BeliefPropagation {
     /// Creates a decoder for the given parity-check matrix, flattening its Tanner
     /// graph once so no per-decode adjacency construction is needed.
+    ///
+    /// It also computes a basis of the left kernel of `h`. A syndrome `s` is
+    /// produced by some error pattern exactly when `y·s = 0` for every basis
+    /// vector `y`, so one parity pass per decode proves a syndrome
+    /// inconsistent ([`BpStatus::consistent`]). Redundant checks are what make
+    /// the kernel non-trivial: the bivariate bicycle codes have 4–6 vectors
+    /// per sector, while the hypergraph product codes have full row rank and
+    /// pay nothing.
     ///
     /// # Panics
     ///
@@ -89,12 +106,23 @@ impl BeliefPropagation {
                 check_masks[r * mask_words + (c >> 6)] |= 1 << (c & 63);
             }
         }
+        let m = h.num_rows();
+        let kernel = h.to_bitmat().transpose().null_space();
+        let mut left_kernel = vec![0u64; kernel.len().div_ceil(64) * m];
+        for (v, y) in kernel.iter().enumerate() {
+            for (r, &bit) in y.iter().enumerate() {
+                if bit {
+                    left_kernel[(v >> 6) * m + r] |= 1 << (v & 63);
+                }
+            }
+        }
         BeliefPropagation {
             h,
             graph,
             max_iterations,
             check_masks,
             mask_words,
+            left_kernel,
             simd: Simd::from_env(),
         }
     }
@@ -212,6 +240,14 @@ impl BeliefPropagation {
     /// `±(scale · mag_excl)`, exact because IEEE multiplication signs are the
     /// XOR of the operand signs. Convergence ANDs the precomputed word-packed
     /// row masks against the packed hard decision — pure boolean parity.
+    ///
+    /// A syndrome outside the column space of `H` (a flipped check measurement
+    /// routinely puts it there) can never be reproduced, and the left-kernel
+    /// parity proves it before the first iteration. Such a decode skips the
+    /// hard-decision packing and the convergence test on every iteration but
+    /// the last, which packs the hard decision it returns; the message passes
+    /// run unchanged, so the posteriors, hard decision and iteration count are
+    /// exactly those of a decode that tested every iteration and failed.
     // cyclone-lint: hot-path
     fn propagate(&self, syndrome: &[bool], scratch: &mut DecoderScratch) -> BpStatus {
         let m = self.h.num_rows();
@@ -266,6 +302,15 @@ impl BeliefPropagation {
         for (w, &syn) in syn_mask.iter_mut().zip(syndrome.iter()) {
             *w = if syn { u64::MAX } else { 0 };
         }
+        // Consistency: every left-kernel vector has even parity with the
+        // syndrome (`syn_mask` selects the kernel bits of the set checks).
+        let consistent = self.left_kernel.chunks_exact(m.max(1)).all(|group| {
+            let odd = group
+                .iter()
+                .zip(syn_mask.iter())
+                .fold(0u64, |acc, (&k, &s)| acc ^ (k & s));
+            odd == 0
+        });
         llrs_pad[..n].copy_from_slice(channel_llr);
         for slot in llrs_pad[n..].iter_mut() {
             *slot = f64::INFINITY;
@@ -286,16 +331,22 @@ impl BeliefPropagation {
             for (&c, &slot) in edge_vars.iter().zip(edge_slots.iter()) {
                 llrs_pad[c] += check_to_var[slot as usize];
             }
-            simd.hard_decision(llrs_pad, err_words);
+            let last = iteration == self.max_iterations;
+            // An inconsistent syndrome cannot converge: only the hard decision
+            // it returns, the last one, is packed, and nothing is tested.
+            if consistent || last {
+                simd.hard_decision(llrs_pad, err_words);
+            }
             // Convergence: does the hard decision reproduce the syndrome?
-            let matches = syndrome.iter().enumerate().all(|(r, &syn)| {
-                let mask = &check_masks[r * mask_words..(r + 1) * mask_words];
-                let mut acc = 0u64;
-                for (&mw, &ew) in mask.iter().zip(err_words.iter()) {
-                    acc ^= mw & ew;
-                }
-                (acc.count_ones() & 1 == 1) == syn
-            });
+            let matches = consistent
+                && syndrome.iter().enumerate().all(|(r, &syn)| {
+                    let mask = &check_masks[r * mask_words..(r + 1) * mask_words];
+                    let mut acc = 0u64;
+                    for (&mw, &ew) in mask.iter().zip(err_words.iter()) {
+                        acc ^= mw & ew;
+                    }
+                    (acc.count_ones() & 1 == 1) == syn
+                });
             if matches {
                 llrs.copy_from_slice(&llrs_pad[..n]);
                 for (c, slot) in error.iter_mut().enumerate() {
@@ -304,12 +355,13 @@ impl BeliefPropagation {
                 return BpStatus {
                     converged: true,
                     iterations: iteration,
+                    consistent,
                 };
             }
             // Variable→check writeback feeds only the *next* check pass, so it
             // is skipped when this was the last iteration — output-invariant,
             // and it removes one full edge sweep from every converging decode.
-            if iteration < self.max_iterations {
+            if !last {
                 for (&c, &slot) in edge_vars.iter().zip(edge_slots.iter()) {
                     let s = slot as usize;
                     var_to_check[s] = llrs_pad[c] - check_to_var[s];
@@ -323,6 +375,7 @@ impl BeliefPropagation {
         BpStatus {
             converged: false,
             iterations: self.max_iterations,
+            consistent,
         }
     }
     // cyclone-lint: end-hot-path

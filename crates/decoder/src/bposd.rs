@@ -40,6 +40,11 @@ pub struct DecodeStatus {
     pub method: DecodeMethod,
     /// BP iterations used.
     pub iterations: usize,
+    /// Whether the syndrome lies in the column space of `H`
+    /// ([`crate::bp::BpStatus::consistent`]). When it does not, no error
+    /// pattern reproduces it, OSD is skipped, and the estimate is the BP
+    /// hard decision.
+    pub consistent: bool,
 }
 
 /// A BP+OSD decoder bound to one parity-check matrix.
@@ -83,9 +88,10 @@ impl BpOsdDecoder {
     /// The returned pattern reproduces the syndrome whenever the syndrome lies
     /// in the column space of `H` (OSD finds a solution for every such
     /// syndrome). Under measurement noise it need not: a flipped check
-    /// measurement can move the syndrome outside the column space, and then
-    /// BP cannot converge, OSD finds no solution, and the BP hard decision is
-    /// returned with [`DecodeMethod::OrderedStatistics`].
+    /// measurement can move the syndrome outside the column space. Then BP
+    /// cannot converge, the left-kernel parity proves it and OSD is skipped,
+    /// and the BP hard decision is returned with
+    /// [`DecodeMethod::OrderedStatistics`].
     ///
     /// # Panics
     ///
@@ -111,10 +117,12 @@ impl BpOsdDecoder {
     /// and their caller-precomputed [`priors_digest`] key (the steady-state
     /// priors-LLR cache hit is a single `u64` compare, see
     /// [`BeliefPropagation::decode_with_priors_keyed_into`]). The error pattern
-    /// is left in [`DecoderScratch::error`]. When BP fails to converge and the
-    /// OSD fallback finds the syndrome inconsistent — outside the column space
-    /// of `H`, as flipped check measurements routinely make it — the BP hard
-    /// decision is left in place.
+    /// is left in [`DecoderScratch::error`]. When the syndrome is inconsistent
+    /// — outside the column space of `H`, as flipped check measurements
+    /// routinely make it — the left-kernel parity proves it and OSD is
+    /// skipped: the BP hard decision is left in place and reported as
+    /// [`DecodeMethod::OrderedStatistics`], exactly what an OSD that found no
+    /// solution would leave.
     ///
     /// # Panics
     ///
@@ -133,8 +141,13 @@ impl BpOsdDecoder {
         self.finish_decode(syndrome, bp_status, scratch)
     }
 
-    /// Decode tail: accept a converged BP answer or run the ordered-statistics
+    /// Decode tail: accept a converged BP answer, keep the BP hard decision
+    /// of a proven-inconsistent syndrome, or run the ordered-statistics
     /// fallback on the BP soft output.
+    ///
+    /// Skipping OSD also skips its warm-start sort of `scratch.order`, which
+    /// changes nothing: the sort's comparator is a strict total order, so the
+    /// next fallback sorts whatever permutation it finds to the same result.
     // cyclone-lint: hot-path
     fn finish_decode(
         &self,
@@ -142,23 +155,29 @@ impl BpOsdDecoder {
         bp_status: crate::bp::BpStatus,
         scratch: &mut DecoderScratch,
     ) -> DecodeStatus {
+        let status = DecodeStatus {
+            method: DecodeMethod::OrderedStatistics,
+            iterations: bp_status.iterations,
+            consistent: bp_status.consistent,
+        };
         if bp_status.converged {
             return DecodeStatus {
                 method: DecodeMethod::BeliefPropagation,
-                iterations: bp_status.iterations,
+                ..status
             };
+        }
+        if !bp_status.consistent {
+            return status;
         }
         // Move the suspicion buffer out so the scratch can be lent to OSD while the
         // scores are read from it (the buffer is returned below — no allocation).
         let mut suspicion = std::mem::take(&mut scratch.suspicion);
         suspicion.clear();
         suspicion.extend(scratch.llrs.iter().map(|&l| -l));
-        let _ = self.osd.decode_into(syndrome, &suspicion, scratch);
+        let solved = self.osd.decode_into(syndrome, &suspicion, scratch);
+        debug_assert!(solved, "OSD solves every consistent syndrome");
         scratch.suspicion = suspicion;
-        DecodeStatus {
-            method: DecodeMethod::OrderedStatistics,
-            iterations: bp_status.iterations,
-        }
+        status
     }
     // cyclone-lint: end-hot-path
 }
@@ -291,8 +310,9 @@ mod tests {
     fn inconsistent_syndrome_keeps_the_bp_hard_decision() {
         // A single flipped check measurement on a zero error: a weight-1
         // syndrome outside the column space of H. No error pattern produces
-        // it, so BP cannot converge, OSD finds no solution, and the decoder
-        // reports the OSD stage while leaving BP's hard decision in place.
+        // it, so BP cannot converge; the left-kernel parity proves it and OSD
+        // is skipped, and the decoder reports the OSD stage while leaving
+        // BP's hard decision in place.
         let code = bb_72_12_6().expect("valid");
         let h = code.hz();
         let dec = BpOsdDecoder::new(h, 30);
@@ -309,6 +329,7 @@ mod tests {
         let status = decode_uniform_into(&dec, &syndrome, 0.01, &mut scratch);
         assert_eq!(status.method, DecodeMethod::OrderedStatistics);
         assert_eq!(status.iterations, 30);
+        assert!(!status.consistent);
         let bp = dec.bp.decode(&syndrome, 0.01);
         assert!(!bp.converged);
         assert_eq!(scratch.error(), bp.error.as_slice());

@@ -235,8 +235,14 @@ struct Weight1Table {
 /// Aggregate decode-resolution counters of one [`BatchScratch`], accumulated
 /// since the scratch was created (never reset by context rebinds): how active
 /// lanes were resolved. `decoded` counts full BP(+OSD) decodes — i.e. lanes not
-/// served by the weight-1 table or the decode cache — and `osd_fallbacks` the
-/// subset that needed the OSD stage.
+/// served by the weight-1 table or the decode cache — `osd_fallbacks` the
+/// subset that needed the OSD stage, and `inconsistent` the subset of those
+/// whose syndrome the left-kernel parity proved outside the column space of
+/// `H`, so that OSD was skipped and the BP hard decision kept.
+///
+/// Which lanes reach a full decode depends on what each worker's decode cache
+/// already holds, so `decoded`, `osd_fallbacks` and `inconsistent` are not
+/// deterministic across thread counts; the decoded corrections are.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct BatchStats {
     /// Active (non-zero-syndrome) lanes seen.
@@ -247,6 +253,8 @@ pub struct BatchStats {
     pub decoded: u64,
     /// Full decodes that fell through BP to the OSD stage.
     pub osd_fallbacks: u64,
+    /// OSD fallbacks whose syndrome was proven inconsistent (OSD skipped).
+    pub inconsistent: u64,
 }
 
 /// One sector's decode state in a [`BatchScratch`]: the decoder scratch, the
@@ -797,6 +805,7 @@ impl<'a> MemoryExperiment<'a> {
                 if status.method == DecodeMethod::OrderedStatistics {
                     stats.osd_fallbacks += 1;
                 }
+                stats.inconsistent += u64::from(!status.consistent);
                 lanes.corr_pack.clear();
                 lanes.corr_pack.resize(corr_len, 0);
                 for (q, &e) in sector.decode.error().iter().enumerate() {
@@ -1885,6 +1894,55 @@ mod tests {
             "every active lane resolves exactly once: {stats:?} cache hits {hits}"
         );
         assert!(stats.osd_fallbacks <= stats.decoded);
+    }
+
+    /// The decode-resolution counters of twenty 64-shot batches of `code`
+    /// under `spec` at physical rate 3e-3, through one scratch.
+    fn batch_stats_under(code: &CssCode, spec: ChannelSpec) -> BatchStats {
+        let model = HardwareNoiseModel::new(NoiseParameters::new(3e-3), 0.0);
+        let channel = spec.instantiate(&model, code.num_qubits(), code.num_stabilizers());
+        let exp = MemoryExperiment::with_channel(code, model, channel, 20);
+        let cfg = MemoryConfig {
+            shots: 0,
+            bp_iterations: 20,
+            threads: 1,
+            seed: 0xC1C1_0DE5,
+        };
+        let mut batch = BatchScratch::new();
+        for chunk in 0..20 {
+            exp.sample_batch_with(&cfg, chunk * 64, 64, &mut batch);
+        }
+        batch.stats()
+    }
+
+    #[test]
+    fn measurement_flips_make_inconsistent_osd_fallbacks() {
+        // [[72,12,6]] has redundant checks, so a flipped check measurement
+        // usually leaves H's column space: those fallbacks are proven
+        // inconsistent and counted as their own category.
+        let code = bb_72_12_6().expect("valid");
+        let stats = batch_stats_under(&code, ChannelSpec::Biased { meas_ratio: 2.0 });
+        assert!(stats.inconsistent > 0, "{stats:?}");
+        assert!(stats.inconsistent <= stats.osd_fallbacks, "{stats:?}");
+    }
+
+    #[test]
+    fn uniform_channel_syndromes_are_always_consistent() {
+        // Without measurement noise every syndrome is H·e for the sampled e.
+        let code = bb_72_12_6().expect("valid");
+        let stats = batch_stats_under(&code, ChannelSpec::Uniform);
+        assert!(stats.decoded > 0, "{stats:?}");
+        assert_eq!(stats.inconsistent, 0, "{stats:?}");
+    }
+
+    #[test]
+    fn full_row_rank_checks_admit_no_inconsistent_syndrome() {
+        // The HGP code's H has full row rank, so even measurement flips keep
+        // every syndrome in its column space.
+        let code = qec::codes::hgp_100().expect("valid");
+        let stats = batch_stats_under(&code, ChannelSpec::Biased { meas_ratio: 2.0 });
+        assert!(stats.decoded > 0, "{stats:?}");
+        assert_eq!(stats.inconsistent, 0, "{stats:?}");
     }
 
     #[test]

@@ -75,6 +75,11 @@ impl OsdDecoder {
     /// the solution in [`DecoderScratch::error`] when the syndrome is consistent;
     /// returns `false` — leaving `scratch.error` untouched — otherwise.
     ///
+    /// The elimination keeps its own consistency check for direct callers.
+    /// [`crate::bposd::BpOsdDecoder`] never reaches it with an inconsistent
+    /// syndrome: BP's left-kernel parity proves those first, and OSD is
+    /// skipped.
+    ///
     /// Warm-starts from the previous fallback's scratch state (column-permutation
     /// reuse + early-exit elimination); output is bit-identical to
     /// [`OsdDecoder::decode_into_cold`].

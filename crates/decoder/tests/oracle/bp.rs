@@ -2,10 +2,13 @@
 //! arrays, one check row at a time, with no lane layout and no kernel
 //! dispatch. Both compilations of the decoder's lane kernels are pinned to it
 //! byte for byte, and the `decoder_hotpath` bench times it as the scalar
-//! reference rate.
+//! reference rate. It tests convergence on every iteration, whatever the
+//! syndrome, and decides consistency of a non-converged syndrome by Gaussian
+//! elimination ([`BitMat::solve`]), not by the decoder's left kernel.
 
 use decoder::bp::BpStatus;
 use decoder::sparse::SparseBinMat;
+use qec::linalg::BitMat;
 
 /// Min-sum normalization factor (the decoder's `MIN_SUM_SCALE`).
 const MIN_SUM_SCALE: f64 = 0.75;
@@ -22,6 +25,8 @@ pub struct ScalarBp {
     /// Word-packed row supports, `mask_words` words per check.
     check_masks: Vec<u64>,
     mask_words: usize,
+    /// Dense copy of `H` for the consistency verdict.
+    dense: BitMat,
 }
 
 /// The reference decoder's buffers, reused across decodes.
@@ -72,6 +77,7 @@ impl ScalarBp {
             edge_vars,
             check_masks,
             mask_words,
+            dense: h.to_bitmat(),
         }
     }
 
@@ -194,6 +200,7 @@ impl ScalarBp {
                 return BpStatus {
                     converged: true,
                     iterations: iteration,
+                    consistent: true,
                 };
             }
             if iteration < self.max_iterations {
@@ -210,6 +217,7 @@ impl ScalarBp {
         BpStatus {
             converged: false,
             iterations: self.max_iterations,
+            consistent: self.dense.solve(syndrome).is_some(),
         }
     }
 }

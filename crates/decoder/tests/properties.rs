@@ -464,3 +464,264 @@ fn memory_experiment_is_deterministic_for_fixed_seed() {
     );
     assert_eq!(a.shots, b.shots);
 }
+
+/// Whether `syndrome` is consistent according to the decoder: the verdict of
+/// a one-iteration BP run, which is decided by the left-kernel parity.
+fn left_kernel_verdict(
+    bp: &BeliefPropagation,
+    syndrome: &[bool],
+    scratch: &mut DecoderScratch,
+) -> bool {
+    let (priors, key) = uniform_priors(bp.matrix().num_cols(), 0.01);
+    bp.decode_with_priors_keyed_into(syndrome, &priors, key, scratch)
+        .consistent
+}
+
+/// A check matrix on three bits with 70 copies of the check `{0, 1}` and one
+/// check `{1, 2}`: rank 2, so its left kernel has 69 vectors and spans two
+/// 64-vector words. A syndrome is consistent exactly when the 70 copies agree.
+fn redundant_check_matrix() -> qec::linalg::BitMat {
+    let mut rows = vec![vec![0, 1]; 70];
+    rows.push(vec![1, 2]);
+    qec::linalg::BitMat::from_row_supports(71, 3, &rows)
+}
+
+/// The check matrices of both sectors of catalog code `pick` (0..8, the full
+/// catalog smallest HGP first, then BB), or of [`redundant_check_matrix`]
+/// for `pick == 8`.
+fn sector_matrices(pick: usize) -> Vec<qec::linalg::BitMat> {
+    let code = match pick {
+        0 => qec::codes::hgp_100(),
+        1 => qec::codes::hgp_225_9_6(),
+        2 => qec::codes::hgp_400(),
+        3 => qec::codes::hgp_625_25_8(),
+        4 => qec::codes::bb_72_12_6(),
+        5 => qec::codes::bb_90_8_10(),
+        6 => qec::codes::bb_108_8_10(),
+        7 => qec::codes::bb_144_12_12(),
+        _ => return vec![redundant_check_matrix()],
+    }
+    .expect("valid");
+    vec![code.hx().clone(), code.hz().clone()]
+}
+
+#[test]
+fn left_kernel_parity_matches_gaussian_elimination_on_weight_one_syndromes() {
+    // Every weight-1 syndrome of every catalog code, both sectors: the BP
+    // consistency verdict equals solvability of H·e = s. The HGP matrices have
+    // full row rank (every verdict is "consistent"); the BB ones have 4–6
+    // redundant checks per sector.
+    let mut scratch = DecoderScratch::new();
+    for pick in 0..9 {
+        for h in sector_matrices(pick) {
+            let bp = BeliefPropagation::new(SparseBinMat::from_bitmat(&h), 1);
+            let m = h.num_rows();
+            let mut inconsistent = 0usize;
+            for r in 0..m {
+                let mut syndrome = vec![false; m];
+                syndrome[r] = true;
+                let consistent = left_kernel_verdict(&bp, &syndrome, &mut scratch);
+                assert_eq!(
+                    consistent,
+                    h.solve(&syndrome).is_some(),
+                    "matrix {pick}, check {r}"
+                );
+                inconsistent += usize::from(!consistent);
+            }
+            // Redundant checks per sector, i.e. the left-kernel dimension.
+            let redundant = [0, 0, 0, 0, 6, 4, 4, 6, 69][pick];
+            assert_eq!(m - h.rank(), redundant, "matrix {pick}");
+            assert_eq!(inconsistent == 0, redundant == 0, "matrix {pick}");
+        }
+    }
+}
+
+#[test]
+fn left_kernel_parity_spanning_two_words_matches_gaussian_elimination() {
+    // Every weight-2 syndrome of the 69-vector kernel: a pair of checks that
+    // only vectors in different 64-vector words tell apart must still read
+    // inconsistent.
+    let h = redundant_check_matrix();
+    let bp = BeliefPropagation::new(SparseBinMat::from_bitmat(&h), 1);
+    let m = h.num_rows();
+    let mut scratch = DecoderScratch::new();
+    for a in 0..m {
+        for b in a + 1..m {
+            let mut syndrome = vec![false; m];
+            syndrome[a] = true;
+            syndrome[b] = true;
+            assert_eq!(
+                left_kernel_verdict(&bp, &syndrome, &mut scratch),
+                h.solve(&syndrome).is_some(),
+                "checks {a} and {b}"
+            );
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24).with_seed(0xC1C1_0DE5))]
+
+    #[test]
+    fn left_kernel_parity_matches_gaussian_elimination_on_random_syndromes(
+        pick in 0usize..9,
+        seed in 0u64..1000,
+        flip_pick in 0usize..3,
+        sparse_flip_rate in 0.001f64..0.05,
+    ) {
+        // Syndromes H·e ⊕ f with a sparse data error e and measurement flips
+        // f from none to uniformly random, on every catalog code and the
+        // two-word-kernel matrix, both sectors.
+        let flip_rate = [0.0, sparse_flip_rate, 0.5][flip_pick];
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut scratch = DecoderScratch::new();
+        for h in sector_matrices(pick) {
+            let bp = BeliefPropagation::new(SparseBinMat::from_bitmat(&h), 1);
+            let error: Vec<bool> = (0..h.num_cols()).map(|_| rng.gen_bool(0.02)).collect();
+            let mut syndrome = h.mul_vec(&error);
+            for bit in syndrome.iter_mut() {
+                *bit ^= flip_rate > 0.0 && rng.gen_bool(flip_rate);
+            }
+            let consistent = left_kernel_verdict(&bp, &syndrome, &mut scratch);
+            prop_assert_eq!(consistent, h.solve(&syndrome).is_some());
+            if flip_rate == 0.0 {
+                prop_assert!(consistent);
+            }
+        }
+    }
+}
+
+/// A BP+OSD decoder and its references on one check matrix: the scalar BP
+/// oracle and a cold OSD.
+struct DecodeReference {
+    decoder: BpOsdDecoder,
+    bp: ScalarBp,
+    osd: OsdDecoder,
+}
+
+impl DecodeReference {
+    fn new(h: &qec::linalg::BitMat, bp_iterations: usize) -> Self {
+        DecodeReference {
+            decoder: BpOsdDecoder::new(h, bp_iterations),
+            bp: ScalarBp::new(&SparseBinMat::from_bitmat(h), bp_iterations),
+            osd: OsdDecoder::new(h.clone()),
+        }
+    }
+
+    /// Decodes `syndrome` through `scratch` and asserts the result equals the
+    /// scalar BP oracle followed, when it does not converge, by the cold OSD
+    /// on its negated posteriors: method, iterations, consistency verdict,
+    /// correction, and the bits of every posterior LLR. Returns the status.
+    fn assert_matches(
+        &self,
+        syndrome: &[bool],
+        priors: &[f64],
+        scratch: &mut DecoderScratch,
+    ) -> decoder::bposd::DecodeStatus {
+        let key = priors_digest(priors);
+        let got = self
+            .decoder
+            .decode_with_priors_keyed_into(syndrome, priors, key, scratch);
+        let mut oracle = ScalarBpScratch::default();
+        let bp = self.bp.decode(syndrome, priors, key, &mut oracle);
+        let mut want_error = oracle.error().to_vec();
+        let want_method = if bp.converged {
+            DecodeMethod::BeliefPropagation
+        } else {
+            let suspicion: Vec<f64> = oracle.llrs().iter().map(|&l| -l).collect();
+            let mut cold = DecoderScratch::new();
+            if self.osd.decode_into_cold(syndrome, &suspicion, &mut cold) {
+                want_error = cold.error().to_vec();
+            }
+            DecodeMethod::OrderedStatistics
+        };
+        assert_eq!(got.method, want_method, "method on {syndrome:?}");
+        assert_eq!(got.iterations, bp.iterations, "iterations on {syndrome:?}");
+        assert_eq!(got.consistent, bp.consistent, "verdict on {syndrome:?}");
+        assert_eq!(
+            scratch.error(),
+            want_error.as_slice(),
+            "error on {syndrome:?}"
+        );
+        assert_eq!(
+            llr_bits(scratch.llrs()),
+            llr_bits(oracle.llrs()),
+            "LLRs on {syndrome:?}"
+        );
+        got
+    }
+}
+
+/// `[[72,12,6]]`, `[[90,8,10]]` or `[[225,9,6]]`.
+fn inconsistent_prone_code(pick: usize) -> qec::CssCode {
+    match pick {
+        0 => qec::codes::bb_72_12_6(),
+        1 => qec::codes::bb_90_8_10(),
+        _ => qec::codes::hgp_225_9_6(),
+    }
+    .expect("valid")
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16).with_seed(0xC1C1_0DE5))]
+
+    #[test]
+    fn decode_of_flipped_syndromes_matches_the_oracle(
+        seed in 0u64..1000,
+        pick in 0usize..3,
+        p in 0.002f64..0.05,
+        flip_rate in 0.005f64..0.05,
+        bp_iterations in 1usize..20,
+    ) {
+        // Syndromes H·e ⊕ f, where f flips check measurements: on the BB codes
+        // most of them are inconsistent, so BP skips its convergence tests and
+        // OSD is skipped; the HGP code has full row rank, so every one is
+        // consistent. Both sectors, one dirty scratch, per-bit priors.
+        let code = inconsistent_prone_code(pick);
+        let n = code.num_qubits();
+        let priors: Vec<f64> = (0..n).map(|q| p * (1.0 + (q % 3) as f64)).collect();
+        let mut rng = StdRng::seed_from_u64(seed);
+        let error: Vec<bool> = (0..n).map(|_| rng.gen_bool(p)).collect();
+        let mut scratch = DecoderScratch::new();
+        for (h, mut syndrome) in [
+            (code.hz(), code.z_syndrome(&error)),
+            (code.hx(), code.x_syndrome(&error)),
+        ] {
+            for bit in syndrome.iter_mut() {
+                *bit ^= rng.gen_bool(flip_rate);
+            }
+            DecodeReference::new(h, bp_iterations).assert_matches(&syndrome, &priors, &mut scratch);
+        }
+    }
+
+    #[test]
+    fn warm_scratch_interleaving_skipped_and_run_osd_matches_the_oracle(
+        seed in 0u64..1000,
+        pick in 0usize..3,
+        p in 0.03f64..0.08,
+        bp_iterations in 2usize..6,
+    ) {
+        // One scratch carries every decode, alternating a syndrome H·e with
+        // the same syndrome after one measurement flip. The high error rate
+        // and low iteration cap make consistent syndromes fall back to OSD,
+        // whose warm start then sorts from the column order of the last
+        // fallback that ran OSD, however many skipped ones came between.
+        let code = inconsistent_prone_code(pick);
+        let n = code.num_qubits();
+        let (priors, _) = uniform_priors(n, p);
+        let reference = DecodeReference::new(code.hz(), bp_iterations);
+        let m = code.num_z_stabilizers();
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut scratch = DecoderScratch::new();
+        for _ in 0..8 {
+            let error: Vec<bool> = (0..n).map(|_| rng.gen_bool(p)).collect();
+            let syndrome = code.z_syndrome(&error);
+            let status = reference.assert_matches(&syndrome, &priors, &mut scratch);
+            prop_assert!(status.consistent);
+            let mut flipped = syndrome;
+            let at = rng.gen_range(0..m);
+            flipped[at] = !flipped[at];
+            reference.assert_matches(&flipped, &priors, &mut scratch);
+        }
+    }
+}
