@@ -1,5 +1,5 @@
 //! Sweep-engine throughput: wall-clock of a multi-point figure sweep executed
-//! serially (one worker), across the in-process point-level pool
+//! serially (one worker), on the in-process chunk scheduler
 //! (`CYCLONE_THREADS`, default 4 here), and across a fleet of worker
 //! **processes** (`CYCLONE_SHARDS`, default 4 — spawn, shard-local caches,
 //! merge, final assemble), plus adaptive-vs-fixed sampling cost per figure.

@@ -1,13 +1,14 @@
-//! The scenario sweep engine: declarative figure specifications executed across a
-//! shared worker pool at operating-point granularity, with a JSON result cache.
+//! The scenario sweep engine: declarative figure specifications executed on one
+//! shared chunk scheduler, with a JSON result cache.
 //!
 //! A [`ScenarioSpec`] names a figure and enumerates its Monte-Carlo operating points
 //! (`code × physical error rate × round latency`, each with a unique id). The engine
 //! ([`run_sweep`]):
 //!
-//! * executes every point across [`decoder::memory::estimate_points`]'s worker pool —
-//!   points are embarrassingly parallel, so a multi-point figure scales with the host
-//!   core count at *point* granularity;
+//! * executes every point on [`decoder::memory::estimate_points`]' scheduler of
+//!   (point, 64-shot chunk) work items — each worker starts the next point and
+//!   runs its chunks, and once every point has started, idle workers share the
+//!   unfinished points' remaining chunks, so the slowest point never runs alone;
 //! * is deterministic at any thread count: every point is evaluated with the same
 //!   per-shot RNG streams derived from [`MemoryConfig::seed`] (the workspace's
 //!   `0xC1C1_0DE5` convention, shared with `decoder::memory`), so results are
@@ -226,7 +227,7 @@ impl ScenarioSpec {
 #[derive(Debug, Clone)]
 pub struct SweepOptions {
     /// Monte-Carlo configuration applied to every point (`threads` sizes the
-    /// point-level worker pool; the estimate itself is thread-count invariant).
+    /// scheduler's worker pool; the estimate itself is thread-count invariant).
     /// `config.shots` is the fixed budget of points without a precision target.
     pub config: MemoryConfig,
     /// Cache directory (`sweeps/` by convention). `None` disables caching.
@@ -252,10 +253,10 @@ pub struct SweepOptions {
     /// computes every miss.
     pub shard: Option<Shard>,
     /// Checkpoint granularity: with `checkpoint = k > 0` the cache file is
-    /// rewritten after every `k` freshly computed points, so a killed run loses
-    /// at most the in-flight group. `0` (the default) keeps the single
-    /// final write. Checkpointing never changes estimates — only how often the
-    /// same entries are published.
+    /// rewritten whenever another `k` freshly computed points have finished,
+    /// so a killed run loses only the points in flight and those finished
+    /// since. `0` (the default) keeps the single final write. Checkpointing
+    /// never changes estimates — only how often the same entries are published.
     pub checkpoint: usize,
     /// Read-only secondary cache directory, consulted for points the primary
     /// `cache_dir` misses. Never written. Lets a shard-local worker reuse a
@@ -413,8 +414,8 @@ impl SweepResult {
     }
 }
 
-/// Executes a scenario sweep: cache lookup, parallel estimation of the misses at
-/// point granularity, cache write-back.
+/// Executes a scenario sweep: cache lookup, parallel estimation of the misses on
+/// the chunk scheduler (with checkpoints as points finish), cache write-back.
 ///
 /// # Panics
 ///
@@ -445,92 +446,81 @@ pub fn run_sweep(spec: &ScenarioSpec, options: &SweepOptions) -> SweepResult {
         }
     }
 
-    // `resolved`: spec index → (estimate, served-from-cache). Points absent from
-    // the map at the end were skipped (another shard's uncached work).
-    let mut resolved: BTreeMap<usize, (LerEstimate, bool)> = BTreeMap::new();
-    for (i, point) in spec.points.iter().enumerate() {
-        if let Some(&ler) = cached.get(&point.id) {
-            resolved.insert(i, (ler, true));
-        }
-    }
+    // `resolved`: per spec index, (estimate, served-from-cache); `None` at the
+    // end means skipped (another shard's uncached work). Workers fill the slots
+    // without allocating: map inserts on worker threads raised peak RSS ~10%.
+    let mut resolved: Vec<Option<(LerEstimate, bool)>> = spec
+        .points
+        .iter()
+        .map(|point| cached.get(&point.id).map(|&ler| (ler, true)))
+        .collect();
 
-    // Estimate the misses this shard owns across the shared pool, in
-    // checkpoint-sized groups so a killed run loses at most the in-flight group,
-    // then stitch hits and misses back into spec order.
+    // Estimate the misses this shard owns; every `checkpoint`-th point to
+    // finish publishes everything resolved so far.
     let misses: Vec<usize> = (0..spec.points.len())
-        .filter(|i| !resolved.contains_key(i))
+        .filter(|&i| resolved[i].is_none())
         .filter(|&i| match options.shard {
             Some(shard) => shard.contains(&spec.points[i].id),
             None => true,
         })
         .collect();
-    let group_len = match options.checkpoint {
-        0 => misses.len().max(1),
-        every => every,
-    };
-    for group in misses.chunks(group_len) {
-        let jobs: Vec<LerPoint<'_>> = group
-            .iter()
-            .map(|&i| {
-                let point = &spec.points[i];
-                LerPoint {
-                    code: &spec.codes[point.code],
-                    p: point.p,
-                    latency: point.latency,
-                    channel: options.channel_for(point),
-                    precision: options.target_for(point),
-                }
-            })
-            .collect();
-        let fresh = estimate_points(&jobs, &options.config, options.decode_cache_dir.as_deref());
-        for (&i, est) in group.iter().zip(fresh) {
-            resolved.insert(i, (est, false));
-        }
-        // Checkpoint: publish everything resolved so far. The final store below
-        // covers the last group (and the no-miss case), so mid-run writes are
-        // purely about bounding loss on a kill.
-        if options.checkpoint != 0 && group.len() == group_len {
-            if let Some(path) = cache_path.as_deref() {
-                if let Err(err) = store_cache(path, spec, options, &resolved) {
-                    eprintln!(
-                        "warning: could not checkpoint sweep cache {}: {err}",
-                        path.display()
-                    );
-                }
+    let jobs: Vec<LerPoint<'_>> = misses
+        .iter()
+        .map(|&i| {
+            let point = &spec.points[i];
+            LerPoint {
+                code: &spec.codes[point.code],
+                p: point.p,
+                latency: point.latency,
+                channel: options.channel_for(point),
+                precision: options.target_for(point),
+            }
+        })
+        .collect();
+    // Publishing is best-effort: an unwritable cache must not fail the sweep.
+    let publish = |resolved: &[Option<(LerEstimate, bool)>], what: &str| {
+        if let Some(path) = cache_path.as_deref() {
+            if let Err(err) = store_cache(path, spec, options, resolved) {
+                eprintln!(
+                    "warning: could not {what} sweep cache {}: {err}",
+                    path.display()
+                );
             }
         }
-    }
+    };
+    let mut finished = 0;
+    estimate_points(
+        &jobs,
+        &options.config,
+        options.decode_cache_dir.as_deref(),
+        |job, est| {
+            resolved[misses[job]] = Some((est, false));
+            finished += 1;
+            if options.checkpoint != 0 && finished % options.checkpoint == 0 {
+                publish(&resolved, "checkpoint");
+            }
+        },
+    );
 
-    if let Some(path) = cache_path.as_deref() {
-        if let Err(err) = store_cache(path, spec, options, &resolved) {
-            eprintln!(
-                "warning: could not write sweep cache {}: {err}",
-                path.display()
-            );
-        }
-    }
+    publish(&resolved, "write");
 
     let points: Vec<PointOutcome> = spec
         .points
         .iter()
         .enumerate()
-        .map(|(i, point)| match resolved.get(&i) {
-            Some(&(ler, cached)) => PointOutcome {
+        .map(|(i, point)| {
+            let (ler, cached, skipped) = match resolved[i] {
+                Some((ler, cached)) => (ler, cached, false),
+                None => (LerEstimate::empty(), false, true),
+            };
+            PointOutcome {
                 id: point.id.clone(),
                 p: point.p,
                 latency: point.latency,
                 ler,
                 cached,
-                skipped: false,
-            },
-            None => PointOutcome {
-                id: point.id.clone(),
-                p: point.p,
-                latency: point.latency,
-                ler: LerEstimate::empty(),
-                cached: false,
-                skipped: true,
-            },
+                skipped,
+            }
         })
         .collect();
 
@@ -624,16 +614,16 @@ fn load_cache(
 }
 
 /// Serializes the resolved entries of a sweep (plus the configuration that
-/// produced them) as the figure's cache file, atomically. `resolved` maps spec
-/// index → (estimate, served-from-cache); entries land in spec order, and
-/// zero-shot placeholders are never written (readers skip them anyway), so a
-/// partial (checkpoint or sharded) write is a well-formed cache that composes
-/// with other shards' files via [`crate::sweep_cache::merge_files`].
+/// produced them) as the figure's cache file, atomically. `resolved` holds, per
+/// spec index, (estimate, served-from-cache) or `None`. Entries land in spec
+/// order and zero-shot placeholders are never written (readers skip them), so
+/// a partial (checkpoint or sharded) write is a well-formed cache that
+/// composes with other shards' files via [`crate::sweep_cache::merge_files`].
 fn store_cache(
     path: &Path,
     spec: &ScenarioSpec,
     options: &SweepOptions,
-    resolved: &BTreeMap<usize, (LerEstimate, bool)>,
+    resolved: &[Option<(LerEstimate, bool)>],
 ) -> std::io::Result<()> {
     let config = &options.config;
     let mut root = BTreeMap::new();
@@ -660,8 +650,9 @@ fn store_cache(
     }
     let entries: Vec<Value> = resolved
         .iter()
-        .filter(|(_, (ler, _))| ler.shots > 0)
-        .map(|(&i, (ler, _))| {
+        .enumerate()
+        .filter_map(|(i, slot)| Some((i, slot.filter(|(ler, _)| ler.shots > 0)?.0)))
+        .map(|(i, ler)| {
             let spec_point = &spec.points[i];
             let mut entry = BTreeMap::new();
             entry.insert("id".to_string(), Value::from(spec_point.id.clone()));

@@ -766,3 +766,88 @@ fn content_hashes_are_pinned() {
         "explicit:bed985dbf60f15ce"
     );
 }
+
+#[test]
+fn checkpoints_and_pool_sizes_leave_byte_identical_caches_and_tables() {
+    // Three 64-shot chunks per point, so workers share the tail's points. How
+    // often the cache is checkpointed and how many workers ran must change
+    // neither the published cache file nor the figure table rows.
+    let codes = [
+        qec::codes::bb_72_12_6().expect("valid"),
+        qec::codes::hgp_100().expect("valid"),
+    ];
+    let ps = [3e-3, 8e-3];
+    let mut reference: Option<(Vec<u8>, String)> = None;
+    for checkpoint in [0, 1, 3] {
+        for threads in [1, 3] {
+            let dir = scratch_dir(&format!("ckpt-{checkpoint}-{threads}"));
+            let config = MemoryConfig {
+                shots: 150,
+                ..quick_config(threads)
+            };
+            let options = SweepOptions::cached(config, &dir).with_checkpoint(checkpoint);
+            let rows = cyclone::experiments::ler_comparison_with("ckpt", &codes, &ps, &options);
+            let cache = std::fs::read(dir.join("ckpt.json")).expect("cache written");
+            let table = format!("{rows:?}");
+            match &reference {
+                None => reference = Some((cache, table)),
+                Some((want_cache, want_table)) => {
+                    assert!(
+                        cache == *want_cache,
+                        "checkpoint {checkpoint}, threads {threads}: cache bytes differ"
+                    );
+                    assert_eq!(
+                        &table, want_table,
+                        "checkpoint {checkpoint}, threads {threads}"
+                    );
+                }
+            }
+            let _ = std::fs::remove_dir_all(&dir);
+        }
+    }
+}
+
+#[test]
+fn checkpoint_every_point_publishes_a_well_formed_cache_as_points_finish() {
+    // A reader polling the cache file while a checkpoint-1 sweep runs must
+    // only ever see well-formed caches whose entry count never shrinks, and
+    // the last one holds every point.
+    use cyclone::sweep_cache::stats_file;
+    let dir = scratch_dir("ckpt-poll");
+    let spec = tiny_spec("ckpt-poll");
+    let path = dir.join("ckpt-poll.json");
+    let config = MemoryConfig {
+        shots: 400,
+        ..quick_config(2)
+    };
+    let options = SweepOptions::cached(config, &dir).with_checkpoint(1);
+    let finished = std::sync::atomic::AtomicBool::new(false);
+    let seen = std::thread::scope(|scope| {
+        let poller = scope.spawn(|| {
+            let mut seen = Vec::new();
+            loop {
+                let done = finished.load(std::sync::atomic::Ordering::Acquire);
+                if path.exists() {
+                    let stats = stats_file(&path).expect("every published cache is well-formed");
+                    if seen.last() != Some(&stats.entries) {
+                        seen.push(stats.entries);
+                    }
+                }
+                if done {
+                    return seen;
+                }
+                std::thread::sleep(std::time::Duration::from_millis(1));
+            }
+        });
+        let result = run_sweep(&spec, &options);
+        assert_eq!(result.computed, spec.points.len());
+        finished.store(true, std::sync::atomic::Ordering::Release);
+        poller.join().expect("poller")
+    });
+    assert!(
+        seen.windows(2).all(|w| w[0] < w[1]),
+        "entry counts must only grow: {seen:?}"
+    );
+    assert_eq!(seen.last(), Some(&spec.points.len()), "{seen:?}");
+    let _ = std::fs::remove_dir_all(&dir);
+}

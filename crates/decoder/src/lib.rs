@@ -14,9 +14,9 @@
 //! * a circuit-level Pauli-frame simulator for syndrome-extraction circuits
 //!   ([`pauli`]),
 //! * and the Monte-Carlo logical-memory harness that couples compiled execution
-//!   latency to decoherence noise ([`memory`]): one chunk-scheduled driver,
-//!   [`MemoryExperiment::run`], for fixed budgets and precision targets alike,
-//!   and one point pool, [`memory::estimate_points`].
+//!   latency to decoherence noise ([`memory`]): one (point, 64-shot chunk)
+//!   scheduler for fixed budgets and precision targets alike, behind a sweep
+//!   ([`memory::estimate_points`]) and a single point ([`MemoryExperiment::run`]).
 //!
 //! # Example
 //!

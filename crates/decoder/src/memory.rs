@@ -5,23 +5,22 @@
 //! extraction round is converted into a decoherence error (Pauli twirling), added to
 //! the base circuit-level error rate, and the resulting effective per-qubit error rate
 //! drives independent X/Z error sampling, BP+OSD decoding, and logical-failure
-//! counting (see DESIGN.md, substitution 3). Sampling is parallelized with `std`
-//! scoped threads; every shot derives its own RNG stream from the base seed, so the
-//! estimate is identical for any worker count. Each worker owns one
-//! [`BatchScratch`] for the whole run, so steady-state sampling performs zero heap
-//! allocation.
+//! counting (see DESIGN.md, substitution 3). One scheduler of (point, 64-shot chunk)
+//! work items on `std` scoped threads runs a sweep ([`estimate_points`]) and a single
+//! point ([`MemoryExperiment::run`]); every shot derives its own RNG stream from the
+//! base seed, so the estimate is identical for any worker count. A worker reuses one
+//! [`BatchScratch`] per code, so steady-state sampling performs zero heap allocation.
 
 use crate::bposd::{BpOsdDecoder, DecodeMethod};
 use crate::cache::DecodeCache;
 use crate::scratch::DecoderScratch;
-use noise::{ChannelSpec, ErrorChannel, HardwareNoiseModel};
+use noise::{ChannelSpec, ErrorChannel, HardwareNoiseModel, NoiseParameters};
 use qec::linalg::BitMat;
 use qec::CssCode;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 /// An estimated logical error rate with sampling statistics.
@@ -187,8 +186,8 @@ impl MemoryConfig {
         }
     }
 
-    /// Resolves the configured thread count to a concrete worker count
-    /// (0 = available parallelism, capped at 16).
+    /// Resolves `threads` to a worker count (0 = available parallelism, capped at
+    /// 16); the scheduler never starts more workers than there are 64-shot chunks.
     pub fn worker_count(&self) -> usize {
         if self.threads > 0 {
             self.threads
@@ -361,9 +360,9 @@ pub struct MemoryExperiment<'a> {
     x_ctx: u64,
     /// Decode-context base tag of the Z-sector decoder (`Hx` + cap).
     z_ctx: u64,
-    /// Directory for persisted decode caches: when set, every Monte-Carlo worker
-    /// loads matching per-sector cache files at startup and stores its caches
-    /// back when it finishes (see [`MemoryExperiment::set_decode_cache_dir`]).
+    /// Directory for persisted decode caches: when set, a worker loads matching
+    /// per-sector cache files when it joins a point and stores its caches back
+    /// when it leaves (see [`MemoryExperiment::set_decode_cache_dir`]).
     decode_cache_dir: Option<PathBuf>,
 }
 
@@ -485,10 +484,10 @@ impl<'a> MemoryExperiment<'a> {
     }
 
     /// Sets (or clears) the persistent decode-cache directory. When set, every
-    /// worker of [`run`](MemoryExperiment::run) loads
-    /// matching per-sector cache files before sampling and stores its caches
-    /// back afterwards (atomic rename, last writer wins — every complete file is
-    /// valid, entries are pure decoder outputs). Files are keyed by code label,
+    /// worker of [`run`](MemoryExperiment::run) loads matching per-sector cache
+    /// files when it joins and stores its caches back when it leaves (atomic
+    /// rename, last writer wins — every complete file is valid, entries are
+    /// pure decoder outputs). Files are keyed by code label,
     /// sector, and the full decode-context digest (matrix + BP cap + priors), so
     /// a stale or foreign file can never contribute an entry; deleting the
     /// directory at any time only costs warm-up misses.
@@ -868,7 +867,7 @@ impl<'a> MemoryExperiment<'a> {
         w1.built = true;
     }
 
-    /// Runs the Monte-Carlo experiment in parallel and returns the LER estimate.
+    /// Runs the Monte-Carlo experiment and returns the LER estimate.
     ///
     /// With `target = None` this samples the fixed budget of `config.shots`
     /// shots. With `Some(target)` it stops at the smallest shot count meeting
@@ -876,92 +875,26 @@ impl<'a> MemoryExperiment<'a> {
     /// then ignored). The adaptive result is therefore the fixed result of its
     /// own shot count: the stop rule chooses the budget, never the sample.
     ///
-    /// Every shot draws from its own seeded stream ([`MemoryConfig::shot_seed`]),
-    /// so the estimate is bit-identical for every `config.threads` setting.
-    /// Workers pull 64-shot chunks from one shared counter and keep one
-    /// [`BatchScratch`] for the whole run, so sampling allocates only at worker
-    /// startup. Each finished chunk's failure mask is recorded; with a target,
-    /// the contiguous finished prefix is checked shot by shot, and workers stop
-    /// pulling chunks once it meets the target.
+    /// This is the one-point case of [`estimate_points`]' scheduler: workers
+    /// share `&self` and fold 64-shot chunks into the shot prefix. Every shot
+    /// draws from its own seeded stream ([`MemoryConfig::shot_seed`]), so the
+    /// estimate is bit-identical for every `config.threads` setting.
     pub fn run(&self, config: &MemoryConfig, target: Option<&PrecisionTarget>) -> LerEstimate {
-        let shots = target.map_or(config.shots, |t| t.max_shots);
-        // A zero-shot budget yields the explicit empty estimate instead of
-        // fabricating a phantom 1-shot zero-failure floor.
-        if shots == 0 {
-            return LerEstimate::empty();
-        }
-        let workers = config.worker_count().max(1);
-        let chunks = shots.div_ceil(64);
-        let next_chunk = AtomicUsize::new(0);
-        let record = Mutex::new(FailureRecord::new(shots, target.copied()));
-        // Warm-up: pre-seed the decode caches by sampling a short shot prefix
-        // once on a single scratch, so the compulsory misses of the hottest
-        // syndromes (and the weight-1 table builds) are paid once instead of
-        // once per worker — every worker then starts from a *clone* of the warm
-        // scratch. Masks are discarded and the workers re-sample the prefix from
-        // the same per-shot RNG streams, so failure counting and bit-identity are
-        // untouched: cache entries are pure decoder outputs. The gate is
-        // measurement noise, not cache use (uniform channels use the decode
-        // cache too); whether the replay pays for itself is not yet measured.
-        // Skipped for runs too small to amortize the replay, and for targets,
-        // which may stop inside the prefix.
-        let fresh = || {
-            let mut batch = BatchScratch::new();
-            if let Some(dir) = &self.decode_cache_dir {
-                self.load_decode_caches(dir, &mut batch);
-            }
-            batch
-        };
-        // Persistence is best-effort: a read-only directory must not fail the
-        // estimate.
-        let store = |batch: &BatchScratch| {
-            if let Some(dir) = &self.decode_cache_dir {
-                let _ = self.store_decode_caches(dir, batch);
-            }
-        };
-        let warm = (target.is_none()
-            && self.channel.has_measurement_noise()
-            && shots > DECODE_WARMUP_SHOTS
-            && (workers > 1 || self.decode_cache_dir.is_some()))
-        .then(|| {
-            let mut batch = fresh();
-            for start in (0..DECODE_WARMUP_SHOTS).step_by(64) {
-                let count = 64.min(DECODE_WARMUP_SHOTS - start);
-                let _ = self.sample_batch_with(config, start, count, &mut batch);
-            }
-            store(&batch);
-            batch
-        });
-        let work = || {
-            let mut batch = warm.as_ref().map_or_else(fresh, Clone::clone);
-            loop {
-                let chunk = next_chunk.fetch_add(1, Ordering::Relaxed);
-                if chunk >= chunks {
-                    break;
-                }
-                let start = chunk * 64;
-                let count = 64.min(shots - start);
-                let mask = self.sample_batch_with(config, start, count, &mut batch);
-                if record.lock().expect("unpoisoned").add(chunk, mask) {
-                    break;
-                }
-            }
-            store(&batch);
-        };
-        // The calling thread is one of the workers.
-        std::thread::scope(|scope| {
-            for _ in 1..workers {
-                scope.spawn(work);
-            }
-            work();
-        });
-        record.into_inner().expect("unpoisoned").estimate()
+        let mut estimate = LerEstimate::empty();
+        schedule(
+            &[target.copied()],
+            config,
+            || self,
+            |exp, _| *exp,
+            |_, est| estimate = est,
+        );
+        estimate
     }
 }
 
-/// The failure record of one [`MemoryExperiment::run`]: chunk failure masks
-/// arrive in any order and are folded into a contiguous shot prefix, checked
-/// shot by shot against the target (if any).
+/// The failure record of one scheduled point: chunk failure masks arrive in
+/// any order and are folded into a contiguous shot prefix, checked shot by
+/// shot against the target (if any).
 #[derive(Debug)]
 struct FailureRecord {
     /// Shot budget: `config.shots`, or the target's cap.
@@ -969,6 +902,8 @@ struct FailureRecord {
     target: Option<PrecisionTarget>,
     /// Failure mask of every finished chunk not yet folded (`None` = pending).
     masks: Vec<Option<u64>>,
+    /// Chunks `0..claimed` have been handed to workers.
+    claimed: usize,
     /// Chunks `0..folded` are counted in `failures`.
     folded: usize,
     failures: usize,
@@ -982,14 +917,25 @@ impl FailureRecord {
             shots,
             target,
             masks: vec![None; shots.div_ceil(64)],
+            claimed: 0,
             folded: 0,
             failures: 0,
             met: None,
         }
     }
 
+    /// Hands out the next unclaimed chunk, if any.
+    fn claim(&mut self) -> Option<usize> {
+        let chunk = self.claimed;
+        (chunk < self.masks.len()).then(|| {
+            self.claimed += 1;
+            chunk
+        })
+    }
+
     /// Records one chunk's failure mask and folds every newly contiguous chunk;
-    /// returns whether the target has been met (workers then stop pulling).
+    /// returns whether the point is finished: its target is met or every chunk
+    /// is folded.
     fn add(&mut self, chunk: usize, mask: u64) -> bool {
         self.masks[chunk] = Some(mask);
         while self.met.is_none() {
@@ -1011,7 +957,7 @@ impl FailureRecord {
             }
             self.folded += 1;
         }
-        self.met.is_some()
+        self.met.is_some() || self.folded == self.masks.len()
     }
 
     /// The stop point, or the full budget when the target was never met.
@@ -1021,13 +967,123 @@ impl FailureRecord {
     }
 }
 
-/// Shot-prefix length of the decode-cache warm-up in [`MemoryExperiment::run`]:
-/// three 64-shot batches, enough to populate the caches with the hottest
-/// low-weight syndromes (and build the weight-1 tables) before the worker pool
-/// fans out, small enough that replaying the prefix is noise. Warm-up never
-/// affects results — cache entries are pure decoder outputs and the workers
-/// re-sample the prefix from the same per-shot RNG streams.
-pub const DECODE_WARMUP_SHOTS: usize = 192;
+/// The work state [`schedule`]'s workers share, behind one mutex.
+struct Queue<'b, F> {
+    /// Shot budget of every point, in input order, and its target.
+    budgets: &'b [(usize, Option<PrecisionTarget>)],
+    /// Points `0..started` have been started.
+    started: usize,
+    /// Started, unfinished points with their failure records, which live
+    /// only from a point's start to its finish.
+    live: Vec<(usize, FailureRecord)>,
+    /// Called with each point's estimate as it finishes.
+    report: F,
+}
+
+impl<F: FnMut(usize, LerEstimate)> Queue<'_, F> {
+    /// Hands an idle worker its next `(point, chunk)`: the first chunk of the
+    /// next unstarted point in input order, else a chunk of the live point
+    /// with the most unclaimed chunks. `None` once no chunk is left.
+    fn join(&mut self) -> Option<(usize, usize)> {
+        while let Some(&(shots, target)) = self.budgets.get(self.started) {
+            let point = self.started;
+            self.started += 1;
+            if shots == 0 {
+                // A zero-shot budget yields the explicit empty estimate, not a 1-shot floor.
+                (self.report)(point, LerEstimate::empty());
+                continue;
+            }
+            let mut record = FailureRecord::new(shots, target);
+            let first = record.claim();
+            self.live.push((point, record));
+            return first.map(|chunk| (point, chunk));
+        }
+        let (point, record) = self
+            .live
+            .iter_mut()
+            .max_by_key(|(_, record)| record.masks.len() - record.claimed)?;
+        record.claim().map(|chunk| (*point, chunk))
+    }
+
+    /// Records a finished chunk's failure mask and hands the worker the next
+    /// unclaimed chunk of the same point. A finished point is reported and
+    /// dropped; masks still in flight for it cannot change its estimate.
+    fn finish(&mut self, point: usize, chunk: usize, mask: u64) -> Option<usize> {
+        let at = self.live.iter().position(|&(p, _)| p == point)?;
+        if self.live[at].1.add(chunk, mask) {
+            let (_, record) = self.live.swap_remove(at);
+            (self.report)(point, record.estimate());
+            return None;
+        }
+        self.live[at].1.claim()
+    }
+}
+
+/// Samples one point per target (`None` = the fixed `config.shots` budget) on
+/// `config.worker_count()` spawned workers, never more than there are 64-shot
+/// chunks, and calls `report` under the queue lock with each point's estimate
+/// as it finishes. A worker gets a point's experiment from `bind` on its own
+/// state (made by `new_worker`) and reuses one [`BatchScratch`] while it stays
+/// on one code, loading a point's persisted decode caches when it joins the
+/// point and storing them when it leaves.
+fn schedule<'a, S>(
+    targets: &[Option<PrecisionTarget>],
+    config: &MemoryConfig,
+    new_worker: impl Fn() -> S + Sync,
+    bind: impl Fn(&mut S, usize) -> &MemoryExperiment<'a> + Sync,
+    report: impl FnMut(usize, LerEstimate) + Send,
+) {
+    let budgets: Vec<_> = targets
+        .iter()
+        .map(|&target| (target.map_or(config.shots, |t| t.max_shots), target))
+        .collect();
+    let chunks: usize = budgets.iter().map(|&(shots, _)| shots.div_ceil(64)).sum();
+    let workers = config.worker_count().min(chunks).max(1);
+    let queue = Mutex::new(Queue {
+        budgets: &budgets,
+        started: 0,
+        live: Vec::new(),
+        report,
+    });
+    let lock = || queue.lock().expect("unpoisoned");
+    let work = || {
+        let mut state = new_worker();
+        let mut batch = BatchScratch::new();
+        let mut code: *const CssCode = std::ptr::null();
+        loop {
+            let Some((point, first)) = lock().join() else {
+                break;
+            };
+            let exp = bind(&mut state, point);
+            // One scratch per code: resizing one across codes kept ~0.4 MB more resident.
+            if !std::ptr::eq(exp.code, code) {
+                batch = BatchScratch::new();
+                code = exp.code;
+            }
+            let shots = budgets[point].0;
+            if let Some(dir) = &exp.decode_cache_dir {
+                exp.load_decode_caches(dir, &mut batch);
+            }
+            let mut chunk = Some(first);
+            while let Some(c) = chunk {
+                let start = c * 64;
+                let mask = exp.sample_batch_with(config, start, 64.min(shots - start), &mut batch);
+                chunk = lock().finish(point, c, mask);
+            }
+            // Persistence is best-effort: a read-only directory must not fail
+            // the estimate.
+            if let Some(dir) = &exp.decode_cache_dir {
+                let _ = exp.store_decode_caches(dir, &batch);
+            }
+        }
+    };
+    // Only spawned threads work: a worker on the calling thread raised peak RSS ~14%.
+    std::thread::scope(|scope| {
+        for _ in 0..workers {
+            scope.spawn(work);
+        }
+    });
+}
 
 /// One operating point of a logical-error-rate sweep: a code evaluated at physical
 /// error rate `p` with a syndrome-extraction round latency of `latency` seconds,
@@ -1048,105 +1104,58 @@ pub struct LerPoint<'a> {
     pub precision: Option<PrecisionTarget>,
 }
 
-/// Estimates every point of a sweep across a shared worker pool at *point*
-/// granularity, returning the estimates in input order.
+/// Estimates every point of a sweep on one scheduler of (point, 64-shot chunk)
+/// work items, calling `on_point` with each point's index and estimate as the
+/// point finishes.
 ///
-/// This is the parallel primitive under the `cyclone::sweep` engine: sweeps are
-/// embarrassingly parallel across operating points, so instead of parallelizing the
-/// shots *within* one point the pool runs whole points concurrently, each
-/// single-threaded through [`MemoryExperiment::run`] with the point's own
-/// precision target. Fixed and adaptive points may be mixed in one call. Every
-/// point uses the per-shot RNG streams derived from [`MemoryConfig::seed`], so the
-/// result vector is bit-identical to the serial loop at every worker count.
+/// This is the parallel primitive under the `cyclone::sweep` engine. Each
+/// worker starts the next unstarted point; once all have started, idle workers
+/// join the unfinished point with the most chunks left, so the slowest point
+/// does not run alone at the end. Fixed and adaptive points may be mixed, and
+/// every estimate is bit-identical to the point's own [`MemoryExperiment::run`]
+/// at any worker count. Workers keep one experiment per distinct code.
 ///
-/// Workers reuse one [`MemoryExperiment`] (the expensive-to-build sector decoder
-/// pair) per distinct code, moving it between operating points with
-/// [`MemoryExperiment::set_model`]. `config.threads` sizes the pool (0 = available
-/// parallelism, capped at 16).
-///
-/// When `decode_cache_dir` is set, every point's experiment loads matching
-/// per-sector decode-cache files before sampling and stores them back after (see
-/// [`MemoryExperiment::set_decode_cache_dir`]), so sweep re-runs skip the
-/// compulsory-miss wall. Cache files never affect estimates — entries are exact
-/// decoder outputs keyed by the full decode context.
+/// With `decode_cache_dir` set, a worker loads a point's persisted decode caches
+/// when it joins the point and stores them when it leaves (see
+/// [`MemoryExperiment::set_decode_cache_dir`]); they never affect estimates.
 pub fn estimate_points(
     points: &[LerPoint<'_>],
     config: &MemoryConfig,
     decode_cache_dir: Option<&Path>,
-) -> Vec<LerEstimate> {
-    if points.is_empty() {
-        return Vec::new();
-    }
-    let workers = config.worker_count().max(1).min(points.len());
-    // Each point samples with a single worker thread; the estimate is
-    // thread-count invariant, so this only affects scheduling, never the values.
-    let point_config = MemoryConfig {
-        threads: 1,
-        ..*config
-    };
-    let next_point = AtomicUsize::new(0);
-    let results: Vec<Mutex<Option<LerEstimate>>> =
-        points.iter().map(|_| Mutex::new(None)).collect();
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| {
-                // Decoder pairs are cached per code (keyed by the reference's
-                // address, stable for the duration of the scope).
-                let mut experiments: Vec<(*const CssCode, MemoryExperiment<'_>)> = Vec::new();
-                loop {
-                    let i = next_point.fetch_add(1, Ordering::Relaxed);
-                    if i >= points.len() {
-                        break;
-                    }
-                    let point = &points[i];
-                    let key = std::ptr::from_ref(point.code);
-                    let model = HardwareNoiseModel::new(
-                        noise::NoiseParameters::new(point.p),
-                        point.latency,
-                    );
-                    let exp = match experiments.iter_mut().find(|(k, _)| *k == key) {
-                        Some((_, exp)) => {
-                            exp.set_model(model);
-                            exp
-                        }
-                        None => {
-                            experiments.push((
-                                key,
-                                MemoryExperiment::new(
-                                    point.code,
-                                    model,
-                                    point_config.bp_iterations,
-                                ),
-                            ));
-                            &mut experiments.last_mut().expect("just pushed").1
-                        }
-                    };
-                    exp.set_decode_cache_dir(decode_cache_dir.map(Path::to_path_buf));
-                    // A structured channel replaces the uniform one set_model just
-                    // installed; uniform specs skip the rebuild.
-                    if let Some(spec) = point.channel {
-                        if !spec.is_uniform() {
-                            exp.set_channel(spec.instantiate(
-                                &model,
-                                point.code.num_qubits(),
-                                point.code.num_stabilizers(),
-                            ));
-                        }
-                    }
-                    let estimate = exp.run(&point_config, point.precision.as_ref());
-                    *results[i].lock().expect("unpoisoned") = Some(estimate);
-                }
-            });
-        }
-    });
-    results
-        .into_iter()
-        .map(|slot| {
-            slot.into_inner()
-                .expect("unpoisoned")
-                .expect("every point ran")
-        })
-        .collect()
+    on_point: impl FnMut(usize, LerEstimate) + Send,
+) {
+    let targets: Vec<_> = points.iter().map(|point| point.precision).collect();
+    schedule(
+        &targets,
+        config,
+        Vec::new,
+        // Decoder pairs are cached per code (keyed by the reference's address,
+        // stable for the duration of the call).
+        |experiments: &mut Vec<(*const CssCode, MemoryExperiment<'_>)>, i| {
+            let point = &points[i];
+            let key = std::ptr::from_ref(point.code);
+            let model = HardwareNoiseModel::new(NoiseParameters::new(point.p), point.latency);
+            let at = experiments
+                .iter()
+                .position(|(k, _)| *k == key)
+                .unwrap_or_else(|| {
+                    let exp = MemoryExperiment::new(point.code, model, config.bp_iterations);
+                    experiments.push((key, exp));
+                    experiments.len() - 1
+                });
+            let exp = &mut experiments[at].1;
+            exp.set_model(model);
+            exp.set_decode_cache_dir(decode_cache_dir.map(Path::to_path_buf));
+            // A structured channel replaces the uniform one set_model just
+            // installed; uniform specs skip the rebuild.
+            if let Some(spec) = point.channel.filter(|spec| !spec.is_uniform()) {
+                let (n, m) = (point.code.num_qubits(), point.code.num_stabilizers());
+                exp.set_channel(spec.instantiate(&model, n, m));
+            }
+            &*exp
+        },
+        on_point,
+    );
 }
 
 // cyclone-lint: hot-path
@@ -1175,15 +1184,34 @@ pub fn logical_error_rate(
     latency: f64,
     config: &MemoryConfig,
 ) -> LerEstimate {
-    let model = HardwareNoiseModel::new(noise::NoiseParameters::new(p), latency);
+    let model = HardwareNoiseModel::new(NoiseParameters::new(p), latency);
     MemoryExperiment::new(code, model, config.bp_iterations).run(config, None)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use noise::NoiseParameters;
     use qec::codes::bb_72_12_6;
+
+    /// Every estimate [`estimate_points`] reports, in input order; each point
+    /// must be reported exactly once.
+    fn estimates_of(
+        points: &[LerPoint<'_>],
+        config: &MemoryConfig,
+        dir: Option<&Path>,
+    ) -> Vec<LerEstimate> {
+        let mut reported = vec![None; points.len()];
+        estimate_points(points, config, dir, |i, est| {
+            assert!(
+                reported[i].replace(est).is_none(),
+                "point {i} reported twice"
+            );
+        });
+        reported
+            .into_iter()
+            .map(|est| est.expect("every point is reported"))
+            .collect()
+    }
 
     #[test]
     fn low_noise_gives_low_ler() {
@@ -1464,7 +1492,7 @@ mod tests {
                 precision: Some(target),
             },
         ];
-        let mixed = estimate_points(&points, &config, None);
+        let mixed = estimates_of(&points, &config, None);
         // The fixed slot matches the plain fixed path ...
         assert_eq!(mixed[0], logical_error_rate(&code, 0.05, 0.0, &config));
         // ... and the adaptive slot matches a direct adaptive run.
@@ -1533,7 +1561,7 @@ mod tests {
                 precision: None,
             },
         ];
-        let pooled = estimate_points(&points, &cfg, None);
+        let pooled = estimates_of(&points, &cfg, None);
         assert_eq!(pooled.len(), 3);
         for (point, est) in points.iter().zip(&pooled) {
             let direct = logical_error_rate(point.code, point.p, point.latency, &cfg);
@@ -1544,35 +1572,8 @@ mod tests {
     }
 
     #[test]
-    fn estimate_points_is_pool_size_invariant() {
-        let code = bb_72_12_6().expect("valid");
-        let base = MemoryConfig {
-            shots: 80,
-            bp_iterations: 15,
-            threads: 1,
-            seed: 0xC1C1_0DE5,
-        };
-        let points: Vec<LerPoint<'_>> = [1e-3, 3e-3, 6e-3, 9e-3]
-            .iter()
-            .map(|&p| LerPoint {
-                code: &code,
-                p,
-                latency: 0.02,
-                channel: None,
-                precision: None,
-            })
-            .collect();
-        let serial = estimate_points(&points, &base, None);
-        let pooled = estimate_points(&points, &MemoryConfig { threads: 4, ..base }, None);
-        for (a, b) in serial.iter().zip(&pooled) {
-            assert_eq!(a.failures, b.failures);
-            assert_eq!(a.ler, b.ler);
-        }
-    }
-
-    #[test]
     fn estimate_points_handles_empty_input() {
-        assert!(estimate_points(&[], &MemoryConfig::default(), None).is_empty());
+        assert!(estimates_of(&[], &MemoryConfig::default(), None).is_empty());
     }
 
     #[test]
@@ -1651,16 +1652,14 @@ mod tests {
     }
 
     #[test]
-    fn decode_warmup_preserves_bit_identity() {
-        // The structured-channel warm-up prefix (DECODE_WARMUP_SHOTS sampled once
-        // before the pool fans out) must never change the estimate: it only
-        // pre-seeds caches, and the workers re-sample the prefix from the same
-        // per-shot streams. shots > DECODE_WARMUP_SHOTS so the warm-up actually
-        // engages on the multi-worker and cache-dir paths.
+    fn structured_runs_are_bit_identical_across_pools_and_cache_dirs() {
+        // Under measurement noise every worker builds weight-1 tables and fills
+        // decode caches of its own; neither the worker count nor persisted
+        // caches (cold or warm) may change the estimate.
         let code = bb_72_12_6().expect("valid");
         let model = HardwareNoiseModel::new(NoiseParameters::new(5e-3), 0.0);
         let base = MemoryConfig {
-            shots: DECODE_WARMUP_SHOTS + 120,
+            shots: 312,
             bp_iterations: 15,
             threads: 1,
             seed: 0xC1C1_0DE5,
@@ -1668,17 +1667,13 @@ mod tests {
         let channel =
             noise::ErrorChannel::biased(code.num_qubits(), code.num_stabilizers(), 5e-3, 0.5);
         let mut exp = MemoryExperiment::with_channel(&code, model, channel, base.bp_iterations);
-        // threads 1 without a cache dir skips the warm-up entirely: the
-        // unwarmed reference.
         let reference = exp.run(&base, None);
-        // Multi-worker path: warm-up runs, workers clone the warm scratch.
         assert_eq!(
             exp.run(&MemoryConfig { threads: 4, ..base }, None),
             reference
         );
-        // Cache-dir path: warm-up runs and persists, cold and warm alike.
         let dir =
-            std::env::temp_dir().join(format!("cyclone-warmup-identity-{}", std::process::id()));
+            std::env::temp_dir().join(format!("cyclone-pool-identity-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         exp.set_decode_cache_dir(Some(dir.clone()));
         assert_eq!(exp.run(&base, None), reference, "cold persistent caches");
@@ -1689,6 +1684,26 @@ mod tests {
             "warm caches across a worker pool"
         );
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn workers_never_outnumber_chunks() {
+        // One 64-shot chunk is one worker's work, whatever the thread budget:
+        // the run neither spawns a thread per requested worker nor moves the
+        // estimate.
+        let code = bb_72_12_6().expect("valid");
+        let model = HardwareNoiseModel::new(NoiseParameters::new(8e-3), 0.0);
+        let exp = MemoryExperiment::new(&code, model, 15);
+        let base = MemoryConfig {
+            shots: 64,
+            bp_iterations: 15,
+            threads: 1,
+            seed: 0xC1C1_0DE5,
+        };
+        let single = exp.run(&base, None);
+        for threads in [64, 100_000] {
+            assert_eq!(exp.run(&MemoryConfig { threads, ..base }, None), single);
+        }
     }
 
     #[test]
@@ -1747,7 +1762,7 @@ mod tests {
                 precision: None,
             },
         ];
-        let estimates = estimate_points(&points, &cfg, None);
+        let estimates = estimates_of(&points, &cfg, None);
         // None and an explicit Uniform spec are the same path ...
         assert_eq!(estimates[0], estimates[1]);
         assert_eq!(estimates[0], logical_error_rate(&code, 5e-3, 0.0, &cfg));
@@ -2052,9 +2067,9 @@ mod tests {
             threads: 2,
             seed: 0xC1C1_0DE5,
         };
-        let plain = estimate_points(&points, &cfg, None);
-        let writing = estimate_points(&points, &cfg, Some(dir.as_path()));
-        let warm = estimate_points(&points, &cfg, Some(dir.as_path()));
+        let plain = estimates_of(&points, &cfg, None);
+        let writing = estimates_of(&points, &cfg, Some(dir.as_path()));
+        let warm = estimates_of(&points, &cfg, Some(dir.as_path()));
         for (a, b) in plain.iter().zip(&writing) {
             assert_eq!(a.failures, b.failures);
         }

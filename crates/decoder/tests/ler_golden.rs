@@ -5,7 +5,7 @@
 //! `Biased { meas_ratio: 2 }`, and an explicit heterogeneous-rate channel; a
 //! fixed 256-shot budget and a `PrecisionTarget::new(0.3, 5, 2048)` target; and
 //! one and three worker threads. One extra row runs a mixed fixed/adaptive
-//! `run_sweep` over a shared point pool. Any change to sampling, decoding,
+//! `run_sweep` on the shared chunk scheduler. Any change to sampling, decoding,
 //! failure counting or the stop rule that moves a single shot fails here.
 //!
 //! To regenerate the table after an intentional change, run

@@ -5,12 +5,15 @@ mod oracle;
 
 use decoder::bp::{priors_digest, BeliefPropagation};
 use decoder::bposd::{BpOsdDecoder, DecodeMethod};
-use decoder::memory::{BatchScratch, MemoryConfig, MemoryExperiment};
+use decoder::memory::{
+    estimate_points, BatchScratch, LerEstimate, LerPoint, MemoryConfig, MemoryExperiment,
+    PrecisionTarget,
+};
 use decoder::osd::OsdDecoder;
 use decoder::scratch::DecoderScratch;
 use decoder::simd::Simd;
 use decoder::sparse::SparseBinMat;
-use noise::{ErrorChannel, HardwareNoiseModel, NoiseParameters};
+use noise::{ChannelSpec, ErrorChannel, HardwareNoiseModel, NoiseParameters};
 use oracle::bp::{ScalarBp, ScalarBpScratch};
 use proptest::prelude::*;
 use qec::classical::ClassicalCode;
@@ -463,6 +466,85 @@ fn memory_experiment_is_deterministic_for_fixed_seed() {
         "same seed and shot split must reproduce"
     );
     assert_eq!(a.shots, b.shots);
+}
+
+/// The estimate of one sweep point from its own experiment's `run` on one
+/// thread: what the chunk scheduler must reproduce for that point.
+fn single_thread_estimate(point: &LerPoint<'_>, config: &MemoryConfig) -> LerEstimate {
+    let model = HardwareNoiseModel::new(NoiseParameters::new(point.p), point.latency);
+    let mut exp = MemoryExperiment::new(point.code, model, config.bp_iterations);
+    if let Some(spec) = point.channel {
+        exp.set_channel(spec.instantiate(
+            &model,
+            point.code.num_qubits(),
+            point.code.num_stabilizers(),
+        ));
+    }
+    let single = MemoryConfig {
+        threads: 1,
+        ..*config
+    };
+    exp.run(&single, point.precision.as_ref())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(3).with_seed(0xC1C1_0DE5))]
+
+    #[test]
+    fn estimate_points_matches_single_thread_runs_at_any_pool_size(seed in 0u64..1000) {
+        // A random sweep mixing fixed and adaptive points (budgets and caps
+        // never a multiple of 64), uniform and biased channels, a zero-shot
+        // point and one point over 50x heavier than the rest: whichever
+        // worker owns or steals whichever chunk, every estimate must be the
+        // point's own single-threaded run.
+        let codes = [
+            qec::codes::bb_72_12_6().expect("valid"),
+            qec::codes::hgp_100().expect("valid"),
+        ];
+        let specs = [
+            ChannelSpec::Uniform,
+            ChannelSpec::Biased { meas_ratio: 2.0 },
+            ChannelSpec::Biased { meas_ratio: 8.0 },
+        ];
+        let mut rng = StdRng::seed_from_u64(seed);
+        let config = MemoryConfig {
+            shots: rng.gen_range(33..64),
+            bp_iterations: 8,
+            threads: 1,
+            seed: 0xC1C1_0DE5 ^ seed,
+        };
+        let point = |precision: Option<PrecisionTarget>, p_max: f64, rng: &mut StdRng| LerPoint {
+            code: &codes[rng.gen_range(0..codes.len())],
+            p: rng.gen_range(2e-3..p_max),
+            latency: if rng.gen_bool(0.5) { 0.0 } else { 0.01 },
+            channel: Some(&specs[rng.gen_range(0..specs.len())]),
+            precision,
+        };
+        let mut points: Vec<LerPoint<'_>> = (0..rng.gen_range(3..6))
+            .map(|_| {
+                let adaptive = rng.gen_bool(0.5).then(|| {
+                    PrecisionTarget::new(rng.gen_range(0.2..0.6), rng.gen_range(1..6), rng.gen_range(65..71))
+                });
+                point(adaptive, 2e-2, &mut rng)
+            })
+            .collect();
+        let zero_shot = point(Some(PrecisionTarget::new(0.3, 1, 0)), 2e-2, &mut rng);
+        points.insert(rng.gen_range(0..=points.len()), zero_shot);
+        // A target that is never met samples its whole cap: 3521..3583
+        // shots, over 50 times the largest other budget (70).
+        let heavy_cap = rng.gen_range(3521..3584);
+        let heavy = point(Some(PrecisionTarget::new(0.0, 1, heavy_cap)), 4e-3, &mut rng);
+        points.insert(rng.gen_range(0..=points.len()), heavy);
+        let want: Vec<LerEstimate> = points.iter().map(|pt| single_thread_estimate(pt, &config)).collect();
+        for threads in [1, 2, 3, 8] {
+            let mut got = vec![None; points.len()];
+            estimate_points(&points, &MemoryConfig { threads, ..config }, None, |i, est| {
+                got[i] = Some(est);
+            });
+            let got: Vec<LerEstimate> = got.into_iter().map(|est| est.expect("reported")).collect();
+            prop_assert_eq!(&got, &want, "threads {}", threads);
+        }
+    }
 }
 
 /// Whether `syndrome` is consistent according to the decoder: the verdict of
