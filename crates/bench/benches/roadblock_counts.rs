@@ -4,7 +4,7 @@
 //! report exactly zero.
 
 use bench::{ms, Table};
-use cyclone::experiments::{baseline_round, cyclone_round};
+use cyclone::standard_registry;
 use qccd::timing::OperationTimes;
 
 fn main() {
@@ -13,6 +13,7 @@ fn main() {
         "Roadblock census: baseline grid vs Cyclone",
         |ctx| {
             let times = OperationTimes::default();
+            let registry = standard_registry();
             let mut table = Table::new(&[
                 "code",
                 "family",
@@ -22,8 +23,8 @@ fn main() {
                 "C wait (ms)",
             ]);
             for entry in bench::catalog(ctx.full) {
-                let base = baseline_round(&entry.code, &times);
-                let cyc = cyclone_round(&entry.code, &times);
+                let base = registry.compile("baseline", &entry.code, &times);
+                let cyc = registry.compile("cyclone", &entry.code, &times);
                 assert_eq!(
                     cyc.roadblock_events, 0,
                     "{}: Cyclone must be roadblock-free",

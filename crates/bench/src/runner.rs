@@ -1,7 +1,7 @@
 //! The shared figure runner every bench binary fronts.
 //!
 //! A figure binary is three lines: pick codes, call its `cyclone::experiments`
-//! declaration, format rows into a [`Table`](crate::Table). Everything else —
+//! declaration, format rows into a [`Table`]. Everything else —
 //! the run configuration, sweep-cache control, worker fleets, and
 //! table/CSV/JSON emission — lives here, so the binaries share one frontend
 //! instead of one copy of the loop each.
@@ -19,6 +19,7 @@
 use crate::Table;
 use cyclone::sweep::{Shard, SweepOptions};
 use cyclone::sweep_cache::{merge_files, MergeReport};
+use decoder::cache::atomic_write;
 use decoder::memory::{MemoryConfig, PrecisionTarget};
 use noise::ChannelSpec;
 use serde_json::Value;
@@ -633,14 +634,14 @@ pub fn figure<R: Into<FigureReport>>(
     }
 }
 
-/// Serializes a rendered table as `<dir>/<name>.table.json`.
+/// Serializes a rendered table as `<dir>/<name>.table.json`, atomically (a killed
+/// run leaves the previous file or none, never a torn one).
 fn write_table_json(
     dir: &std::path::Path,
     name: &str,
     title: &str,
     table: &Table,
 ) -> std::io::Result<()> {
-    std::fs::create_dir_all(dir)?;
     let mut root = BTreeMap::new();
     root.insert("figure".to_string(), Value::from(name));
     root.insert("title".to_string(), Value::from(title));
@@ -666,7 +667,7 @@ fn write_table_json(
     );
     let mut text = serde_json::to_string(&Value::Object(root));
     text.push('\n');
-    std::fs::write(dir.join(format!("{name}.table.json")), text)
+    atomic_write(&dir.join(format!("{name}.table.json")), &text)
 }
 
 #[cfg(test)]
@@ -1075,5 +1076,31 @@ mod tests {
         assert_eq!(target.target_rse, 0.25);
         assert_eq!(target.min_failures, 30);
         assert_eq!(target.max_shots, 9000);
+    }
+
+    #[test]
+    fn table_json_lands_whole_in_a_missing_directory() {
+        let dir = std::env::temp_dir()
+            .join(format!("cyclone-table-json-{}", std::process::id()))
+            .join("nested");
+        let _ = std::fs::remove_dir_all(dir.parent().expect("has a parent"));
+        let mut table = Table::new(&["code", "ler"]);
+        table.row(vec!["[[72,12,6]]".into(), "1e-3".into()]);
+        write_table_json(&dir, "figx", "A title", &table).expect("table written");
+        let names: Vec<String> = std::fs::read_dir(&dir)
+            .expect("directory created")
+            .map(|e| e.expect("entry").file_name().to_string_lossy().into_owned())
+            .collect();
+        assert_eq!(
+            names,
+            ["figx.table.json"],
+            "no temp file may be left behind"
+        );
+        let text = std::fs::read_to_string(dir.join("figx.table.json")).expect("read back");
+        assert_eq!(
+            text,
+            "{\"figure\":\"figx\",\"headers\":[\"code\",\"ler\"],\"rows\":[[\"[[72,12,6]]\",\"1e-3\"]],\"title\":\"A title\"}\n"
+        );
+        let _ = std::fs::remove_dir_all(dir.parent().expect("has a parent"));
     }
 }

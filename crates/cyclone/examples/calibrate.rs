@@ -18,7 +18,7 @@ fn main() {
         );
         let t0 = Instant::now();
         let grid = baseline_grid(code.num_qubits(), 5);
-        let b = compile_baseline(&code, &grid, &times, &serial_schedule(&code));
+        let (b, _) = compile_baseline(&code, &grid, &times, &serial_schedule(&code));
         println!(
             "baseline static EJF: {:.1} ms  (shuttles {}, roadblocks {}, par {:.1})  [{:?}]",
             b.execution_time * 1e3,
@@ -28,7 +28,7 @@ fn main() {
             t0.elapsed()
         );
         let t0 = Instant::now();
-        let d = compile_dynamic(&code, &grid, &times, &max_parallel_schedule(&code));
+        let (d, _) = compile_dynamic(&code, &grid, &times, &max_parallel_schedule(&code));
         println!(
             "grid dynamic:        {:.1} ms  (roadblocks {}, par {:.1}) [{:?}]",
             d.execution_time * 1e3,
@@ -38,7 +38,7 @@ fn main() {
         );
         for x in [code.num_stabilizers() / 2, 64, 9] {
             let t0 = Instant::now();
-            let cy = CycloneCodesign::new(&code, CycloneConfig::with_traps(x)).compile(&times);
+            let (cy, _) = CycloneCodesign::new(&code, CycloneConfig::with_traps(x)).compile(&times);
             println!(
                 "cyclone x={:3}:       {:.1} ms  [{:?}]",
                 x,
@@ -50,7 +50,7 @@ fn main() {
         let m_half = code.num_stabilizers() / 2;
         let cap = code.num_qubits().div_ceil(m_half) + 2;
         let t0 = Instant::now();
-        let c = compile_baseline(&code, &ring(m_half, cap), &times, &serial_schedule(&code));
+        let (c, _) = compile_baseline(&code, &ring(m_half, cap), &times, &serial_schedule(&code));
         println!(
             "ring + static EJF:   {:.1} ms [{:?}]",
             c.execution_time * 1e3,

@@ -75,8 +75,13 @@ impl CycloneCodesign {
     ///
     /// Panics if the requested trap count is zero.
     pub fn new(code: &CssCode, config: CycloneConfig) -> Self {
+        assert_ne!(
+            config.num_traps,
+            Some(0),
+            "a Cyclone ring needs at least one trap"
+        );
         let num_ancilla = code.num_x_stabilizers().max(code.num_z_stabilizers());
-        let x = config.num_traps.unwrap_or(num_ancilla).max(1);
+        let x = config.num_traps.unwrap_or(num_ancilla.max(1));
         let n = code.num_qubits();
         let tight_capacity = n.div_ceil(x) + num_ancilla.div_ceil(x);
         let capacity = config
@@ -172,17 +177,14 @@ impl CycloneCodesign {
     }
 
     /// Simulates one lockstep rotation measuring `sector`, returning
-    /// `(rotation_time, breakdown, gates_executed)`.
-    ///
-    /// When `profile` is given, per-qubit busy time (gate time for data qubits,
-    /// gate + measurement time for ancilla slots) is accumulated into it; the
-    /// timing math itself is untouched, so profiled and unprofiled runs are
-    /// bit-identical.
+    /// `(rotation_time, breakdown, gates_executed)` and accumulating per-qubit busy
+    /// time (gate time for data qubits, gate + measurement time for ancilla slots)
+    /// into `profile`.
     fn simulate_rotation(
         &self,
         sector: StabKind,
         times: &OperationTimes,
-        mut profile: Option<&mut RotationProfile>,
+        profile: &mut RotationProfile,
     ) -> (f64, ComponentTimes, usize) {
         let supports = self.sector_supports(sector);
         let x = self.num_traps;
@@ -221,10 +223,8 @@ impl CycloneCodesign {
                 for d in support {
                     if here.contains(d) {
                         count += 1;
-                        if let Some(p) = profile.as_deref_mut() {
-                            p.data_busy[*d] += g;
-                            p.ancilla_busy[slot] += g;
-                        }
+                        profile.data_busy[*d] += g;
+                        profile.ancilla_busy[slot] += g;
                     }
                 }
                 gates_in_trap[trap] += count;
@@ -267,23 +267,15 @@ impl CycloneCodesign {
         let meas_phase = max_anc_per_trap as f64 * meas;
         breakdown.measurement += meas * self.num_ancilla as f64;
         total += meas_phase;
-        if let Some(p) = profile {
-            for busy in &mut p.ancilla_busy {
-                *busy += meas;
-            }
+        for busy in &mut profile.ancilla_busy {
+            *busy += meas;
         }
 
         (total, breakdown, gates_executed)
     }
 
-    /// Compiles one full round (two rotations: X then Z) and returns the timed result.
-    pub fn compile(&self, times: &OperationTimes) -> CompiledRound {
-        let (tx, bx, gx) = self.simulate_rotation(StabKind::X, times, None);
-        let (tz, bz, gz) = self.simulate_rotation(StabKind::Z, times, None);
-        self.assemble_round(tx, bx, gx, tz, bz, gz)
-    }
-
-    /// [`CycloneCodesign::compile`] plus the per-qubit [`IdleExposure`] of the round.
+    /// Compiles one full round (two rotations: X then Z), returning the timed result
+    /// plus the per-qubit [`IdleExposure`] of the round.
     ///
     /// Cyclone has no discrete-event simulator, so the profile is analytic: a qubit
     /// is busy while it is being gated (and, for ancillas, measured); the lockstep
@@ -291,14 +283,26 @@ impl CycloneCodesign {
     /// exposure, exactly like shuttling in `qccd::compiler::sim`. Each sector's
     /// ancilla exposure covers the rotation that measures it (the ancilla ions are
     /// re-prepared between the X and Z rotations).
-    pub fn compile_profiled(&self, times: &OperationTimes) -> (CompiledRound, IdleExposure) {
+    pub fn compile(&self, times: &OperationTimes) -> (CompiledRound, IdleExposure) {
         let n = self.data_partition.iter().map(Vec::len).sum::<usize>();
         let mut px = RotationProfile::new(n, self.num_ancilla);
         let mut pz = RotationProfile::new(n, self.num_ancilla);
-        let (tx, bx, gx) = self.simulate_rotation(StabKind::X, times, Some(&mut px));
-        let (tz, bz, gz) = self.simulate_rotation(StabKind::Z, times, Some(&mut pz));
-        let round = self.assemble_round(tx, bx, gx, tz, bz, gz);
-        let horizon = round.execution_time;
+        let (tx, mut breakdown, gx) = self.simulate_rotation(StabKind::X, times, &mut px);
+        let (tz, bz, gz) = self.simulate_rotation(StabKind::Z, times, &mut pz);
+        breakdown.accumulate(&bz);
+        let horizon = tx + tz;
+        let round = CompiledRound {
+            codesign: format!("Cyclone x={} ({})", self.num_traps, self.code_name),
+            execution_time: horizon,
+            breakdown,
+            num_gates: gx + gz,
+            num_shuttles: 2 * self.num_traps * self.num_ancilla.div_ceil(self.num_traps),
+            num_rebalances: 0,
+            roadblock_events: 0,
+            num_traps: self.num_traps,
+            num_junctions: self.topology.num_junctions(),
+            num_ancilla: self.num_ancilla,
+        };
         let data = (0..n)
             .map(|q| (horizon - px.data_busy[q] - pz.data_busy[q]).max(0.0))
             .collect();
@@ -319,31 +323,6 @@ impl CycloneCodesign {
         )
     }
 
-    fn assemble_round(
-        &self,
-        tx: f64,
-        bx: ComponentTimes,
-        gx: usize,
-        tz: f64,
-        bz: ComponentTimes,
-        gz: usize,
-    ) -> CompiledRound {
-        let mut breakdown = bx;
-        breakdown.accumulate(&bz);
-        CompiledRound {
-            codesign: format!("Cyclone x={} ({})", self.num_traps, self.code_name),
-            execution_time: tx + tz,
-            breakdown,
-            num_gates: gx + gz,
-            num_shuttles: 2 * self.num_traps * self.num_ancilla.div_ceil(self.num_traps),
-            num_rebalances: 0,
-            roadblock_events: 0,
-            num_traps: self.num_traps,
-            num_junctions: self.topology.num_junctions(),
-            num_ancilla: self.num_ancilla,
-        }
-    }
-
     /// The closed-form worst-case execution time
     /// `2·x·(s + ⌈a/x⌉·(t_swap + g·⌈n/x⌉)) + 2·⌈a/x⌉·t_meas`,
     /// where `s` is the per-step shuttle cost, `a = max(|X|,|Z|)` the ancilla count and
@@ -360,19 +339,10 @@ impl CycloneCodesign {
         let per_step = anc_per_trap * (s + t_swap) + anc_per_trap * data_per_trap * g;
         2.0 * x * per_step + 2.0 * anc_per_trap * (times.measurement + times.preparation)
     }
-
-    /// Verifies the Cyclone invariant that two rotations execute every gate of the
-    /// syndrome-extraction circuit exactly once.
-    pub fn covers_all_gates(&self, code: &CssCode) -> bool {
-        let expected: usize = code.stabilizers().iter().map(|s| s.support.len()).sum();
-        let times = OperationTimes::default();
-        let round = self.compile(&times);
-        round.num_gates == expected
-    }
 }
 
 /// Per-qubit busy-time accumulator of one lockstep rotation (see
-/// [`CycloneCodesign::compile_profiled`]).
+/// [`CycloneCodesign::compile`]).
 #[derive(Debug, Clone)]
 struct RotationProfile {
     /// Gate time accumulated on each data qubit.
@@ -398,6 +368,8 @@ pub fn is_valid_cyclone_topology(topology: &Topology) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::registry::Cyclone;
+    use qccd::compiler::Codesign;
     use qec::codes::{bb_72_12_6, hgp_225_9_6};
 
     #[test]
@@ -413,16 +385,25 @@ mod tests {
     fn cyclone_covers_all_gates() {
         let code = bb_72_12_6().expect("valid");
         for x in [4, 9, 12, 36] {
-            let design = CycloneCodesign::new(&code, CycloneConfig::with_traps(x));
-            assert!(design.covers_all_gates(&code), "x={x} missed gates");
+            assert!(
+                Cyclone::condensed(x).covers_all_gates(&code),
+                "x={x} missed gates"
+            );
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "at least one trap")]
+    fn zero_traps_are_rejected() {
+        let code = bb_72_12_6().expect("valid");
+        CycloneCodesign::new(&code, CycloneConfig::with_traps(0));
     }
 
     #[test]
     fn cyclone_has_no_roadblocks_or_rebalances() {
         let code = bb_72_12_6().expect("valid");
         let design = CycloneCodesign::new(&code, CycloneConfig::base());
-        let round = design.compile(&OperationTimes::default());
+        let (round, _) = design.compile(&OperationTimes::default());
         assert_eq!(round.roadblock_events, 0);
         assert_eq!(round.num_rebalances, 0);
         assert!(round.execution_time > 0.0);
@@ -433,7 +414,7 @@ mod tests {
         let code = hgp_225_9_6().expect("valid");
         for x in [27, 54, 108] {
             let design = CycloneCodesign::new(&code, CycloneConfig::with_traps(x));
-            let round = design.compile(&OperationTimes::default());
+            let (round, _) = design.compile(&OperationTimes::default());
             let bound =
                 design.worst_case_execution_time(&OperationTimes::default(), code.num_qubits());
             assert!(
@@ -449,8 +430,9 @@ mod tests {
     fn fewer_traps_fewer_steps_more_gate_serialization() {
         let code = bb_72_12_6().expect("valid");
         let times = OperationTimes::default();
-        let sparse = CycloneCodesign::new(&code, CycloneConfig::with_traps(36)).compile(&times);
-        let dense = CycloneCodesign::new(&code, CycloneConfig::with_traps(6)).compile(&times);
+        let (sparse, _) =
+            CycloneCodesign::new(&code, CycloneConfig::with_traps(36)).compile(&times);
+        let (dense, _) = CycloneCodesign::new(&code, CycloneConfig::with_traps(6)).compile(&times);
         // Shuttling dominates the sparse design and gate serialization the dense one;
         // both must at least charge the same total gate work.
         assert!(sparse.breakdown.split > dense.breakdown.split);
@@ -463,9 +445,7 @@ mod tests {
         let times = OperationTimes::default();
         for x in [6, 12, 36] {
             let design = CycloneCodesign::new(&code, CycloneConfig::with_traps(x));
-            let plain = design.compile(&times);
-            let (round, exposure) = design.compile_profiled(&times);
-            assert_eq!(plain, round, "x={x}: profiling perturbed the round");
+            let (round, exposure) = design.compile(&times);
             assert_eq!(exposure.horizon, round.execution_time);
             assert_eq!(exposure.data.len(), code.num_qubits());
             assert_eq!(exposure.x_ancilla.len(), code.num_x_stabilizers());

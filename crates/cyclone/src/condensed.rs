@@ -35,7 +35,7 @@ pub fn trap_capacity_sweep(
         .iter()
         .map(|&x| {
             let design = CycloneCodesign::new(code, CycloneConfig::with_traps(x));
-            let round = design.compile(times);
+            let (round, _) = design.compile(times);
             TrapSweepPoint {
                 num_traps: design.num_traps(),
                 trap_capacity: design.trap_capacity(),

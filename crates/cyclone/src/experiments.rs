@@ -1,12 +1,12 @@
 //! Experiment runners that regenerate every figure of the paper's evaluation.
 //!
-//! Every Monte-Carlo figure is a thin declaration: it assembles a
-//! [`ScenarioSpec`](crate::sweep::ScenarioSpec) (codesigns from the
-//! [`registry`](crate::registry) × codes × operating points) and hands it to the
-//! [`sweep`](crate::sweep) engine, which parallelizes the points, caches results in
-//! `sweeps/<figure>.json`, and keeps everything bit-identical at any thread count.
-//! Compile-only figures (no sampling) look their codesigns up in the
-//! [`standard_registry`] directly.
+//! Every Monte-Carlo figure is a thin declaration: it assembles a [`ScenarioSpec`]
+//! (codesigns from the [`registry`](crate::registry) × codes × operating points) and
+//! hands it to the [`sweep`](crate::sweep) engine, which parallelizes the points,
+//! caches results in `sweeps/<figure>.json`, and keeps everything bit-identical at
+//! any thread count. Figures compile registered codesigns by label through the
+//! [`standard_registry`]; the trap-count and capacity sweeps (Figs. 13 and 17) build
+//! their unregistered variants directly.
 //!
 //! Each `figNN_*` function returns plain data rows; the `bench` crate's binaries
 //! print them as the tables/series of the corresponding figure, and `EXPERIMENTS.md`
@@ -17,11 +17,10 @@
 
 use crate::registry::{standard_registry, Cyclone};
 use crate::sweep::{run_sweep, ScenarioSpec, SweepOptions, SweepResult};
-use decoder::memory::{logical_error_rate, LerEstimate, MemoryConfig};
+use decoder::memory::{LerEstimate, MemoryConfig};
 use noise::{ChannelSpec, ErrorChannel, HardwareNoiseModel, NoiseParameters};
-use qccd::compiler::codesign::BASELINE_CAPACITY as QCCD_BASELINE_CAPACITY;
-use qccd::compiler::IdleExposure;
-use qccd::compiler::{Codesign, CompiledRound};
+use qccd::compiler::codesign::BASELINE_CAPACITY;
+use qccd::compiler::{Codesign, IdleExposure};
 use qccd::timing::{OperationTimes, SwapKind};
 use qccd::topology::baseline_grid;
 use qccd::wiring::wiring_cost;
@@ -29,52 +28,6 @@ use qec::codes::CatalogEntry;
 use qec::schedule::{max_parallel_schedule, parallel_speedup, serial_schedule};
 use qec::CssCode;
 use serde::{Deserialize, Serialize};
-
-/// Default per-trap capacity of the baseline grid (the paper's value).
-pub const BASELINE_CAPACITY: usize = QCCD_BASELINE_CAPACITY;
-
-/// Compiles the baseline codesign (grid + greedy cluster mapping + static EJF) for a
-/// code with the given operation times.
-///
-/// Thin wrapper over the `"baseline"` registry codesign, kept for examples and tests.
-pub fn baseline_round(code: &CssCode, times: &OperationTimes) -> CompiledRound {
-    qccd::compiler::codesign::BaselineGrid::new().compile(code, times)
-}
-
-/// Compiles the base Cyclone codesign for a code with the given operation times.
-///
-/// Thin wrapper over the `"cyclone"` registry codesign, kept for examples and tests.
-pub fn cyclone_round(code: &CssCode, times: &OperationTimes) -> CompiledRound {
-    Cyclone::base().compile(code, times)
-}
-
-/// Estimates the logical error rate of a code whose syndrome-extraction round takes
-/// `round.execution_time` seconds, at physical error rate `p`.
-pub fn ler_for_round(
-    code: &CssCode,
-    round: &CompiledRound,
-    p: f64,
-    config: &MemoryConfig,
-) -> LerEstimate {
-    logical_error_rate(code, p, round.execution_time, config)
-}
-
-/// Looks up a codesign in the standard registry, panicking with a clear message when
-/// the label is missing (labels used here are all registered).
-fn registered(label: &str) -> impl Fn(&CssCode, &OperationTimes) -> CompiledRound {
-    let registry = standard_registry();
-    assert!(
-        registry.get(label).is_some(),
-        "codesign `{label}` not registered"
-    );
-    let label = label.to_string();
-    move |code, times| {
-        registry
-            .get(&label)
-            .expect("checked at construction")
-            .compile(code, times)
-    }
-}
 
 // ---------------------------------------------------------------------------
 // Fig. 3 — idealized parallel vs serial speedup
@@ -133,11 +86,11 @@ pub struct LatencyLerRow {
 /// Declares the Fig. 5 scenario: each code's compiled baseline latency divided by the
 /// given factors, at fixed physical error rate `p`.
 pub fn fig5_spec(codes: &[CssCode], p: f64, speedups: &[f64]) -> ScenarioSpec {
-    let compile = registered("baseline");
+    let registry = standard_registry();
     let times = OperationTimes::default();
     let mut spec = ScenarioSpec::new("fig05_latency_vs_ler");
     for code in codes {
-        let base = compile(code, &times);
+        let base = registry.compile("baseline", code, &times);
         let idx = spec.code(code.clone());
         for &s in speedups {
             spec.point(
@@ -210,13 +163,7 @@ pub struct ConfusionMatrix {
 /// pulled from the codesign registry.
 pub fn fig6_confusion_matrix(code: &CssCode, times: &OperationTimes) -> ConfusionMatrix {
     let registry = standard_registry();
-    let cell = |label: &str| {
-        registry
-            .get(label)
-            .unwrap_or_else(|| panic!("codesign `{label}` not registered"))
-            .compile(code, times)
-            .execution_time
-    };
+    let cell = |label: &str| registry.compile(label, code, times).execution_time;
     ConfusionMatrix {
         code: code.descriptor(),
         grid_static: cell("baseline"),
@@ -248,15 +195,15 @@ pub struct JunctionSensitivityRow {
 /// metadata the sweep result alone does not carry).
 pub fn fig9_spec(code: &CssCode, p: f64, reductions: &[f64]) -> (ScenarioSpec, Vec<f64>) {
     let nominal = OperationTimes::default();
-    let baseline = registered("baseline");
-    let mesh = registered("dynamic-mesh");
+    let registry = standard_registry();
     let mut spec = ScenarioSpec::new("fig09_junction_sensitivity");
     let idx = spec.code(code.clone());
-    spec.point("baseline", idx, p, baseline(code, &nominal).execution_time);
+    let baseline = registry.compile("baseline", code, &nominal);
+    spec.point("baseline", idx, p, baseline.execution_time);
     let mut mesh_times = Vec::new();
     for &r in reductions {
         let times = nominal.with_junction_reduction(r);
-        let round = mesh(code, &times);
+        let round = registry.compile("dynamic-mesh", code, &times);
         mesh_times.push(round.execution_time);
         spec.point(format!("mesh/r={r}"), idx, p, round.execution_time);
     }
@@ -330,7 +277,7 @@ pub fn fig13_spec(
     for &x in trap_counts {
         let wrapper = Cyclone::condensed(x);
         let design = wrapper.instantiate(code);
-        let round = design.compile(&times);
+        let (round, _) = design.compile(&times);
         meta.push((
             design.num_traps(),
             design.trap_capacity(),
@@ -409,13 +356,12 @@ pub fn ler_comparison_spec(
     ps: &[f64],
 ) -> (ScenarioSpec, Vec<(f64, f64)>) {
     let times = OperationTimes::default();
-    let baseline = registered("baseline");
-    let cyclone = registered("cyclone");
+    let registry = standard_registry();
     let mut spec = ScenarioSpec::new(figure);
     let mut latencies = Vec::new();
     for code in codes {
-        let base = baseline(code, &times);
-        let cyc = cyclone(code, &times);
+        let base = registry.compile("baseline", code, &times);
+        let cyc = registry.compile("cyclone", code, &times);
         latencies.push((base.execution_time, cyc.execution_time));
         let idx = spec.code(code.clone());
         for &p in ps {
@@ -499,13 +445,12 @@ pub struct SpacetimeRow {
 
 /// Fig. 16: relative spacetime cost of the baseline vs base Cyclone.
 pub fn fig16_spacetime(codes: &[CssCode], times: &OperationTimes) -> Vec<SpacetimeRow> {
-    let baseline = registered("baseline");
-    let cyclone = registered("cyclone");
+    let registry = standard_registry();
     codes
         .iter()
         .map(|code| {
-            let b = baseline(code, times).spacetime_cost();
-            let c = cyclone(code, times).spacetime_cost();
+            let b = registry.compile("baseline", code, times).spacetime_cost();
+            let c = registry.compile("cyclone", code, times).spacetime_cost();
             SpacetimeRow {
                 code: code.descriptor(),
                 baseline_spacetime: b,
@@ -601,15 +546,14 @@ pub struct OpTimeSweepRow {
 /// reduced operation times. Returns the spec and the per-reduction
 /// `(baseline_latency, cyclone_latency)` pairs.
 pub fn fig18_spec(code: &CssCode, p: f64, reductions: &[f64]) -> (ScenarioSpec, Vec<(f64, f64)>) {
-    let baseline = registered("baseline");
-    let cyclone = registered("cyclone");
+    let registry = standard_registry();
     let mut spec = ScenarioSpec::new("fig18_op_time_sweep");
     let idx = spec.code(code.clone());
     let mut latencies = Vec::new();
     for &r in reductions {
         let times = OperationTimes::default().scaled(r);
-        let base = baseline(code, &times);
-        let cyc = cyclone(code, &times);
+        let base = registry.compile("baseline", code, &times);
+        let cyc = registry.compile("cyclone", code, &times);
         latencies.push((base.execution_time, cyc.execution_time));
         spec.point(format!("baseline/r={r}"), idx, p, base.execution_time);
         spec.point(format!("cyclone/r={r}"), idx, p, cyc.execution_time);
@@ -673,13 +617,7 @@ pub struct ExecutionTimeRow {
 /// Fig. 19: raw execution times on the alternate grid, baseline grid, and Cyclone.
 pub fn fig19_execution_times(codes: &[CssCode], times: &OperationTimes) -> Vec<ExecutionTimeRow> {
     let registry = standard_registry();
-    let cell = |label: &str, code: &CssCode| {
-        registry
-            .get(label)
-            .unwrap_or_else(|| panic!("codesign `{label}` not registered"))
-            .compile(code, times)
-            .execution_time
-    };
+    let cell = |label: &str, code: &CssCode| registry.compile(label, code, times).execution_time;
     codes
         .iter()
         .map(|code| ExecutionTimeRow {
@@ -734,10 +672,7 @@ pub fn fig20_compiler_comparison(
     FIG20_COMPILERS
         .iter()
         .map(|&(display, label)| {
-            let round = registry
-                .get(label)
-                .unwrap_or_else(|| panic!("codesign `{label}` not registered"))
-                .compile(code, times);
+            let round = registry.compile(label, code, times);
             let b = round.breakdown;
             CompilerComparisonRow {
                 compiler: display.to_string(),
@@ -778,11 +713,7 @@ pub fn fig21_swap_sensitivity(code: &CssCode) -> Vec<SwapSensitivityRow> {
             rows.push(SwapSensitivityRow {
                 codesign: label.to_string(),
                 swap_kind: kind.to_string(),
-                execution_time: registry
-                    .get(label)
-                    .unwrap_or_else(|| panic!("codesign `{label}` not registered"))
-                    .compile(code, &times)
-                    .execution_time,
+                execution_time: registry.compile(label, code, &times).execution_time,
             });
         }
     }
@@ -959,6 +890,7 @@ pub fn sweep_totals(result: &SweepResult) -> (usize, usize, usize) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use decoder::memory::logical_error_rate;
     use qec::classical::ClassicalCode;
     use qec::codes::bb_72_12_6;
     use qec::hgp::square_hypergraph_product;

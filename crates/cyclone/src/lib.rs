@@ -30,8 +30,9 @@
 //!
 //! let code = bb_72_12_6()?;
 //! let design = CycloneCodesign::new(&code, CycloneConfig::base());
-//! let round = design.compile(&OperationTimes::default());
+//! let (round, exposure) = design.compile(&OperationTimes::default());
 //! assert_eq!(round.roadblock_events, 0);
+//! assert_eq!(exposure.horizon, round.execution_time);
 //! println!("one round of syndrome extraction takes {:.2} ms", round.execution_time * 1e3);
 //! # Ok::<(), qec::QecError>(())
 //! ```

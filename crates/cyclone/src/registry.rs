@@ -55,16 +55,12 @@ impl Codesign for Cyclone {
         &self.name
     }
 
-    fn compile(&self, code: &CssCode, times: &OperationTimes) -> CompiledRound {
-        self.instantiate(code).compile(times)
-    }
-
     fn compile_profiled(
         &self,
         code: &CssCode,
         times: &OperationTimes,
     ) -> (CompiledRound, Option<IdleExposure>) {
-        let (round, exposure) = self.instantiate(code).compile_profiled(times);
+        let (round, exposure) = self.instantiate(code).compile(times);
         (round, Some(exposure))
     }
 }
@@ -120,11 +116,8 @@ mod tests {
     fn cyclone_trait_matches_direct_compiler() {
         let code = bb_72_12_6().expect("valid");
         let times = OperationTimes::default();
-        let direct = CycloneCodesign::new(&code, CycloneConfig::base()).compile(&times);
-        let via_trait = standard_registry()
-            .get("cyclone")
-            .expect("registered")
-            .compile(&code, &times);
+        let (direct, _) = CycloneCodesign::new(&code, CycloneConfig::base()).compile(&times);
+        let via_trait = standard_registry().compile("cyclone", &code, &times);
         assert_eq!(direct, via_trait);
     }
 

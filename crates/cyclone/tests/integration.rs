@@ -2,12 +2,9 @@
 //! decoding → logical error rates, exercised end to end the way the paper's evaluation
 //! uses them.
 
-use cyclone::experiments::{
-    baseline_round, cyclone_round, fig16_spacetime, fig20_compiler_comparison, ler_for_round,
-    spatial_summary,
-};
-use cyclone::{CycloneCodesign, CycloneConfig};
-use decoder::memory::MemoryConfig;
+use cyclone::experiments::{fig16_spacetime, fig20_compiler_comparison, spatial_summary};
+use cyclone::{standard_registry, CycloneCodesign, CycloneConfig};
+use decoder::memory::{logical_error_rate, MemoryConfig};
 use noise::{HardwareNoiseModel, NoiseParameters};
 use qccd::compiler::baseline::compile_baseline;
 use qccd::compiler::dynamic::compile_dynamic;
@@ -31,8 +28,9 @@ fn quick_config() -> MemoryConfig {
 fn end_to_end_cyclone_beats_baseline_on_bb72() {
     let code = bb_72_12_6().expect("valid code");
     let times = OperationTimes::default();
-    let base = baseline_round(&code, &times);
-    let cyc = cyclone_round(&code, &times);
+    let registry = standard_registry();
+    let base = registry.compile("baseline", &code, &times);
+    let cyc = registry.compile("cyclone", &code, &times);
 
     // Temporal claim: Cyclone is faster.
     assert!(
@@ -54,8 +52,8 @@ fn end_to_end_cyclone_beats_baseline_on_bb72() {
     // no worse than the baseline's (with modest statistics we only require <=).
     let cfg = quick_config();
     let p = 1e-3;
-    let base_ler = ler_for_round(&code, &base, p, &cfg);
-    let cyc_ler = ler_for_round(&code, &cyc, p, &cfg);
+    let base_ler = logical_error_rate(&code, p, base.execution_time, &cfg);
+    let cyc_ler = logical_error_rate(&code, p, cyc.execution_time, &cfg);
     assert!(
         cyc_ler.ler <= base_ler.ler * 1.25 + 1e-9,
         "cyclone LER {} should not exceed baseline LER {}",
@@ -71,9 +69,9 @@ fn full_pipeline_on_small_hgp_surface_like_code() {
     let code = square_hypergraph_product(&ClassicalCode::repetition(4)).expect("valid");
     let times = OperationTimes::default();
     let grid = baseline_grid(code.num_qubits(), 5);
-    let static_round = compile_baseline(&code, &grid, &times, &serial_schedule(&code));
-    let dynamic_round = compile_dynamic(&code, &grid, &times, &max_parallel_schedule(&code));
-    let cyc = CycloneCodesign::new(&code, CycloneConfig::base()).compile(&times);
+    let (static_round, _) = compile_baseline(&code, &grid, &times, &serial_schedule(&code));
+    let (dynamic_round, _) = compile_dynamic(&code, &grid, &times, &max_parallel_schedule(&code));
+    let (cyc, _) = CycloneCodesign::new(&code, CycloneConfig::base()).compile(&times);
 
     assert!(static_round.execution_time > 0.0);
     assert!(dynamic_round.execution_time > 0.0);
@@ -142,8 +140,8 @@ fn condensed_cyclone_trades_space_for_time() {
     let times = OperationTimes::default();
     let base = CycloneCodesign::new(&code, CycloneConfig::base());
     let condensed = CycloneCodesign::new(&code, CycloneConfig::with_traps(27));
-    let base_round = base.compile(&times);
-    let condensed_round = condensed.compile(&times);
+    let (base_round, _) = base.compile(&times);
+    let (condensed_round, _) = condensed.compile(&times);
     assert!(condensed.num_traps() < base.num_traps());
     assert!(condensed.trap_capacity() > base.trap_capacity());
     // Both execute the full circuit.

@@ -1,10 +1,12 @@
-//! Regression pin: every trait-registry codesign produces a `CompiledRound`
-//! bit-identical to the pre-refactor free-function entry points.
+//! Regression pin: every registry label compiles to the `CompiledRound` of its
+//! (topology, schedule, policy) triple.
 //!
-//! The `Codesign` impls are thin wrappers over `compile_baseline*` /
-//! `compile_dynamic` / `CycloneCodesign::compile`; this suite reconstructs each
-//! legacy call exactly as the old `figNN_*` runners did and compares the full
-//! `CompiledRound` (execution time, component breakdown, every count) with `==`.
+//! Each `Codesign` impl binds one topology constructor and one schedule to one
+//! of the four policy functions (`compile_baseline`, `compile_baseline2`,
+//! `compile_baseline3`, `compile_dynamic`) or to `CycloneCodesign::compile`. This
+//! suite spells that mapping out independently of the impls and compares the full
+//! `CompiledRound` (execution time, component breakdown, every count) with `==`,
+//! so rebinding a label to another topology, schedule, or policy fails here.
 //!
 //! By default the exhaustive sweep covers the catalog codes that compile in
 //! test-profile seconds ([[72,12,6]], [[90,8,10]], [[100,4,4]]) with **all**
@@ -25,13 +27,13 @@ use qccd::topology::{alternate_grid, baseline_grid, mesh_junction_network, ring}
 use qec::schedule::{max_parallel_schedule, serial_schedule};
 use qec::CssCode;
 
-/// The paper's baseline per-trap capacity (what the legacy runners hard-coded).
+/// The paper's baseline per-trap capacity.
 const CAP: usize = 5;
 
-/// Compiles `label` the way the pre-refactor figure runners did.
-fn legacy_compile(label: &str, code: &CssCode, times: &OperationTimes) -> CompiledRound {
+/// Compiles `label` from its (topology, schedule, policy) triple.
+fn compile_from_parts(label: &str, code: &CssCode, times: &OperationTimes) -> CompiledRound {
     let n = code.num_qubits();
-    match label {
+    let (round, _) = match label {
         "baseline" => compile_baseline(code, &baseline_grid(n, CAP), times, &serial_schedule(code)),
         "baseline2" => {
             compile_baseline2(code, &baseline_grid(n, CAP), times, &serial_schedule(code))
@@ -71,7 +73,8 @@ fn legacy_compile(label: &str, code: &CssCode, times: &OperationTimes) -> Compil
                 .unwrap_or_else(|| panic!("unmapped codesign label `{other}`"));
             CycloneCodesign::new(code, CycloneConfig::with_traps(x)).compile(times)
         }
-    }
+    };
+    round
 }
 
 /// Codesigns that compile in milliseconds on any catalog code (no discrete-event
@@ -85,16 +88,12 @@ fn full_run() -> bool {
 }
 
 fn assert_pinned(label: &str, code: &CssCode, times: &OperationTimes) {
-    let registry = standard_registry();
-    let via_trait = registry
-        .get(label)
-        .unwrap_or_else(|| panic!("codesign `{label}` not registered"))
-        .compile(code, times);
-    let legacy = legacy_compile(label, code, times);
+    let via_trait = standard_registry().compile(label, code, times);
+    let from_parts = compile_from_parts(label, code, times);
     assert_eq!(
         via_trait,
-        legacy,
-        "codesign `{label}` diverged from the legacy entry point on {}",
+        from_parts,
+        "codesign `{label}` diverged from its topology/schedule/policy on {}",
         code.descriptor()
     );
 }

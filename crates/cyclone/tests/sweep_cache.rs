@@ -1,12 +1,16 @@
 //! Sweep-engine behavior: determinism across pool sizes, cache hit/miss/corruption
 //! semantics (fixed and adaptive), torn-write resistance of the cache file, and the
-//! `covers_all_gates` invariant for every registered codesign.
+//! `covers_all_gates` invariant for every registered codesign, and fuzzed
+//! (truncated and byte-flipped) cache files against every cache reader.
 
 use cyclone::standard_registry;
 use cyclone::sweep::{run_sweep, ScenarioSpec, SweepOptions};
-use decoder::memory::{MemoryConfig, PrecisionTarget};
+use cyclone::sweep_cache::{merge_files, verify_file};
+use decoder::memory::{LerEstimate, MemoryConfig, PrecisionTarget};
 use noise::{ChannelSpec, ErrorChannel};
+use proptest::prelude::*;
 use std::path::PathBuf;
+use std::sync::OnceLock;
 
 fn quick_config(threads: usize) -> MemoryConfig {
     MemoryConfig {
@@ -850,4 +854,82 @@ fn checkpoint_every_point_publishes_a_well_formed_cache_as_points_finish() {
     );
     assert_eq!(seen.last(), Some(&spec.points.len()), "{seen:?}");
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A small real cache for the reader fuzz tests: the spec, its
+/// `SweepOptions::ephemeral` estimates, and the bytes of the cache file the
+/// same sweep writes. Built once and shared by both tests.
+fn fuzz_fixture() -> &'static (ScenarioSpec, Vec<LerEstimate>, Vec<u8>) {
+    static FIXTURE: OnceLock<(ScenarioSpec, Vec<LerEstimate>, Vec<u8>)> = OnceLock::new();
+    FIXTURE.get_or_init(|| {
+        let code =
+            qec::hgp::square_hypergraph_product(&qec::classical::ClassicalCode::repetition(3))
+                .expect("valid");
+        let mut spec = ScenarioSpec::new("fuzz");
+        let idx = spec.code(code);
+        spec.point("a/p=3e-2", idx, 3e-2, 1e-3);
+        spec.point("b/p=8e-2", idx, 8e-2, 0.0);
+        let config = quick_config(1);
+        let ephemeral = run_sweep(&spec, &SweepOptions::ephemeral(config));
+        let estimates = ephemeral.points.iter().map(|o| o.ler).collect();
+        let dir = scratch_dir("fuzz-fixture");
+        run_sweep(&spec, &SweepOptions::cached(config, &dir));
+        let bytes = std::fs::read(dir.join("fuzz.json")).expect("cache written");
+        let _ = std::fs::remove_dir_all(&dir);
+        (spec, estimates, bytes)
+    })
+}
+
+/// Feeds `bytes` as the cache file to all three readers: `verify_file`,
+/// `merge_files` (as a source, and as a corrupt destination), and `run_sweep`.
+/// Returns the sweep's estimates.
+fn read_fuzzed_cache(dir: &std::path::Path, spec: &ScenarioSpec, bytes: &[u8]) -> Vec<LerEstimate> {
+    let path = dir.join("fuzz.json");
+    std::fs::write(&path, bytes).expect("write fuzzed cache");
+    let _ = verify_file(&path);
+    let merged = dir.join("merged.json");
+    let _ = std::fs::remove_file(&merged);
+    let _ = merge_files(&merged, std::slice::from_ref(&path));
+    let dest = dir.join("dest.json");
+    std::fs::write(&dest, bytes).expect("write fuzzed destination");
+    let _ = merge_files(&dest, &[]);
+    let result = run_sweep(spec, &SweepOptions::cached(quick_config(1), dir));
+    result.points.iter().map(|o| o.ler).collect()
+}
+
+#[test]
+fn truncated_caches_are_recomputed_to_the_ephemeral_estimates() {
+    // Cut the cache file at every byte offset: no reader may panic, and the
+    // sweep must serve exactly what an uncached run computes (a cut that still
+    // parses can only drop entries, which are then recomputed).
+    let (spec, want, bytes) = fuzz_fixture();
+    let dir = scratch_dir("fuzz-truncate");
+    std::fs::create_dir_all(&dir).expect("create scratch dir");
+    for len in 0..bytes.len() {
+        let got = read_fuzzed_cache(&dir, spec, &bytes[..len]);
+        assert_eq!(&got, want, "cache cut at byte {len} of {}", bytes.len());
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64).with_seed(0xC1C1_0DE5))]
+
+    // Random byte flips may turn the file into another valid cache with other
+    // numbers, so only "no reader panics" is asserted.
+    #[test]
+    fn flipped_cache_bytes_never_panic_a_reader(
+        flips in proptest::collection::vec((any::<usize>(), 1u8..=255), 1..8),
+    ) {
+        let (spec, _, bytes) = fuzz_fixture();
+        let mut fuzzed = bytes.clone();
+        for (at, mask) in flips {
+            let len = fuzzed.len();
+            fuzzed[at % len] ^= mask;
+        }
+        let dir = scratch_dir("fuzz-flip");
+        std::fs::create_dir_all(&dir).expect("create scratch dir");
+        read_fuzzed_cache(&dir, spec, &fuzzed);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }

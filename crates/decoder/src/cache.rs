@@ -133,7 +133,8 @@ impl DecodeCache {
     ///
     /// # Panics
     ///
-    /// Panics if `slots` is not a power of two at least [`WAYS`].
+    /// Panics if `slots` is not a power of two holding at least one full set
+    /// (4 slots).
     pub fn with_slots(slots: usize) -> Self {
         assert!(
             slots.is_power_of_two() && slots >= WAYS,

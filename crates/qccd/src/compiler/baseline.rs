@@ -22,7 +22,7 @@ use std::collections::BinaryHeap;
 ///
 /// `gates` must list every gate of one syndrome-extraction round; dependencies are
 /// derived from shared qubits in listing order (the "interaction DAG" of the paper).
-pub(crate) fn run_static_ejf_profiled(
+pub(crate) fn run_static_ejf(
     code: &CssCode,
     topology: &Topology,
     placement: &Placement,
@@ -110,7 +110,9 @@ pub(crate) fn run_static_ejf_profiled(
 }
 
 /// Compiles one round of syndrome extraction with the baseline policy
-/// (greedy cluster mapping + static EJF) onto the given topology.
+/// (greedy cluster mapping + static EJF) onto the given topology, returning the
+/// round plus its per-qubit [`IdleExposure`] (the input
+/// `noise::ErrorChannel::from_schedule` consumes).
 ///
 /// The gate listing order is taken from `schedule` flattened slice-by-slice, which for
 /// the baseline is normally the serial schedule (the DAG the paper's baseline reads
@@ -120,49 +122,13 @@ pub fn compile_baseline(
     topology: &Topology,
     times: &OperationTimes,
     schedule: &Schedule,
-) -> CompiledRound {
-    compile_baseline_profiled(code, topology, times, schedule).0
-}
-
-/// [`compile_baseline`] plus the per-qubit [`IdleExposure`] of the compiled round
-/// (the input `noise::ErrorChannel::from_schedule` consumes).
-pub fn compile_baseline_profiled(
-    code: &CssCode,
-    topology: &Topology,
-    times: &OperationTimes,
-    schedule: &Schedule,
 ) -> (CompiledRound, IdleExposure) {
     let placement = greedy_cluster_placement(code, topology);
-    compile_baseline_with_placement_profiled(code, topology, times, schedule, &placement)
-}
-
-/// Same as [`compile_baseline`] but with an externally chosen placement (used by the
-/// placement ablations and the loose-capacity sensitivity study).
-pub fn compile_baseline_with_placement(
-    code: &CssCode,
-    topology: &Topology,
-    times: &OperationTimes,
-    schedule: &Schedule,
-    placement: &Placement,
-) -> CompiledRound {
-    compile_baseline_with_placement_profiled(code, topology, times, schedule, placement).0
-}
-
-/// [`compile_baseline_with_placement`] plus the per-qubit [`IdleExposure`] — the
-/// single core every baseline `compile_*` variant delegates to, so the gate
-/// flattening and codesign label exist in exactly one place.
-pub fn compile_baseline_with_placement_profiled(
-    code: &CssCode,
-    topology: &Topology,
-    times: &OperationTimes,
-    schedule: &Schedule,
-    placement: &Placement,
-) -> (CompiledRound, IdleExposure) {
     let gates: Vec<GateOp> = schedule.slices().iter().flatten().copied().collect();
-    run_static_ejf_profiled(
+    run_static_ejf(
         code,
         topology,
-        placement,
+        &placement,
         times,
         &gates,
         format!("{} + static EJF", topology.name()),
@@ -187,7 +153,7 @@ mod tests {
         let code = small_code();
         let topo = baseline_grid(code.num_qubits(), 5);
         let times = OperationTimes::default();
-        let round = compile_baseline(&code, &topo, &times, &serial_schedule(&code));
+        let round = compile_baseline(&code, &topo, &times, &serial_schedule(&code)).0;
         assert_eq!(round.num_gates, serial_schedule(&code).num_gates());
         assert!(round.execution_time > 0.0);
         assert!(round.breakdown.gate > 0.0);
@@ -199,7 +165,7 @@ mod tests {
         let code = small_code();
         let topo = baseline_grid(code.num_qubits(), 5);
         let times = OperationTimes::default();
-        let round = compile_baseline(&code, &topo, &times, &serial_schedule(&code));
+        let round = compile_baseline(&code, &topo, &times, &serial_schedule(&code)).0;
         // Execution time can never be smaller than the largest single component / the
         // trap count, and never larger than the serialized total.
         assert!(round.execution_time <= round.breakdown.serialized_total() + 1e-9);
@@ -211,9 +177,9 @@ mod tests {
         let code = small_code();
         let topo = baseline_grid(code.num_qubits(), 5);
         let times = OperationTimes::default();
-        let slow = compile_baseline(&code, &topo, &times, &serial_schedule(&code));
+        let slow = compile_baseline(&code, &topo, &times, &serial_schedule(&code)).0;
         let fast_times = times.scaled(0.5);
-        let fast = compile_baseline(&code, &topo, &fast_times, &serial_schedule(&code));
+        let fast = compile_baseline(&code, &topo, &fast_times, &serial_schedule(&code)).0;
         assert!(fast.execution_time < slow.execution_time);
     }
 
@@ -229,7 +195,8 @@ mod tests {
             &baseline_grid(code.num_qubits(), 5),
             &times,
             &serial_schedule(&code),
-        );
+        )
+        .0;
         let m_half = code.num_stabilizers() / 2;
         let capacity = code.num_qubits().div_ceil(m_half) + 2;
         let circle = compile_baseline(
@@ -237,7 +204,8 @@ mod tests {
             &ring(m_half, capacity),
             &times,
             &serial_schedule(&code),
-        );
+        )
+        .0;
         assert!(
             circle.execution_time > grid.execution_time * 0.5,
             "uncoordinated ring should not dramatically beat the grid: ring {} vs grid {}",

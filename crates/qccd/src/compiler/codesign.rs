@@ -2,20 +2,16 @@
 //! combination the evaluation compares, plus a [`CodesignRegistry`] that enumerates
 //! codesigns by label.
 //!
-//! Before this abstraction each figure runner called one of four unrelated free
-//! functions (`compile_baseline*`, `compile_dynamic`, `compile_baseline2/3`, or the
-//! Cyclone compiler) with hand-built topologies. A codesign bundles the topology
-//! construction, placement, and scheduling policy behind `compile(code, times)`, so a
-//! new topology or policy is one new impl and one `register` call. The free functions
-//! remain the underlying implementation; every impl here is a thin wrapper that is
-//! pinned bit-identical to them by the regression suite in the `cyclone` crate.
+//! A codesign bundles a topology, a schedule, and one of the four compile policies
+//! ([`compile_baseline`], [`compile_baseline2`], [`compile_baseline3`],
+//! [`compile_dynamic`]) behind [`Codesign::compile_profiled`], its one required
+//! compile method; [`Codesign::compile`] drops the idle profile. A new topology or
+//! policy is one new impl and one `register` call.
 
-use crate::compiler::baseline::{compile_baseline, compile_baseline_profiled};
-use crate::compiler::dynamic::{compile_dynamic, compile_dynamic_profiled};
+use crate::compiler::baseline::compile_baseline;
+use crate::compiler::dynamic::compile_dynamic;
 use crate::compiler::sim::IdleExposure;
-use crate::compiler::variants::{
-    compile_baseline2, compile_baseline2_profiled, compile_baseline3, compile_baseline3_profiled,
-};
+use crate::compiler::variants::{compile_baseline2, compile_baseline3};
 use crate::compiler::CompiledRound;
 use crate::timing::OperationTimes;
 use crate::topology::{alternate_grid, baseline_grid, mesh_junction_network, ring};
@@ -32,21 +28,19 @@ pub trait Codesign: Send + Sync {
     fn name(&self) -> &str;
 
     /// Compiles one syndrome-extraction round of `code` under the given operation
-    /// times, constructing whatever topology/placement the codesign prescribes.
-    fn compile(&self, code: &CssCode, times: &OperationTimes) -> CompiledRound;
-
-    /// [`Codesign::compile`] plus the per-qubit [`IdleExposure`] of the compiled
-    /// round, when the codesign can produce one (`None` otherwise — callers fall
-    /// back to [`IdleExposure::uniform`], which reproduces the scalar noise model).
-    ///
-    /// Every sim-driven codesign in this crate overrides this; the analytic
-    /// Cyclone compiler in the `cyclone` crate provides its own profile.
+    /// times, constructing whatever topology/placement the codesign prescribes, and
+    /// returns the round plus its per-qubit [`IdleExposure`] when the codesign can
+    /// produce one (`None` otherwise — callers fall back to
+    /// [`IdleExposure::uniform`], which reproduces the scalar noise model).
     fn compile_profiled(
         &self,
         code: &CssCode,
         times: &OperationTimes,
-    ) -> (CompiledRound, Option<IdleExposure>) {
-        (self.compile(code, times), None)
+    ) -> (CompiledRound, Option<IdleExposure>);
+
+    /// [`Codesign::compile_profiled`] without the idle profile.
+    fn compile(&self, code: &CssCode, times: &OperationTimes) -> CompiledRound {
+        self.compile_profiled(code, times).0
     }
 
     /// Verifies that a compiled round executes every gate of the syndrome-extraction
@@ -95,19 +89,13 @@ impl Codesign for BaselineGrid {
         &self.name
     }
 
-    fn compile(&self, code: &CssCode, times: &OperationTimes) -> CompiledRound {
-        let topo = baseline_grid(code.num_qubits(), self.capacity);
-        compile_baseline(code, &topo, times, &serial_schedule(code))
-    }
-
     fn compile_profiled(
         &self,
         code: &CssCode,
         times: &OperationTimes,
     ) -> (CompiledRound, Option<IdleExposure>) {
         let topo = baseline_grid(code.num_qubits(), self.capacity);
-        let (round, exposure) =
-            compile_baseline_profiled(code, &topo, times, &serial_schedule(code));
+        let (round, exposure) = compile_baseline(code, &topo, times, &serial_schedule(code));
         (round, Some(exposure))
     }
 }
@@ -121,19 +109,13 @@ impl Codesign for Baseline2Grid {
         "baseline2"
     }
 
-    fn compile(&self, code: &CssCode, times: &OperationTimes) -> CompiledRound {
-        let topo = baseline_grid(code.num_qubits(), BASELINE_CAPACITY);
-        compile_baseline2(code, &topo, times, &serial_schedule(code))
-    }
-
     fn compile_profiled(
         &self,
         code: &CssCode,
         times: &OperationTimes,
     ) -> (CompiledRound, Option<IdleExposure>) {
         let topo = baseline_grid(code.num_qubits(), BASELINE_CAPACITY);
-        let (round, exposure) =
-            compile_baseline2_profiled(code, &topo, times, &serial_schedule(code));
+        let (round, exposure) = compile_baseline2(code, &topo, times, &serial_schedule(code));
         (round, Some(exposure))
     }
 }
@@ -147,19 +129,13 @@ impl Codesign for Baseline3Grid {
         "baseline3"
     }
 
-    fn compile(&self, code: &CssCode, times: &OperationTimes) -> CompiledRound {
-        let topo = baseline_grid(code.num_qubits(), BASELINE_CAPACITY);
-        compile_baseline3(code, &topo, times, &serial_schedule(code))
-    }
-
     fn compile_profiled(
         &self,
         code: &CssCode,
         times: &OperationTimes,
     ) -> (CompiledRound, Option<IdleExposure>) {
         let topo = baseline_grid(code.num_qubits(), BASELINE_CAPACITY);
-        let (round, exposure) =
-            compile_baseline3_profiled(code, &topo, times, &serial_schedule(code));
+        let (round, exposure) = compile_baseline3(code, &topo, times, &serial_schedule(code));
         (round, Some(exposure))
     }
 }
@@ -174,19 +150,13 @@ impl Codesign for DynamicGrid {
         "dynamic-grid"
     }
 
-    fn compile(&self, code: &CssCode, times: &OperationTimes) -> CompiledRound {
-        let topo = baseline_grid(code.num_qubits(), BASELINE_CAPACITY);
-        compile_dynamic(code, &topo, times, &max_parallel_schedule(code))
-    }
-
     fn compile_profiled(
         &self,
         code: &CssCode,
         times: &OperationTimes,
     ) -> (CompiledRound, Option<IdleExposure>) {
         let topo = baseline_grid(code.num_qubits(), BASELINE_CAPACITY);
-        let (round, exposure) =
-            compile_dynamic_profiled(code, &topo, times, &max_parallel_schedule(code));
+        let (round, exposure) = compile_dynamic(code, &topo, times, &max_parallel_schedule(code));
         (round, Some(exposure))
     }
 }
@@ -201,19 +171,13 @@ impl Codesign for DynamicMesh {
         "dynamic-mesh"
     }
 
-    fn compile(&self, code: &CssCode, times: &OperationTimes) -> CompiledRound {
-        let topo = mesh_junction_network(code.num_qubits(), BASELINE_CAPACITY);
-        compile_dynamic(code, &topo, times, &max_parallel_schedule(code))
-    }
-
     fn compile_profiled(
         &self,
         code: &CssCode,
         times: &OperationTimes,
     ) -> (CompiledRound, Option<IdleExposure>) {
         let topo = mesh_junction_network(code.num_qubits(), BASELINE_CAPACITY);
-        let (round, exposure) =
-            compile_dynamic_profiled(code, &topo, times, &max_parallel_schedule(code));
+        let (round, exposure) = compile_dynamic(code, &topo, times, &max_parallel_schedule(code));
         (round, Some(exposure))
     }
 }
@@ -228,19 +192,13 @@ impl Codesign for AlternateGrid {
         "alternate-grid"
     }
 
-    fn compile(&self, code: &CssCode, times: &OperationTimes) -> CompiledRound {
-        let topo = alternate_grid(code.num_qubits(), BASELINE_CAPACITY);
-        compile_baseline(code, &topo, times, &serial_schedule(code))
-    }
-
     fn compile_profiled(
         &self,
         code: &CssCode,
         times: &OperationTimes,
     ) -> (CompiledRound, Option<IdleExposure>) {
         let topo = alternate_grid(code.num_qubits(), BASELINE_CAPACITY);
-        let (round, exposure) =
-            compile_baseline_profiled(code, &topo, times, &serial_schedule(code));
+        let (round, exposure) = compile_baseline(code, &topo, times, &serial_schedule(code));
         (round, Some(exposure))
     }
 }
@@ -256,13 +214,6 @@ impl Codesign for RingStatic {
         "ring-static"
     }
 
-    fn compile(&self, code: &CssCode, times: &OperationTimes) -> CompiledRound {
-        let a = code.num_x_stabilizers().max(code.num_z_stabilizers());
-        let capacity = code.num_qubits().div_ceil(a) + 2;
-        let topo = ring(a, capacity);
-        compile_baseline(code, &topo, times, &serial_schedule(code))
-    }
-
     fn compile_profiled(
         &self,
         code: &CssCode,
@@ -271,8 +222,7 @@ impl Codesign for RingStatic {
         let a = code.num_x_stabilizers().max(code.num_z_stabilizers());
         let capacity = code.num_qubits().div_ceil(a) + 2;
         let topo = ring(a, capacity);
-        let (round, exposure) =
-            compile_baseline_profiled(code, &topo, times, &serial_schedule(code));
+        let (round, exposure) = compile_baseline(code, &topo, times, &serial_schedule(code));
         (round, Some(exposure))
     }
 }
@@ -314,6 +264,17 @@ impl CodesignRegistry {
             .iter()
             .find(|c| c.name() == label)
             .map(AsRef::as_ref)
+    }
+
+    /// Compiles one round of `code` with the codesign registered as `label`.
+    ///
+    /// # Panics
+    ///
+    /// Panics, naming the label, if no codesign is registered under it.
+    pub fn compile(&self, label: &str, code: &CssCode, times: &OperationTimes) -> CompiledRound {
+        self.get(label)
+            .unwrap_or_else(|| panic!("codesign `{label}` not registered"))
+            .compile(code, times)
     }
 
     /// All registered labels, in registration order.
@@ -368,12 +329,17 @@ mod tests {
         square_hypergraph_product(&ClassicalCode::repetition(3)).expect("valid")
     }
 
-    #[test]
-    fn registry_lookup_by_label() {
+    fn qccd_registry() -> CodesignRegistry {
         let mut reg = CodesignRegistry::new();
         for c in qccd_codesigns() {
             reg.register(c);
         }
+        reg
+    }
+
+    #[test]
+    fn registry_lookup_by_label() {
+        let reg = qccd_registry();
         assert_eq!(reg.len(), 7);
         assert!(!reg.is_empty());
         assert!(reg.get("baseline").is_some());
@@ -395,12 +361,16 @@ mod tests {
         let code = small_code();
         let times = OperationTimes::default();
         let topo = baseline_grid(code.num_qubits(), BASELINE_CAPACITY);
-        let direct = compile_baseline(&code, &topo, &times, &serial_schedule(&code));
+        let direct = compile_baseline(&code, &topo, &times, &serial_schedule(&code)).0;
         let via_trait = BaselineGrid::new().compile(&code, &times);
         assert_eq!(direct, via_trait);
 
-        let direct_dyn = compile_dynamic(&code, &topo, &times, &max_parallel_schedule(&code));
+        let direct_dyn = compile_dynamic(&code, &topo, &times, &max_parallel_schedule(&code)).0;
         assert_eq!(direct_dyn, DynamicGrid.compile(&code, &times));
+        assert_eq!(
+            direct_dyn,
+            qccd_registry().compile("dynamic-grid", &code, &times)
+        );
     }
 
     #[test]
@@ -417,15 +387,12 @@ mod tests {
 
     #[test]
     fn every_qccd_codesign_profiles_bit_identically_to_compile() {
-        // compile_profiled must return exactly the round of compile() — idle
-        // tracking adds accumulators, never perturbs the event math — and every
-        // sim-driven codesign must produce a real (non-fallback) profile.
+        // Every sim-driven codesign must produce a real (non-fallback) profile
+        // whose exposures fit inside the round.
         let code = small_code();
         let times = OperationTimes::default();
         for design in qccd_codesigns() {
-            let plain = design.compile(&code, &times);
             let (round, exposure) = design.compile_profiled(&code, &times);
-            assert_eq!(plain, round, "{} diverged under profiling", design.name());
             let exposure = exposure
                 .unwrap_or_else(|| panic!("{} should export an idle profile", design.name()));
             assert_eq!(exposure.horizon, round.execution_time);
@@ -451,6 +418,12 @@ mod tests {
                 design.name()
             );
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "codesign `nonexistent` not registered")]
+    fn registry_compile_names_an_unknown_label() {
+        qccd_registry().compile("nonexistent", &small_code(), &OperationTimes::default());
     }
 
     #[test]

@@ -10,52 +10,21 @@
 use crate::compiler::sim::{IdleExposure, ShuttleSim};
 use crate::compiler::CompiledRound;
 use crate::hardware::Topology;
-use crate::placement::{greedy_cluster_placement, Placement};
+use crate::placement::greedy_cluster_placement;
 use crate::timing::OperationTimes;
 use qec::schedule::Schedule;
 use qec::CssCode;
 
-/// Compiles one round with the dynamic timeslice policy on an arbitrary topology.
+/// Compiles one round with the dynamic timeslice policy on an arbitrary topology,
+/// returning the round plus its per-qubit [`IdleExposure`].
 pub fn compile_dynamic(
-    code: &CssCode,
-    topology: &Topology,
-    times: &OperationTimes,
-    schedule: &Schedule,
-) -> CompiledRound {
-    compile_dynamic_profiled(code, topology, times, schedule).0
-}
-
-/// [`compile_dynamic`] plus the per-qubit [`IdleExposure`] of the compiled round.
-pub fn compile_dynamic_profiled(
     code: &CssCode,
     topology: &Topology,
     times: &OperationTimes,
     schedule: &Schedule,
 ) -> (CompiledRound, IdleExposure) {
     let placement = greedy_cluster_placement(code, topology);
-    compile_dynamic_with_placement_profiled(code, topology, times, schedule, &placement)
-}
-
-/// Same as [`compile_dynamic`] with an externally supplied placement.
-pub fn compile_dynamic_with_placement(
-    code: &CssCode,
-    topology: &Topology,
-    times: &OperationTimes,
-    schedule: &Schedule,
-    placement: &Placement,
-) -> CompiledRound {
-    compile_dynamic_with_placement_profiled(code, topology, times, schedule, placement).0
-}
-
-/// [`compile_dynamic_with_placement`] plus the per-qubit [`IdleExposure`].
-pub fn compile_dynamic_with_placement_profiled(
-    code: &CssCode,
-    topology: &Topology,
-    times: &OperationTimes,
-    schedule: &Schedule,
-    placement: &Placement,
-) -> (CompiledRound, IdleExposure) {
-    let mut sim = ShuttleSim::new(code, topology, placement, times);
+    let mut sim = ShuttleSim::new(code, topology, &placement, times);
     let mut slice_ready = 0.0f64;
     // Latest gate end of every ancilla, indexed by ion id.
     let mut ancilla_last_end: Vec<Option<f64>> = vec![None; sim.num_ions()];
@@ -105,7 +74,7 @@ mod tests {
         let code = small_code();
         let topo = baseline_grid(code.num_qubits(), 5);
         let times = OperationTimes::default();
-        let round = compile_dynamic(&code, &topo, &times, &max_parallel_schedule(&code));
+        let round = compile_dynamic(&code, &topo, &times, &max_parallel_schedule(&code)).0;
         assert_eq!(round.num_gates, max_parallel_schedule(&code).num_gates());
         assert!(round.execution_time > 0.0);
     }
@@ -117,7 +86,7 @@ mod tests {
         let code = small_code();
         let topo = baseline_grid(code.num_qubits(), 5);
         let times = OperationTimes::default();
-        let round = compile_dynamic(&code, &topo, &times, &max_parallel_schedule(&code));
+        let round = compile_dynamic(&code, &topo, &times, &max_parallel_schedule(&code)).0;
         assert!(round.roadblock_events > 0, "expected roadblocks on a grid");
         assert!(round.breakdown.roadblock_wait > 0.0);
     }
@@ -129,7 +98,7 @@ mod tests {
         let code = small_code();
         let times = OperationTimes::default();
         let mesh = mesh_junction_network(code.num_qubits(), 4);
-        let round = compile_dynamic(&code, &mesh, &times, &max_parallel_schedule(&code));
+        let round = compile_dynamic(&code, &mesh, &times, &max_parallel_schedule(&code)).0;
         assert!(round.breakdown.junction > 0.0, "paths cross junctions");
         assert_eq!(round.num_traps, code.num_qubits());
     }
@@ -141,8 +110,8 @@ mod tests {
         let code = small_code();
         let topo = baseline_grid(code.num_qubits(), 5);
         let times = OperationTimes::default();
-        let dynamic = compile_dynamic(&code, &topo, &times, &max_parallel_schedule(&code));
-        let static_ejf = compile_baseline(&code, &topo, &times, &serial_schedule(&code));
+        let dynamic = compile_dynamic(&code, &topo, &times, &max_parallel_schedule(&code)).0;
+        let static_ejf = compile_baseline(&code, &topo, &times, &serial_schedule(&code)).0;
         assert!(
             dynamic.execution_time >= 0.5 * static_ejf.execution_time,
             "dynamic-on-grid ({}) should not dominate the static baseline ({})",

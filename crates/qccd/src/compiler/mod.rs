@@ -4,18 +4,21 @@
 //! All compilers share the discrete-event shuttling simulator in [`sim`], which tracks
 //! per-trap and per-junction availability, ion positions, roadblock waiting, swap
 //! insertion, and rebalancing. They differ in the *order* in which gates are released
-//! to the simulator:
+//! to the simulator, one public function per policy:
 //!
-//! * [`baseline`] — greedy cluster mapping + static earliest-job-first scheduling over
-//!   the circuit DAG (the paper's baseline, modelled after QCCDSim).
-//! * [`variants`] — "Baseline 2" (shuttle-muzzling: batch gates by ancilla) and
-//!   "Baseline 3" (MoveLess-style: batch gates by destination trap), used in Fig. 20.
-//! * [`dynamic`] — the dynamic timeslice policy of §III-A (used on grids in Fig. 4a
-//!   and Fig. 6, and on the mesh junction network of §III-C).
+//! * [`baseline::compile_baseline`] — greedy cluster mapping + static
+//!   earliest-job-first scheduling over the circuit DAG (the paper's baseline,
+//!   modelled after QCCDSim).
+//! * [`variants::compile_baseline2`] / [`variants::compile_baseline3`] — "Baseline 2"
+//!   (shuttle-muzzling: batch gates by ancilla) and "Baseline 3" (MoveLess-style:
+//!   batch gates by destination trap), used in Fig. 20.
+//! * [`dynamic::compile_dynamic`] — the dynamic timeslice policy of §III-A (used on
+//!   grids in Fig. 4a and Fig. 6, and on the mesh junction network of §III-C).
 //!
-//! The [`codesign`] module unifies all of them (and the Cyclone compilers layered on
-//! top in the `cyclone` crate) behind the [`Codesign`] trait, enumerable by label
-//! through a [`CodesignRegistry`].
+//! Each returns the [`CompiledRound`] together with its per-qubit [`IdleExposure`].
+//! The [`codesign`] module binds them (and the Cyclone compilers layered on top in
+//! the `cyclone` crate) to topologies behind the [`Codesign`] trait, enumerable and
+//! compilable by label through a [`CodesignRegistry`].
 
 pub mod baseline;
 pub mod codesign;

@@ -11,7 +11,7 @@
 //! baseline; only the gate listing (and therefore the derived dependency DAG and the
 //! shuttling pattern) differs.
 
-use crate::compiler::baseline::run_static_ejf_profiled;
+use crate::compiler::baseline::run_static_ejf;
 use crate::compiler::sim::IdleExposure;
 use crate::compiler::CompiledRound;
 use crate::hardware::Topology;
@@ -20,18 +20,9 @@ use crate::timing::OperationTimes;
 use qec::schedule::{GateOp, Schedule};
 use qec::CssCode;
 
-/// Baseline 2: stabilizer-batched gate ordering ("muzzle the shuttle").
+/// Baseline 2: stabilizer-batched gate ordering ("muzzle the shuttle"),
+/// returning the round plus its per-qubit [`IdleExposure`].
 pub fn compile_baseline2(
-    code: &CssCode,
-    topology: &Topology,
-    times: &OperationTimes,
-    schedule: &Schedule,
-) -> CompiledRound {
-    compile_baseline2_profiled(code, topology, times, schedule).0
-}
-
-/// [`compile_baseline2`] plus the per-qubit [`IdleExposure`] of the compiled round.
-pub fn compile_baseline2_profiled(
     code: &CssCode,
     topology: &Topology,
     times: &OperationTimes,
@@ -50,7 +41,7 @@ pub fn compile_baseline2_profiled(
             placement.data_trap[g.data],
         )
     });
-    run_static_ejf_profiled(
+    run_static_ejf(
         code,
         topology,
         &placement,
@@ -60,18 +51,9 @@ pub fn compile_baseline2_profiled(
     )
 }
 
-/// Baseline 3: destination-trap-batched gate ordering ("MoveLess"-style).
+/// Baseline 3: destination-trap-batched gate ordering ("MoveLess"-style),
+/// returning the round plus its per-qubit [`IdleExposure`].
 pub fn compile_baseline3(
-    code: &CssCode,
-    topology: &Topology,
-    times: &OperationTimes,
-    schedule: &Schedule,
-) -> CompiledRound {
-    compile_baseline3_profiled(code, topology, times, schedule).0
-}
-
-/// [`compile_baseline3`] plus the per-qubit [`IdleExposure`] of the compiled round.
-pub fn compile_baseline3_profiled(
     code: &CssCode,
     topology: &Topology,
     times: &OperationTimes,
@@ -82,7 +64,7 @@ pub fn compile_baseline3_profiled(
     // Batch gates by destination trap across stabilizers, so every ancilla headed to
     // the same trap does its work while already there and excess shuttling is avoided.
     gates.sort_by_key(|g| (placement.data_trap[g.data], g.kind, g.stabilizer));
-    run_static_ejf_profiled(
+    run_static_ejf(
         code,
         topology,
         &placement,
@@ -112,9 +94,9 @@ mod tests {
         let topo = baseline_grid(code.num_qubits(), 5);
         let times = OperationTimes::default();
         let sched = serial_schedule(&code);
-        let b1 = compile_baseline(&code, &topo, &times, &sched);
-        let b2 = compile_baseline2(&code, &topo, &times, &sched);
-        let b3 = compile_baseline3(&code, &topo, &times, &sched);
+        let b1 = compile_baseline(&code, &topo, &times, &sched).0;
+        let b2 = compile_baseline2(&code, &topo, &times, &sched).0;
+        let b3 = compile_baseline3(&code, &topo, &times, &sched).0;
         assert_eq!(b1.num_gates, b2.num_gates);
         assert_eq!(b2.num_gates, b3.num_gates);
         for r in [&b1, &b2, &b3] {
@@ -129,9 +111,9 @@ mod tests {
         let topo = baseline_grid(code.num_qubits(), 5);
         let times = OperationTimes::default();
         let sched = serial_schedule(&code);
-        let b1 = compile_baseline(&code, &topo, &times, &sched);
-        let b2 = compile_baseline2(&code, &topo, &times, &sched);
-        let b3 = compile_baseline3(&code, &topo, &times, &sched);
+        let b1 = compile_baseline(&code, &topo, &times, &sched).0;
+        let b2 = compile_baseline2(&code, &topo, &times, &sched).0;
+        let b3 = compile_baseline3(&code, &topo, &times, &sched).0;
         // They need not be ordered in any particular way, but they should not be
         // byte-identical results (different shuttling patterns).
         let distinct = (b1.execution_time - b2.execution_time).abs() > 1e-12
@@ -148,9 +130,11 @@ mod tests {
         let times = OperationTimes::default();
         let sched = serial_schedule(&code);
         assert!(compile_baseline2(&code, &topo, &times, &sched)
+            .0
             .codesign
             .contains("baseline 2"));
         assert!(compile_baseline3(&code, &topo, &times, &sched)
+            .0
             .codesign
             .contains("baseline 3"));
     }

@@ -19,13 +19,14 @@
 //!
 //! let code = square_hypergraph_product(&ClassicalCode::repetition(3))?;
 //! let topology = baseline_grid(code.num_qubits(), 5);
-//! let round = compile_baseline(
+//! let (round, exposure) = compile_baseline(
 //!     &code,
 //!     &topology,
 //!     &OperationTimes::default(),
 //!     &serial_schedule(&code),
 //! );
 //! assert!(round.execution_time > 0.0);
+//! assert_eq!(exposure.data.len(), code.num_qubits());
 //! # Ok::<(), qec::QecError>(())
 //! ```
 

@@ -186,7 +186,7 @@ proptest! {
         let c = ClassicalCode::gallager_ldpc(8, 3, 4, seed);
         let code = hypergraph_product(&c, &c).expect("valid");
         let topo = baseline_grid(code.num_qubits(), 5);
-        let round = compile_baseline(&code, &topo, &OperationTimes::default(), &serial_schedule(&code));
+        let (round, _) = compile_baseline(&code, &topo, &OperationTimes::default(), &serial_schedule(&code));
         prop_assert!(round.execution_time > 0.0);
         prop_assert!(round.execution_time <= round.breakdown.serialized_total() + 1e-9);
         prop_assert!(round.breakdown.roadblock_wait >= 0.0);

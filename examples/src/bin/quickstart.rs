@@ -7,8 +7,8 @@
 //! cargo run --release -p examples --bin quickstart
 //! ```
 
-use cyclone::experiments::{baseline_round, cyclone_round, ler_for_round};
-use decoder::memory::MemoryConfig;
+use cyclone::standard_registry;
+use decoder::memory::{logical_error_rate, MemoryConfig};
 use qccd::timing::OperationTimes;
 use qec::codes::bb_72_12_6;
 
@@ -25,8 +25,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     let times = OperationTimes::default();
-    let baseline = baseline_round(&code, &times);
-    let cyclone = cyclone_round(&code, &times);
+    let registry = standard_registry();
+    let baseline = registry.compile("baseline", &code, &times);
+    let cyclone = registry.compile("cyclone", &code, &times);
 
     println!("\nsyndrome-extraction round:");
     for round in [&baseline, &cyclone] {
@@ -47,8 +48,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     let p = 2e-3;
     let config = MemoryConfig::with_shots(1_000);
-    let baseline_ler = ler_for_round(&code, &baseline, p, &config);
-    let cyclone_ler = ler_for_round(&code, &cyclone, p, &config);
+    let baseline_ler = logical_error_rate(&code, p, baseline.execution_time, &config);
+    let cyclone_ler = logical_error_rate(&code, p, cyclone.execution_time, &config);
     println!(
         "\nlogical error rate at p = {p:.0e} ({} shots):",
         config.shots

@@ -2,8 +2,8 @@
 //! paper's headline claim: compiling `[[72,12,6]]` onto Cyclone yields a faster,
 //! roadblock-free syndrome-extraction round than the baseline 2D grid.
 
-use cyclone::experiments::{baseline_round, cyclone_round, ler_for_round};
-use decoder::memory::MemoryConfig;
+use cyclone::standard_registry;
+use decoder::memory::{logical_error_rate, MemoryConfig};
 use qccd::timing::OperationTimes;
 use qec::codes::bb_72_12_6;
 
@@ -13,8 +13,9 @@ fn quickstart_flow_runs_end_to_end_with_zero_roadblocks() {
     assert_eq!(code.num_qubits(), 72);
 
     let times = OperationTimes::default();
-    let baseline = baseline_round(&code, &times);
-    let cyclone = cyclone_round(&code, &times);
+    let registry = standard_registry();
+    let baseline = registry.compile("baseline", &code, &times);
+    let cyclone = registry.compile("cyclone", &code, &times);
 
     // The headline claim: Cyclone is roadblock-free; the baseline grid is not.
     assert_eq!(
@@ -50,12 +51,12 @@ fn quickstart_flow_runs_end_to_end_with_zero_roadblocks() {
         seed: 0xC1C1_0DE5,
     };
     let p = 2e-3;
-    let baseline_ler = ler_for_round(&code, &baseline, p, &config);
-    let cyclone_ler = ler_for_round(&code, &cyclone, p, &config);
+    let baseline_ler = logical_error_rate(&code, p, baseline.execution_time, &config);
+    let cyclone_ler = logical_error_rate(&code, p, cyclone.execution_time, &config);
     assert_eq!(baseline_ler.shots, 200);
     assert_eq!(cyclone_ler.shots, 200);
     assert!(cyclone_ler.ler <= 1.0 && baseline_ler.ler <= 1.0);
     // Rerunning with the same seed reproduces the estimate bit-for-bit.
-    let again = ler_for_round(&code, &cyclone, p, &config);
+    let again = logical_error_rate(&code, p, cyclone.execution_time, &config);
     assert_eq!(again.failures, cyclone_ler.failures);
 }
