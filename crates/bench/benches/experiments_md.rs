@@ -8,10 +8,9 @@
 
 use bench::runner::RunContext;
 use cyclone::experiments::{
-    fig13_trap_capacity_sweep_with, fig16_spacetime, fig17_loose_capacity_with,
-    fig18_op_time_sweep_with, fig20_compiler_comparison, fig21_swap_sensitivity,
-    fig3_parallel_speedup, fig5_latency_vs_ler_with, fig6_confusion_matrix,
-    fig9_junction_sensitivity_with, fig_hetero_with, ler_comparison_with, spatial_summary,
+    fig13_trap_capacity_sweep, fig16_spacetime, fig17_loose_capacity, fig18_op_time_sweep,
+    fig20_compiler_comparison, fig21_swap_sensitivity, fig3_parallel_speedup, fig5_latency_vs_ler,
+    fig6_confusion_matrix, fig9_junction_sensitivity, fig_hetero, ler_comparison, spatial_summary,
     HETERO_DEFAULT_RATIOS,
 };
 use cyclone::{best_configuration, default_trap_counts, trap_capacity_sweep};
@@ -53,7 +52,7 @@ fn main() {
     });
 
     // Fig. 5 — baseline LER vs latency reduction.
-    let fig5 = fig5_latency_vs_ler_with(
+    let fig5 = fig5_latency_vs_ler(
         &bench::hgp_codes(ctx.full),
         5e-4,
         &[1.0, 2.0, 4.0],
@@ -82,7 +81,7 @@ fn main() {
     });
 
     // Fig. 9 — junction sensitivity.
-    let fig9 = fig9_junction_sensitivity_with(&sens, 5e-4, &[0.0, 0.3, 0.5, 0.7, 0.9], &ctx.sweep);
+    let fig9 = fig9_junction_sensitivity(&sens, 5e-4, &[0.0, 0.3, 0.5, 0.7, 0.9], &ctx.sweep);
     let crossover = fig9
         .iter()
         .find(|r| r.mesh_ler.ler <= r.baseline_ler.ler)
@@ -97,7 +96,7 @@ fn main() {
 
     // Fig. 13 — trap/capacity sweep.
     let counts = default_trap_counts(&sens);
-    let fig13 = fig13_trap_capacity_sweep_with(&sens, 1e-4, &counts, &ctx.sweep);
+    let fig13 = fig13_trap_capacity_sweep(&sens, 1e-4, &counts, &ctx.sweep);
     let best = fig13
         .iter()
         .min_by(|a, b| a.execution_time.total_cmp(&b.execution_time))
@@ -131,7 +130,7 @@ fn main() {
         } else {
             "fig15_hgp_ler"
         };
-        let rows_f = ler_comparison_with(cache_name, &codes, &bench::error_rate_grid(), &ctx.sweep);
+        let rows_f = ler_comparison(cache_name, &codes, &bench::error_rate_grid(), &ctx.sweep);
         let best_improvement = rows_f
             .iter()
             .map(|r| r.baseline_ler.ler / r.cyclone_ler.ler)
@@ -155,7 +154,7 @@ fn main() {
     });
 
     // Fig. 17 — loose capacity.
-    let fig17 = fig17_loose_capacity_with(&sens, 1e-4, &[5, 8, 12, 20, 40], &ctx.sweep);
+    let fig17 = fig17_loose_capacity(&sens, 1e-4, &[5, 8, 12, 20, 40], &ctx.sweep);
     let spread = fig17
         .iter()
         .map(|r| r.execution_time)
@@ -172,7 +171,7 @@ fn main() {
     });
 
     // Fig. 18 — uniformly faster operations.
-    let fig18 = fig18_op_time_sweep_with(&sens, 1e-4, &[0.0, 0.5, 0.9], &ctx.sweep);
+    let fig18 = fig18_op_time_sweep(&sens, 1e-4, &[0.0, 0.5, 0.9], &ctx.sweep);
     let gap0 = fig18[0].baseline_latency / fig18[0].cyclone_latency;
     let gap9 = fig18[2].baseline_latency / fig18[2].cyclone_latency;
     rows.push(Row {
@@ -247,7 +246,7 @@ fn main() {
 
     // fig_hetero — channel-structured noise across the codesign registry.
     let bb = qec::codes::bb_72_12_6().expect("valid");
-    let hetero = fig_hetero_with(&bb, 2e-3, &HETERO_DEFAULT_RATIOS, &ctx.sweep);
+    let hetero = fig_hetero(&bb, 2e-3, &HETERO_DEFAULT_RATIOS, &ctx.sweep);
     let worst = hetero
         .iter()
         .filter(|r| r.channel != "uniform")

@@ -3,7 +3,7 @@
 //! `p = 5·10⁻⁴`.
 
 use bench::{ms, sci, Table};
-use cyclone::experiments::fig5_latency_vs_ler_with;
+use cyclone::experiments::fig5_latency_vs_ler;
 
 fn main() {
     bench::runner::figure(
@@ -11,7 +11,7 @@ fn main() {
         "Fig. 5: baseline LER vs latency reduction at p = 5e-4 (HGP codes)",
         |ctx| {
             let codes = bench::hgp_codes(ctx.full);
-            let rows = fig5_latency_vs_ler_with(&codes, 5e-4, &[1.0, 2.0, 4.0], &ctx.sweep);
+            let rows = fig5_latency_vs_ler(&codes, 5e-4, &[1.0, 2.0, 4.0], &ctx.sweep);
             let mut table = Table::new(&["code", "speedup", "latency (ms)", "LER", "shots"]);
             for r in rows {
                 table.row(vec![

@@ -4,7 +4,7 @@
 
 use bench::runner::FigureReport;
 use bench::{ms, sci, sensitivity_code, Table};
-use cyclone::experiments::fig9_junction_sensitivity_with;
+use cyclone::experiments::fig9_junction_sensitivity;
 
 fn main() {
     let code = sensitivity_code();
@@ -14,7 +14,7 @@ fn main() {
     );
     bench::runner::figure("fig09_junction_sensitivity", &title, |ctx| {
         let reductions = [0.0, 0.3, 0.5, 0.7, 0.9];
-        let rows = fig9_junction_sensitivity_with(&code, 5e-4, &reductions, &ctx.sweep);
+        let rows = fig9_junction_sensitivity(&code, 5e-4, &reductions, &ctx.sweep);
         let mut table = Table::new(&[
             "junction time reduction",
             "mesh exec (ms)",

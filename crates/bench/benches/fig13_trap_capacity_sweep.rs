@@ -4,7 +4,7 @@
 use bench::runner::FigureReport;
 use bench::{ms, sci, sensitivity_code, Table};
 use cyclone::default_trap_counts;
-use cyclone::experiments::fig13_trap_capacity_sweep_with;
+use cyclone::experiments::fig13_trap_capacity_sweep;
 
 fn main() {
     let code = sensitivity_code();
@@ -14,7 +14,7 @@ fn main() {
     );
     bench::runner::figure("fig13_trap_capacity_sweep", &title, |ctx| {
         let counts = default_trap_counts(&code);
-        let rows = fig13_trap_capacity_sweep_with(&code, 1e-4, &counts, &ctx.sweep);
+        let rows = fig13_trap_capacity_sweep(&code, 1e-4, &counts, &ctx.sweep);
         let mut table = Table::new(&["traps", "capacity", "exec (ms)", "LER @ p=1e-4"]);
         for r in &rows {
             table.row(vec![

@@ -2,7 +2,7 @@
 //! bicycle codes across physical error rates.
 
 use bench::{error_rate_grid, ms, sci, Table};
-use cyclone::experiments::ler_comparison_with;
+use cyclone::experiments::ler_comparison;
 
 fn main() {
     bench::runner::figure(
@@ -10,7 +10,7 @@ fn main() {
         "Fig. 14: Cyclone (C) vs baseline (B) logical error rate — BB codes",
         |ctx| {
             let codes = bench::bb_codes(ctx.full);
-            let rows = ler_comparison_with("fig14_bb_ler", &codes, &error_rate_grid(), &ctx.sweep);
+            let rows = ler_comparison("fig14_bb_ler", &codes, &error_rate_grid(), &ctx.sweep);
             let mut table = Table::new(&[
                 "code",
                 "p",

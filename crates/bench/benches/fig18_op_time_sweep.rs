@@ -4,7 +4,7 @@
 //! limit).
 
 use bench::{ms, sci, sensitivity_code, Table};
-use cyclone::experiments::fig18_op_time_sweep_with;
+use cyclone::experiments::fig18_op_time_sweep;
 
 fn main() {
     let code = sensitivity_code();
@@ -14,7 +14,7 @@ fn main() {
     );
     bench::runner::figure("fig18_op_time_sweep", &title, |ctx| {
         let reductions = [0.0, 0.25, 0.5, 0.75, 0.9];
-        let rows = fig18_op_time_sweep_with(&code, 1e-4, &reductions, &ctx.sweep);
+        let rows = fig18_op_time_sweep(&code, 1e-4, &reductions, &ctx.sweep);
         let mut table = Table::new(&[
             "reduction",
             "baseline lat (ms)",

@@ -6,7 +6,7 @@
 
 use bench::runner::{FigureReport, NoiseFlag};
 use bench::{ms, sci, Table};
-use cyclone::experiments::{fig_hetero_with, HETERO_DEFAULT_RATIOS};
+use cyclone::experiments::{fig_hetero, HETERO_DEFAULT_RATIOS};
 use qec::codes::bb_72_12_6;
 
 fn main() {
@@ -22,7 +22,7 @@ fn main() {
                 ratios.push(extra);
             }
         }
-        let rows = fig_hetero_with(&code, 2e-3, &ratios, &ctx.sweep);
+        let rows = fig_hetero(&code, 2e-3, &ratios, &ctx.sweep);
         let mut table = Table::new(&["codesign", "channel", "latency (ms)", "LER", "vs uniform"]);
         let mut worst: Option<(f64, String, String)> = None;
         for r in &rows {

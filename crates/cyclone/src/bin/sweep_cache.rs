@@ -15,6 +15,10 @@
 //! incompatible or corrupt sources are skipped and reported. `stats FILE...`
 //! prints a per-file summary. `verify FILE...` validates structure and exits
 //! nonzero when any file is invalid.
+//!
+//! All three read through `cyclone::sweep_cache`, the same validating reader
+//! the sweep engine uses: a file `verify` rejects is one every sweep treats as
+//! a miss (its points are recomputed) and every merge skips.
 
 use cyclone::sweep_cache::{merge_files, stats_file, verify_file};
 use std::path::{Path, PathBuf};

@@ -10,14 +10,14 @@
 //!
 //! Each `figNN_*` function returns plain data rows; the `bench` crate's binaries
 //! print them as the tables/series of the corresponding figure, and `EXPERIMENTS.md`
-//! records the paper-vs-measured comparison. Monte-Carlo figures take an explicit
-//! [`MemoryConfig`] (or [`SweepOptions`] through the `*_with` variants, which add
-//! cache control) so shot counts scale from quick smoke runs to publication-quality
-//! sampling.
+//! records the paper-vs-measured comparison. Monte-Carlo figures take
+//! [`SweepOptions`] ([`SweepOptions::ephemeral`] runs in memory,
+//! [`SweepOptions::cached`] adds the cache) so shot counts scale from quick smoke
+//! runs to publication-quality sampling.
 
 use crate::registry::{standard_registry, Cyclone};
 use crate::sweep::{run_sweep, ScenarioSpec, SweepOptions, SweepResult};
-use decoder::memory::{LerEstimate, MemoryConfig};
+use decoder::memory::LerEstimate;
 use noise::{ChannelSpec, ErrorChannel, HardwareNoiseModel, NoiseParameters};
 use qccd::compiler::codesign::BASELINE_CAPACITY;
 use qccd::compiler::{Codesign, IdleExposure};
@@ -107,16 +107,6 @@ pub fn fig5_spec(codes: &[CssCode], p: f64, speedups: &[f64]) -> ScenarioSpec {
 /// Fig. 5: LER of each code as the compiled baseline latency is divided by the given
 /// factors, at fixed physical error rate `p`.
 pub fn fig5_latency_vs_ler(
-    codes: &[CssCode],
-    p: f64,
-    speedups: &[f64],
-    config: &MemoryConfig,
-) -> Vec<LatencyLerRow> {
-    fig5_latency_vs_ler_with(codes, p, speedups, &SweepOptions::ephemeral(*config))
-}
-
-/// [`fig5_latency_vs_ler`] with full sweep control (thread pool + cache).
-pub fn fig5_latency_vs_ler_with(
     codes: &[CssCode],
     p: f64,
     speedups: &[f64],
@@ -216,16 +206,6 @@ pub fn fig9_junction_sensitivity(
     code: &CssCode,
     p: f64,
     reductions: &[f64],
-    config: &MemoryConfig,
-) -> Vec<JunctionSensitivityRow> {
-    fig9_junction_sensitivity_with(code, p, reductions, &SweepOptions::ephemeral(*config))
-}
-
-/// [`fig9_junction_sensitivity`] with full sweep control (thread pool + cache).
-pub fn fig9_junction_sensitivity_with(
-    code: &CssCode,
-    p: f64,
-    reductions: &[f64],
     options: &SweepOptions,
 ) -> Vec<JunctionSensitivityRow> {
     let (spec, mesh_times) = fig9_spec(code, p, reductions);
@@ -296,16 +276,6 @@ pub fn fig13_spec(
 /// Fig. 13: Cyclone execution time and LER across "tight" trap/capacity arrangements
 /// at fixed `p` (the paper uses `p = 10⁻⁴` on the `[[225,9,6]]` code).
 pub fn fig13_trap_capacity_sweep(
-    code: &CssCode,
-    p: f64,
-    trap_counts: &[usize],
-    config: &MemoryConfig,
-) -> Vec<TrapSensitivityRow> {
-    fig13_trap_capacity_sweep_with(code, p, trap_counts, &SweepOptions::ephemeral(*config))
-}
-
-/// [`fig13_trap_capacity_sweep`] with full sweep control (thread pool + cache).
-pub fn fig13_trap_capacity_sweep_with(
     code: &CssCode,
     p: f64,
     trap_counts: &[usize],
@@ -383,23 +353,9 @@ pub fn ler_comparison_spec(
 }
 
 /// Figs. 14 (BB codes) and 15 (HGP codes): logical error rate of Cyclone vs the
-/// baseline across a sweep of physical error rates.
+/// baseline across a sweep of physical error rates; `figure` names the cache
+/// file (`fig14_bb_ler` / `fig15_hgp_ler` from the bench frontends).
 pub fn ler_comparison(
-    codes: &[CssCode],
-    ps: &[f64],
-    config: &MemoryConfig,
-) -> Vec<LerComparisonRow> {
-    ler_comparison_with(
-        "ler_comparison",
-        codes,
-        ps,
-        &SweepOptions::ephemeral(*config),
-    )
-}
-
-/// [`ler_comparison`] with full sweep control; `figure` names the cache file
-/// (`fig14_bb_ler` / `fig15_hgp_ler` from the bench frontends).
-pub fn ler_comparison_with(
     figure: &str,
     codes: &[CssCode],
     ps: &[f64],
@@ -497,16 +453,6 @@ pub fn fig17_loose_capacity(
     code: &CssCode,
     p: f64,
     capacities: &[usize],
-    config: &MemoryConfig,
-) -> Vec<LooseCapacityRow> {
-    fig17_loose_capacity_with(code, p, capacities, &SweepOptions::ephemeral(*config))
-}
-
-/// [`fig17_loose_capacity`] with full sweep control (thread pool + cache).
-pub fn fig17_loose_capacity_with(
-    code: &CssCode,
-    p: f64,
-    capacities: &[usize],
     options: &SweepOptions,
 ) -> Vec<LooseCapacityRow> {
     let (spec, exec_times) = fig17_spec(code, p, capacities);
@@ -564,16 +510,6 @@ pub fn fig18_spec(code: &CssCode, p: f64, reductions: &[f64]) -> (ScenarioSpec, 
 /// Fig. 18: LER of baseline and Cyclone as gate and shuttling times are reduced by a
 /// uniform percentage.
 pub fn fig18_op_time_sweep(
-    code: &CssCode,
-    p: f64,
-    reductions: &[f64],
-    config: &MemoryConfig,
-) -> Vec<OpTimeSweepRow> {
-    fig18_op_time_sweep_with(code, p, reductions, &SweepOptions::ephemeral(*config))
-}
-
-/// [`fig18_op_time_sweep`] with full sweep control (thread pool + cache).
-pub fn fig18_op_time_sweep_with(
     code: &CssCode,
     p: f64,
     reductions: &[f64],
@@ -804,12 +740,7 @@ pub fn fig_hetero_spec(
 
 /// fig_hetero: logical error rate of every registered codesign under uniform,
 /// measurement-biased, and schedule-derived per-qubit channels at fixed `p`.
-pub fn fig_hetero(code: &CssCode, p: f64, ratios: &[f64], config: &MemoryConfig) -> Vec<HeteroRow> {
-    fig_hetero_with(code, p, ratios, &SweepOptions::ephemeral(*config))
-}
-
-/// [`fig_hetero`] with full sweep control (thread pool + cache).
-pub fn fig_hetero_with(
+pub fn fig_hetero(
     code: &CssCode,
     p: f64,
     ratios: &[f64],
@@ -890,7 +821,7 @@ pub fn sweep_totals(result: &SweepResult) -> (usize, usize, usize) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use decoder::memory::logical_error_rate;
+    use decoder::memory::{logical_error_rate, MemoryConfig};
     use qec::classical::ClassicalCode;
     use qec::codes::bb_72_12_6;
     use qec::hgp::square_hypergraph_product;
@@ -906,6 +837,10 @@ mod tests {
             threads: 2,
             seed: 7,
         }
+    }
+
+    fn ephemeral() -> SweepOptions {
+        SweepOptions::ephemeral(quick_config())
     }
 
     #[test]
@@ -976,7 +911,12 @@ mod tests {
     #[test]
     fn ler_comparison_produces_rows_for_each_p() {
         let code = tiny_hgp();
-        let rows = ler_comparison(std::slice::from_ref(&code), &[2e-3, 5e-3], &quick_config());
+        let rows = ler_comparison(
+            "ler_comparison",
+            std::slice::from_ref(&code),
+            &[2e-3, 5e-3],
+            &ephemeral(),
+        );
         assert_eq!(rows.len(), 2);
         assert!(rows.iter().all(|r| r.cyclone_latency < r.baseline_latency));
     }
@@ -988,7 +928,7 @@ mod tests {
             std::slice::from_ref(&code),
             5e-3,
             &[1.0, 2.0, 4.0],
-            &quick_config(),
+            &ephemeral(),
         );
         assert_eq!(rows.len(), 3);
         assert!(rows[0].latency > rows[2].latency);
@@ -997,7 +937,7 @@ mod tests {
     #[test]
     fn fig9_rows_share_the_baseline_reference() {
         let code = tiny_hgp();
-        let rows = fig9_junction_sensitivity(&code, 5e-3, &[0.0, 0.5], &quick_config());
+        let rows = fig9_junction_sensitivity(&code, 5e-3, &[0.0, 0.5], &ephemeral());
         assert_eq!(rows.len(), 2);
         assert_eq!(rows[0].baseline_ler.ler, rows[1].baseline_ler.ler);
         assert!(rows[1].mesh_execution_time < rows[0].mesh_execution_time);
@@ -1007,7 +947,7 @@ mod tests {
     fn fig_hetero_covers_every_codesign_and_channel() {
         let code = tiny_hgp();
         let ratios = [4.0];
-        let rows = fig_hetero(&code, 8e-3, &ratios, &quick_config());
+        let rows = fig_hetero(&code, 8e-3, &ratios, &ephemeral());
         let registry = standard_registry();
         // One uniform + one biased + one schedule row per registered codesign.
         assert_eq!(rows.len(), registry.len() * (ratios.len() + 2));
@@ -1033,7 +973,7 @@ mod tests {
     #[test]
     fn fig18_rows_pair_baseline_and_cyclone() {
         let code = tiny_hgp();
-        let rows = fig18_op_time_sweep(&code, 5e-3, &[0.0, 0.5], &quick_config());
+        let rows = fig18_op_time_sweep(&code, 5e-3, &[0.0, 0.5], &ephemeral());
         assert_eq!(rows.len(), 2);
         assert!(rows[1].baseline_latency < rows[0].baseline_latency);
         assert!(rows.iter().all(|r| r.cyclone_latency < r.baseline_latency));

@@ -16,8 +16,10 @@
 //!   registry of every codesign the evaluation compares.
 //! * [`sweep`] — the parallel, cache-backed scenario sweep engine, with
 //!   deterministic work-sharding for multi-process fleets.
-//! * [`sweep_cache`] — offline merge/stats/verify over sweep cache files (also
-//!   exposed as the `sweep-cache` CLI), so shard-local caches compose.
+//! * [`sweep_cache`] — the one reader and writer of sweep cache files, which the
+//!   sweep engine and the offline merge/stats/verify (the `sweep-cache` CLI)
+//!   share, so a file `verify` rejects is never read and shard-local caches
+//!   compose.
 //! * [`experiments`] — declarative scenario specs that regenerate every figure of
 //!   the evaluation through the sweep engine.
 //!

@@ -16,30 +16,23 @@
 //! * serializes results to `sweeps/<figure>.json` and reuses them as a cache on
 //!   re-runs: a point is recomputed only when its id, operating point, or Monte-Carlo
 //!   configuration changed, so quick-mode CI runs and full-shot local runs compose
-//!   without poisoning each other (a corrupt or missing cache file simply falls back
-//!   to recomputation). Cache files are written atomically (temp file + rename in
-//!   the same directory), so a crash or two figure binaries sharing a cache
-//!   directory can never leave or observe a torn file;
+//!   without poisoning each other. The file format belongs to
+//!   [`crate::sweep_cache`], whose one validating reader this engine uses: a
+//!   missing file, or one that `sweep-cache verify` rejects, serves no point and
+//!   every point is recomputed. Cache files are written atomically (temp file +
+//!   rename in the same directory), so a crash or two figure binaries sharing a
+//!   cache directory can never leave or observe a torn file;
 //! * optionally samples **adaptively**: a [`PrecisionTarget`] on the options (or on
 //!   an individual point) stops each point at a target relative standard error /
 //!   failure count instead of a fixed shot budget, and the cache records the shots
 //!   actually spent so a cached point is reused whenever it meets-or-exceeds the
 //!   requested precision.
 
-use decoder::cache::atomic_write;
+use crate::sweep_cache::{CacheEntry, CacheFile};
 use decoder::memory::{estimate_points, LerEstimate, LerPoint, MemoryConfig, PrecisionTarget};
 use noise::ChannelSpec;
 use qec::CssCode;
-use serde_json::Value;
-use std::collections::BTreeMap;
-use std::path::{Path, PathBuf};
-
-/// Version tag written to cache files. Schema 2 added the `mode` header and
-/// meets-or-exceeds reuse of per-entry shot counts; schema 3 added the per-entry
-/// `channel` identity (see [`ChannelSpec::cache_id`]). Only this schema is read:
-/// a cache is an accelerator, so an older file is a miss and its points are
-/// recomputed.
-pub(crate) const CACHE_SCHEMA: u64 = 3;
+use std::path::PathBuf;
 
 /// A deterministic work-shard assignment: of `total` cooperating processes, this
 /// one computes only the operating points whose stable identity hashes to
@@ -283,14 +276,8 @@ impl SweepOptions {
     /// Reads and writes `<dir>/<figure>.json` around the run.
     pub fn cached(config: MemoryConfig, dir: impl Into<PathBuf>) -> Self {
         SweepOptions {
-            config,
             cache_dir: Some(dir.into()),
-            precision: None,
-            channel: None,
-            decode_cache_dir: None,
-            shard: None,
-            checkpoint: 0,
-            fallback_cache_dir: None,
+            ..SweepOptions::ephemeral(config)
         }
     }
 
@@ -434,17 +421,16 @@ pub fn run_sweep(spec: &ScenarioSpec, options: &SweepOptions) -> SweepResult {
 
     let file_name = format!("{}.json", spec.figure);
     let cache_path = options.cache_dir.as_ref().map(|dir| dir.join(&file_name));
-    let mut cached = cache_path
-        .as_deref()
-        .map(|path| load_cache(path, spec, options))
-        .unwrap_or_default();
+    let identity = CacheFile::new(&spec.figure, &options.config, options.precision.as_ref());
     // The fallback directory (worker mode's read-only view of the main cache) is
-    // consulted only for points the primary cache misses.
-    if let Some(dir) = &options.fallback_cache_dir {
-        for (id, ler) in load_cache(&dir.join(&file_name), spec, options) {
-            cached.entry(id).or_insert(ler);
-        }
-    }
+    // consulted only for points the primary cache misses. A file that does not
+    // parse, or belongs to another figure, seed or BP cap, serves nothing.
+    let files: Vec<CacheFile> = [&options.cache_dir, &options.fallback_cache_dir]
+        .into_iter()
+        .flatten()
+        .filter_map(|dir| CacheFile::read(&dir.join(&file_name)).ok())
+        .filter(|file| identity.identity_mismatch(file).is_none())
+        .collect();
 
     // `resolved`: per spec index, (estimate, served-from-cache); `None` at the
     // end means skipped (another shard's uncached work). Workers fill the slots
@@ -452,7 +438,13 @@ pub fn run_sweep(spec: &ScenarioSpec, options: &SweepOptions) -> SweepResult {
     let mut resolved: Vec<Option<(LerEstimate, bool)>> = spec
         .points
         .iter()
-        .map(|point| cached.get(&point.id).map(|&ler| (ler, true)))
+        .map(|point| {
+            files.iter().find_map(|file| {
+                let entry = file.entries.iter().find(|entry| entry.id == point.id)?;
+                reuse(entry, point, options)
+                    .then(|| (LerEstimate::from_counts(entry.shots, entry.failures), true))
+            })
+        })
         .collect();
 
     // Estimate the misses this shard owns; every `checkpoint`-th point to
@@ -478,14 +470,33 @@ pub fn run_sweep(spec: &ScenarioSpec, options: &SweepOptions) -> SweepResult {
         })
         .collect();
     // Publishing is best-effort: an unwritable cache must not fail the sweep.
+    // Entries land in spec order; points not resolved yet are left out.
     let publish = |resolved: &[Option<(LerEstimate, bool)>], what: &str| {
-        if let Some(path) = cache_path.as_deref() {
-            if let Err(err) = store_cache(path, spec, options, resolved) {
-                eprintln!(
-                    "warning: could not {what} sweep cache {}: {err}",
-                    path.display()
-                );
-            }
+        let Some(path) = cache_path.as_deref() else {
+            return;
+        };
+        let mut file = identity.clone();
+        file.entries = spec
+            .points
+            .iter()
+            .zip(resolved)
+            .filter_map(|(point, slot)| {
+                let (ler, _) = (*slot)?;
+                Some(CacheEntry {
+                    id: point.id.clone(),
+                    p: point.p,
+                    latency: point.latency,
+                    channel: options.channel_id_for(point),
+                    shots: ler.shots,
+                    failures: ler.failures,
+                })
+            })
+            .collect();
+        if let Err(err) = file.write(path) {
+            eprintln!(
+                "warning: could not {what} sweep cache {}: {err}",
+                path.display()
+            );
         }
     };
     let mut finished = 0;
@@ -535,146 +546,24 @@ pub fn run_sweep(spec: &ScenarioSpec, options: &SweepOptions) -> SweepResult {
     }
 }
 
-/// Loads reusable per-point estimates from a cache file. Any structural problem —
-/// missing file, malformed JSON, another schema, wrong figure, changed
-/// Monte-Carlo configuration — yields an empty map, i.e. full recomputation.
-///
-/// Reuse is decided per entry against the *requested* sampling mode of its spec
-/// point: a fixed-budget point requires the exact `config.shots` count, while a
-/// precision-targeted point reuses any entry that meets-or-exceeds the requested
-/// precision — whether it was produced by an adaptive run, a bigger adaptive cap,
-/// or a fixed full-shot run.
-fn load_cache(
-    path: &Path,
-    spec: &ScenarioSpec,
-    options: &SweepOptions,
-) -> BTreeMap<String, LerEstimate> {
-    let config = &options.config;
-    let Ok(text) = std::fs::read_to_string(path) else {
-        return BTreeMap::new();
-    };
-    let Ok(doc) = serde_json::from_str(&text) else {
-        return BTreeMap::new();
-    };
-    // The u64 seed is stored as a decimal string — the shim's JSON numbers are
-    // f64, which would silently round seeds above 2^53. The header `shots` field is
-    // informational only since schema 2: the per-entry shot counts are what the
-    // reuse rules consult.
-    if doc.get("schema").and_then(Value::as_u64) != Some(CACHE_SCHEMA)
-        || doc.get("figure").and_then(Value::as_str) != Some(spec.figure.as_str())
-        || doc.get("seed").and_then(Value::as_str) != Some(config.seed.to_string().as_str())
-        || doc.get("bp_iterations").and_then(Value::as_u64) != Some(config.bp_iterations as u64)
+/// Whether a cached entry may stand in for `point`: the same operating point
+/// and channel bit-for-bit, at least one shot, and the *requested* sampling
+/// mode — the exact `config.shots` for a fixed budget, and for a precision
+/// target any entry that meets-or-exceeds it (adaptive or fixed-run alike).
+fn reuse(entry: &CacheEntry, point: &OperatingPoint, options: &SweepOptions) -> bool {
+    if entry.p != point.p
+        || entry.latency != point.latency
+        || entry.channel != options.channel_id_for(point)
+        || entry.shots == 0
     {
-        return BTreeMap::new();
+        return false;
     }
-    let Some(entries) = doc.get("points").and_then(Value::as_array) else {
-        return BTreeMap::new();
-    };
-    let mut reusable = BTreeMap::new();
-    for entry in entries {
-        let Some(id) = entry.get("id").and_then(Value::as_str) else {
-            continue;
-        };
-        // A cached estimate is reused only when its operating point matches the
-        // spec's bit-for-bit (floats survive the JSON round trip exactly thanks to
-        // shortest-roundtrip formatting).
-        let Some(point) = spec.points.iter().find(|p| p.id == id) else {
-            continue;
-        };
-        let (Some(p), Some(latency), Some(channel), Some(shots), Some(failures)) = (
-            entry.get("p").and_then(Value::as_f64),
-            entry.get("latency").and_then(Value::as_f64),
-            entry.get("channel").and_then(Value::as_str),
-            entry.get("shots").and_then(Value::as_u64),
-            entry.get("failures").and_then(Value::as_u64),
-        ) else {
-            continue;
-        };
-        // An entry is reusable only for the channel it was sampled under.
-        if p != point.p
-            || latency != point.latency
-            || channel != options.channel_id_for(point)
-            || shots == 0
-        {
-            continue;
-        }
-        let (shots, failures) = (shots as usize, failures as usize);
-        let reuse = match options.target_for(point) {
-            // Fixed budget: the exact shot count, as before adaptive sampling.
-            None => shots == config.shots,
-            // Precision target: anything at least as precise as requested — the
-            // stop rule itself, or a run that already spent the full cap.
-            Some(target) => target.met_by(shots, failures) || shots >= target.max_shots,
-        };
-        if reuse && failures <= shots {
-            reusable.insert(id.to_string(), LerEstimate::from_counts(shots, failures));
+    match options.target_for(point) {
+        None => entry.shots == options.config.shots,
+        Some(target) => {
+            target.met_by(entry.shots, entry.failures) || entry.shots >= target.max_shots
         }
     }
-    reusable
-}
-
-/// Serializes the resolved entries of a sweep (plus the configuration that
-/// produced them) as the figure's cache file, atomically. `resolved` holds, per
-/// spec index, (estimate, served-from-cache) or `None`. Entries land in spec
-/// order and zero-shot placeholders are never written (readers skip them), so
-/// a partial (checkpoint or sharded) write is a well-formed cache that
-/// composes with other shards' files via [`crate::sweep_cache::merge_files`].
-fn store_cache(
-    path: &Path,
-    spec: &ScenarioSpec,
-    options: &SweepOptions,
-    resolved: &[Option<(LerEstimate, bool)>],
-) -> std::io::Result<()> {
-    let config = &options.config;
-    let mut root = BTreeMap::new();
-    root.insert("schema".to_string(), Value::from(CACHE_SCHEMA as usize));
-    root.insert("figure".to_string(), Value::from(spec.figure.clone()));
-    root.insert("seed".to_string(), Value::from(config.seed.to_string()));
-    root.insert("shots".to_string(), Value::from(config.shots));
-    root.insert(
-        "bp_iterations".to_string(),
-        Value::from(config.bp_iterations),
-    );
-    root.insert(
-        "mode".to_string(),
-        Value::from(if options.precision.is_some() {
-            "adaptive"
-        } else {
-            "fixed"
-        }),
-    );
-    if let Some(target) = &options.precision {
-        root.insert("target_rse".to_string(), Value::Number(target.target_rse));
-        root.insert("min_failures".to_string(), Value::from(target.min_failures));
-        root.insert("max_shots".to_string(), Value::from(target.max_shots));
-    }
-    let entries: Vec<Value> = resolved
-        .iter()
-        .enumerate()
-        .filter_map(|(i, slot)| Some((i, slot.filter(|(ler, _)| ler.shots > 0)?.0)))
-        .map(|(i, ler)| {
-            let spec_point = &spec.points[i];
-            let mut entry = BTreeMap::new();
-            entry.insert("id".to_string(), Value::from(spec_point.id.clone()));
-            entry.insert("p".to_string(), Value::Number(spec_point.p));
-            entry.insert("latency".to_string(), Value::Number(spec_point.latency));
-            entry.insert(
-                "channel".to_string(),
-                Value::from(options.channel_id_for(spec_point)),
-            );
-            // `shots` records what was actually spent on the point (which varies
-            // per point under adaptive sampling), never the configured budget.
-            entry.insert("shots".to_string(), Value::from(ler.shots));
-            entry.insert("failures".to_string(), Value::from(ler.failures));
-            entry.insert("ler".to_string(), Value::Number(ler.ler));
-            entry.insert("std_err".to_string(), Value::Number(ler.std_err));
-            Value::Object(entry)
-        })
-        .collect();
-    root.insert("points".to_string(), Value::Array(entries));
-    let mut text = serde_json::to_string(&Value::Object(root));
-    text.push('\n');
-    atomic_write(path, &text)
 }
 
 #[cfg(test)]

@@ -1,5 +1,7 @@
-//! Offline composition of sweep cache files: `merge`, `stats`, and `verify`
-//! over the `sweeps/<figure>.json` format written by [`crate::run_sweep`].
+//! The sweep cache format, `sweeps/<figure>.json`: its one validating reader
+//! and its one writer, which [`crate::run_sweep`] and the offline `merge`,
+//! `stats` and `verify` all share. So a file `verify` rejects is never read: a
+//! sweep recomputes its points, and a merge skips it with the reason.
 //!
 //! Sharded fleets (see `bench::runner`) leave one cache file per shard; this
 //! module folds them back into a single file. The merge is a **union of point
@@ -12,142 +14,186 @@
 //! result is the same file.
 //!
 //! Compatibility is decided at the header level: files must agree on `figure`,
-//! `seed`, and `bp_iterations` (the same identity [`crate::run_sweep`]'s loader
-//! checks). A source that disagrees — or does not parse — is *skipped and
-//! reported*, never silently folded in, and never aborts the merge of the
-//! remaining sources. Only the current schema (`CACHE_SCHEMA`) parses: an
-//! older file (schema 1 or 2, whose entries lack the `channel` field) is
-//! skipped and reported, like any other incompatible source.
+//! `seed`, and `bp_iterations` (the identity a sweep checks too). A source that
+//! disagrees — or does not parse — is *skipped and reported*, never silently
+//! folded in, and never aborts the merge of the remaining sources. Only the
+//! current schema (`CACHE_SCHEMA`) parses: an older file (schema 1 or 2, whose
+//! entries lack the `channel` field) is a miss and a skipped source.
 
-use crate::sweep::CACHE_SCHEMA;
 use decoder::cache::atomic_write;
+use decoder::memory::{LerEstimate, MemoryConfig, PrecisionTarget};
 use serde_json::Value;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::path::{Path, PathBuf};
 
-/// One cache file parsed into its header and per-id entries.
+/// Version tag of the cache files. Schema 2 added the `mode` header and
+/// meets-or-exceeds reuse of per-entry shot counts; schema 3 added the
+/// per-entry `channel` identity (see [`noise::ChannelSpec::cache_id`]).
+const CACHE_SCHEMA: u64 = 3;
+
+/// One cached point: the spec id, operating point and channel identity it was
+/// sampled at, and the shots actually spent (not the configured budget) with
+/// the failures among them.
 #[derive(Debug, Clone)]
-struct ParsedCache {
-    /// Every header field except `points` (kept verbatim so merged output
-    /// preserves `mode`/`target_*` context from the reference file).
+pub(crate) struct CacheEntry {
+    pub(crate) id: String,
+    pub(crate) p: f64,
+    pub(crate) latency: f64,
+    pub(crate) channel: String,
+    pub(crate) shots: usize,
+    pub(crate) failures: usize,
+}
+
+/// One cache file: the header and the typed entries, in file order.
+#[derive(Debug, Clone)]
+pub(crate) struct CacheFile {
+    /// Every field except `points`, kept verbatim (so a merge preserves the
+    /// `mode`/`target_*` context of its reference file). It always holds the
+    /// identity fields: [`CacheFile::new`] writes them, [`CacheFile::read`]
+    /// checks them.
     header: BTreeMap<String, Value>,
-    /// Entries by point id; the `usize` is the recorded shot count used for
-    /// conflict resolution.
-    entries: BTreeMap<String, (usize, Value)>,
+    pub(crate) entries: Vec<CacheEntry>,
 }
 
-impl ParsedCache {
-    fn figure(&self) -> &str {
-        self.header
-            .get("figure")
-            .and_then(Value::as_str)
-            .unwrap_or_default()
-    }
-
-    fn seed(&self) -> &str {
-        self.header
-            .get("seed")
-            .and_then(Value::as_str)
-            .unwrap_or_default()
-    }
-
-    fn bp_iterations(&self) -> u64 {
-        self.header
-            .get("bp_iterations")
-            .and_then(Value::as_u64)
-            .unwrap_or_default()
-    }
-
-    /// Whether `other` may be merged into this cache: same figure, same seed,
-    /// same BP iteration cap — the identity [`crate::run_sweep`]'s loader
-    /// checks before reusing any entry.
-    fn compatible_with(&self, other: &ParsedCache) -> Option<String> {
-        if self.figure() != other.figure() {
-            return Some(format!(
-                "figure `{}` does not match `{}`",
-                other.figure(),
-                self.figure()
-            ));
-        }
-        if self.seed() != other.seed() {
-            return Some(format!(
-                "seed {} does not match {}",
-                other.seed(),
-                self.seed()
-            ));
-        }
-        if self.bp_iterations() != other.bp_iterations() {
-            return Some(format!(
-                "bp_iterations {} does not match {}",
-                other.bp_iterations(),
-                self.bp_iterations()
-            ));
-        }
-        None
-    }
+/// A JSON object from `(key, value)` pairs.
+fn object<const N: usize>(fields: [(&str, Value); N]) -> BTreeMap<String, Value> {
+    fields
+        .into_iter()
+        .map(|(key, value)| (key.to_string(), value))
+        .collect()
 }
 
-/// Parses one cache file, rejecting anything [`verify_file`] would reject.
-fn parse_cache(path: &Path) -> Result<ParsedCache, String> {
-    let text = std::fs::read_to_string(path).map_err(|err| format!("unreadable: {err}"))?;
-    let doc = serde_json::from_str(&text).map_err(|err| format!("malformed JSON: {err}"))?;
-    let Some(root) = doc.as_object() else {
-        return Err("root is not an object".to_string());
-    };
-    let mut header = root.clone();
-    let points = header.remove("points");
-    if header.get("schema").and_then(Value::as_u64) != Some(CACHE_SCHEMA) {
-        return Err(format!(
-            "not a schema-{CACHE_SCHEMA} cache (older schemas are not read)"
-        ));
-    }
-    if header.get("figure").and_then(Value::as_str).is_none() {
-        return Err("missing string header field `figure`".to_string());
-    }
-    if header.get("seed").and_then(Value::as_str).is_none() {
-        return Err(
-            "missing string header field `seed` (u64 stored as decimal string)".to_string(),
-        );
-    }
-    if header
-        .get("bp_iterations")
-        .and_then(Value::as_u64)
-        .is_none()
-    {
-        return Err("missing numeric header field `bp_iterations`".to_string());
-    }
-    let Some(points) = points.as_ref().and_then(Value::as_array) else {
-        return Err("missing array field `points`".to_string());
-    };
-    let mut entries = BTreeMap::new();
-    for (index, entry) in points.iter().enumerate() {
-        let Some(id) = entry.get("id").and_then(Value::as_str) else {
-            return Err(format!("entry {index} has no string `id`"));
-        };
-        let (Some(_), Some(_), Some(_), Some(shots), Some(failures)) = (
-            entry.get("p").and_then(Value::as_f64),
-            entry.get("latency").and_then(Value::as_f64),
-            entry.get("channel").and_then(Value::as_str),
-            entry.get("shots").and_then(Value::as_u64),
-            entry.get("failures").and_then(Value::as_u64),
-        ) else {
-            return Err(format!(
-                "entry `{id}` is missing one of p/latency/channel/shots/failures"
-            ));
-        };
-        if failures > shots {
-            return Err(format!(
-                "entry `{id}` records {failures} failures out of {shots} shots"
-            ));
+impl CacheFile {
+    /// An empty cache for `figure` sampled under `config` (and `precision`,
+    /// when the sweep is adaptive). The seed is stored as a decimal string:
+    /// the shim's JSON numbers are f64, which would round seeds above 2^53.
+    /// The header `shots` is informational; reuse reads the entries' counts.
+    pub(crate) fn new(
+        figure: &str,
+        config: &MemoryConfig,
+        precision: Option<&PrecisionTarget>,
+    ) -> Self {
+        let mut header = object([
+            ("schema", Value::from(CACHE_SCHEMA as usize)),
+            ("figure", Value::from(figure)),
+            ("seed", Value::from(config.seed.to_string())),
+            ("shots", Value::from(config.shots)),
+            ("bp_iterations", Value::from(config.bp_iterations)),
+            (
+                "mode",
+                Value::from(precision.map_or("fixed", |_| "adaptive")),
+            ),
+        ]);
+        if let Some(target) = precision {
+            header.extend(object([
+                ("target_rse", Value::Number(target.target_rse)),
+                ("min_failures", Value::from(target.min_failures)),
+                ("max_shots", Value::from(target.max_shots)),
+            ]));
         }
-        if entries
-            .insert(id.to_string(), (shots as usize, entry.clone()))
-            .is_some()
-        {
-            return Err(format!("duplicate entry id `{id}`"));
+        CacheFile {
+            header,
+            entries: Vec::new(),
         }
     }
-    Ok(ParsedCache { header, entries })
+
+    /// Reads and validates one cache file: parseable JSON of the current
+    /// schema with the string `figure` and `seed` and the numeric
+    /// `bp_iterations` header fields, and a `points` array whose entries all
+    /// carry `id`/`p`/`latency`/`channel`/`shots`/`failures`, with no
+    /// duplicate id and no entry recording more failures than shots. The
+    /// error is a human-readable reason for the first check that fails.
+    pub(crate) fn read(path: &Path) -> Result<Self, String> {
+        let text = std::fs::read_to_string(path).map_err(|err| format!("unreadable: {err}"))?;
+        let doc = serde_json::from_str(&text).map_err(|err| format!("malformed JSON: {err}"))?;
+        let Some(root) = doc.as_object() else {
+            return Err("root is not an object".to_string());
+        };
+        let mut header = root.clone();
+        let points = header.remove("points");
+        if header.get("schema").and_then(Value::as_u64) != Some(CACHE_SCHEMA) {
+            return Err(format!(
+                "not a schema-{CACHE_SCHEMA} cache (older schemas are not read)"
+            ));
+        }
+        let is_text = |field| header.get(field).and_then(Value::as_str).is_some();
+        let is_count = |field| header.get(field).and_then(Value::as_u64).is_some();
+        if !(is_text("figure") && is_text("seed") && is_count("bp_iterations")) {
+            return Err("missing string `figure`/`seed` or numeric `bp_iterations`".to_string());
+        }
+        let Some(points) = points.as_ref().and_then(Value::as_array) else {
+            return Err("missing array field `points`".to_string());
+        };
+        let mut ids = BTreeSet::new();
+        let mut entries = Vec::with_capacity(points.len());
+        for (index, entry) in points.iter().enumerate() {
+            let field = |key| entry.get(key);
+            let (Some(id), Some(p), Some(latency), Some(channel), Some(shots), Some(failures)) = (
+                field("id").and_then(Value::as_str),
+                field("p").and_then(Value::as_f64),
+                field("latency").and_then(Value::as_f64),
+                field("channel").and_then(Value::as_str),
+                field("shots").and_then(Value::as_u64),
+                field("failures").and_then(Value::as_u64),
+            ) else {
+                return Err(format!(
+                    "entry {index} is missing one of id/p/latency/channel/shots/failures"
+                ));
+            };
+            if failures > shots {
+                return Err(format!(
+                    "entry `{id}` records {failures} failures out of {shots} shots"
+                ));
+            }
+            if !ids.insert(id) {
+                return Err(format!("duplicate entry id `{id}`"));
+            }
+            entries.push(CacheEntry {
+                id: id.to_string(),
+                p,
+                latency,
+                channel: channel.to_string(),
+                shots: shots as usize,
+                failures: failures as usize,
+            });
+        }
+        Ok(CacheFile { header, entries })
+    }
+
+    /// Writes the file atomically, entries in order. Zero-shot entries (points
+    /// nobody computed) are dropped and each entry's `ler`/`std_err` come from
+    /// its counts, so a partial (checkpoint or sharded) write is a well-formed
+    /// cache that composes with other shards' files via [`merge_files`].
+    pub(crate) fn write(&self, path: &Path) -> std::io::Result<()> {
+        let points = self.entries.iter().filter(|entry| entry.shots > 0);
+        let points = points.map(|entry| {
+            let ler = LerEstimate::from_counts(entry.shots, entry.failures);
+            Value::Object(object([
+                ("id", Value::from(entry.id.as_str())),
+                ("p", Value::Number(entry.p)),
+                ("latency", Value::Number(entry.latency)),
+                ("channel", Value::from(entry.channel.as_str())),
+                ("shots", Value::from(entry.shots)),
+                ("failures", Value::from(entry.failures)),
+                ("ler", Value::Number(ler.ler)),
+                ("std_err", Value::Number(ler.std_err)),
+            ]))
+        });
+        let mut root = self.header.clone();
+        root.insert("points".to_string(), Value::Array(points.collect()));
+        atomic_write(path, &(serde_json::to_string(&Value::Object(root)) + "\n"))
+    }
+
+    /// Why `other`'s entries may not stand in for this file's (`None` when
+    /// they may): a different figure, seed, or BP iteration cap.
+    pub(crate) fn identity_mismatch(&self, other: &CacheFile) -> Option<String> {
+        ["figure", "seed", "bp_iterations"]
+            .into_iter()
+            .find_map(|field| {
+                let (want, got) = (&self.header[field], &other.header[field]);
+                (want != got).then(|| format!("{field} {got} does not match {want}"))
+            })
+    }
 }
 
 /// What one [`merge_files`] call did.
@@ -184,37 +230,42 @@ pub struct MergeReport {
 pub fn merge_files(dest: &Path, sources: &[PathBuf]) -> std::io::Result<MergeReport> {
     let mut report = MergeReport::default();
     // A missing or corrupt destination is rebuilt from the sources.
-    let mut merged: Option<ParsedCache> = parse_cache(dest).ok();
+    let mut merged: Option<CacheFile> = CacheFile::read(dest).ok();
+    let mut by_id: BTreeMap<String, CacheEntry> = BTreeMap::new();
+    if let Some(file) = merged.as_mut() {
+        by_id.extend(
+            file.entries
+                .drain(..)
+                .map(|entry| (entry.id.clone(), entry)),
+        );
+    }
     for source in sources {
-        let parsed = match parse_cache(source) {
+        let parsed = match CacheFile::read(source) {
             Ok(parsed) => parsed,
             Err(reason) => {
                 report.sources_skipped.push((source.clone(), reason));
                 continue;
             }
         };
-        let Some(merged) = merged.as_mut() else {
-            // No destination yet: the first parseable source becomes the
-            // reference, and all of its entries are new.
-            report.entries_added += parsed.entries.len();
-            merged = Some(parsed);
-            report.sources_merged += 1;
-            continue;
-        };
-        if let Some(reason) = merged.compatible_with(&parsed) {
+        // With no destination, the first parseable source is the reference.
+        let reference = merged.get_or_insert_with(|| CacheFile {
+            header: parsed.header.clone(),
+            entries: Vec::new(),
+        });
+        if let Some(reason) = reference.identity_mismatch(&parsed) {
             report.sources_skipped.push((source.clone(), reason));
             continue;
         }
-        for (id, (shots, entry)) in parsed.entries {
-            match merged.entries.get(&id) {
-                Some(&(existing, _)) if existing >= shots => {}
+        for entry in parsed.entries {
+            match by_id.get(&entry.id) {
+                Some(existing) if existing.shots >= entry.shots => {}
                 Some(_) => {
-                    merged.entries.insert(id, (shots, entry));
                     report.entries_upgraded += 1;
+                    by_id.insert(entry.id.clone(), entry);
                 }
                 None => {
-                    merged.entries.insert(id, (shots, entry));
                     report.entries_added += 1;
+                    by_id.insert(entry.id.clone(), entry);
                 }
             }
         }
@@ -230,24 +281,12 @@ pub fn merge_files(dest: &Path, sources: &[PathBuf]) -> std::io::Result<MergeRep
             ),
         ));
     };
-    merged.entries.retain(|_, (shots, _)| *shots > 0);
+    merged.entries = by_id
+        .into_values()
+        .filter(|entry| entry.shots > 0)
+        .collect();
     report.entries_total = merged.entries.len();
-
-    let mut root = merged.header;
-    root.insert("schema".to_string(), Value::from(CACHE_SCHEMA as usize));
-    root.insert(
-        "points".to_string(),
-        Value::Array(
-            merged
-                .entries
-                .into_values()
-                .map(|(_, entry)| entry)
-                .collect(),
-        ),
-    );
-    let mut text = serde_json::to_string(&Value::Object(root));
-    text.push('\n');
-    atomic_write(dest, &text)?;
+    merged.write(dest)?;
     Ok(report)
 }
 
@@ -281,27 +320,17 @@ pub struct CacheStats {
 /// Returns the same validation failures as [`verify_file`], as a human-readable
 /// reason.
 pub fn stats_file(path: &Path) -> Result<CacheStats, String> {
-    let parsed = parse_cache(path)?;
-    let total_shots = parsed.entries.values().map(|(shots, _)| *shots).sum();
-    let total_failures = parsed
-        .entries
-        .values()
-        .filter_map(|(_, entry)| entry.get("failures").and_then(Value::as_u64))
-        .sum::<u64>() as usize;
+    let file = CacheFile::read(path)?;
+    let text = |field| file.header.get(field).and_then(Value::as_str);
     Ok(CacheStats {
         schema: CACHE_SCHEMA,
-        figure: parsed.figure().to_string(),
-        seed: parsed.seed().to_string(),
-        bp_iterations: parsed.bp_iterations(),
-        mode: parsed
-            .header
-            .get("mode")
-            .and_then(Value::as_str)
-            .unwrap_or("unknown")
-            .to_string(),
-        entries: parsed.entries.len(),
-        total_shots,
-        total_failures,
+        figure: text("figure").unwrap_or_default().to_string(),
+        seed: text("seed").unwrap_or_default().to_string(),
+        bp_iterations: file.header["bp_iterations"].as_u64().unwrap_or_default(),
+        mode: text("mode").unwrap_or("unknown").to_string(),
+        entries: file.entries.len(),
+        total_shots: file.entries.iter().map(|entry| entry.shots).sum(),
+        total_failures: file.entries.iter().map(|entry| entry.failures).sum(),
     })
 }
 
@@ -314,7 +343,7 @@ pub fn stats_file(path: &Path) -> Result<CacheStats, String> {
 ///
 /// Returns a human-readable reason when any check fails.
 pub fn verify_file(path: &Path) -> Result<(), String> {
-    parse_cache(path).map(|_| ())
+    CacheFile::read(path).map(|_| ())
 }
 
 #[cfg(test)]

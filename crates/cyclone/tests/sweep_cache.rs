@@ -1,7 +1,9 @@
 //! Sweep-engine behavior: determinism across pool sizes, cache hit/miss/corruption
 //! semantics (fixed and adaptive), torn-write resistance of the cache file, and the
-//! `covers_all_gates` invariant for every registered codesign, and fuzzed
-//! (truncated and byte-flipped) cache files against every cache reader.
+//! `covers_all_gates` invariant for every registered codesign, fuzzed
+//! (truncated and byte-flipped) cache files against every cache reader and the
+//! JSON shim, damaged caches that every reader must reject alike, and the pinned
+//! bytes of the cache format.
 
 use cyclone::standard_registry;
 use cyclone::sweep::{run_sweep, ScenarioSpec, SweepOptions};
@@ -790,7 +792,7 @@ fn checkpoints_and_pool_sizes_leave_byte_identical_caches_and_tables() {
                 ..quick_config(threads)
             };
             let options = SweepOptions::cached(config, &dir).with_checkpoint(checkpoint);
-            let rows = cyclone::experiments::ler_comparison_with("ckpt", &codes, &ps, &options);
+            let rows = cyclone::experiments::ler_comparison("ckpt", &codes, &ps, &options);
             let cache = std::fs::read(dir.join("ckpt.json")).expect("cache written");
             let table = format!("{rows:?}");
             match &reference {
@@ -931,5 +933,222 @@ proptest! {
         std::fs::create_dir_all(&dir).expect("create scratch dir");
         read_fuzzed_cache(&dir, spec, &fuzzed);
         let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+/// The fuzz fixture's cache document with its `points` array edited, rendered
+/// as a cache file.
+fn damaged_cache(edit: impl FnOnce(&mut Vec<serde_json::Value>)) -> String {
+    use serde_json::Value;
+    let (_, _, bytes) = fuzz_fixture();
+    let text = std::str::from_utf8(bytes).expect("a cache file is UTF-8");
+    let Ok(Value::Object(mut root)) = serde_json::from_str(text) else {
+        panic!("the fixture is a JSON object");
+    };
+    let Some(Value::Array(points)) = root.get_mut("points") else {
+        panic!("the fixture has a points array");
+    };
+    edit(points);
+    serde_json::to_string(&Value::Object(root)) + "\n"
+}
+
+/// Entry 0 of a cache document as a mutable field map.
+fn first_entry(
+    points: &mut [serde_json::Value],
+) -> &mut std::collections::BTreeMap<String, serde_json::Value> {
+    match &mut points[0] {
+        serde_json::Value::Object(entry) => entry,
+        other => panic!("entry 0 is not an object: {other:?}"),
+    }
+}
+
+#[test]
+fn every_reader_rejects_the_same_damaged_caches() {
+    // One damaged entry makes the whole file invalid for every reader:
+    // `verify` rejects it, a sweep serves no point from it and recomputes the
+    // uncached estimates, and a merge skips it as a source.
+    let (spec, want, bytes) = fuzz_fixture();
+    let damaged = [
+        (
+            "duplicate-id",
+            damaged_cache(|points| points.push(points[0].clone())),
+        ),
+        (
+            "failures-over-shots",
+            damaged_cache(|points| {
+                let entry = first_entry(points);
+                let shots = entry["shots"].as_u64().expect("shots") as usize;
+                entry.insert("failures".to_string(), serde_json::Value::from(shots + 1));
+            }),
+        ),
+        (
+            "no-channel",
+            damaged_cache(|points| {
+                first_entry(points).remove("channel");
+            }),
+        ),
+    ];
+    for (name, text) in damaged {
+        let dir = scratch_dir(&format!("agree-{name}"));
+        std::fs::create_dir_all(&dir).expect("create scratch dir");
+        let path = dir.join("fuzz.json");
+        std::fs::write(&path, text).expect("write damaged cache");
+        assert!(verify_file(&path).is_err(), "{name}: verify accepted it");
+
+        let intact = dir.join("intact.json");
+        std::fs::write(&intact, bytes).expect("write intact cache");
+        let report = merge_files(&dir.join("merged.json"), &[intact, path.clone()])
+            .expect("the intact source parses");
+        assert_eq!(report.sources_merged, 1, "{name}");
+        assert_eq!(
+            report
+                .sources_skipped
+                .iter()
+                .map(|(p, _)| p)
+                .collect::<Vec<_>>(),
+            [&path],
+            "{name}: the merge must skip the damaged source"
+        );
+
+        let result = run_sweep(spec, &SweepOptions::cached(quick_config(1), &dir));
+        assert_eq!(
+            result.cache_hits, 0,
+            "{name}: the sweep read a damaged file"
+        );
+        assert_eq!(&result.estimates(), want, "{name}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+/// The exact cache file `run_sweep` writes for [`pinned_spec`] at 60 fixed shots.
+const PINNED_FIXED: &str = concat!(
+    r#"{"bp_iterations":12,"figure":"pin","mode":"fixed","points":[{"channel":"uniform","failures":0,"id":"z/uniform","latency":0.001,"ler":0.008333333333333333,"p":0.03,"shots":60,"std_err":0.011735905652376448},"#,
+    r#"{"channel":"biased:2","failures":17,"id":"a/biased","latency":0,"ler":0.2833333333333333,"p":0.03,"shots":60,"std_err":0.05817438662555248}],"schema":3,"seed":"3250654693","shots":60}"#,
+    "\n",
+);
+
+/// The same spec sampled adaptively: the header records the target.
+const PINNED_ADAPTIVE: &str = concat!(
+    r#"{"bp_iterations":12,"figure":"pin","max_shots":240,"min_failures":3,"mode":"adaptive","points":[{"channel":"uniform","failures":2,"id":"z/uniform","latency":0.001,"ler":0.008333333333333333,"p":0.03,"shots":240,"std_err":0.005867952826188224},"#,
+    r#"{"channel":"biased:2","failures":3,"id":"a/biased","latency":0,"ler":0.2727272727272727,"p":0.03,"shots":11,"std_err":0.13428162652290843}],"schema":3,"seed":"3250654693","shots":60,"target_rse":0.5}"#,
+    "\n",
+);
+
+/// [`PINNED_FIXED`] merged with a second shard's file: entries in id order.
+const PINNED_MERGED: &str = concat!(
+    r#"{"bp_iterations":12,"figure":"pin","mode":"fixed","points":[{"channel":"biased:2","failures":17,"id":"a/biased","latency":0,"ler":0.2833333333333333,"p":0.03,"shots":60,"std_err":0.05817438662555248},"#,
+    r#"{"channel":"uniform","failures":9,"id":"m/uniform","latency":0,"ler":0.15,"p":0.08,"shots":60,"std_err":0.046097722286464436},"#,
+    r#"{"channel":"uniform","failures":0,"id":"z/uniform","latency":0.001,"ler":0.008333333333333333,"p":0.03,"shots":60,"std_err":0.011735905652376448}],"schema":3,"seed":"3250654693","shots":60}"#,
+    "\n",
+);
+
+/// Two points in non-alphabetical id order: one uniform, one under a biased
+/// channel.
+fn pinned_spec(figure: &str) -> ScenarioSpec {
+    let code = qec::hgp::square_hypergraph_product(&qec::classical::ClassicalCode::repetition(3))
+        .expect("valid");
+    let mut spec = ScenarioSpec::new(figure);
+    let idx = spec.code(code);
+    spec.point("z/uniform", idx, 3e-2, 1e-3);
+    spec.point_channel(
+        "a/biased",
+        idx,
+        3e-2,
+        0.0,
+        ChannelSpec::Biased { meas_ratio: 2.0 },
+    );
+    spec
+}
+
+#[test]
+fn cache_file_bytes_are_pinned() {
+    // Every cache is read back by key name and compared bit-for-bit, so a
+    // renamed key, a reordered entry or a reformatted number would silently
+    // turn every existing cache into misses. Pin the bytes of what the sweep
+    // writes (fixed and adaptive headers) and of what a merge writes.
+    let dir = scratch_dir("pinned");
+    let spec = pinned_spec("pin");
+    let fixed = dir.join("fixed");
+    run_sweep(&spec, &SweepOptions::cached(quick_config(1), &fixed));
+    let fixed_file = fixed.join("pin.json");
+    let fixed_text = std::fs::read_to_string(&fixed_file).expect("fixed cache written");
+    assert_eq!(fixed_text, PINNED_FIXED);
+
+    let adaptive = dir.join("adaptive");
+    let target = PrecisionTarget::new(0.5, 3, 240);
+    run_sweep(
+        &spec,
+        &SweepOptions::cached(quick_config(1), &adaptive).with_precision(target),
+    );
+    let adaptive_text =
+        std::fs::read_to_string(adaptive.join("pin.json")).expect("adaptive cache written");
+    assert_eq!(adaptive_text, PINNED_ADAPTIVE);
+
+    // A second shard computed a third point of the same figure.
+    let mut other = ScenarioSpec::new("pin");
+    let idx = other.code(spec.codes[0].clone());
+    other.point("m/uniform", idx, 8e-2, 0.0);
+    let shard = dir.join("shard");
+    run_sweep(&other, &SweepOptions::cached(quick_config(1), &shard));
+    let merged = dir.join("merged.json");
+    merge_files(&merged, &[fixed_file, shard.join("pin.json")]).expect("merge");
+    let merged_text = std::fs::read_to_string(&merged).expect("merged cache written");
+    assert_eq!(merged_text, PINNED_MERGED);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Parses `text` with the JSON shim: no panic, and a document that parses
+/// renders and parses back to itself.
+fn assert_json_round_trips(text: &str) {
+    if let Ok(doc) = serde_json::from_str(text) {
+        let rendered = serde_json::to_string(&doc);
+        assert_eq!(
+            serde_json::from_str(&rendered).ok(),
+            Some(doc),
+            "{text:?} rendered as {rendered:?}"
+        );
+    }
+}
+
+#[test]
+fn truncated_cache_text_round_trips_through_the_json_shim() {
+    let (_, _, bytes) = fuzz_fixture();
+    let text = std::str::from_utf8(bytes).expect("a cache file is UTF-8");
+    for len in 0..=text.len() {
+        if let Some(cut) = text.get(..len) {
+            assert_json_round_trips(cut);
+        }
+    }
+}
+
+#[test]
+fn every_json_token_substitution_round_trips_through_the_json_shim() {
+    // Random flips rarely land on the one byte that makes a number overflow
+    // (`0.28e33333333333`), so also try every byte JSON gives meaning to at
+    // every offset.
+    let (_, _, bytes) = fuzz_fixture();
+    for at in 0..bytes.len() {
+        for &token in b"0123456789eE+-.,:[]{}\"\\ nul" {
+            let mut fuzzed = bytes.clone();
+            fuzzed[at] = token;
+            assert_json_round_trips(&String::from_utf8_lossy(&fuzzed));
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(1024).with_seed(0xC1C1_0DE5))]
+
+    #[test]
+    fn flipped_cache_text_round_trips_through_the_json_shim(
+        flips in proptest::collection::vec((any::<usize>(), 1u8..=255), 1..8),
+    ) {
+        let (_, _, bytes) = fuzz_fixture();
+        let mut fuzzed = bytes.clone();
+        for (at, mask) in flips {
+            let len = fuzzed.len();
+            fuzzed[at % len] ^= mask;
+        }
+        assert_json_round_trips(&String::from_utf8_lossy(&fuzzed));
     }
 }

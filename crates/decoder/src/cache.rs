@@ -23,10 +23,12 @@
 //! migrates between sectors or channels can never replay a stale correction.
 //!
 //! A bound cache can also be persisted ([`DecodeCache::save_to`] /
-//! [`DecodeCache::load_from`]): the file records the context tag and word
-//! shapes, and a load only admits entries whose context matches the currently
-//! bound one, so sweep re-runs and CI warm runs skip the compulsory-miss wall
-//! without ever replaying a correction from a foreign matrix or channel.
+//! [`DecodeCache::load_from`]): the file records the context tag, the word
+//! shapes and a digest of its entries, and a load admits all of a file's
+//! entries or none: only when the context matches the currently bound one and
+//! the entries match the digest. So sweep re-runs and CI warm runs skip the
+//! compulsory-miss wall without ever replaying a correction from a foreign
+//! matrix or channel, or from a damaged file.
 
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -81,8 +83,9 @@ const WAYS: usize = 4;
 /// footprint small (slots × (syndrome + correction) words, ~400 KiB here).
 pub const DEFAULT_SLOTS: usize = 16384;
 
-/// Schema version written by [`DecodeCache::save_to`].
-const PERSIST_SCHEMA: u64 = 1;
+/// Schema version written by [`DecodeCache::save_to`]. Schema 2 added the
+/// entries' content digest; a schema-1 file is a miss.
+const PERSIST_SCHEMA: u64 = 2;
 
 /// File-format marker written by [`DecodeCache::save_to`].
 const PERSIST_KIND: &str = "cyclone-decode-cache";
@@ -304,18 +307,20 @@ impl DecodeCache {
         use serde_json::Value;
         use std::collections::BTreeMap;
 
-        let mut entries = Vec::new();
+        let mut pairs = Vec::new();
         for slot in 0..self.slots.min(self.valid.len()) {
             if !self.valid[slot] {
                 continue;
             }
             let syn = &self.syn[slot * self.syn_words..(slot + 1) * self.syn_words];
             let corr = &self.corr[slot * self.corr_words..(slot + 1) * self.corr_words];
-            let mut entry = BTreeMap::new();
-            entry.insert("s".to_string(), Value::String(words_to_hex(syn)));
-            entry.insert("c".to_string(), Value::String(words_to_hex(corr)));
-            entries.push(Value::Object(entry));
+            pairs.push((words_to_hex(syn), words_to_hex(corr)));
         }
+        let digest = entries_digest(&pairs);
+        let entry = |s, c| Value::Object(BTreeMap::from([("s".into(), s), ("c".into(), c)]));
+        let entries = pairs
+            .into_iter()
+            .map(|(s, c)| entry(Value::String(s), Value::String(c)));
         let mut root = BTreeMap::new();
         root.insert("kind".to_string(), Value::String(PERSIST_KIND.to_string()));
         root.insert("schema".to_string(), Value::Number(PERSIST_SCHEMA as f64));
@@ -331,7 +336,8 @@ impl DecodeCache {
             "corr_words".to_string(),
             Value::Number(self.corr_words as f64),
         );
-        root.insert("entries".to_string(), Value::Array(entries));
+        root.insert("digest".to_string(), Value::String(digest));
+        root.insert("entries".to_string(), Value::Array(entries.collect()));
         atomic_write(path, &serde_json::to_string(&Value::Object(root)))
     }
 
@@ -341,9 +347,10 @@ impl DecodeCache {
     /// file saved at one slot count loads cleanly into any other.
     ///
     /// Returns the number of entries admitted. Any mismatch — missing or
-    /// unreadable file, corrupt JSON, foreign kind/schema, or a context tag or
-    /// word shape different from the bound one — loads nothing and returns 0:
-    /// a persisted cache is an accelerator, never a correctness input.
+    /// unreadable file, corrupt JSON, foreign kind/schema, a context tag or
+    /// word shape different from the bound one, or an entry that is malformed
+    /// or disagrees with the recorded digest — loads nothing and returns 0: a
+    /// persisted cache is an accelerator, never a correctness input.
     pub fn load_from(&mut self, path: &Path) -> usize {
         if self.valid.is_empty() {
             return 0;
@@ -366,24 +373,41 @@ impl DecodeCache {
         let Some(entries) = root.get("entries").and_then(|v| v.as_array()) else {
             return 0;
         };
+        let pairs: Option<Vec<(&str, &str)>> = entries
+            .iter()
+            .map(|entry| Some((entry.get("s")?.as_str()?, entry.get("c")?.as_str()?)))
+            .collect();
+        let Some(pairs) = pairs else {
+            return 0;
+        };
+        if root.get("digest").and_then(|v| v.as_str()) != Some(entries_digest(&pairs).as_str()) {
+            return 0;
+        }
+        // The digest matched, so every entry is the hex `save_to` wrote.
         let mut syn = vec![0u64; self.syn_words];
         let mut corr = vec![0u64; self.corr_words];
         let mut loaded = 0;
-        for entry in entries {
-            let Some(s) = entry.get("s").and_then(|v| v.as_str()) else {
-                continue;
-            };
-            let Some(c) = entry.get("c").and_then(|v| v.as_str()) else {
-                continue;
-            };
-            if hex_to_words(s, &mut syn).is_err() || hex_to_words(c, &mut corr).is_err() {
-                continue;
+        for (s, c) in pairs {
+            if hex_to_words(s, &mut syn).is_ok() && hex_to_words(c, &mut corr).is_ok() {
+                self.insert(&syn, &corr);
+                loaded += 1;
             }
-            self.insert(&syn, &corr);
-            loaded += 1;
         }
         loaded
     }
+}
+
+/// The FNV-1a digest of the entries' hex text, in file order, as 16 hex
+/// digits. A persisted file records it, so a flipped digit, a dropped entry or
+/// an edited correction makes the whole file a miss instead of admitting a
+/// wrong correction.
+fn entries_digest<S: AsRef<str>>(pairs: &[(S, S)]) -> String {
+    let mut hash = noise::fnv::Fnv1a::new();
+    for (syn, corr) in pairs {
+        let (syn, corr) = (syn.as_ref().as_bytes(), corr.as_ref().as_bytes());
+        hash.write(syn).write(b":").write(corr).write(b";");
+    }
+    format!("{:016x}", hash.finish())
 }
 
 /// Encodes packed words as lowercase fixed-width hex, comma-joined. Hex strings
@@ -622,5 +646,71 @@ mod tests {
         assert_eq!(back.load_from(&path), 4);
 
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A saved `[[72,12,6]]`-shaped cache (one syndrome word, two correction
+    /// words) for the loader fuzz tests: the file's bytes, its parsed
+    /// document, and the entry count a clean load admits.
+    fn fuzz_fixture(test: &str) -> (Vec<u8>, serde_json::Value, usize) {
+        let dir = std::env::temp_dir().join(format!(
+            "decode-cache-{test}-fixture-{}",
+            std::process::id()
+        ));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("fixture.json");
+        let mut cache = DecodeCache::with_slots(64);
+        cache.ensure(0xFACE, 36, 72);
+        for s in 1..13u64 {
+            cache.insert(&[s * 0x9E37], &[s.rotate_left(13), s.wrapping_mul(0xA5A5)]);
+        }
+        cache.save_to(&path).unwrap();
+        let bytes = std::fs::read(&path).unwrap();
+        std::fs::remove_dir_all(&dir).ok();
+        let doc = serde_json::from_str(std::str::from_utf8(&bytes).unwrap()).unwrap();
+        (bytes, doc, cache.len())
+    }
+
+    /// Loads `bytes` into a cache bound to the fixture's context. A file that
+    /// reads back as the saved document admits every entry; any other file is
+    /// a miss and admits none.
+    fn load_fuzzed(test: &str, bytes: &[u8], saved: &serde_json::Value, stored: usize) {
+        let dir = std::env::temp_dir().join(format!("decode-cache-{test}-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("fuzzed.json");
+        std::fs::write(&path, bytes).unwrap();
+        let mut cache = DecodeCache::with_slots(64);
+        cache.ensure(0xFACE, 36, 72);
+        let admitted = cache.load_from(&path);
+        let intact = std::str::from_utf8(bytes)
+            .ok()
+            .and_then(|text| serde_json::from_str(text).ok())
+            .is_some_and(|doc| doc == *saved);
+        let want = if intact { stored } else { 0 };
+        assert_eq!(admitted, want, "{:?}", String::from_utf8_lossy(bytes));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn truncated_persisted_caches_admit_nothing() {
+        let (bytes, saved, stored) = fuzz_fixture("truncate");
+        for len in 0..=bytes.len() {
+            load_fuzzed("truncate", &bytes[..len], &saved, stored);
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(256).with_seed(0xC1C1_0DE5))]
+
+        #[test]
+        fn flipped_persisted_caches_admit_nothing(
+            flips in proptest::collection::vec((proptest::arbitrary::any::<usize>(), 1u8..=255), 1..4),
+        ) {
+            let (mut bytes, saved, stored) = fuzz_fixture("flip");
+            for (at, mask) in flips {
+                let len = bytes.len();
+                bytes[at % len] ^= mask;
+            }
+            load_fuzzed("flip", &bytes, &saved, stored);
+        }
     }
 }

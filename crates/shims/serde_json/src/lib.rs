@@ -182,7 +182,8 @@ pub const MAX_DEPTH: usize = 128;
 ///
 /// # Errors
 ///
-/// A malformed document, or one nested deeper than [`MAX_DEPTH`].
+/// A malformed document, a number beyond the range of `f64`, or a document
+/// nested deeper than [`MAX_DEPTH`].
 pub fn from_str(input: &str) -> Result<Value, Error> {
     let mut parser = Parser {
         bytes: input.as_bytes(),
@@ -289,9 +290,13 @@ impl<'a> Parser<'a> {
             }
         }
         let text = std::str::from_utf8(&self.bytes[start..self.pos]).expect("ascii number");
-        text.parse::<f64>()
-            .map(Value::Number)
-            .map_err(|_| self.err("malformed number"))
+        match text.parse::<f64>() {
+            // An overflow to infinity would render back as `null`, so it is
+            // an error, as in serde_json.
+            Ok(n) if n.is_finite() => Ok(Value::Number(n)),
+            Ok(_) => Err(self.err("number out of range")),
+            Err(_) => Err(self.err("malformed number")),
+        }
     }
 
     fn string(&mut self) -> Result<String, Error> {
@@ -517,6 +522,16 @@ mod tests {
         assert!(from_str("1 2").is_err());
         assert!(from_str("\"unterminated").is_err());
         assert!(from_str("nul").is_err());
+    }
+
+    #[test]
+    fn numbers_beyond_f64_range_are_errors() {
+        for text in ["1e999", "-1e400", r#"{"ler":0.28e33333333333}"#] {
+            let err = from_str(text).unwrap_err();
+            assert!(err.message.contains("out of range"), "{text}: {err}");
+        }
+        // Underflow rounds to zero, which renders and parses back unchanged.
+        assert_eq!(from_str("1e-400").unwrap(), Value::Number(0.0));
     }
 
     #[test]

@@ -13,6 +13,7 @@
 //! (default 1000).
 
 use cyclone::experiments::ler_comparison;
+use cyclone::SweepOptions;
 use decoder::memory::MemoryConfig;
 use qec::codes;
 use qec::CssCode;
@@ -43,7 +44,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "{:>10} {:>14} {:>14} {:>14} {:>14} {:>12}",
         "p", "baseline LER", "cyclone LER", "baseline lat", "cyclone lat", "improvement"
     );
-    let rows = ler_comparison(std::slice::from_ref(&code), &ps, &config);
+    let rows = ler_comparison(
+        "memory_experiment",
+        std::slice::from_ref(&code),
+        &ps,
+        &SweepOptions::ephemeral(config),
+    );
     for row in rows {
         println!(
             "{:>10.1e} {:>14.3e} {:>14.3e} {:>12.2}ms {:>12.2}ms {:>11.1}x",
