@@ -8,9 +8,13 @@
 //!   the scalar CSR reference (`crates/decoder/tests/oracle/bp.rs`, included
 //!   below) on the same syndromes;
 //! * **OSD-fallback** — decodes of syndromes on which BP fails, exercising the
-//!   word-level ordered-statistics path; the warm-started and cold OSD stages
+//!   word-level ordered-statistics path; the warm-started OSD stage and the
+//!   cold OSD oracle (`crates/decoder/tests/oracle/osd.rs`, included below)
 //!   are also timed separately (same syndromes, precomputed BP suspicion), so
 //!   the warm-start lever's gain is recorded on every run;
+//! * **`[[225,9,6]]`** — BP-converged and OSD-fallback decode rates on the
+//!   hypergraph product code of Fig. 15, the decode-bound figure (recorded,
+//!   not enforced);
 //! * **full-shot (batch)** — complete Monte-Carlo shots (depolarizing sample +
 //!   X and Z decodes + logical checks) through the bit-sliced 64-lane sampler
 //!   (`MemoryExperiment::sample_batch_with`: word-level syndrome extraction,
@@ -45,7 +49,8 @@ use decoder::scratch::DecoderScratch;
 use decoder::simd::SimdIsa;
 use decoder::sparse::SparseBinMat;
 use noise::{ErrorChannel, HardwareNoiseModel, NoiseParameters};
-use qec::codes::bb_72_12_6;
+use qec::codes::{bb_72_12_6, hgp_225_9_6};
+use qec::CssCode;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -56,6 +61,10 @@ use std::time::Instant;
 /// The scalar min-sum reference the decoder's lane kernels are pinned to.
 #[path = "../../decoder/tests/oracle/bp.rs"]
 mod oracle_bp;
+
+/// The cold OSD-0 reference the warm-started OSD stage is pinned to.
+#[path = "../../decoder/tests/oracle/osd.rs"]
+mod oracle_osd;
 
 /// Full-shot throughput measured at the pre-refactor commit (`be2e5a4`, allocating
 /// `sample_one`, per-decode Tanner rebuild, bit-level OSD) on this container:
@@ -226,6 +235,36 @@ fn batch_rate(
     }
 }
 
+/// `count` syndromes of `code`'s Z sector whose decode ends in `method`,
+/// from errors drawn i.i.d. at rate `p`.
+fn syndromes_ending_in(
+    code: &CssCode,
+    decoder: &BpOsdDecoder,
+    method: DecodeMethod,
+    p: f64,
+    count: usize,
+) -> Vec<Vec<bool>> {
+    let n = code.num_qubits();
+    let priors = vec![P; n];
+    let key = priors_digest(&priors);
+    let mut rng = StdRng::seed_from_u64(0xC1C1_0DE5);
+    let mut scratch = DecoderScratch::new();
+    let mut found = Vec::with_capacity(count);
+    while found.len() < count {
+        let e: Vec<bool> = (0..n).map(|_| rng.gen_bool(p)).collect();
+        let s = code.z_syndrome(&e);
+        if s.contains(&true)
+            && decoder
+                .decode_with_priors_keyed_into(&s, &priors, key, &mut scratch)
+                .method
+                == method
+        {
+            found.push(s);
+        }
+    }
+    found
+}
+
 fn main() {
     let code = bb_72_12_6().expect("valid");
     let n = code.num_qubits();
@@ -322,11 +361,13 @@ fn main() {
         })
         .collect();
     let osd_only = OsdDecoder::new(code.hz().clone());
+    let osd_cold = oracle_osd::ColdOsd::new(code.hz());
     let mut warm_scratch = DecoderScratch::new();
-    let mut cold_scratch = DecoderScratch::new();
+    let mut cold_scratch = oracle_osd::ColdOsdScratch::default();
     for (s, susp) in fallback_syndromes.iter().zip(&suspicions) {
         assert!(osd_only.decode_into(s, susp, &mut warm_scratch));
-        assert!(osd_only.decode_into_cold(s, susp, &mut cold_scratch));
+        assert!(osd_cold.decode(s, susp, &mut cold_scratch));
+        assert_eq!(warm_scratch.error(), cold_scratch.error());
     }
     let before = allocations();
     let osd_warm_rate = rate(iters / 4, |i| {
@@ -339,7 +380,7 @@ fn main() {
     });
     let osd_cold_rate = rate(iters / 4, |i| {
         let k = i % fallback_syndromes.len();
-        black_box(osd_only.decode_into_cold(
+        black_box(osd_cold.decode(
             black_box(&fallback_syndromes[k]),
             &suspicions[k],
             &mut cold_scratch,
@@ -351,6 +392,51 @@ fn main() {
         "steady-state OSD decode_into must not allocate"
     );
     let osd_warm_speedup = osd_warm_rate / osd_cold_rate;
+
+    // --- [[225,9,6]]: BP-converged and OSD-fallback decodes. ----------------
+    // Record-only: the Fig. 15 HGP code's per-decode costs, where fixed
+    // per-decode work (priming, OSD gather) matters most.
+    let hgp = hgp_225_9_6().expect("valid");
+    let hgp_decoder = BpOsdDecoder::new(hgp.hz(), 30);
+    let hgp_priors = vec![P; hgp.num_qubits()];
+    let hgp_key = priors_digest(&hgp_priors);
+    let hgp_rate = |syndromes: &[Vec<bool>], scratch: &mut DecoderScratch| {
+        rate(iters / 4, |i| {
+            let s = &syndromes[i % syndromes.len()];
+            black_box(hgp_decoder.decode_with_priors_keyed_into(
+                black_box(s),
+                &hgp_priors,
+                hgp_key,
+                scratch,
+            ));
+        })
+    };
+    let hgp_converged = syndromes_ending_in(
+        &hgp,
+        &hgp_decoder,
+        DecodeMethod::BeliefPropagation,
+        0.01,
+        64,
+    );
+    let hgp_fallback = syndromes_ending_in(
+        &hgp,
+        &hgp_decoder,
+        DecodeMethod::OrderedStatistics,
+        0.04,
+        32,
+    );
+    let mut hgp_scratch = DecoderScratch::new();
+    for s in &hgp_fallback {
+        hgp_decoder.decode_with_priors_keyed_into(s, &hgp_priors, hgp_key, &mut hgp_scratch);
+    }
+    let before = allocations();
+    let hgp_bp_rate = hgp_rate(&hgp_converged, &mut hgp_scratch);
+    let hgp_osd_rate = hgp_rate(&hgp_fallback, &mut hgp_scratch);
+    assert_eq!(
+        allocations() - before,
+        0,
+        "steady-state [[225,9,6]] decodes must not allocate"
+    );
 
     // --- Bit-sliced batch shots, per channel kind. --------------------------
     // The biased channel exercises syndrome flips + per-bit priors; the
@@ -431,6 +517,10 @@ fn main() {
     println!("  OSD-fallback   {osd_rate:>12.0} decodes/sec (BP failure + OSD)");
     println!("    OSD warm     {osd_warm_rate:>12.0} decodes/sec (stage alone)");
     println!("    OSD cold     {osd_cold_rate:>12.0} decodes/sec ({osd_warm_speedup:.2}x warm-start gain)");
+    println!(
+        "  {}: BP-converged {hgp_bp_rate:.0}, OSD-fallback {hgp_osd_rate:.0} decodes/sec",
+        hgp.descriptor()
+    );
     println!("  batch shots    {uniform_batch:>12.0} shots/sec (uniform, 64 lanes/word)");
     for (name, m) in [("biased", &biased), ("schedule", &schedule)] {
         println!(
@@ -532,6 +622,8 @@ fn main() {
          \"osd_fallback_decodes_per_sec\": {osd_rate:.1},\n  \
          \"osd_stage_decodes_per_sec\": {{\n    \"warm\": {osd_warm_rate:.1},\n    \
          \"cold\": {osd_cold_rate:.1},\n    \"warm_start_speedup\": {osd_warm_speedup:.2}\n  }},\n  \
+         \"hgp_225_9_6\": {{\n    \"bp_converged_decodes_per_sec\": {hgp_bp_rate:.1},\n    \
+         \"osd_fallback_decodes_per_sec\": {hgp_osd_rate:.1}\n  }},\n  \
          \"batch_shots_per_sec\": {{\n    \"uniform\": {uniform_batch:.1},\n    \
          \"biased\": {biased_batch:.1},\n    \"schedule\": {schedule_batch:.1}\n  }},\n  \
          \"batch_channel_stats\": {{\n    \"biased\": {},\n    \"schedule\": {}\n  }},\n  \

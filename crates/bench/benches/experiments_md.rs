@@ -385,7 +385,7 @@ fn main() {
          replays repeated syndromes as a word-compare plus a copy. Lanes that\n\
          still reach the OSD fallback hit a warm-started ordered-statistics\n\
          stage (column-permutation reuse + early-exit elimination, pinned\n\
-         bit-identical to the cold reference `decode_into_cold` by a property\n\
+         bit-identical to the cold OSD oracle `tests/oracle/osd.rs` by a property\n\
          test). Each lane consumes its own seeded per-shot stream, so every\n\
          table in this file is bit-identical to a scalar per-shot reference\n\
          sampler at any thread count and any batch size (pinned by a property\n\

@@ -165,6 +165,11 @@ impl CacheFile {
     /// its counts, so a partial (checkpoint or sharded) write is a well-formed
     /// cache that composes with other shards' files via [`merge_files`].
     pub(crate) fn write(&self, path: &Path) -> std::io::Result<()> {
+        atomic_write(path, &self.text())
+    }
+
+    /// The exact text [`CacheFile::write`] writes.
+    fn text(&self) -> String {
         let points = self.entries.iter().filter(|entry| entry.shots > 0);
         let points = points.map(|entry| {
             let ler = LerEstimate::from_counts(entry.shots, entry.failures);
@@ -181,7 +186,7 @@ impl CacheFile {
         });
         let mut root = self.header.clone();
         root.insert("points".to_string(), Value::Array(points.collect()));
-        atomic_write(path, &(serde_json::to_string(&Value::Object(root)) + "\n"))
+        serde_json::to_string(&Value::Object(root)) + "\n"
     }
 
     /// Why `other`'s entries may not stand in for this file's (`None` when
@@ -213,13 +218,16 @@ pub struct MergeReport {
 
 /// Merges `sources` into `dest`, writing the union atomically.
 ///
-/// The reference header (figure/seed/bp_iterations that every folded source
-/// must match) comes from `dest` when it exists and parses, else from the first
-/// parseable source. A corrupt `dest` is treated as absent — the merge rebuilds
-/// it from the sources rather than failing. Conflicting entries resolve to the
-/// one with strictly more recorded shots; ties keep the incumbent. Entries with
-/// zero recorded shots are dropped (the sweep engine's loader skips them
-/// anyway).
+/// An existing `dest` that parses stays the reference: its header (including
+/// `mode` and the `target_*` fields) is kept, and every folded source must match
+/// its figure/seed/bp_iterations. Without one, the sources are folded in a
+/// canonical order — sorted by the bytes the cache writer would emit for each —
+/// and the first of them is the reference, so the merged file does not depend
+/// on the order of `sources`. A corrupt `dest` is treated as absent —
+/// the merge rebuilds it from the sources rather than failing. Conflicting
+/// entries resolve to the one with strictly more recorded shots; ties keep the
+/// incumbent. Entries with zero recorded shots are dropped (the sweep engine's
+/// loader skips them anyway).
 ///
 /// # Errors
 ///
@@ -239,15 +247,17 @@ pub fn merge_files(dest: &Path, sources: &[PathBuf]) -> std::io::Result<MergeRep
                 .map(|entry| (entry.id.clone(), entry)),
         );
     }
+    let mut parsed_sources = Vec::with_capacity(sources.len());
     for source in sources {
-        let parsed = match CacheFile::read(source) {
-            Ok(parsed) => parsed,
-            Err(reason) => {
-                report.sources_skipped.push((source.clone(), reason));
-                continue;
-            }
-        };
-        // With no destination, the first parseable source is the reference.
+        match CacheFile::read(source) {
+            Ok(parsed) => parsed_sources.push((source, parsed)),
+            Err(reason) => report.sources_skipped.push((source.clone(), reason)),
+        }
+    }
+    parsed_sources.sort_by_cached_key(|(_, parsed)| parsed.text());
+    for (source, parsed) in parsed_sources {
+        // With no destination, the first source in canonical order is the
+        // reference.
         let reference = merged.get_or_insert_with(|| CacheFile {
             header: parsed.header.clone(),
             entries: Vec::new(),
@@ -428,6 +438,31 @@ mod tests {
         // Folding the same sources in again changes nothing.
         merge_files(&ab, &[a, b]).expect("re-merge");
         assert_eq!(ab_text, std::fs::read_to_string(&ab).unwrap());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn merge_of_fixed_and_adaptive_caches_is_order_independent() {
+        let dir = scratch_dir("modes");
+        let fixed = dir.join("fixed.json");
+        let adaptive = dir.join("adaptive.json");
+        std::fs::write(&fixed, cache_text("fig", &[("p0", 100, 3), ("p1", 50, 1)])).unwrap();
+        let adaptive_text = cache_text("fig", &[("p0", 300, 9), ("p2", 80, 2)]).replace(
+            "\"mode\":\"fixed\"",
+            "\"mode\":\"adaptive\",\"target_rse\":0.25,\"min_failures\":4,\"max_shots\":400",
+        );
+        std::fs::write(&adaptive, adaptive_text).unwrap();
+        let (m1, m2) = (dir.join("m1.json"), dir.join("m2.json"));
+        merge_files(&m1, &[fixed.clone(), adaptive.clone()]).expect("merge m1");
+        merge_files(&m2, &[adaptive.clone(), fixed.clone()]).expect("merge m2");
+        let m1_text = std::fs::read_to_string(&m1).unwrap();
+        assert_eq!(m1_text, std::fs::read_to_string(&m2).unwrap());
+        assert_eq!(stats_file(&m1).expect("stats").total_shots, 300 + 50 + 80);
+        // An existing destination stays the reference: its header is kept.
+        let dest = dir.join("dest.json");
+        std::fs::copy(&fixed, &dest).unwrap();
+        merge_files(&dest, &[adaptive]).expect("merge into dest");
+        assert_eq!(stats_file(&dest).expect("stats").mode, "fixed");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -7,11 +7,12 @@
 //! the caller typically falls back to ordered-statistics decoding ([`crate::osd`]).
 //!
 //! The Tanner graph is flattened once at construction into a row-interleaved
-//! slot layout ([`TannerGraph`]), and the hot path
-//! ([`BeliefPropagation::decode_with_priors_keyed_into`]) keeps both message
-//! directions in flat `f64` arenas over those slots, borrowed from a
+//! slot layout plus a depth-major column table ([`TannerGraph`]), and the hot
+//! path ([`BeliefPropagation::decode_with_priors_keyed_into`]) keeps both
+//! message directions in flat `f64` arenas over those slots, borrowed from a
 //! caller-owned [`DecoderScratch`] — zero heap allocation per decode in steady
-//! state.
+//! state. What depends only on the priors and the graph (channel LLRs, first
+//! messages, arena padding) is built once per `(priors, graph)` digest key.
 
 use crate::scratch::DecoderScratch;
 use crate::simd::Simd;
@@ -198,38 +199,70 @@ impl BeliefPropagation {
         let n = self.h.num_cols();
         assert_eq!(priors.len(), n, "one prior per variable required");
         debug_assert_eq!(key, priors_digest(priors), "key is not the priors digest");
-        if scratch.cached_priors_key != Some((key, n)) {
-            scratch.channel_llr.clear();
-            scratch.channel_llr.extend(priors.iter().map(|&p| {
-                assert!(p > 0.0 && p < 1.0, "priors must be in (0,1)");
-                ((1.0 - p) / p).ln()
-            }));
-            scratch.cached_priors_key = Some((key, n));
-            scratch.priors_rebuilds += 1;
+        if scratch.cached_priors_key != Some((key, self.graph.digest())) {
+            self.prime(priors, key, scratch);
         }
         self.propagate(syndrome, scratch)
     }
 
-    /// The flooding min-sum schedule over the row-interleaved layout
-    /// ([`TannerGraph::edge_slots`], lane = check within its group of
-    /// [`PAD_LANES`]): the check-node pass and the hard-decision packing run
-    /// in the [`crate::simd`] kernels, in the compilation the construction-time
-    /// [`Simd`] chose; the variable-node pass is the order-sensitive scalar
-    /// accumulation.
+    /// Builds everything a decode needs that depends only on the priors and
+    /// the graph, once per `(priors digest, graph digest)` key: the channel
+    /// LLRs (`+∞` past the last column), the first variable→check messages
+    /// (`scratch.vtc_init`), the arenas' `+∞` padding and `-0.0` spare cell,
+    /// and the posterior buffer's `+∞` tail. The graph digest is in the key
+    /// because one scratch may serve the equal-shaped X and Z decoders.
+    fn prime(&self, priors: &[f64], key: u64, scratch: &mut DecoderScratch) {
+        let graph = &self.graph;
+        let (padded_n, arena_len) = (self.mask_words * 64, graph.arena_len());
+        scratch.channel_llr.ensure_len(padded_n);
+        let channel_llr = scratch.channel_llr.as_mut_slice();
+        for (llr, &p) in channel_llr.iter_mut().zip(priors) {
+            assert!(p > 0.0 && p < 1.0, "priors must be in (0,1)");
+            *llr = ((1.0 - p) / p).ln();
+        }
+        channel_llr[priors.len()..].fill(f64::INFINITY);
+        // The first messages are the writeback of all-zero check messages:
+        // `llr - 0.0` is `llr` bit for bit, at every real slot.
+        scratch.ctv_lanes.ensure_len(arena_len);
+        let check_to_var = scratch.ctv_lanes.as_mut_slice();
+        check_to_var.fill(0.0);
+        scratch.vtc_init.ensure_len(arena_len);
+        let init = scratch.vtc_init.as_mut_slice();
+        init.fill(f64::INFINITY);
+        let (col_ptr, col_slots) = (graph.col_ptr(), graph.col_slots());
+        self.simd
+            .var_writeback(col_ptr, col_slots, channel_llr, check_to_var, init);
+        check_to_var[graph.num_interleaved_slots()] = -0.0;
+        scratch.vtc_lanes.ensure_len(arena_len);
+        scratch.vtc_lanes.as_mut_slice().copy_from_slice(init);
+        scratch.llrs_pad.ensure_len(padded_n);
+        scratch.llrs_pad.as_mut_slice().copy_from_slice(channel_llr);
+        scratch.cached_priors_key = Some((key, graph.digest()));
+        scratch.priors_rebuilds += 1;
+    }
+
+    /// The flooding min-sum schedule over the two lane layouts of
+    /// [`TannerGraph`]: the check-node pass (lane = check), the variable-node
+    /// pass and its writeback (lane = column), and the hard-decision packing
+    /// all run in the [`crate::simd`] kernels, in the compilation the
+    /// construction-time [`Simd`] chose.
     ///
     /// Byte-identity with the per-row scalar reference (property-pinned in
-    /// `tests/properties.rs` against `tests/oracle/bp.rs`) rests on three
+    /// `tests/properties.rs` against `tests/oracle/bp.rs`) rests on four
     /// invariants:
     ///
-    /// * each kernel lane runs one check's reduction in isolation — the exact
-    ///   strict-`<` two-min ladder and sign-parity XOR of the scalar row loop,
-    ///   over that row's messages in row order — so no cross-lane (horizontal)
-    ///   combining ever happens;
+    /// * each check-pass lane runs one check's reduction in isolation — the
+    ///   exact strict-`<` two-min ladder and sign-parity XOR of the scalar row
+    ///   loop, over that row's messages in row order — so no cross-lane
+    ///   (horizontal) combining ever happens;
+    /// * each variable-pass lane adds one column's messages to its channel LLR
+    ///   in ascending check order, the order of the scalar row-major sweep,
+    ///   then adds `-0.0` from the spare cell for each padding entry, which
+    ///   changes no bit;
     /// * padding slots hold `+∞` with a positive sign — the neutral element of
-    ///   both check-pass reductions — written once at decode start and never
-    ///   touched again, because the variable pass walks only the real edges
-    ///   (through `edge_slots`, in exact row-major order, so every column's
-    ///   additions happen in ascending-check order);
+    ///   both check-pass reductions — set by [`Self::prime`] and never
+    ///   written again, because the writeback touches only real slots and the
+    ///   spare cell;
     /// * the check pass emits `scaled2` at every lane position whose magnitude
     ///   *equals* the row minimum (the scalar row excludes only the first such
     ///   index) — identical bits, because tied magnitudes force `min2 == min1`
@@ -259,16 +292,10 @@ impl BeliefPropagation {
             "syndrome length must equal number of checks"
         );
 
-        let num_slots = graph.num_interleaved_slots();
         let mask_words = self.mask_words;
-        // 64 entries per packed word, so the hard-decision kernel reads whole
-        // words (the `+∞` tail is set below, once per decode).
-        let padded_n = mask_words * 64;
-        let lane_rows = graph.num_row_groups() * PAD_LANES;
-        scratch.ctv_lanes.ensure_len(num_slots);
-        scratch.vtc_lanes.ensure_len(num_slots);
-        scratch.llrs_pad.ensure_len(padded_n);
-        scratch.syn_mask.ensure_len(lane_rows);
+        scratch
+            .syn_mask
+            .ensure_len(graph.num_row_groups() * PAD_LANES);
         if scratch.llrs.len() != n {
             scratch.llrs.resize(n, 0.0);
         }
@@ -279,26 +306,24 @@ impl BeliefPropagation {
             scratch.err_words.resize(mask_words, 0);
         }
 
+        // `prime` sized the arenas and set their padding for this graph.
+        let first_messages = scratch.vtc_init.as_slice();
         let check_to_var = scratch.ctv_lanes.as_mut_slice();
         let var_to_check = scratch.vtc_lanes.as_mut_slice();
+        let channel_llr = scratch.channel_llr.as_slice();
         let llrs = &mut scratch.llrs;
         let llrs_pad = scratch.llrs_pad.as_mut_slice();
         let syn_mask = scratch.syn_mask.as_mut_slice();
         let error = &mut scratch.error;
         let err_words = &mut scratch.err_words;
-        let channel_llr = &scratch.channel_llr;
         let check_masks = &self.check_masks;
-        let group_ptr = graph.group_ptr();
-        let edge_vars = graph.edge_vars();
-        let edge_slots = graph.edge_slots();
+        let (group_ptr, col_ptr, col_slots) =
+            (graph.group_ptr(), graph.col_ptr(), graph.col_slots());
         let simd = self.simd;
         let scale = MIN_SUM_SCALE;
 
         // Per-decode init: the syndrome is constant across iterations, so its
-        // lane masks are built once (phantom lanes past `m` stay zero); message
-        // padding slots get `+∞` — the neutral element of both check-pass
-        // reductions — and are never written again, because the variable-pass
-        // writeback below touches only real-edge slots.
+        // lane masks are built once (phantom lanes past `m` stay zero).
         for (w, &syn) in syn_mask.iter_mut().zip(syndrome.iter()) {
             *w = if syn { u64::MAX } else { 0 };
         }
@@ -311,26 +336,16 @@ impl BeliefPropagation {
                 .fold(0u64, |acc, (&k, &s)| acc ^ (k & s));
             odd == 0
         });
-        llrs_pad[..n].copy_from_slice(channel_llr);
-        for slot in llrs_pad[n..].iter_mut() {
-            *slot = f64::INFINITY;
-        }
-        for &slot in graph.pad_slots() {
-            var_to_check[slot as usize] = f64::INFINITY;
-        }
-        for (&c, &slot) in edge_vars.iter().zip(edge_slots.iter()) {
-            var_to_check[slot as usize] = channel_llr[c];
-        }
 
         for iteration in 1..=self.max_iterations {
-            simd.check_pass(syn_mask, group_ptr, var_to_check, check_to_var, scale);
-            // Variable-node update: `edge_slots` visits the interleaved arena
-            // in exact row-major real-edge order, so every column's additions
-            // happen in ascending-check order. Padding slots are never read.
-            llrs_pad[..n].copy_from_slice(channel_llr);
-            for (&c, &slot) in edge_vars.iter().zip(edge_slots.iter()) {
-                llrs_pad[c] += check_to_var[slot as usize];
-            }
+            // The first check pass reads the primed first messages directly.
+            let source = if iteration == 1 {
+                first_messages
+            } else {
+                &*var_to_check
+            };
+            simd.check_pass(syn_mask, group_ptr, source, check_to_var, scale);
+            simd.var_pass(col_ptr, col_slots, channel_llr, check_to_var, llrs_pad);
             let last = iteration == self.max_iterations;
             // An inconsistent syndrome cannot converge: only the hard decision
             // it returns, the last one, is packed, and nothing is tested.
@@ -362,10 +377,7 @@ impl BeliefPropagation {
             // is skipped when this was the last iteration — output-invariant,
             // and it removes one full edge sweep from every converging decode.
             if !last {
-                for (&c, &slot) in edge_vars.iter().zip(edge_slots.iter()) {
-                    let s = slot as usize;
-                    var_to_check[s] = llrs_pad[c] - check_to_var[s];
-                }
+                simd.var_writeback(col_ptr, col_slots, llrs_pad, check_to_var, var_to_check);
             }
         }
         llrs.copy_from_slice(&llrs_pad[..n]);
@@ -535,12 +547,12 @@ mod tests {
 
         let first = decode_keyed(&bp, &s, &priors_a, &mut scratch);
         assert_eq!(scratch.priors_rebuilds(), 1);
-        let llr_after_first = scratch.channel_llr.clone();
+        let llr_after_first = scratch.channel_llr.as_slice().to_vec();
         // Same priors again: the cached LLRs are reused and the result is stable.
         let second = decode_keyed(&bp, &s, &priors_a, &mut scratch);
         assert_eq!(first, second);
         assert_eq!(scratch.priors_rebuilds(), 1);
-        assert_eq!(scratch.channel_llr, llr_after_first);
+        assert_eq!(scratch.channel_llr.as_slice(), llr_after_first);
         assert_eq!(scratch.error(), fresh_error(&bp, &s, &priors_a));
         // A *rebuilt* but value-equal buffer hits too — the digest keys on content,
         // not on the caller's allocation.
@@ -557,6 +569,42 @@ mod tests {
         assert_eq!(after_b, first);
         assert_eq!(scratch.priors_rebuilds(), 3);
         assert_eq!(scratch.error(), fresh_error(&bp, &s, &priors_a));
+    }
+
+    #[test]
+    fn scratch_bounced_between_sectors_matches_fresh_scratch() {
+        // The X and Z decoders of [[72,12,6]] have equal shapes and, here,
+        // equal per-bit priors: only the graph digest in the priming key tells
+        // their first messages apart (each real slot holds its own column's
+        // channel LLR).
+        let code = qec::codes::bb_72_12_6().expect("valid");
+        let sectors = [code.hz(), code.hx()]
+            .map(|h| BeliefPropagation::new(SparseBinMat::from_bitmat(h), 30));
+        let n = code.num_qubits();
+        let priors: Vec<f64> = (0..n).map(|q| 0.01 + 0.01 * (q % 5) as f64).collect();
+        let mut bounced = DecoderScratch::new();
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        for shot in 0..24 {
+            let error: Vec<bool> = (0..n)
+                .map(|_| {
+                    state = state
+                        .wrapping_mul(6_364_136_223_846_793_005)
+                        .wrapping_add(1);
+                    (state >> 33) % 32 == 0
+                })
+                .collect();
+            let bp = &sectors[shot % 2];
+            let s = bp.matrix().syndrome(&error);
+            let got = decode_keyed(bp, &s, &priors, &mut bounced);
+            let mut fresh = DecoderScratch::new();
+            let want = decode_keyed(bp, &s, &priors, &mut fresh);
+            assert_eq!(got, want, "shot {shot}");
+            assert_eq!(bounced.error(), fresh.error(), "shot {shot}");
+            let bits = |llrs: &[f64]| llrs.iter().map(|l| l.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(bounced.llrs()), bits(fresh.llrs()), "shot {shot}");
+        }
+        // Every bounce changed the graph, so every decode primed anew.
+        assert_eq!(bounced.priors_rebuilds(), 24);
     }
 
     #[test]

@@ -8,19 +8,22 @@
 //! most suspicious positions that reproduces the syndrome exactly.
 //!
 //! The hot path ([`OsdDecoder::decode_into`]) works at word level throughout: the
-//! augmented matrix `[H(ordered) | s]` is gathered 64 columns at a time into reused
-//! `u64` row storage borrowed from a [`DecoderScratch`], pivots are located with
-//! masked `trailing_zeros` scans over whole words, and elimination XORs whole rows —
-//! no per-bit `get`/`set` traffic and no heap allocation in steady state.
+//! augmented matrix `[H(ordered) | s]` is built into reused `u64` row storage
+//! borrowed from a [`DecoderScratch`] by scattering each row's support through
+//! the inverse column permutation (O(nnz + m·words), not O(m·n)), pivots are
+//! located with masked `trailing_zeros` scans over whole words, and
+//! elimination XORs whole rows — no per-bit `get`/`set` traffic and no heap
+//! allocation in steady state.
 //!
-//! [`OsdDecoder::decode_into`] additionally **warm-starts** from the scratch state
+//! [`OsdDecoder::decode_into`] also **warm-starts** from the scratch state
 //! left by the previous fallback: the suspicion sort starts from the previous
 //! column permutation (Monte-Carlo shots at one operating point produce highly
 //! similar BP posteriors, so the nearly-sorted input is fast under pdqsort), and
 //! elimination stops as soon as the residual syndrome column is cleared (the
 //! remaining pivots of a full run would all read off zero). Both shortcuts are
-//! provably bit-identical to the cold path, which stays available as
-//! [`OsdDecoder::decode_into_cold`] and pins them in property tests.
+//! provably bit-identical to a cold decode — dense gather, fresh `0..n` order,
+//! full elimination — which lives in the test oracle
+//! (`tests/oracle/osd.rs`) and pins them in property tests.
 
 use crate::scratch::DecoderScratch;
 use qec::linalg::BitMat;
@@ -81,44 +84,18 @@ impl OsdDecoder {
     /// skipped.
     ///
     /// Warm-starts from the previous fallback's scratch state (column-permutation
-    /// reuse + early-exit elimination); output is bit-identical to
-    /// [`OsdDecoder::decode_into_cold`].
+    /// reuse + early-exit elimination); output is bit-identical to a cold
+    /// decode (fresh `0..n` order, full elimination).
     ///
     /// # Panics
     ///
     /// Panics if dimensions do not match.
+    // cyclone-lint: hot-path
     pub fn decode_into(
         &self,
         syndrome: &[bool],
         suspicion: &[f64],
         scratch: &mut DecoderScratch,
-    ) -> bool {
-        self.decode_into_impl(syndrome, suspicion, scratch, true)
-    }
-
-    /// The cold reference path: fresh `0..n` column order and full Gauss-Jordan
-    /// elimination, exactly the pre-warm-start behavior. Kept public so property
-    /// tests (and skeptical users) can pin the warm path against it.
-    ///
-    /// # Panics
-    ///
-    /// Panics if dimensions do not match.
-    pub fn decode_into_cold(
-        &self,
-        syndrome: &[bool],
-        suspicion: &[f64],
-        scratch: &mut DecoderScratch,
-    ) -> bool {
-        self.decode_into_impl(syndrome, suspicion, scratch, false)
-    }
-
-    // cyclone-lint: hot-path
-    fn decode_into_impl(
-        &self,
-        syndrome: &[bool],
-        suspicion: &[f64],
-        scratch: &mut DecoderScratch,
-        warm: bool,
     ) -> bool {
         let m = self.h.num_rows();
         let n = self.h.num_cols();
@@ -128,14 +105,14 @@ impl OsdDecoder {
         // Column order: most suspicious first (ties broken by index for determinism).
         // The index tiebreak makes the comparator a strict total order, so the
         // unstable sort yields the same permutation as a stable one — without the
-        // stable sort's temporary-buffer allocation. Warm path: any permutation of
+        // stable sort's temporary-buffer allocation. Warm start: any permutation of
         // 0..n sorts to the same unique result under a strict total order, so the
         // previous decode's order (nearly sorted for the typical shot-to-shot
         // posterior drift) is a valid — and faster — starting point. `scratch.order`
         // is only ever written here, so `len() == n` implies it is a permutation
         // of `0..n`.
         let order = &mut scratch.order;
-        if !warm || order.len() != n {
+        if order.len() != n {
             order.clear();
             order.extend(0..n);
         }
@@ -144,30 +121,33 @@ impl OsdDecoder {
                 .total_cmp(&suspicion_key(suspicion[a]))
                 .then(a.cmp(&b))
         });
+        let pos_of = &mut scratch.pos_of;
+        pos_of.resize(n, 0);
+        for (pos, &orig) in order.iter().enumerate() {
+            pos_of[orig] = pos;
+        }
 
         // Augmented matrix [H(ordered) | s] in word-packed rows: the syndrome lives
-        // at bit position `n`. Each permuted row is gathered 64 columns at a time
-        // into an accumulator word, so storage is written once per word, not once
-        // per bit. Every word is overwritten, so stale scratch contents are fine.
+        // at bit position `n`. Each row is zeroed and its support — the set bits
+        // of its dense words, found by `trailing_zeros` — scattered through
+        // `pos_of`, so the build costs O(nnz + m·words), not O(m·n).
         let words = (n + 1).div_ceil(64);
         scratch.aug.resize(m * words, 0);
-        for (r, &sr) in syndrome.iter().enumerate() {
-            let h_row = self.h.row_words(r);
-            let out = &mut scratch.aug[r * words..(r + 1) * words];
-            let mut acc = 0u64;
-            let mut w = 0usize;
-            for (pos, &orig) in order.iter().enumerate() {
-                acc |= ((h_row[orig >> 6] >> (orig & 63)) & 1) << (pos & 63);
-                if pos & 63 == 63 {
-                    out[w] = acc;
-                    w += 1;
-                    acc = 0;
+        for (r, (&sr, out)) in syndrome
+            .iter()
+            .zip(scratch.aug.chunks_exact_mut(words))
+            .enumerate()
+        {
+            out.fill(0);
+            for (w, &word) in self.h.row_words(r).iter().enumerate() {
+                let mut bits = word;
+                while bits != 0 {
+                    let pos = pos_of[(w << 6) | bits.trailing_zeros() as usize];
+                    out[pos >> 6] |= 1 << (pos & 63);
+                    bits &= bits - 1;
                 }
             }
-            if sr {
-                acc |= 1u64 << (n & 63);
-            }
-            out[w] = acc;
+            out[n >> 6] |= u64::from(sr) << (n & 63);
         }
 
         // Greedy elimination in permuted-column order. Invariant: every row at or
@@ -191,7 +171,7 @@ impl OsdDecoder {
             // exactly what the readoff below already assumes for non-pivots. The
             // inconsistent case can never take this exit (it requires a surviving
             // syndrome bit), so detection is unaffected.
-            if warm && !(pivot_row..m).any(|r| (aug[r * words + syn_word] >> syn_bit) & 1 == 1) {
+            if !(pivot_row..m).any(|r| (aug[r * words + syn_word] >> syn_bit) & 1 == 1) {
                 break;
             }
             let mut best_col = usize::MAX;
@@ -235,7 +215,7 @@ impl OsdDecoder {
             pivot_row += 1;
         }
 
-        // Consistency: any all-zero row must have zero syndrome. (After a warm
+        // Consistency: any all-zero row must have zero syndrome. (After an
         // early exit the remaining rows may be nonzero, but all carry zero
         // syndrome — the exit condition — so the loop still passes.)
         for r in pivot_cols.len()..m {
@@ -246,15 +226,10 @@ impl OsdDecoder {
 
         // OSD-0: non-pivot columns are set to zero; pivot columns read off the
         // syndrome column.
-        scratch.solution_ordered.clear();
-        scratch.solution_ordered.resize(n, false);
-        for (row, &col) in pivot_cols.iter().enumerate() {
-            scratch.solution_ordered[col] = (aug[row * words + syn_word] >> syn_bit) & 1 == 1;
-        }
         scratch.error.clear();
         scratch.error.resize(n, false);
-        for (pos, &orig) in order.iter().enumerate() {
-            scratch.error[orig] = scratch.solution_ordered[pos];
+        for (row, &col) in pivot_cols.iter().enumerate() {
+            scratch.error[order[col]] = (aug[row * words + syn_word] >> syn_bit) & 1 == 1;
         }
         debug_assert_eq!(self.h.mul_vec(&scratch.error), syndrome);
         true
@@ -365,7 +340,9 @@ mod tests {
     #[test]
     fn warm_start_matches_cold_on_dirty_scratch() {
         // Re-decode a stream of different syndromes/suspicions through one warm
-        // scratch; every result must equal a cold decode into a fresh scratch.
+        // scratch; every result must equal a decode into a fresh scratch, which
+        // sorts from the `0..n` order. (The property suite pins both against
+        // the cold oracle in `tests/oracle/osd.rs`.)
         let h = repetition_h(70);
         let cols = h.num_cols();
         let osd = OsdDecoder::new(h.clone());
@@ -378,10 +355,9 @@ mod tests {
             let suspicion: Vec<f64> = (0..cols)
                 .map(|i| ((i * 31 + round * 17) % 97) as f64 / 97.0)
                 .collect();
-            let mut cold = DecoderScratch::new();
-            assert!(osd.decode_into_cold(&s, &suspicion, &mut cold));
+            let cold = osd.decode(&s, &suspicion).expect("consistent");
             assert!(osd.decode_into(&s, &suspicion, &mut warm));
-            assert_eq!(warm.error(), cold.error(), "round {round}");
+            assert_eq!(warm.error(), cold.as_slice(), "round {round}");
         }
     }
 
@@ -394,7 +370,7 @@ mod tests {
         // Dirty the scratch with a consistent decode first.
         assert!(osd.decode_into(&[true, false], &[0.5, 0.5], &mut scratch));
         assert!(!osd.decode_into(&[false, true], &[0.5, 0.5], &mut scratch));
-        assert!(!osd.decode_into_cold(&[false, true], &[0.5, 0.5], &mut scratch));
+        assert!(osd.decode(&[false, true], &[0.5, 0.5]).is_none());
     }
 
     #[test]
@@ -409,10 +385,9 @@ mod tests {
             e[n / 2] = true;
             let s = h.mul_vec(&e);
             let suspicion: Vec<f64> = (0..n).map(|i| 1.0 / (2.0 + i as f64)).collect();
-            let mut cold = DecoderScratch::new();
-            assert!(osd.decode_into_cold(&s, &suspicion, &mut cold));
+            let cold = osd.decode(&s, &suspicion).expect("consistent");
             assert!(osd.decode_into(&s, &suspicion, &mut scratch));
-            assert_eq!(scratch.error(), cold.error(), "n = {n}");
+            assert_eq!(scratch.error(), cold.as_slice(), "n = {n}");
         }
     }
 

@@ -1,10 +1,10 @@
 //! Reusable decoder workspaces.
 //!
 //! [`DecoderScratch`] owns every working buffer the BP / OSD / BP+OSD hot paths need:
-//! the flat message arenas of belief propagation, the channel-LLR vector (cached
-//! against the priors digest), and the ordered-statistics column permutation and
-//! word-packed augmented matrix. The scratch entry points of
-//! [`crate::bp::BeliefPropagation`], [`crate::osd::OsdDecoder`], and
+//! the flat message arenas of belief propagation, the channel LLRs and first
+//! messages (built once per priors and graph digest), and the ordered-statistics
+//! column permutation, its inverse, and the word-packed augmented matrix. The
+//! scratch entry points of [`crate::bp::BeliefPropagation`], [`crate::osd::OsdDecoder`], and
 //! [`crate::bposd::BpOsdDecoder`] borrow all of their state from one of these, so a
 //! caller that keeps a scratch alive (one per worker thread, typically) performs zero
 //! heap allocation per decode in steady state: buffers are grown on first use and
@@ -12,92 +12,65 @@
 
 use crate::sparse::PAD_LANES;
 
-/// One 32-byte-aligned bundle of [`PAD_LANES`] `f64` lanes — the allocation unit
-/// of [`LaneArenaF64`].
+/// One 32-byte-aligned bundle of [`PAD_LANES`] lanes — the allocation unit of
+/// [`LaneArena`].
 #[repr(C, align(32))]
 #[derive(Debug, Clone, Copy)]
-struct F64Chunk([f64; PAD_LANES]);
+struct Chunk<T>([T; PAD_LANES]);
 
-/// One 32-byte-aligned bundle of [`PAD_LANES`] `u64` mask words — the allocation
-/// unit of [`LaneArenaU64`].
-#[repr(C, align(32))]
-#[derive(Debug, Clone, Copy)]
-struct U64Chunk([u64; PAD_LANES]);
-
-/// A 32-byte-aligned `f64` arena backing the BP message buffers.
+/// A 32-byte-aligned arena of `f64` messages or `u64` masks backing the BP
+/// lane buffers.
 ///
 /// The lane kernels in [`crate::simd`] issue full-width four-lane loads and
-/// stores over these buffers every iteration (under the AVX2 compilation). A plain `Vec<f64>` is only
-/// guaranteed 16-byte alignment by the allocator, and a 16-mod-32 base address
-/// makes every 256-bit access straddle two cache lines — measured to cost the
-/// AVX2 check pass roughly a quarter of its throughput on the `[[72,12,6]]`
-/// code, with the outcome decided by per-process allocation luck. Backing the
-/// storage with 32-byte-aligned chunks removes that coin flip. Lengths are
-/// always multiples of [`PAD_LANES`] (the row-interleaved layout guarantees
-/// this), enforced by a debug assertion.
+/// stores over these buffers every iteration (under the AVX2 compilation). A
+/// plain `Vec<f64>` is only guaranteed 16-byte alignment by the allocator, and
+/// a 16-mod-32 base address makes every 256-bit access straddle two cache
+/// lines — measured to cost the AVX2 check pass roughly a quarter of its
+/// throughput on the `[[72,12,6]]` code, with the outcome decided by
+/// per-process allocation luck. Backing the storage with 32-byte-aligned
+/// chunks removes that coin flip. Lengths are always multiples of
+/// [`PAD_LANES`] (both lane layouts guarantee this), enforced by a debug
+/// assertion.
 #[derive(Debug, Clone, Default)]
-pub(crate) struct LaneArenaF64 {
-    chunks: Vec<F64Chunk>,
+pub(crate) struct LaneArena<T> {
+    chunks: Vec<Chunk<T>>,
 }
 
-impl LaneArenaF64 {
-    /// Number of `f64` slots (always a multiple of [`PAD_LANES`]).
+/// The lane types: eight bytes wide, so a [`Chunk`] of four is exactly its
+/// 32-byte alignment and holds no padding.
+pub(crate) trait Lane: Copy + Default {}
+impl Lane for f64 {}
+impl Lane for u64 {}
+
+impl<T: Lane> LaneArena<T> {
+    /// Number of lanes (always a multiple of [`PAD_LANES`]).
     pub(crate) fn len(&self) -> usize {
         self.chunks.len() * PAD_LANES
     }
 
-    /// Resizes to exactly `len` slots, filling any newly added chunks with `0.0`.
+    /// Resizes to exactly `len` lanes, filling any newly added chunks with zeros.
     pub(crate) fn ensure_len(&mut self, len: usize) {
         debug_assert_eq!(len % PAD_LANES, 0, "lane arena length must be chunked");
         if self.len() != len {
             self.chunks
-                .resize(len / PAD_LANES, F64Chunk([0.0; PAD_LANES]));
+                .resize(len / PAD_LANES, Chunk([T::default(); PAD_LANES]));
         }
     }
 
-    /// Views the arena as a flat `f64` slice with a 32-byte-aligned base.
-    pub(crate) fn as_mut_slice(&mut self) -> &mut [f64] {
-        // SAFETY: `F64Chunk` is `#[repr(C)]` over `[f64; PAD_LANES]` with size a
-        // multiple of its alignment, so the chunks store contiguous `f64`s with
-        // no padding; the cast stays within the one live allocation and
-        // `self.len()` counts exactly the `f64`s it owns.
-        unsafe {
-            core::slice::from_raw_parts_mut(self.chunks.as_mut_ptr().cast::<f64>(), self.len())
-        }
-    }
-}
-
-/// A 32-byte-aligned `u64` arena for the per-lane syndrome masks; same
-/// rationale as [`LaneArenaF64`].
-#[derive(Debug, Clone, Default)]
-pub(crate) struct LaneArenaU64 {
-    chunks: Vec<U64Chunk>,
-}
-
-impl LaneArenaU64 {
-    /// Number of `u64` words (always a multiple of [`PAD_LANES`]).
-    pub(crate) fn len(&self) -> usize {
-        self.chunks.len() * PAD_LANES
+    /// Views the arena as a flat read-only slice.
+    pub(crate) fn as_slice(&self) -> &[T] {
+        // SAFETY: as in `as_mut_slice`.
+        unsafe { core::slice::from_raw_parts(self.chunks.as_ptr().cast::<T>(), self.len()) }
     }
 
-    /// Resizes to exactly `len` words, filling any newly added chunks with `0`.
-    pub(crate) fn ensure_len(&mut self, len: usize) {
-        debug_assert_eq!(len % PAD_LANES, 0, "lane arena length must be chunked");
-        if self.len() != len {
-            self.chunks
-                .resize(len / PAD_LANES, U64Chunk([0; PAD_LANES]));
-        }
-    }
-
-    /// Views the arena as a flat `u64` slice with a 32-byte-aligned base.
-    pub(crate) fn as_mut_slice(&mut self) -> &mut [u64] {
-        // SAFETY: `U64Chunk` is `#[repr(C)]` over `[u64; PAD_LANES]` with size a
-        // multiple of its alignment, so the chunks store contiguous `u64`s with
-        // no padding; the cast stays within the one live allocation and
-        // `self.len()` counts exactly the `u64`s it owns.
-        unsafe {
-            core::slice::from_raw_parts_mut(self.chunks.as_mut_ptr().cast::<u64>(), self.len())
-        }
+    /// Views the arena as a flat slice with a 32-byte-aligned base.
+    pub(crate) fn as_mut_slice(&mut self) -> &mut [T] {
+        // SAFETY: `Chunk<T>` is `#[repr(C)]` over `[T; PAD_LANES]`, and every
+        // `Lane` type is eight bytes, so a chunk is exactly 32 bytes with no
+        // padding and the chunks store contiguous `T`s; the cast stays within
+        // the one live allocation and `self.len()` counts exactly the `T`s it
+        // owns.
+        unsafe { core::slice::from_raw_parts_mut(self.chunks.as_mut_ptr().cast::<T>(), self.len()) }
     }
 }
 
@@ -111,37 +84,42 @@ impl LaneArenaU64 {
 #[derive(Debug, Clone, Default)]
 pub struct DecoderScratch {
     // Belief propagation -----------------------------------------------------
-    /// Per-variable channel log-likelihood ratios.
-    pub(crate) channel_llr: Vec<f64>,
-    /// Cache key for `channel_llr`: the content digest
-    /// ([`crate::bp::priors_digest`]) and length of the priors it was built
-    /// from. Keying on the digest instead of the exact
-    /// `Vec<f64>` makes the steady-state hit a single `u64` compare — callers that
-    /// precompute the digest once per channel ([`crate::memory::MemoryExperiment`])
-    /// pay O(1) per decode instead of an O(n) float compare.
-    pub(crate) cached_priors_key: Option<(u64, usize)>,
-    /// Number of times the per-bit-priors LLR conversion actually ran (cache
-    /// misses). Decodes minus rebuilds = cache hits; exposed for tests via
+    /// Per-variable channel log-likelihood ratios, `+∞` from the last
+    /// variable up to the next multiple of 64 (the variable pass reads whole
+    /// lane groups).
+    pub(crate) channel_llr: LaneArena<f64>,
+    /// Key of everything [`crate::bp`] primes per priors and graph: the
+    /// priors digest ([`crate::bp::priors_digest`]) and the graph digest
+    /// ([`crate::sparse::TannerGraph::digest`]), so the steady-state hit is
+    /// one compare instead of an O(n) float compare.
+    pub(crate) cached_priors_key: Option<(u64, u64)>,
+    /// Number of times the priors-keyed priming actually ran (cache misses).
+    /// Decodes minus rebuilds = cache hits; exposed for tests via
     /// [`DecoderScratch::priors_rebuilds`].
     pub(crate) priors_rebuilds: usize,
+    /// The first variable→check messages under the cached key (the channel
+    /// LLR at each real slot, `+∞` at each padding slot), which the first
+    /// check pass of every decode reads in place of `vtc_lanes`.
+    pub(crate) vtc_init: LaneArena<f64>,
     /// Check→variable messages in the row-interleaved layout
-    /// ([`crate::sparse::TannerGraph::edge_slots`]), 32-byte aligned so the
-    /// kernels' full-width accesses never split cache lines.
-    pub(crate) ctv_lanes: LaneArenaF64,
+    /// ([`crate::sparse::TannerGraph`]), 32-byte aligned so the kernels'
+    /// full-width accesses never split cache lines. The spare cell holds
+    /// `-0.0`.
+    pub(crate) ctv_lanes: LaneArena<f64>,
     /// Variable→check messages in the row-interleaved layout; padding slots
     /// hold `+∞` (see [`crate::bp`]).
-    pub(crate) vtc_lanes: LaneArenaF64,
+    pub(crate) vtc_lanes: LaneArena<f64>,
     /// Posterior log-likelihood ratios (one per variable).
     pub(crate) llrs: Vec<f64>,
     /// Padded posterior accumulator: slots `0..n` mirror `llrs`; the tail up
     /// to the next multiple of 64 holds `+∞`, so the hard-decision kernel
     /// packs whole words without a tail mask (see [`crate::simd`]).
-    pub(crate) llrs_pad: LaneArenaF64,
+    pub(crate) llrs_pad: LaneArena<f64>,
     /// Per-check syndrome masks consumed by the check-pass kernel: word `r` is
     /// all-ones when syndrome bit `r` is set, zero otherwise (and zero for the
     /// phantom lanes past the last check). Refilled once per decode — the
     /// syndrome is constant across iterations.
-    pub(crate) syn_mask: LaneArenaU64,
+    pub(crate) syn_mask: LaneArena<u64>,
     /// Hard-decision error estimate; also receives the OSD solution.
     pub(crate) error: Vec<bool>,
     /// Word-packed copy of `error` maintained by the BP variable pass, consumed
@@ -152,12 +130,12 @@ pub struct DecoderScratch {
     pub(crate) suspicion: Vec<f64>,
     /// Column permutation, most suspicious first.
     pub(crate) order: Vec<usize>,
+    /// Inverse of `order`: the permuted position of each original column.
+    pub(crate) pos_of: Vec<usize>,
     /// Word-packed augmented matrix `[H(ordered) | s]`, row-major.
     pub(crate) aug: Vec<u64>,
     /// Pivot column (in permuted coordinates) of each pivot row, in row order.
     pub(crate) pivot_cols: Vec<usize>,
-    /// OSD solution in permuted coordinates.
-    pub(crate) solution_ordered: Vec<bool>,
 }
 
 impl DecoderScratch {

@@ -1,28 +1,35 @@
 //! The min-sum lane kernels and their runtime ISA dispatch.
 //!
-//! Two loops of the BP iteration are written once, in safe Rust, over the
-//! **row-interleaved** arenas built by [`crate::sparse::TannerGraph`]: the
-//! check-node pass and the word-packed hard decision. Checks are processed in
-//! groups of [`PAD_LANES`], lane = check, so each lane runs its own row's
-//! strict-`<` two-min ladder and sign-parity XOR. Padding slots (rows shorter
-//! than their group's depth, phantom lanes past the last check) hold neutral
-//! messages (`+∞` magnitude, positive sign) that no strict-`<` comparison ever
-//! promotes, so they cannot perturb either reduction.
+//! The loops of the BP iteration are written once, in safe Rust, over the two
+//! lane layouts built by [`crate::sparse::TannerGraph`]:
+//!
+//! * the **check-node pass** and the word-packed hard decision run over the
+//!   row-interleaved arenas: checks are processed in groups of [`PAD_LANES`],
+//!   lane = check, so each lane runs its own row's strict-`<` two-min ladder
+//!   and sign-parity XOR. Padding slots (rows shorter than their group's
+//!   depth, phantom lanes past the last check) hold neutral messages (`+∞`
+//!   magnitude, positive sign) that no strict-`<` comparison ever promotes,
+//!   so they cannot perturb either reduction;
+//! * the **variable-node pass** and its writeback run over the depth-major
+//!   column table: lane = column, and each lane adds its column's messages in
+//!   ascending check order — the order of the scalar row-major sweep — so the
+//!   order-sensitive floating-point sum is unchanged. Short columns and
+//!   phantom lanes add `-0.0` from the spare cell, which changes no bit.
 //!
 //! Each kernel is compiled twice: once for the target's baseline ISA (what
 //! [`Simd::scalar`] and non-x86 hosts run; the compiler is free to vectorize
 //! it, e.g. with SSE2 on x86-64) and once inside a
 //! `#[target_feature(enable = "avx2")]` wrapper, chosen once at decoder
-//! construction by `is_x86_feature_detected!` ([`Simd::detect`]). Only the two
+//! construction by `is_x86_feature_detected!` ([`Simd::detect`]). Only the
 //! kernels are compiled under AVX2, not the whole propagate loop.
 //!
 //! Why both compilations are bit-identical to each other and to the
-//! per-row scalar reference without hand-written intrinsics: Rust never
-//! reassociates or contracts floating-point operations, and the lane kernel
-//! has no horizontal (cross-lane) operations — every lane performs exactly the
+//! scalar reference without hand-written intrinsics: Rust never reassociates
+//! or contracts floating-point operations, and no kernel has horizontal
+//! (cross-lane) operations — every check lane performs exactly the
 //! comparisons, selects, sign-bit XORs and one IEEE multiply of the scalar row
-//! update, in row order. The vector width therefore changes only speed. The
-//! order-sensitive variable-node summation stays outside the kernels.
+//! update, in row order, and every column lane exactly the scalar additions,
+//! in check order. The vector width therefore changes only speed.
 //! Vectorization quality still depends on the compiler, so the kernel-level
 //! tests below and the property tests in `tests/properties.rs` pin both
 //! compilations to the scalar reference byte for byte.
@@ -107,56 +114,65 @@ impl Simd {
             SimdIsa::Scalar => "scalar",
         }
     }
-
-    /// Runs [`check_pass`] in the dispatched compilation.
-    pub(crate) fn check_pass(
-        self,
-        syn_mask: &[u64],
-        group_ptr: &[usize],
-        var_to_check: &[f64],
-        check_to_var: &mut [f64],
-        scale: f64,
-    ) {
-        #[cfg(target_arch = "x86_64")]
-        if self.isa == SimdIsa::Avx2 {
-            // SAFETY: an `Avx2` dispatch is only built by `detect`, after
-            // `is_x86_feature_detected!("avx2")` reported the feature.
-            return unsafe {
-                avx2::check_pass(syn_mask, group_ptr, var_to_check, check_to_var, scale)
-            };
-        }
-        check_pass(syn_mask, group_ptr, var_to_check, check_to_var, scale);
-    }
-
-    /// Runs [`hard_decision`] in the dispatched compilation.
-    pub(crate) fn hard_decision(self, llrs_pad: &[f64], err_words: &mut [u64]) {
-        #[cfg(target_arch = "x86_64")]
-        if self.isa == SimdIsa::Avx2 {
-            // SAFETY: as in `check_pass`, AVX2 was detected on this host.
-            return unsafe { avx2::hard_decision(llrs_pad, err_words) };
-        }
-        hard_decision(llrs_pad, err_words);
-    }
 }
 
-/// The AVX2 compilation of the two kernels.
-#[cfg(target_arch = "x86_64")]
-mod avx2 {
-    #[target_feature(enable = "avx2")]
-    pub(super) fn check_pass(
+/// For each kernel `name(args)`, defines `Simd::name(self, args)`, which runs
+/// the kernel in the dispatched compilation, and `avx2::name`, the kernel's
+/// AVX2 compilation: a `#[target_feature(enable = "avx2")]` wrapper into which
+/// the `#[inline(always)]` kernel body is inlined.
+macro_rules! compiled_twice {
+    ($($kernel:ident($($arg:ident: $ty:ty),* $(,)?);)*) => {
+        impl Simd {
+            $(
+                #[doc = concat!("Runs [`", stringify!($kernel), "`] in the dispatched compilation.")]
+                pub(crate) fn $kernel(self, $($arg: $ty),*) {
+                    #[cfg(target_arch = "x86_64")]
+                    if self.isa == SimdIsa::Avx2 {
+                        // SAFETY: an `Avx2` dispatch is only built by `detect`, after
+                        // `is_x86_feature_detected!("avx2")` reported the feature.
+                        return unsafe { avx2::$kernel($($arg),*) };
+                    }
+                    $kernel($($arg),*);
+                }
+            )*
+        }
+
+        /// The AVX2 compilation of the kernels.
+        #[cfg(target_arch = "x86_64")]
+        mod avx2 {
+            $(
+                #[target_feature(enable = "avx2")]
+                pub(super) fn $kernel($($arg: $ty),*) {
+                    super::$kernel($($arg),*);
+                }
+            )*
+        }
+    };
+}
+
+compiled_twice! {
+    check_pass(
         syn_mask: &[u64],
         group_ptr: &[usize],
         var_to_check: &[f64],
         check_to_var: &mut [f64],
         scale: f64,
-    ) {
-        super::check_pass(syn_mask, group_ptr, var_to_check, check_to_var, scale);
-    }
-
-    #[target_feature(enable = "avx2")]
-    pub(super) fn hard_decision(llrs_pad: &[f64], err_words: &mut [u64]) {
-        super::hard_decision(llrs_pad, err_words);
-    }
+    );
+    hard_decision(llrs_pad: &[f64], err_words: &mut [u64]);
+    var_pass(
+        col_ptr: &[usize],
+        col_slots: &[u32],
+        channel_llr: &[f64],
+        check_to_var: &[f64],
+        llrs_pad: &mut [f64],
+    );
+    var_writeback(
+        col_ptr: &[usize],
+        col_slots: &[u32],
+        llrs_pad: &[f64],
+        check_to_var: &[f64],
+        var_to_check: &mut [f64],
+    );
 }
 
 /// The min-sum check-node pass over the row-interleaved layout: reads
@@ -236,6 +252,61 @@ fn hard_decision(llrs_pad: &[f64], err_words: &mut [u64]) {
         *word = bits;
     }
 }
+
+// cyclone-lint: hot-path
+/// The variable-node sum over the depth-major column table
+/// ([`crate::sparse::TannerGraph::col_slots`]): lane = column, so
+/// `llrs_pad[c]` becomes `channel_llr[c]` plus column `c`'s check→variable
+/// messages added one at a time in ascending check order — exactly the
+/// scalar accumulation's order. Padding entries read the spare cell, which
+/// must hold `-0.0`: `x + (-0.0)` is `x` bit for bit for every `x`, `±0` and
+/// `±∞` included. `channel_llr` must be `+∞` past the last column, so
+/// phantom lanes write `+∞`.
+#[inline(always)]
+fn var_pass(
+    col_ptr: &[usize],
+    col_slots: &[u32],
+    channel_llr: &[f64],
+    check_to_var: &[f64],
+    llrs_pad: &mut [f64],
+) {
+    for ((span, prior), out) in col_ptr
+        .windows(2)
+        .zip(channel_llr.chunks_exact(PAD_LANES))
+        .zip(llrs_pad.chunks_exact_mut(PAD_LANES))
+    {
+        let mut acc = [0.0f64; PAD_LANES];
+        acc.copy_from_slice(prior);
+        for slots in col_slots[span[0]..span[1]].chunks_exact(PAD_LANES) {
+            for lane in 0..PAD_LANES {
+                acc[lane] += check_to_var[slots[lane] as usize];
+            }
+        }
+        out.copy_from_slice(&acc);
+    }
+}
+
+/// The variable→check writeback over the same column table: each real slot
+/// gets its column's posterior minus the slot's own check→variable message.
+/// Padding entries write the spare cell, which no pass reads.
+#[inline(always)]
+fn var_writeback(
+    col_ptr: &[usize],
+    col_slots: &[u32],
+    llrs_pad: &[f64],
+    check_to_var: &[f64],
+    var_to_check: &mut [f64],
+) {
+    for (span, llr) in col_ptr.windows(2).zip(llrs_pad.chunks_exact(PAD_LANES)) {
+        for slots in col_slots[span[0]..span[1]].chunks_exact(PAD_LANES) {
+            for lane in 0..PAD_LANES {
+                let slot = slots[lane] as usize;
+                var_to_check[slot] = llr[lane] - check_to_var[slot];
+            }
+        }
+    }
+}
+// cyclone-lint: end-hot-path
 
 #[cfg(test)]
 mod tests {
@@ -399,6 +470,90 @@ mod tests {
             let mut got = vec![u64::MAX; words];
             simd.hard_decision(&llrs, &mut got);
             assert_eq!(got, expect, "{} hard decision", simd.isa_name());
+        }
+    }
+
+    /// The column-lane variable pass and its writeback against row-major
+    /// scalar accumulation (channel LLR, then every real edge in row-major
+    /// order), byte for byte, in both compilations. The first column group
+    /// has degrees 2, 2, 3 and 5; `n = 10` leaves two phantom lanes; column 9
+    /// has degree 0 and a `-0.0` channel LLR. Messages include `±0.0`, `±∞`
+    /// (column 3 sums both into NaN) and extreme magnitudes; padding slots
+    /// hold NaN to show they are never read.
+    #[test]
+    fn column_lane_variable_pass_matches_row_major_accumulation() {
+        use crate::sparse::{SparseBinMat, TannerGraph};
+        let n = 10;
+        let rows = vec![
+            vec![0, 1, 2, 3],
+            vec![1, 2, 3, 6],
+            vec![2, 3],
+            vec![3, 4, 5, 6, 7, 8],
+            vec![0, 3, 8],
+            vec![7],
+        ];
+        let graph = TannerGraph::new(&SparseBinMat::from_row_supports(n, rows.clone()));
+        let spare = graph.num_interleaved_slots();
+        let values = [
+            -0.0,
+            0.0,
+            1.5,
+            f64::INFINITY,
+            -2.25,
+            f64::NEG_INFINITY,
+            1e-300,
+            -1e308,
+            0.1,
+            -0.0,
+        ];
+        let mut ctv = vec![f64::NAN; graph.arena_len()];
+        ctv[spare] = -0.0;
+        let slot =
+            |r: usize, j: usize| graph.group_ptr()[r / PAD_LANES] + j * PAD_LANES + r % PAD_LANES;
+        let mut k = 0;
+        for (r, row) in rows.iter().enumerate() {
+            for j in 0..row.len() {
+                ctv[slot(r, j)] = values[k % values.len()];
+                k += 1;
+            }
+        }
+        let padded = n.div_ceil(64) * 64;
+        let inf = f64::INFINITY;
+        let mut channel = vec![0.0, -0.0, 2.0, -inf, inf, 1.0, -0.0, 3.0, -inf, -0.0];
+        channel.resize(padded, inf);
+        let mut want = channel.clone();
+        for (r, row) in rows.iter().enumerate() {
+            for (j, &c) in row.iter().enumerate() {
+                want[c] += ctv[slot(r, j)];
+            }
+        }
+        for simd in [Simd::scalar(), Simd::detect()] {
+            let isa = simd.isa_name();
+            let mut llrs = vec![0.0f64; padded];
+            simd.var_pass(
+                graph.col_ptr(),
+                graph.col_slots(),
+                &channel,
+                &ctv,
+                &mut llrs,
+            );
+            for c in 0..n.div_ceil(PAD_LANES) * PAD_LANES {
+                assert_eq!(llrs[c].to_bits(), want[c].to_bits(), "{isa} column {c}");
+            }
+            let mut vtc = vec![7.0f64; graph.arena_len()];
+            simd.var_writeback(graph.col_ptr(), graph.col_slots(), &llrs, &ctv, &mut vtc);
+            let mut real = vec![false; graph.arena_len()];
+            for (r, row) in rows.iter().enumerate() {
+                for (j, &c) in row.iter().enumerate() {
+                    let s = slot(r, j);
+                    real[s] = true;
+                    let expect = want[c] - ctv[s];
+                    assert_eq!(vtc[s].to_bits(), expect.to_bits(), "{isa} slot {s}");
+                }
+            }
+            for s in (0..spare).filter(|&s| !real[s]) {
+                assert_eq!(vtc[s], 7.0, "{isa} wrote padding slot {s}");
+            }
         }
     }
 

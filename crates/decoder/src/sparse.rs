@@ -2,7 +2,10 @@
 //!
 //! [`SparseBinMat`] stores a parity-check matrix as row and column adjacency lists —
 //! the natural representation for belief propagation, where messages flow along the
-//! edges of the Tanner graph.
+//! edges of the Tanner graph. [`TannerGraph`] flattens it once per decoder into
+//! the two lane layouts of the [`crate::simd`] kernels: row-interleaved message
+//! slots for the check pass, and a depth-major column table that visits each
+//! column's messages in ascending check order for the variable pass.
 
 use qec::linalg::BitMat;
 
@@ -126,96 +129,95 @@ impl SparseBinMat {
     // cyclone-lint: end-hot-path
 }
 
-/// Lane width of the row-interleaved layout: checks are processed in groups of
-/// four, one per `f64` lane of an AVX2 vector. Both compilations of the
-/// [`crate::simd`] kernels walk the same layout.
+/// Lane width of the interleaved layouts: checks (check pass) and columns
+/// (variable pass) are processed in groups of four, one per `f64` lane of an
+/// AVX2 vector. Both compilations of the [`crate::simd`] kernels walk the same
+/// layouts.
 pub const PAD_LANES: usize = 4;
 
-/// A flattened Tanner graph derived from a [`SparseBinMat`].
-///
-/// Edges (nonzero entries of `H`) are numbered row-major, and `col_of_edge`
-/// maps each edge to its variable. For any one variable, ascending edge id is
-/// ascending check order, so a single row-major edge sweep accumulates every
-/// column in exactly that order.
+/// A flattened Tanner graph derived from a [`SparseBinMat`], in the two
+/// lane layouts of the [`crate::simd`] kernels.
 ///
 /// The message arenas use a **row-interleaved** slot numbering for the
-/// check-pass kernel ([`crate::simd`]): checks are processed in
-/// groups of [`PAD_LANES`], lane = check, so every per-row reduction — sign
-/// parity (XOR of `msg < 0.0` predicates) and the two-smallest-magnitude scan —
-/// stays entirely lane-wise with *no* horizontal combine. Group `g` owns slots
-/// `group_ptr[g]..group_ptr[g + 1]`: slot `group_ptr[g] + j·PAD_LANES + lane`
-/// holds message `j` of check `g·PAD_LANES + lane`, and the group's depth is
-/// the maximum degree among its checks. Slots past a check's degree (and whole
-/// lanes past `num_checks` in the last group) are padding: they hold
-/// neutral-element messages (`+∞` magnitude, positive sign), are written once
-/// at decode start, and are never touched again — the variable pass walks only
-/// the real edges through [`TannerGraph::edge_slots`], in exactly the
-/// row-major order the (order-sensitive) scalar accumulation uses.
+/// check pass: checks are processed in groups of [`PAD_LANES`], lane = check,
+/// so every per-row reduction — sign parity (XOR of `msg < 0.0` predicates)
+/// and the two-smallest-magnitude scan — stays entirely lane-wise with *no*
+/// horizontal combine. Group `g` owns slots `group_ptr[g]..group_ptr[g + 1]`:
+/// slot `group_ptr[g] + j·PAD_LANES + lane` holds message `j` of check
+/// `g·PAD_LANES + lane`, and the group's depth is the maximum degree among its
+/// checks. Slots past a check's degree (and whole lanes past `num_checks` in
+/// the last group) are padding: they hold neutral-element messages (`+∞`
+/// magnitude, positive sign) that no pass ever overwrites.
+///
+/// The variable pass reads the same arenas through a **depth-major column
+/// table**: columns are processed in groups of [`PAD_LANES`], lane = column.
+/// Column group `k` owns table entries `col_ptr[k]..col_ptr[k + 1]`, and entry
+/// `col_ptr[k] + j·PAD_LANES + lane` is the arena slot of the `j`-th check of
+/// column `k·PAD_LANES + lane` in ascending check order. Entries past a
+/// column's degree (and whole lanes past `num_vars`) point at the **spare
+/// cell** (slot [`TannerGraph::num_interleaved_slots`], past the last group),
+/// whose check→variable message is `-0.0`: adding it leaves every sum
+/// bit-identical, and writes to it are never read.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TannerGraph {
     num_checks: usize,
     num_vars: usize,
-    col_of_edge: Vec<usize>,
     /// Interleaved group pointers: row group `g` (checks
     /// `g·PAD_LANES..(g+1)·PAD_LANES`) owns slots `group_ptr[g]..group_ptr[g+1]`,
     /// always a multiple of [`PAD_LANES`] long.
     group_ptr: Vec<usize>,
-    /// Interleaved slot of each real edge, indexed by row-major edge id.
-    edge_slots: Vec<u32>,
-    /// Interleaved slots holding no real edge (ascending) — the complement of
-    /// `edge_slots` over `0..num_interleaved_slots()`.
-    pad_slots: Vec<u32>,
+    /// Column-group pointers into `col_slots`.
+    col_ptr: Vec<usize>,
+    /// The depth-major column table: arena slots, the spare cell for padding.
+    col_slots: Vec<u32>,
+    /// See [`TannerGraph::digest`].
+    digest: u64,
+}
+
+/// Group pointers of a lane layout over `count` items (checks or columns) in
+/// groups of [`PAD_LANES`]: each group spans its largest `degree` times
+/// [`PAD_LANES`] entries.
+fn lane_groups(count: usize, degree: impl Fn(usize) -> usize) -> Vec<usize> {
+    let mut ptr = vec![0];
+    for first in (0..count).step_by(PAD_LANES) {
+        let depth = (first..count.min(first + PAD_LANES)).map(&degree).max();
+        ptr.push(ptr[ptr.len() - 1] + depth.unwrap_or(0) * PAD_LANES);
+    }
+    ptr
 }
 
 impl TannerGraph {
     /// Flattens the Tanner graph of a parity-check matrix.
     pub fn new(h: &SparseBinMat) -> Self {
-        let m = h.num_rows();
-        let n = h.num_cols();
-        let col_of_edge: Vec<usize> = (0..m).flat_map(|r| h.row(r)).copied().collect();
-        // Row-interleaved layout: lane = check within its group of PAD_LANES,
-        // group depth = the maximum degree among the group's checks. Message j
-        // of check r lands at slot `group_ptr[g] + j·PAD_LANES + (r mod
-        // PAD_LANES)`, so a group's messages at position j form one contiguous
-        // vector across its lanes.
-        let groups = m.div_ceil(PAD_LANES);
-        let mut group_ptr = Vec::with_capacity(groups + 1);
-        // Rows are visited in ascending order, so `edge_slots` fills in
-        // row-major edge order.
-        let mut edge_slots = Vec::with_capacity(col_of_edge.len());
-        group_ptr.push(0);
-        let mut base = 0usize;
-        for g in 0..groups {
-            let first = g * PAD_LANES;
-            let last = (first + PAD_LANES).min(m);
-            let depth = (first..last).map(|r| h.row(r).len()).max().unwrap_or(0);
-            for (lane, r) in (first..last).enumerate() {
-                for j in 0..h.row(r).len() {
-                    edge_slots.push(
-                        u32::try_from(base + j * PAD_LANES + lane)
-                            .expect("interleaved arena exceeds u32 slot indexing"),
-                    );
-                }
+        let (m, n) = (h.num_rows(), h.num_cols());
+        let group_ptr = lane_groups(m, |r| h.row(r).len());
+        let col_ptr = lane_groups(n, |c| h.col(c).len());
+        let spare = u32::try_from(group_ptr[group_ptr.len() - 1])
+            .expect("interleaved arena exceeds u32 slot indexing");
+        let mut col_slots = vec![spare; col_ptr[col_ptr.len() - 1]];
+        // The depth each column's next entry goes to.
+        let mut filled = vec![0usize; n];
+        let mut digest = noise::fnv::Fnv1a::new();
+        digest.write_u64(m as u64).write_u64(n as u64);
+        for r in 0..m {
+            digest.write_u64(h.row(r).len() as u64);
+            for (j, &c) in h.row(r).iter().enumerate() {
+                digest.write_u64(c as u64);
+                // Message j of check r; below `spare`, so it fits in a u32.
+                let slot = group_ptr[r / PAD_LANES] + j * PAD_LANES + r % PAD_LANES;
+                // Rows ascend, so each column fills in ascending check order.
+                let entry = col_ptr[c / PAD_LANES] + filled[c] * PAD_LANES + c % PAD_LANES;
+                col_slots[entry] = slot as u32;
+                filled[c] += 1;
             }
-            base += depth * PAD_LANES;
-            group_ptr.push(base);
         }
-        // Complement of `edge_slots` over the arena: the padding slots the BP
-        // per-decode init must neutralize (`+∞`). Precomputing the list keeps
-        // that init proportional to the padding (typically a small fraction of
-        // the arena) instead of a full-arena fill.
-        let mut is_real = vec![false; base];
-        for &slot in &edge_slots {
-            is_real[slot as usize] = true;
-        }
-        let pad_slots: Vec<u32> = (0..base as u32).filter(|&s| !is_real[s as usize]).collect();
         TannerGraph {
             num_checks: m,
             num_vars: n,
-            col_of_edge,
             group_ptr,
-            edge_slots,
-            pad_slots,
+            col_ptr,
+            col_slots,
+            digest: digest.finish(),
         }
     }
 
@@ -229,17 +231,18 @@ impl TannerGraph {
         self.num_vars
     }
 
-    /// Every edge's variable, indexed by row-major edge id.
-    #[inline]
-    pub fn edge_vars(&self) -> &[usize] {
-        &self.col_of_edge
-    }
-
-    /// Total number of interleaved slots (real edges plus padding), i.e. the
-    /// length of the message arenas.
+    /// Total number of interleaved slots (real edges plus padding). The spare
+    /// cell of the column table is the slot at this index.
     #[inline]
     pub fn num_interleaved_slots(&self) -> usize {
         *self.group_ptr.last().expect("group_ptr is never empty")
+    }
+
+    /// Length of the message arenas: the interleaved slots, the spare cell,
+    /// and lane padding up to a multiple of [`PAD_LANES`].
+    #[inline]
+    pub fn arena_len(&self) -> usize {
+        self.num_interleaved_slots() + PAD_LANES
     }
 
     /// Number of row groups (`num_checks` rounded up to [`PAD_LANES`] lanes).
@@ -255,19 +258,27 @@ impl TannerGraph {
         &self.group_ptr
     }
 
-    /// The interleaved slot of each real edge, indexed by row-major edge id —
-    /// the bridge the (order-sensitive) scalar variable pass uses to read and
-    /// write the interleaved message arenas in exact row-major edge order.
+    /// The column-group pointers into [`TannerGraph::col_slots`]
+    /// (`num_vars.div_ceil(PAD_LANES) + 1` entries, every span a multiple of
+    /// [`PAD_LANES`]).
     #[inline]
-    pub fn edge_slots(&self) -> &[u32] {
-        &self.edge_slots
+    pub fn col_ptr(&self) -> &[usize] {
+        &self.col_ptr
     }
 
-    /// The interleaved slots that hold no real edge, ascending — the padding
-    /// positions the per-decode init neutralizes with `+∞`.
+    /// The depth-major column table: for each column, the arena slots of its
+    /// checks in ascending check order, padded with the spare cell.
     #[inline]
-    pub fn pad_slots(&self) -> &[u32] {
-        &self.pad_slots
+    pub fn col_slots(&self) -> &[u32] {
+        &self.col_slots
+    }
+
+    /// A 64-bit FNV-1a digest of the shape and the row supports. Two graphs
+    /// of equal shape (the X and Z sectors of a code) differ in it, so it
+    /// keys what a [`crate::scratch::DecoderScratch`] builds per graph.
+    #[inline]
+    pub fn digest(&self) -> u64 {
+        self.digest
     }
 }
 
@@ -337,39 +348,53 @@ mod tests {
 
     #[test]
     fn tanner_graph_flattens_both_sides() {
-        // H = [1 0 1; 0 1 1] → edges 0:(r0,c0) 1:(r0,c2) 2:(r1,c1) 3:(r1,c2)
+        // H = [1 0 1; 0 1 1]: check 0 holds c0, c2 at slots 0, 4; check 1
+        // holds c1, c2 at slots 1, 5.
         let s = SparseBinMat::from_row_supports(3, vec![vec![0, 2], vec![1, 2]]);
         let g = TannerGraph::new(&s);
         assert_eq!(g.num_checks(), 2);
         assert_eq!(g.num_vars(), 3);
-        assert_eq!(g.edge_vars(), &[0, 2, 1, 2]);
         // Check side: both checks share one four-slot group, lane = check.
         assert_eq!(g.group_ptr(), &[0, 8]);
-        assert_eq!(g.edge_slots(), &[0, 4, 1, 5]);
+        assert_eq!(g.num_interleaved_slots(), 8);
+        assert_eq!(g.arena_len(), 12);
+        // Variable side: one column group of depth 2 (column 2 has two
+        // checks); column 3 is a phantom lane. The spare cell is slot 8.
+        assert_eq!(g.col_ptr(), &[0, 8]);
+        assert_eq!(g.col_slots(), &[0, 1, 4, 8, 8, 8, 5, 8]);
     }
 
     #[test]
     fn tanner_graph_column_order_is_check_ascending() {
         let s = SparseBinMat::from_row_supports(2, vec![vec![0], vec![0], vec![0, 1]]);
         let g = TannerGraph::new(&s);
-        // Column 0 is touched by checks 0, 1, 2 via edges 0, 1, 2 in that order,
-        // so a row-major edge sweep accumulates it in ascending-check order.
-        let col0: Vec<usize> = (0..g.edge_vars().len())
-            .filter(|&e| g.edge_vars()[e] == 0)
-            .collect();
-        assert_eq!(col0, [0, 1, 2]);
-        assert_eq!(g.edge_vars()[2], 0);
+        // Column 0 is touched by checks 0, 1, 2 (slots 0, 1, 2): its lane reads
+        // them at depths 0, 1, 2, in ascending check order. Column 1 has only
+        // check 2 (message 1 of lane 2, slot 6) and pads with the spare cell.
+        let spare = g.num_interleaved_slots() as u32;
+        let lane = |c: usize| -> Vec<u32> {
+            g.col_slots()
+                .iter()
+                .skip(c)
+                .step_by(PAD_LANES)
+                .copied()
+                .collect()
+        };
+        assert_eq!(lane(0), [0, 1, 2]);
+        assert_eq!(lane(1), [6, spare, spare]);
+        assert_eq!(lane(3), [spare; 3]);
     }
 
-    /// The row-interleaved construction invariants the check-pass kernel relies
-    /// on: lane-aligned group spans sized by the group's maximum degree, slot
-    /// `group_base + j·PAD_LANES + lane` holding message `j` of check
-    /// `group·PAD_LANES + lane`, and every real edge owning a unique in-bounds
-    /// slot.
+    /// The construction invariants the kernels rely on: lane-aligned row
+    /// groups sized by the group's maximum degree, slot `group_base +
+    /// j·PAD_LANES + lane` holding message `j` of check `group·PAD_LANES +
+    /// lane`, and a column table that lists every real slot exactly once, in
+    /// its column's lane, in ascending check order, padded with the spare cell.
     #[test]
     fn interleaved_layout_invariants() {
         // Degrees 1, 4, 0 (empty), 3 | 9 — mixed degrees within a group plus a
-        // partial trailing group with phantom lanes.
+        // partial trailing group with phantom lanes — over 10 columns, so
+        // column 9 has degree 0 and the last column group has phantom lanes.
         let rows = vec![
             vec![2],
             vec![0, 1, 2, 3],
@@ -377,7 +402,8 @@ mod tests {
             vec![1, 3, 4],
             vec![0, 1, 2, 3, 4, 5, 6, 7, 8],
         ];
-        let s = SparseBinMat::from_row_supports(9, rows.clone());
+        let n = 10;
+        let s = SparseBinMat::from_row_supports(n, rows.clone());
         let g = TannerGraph::new(&s);
         assert_eq!(g.num_row_groups(), rows.len().div_ceil(PAD_LANES));
         let ptr = g.group_ptr();
@@ -394,27 +420,56 @@ mod tests {
             );
         }
         assert_eq!(g.num_interleaved_slots(), *ptr.last().unwrap());
-        // Each real edge's slot encodes (group, position, lane) of its check.
-        assert_eq!(g.edge_slots().len(), g.edge_vars().len());
-        let mut edge = 0usize;
-        let mut seen = vec![false; g.num_interleaved_slots()];
+        // The slot of each real edge, per column in ascending check order.
+        let mut want: Vec<Vec<u32>> = vec![Vec::new(); n];
         for (r, row) in rows.iter().enumerate() {
-            for j in 0..row.len() {
-                let slot = g.edge_slots()[edge] as usize;
-                let expect = ptr[r / PAD_LANES] + j * PAD_LANES + (r % PAD_LANES);
-                assert_eq!(slot, expect, "edge {edge} (check {r}, msg {j})");
-                assert!(!seen[slot], "slot {slot} assigned twice");
-                seen[slot] = true;
-                edge += 1;
+            for (j, &c) in row.iter().enumerate() {
+                want[c].push((ptr[r / PAD_LANES] + j * PAD_LANES + r % PAD_LANES) as u32);
             }
         }
-        // `pad_slots` is exactly the ascending complement of the real-edge
-        // slots, so edge scatter + pad fill together touch every slot once.
-        let pads: Vec<usize> = g.pad_slots().iter().map(|&s| s as usize).collect();
-        let expect_pads: Vec<usize> = (0..g.num_interleaved_slots())
-            .filter(|&s| !seen[s])
-            .collect();
-        assert_eq!(pads, expect_pads);
-        assert_eq!(pads.len() + g.edge_vars().len(), g.num_interleaved_slots());
+        let spare = g.num_interleaved_slots() as u32;
+        let cols = g.col_ptr();
+        assert_eq!(cols.len(), n.div_ceil(PAD_LANES) + 1);
+        let mut seen = vec![false; g.num_interleaved_slots()];
+        for grp in 0..cols.len() - 1 {
+            let span = &g.col_slots()[cols[grp]..cols[grp + 1]];
+            assert_eq!(span.len() % PAD_LANES, 0);
+            for lane in 0..PAD_LANES {
+                let c = grp * PAD_LANES + lane;
+                let got: Vec<u32> = span.iter().skip(lane).step_by(PAD_LANES).copied().collect();
+                let real = want.get(c).map_or(0, Vec::len);
+                assert_eq!(
+                    &got[..real],
+                    want.get(c).map_or(&[][..], Vec::as_slice),
+                    "column {c}"
+                );
+                assert!(
+                    got[real..].iter().all(|&s| s == spare),
+                    "column {c} padding"
+                );
+                for &slot in &got[..real] {
+                    assert!(!seen[slot as usize], "slot {slot} listed twice");
+                    seen[slot as usize] = true;
+                }
+            }
+            let depth = (0..PAD_LANES)
+                .map(|lane| want.get(grp * PAD_LANES + lane).map_or(0, Vec::len))
+                .max()
+                .unwrap_or(0);
+            assert_eq!(span.len(), depth * PAD_LANES, "column group {grp} depth");
+        }
+        let real_edges: usize = rows.iter().map(Vec::len).sum();
+        assert_eq!(seen.iter().filter(|&&s| s).count(), real_edges);
+    }
+
+    #[test]
+    fn tanner_graph_digest_tells_equal_shapes_apart() {
+        let a = SparseBinMat::from_row_supports(3, vec![vec![0, 2], vec![1, 2]]);
+        let b = SparseBinMat::from_row_supports(3, vec![vec![0, 1], vec![1, 2]]);
+        let digest = |h: &SparseBinMat| TannerGraph::new(h).digest();
+        assert_eq!(digest(&a), digest(&a.clone()));
+        assert_ne!(digest(&a), digest(&b));
+        let wider = SparseBinMat::from_row_supports(4, vec![vec![0, 2], vec![1, 2]]);
+        assert_ne!(digest(&a), digest(&wider));
     }
 }

@@ -4,9 +4,11 @@
 //! over `bool` vectors, one BP+OSD decode per sector, no caches. It is the
 //! oracle the bit-sliced batch sampler (`MemoryExperiment::sample_batch_with`)
 //! is pinned against, shot for shot. [`bp`] is the scalar min-sum reference
-//! the decoder's lane kernels are pinned against.
+//! the decoder's lane kernels are pinned against, and [`osd`] the cold OSD-0
+//! reference its warm-started ordered-statistics stage is pinned against.
 
 pub mod bp;
+pub mod osd;
 
 use decoder::bp::priors_digest;
 use decoder::bposd::BpOsdDecoder;

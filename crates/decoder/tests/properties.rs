@@ -15,6 +15,7 @@ use decoder::simd::Simd;
 use decoder::sparse::SparseBinMat;
 use noise::{ChannelSpec, ErrorChannel, HardwareNoiseModel, NoiseParameters};
 use oracle::bp::{ScalarBp, ScalarBpScratch};
+use oracle::osd::{ColdOsd, ColdOsdScratch};
 use proptest::prelude::*;
 use qec::classical::ClassicalCode;
 use qec::hgp::square_hypergraph_product;
@@ -284,7 +285,7 @@ proptest! {
     fn warm_started_osd_is_bit_identical_to_cold_osd(
         seed in 0u64..40,
         p in 0.005f64..0.05,
-        code_pick in 0usize..3,
+        code_pick in 0usize..4,
         channel_pick in 0usize..3,
         bp_iterations in 2usize..8,
     ) {
@@ -298,7 +299,8 @@ proptest! {
         let code = match code_pick {
             0 => qec::codes::bb_72_12_6().expect("valid"),
             1 => qec::codes::hgp_100().expect("valid"),
-            _ => qec::codes::bb_90_8_10().expect("valid"),
+            2 => qec::codes::bb_90_8_10().expect("valid"),
+            _ => qec::codes::hgp_225_9_6().expect("valid"),
         };
         let model = HardwareNoiseModel::new(NoiseParameters::new(p), 2e-3);
         let n = code.num_qubits();
@@ -331,8 +333,8 @@ proptest! {
                 dec.decode_with_priors_keyed_into(&syndrome, &priors, key, &mut bp_scratch);
                 let suspicion: Vec<f64> = bp_scratch.llrs().iter().map(|&l| -l).collect();
                 let osd = OsdDecoder::new(h.clone());
-                let mut cold = DecoderScratch::new();
-                let ok_cold = osd.decode_into_cold(&syndrome, &suspicion, &mut cold);
+                let mut cold = ColdOsdScratch::default();
+                let ok_cold = ColdOsd::new(h).decode(&syndrome, &suspicion, &mut cold);
                 let ok_warm = osd.decode_into(&syndrome, &suspicion, &mut warm);
                 prop_assert_eq!(ok_warm, ok_cold, "consistency verdict diverged");
                 if ok_cold {
@@ -347,7 +349,7 @@ proptest! {
         seed in 0u64..60,
         p in 0.002f64..0.06,
         bp_iterations in 1usize..16,
-        code_pick in 0usize..3,
+        code_pick in 0usize..4,
         channel_pick in 0usize..3,
         flip_bits in 0u64..8,
     ) {
@@ -363,7 +365,8 @@ proptest! {
         let code = match code_pick {
             0 => qec::codes::bb_72_12_6().expect("valid"),
             1 => qec::codes::hgp_100().expect("valid"),
-            _ => qec::codes::bb_90_8_10().expect("valid"),
+            2 => qec::codes::bb_90_8_10().expect("valid"),
+            _ => qec::codes::hgp_225_9_6().expect("valid"),
         };
         let model = HardwareNoiseModel::new(NoiseParameters::new(p), 2e-3);
         let n = code.num_qubits();
@@ -674,11 +677,11 @@ proptest! {
 }
 
 /// A BP+OSD decoder and its references on one check matrix: the scalar BP
-/// oracle and a cold OSD.
+/// oracle and the cold OSD oracle.
 struct DecodeReference {
     decoder: BpOsdDecoder,
     bp: ScalarBp,
-    osd: OsdDecoder,
+    osd: ColdOsd,
 }
 
 impl DecodeReference {
@@ -686,7 +689,7 @@ impl DecodeReference {
         DecodeReference {
             decoder: BpOsdDecoder::new(h, bp_iterations),
             bp: ScalarBp::new(&SparseBinMat::from_bitmat(h), bp_iterations),
-            osd: OsdDecoder::new(h.clone()),
+            osd: ColdOsd::new(h),
         }
     }
 
@@ -711,8 +714,8 @@ impl DecodeReference {
             DecodeMethod::BeliefPropagation
         } else {
             let suspicion: Vec<f64> = oracle.llrs().iter().map(|&l| -l).collect();
-            let mut cold = DecoderScratch::new();
-            if self.osd.decode_into_cold(syndrome, &suspicion, &mut cold) {
+            let mut cold = ColdOsdScratch::default();
+            if self.osd.decode(syndrome, &suspicion, &mut cold) {
                 want_error = cold.error().to_vec();
             }
             DecodeMethod::OrderedStatistics
