@@ -7,12 +7,21 @@
 //! the caller typically falls back to ordered-statistics decoding ([`crate::osd`]).
 //!
 //! The Tanner graph is flattened once at construction into a row-interleaved
-//! slot layout plus a depth-major column table ([`TannerGraph`]), and the hot
-//! path ([`BeliefPropagation::decode_with_priors_keyed_into`]) keeps both
-//! message directions in flat `f64` arenas over those slots, borrowed from a
-//! caller-owned [`DecoderScratch`] — zero heap allocation per decode in steady
-//! state. What depends only on the priors and the graph (channel LLRs, first
-//! messages, arena padding) is built once per `(priors, graph)` digest key.
+//! slot layout plus a depth-major column table ([`TannerGraph`]), and the one
+//! decode core keeps both message directions in flat `f64` arenas over those
+//! slots, borrowed from a caller-owned [`DecoderScratch`] — zero heap
+//! allocation per decode in steady state. What depends only on the priors and
+//! the graph (channel LLRs, first messages, arena padding) is built once per
+//! `(priors, graph)` digest key.
+//!
+//! The core reads a word-packed syndrome (bit `r & 63` of word `r >> 6` is
+//! check `r`) and leaves the word-packed hard decision in the scratch, which
+//! is what the bit-sliced Monte-Carlo batch path ([`crate::memory`]) holds
+//! anyway. The public entry point
+//! ([`BeliefPropagation::decode_with_priors_keyed_into`]) takes a `bool`
+//! syndrome: it packs it, runs the same core, and unpacks the hard decision
+//! and the posteriors into [`DecoderScratch::error`] and
+//! [`DecoderScratch::llrs`].
 
 use crate::scratch::DecoderScratch;
 use crate::simd::Simd;
@@ -185,6 +194,9 @@ impl BeliefPropagation {
     /// and the LLR conversion actually runs — by construction a hit means an
     /// identical, already-validated vector was converted before.
     ///
+    /// This packs the syndrome, runs the word-packed core every decode path
+    /// shares, and unpacks its hard decision and posteriors.
+    ///
     /// # Panics
     ///
     /// Panics if dimensions do not match, or — on a cache miss — if a prior is
@@ -192,6 +204,30 @@ impl BeliefPropagation {
     pub fn decode_with_priors_keyed_into(
         &self,
         syndrome: &[bool],
+        priors: &[f64],
+        key: u64,
+        scratch: &mut DecoderScratch,
+    ) -> BpStatus {
+        assert_eq!(
+            syndrome.len(),
+            self.h.num_rows(),
+            "syndrome length must equal number of checks"
+        );
+        let status = scratch.with_packed_syndrome(syndrome, |packed, scratch| {
+            self.decode_packed_keyed_into(packed, priors, key, scratch)
+        });
+        scratch.unpack_decode(self.h.num_cols());
+        status
+    }
+
+    /// The word-packed decode core: [`Self::decode_with_priors_keyed_into`]
+    /// on a syndrome packed 64 checks per word (`num_rows.div_ceil(64)` words,
+    /// zero past the last check). The hard decision is left packed in the
+    /// scratch (`err_words`) and the posteriors in its
+    /// padded accumulator; neither is unpacked.
+    pub(crate) fn decode_packed_keyed_into(
+        &self,
+        syndrome: &[u64],
         priors: &[f64],
         key: u64,
         scratch: &mut DecoderScratch,
@@ -281,27 +317,28 @@ impl BeliefPropagation {
     /// the last, which packs the hard decision it returns; the message passes
     /// run unchanged, so the posteriors, hard decision and iteration count are
     /// exactly those of a decode that tested every iteration and failed.
+    ///
+    /// On return the hard decision is in `scratch.err_words` and the
+    /// posteriors in `scratch.llrs_pad[..n]` (the writeback of the final
+    /// iteration is skipped, so nothing overwrites them).
     // cyclone-lint: hot-path
-    fn propagate(&self, syndrome: &[bool], scratch: &mut DecoderScratch) -> BpStatus {
+    fn propagate(&self, syndrome: &[u64], scratch: &mut DecoderScratch) -> BpStatus {
         let m = self.h.num_rows();
-        let n = self.h.num_cols();
         let graph = &self.graph;
         assert_eq!(
             syndrome.len(),
-            m,
-            "syndrome length must equal number of checks"
+            m.div_ceil(64),
+            "packed syndrome must hold one bit per check"
+        );
+        debug_assert!(
+            m % 64 == 0 || syndrome.last().is_none_or(|&w| w >> (m % 64) == 0),
+            "bits past the last check must be zero"
         );
 
         let mask_words = self.mask_words;
         scratch
             .syn_mask
             .ensure_len(graph.num_row_groups() * PAD_LANES);
-        if scratch.llrs.len() != n {
-            scratch.llrs.resize(n, 0.0);
-        }
-        if scratch.error.len() != n {
-            scratch.error.resize(n, false);
-        }
         if scratch.err_words.len() != mask_words {
             scratch.err_words.resize(mask_words, 0);
         }
@@ -311,10 +348,8 @@ impl BeliefPropagation {
         let check_to_var = scratch.ctv_lanes.as_mut_slice();
         let var_to_check = scratch.vtc_lanes.as_mut_slice();
         let channel_llr = scratch.channel_llr.as_slice();
-        let llrs = &mut scratch.llrs;
         let llrs_pad = scratch.llrs_pad.as_mut_slice();
         let syn_mask = scratch.syn_mask.as_mut_slice();
-        let error = &mut scratch.error;
         let err_words = &mut scratch.err_words;
         let check_masks = &self.check_masks;
         let (group_ptr, col_ptr, col_slots) =
@@ -323,9 +358,11 @@ impl BeliefPropagation {
         let scale = MIN_SUM_SCALE;
 
         // Per-decode init: the syndrome is constant across iterations, so its
-        // lane masks are built once (phantom lanes past `m` stay zero).
-        for (w, &syn) in syn_mask.iter_mut().zip(syndrome.iter()) {
-            *w = if syn { u64::MAX } else { 0 };
+        // lane masks are built once (phantom lanes past `m` read zero bits).
+        for (lanes, &word) in syn_mask.chunks_mut(64).zip(syndrome) {
+            for (b, lane) in lanes.iter_mut().enumerate() {
+                *lane = ((word >> b) & 1).wrapping_neg();
+            }
         }
         // Consistency: every left-kernel vector has even parity with the
         // syndrome (`syn_mask` selects the kernel bits of the set checks).
@@ -354,19 +391,17 @@ impl BeliefPropagation {
             }
             // Convergence: does the hard decision reproduce the syndrome?
             let matches = consistent
-                && syndrome.iter().enumerate().all(|(r, &syn)| {
-                    let mask = &check_masks[r * mask_words..(r + 1) * mask_words];
-                    let mut acc = 0u64;
-                    for (&mw, &ew) in mask.iter().zip(err_words.iter()) {
-                        acc ^= mw & ew;
-                    }
-                    (acc.count_ones() & 1 == 1) == syn
-                });
+                && check_masks
+                    .chunks_exact(mask_words)
+                    .enumerate()
+                    .all(|(r, mask)| {
+                        let acc = mask
+                            .iter()
+                            .zip(err_words.iter())
+                            .fold(0u64, |acc, (&mw, &ew)| acc ^ (mw & ew));
+                        u64::from(acc.count_ones() & 1) == (syndrome[r >> 6] >> (r & 63)) & 1
+                    });
             if matches {
-                llrs.copy_from_slice(&llrs_pad[..n]);
-                for (c, slot) in error.iter_mut().enumerate() {
-                    *slot = (err_words[c >> 6] >> (c & 63)) & 1 == 1;
-                }
                 return BpStatus {
                     converged: true,
                     iterations: iteration,
@@ -379,10 +414,6 @@ impl BeliefPropagation {
             if !last {
                 simd.var_writeback(col_ptr, col_slots, llrs_pad, check_to_var, var_to_check);
             }
-        }
-        llrs.copy_from_slice(&llrs_pad[..n]);
-        for (c, slot) in error.iter_mut().enumerate() {
-            *slot = (err_words[c >> 6] >> (c & 63)) & 1 == 1;
         }
         BpStatus {
             converged: false,

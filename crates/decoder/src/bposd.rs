@@ -124,6 +124,10 @@ impl BpOsdDecoder {
     /// [`DecodeMethod::OrderedStatistics`], exactly what an OSD that found no
     /// solution would leave.
     ///
+    /// This packs the syndrome, runs the word-packed BP+OSD core the
+    /// Monte-Carlo batch path calls directly, and unpacks the correction (and
+    /// the BP posteriors into [`DecoderScratch::llrs`]).
+    ///
     /// # Panics
     ///
     /// Panics if the syndrome length does not match the number of checks, or — on
@@ -135,26 +139,39 @@ impl BpOsdDecoder {
         key: u64,
         scratch: &mut DecoderScratch,
     ) -> DecodeStatus {
-        let bp_status = self
-            .bp
-            .decode_with_priors_keyed_into(syndrome, priors, key, scratch);
-        self.finish_decode(syndrome, bp_status, scratch)
+        let m = self.check_matrix().num_rows();
+        assert_eq!(
+            syndrome.len(),
+            m,
+            "syndrome length must equal number of checks"
+        );
+        let status = scratch.with_packed_syndrome(syndrome, |packed, scratch| {
+            self.decode_packed_keyed_into(packed, priors, key, scratch)
+        });
+        scratch.unpack_decode(self.check_matrix().num_cols());
+        status
     }
 
-    /// Decode tail: accept a converged BP answer, keep the BP hard decision
-    /// of a proven-inconsistent syndrome, or run the ordered-statistics
-    /// fallback on the BP soft output.
+    /// The word-packed BP+OSD core: [`Self::decode_with_priors_keyed_into`] on
+    /// a syndrome packed 64 checks per word (`num_rows.div_ceil(64)` words,
+    /// zero past the last check). The correction is left packed in
+    /// `scratch.err_words`: the BP hard decision when BP converged
+    /// or the syndrome is inconsistent, else the OSD solution.
     ///
     /// Skipping OSD also skips its warm-start sort of `scratch.order`, which
     /// changes nothing: the sort's comparator is a strict total order, so the
     /// next fallback sorts whatever permutation it finds to the same result.
     // cyclone-lint: hot-path
-    fn finish_decode(
+    pub(crate) fn decode_packed_keyed_into(
         &self,
-        syndrome: &[bool],
-        bp_status: crate::bp::BpStatus,
+        syndrome: &[u64],
+        priors: &[f64],
+        key: u64,
         scratch: &mut DecoderScratch,
     ) -> DecodeStatus {
+        let bp_status = self
+            .bp
+            .decode_packed_keyed_into(syndrome, priors, key, scratch);
         let status = DecodeStatus {
             method: DecodeMethod::OrderedStatistics,
             iterations: bp_status.iterations,
@@ -171,10 +188,11 @@ impl BpOsdDecoder {
         }
         // Move the suspicion buffer out so the scratch can be lent to OSD while the
         // scores are read from it (the buffer is returned below — no allocation).
+        let n = self.check_matrix().num_cols();
         let mut suspicion = std::mem::take(&mut scratch.suspicion);
         suspicion.clear();
-        suspicion.extend(scratch.llrs.iter().map(|&l| -l));
-        let solved = self.osd.decode_into(syndrome, &suspicion, scratch);
+        suspicion.extend(scratch.llrs_pad.as_slice()[..n].iter().map(|&l| -l));
+        let solved = self.osd.solve_packed(syndrome, &suspicion, scratch);
         debug_assert!(solved, "OSD solves every consistent syndrome");
         scratch.suspicion = suspicion;
         status
@@ -334,6 +352,85 @@ mod tests {
         assert!(!bp.converged);
         assert_eq!(scratch.error(), bp.error.as_slice());
         assert_ne!(h.mul_vec(scratch.error()), syndrome);
+    }
+
+    /// The packed core's correction equals the bool API's error, packed;
+    /// statuses match, and so do the posteriors the bool API unpacks.
+    fn assert_core_matches_adapter(
+        dec: &BpOsdDecoder,
+        syndrome: &[bool],
+        priors: &[f64],
+        warm: &mut DecoderScratch,
+    ) -> DecodeStatus {
+        let key = priors_digest(priors);
+        let mut packed = vec![0u64; syndrome.len().div_ceil(64)];
+        for (r, _) in syndrome.iter().enumerate().filter(|(_, &bit)| bit) {
+            packed[r >> 6] |= 1 << (r & 63);
+        }
+        let core = dec.decode_packed_keyed_into(&packed, priors, key, warm);
+        let mut fresh = DecoderScratch::new();
+        let adapter = dec.decode_with_priors_keyed_into(syndrome, priors, key, &mut fresh);
+        assert_eq!(core, adapter);
+        let mut want = vec![0u64; priors.len().div_ceil(64)];
+        for (c, _) in fresh.error().iter().enumerate().filter(|(_, &bit)| bit) {
+            want[c >> 6] |= 1 << (c & 63);
+        }
+        assert_eq!(warm.err_words, want);
+        let n = priors.len();
+        let bits = |llrs: &[f64]| llrs.iter().map(|l| l.to_bits()).collect::<Vec<_>>();
+        assert_eq!(
+            bits(&warm.llrs_pad.as_slice()[..n]),
+            bits(fresh.llrs()),
+            "posteriors"
+        );
+        adapter
+    }
+
+    #[test]
+    fn packed_core_matches_the_bool_adapter_in_both_compilations() {
+        // The four benchmark codes ([[225,9,6]] has 108 checks per sector,
+        // two syndrome words), both sectors, both kernel compilations, one
+        // warm scratch per decoder against a fresh one per bool decode, and
+        // syndromes that BP resolves, that fall back to OSD, and (on the
+        // bivariate bicycle codes' redundant checks) that are inconsistent.
+        let codes = [
+            bb_72_12_6(),
+            qec::codes::bb_90_8_10(),
+            qec::codes::hgp_100(),
+            qec::codes::hgp_225_9_6(),
+        ];
+        let mut rng = StdRng::seed_from_u64(0x9AC4);
+        let (mut converged, mut fallbacks, mut inconsistent) = (0, 0, 0);
+        for code in codes.map(|c| c.expect("valid")) {
+            let n = code.num_qubits();
+            let priors: Vec<f64> = (0..n).map(|q| 0.01 + 0.004 * (q % 7) as f64).collect();
+            for h in [code.hz(), code.hx()] {
+                for simd in [crate::simd::Simd::scalar(), crate::simd::Simd::detect()] {
+                    let dec = BpOsdDecoder::new(h, 30).with_simd(simd);
+                    let mut warm = DecoderScratch::new();
+                    for shot in 0..24 {
+                        let rate = [0.01, 0.04, 0.08][shot % 3];
+                        let e: Vec<bool> = (0..n).map(|_| rng.gen_bool(rate)).collect();
+                        let mut s = h.mul_vec(&e);
+                        // Every fourth syndrome gets a flipped check measurement.
+                        if shot % 4 == 3 {
+                            let r = rng.gen_range(0..s.len());
+                            s[r] = !s[r];
+                        }
+                        let status = assert_core_matches_adapter(&dec, &s, &priors, &mut warm);
+                        match (status.method, status.consistent) {
+                            (DecodeMethod::BeliefPropagation, _) => converged += 1,
+                            (_, true) => fallbacks += 1,
+                            (_, false) => inconsistent += 1,
+                        }
+                    }
+                }
+            }
+        }
+        assert!(
+            converged > 0 && fallbacks > 0 && inconsistent > 0,
+            "converged {converged}, OSD fallbacks {fallbacks}, inconsistent {inconsistent}"
+        );
     }
 
     #[test]

@@ -10,6 +10,14 @@
 //! point ([`MemoryExperiment::run`]); every shot derives its own RNG stream from the
 //! base seed, so the estimate is identical for any worker count. A worker reuses one
 //! [`BatchScratch`] per code, so steady-state sampling performs zero heap allocation.
+//!
+//! The batch path ([`MemoryExperiment::sample_batch_with`]) keeps its data packed
+//! from the first draw to the decode cache: Bernoulli draws compare raw 53-bit
+//! integers with thresholds computed when the channel is bound
+//! ([`bernoulli_threshold`]), syndromes are extracted 64 shots per word, one bit
+//! transpose per 64-check block yields each shot's packed syndrome (the
+//! decode-cache key), and cache misses run the word-packed BP+OSD core, whose
+//! packed correction is the cached value.
 
 use crate::bposd::{BpOsdDecoder, DecodeMethod};
 use crate::cache::DecodeCache;
@@ -18,7 +26,7 @@ use noise::{ChannelSpec, ErrorChannel, HardwareNoiseModel, NoiseParameters};
 use qec::linalg::BitMat;
 use qec::CssCode;
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::{Rng, RngCore, SeedableRng};
 use serde::{Deserialize, Serialize};
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
@@ -265,19 +273,17 @@ struct SectorBatch {
     w1: Weight1Table,
 }
 
-/// The lane (de)packing buffers shared by both sectors of a batch decode.
+/// The lane buffers shared by both sectors of a batch decode.
 #[derive(Debug, Clone, Default)]
 struct LaneBuffers {
     /// Per-sector syndrome words, check-major (reused across sectors).
     syn_words: Vec<u64>,
+    /// The same syndromes lane-major: lane `k`'s syndrome packed 64 checks
+    /// per word at `lane_syn[k * words..(k + 1) * words]` — the decoder input
+    /// and the decode-cache key, made by one bit transpose per 64-check block.
+    lane_syn: Vec<u64>,
     /// Correction words, qubit-major (reused across sectors).
     corr_words: Vec<u64>,
-    /// One shot's unpacked syndrome (decoder input on a cache miss).
-    syndrome: Vec<bool>,
-    /// One shot's syndrome packed 64-checks-per-word (decode-cache key).
-    syn_pack: Vec<u64>,
-    /// One shot's correction packed 64-qubits-per-word (decode-cache value).
-    corr_pack: Vec<u64>,
 }
 
 /// Per-worker workspace of the bit-sliced batch sampler
@@ -295,11 +301,10 @@ pub struct BatchScratch {
     x_err_words: Vec<u64>,
     /// Z-frame error words, qubit-major.
     z_err_words: Vec<u64>,
-    /// Measurement-flip words for the X-sector checks (head of the channel's
-    /// check-major layout), check-major.
-    xflip_words: Vec<u64>,
-    /// Measurement-flip words for the Z-sector checks (tail), check-major.
-    zflip_words: Vec<u64>,
+    /// Measurement-flip words in draw order, check-major: the Z-sector checks
+    /// (the tail of the channel's check-major layout), then the X-sector
+    /// checks (its head). Empty under noiseless measurement.
+    flip_words: Vec<u64>,
     /// Shared lane (de)packing buffers.
     lanes: LaneBuffers,
     /// Decode-resolution counters (monotone over the scratch's lifetime).
@@ -348,6 +353,13 @@ pub struct MemoryExperiment<'a> {
     /// rebuild so every structured-channel decode hits the priors-LLR cache with a
     /// single `u64` compare.
     priors_key: u64,
+    /// The integer threshold of each data qubit's error draw
+    /// ([`bernoulli_threshold`] of its channel rate).
+    data_thresholds: Vec<u64>,
+    /// The thresholds of the measurement-flip draws, in draw order (the
+    /// layout of [`BatchScratch`]'s flip words); empty under noiseless
+    /// measurement.
+    flip_thresholds: Vec<u64>,
     x_decoder: BpOsdDecoder,
     z_decoder: BpOsdDecoder,
     /// Supports of the logical X operators (flagging Z-sector failures), flattened
@@ -414,6 +426,8 @@ impl<'a> MemoryExperiment<'a> {
             channel: ErrorChannel::uniform(code.num_qubits(), model.effective_error_rate()),
             priors: Vec::new(),
             priors_key: 0,
+            data_thresholds: Vec::new(),
+            flip_thresholds: Vec::new(),
             // Hx detects Z errors; Hz detects X errors.
             x_decoder: BpOsdDecoder::new(code.hz(), bp_iterations),
             z_decoder: BpOsdDecoder::new(code.hx(), bp_iterations),
@@ -423,7 +437,7 @@ impl<'a> MemoryExperiment<'a> {
             z_ctx: matrix_tag(code.hx(), bp_iterations),
             decode_cache_dir: None,
         };
-        exp.rebuild_priors();
+        exp.bind_channel();
         exp
     }
 
@@ -460,7 +474,9 @@ impl<'a> MemoryExperiment<'a> {
     ///
     /// Panics if the channel's data length differs from the code's qubit count, or
     /// a non-empty measurement vector differs from the code's check count
-    /// (X-sector checks then Z-sector, see `noise::channel`).
+    /// (X-sector checks then Z-sector, see `noise::channel`), or if a rate is
+    /// not a probability in `[0, 1]` (NaN included) — the sampler's range
+    /// check, made once here instead of on every draw.
     pub fn set_channel(&mut self, channel: ErrorChannel) {
         assert_eq!(
             channel.num_data(),
@@ -475,7 +491,7 @@ impl<'a> MemoryExperiment<'a> {
             self.code.num_stabilizers()
         );
         self.channel = channel;
-        self.rebuild_priors();
+        self.bind_channel();
     }
 
     /// The channel currently driving the sampler.
@@ -574,24 +590,45 @@ impl<'a> MemoryExperiment<'a> {
         Ok(())
     }
 
-    fn rebuild_priors(&mut self) {
+    /// Rebuilds everything derived from the channel: the decoder priors and
+    /// their digest, and the draw thresholds (which range-check every rate).
+    fn bind_channel(&mut self) {
         self.priors.clear();
         self.priors
             .extend(self.channel.data().iter().map(|&p| p.clamp(1e-9, 0.45)));
         self.priors_key = crate::bp::priors_digest(&self.priors);
+        self.data_thresholds.clear();
+        self.data_thresholds
+            .extend(self.channel.data().iter().map(|&p| bernoulli_threshold(p)));
+        // Draw order: the Z-sector checks (the tail of the channel's layout),
+        // then the X-sector checks.
+        let (x_checks, z_checks) = self.channel.measurement().split_at(
+            self.channel
+                .measurement()
+                .len()
+                .min(self.code.num_x_stabilizers()),
+        );
+        self.flip_thresholds.clear();
+        self.flip_thresholds.extend(
+            z_checks
+                .iter()
+                .chain(x_checks)
+                .map(|&p| bernoulli_threshold(p)),
+        );
     }
 
-    /// One sector decode through the keyed per-bit priors (a uniform channel is
-    /// a constant priors vector). Returns the decode status (which stage resolved
+    /// One sector decode of a packed syndrome through the keyed per-bit priors
+    /// (a uniform channel is a constant priors vector); the packed correction
+    /// is left in `scratch`. Returns the decode status (which stage resolved
     /// the syndrome) for fallback-rate telemetry.
     // cyclone-lint: hot-path
     fn decode_sector(
         &self,
         decoder: &BpOsdDecoder,
-        syndrome: &[bool],
+        syndrome: &[u64],
         scratch: &mut DecoderScratch,
     ) -> crate::bposd::DecodeStatus {
-        decoder.decode_with_priors_keyed_into(syndrome, &self.priors, self.priors_key, scratch)
+        decoder.decode_packed_keyed_into(syndrome, &self.priors, self.priors_key, scratch)
     }
 
     /// Samples and decodes up to 64 Monte-Carlo shots at once, bit-sliced one shot
@@ -604,13 +641,23 @@ impl<'a> MemoryExperiment<'a> {
     /// qubits, then Z-sector measurement flips, then X-sector flips. (The scalar
     /// oracle skips the X-sector flips when the X sector already failed; drawing
     /// them here is harmless because nothing ever consumes the remainder of a
-    /// shot's stream.) Syndrome extraction, measurement flips, and
-    /// logical-failure parities are all word-level; BP+OSD runs only for lanes
-    /// with a non-trivial syndrome (a zero syndrome provably decodes to the zero
-    /// correction under the clamped priors), and repeated syndromes are served
-    /// from a per-sector [`DecodeCache`] whose entries store the exact decoder
-    /// output — so failures never depend on batch size, lane order, or cache
-    /// state. In steady state the batch performs zero heap allocations.
+    /// shot's stream.) Each Bernoulli draw compares the stream's next 53-bit
+    /// integer with the rate's threshold, computed when the channel was bound
+    /// ([`bernoulli_threshold`]), which is exactly `gen_bool`'s outcome.
+    ///
+    /// From the draws to the decode cache the data stay packed: syndrome
+    /// extraction, measurement flips, and logical-failure parities are
+    /// word-level over the lanes; one 64×64 bit transpose per 64-check block
+    /// turns the check-major syndrome words into each lane's packed syndrome,
+    /// which is the decode-cache key and the input of the word-packed BP+OSD
+    /// core, whose packed correction is the cached value. BP+OSD runs only for
+    /// lanes with a non-trivial syndrome (a zero syndrome provably decodes to
+    /// the zero correction under the clamped priors), weight-1 syndromes under
+    /// measurement noise come from a precomputed table, and repeated syndromes
+    /// are served from a per-sector [`DecodeCache`] whose entries store the
+    /// exact decoder output — so failures never depend on batch size, lane
+    /// order, or cache state. In steady state the batch performs zero heap
+    /// allocations.
     pub fn sample_batch_with(
         &self,
         config: &MemoryConfig,
@@ -623,64 +670,40 @@ impl<'a> MemoryExperiment<'a> {
             "batch holds 1..=64 shots, got {count}"
         );
         let n = self.code.num_qubits();
-        let uniform = self.channel.uniform_rate();
         batch.x_err_words.clear();
         batch.x_err_words.resize(n, 0);
         batch.z_err_words.clear();
         batch.z_err_words.resize(n, 0);
-        let (x_check_rates, z_check_rates) = if self.channel.has_measurement_noise() {
-            let split = self.code.num_x_stabilizers();
-            let m = self.channel.measurement();
-            (&m[..split], &m[split..])
-        } else {
-            (&[] as &[f64], &[] as &[f64])
-        };
-        batch.xflip_words.clear();
-        batch.xflip_words.resize(x_check_rates.len(), 0);
-        batch.zflip_words.clear();
-        batch.zflip_words.resize(z_check_rates.len(), 0);
+        batch.flip_words.clear();
+        batch.flip_words.resize(self.flip_thresholds.len(), 0);
         for k in 0..count {
             let lane = 1u64 << k;
             let mut rng = StdRng::seed_from_u64(config.shot_seed(first_shot + k));
-            // The constant-rate loop is measurably faster than reading every
-            // rate from the channel, so the uniform channel keeps its own loop.
-            match uniform {
-                Some(p) => {
-                    for q in 0..n {
-                        if rng.gen_bool(p) {
-                            depolarize_words(&mut rng, batch, q, lane);
-                        }
-                    }
-                }
-                None => {
-                    for (q, &pq) in self.channel.data().iter().enumerate() {
-                        if rng.gen_bool(pq) {
-                            depolarize_words(&mut rng, batch, q, lane);
-                        }
-                    }
+            for (q, &t) in self.data_thresholds.iter().enumerate() {
+                if rng.next_u64() >> 11 < t {
+                    depolarize_words(&mut rng, batch, q, lane);
                 }
             }
-            // Scalar draw order: the Z-sector check flips (consumed by the X
-            // sector's syndrome) come first, then the X-sector check flips.
-            for (r, &p) in z_check_rates.iter().enumerate() {
-                if rng.gen_bool(p) {
-                    batch.zflip_words[r] |= lane;
-                }
-            }
-            for (r, &p) in x_check_rates.iter().enumerate() {
-                if rng.gen_bool(p) {
-                    batch.xflip_words[r] |= lane;
+            for (flips, &t) in batch.flip_words.iter_mut().zip(&self.flip_thresholds) {
+                if rng.next_u64() >> 11 < t {
+                    *flips |= lane;
                 }
             }
         }
         let (x_ctx, z_ctx) = self.sector_contexts();
+        let z_checks = if batch.flip_words.is_empty() {
+            0
+        } else {
+            self.code.num_z_stabilizers()
+        };
+        let (zflip_words, xflip_words) = batch.flip_words.split_at(z_checks);
         // X errors are detected by Z stabilizers and corrected by the X decoder;
         // a residual logical X anticommutes with some logical Z.
         let fail_x = self.batch_decode_sector(
             &self.x_decoder,
             x_ctx,
             &batch.x_err_words,
-            &batch.zflip_words,
+            zflip_words,
             &self.logical_z_supports,
             &mut batch.lanes,
             &mut batch.x,
@@ -690,7 +713,7 @@ impl<'a> MemoryExperiment<'a> {
             &self.z_decoder,
             z_ctx,
             &batch.z_err_words,
-            &batch.xflip_words,
+            xflip_words,
             &self.logical_x_supports,
             &mut batch.lanes,
             &mut batch.z,
@@ -705,9 +728,9 @@ impl<'a> MemoryExperiment<'a> {
     }
 
     /// One sector of the batch path: word-level syndrome extraction and
-    /// measurement flips, weight-1-table and cache-backed decoding of the active
-    /// lanes, and word-level logical-failure parities. Returns the sector's
-    /// failure mask.
+    /// measurement flips, the bit transpose to per-lane packed syndromes,
+    /// weight-1-table and cache-backed decoding of the active lanes, and
+    /// word-level logical-failure parities. Returns the sector's failure mask.
     #[allow(clippy::too_many_arguments)]
     fn batch_decode_sector(
         &self,
@@ -743,77 +766,42 @@ impl<'a> MemoryExperiment<'a> {
             if !flip_words.is_empty() {
                 self.ensure_weight1(decoder, ctx, lanes, sector);
             }
-            let syn_len = m.div_ceil(64).max(1);
-            let corr_len = n.div_ceil(64).max(1);
+            let words = m.div_ceil(64);
+            transpose_lanes(&lanes.syn_words, words, &mut lanes.lane_syn);
             while active != 0 {
                 let k = active.trailing_zeros() as usize;
                 active &= active - 1;
                 let lane = 1u64 << k;
                 stats.active_lanes += 1;
-                // Unpack lane k's syndrome: bools for the decoder, packed words
-                // for the cache key, and its weight for the fast path.
-                lanes.syn_pack.clear();
-                lanes.syn_pack.resize(syn_len, 0);
-                lanes.syndrome.clear();
-                let mut weight = 0u32;
-                for (r, &w) in lanes.syn_words.iter().enumerate() {
-                    let bit = (w >> k) & 1 == 1;
-                    lanes.syndrome.push(bit);
-                    if bit {
-                        lanes.syn_pack[r >> 6] |= 1 << (r & 63);
-                        weight += 1;
-                    }
-                }
+                let syndrome = &lanes.lane_syn[k * words..(k + 1) * words];
+                let weight: u32 = syndrome.iter().map(|w| w.count_ones()).sum();
                 // Weight-1 fast path: scatter the precomputed correction row —
                 // bit-identical to a live decode because the row *is* one.
                 if weight == 1 && sector.w1.built {
-                    let r = lanes
-                        .syndrome
+                    let (b, &word) = syndrome
                         .iter()
-                        .position(|&b| b)
+                        .enumerate()
+                        .find(|(_, &w)| w != 0)
                         .expect("weight-1 syndrome has a set bit");
+                    let r = (b << 6) + word.trailing_zeros() as usize;
                     let row = &sector.w1.corr[r * sector.w1.corr_words..];
-                    for (wi, &w) in row[..sector.w1.corr_words].iter().enumerate() {
-                        let mut bits = w;
-                        while bits != 0 {
-                            let q = (wi << 6) + bits.trailing_zeros() as usize;
-                            bits &= bits - 1;
-                            lanes.corr_words[q] |= lane;
-                        }
-                    }
+                    scatter_lane(&row[..sector.w1.corr_words], lane, &mut lanes.corr_words);
                     stats.weight1_hits += 1;
                     continue;
                 }
-                let mut hit = false;
-                if let Some(stored) = sector.cache.lookup(&lanes.syn_pack) {
-                    for (wi, &w) in stored.iter().enumerate() {
-                        let mut bits = w;
-                        while bits != 0 {
-                            let q = (wi << 6) + bits.trailing_zeros() as usize;
-                            bits &= bits - 1;
-                            lanes.corr_words[q] |= lane;
-                        }
-                    }
-                    hit = true;
-                }
-                if hit {
+                if let Some(stored) = sector.cache.lookup(syndrome) {
+                    scatter_lane(stored, lane, &mut lanes.corr_words);
                     continue;
                 }
-                let status = self.decode_sector(decoder, &lanes.syndrome, &mut sector.decode);
+                let status = self.decode_sector(decoder, syndrome, &mut sector.decode);
                 stats.decoded += 1;
                 if status.method == DecodeMethod::OrderedStatistics {
                     stats.osd_fallbacks += 1;
                 }
                 stats.inconsistent += u64::from(!status.consistent);
-                lanes.corr_pack.clear();
-                lanes.corr_pack.resize(corr_len, 0);
-                for (q, &e) in sector.decode.error().iter().enumerate() {
-                    if e {
-                        lanes.corr_pack[q >> 6] |= 1 << (q & 63);
-                        lanes.corr_words[q] |= lane;
-                    }
-                }
-                sector.cache.insert(&lanes.syn_pack, &lanes.corr_pack);
+                let correction = &sector.decode.err_words;
+                scatter_lane(correction, lane, &mut lanes.corr_words);
+                sector.cache.insert(syndrome, correction);
             }
         }
         let mut fail = 0u64;
@@ -852,17 +840,15 @@ impl<'a> MemoryExperiment<'a> {
         w1.corr_words = corr_len;
         w1.corr.clear();
         w1.corr.resize(m * corr_len, 0);
+        // `e_r` is built packed in the lane buffer, which the caller's
+        // transpose overwrites afterwards.
+        let unit = &mut lanes.lane_syn;
         for r in 0..m {
-            lanes.syndrome.clear();
-            lanes.syndrome.resize(m, false);
-            lanes.syndrome[r] = true;
-            self.decode_sector(decoder, &lanes.syndrome, &mut sector.decode);
-            let row = &mut w1.corr[r * corr_len..(r + 1) * corr_len];
-            for (q, &e) in sector.decode.error().iter().enumerate() {
-                if e {
-                    row[q >> 6] |= 1 << (q & 63);
-                }
-            }
+            unit.clear();
+            unit.resize(m.div_ceil(64), 0);
+            unit[r >> 6] = 1 << (r & 63);
+            self.decode_sector(decoder, unit, &mut sector.decode);
+            w1.corr[r * corr_len..(r + 1) * corr_len].copy_from_slice(&sector.decode.err_words);
         }
         w1.built = true;
     }
@@ -1158,7 +1144,81 @@ pub fn estimate_points(
     );
 }
 
+/// The integer threshold of a Bernoulli(`p`) draw: `next_u64() >> 11 < t`
+/// holds exactly when the shim's `gen_bool(p)` is true for the same word.
+///
+/// `gen_bool` compares `k · 2⁻⁵³` with `p`, where `k = next_u64() >> 11` is a
+/// 53-bit integer and the product is exact. For an integer `k`,
+/// `k · 2⁻⁵³ < p` ⟺ `k < p · 2⁵³` ⟺ `k < ⌈p · 2⁵³⌉`, and both `p · 2⁵³` (a
+/// power-of-two scaling that cannot overflow for `p ≤ 1`) and its ceiling
+/// are exact in `f64`, so the threshold is `⌈p · 2⁵³⌉ ≤ 2⁵³`.
+///
+/// # Panics
+///
+/// Panics with `gen_bool`'s message if `p` is not in `[0, 1]` (NaN included).
+/// Public so equivalence tests can pin the draw rule to `gen_bool`.
+pub fn bernoulli_threshold(p: f64) -> u64 {
+    assert!(
+        (0.0..=1.0).contains(&p),
+        "gen_bool probability {p} not in [0, 1]"
+    );
+    (p * (1u64 << 53) as f64).ceil() as u64
+}
+
+/// Transposes a 64×64 bit block in place: bit `c` of `block[r]` moves to bit
+/// `r` of `block[c]`. Six rounds swap ever smaller off-diagonal sub-blocks
+/// (32×32, then 16×16, down to single bits), 32 word pairs per round.
+#[inline]
+fn transpose64(block: &mut [u64; 64]) {
+    let mut width = 32;
+    let mut low: u64 = 0x0000_0000_FFFF_FFFF;
+    while width != 0 {
+        let mut r = 0;
+        while r < 64 {
+            // Swap the high `width` bits of each `width`-bit pair in row `r`
+            // with the low ones in row `r + width`.
+            let t = ((block[r] >> width) ^ block[r + width]) & low;
+            block[r] ^= t << width;
+            block[r + width] ^= t;
+            r = (r + width + 1) & !width;
+        }
+        width >>= 1;
+        low ^= low << width;
+    }
+}
+
 // cyclone-lint: hot-path
+/// Turns check-major syndrome words (bit `k` of `check_major[r]` = lane `k`'s
+/// check `r`) into lane-major packed syndromes: lane `k`'s syndrome is
+/// `lane_major[k * words..(k + 1) * words]`, 64 checks per word. One
+/// [`transpose64`] per 64-check block; checks past the last are zero.
+fn transpose_lanes(check_major: &[u64], words: usize, lane_major: &mut Vec<u64>) {
+    lane_major.clear();
+    lane_major.resize(64 * words, 0);
+    for (b, rows) in check_major.chunks(64).enumerate() {
+        let mut block = [0u64; 64];
+        block[..rows.len()].copy_from_slice(rows);
+        transpose64(&mut block);
+        for (k, &word) in block.iter().enumerate() {
+            lane_major[k * words + b] = word;
+        }
+    }
+}
+
+/// ORs `lane` into `corr_words[q]` for every set bit `q` of a packed
+/// correction.
+#[inline]
+fn scatter_lane(correction: &[u64], lane: u64, corr_words: &mut [u64]) {
+    for (wi, &w) in correction.iter().enumerate() {
+        let mut bits = w;
+        while bits != 0 {
+            let q = (wi << 6) + bits.trailing_zeros() as usize;
+            bits &= bits - 1;
+            corr_words[q] |= lane;
+        }
+    }
+}
+
 /// Bit-sliced depolarizing event: applies X, Y or Z (each with probability 1/3)
 /// to qubit `q` in the lane selected by `lane` (X-frame = X or Y; Z-frame = Z or
 /// Y), drawing one `gen_range(0..3)` so the per-shot RNG streams stay aligned
@@ -2125,5 +2185,115 @@ mod tests {
         let reused = exp.run(&cfg, None);
         assert_eq!(fresh.failures, reused.failures);
         assert_eq!(fresh.ler, reused.ler);
+    }
+
+    /// Lane `k`'s check `r` of check-major syndrome words, one bit at a time.
+    fn naive_lane_major(check_major: &[u64], words: usize) -> Vec<u64> {
+        let mut out = vec![0u64; 64 * words];
+        for (r, &w) in check_major.iter().enumerate() {
+            for k in 0..64 {
+                out[k * words + r / 64] |= ((w >> k) & 1) << (r % 64);
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn transpose_lanes_matches_a_naive_bit_loop() {
+        // Check counts below, at and past one block, and with a partial
+        // third block; all 64 lanes carry random syndromes, plus the
+        // single-bit patterns that pin the orientation.
+        let mut rng = StdRng::seed_from_u64(0x7A05);
+        let mut lane_major = Vec::new();
+        for m in [36usize, 64, 108, 130] {
+            let words = m.div_ceil(64);
+            let random: Vec<u64> = (0..m).map(|_| rng.next_u64()).collect();
+            transpose_lanes(&random, words, &mut lane_major);
+            assert_eq!(lane_major, naive_lane_major(&random, words), "m = {m}");
+            for (r, k) in [(0, 0), (m - 1, 63), (m / 2, 17), (m - 1, 0), (0, 63)] {
+                let mut single = vec![0u64; m];
+                single[r] = 1 << k;
+                transpose_lanes(&single, words, &mut lane_major);
+                let mut want = vec![0u64; 64 * words];
+                want[k * words + r / 64] = 1 << (r % 64);
+                assert_eq!(lane_major, want, "m = {m}, check {r}, lane {k}");
+            }
+        }
+    }
+
+    /// A generator that returns one fixed word: the shim's `gen_bool` on it
+    /// is the reference outcome of a draw of that word.
+    struct Word(u64);
+
+    impl RngCore for Word {
+        fn next_u64(&mut self) -> u64 {
+            self.0
+        }
+    }
+
+    /// Asserts the threshold draw equals `gen_bool(p)` on random words and on
+    /// the words whose 53-bit draw sits at or next to the threshold and at
+    /// the ends of the range, under random low bits.
+    fn assert_threshold_matches_gen_bool(p: f64, rng: &mut StdRng) {
+        let t = bernoulli_threshold(p);
+        let top = (1u64 << 53) - 1;
+        let draws = [
+            0,
+            1,
+            2,
+            top - 1,
+            top,
+            t.saturating_sub(1),
+            t,
+            (t + 1).min(top),
+        ];
+        let mut words: Vec<u64> = draws.iter().map(|&k| k << 11).collect();
+        for word in &mut words {
+            *word |= rng.next_u64() >> 53;
+        }
+        words.extend((0..256).map(|_| rng.next_u64()));
+        for word in words {
+            assert_eq!(
+                word >> 11 < t,
+                Word(word).gen_bool(p),
+                "p = {p:e} ({:#x}), word {word:#x}",
+                p.to_bits()
+            );
+        }
+    }
+
+    #[test]
+    fn bernoulli_thresholds_match_gen_bool_on_edge_rates() {
+        let mut rng = StdRng::seed_from_u64(0xB17);
+        let ulp = 1.0 / (1u64 << 53) as f64;
+        let mut rates = vec![0.0, -0.0, 1.0, f64::from_bits(1), f64::MIN_POSITIVE];
+        for k in [1u64, 2, 3, 1 << 20, (1 << 52) - 1, 1 << 52, (1 << 53) - 1] {
+            let p = k as f64 * ulp;
+            rates.extend([p, p.next_down(), p.next_up()]);
+        }
+        rates.extend([1.0f64.next_down(), 0.5, 0.45, 0.75, 1e-9, 1e-3, 0.1]);
+        for p in rates.into_iter().filter(|p| (0.0..=1.0).contains(p)) {
+            assert_threshold_matches_gen_bool(p, &mut rng);
+        }
+        assert_eq!(bernoulli_threshold(0.0), 0);
+        assert_eq!(bernoulli_threshold(1.0), 1 << 53);
+        assert_eq!(bernoulli_threshold(f64::from_bits(1)), 1);
+    }
+
+    /// The range check `gen_bool` made on every draw now runs once per rate
+    /// when a channel is bound (`MemoryExperiment::set_channel` maps every
+    /// rate through `bernoulli_threshold`), with the same message. A channel
+    /// holding such a rate cannot be built through `noise`'s constructors, so
+    /// the check is pinned here, on the function binding calls.
+    #[test]
+    fn bernoulli_threshold_rejects_what_gen_bool_rejects() {
+        for p in [f64::NAN, -1e-300, 1.0f64.next_up(), 1.5, f64::INFINITY] {
+            let rejected = std::panic::catch_unwind(|| bernoulli_threshold(p));
+            let message = rejected.expect_err("out-of-range rate must panic");
+            let text = message
+                .downcast_ref::<String>()
+                .expect("formatted panic message");
+            assert_eq!(text, &format!("gen_bool probability {p} not in [0, 1]"));
+        }
     }
 }

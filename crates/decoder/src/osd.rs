@@ -7,7 +7,9 @@
 //! elimination, and solves for the unique error supported (as much as possible) on the
 //! most suspicious positions that reproduces the syndrome exactly.
 //!
-//! The hot path ([`OsdDecoder::decode_into`]) works at word level throughout: the
+//! The hot path works at word level throughout, from a word-packed syndrome to
+//! a word-packed solution (the `bool` entry point [`OsdDecoder::decode_into`]
+//! packs and unpacks around it): the
 //! augmented matrix `[H(ordered) | s]` is built into reused `u64` row storage
 //! borrowed from a [`DecoderScratch`] by scattering each row's support through
 //! the inverse column permutation (O(nnz + m·words), not O(m·n)), pivots are
@@ -90,16 +92,39 @@ impl OsdDecoder {
     /// # Panics
     ///
     /// Panics if dimensions do not match.
-    // cyclone-lint: hot-path
     pub fn decode_into(
         &self,
         syndrome: &[bool],
         suspicion: &[f64],
         scratch: &mut DecoderScratch,
     ) -> bool {
+        assert_eq!(
+            syndrome.len(),
+            self.h.num_rows(),
+            "syndrome length mismatch"
+        );
+        let solved = scratch.with_packed_syndrome(syndrome, |packed, scratch| {
+            self.solve_packed(packed, suspicion, scratch)
+        });
+        if solved {
+            scratch.unpack_correction(self.h.num_cols());
+        }
+        solved
+    }
+
+    /// The word-packed core of [`OsdDecoder::decode_into`]: the syndrome is
+    /// packed 64 checks per word, and on success the solution is left packed
+    /// in `scratch.err_words` (`false` leaves it untouched).
+    // cyclone-lint: hot-path
+    pub(crate) fn solve_packed(
+        &self,
+        syndrome: &[u64],
+        suspicion: &[f64],
+        scratch: &mut DecoderScratch,
+    ) -> bool {
         let m = self.h.num_rows();
         let n = self.h.num_cols();
-        assert_eq!(syndrome.len(), m, "syndrome length mismatch");
+        assert_eq!(syndrome.len(), m.div_ceil(64), "syndrome length mismatch");
         assert_eq!(suspicion.len(), n, "need one score per column");
 
         // Column order: most suspicious first (ties broken by index for determinism).
@@ -133,11 +158,8 @@ impl OsdDecoder {
         // `pos_of`, so the build costs O(nnz + m·words), not O(m·n).
         let words = (n + 1).div_ceil(64);
         scratch.aug.resize(m * words, 0);
-        for (r, (&sr, out)) in syndrome
-            .iter()
-            .zip(scratch.aug.chunks_exact_mut(words))
-            .enumerate()
-        {
+        for (r, out) in scratch.aug.chunks_exact_mut(words).enumerate() {
+            let sr = (syndrome[r >> 6] >> (r & 63)) & 1;
             out.fill(0);
             for (w, &word) in self.h.row_words(r).iter().enumerate() {
                 let mut bits = word;
@@ -147,7 +169,7 @@ impl OsdDecoder {
                     bits &= bits - 1;
                 }
             }
-            out[n >> 6] |= u64::from(sr) << (n & 63);
+            out[n >> 6] |= sr << (n & 63);
         }
 
         // Greedy elimination in permuted-column order. Invariant: every row at or
@@ -226,12 +248,22 @@ impl OsdDecoder {
 
         // OSD-0: non-pivot columns are set to zero; pivot columns read off the
         // syndrome column.
-        scratch.error.clear();
-        scratch.error.resize(n, false);
+        let solution = &mut scratch.err_words;
+        solution.clear();
+        solution.resize(n.div_ceil(64), 0);
         for (row, &col) in pivot_cols.iter().enumerate() {
-            scratch.error[order[col]] = (aug[row * words + syn_word] >> syn_bit) & 1 == 1;
+            let c = order[col];
+            solution[c >> 6] |= ((aug[row * words + syn_word] >> syn_bit) & 1) << (c & 63);
         }
-        debug_assert_eq!(self.h.mul_vec(&scratch.error), syndrome);
+        debug_assert!((0..m).all(|r| {
+            let parity = self
+                .h
+                .row_words(r)
+                .iter()
+                .zip(solution.iter())
+                .fold(0u64, |acc, (&h, &e)| acc ^ (h & e));
+            u64::from(parity.count_ones() & 1) == (syndrome[r >> 6] >> (r & 63)) & 1
+        }));
         true
     }
     // cyclone-lint: end-hot-path

@@ -109,22 +109,26 @@ pub struct DecoderScratch {
     /// Variable→check messages in the row-interleaved layout; padding slots
     /// hold `+∞` (see [`crate::bp`]).
     pub(crate) vtc_lanes: LaneArena<f64>,
-    /// Posterior log-likelihood ratios (one per variable).
+    /// Posterior log-likelihood ratios (one per variable), unpacked from
+    /// `llrs_pad` by the `bool` entry points only.
     pub(crate) llrs: Vec<f64>,
-    /// Padded posterior accumulator: slots `0..n` mirror `llrs`; the tail up
-    /// to the next multiple of 64 holds `+∞`, so the hard-decision kernel
-    /// packs whole words without a tail mask (see [`crate::simd`]).
+    /// Padded posterior accumulator: slots `0..n` hold the posteriors; the
+    /// tail up to the next multiple of 64 holds `+∞`, so the hard-decision
+    /// kernel packs whole words without a tail mask (see [`crate::simd`]).
     pub(crate) llrs_pad: LaneArena<f64>,
     /// Per-check syndrome masks consumed by the check-pass kernel: word `r` is
     /// all-ones when syndrome bit `r` is set, zero otherwise (and zero for the
     /// phantom lanes past the last check). Refilled once per decode — the
     /// syndrome is constant across iterations.
     pub(crate) syn_mask: LaneArena<u64>,
-    /// Hard-decision error estimate; also receives the OSD solution.
+    /// The `bool` entry points' copy of `err_words`, one entry per variable.
     pub(crate) error: Vec<bool>,
-    /// Word-packed copy of `error` maintained by the BP variable pass, consumed
-    /// by the mask-based convergence check (bit `c & 63` of word `c >> 6`).
+    /// The word-packed correction (bit `c & 63` of word `c >> 6`): the BP hard
+    /// decision, consumed by the mask-based convergence check, or the OSD
+    /// solution that replaces it.
     pub(crate) err_words: Vec<u64>,
+    /// The `bool` entry points' packed copy of their syndrome.
+    pub(crate) syn_bits: Vec<u64>,
     // Ordered statistics -----------------------------------------------------
     /// Per-variable suspicion scores handed from BP to OSD.
     pub(crate) suspicion: Vec<f64>,
@@ -158,6 +162,41 @@ impl DecoderScratch {
     /// The posterior log-likelihood ratios of the most recent BP run.
     pub fn llrs(&self) -> &[f64] {
         &self.llrs
+    }
+
+    /// Runs a word-packed decode core on a `bool` syndrome: packs it into
+    /// `syn_bits` (64 checks per word, zero past the last check) and lends it
+    /// to `core` together with the rest of the scratch.
+    pub(crate) fn with_packed_syndrome<R>(
+        &mut self,
+        syndrome: &[bool],
+        core: impl FnOnce(&[u64], &mut Self) -> R,
+    ) -> R {
+        let mut packed = std::mem::take(&mut self.syn_bits);
+        packed.clear();
+        packed.resize(syndrome.len().div_ceil(64), 0);
+        for (r, _) in syndrome.iter().enumerate().filter(|(_, &bit)| bit) {
+            packed[r >> 6] |= 1 << (r & 63);
+        }
+        let out = core(&packed, self);
+        self.syn_bits = packed;
+        out
+    }
+
+    /// Unpacks the first `n` bits of the packed correction into `error`.
+    pub(crate) fn unpack_correction(&mut self, n: usize) {
+        let words = &self.err_words;
+        self.error.clear();
+        self.error
+            .extend((0..n).map(|c| (words[c >> 6] >> (c & 63)) & 1 == 1));
+    }
+
+    /// The `bool` entry points' tail after a BP(+OSD) core run: unpacks the
+    /// correction into `error` and copies the `n` posteriors into `llrs`.
+    pub(crate) fn unpack_decode(&mut self, n: usize) {
+        self.unpack_correction(n);
+        self.llrs.clear();
+        self.llrs.extend_from_slice(&self.llrs_pad.as_slice()[..n]);
     }
 
     /// How many decodes rebuilt the channel-LLR vector (i.e. missed the

@@ -253,6 +253,23 @@ fn hard_decision(llrs_pad: &[f64], err_words: &mut [u64]) {
     }
 }
 
+/// A power-of-two-long arena and its index mask. `slot & mask` is `slot` for
+/// every slot in bounds, and the returned view is exactly `mask + 1` long, so
+/// the compiler drops the bounds check of every masked gather or scatter.
+///
+/// # Panics
+///
+/// Panics if the arena's length is not a power of two.
+#[inline(always)]
+fn masked(arena: &[f64]) -> (&[f64], usize) {
+    assert!(
+        arena.len().is_power_of_two(),
+        "message arenas are a power of two long"
+    );
+    let mask = arena.len() - 1;
+    (&arena[..=mask], mask)
+}
+
 // cyclone-lint: hot-path
 /// The variable-node sum over the depth-major column table
 /// ([`crate::sparse::TannerGraph::col_slots`]): lane = column, so
@@ -261,7 +278,9 @@ fn hard_decision(llrs_pad: &[f64], err_words: &mut [u64]) {
 /// scalar accumulation's order. Padding entries read the spare cell, which
 /// must hold `-0.0`: `x + (-0.0)` is `x` bit for bit for every `x`, `±0` and
 /// `±∞` included. `channel_llr` must be `+∞` past the last column, so
-/// phantom lanes write `+∞`.
+/// phantom lanes write `+∞`. The arenas are a power of two long
+/// ([`crate::sparse::TannerGraph::arena_len`]), which lets both column-table
+/// kernels gather and scatter through [`masked`] views.
 #[inline(always)]
 fn var_pass(
     col_ptr: &[usize],
@@ -270,6 +289,7 @@ fn var_pass(
     check_to_var: &[f64],
     llrs_pad: &mut [f64],
 ) {
+    let (check_to_var, mask) = masked(check_to_var);
     for ((span, prior), out) in col_ptr
         .windows(2)
         .zip(channel_llr.chunks_exact(PAD_LANES))
@@ -279,7 +299,7 @@ fn var_pass(
         acc.copy_from_slice(prior);
         for slots in col_slots[span[0]..span[1]].chunks_exact(PAD_LANES) {
             for lane in 0..PAD_LANES {
-                acc[lane] += check_to_var[slots[lane] as usize];
+                acc[lane] += check_to_var[slots[lane] as usize & mask];
             }
         }
         out.copy_from_slice(&acc);
@@ -297,10 +317,12 @@ fn var_writeback(
     check_to_var: &[f64],
     var_to_check: &mut [f64],
 ) {
+    let (check_to_var, mask) = masked(check_to_var);
+    let var_to_check = &mut var_to_check[..=mask];
     for (span, llr) in col_ptr.windows(2).zip(llrs_pad.chunks_exact(PAD_LANES)) {
         for slots in col_slots[span[0]..span[1]].chunks_exact(PAD_LANES) {
             for lane in 0..PAD_LANES {
-                let slot = slots[lane] as usize;
+                let slot = slots[lane] as usize & mask;
                 var_to_check[slot] = llr[lane] - check_to_var[slot];
             }
         }

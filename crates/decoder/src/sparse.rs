@@ -238,11 +238,14 @@ impl TannerGraph {
         *self.group_ptr.last().expect("group_ptr is never empty")
     }
 
-    /// Length of the message arenas: the interleaved slots, the spare cell,
-    /// and lane padding up to a multiple of [`PAD_LANES`].
+    /// Length of the message arenas: the interleaved slots and the spare
+    /// cell, rounded up to a power of two (at least [`PAD_LANES`]), so the
+    /// variable-pass kernels index them with a mask and no bounds check.
     #[inline]
     pub fn arena_len(&self) -> usize {
-        self.num_interleaved_slots() + PAD_LANES
+        (self.num_interleaved_slots() + 1)
+            .next_power_of_two()
+            .max(PAD_LANES)
     }
 
     /// Number of row groups (`num_checks` rounded up to [`PAD_LANES`] lanes).
@@ -357,7 +360,8 @@ mod tests {
         // Check side: both checks share one four-slot group, lane = check.
         assert_eq!(g.group_ptr(), &[0, 8]);
         assert_eq!(g.num_interleaved_slots(), 8);
-        assert_eq!(g.arena_len(), 12);
+        // The slots and the spare cell, rounded up to a power of two.
+        assert_eq!(g.arena_len(), 16);
         // Variable side: one column group of depth 2 (column 2 has two
         // checks); column 3 is a phantom lane. The spare cell is slot 8.
         assert_eq!(g.col_ptr(), &[0, 8]);

@@ -382,7 +382,7 @@ proptest! {
                 ErrorChannel::from_schedule(&model, &data_idle, &meas_idle)
             }
         };
-        // Exactly the priors clamp `MemoryExperiment::rebuild_priors` applies.
+        // Exactly the priors clamp `MemoryExperiment::bind_channel` applies.
         let priors: Vec<f64> = channel.data().iter().map(|&r| r.clamp(1e-9, 0.45)).collect();
         let (uniform, _) = uniform_priors(n, p_eff.clamp(1e-9, 0.45));
         let mut rng = StdRng::seed_from_u64(0xC1C1_0DE5 ^ seed);
