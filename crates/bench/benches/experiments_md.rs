@@ -350,27 +350,17 @@ fn main() {
          --bench experiments_md` (or `-- --shots 20000`); add `--target-rse 0.05 \
          --min-failures 400` for publication-grade uniform precision.\n\
          `CYCLONE_FULL=1` extends every sweep to the full code catalog.\n\n\
-         ## Distributed (multi-process) sweeps\n\n\
-         `--shards N` / `CYCLONE_SHARDS=N` runs any figure as an `N`-process\n\
-         fleet: the coordinator re-executes its own binary once per shard,\n\
-         each worker computes the points whose stable id hashes (FNV-1a 64)\n\
-         to its shard and checkpoints them to a shard-local cache\n\
-         (`<cache-dir>/shards/<i>-of-<N>/`), and the coordinator merges the\n\
-         shard caches and assembles the figure from cache hits. The final\n\
-         cache and tables are byte-identical to a serial run at any shard\n\
-         count, including after a killed-and-resumed fleet (workers reread\n\
-         their surviving checkpoints and the read-only main cache). The\n\
-         `sweep-cache` binary (`cargo run -p cyclone --bin sweep-cache --\n\
-         merge|stats|verify`) operates on the same files by hand: `merge`\n\
-         unions point sets with strictly-more-shots-wins conflict\n\
-         resolution (commutative, idempotent, never precision-lowering) and\n\
-         skips corrupt or header-incompatible sources with a warning.\n\n\
+         ## Parallel sweeps\n\n\
+         Every figure sweep runs in one process, on one scheduler of (point,\n\
+         64-shot chunk) work items: `--threads N` / `CYCLONE_THREADS=N` sizes\n\
+         its worker pool, and estimates, caches and tables are byte-identical\n\
+         at any thread count. The `sweep-cache` binary (`cargo run -p cyclone\n\
+         --bin sweep-cache -- stats|verify`) inspects cache files by hand\n\
+         through the engine's own validating reader.\n\n\
          `BENCH_sweep.json` (written by `cargo bench -p bench --bench\n\
-         sweep_engine`) records serial, threaded, and process-fleet\n\
-         throughput (`*_points_per_sec`) together with `host_cores` and\n\
-         `worker_processes`; on a multi-core host it records\n\
-         `threaded_speedup` / `sharded_speedup` (the latter enforced in CI\n\
-         via `CYCLONE_ENFORCE=1`), while on a 1-core host it records an\n\
+         sweep_engine`) records serial and threaded throughput\n\
+         (`*_points_per_sec`) together with `host_cores`; on a multi-core host\n\
+         it records `threaded_speedup`, while on a 1-core host it records an\n\
          explicit `scaling_not_measurable` reason instead of a meaningless\n\
          ~1x ratio.\n\n\
          ## Decoding hot path\n\n\

@@ -1,22 +1,18 @@
 //! Sweep-engine throughput: wall-clock of a multi-point figure sweep executed
-//! serially (one worker), on the in-process chunk scheduler
-//! (`CYCLONE_THREADS`, default 4 here), and across a fleet of worker
-//! **processes** (`CYCLONE_SHARDS`, default 4 — spawn, shard-local caches,
-//! merge, final assemble), plus adaptive-vs-fixed sampling cost per figure.
-//! Each run overwrites `BENCH_sweep.json` at the repository root, so the file
-//! always holds the current commit's numbers.
+//! serially (one worker) and on the in-process chunk scheduler
+//! (`CYCLONE_THREADS`, default 4 here), plus adaptive-vs-fixed sampling cost
+//! per figure. Each run overwrites `BENCH_sweep.json` at the repository root,
+//! so the file always holds the current commit's numbers.
 //!
 //! Two figure-shaped workloads are measured: the Fig. 5 latency×LER sweep (two HGP
 //! codes × six latency-division factors) and the Fig. 14 LER-comparison sweep (two
 //! BB codes × the error-rate grid × {baseline, cyclone}). Points are embarrassingly
-//! parallel, so both the pool and the fleet speedups track the host's usable
-//! cores; the JSON records `host_cores` *and* `worker_processes`, and on a
-//! single-core host it records an explicit `scaling_not_measurable` reason with
-//! the raw seconds instead of a misleading ~1.0× speedup figure. Serial,
-//! threaded, and sharded runs must produce bit-identical estimates — this
-//! binary asserts it, making it a determinism check as well as a benchmark.
-//! Under `CYCLONE_ENFORCE=1` the sharded speedup also becomes a hard floor on
-//! multi-core hosts (≥1.5× at 4+ cores, ≥1.15× at 2–3).
+//! parallel, so the pool speedup tracks the host's usable cores; the JSON
+//! records `host_cores`, and on a single-core host it records an explicit
+//! `scaling_not_measurable` reason with the raw seconds instead of a misleading
+//! ~1.0× speedup figure. Serial and threaded runs must produce bit-identical
+//! estimates — this binary asserts it, making it a determinism check as well as
+//! a benchmark.
 //!
 //! The adaptive comparison runs each workload twice at the same per-point cap: once
 //! with the fixed budget, once precision-targeted (target rse 0.1, ≥100 failures,
@@ -26,43 +22,17 @@
 //! wall-clock and total shots spent for both modes, per figure.
 //!
 //! `--shots` / `CYCLONE_SHOTS` scales the per-point work (CI uses 50); the
-//! settings resolve through [`RunContext`] like every figure's. The binary
-//! re-execs itself as the fleet's workers (`--worker-shard i/N --fleet-dir DIR
-//! --worker-shots S`, plus `--decode-cache-dir` when set); those flags are
-//! internal to the measurement.
+//! settings resolve through [`RunContext`] like every figure's.
 
-use bench::runner::{merge_shard_caches, shard_cache_dir, RunContext};
+use bench::runner::RunContext;
 use cyclone::experiments::{fig5_spec, ler_comparison_spec};
-use cyclone::sweep::{run_sweep, ScenarioSpec, Shard, SweepOptions, SweepResult};
+use cyclone::sweep::{run_sweep, ScenarioSpec, SweepOptions, SweepResult};
 use decoder::memory::{MemoryConfig, PrecisionTarget};
-use std::path::{Path, PathBuf};
 use std::time::Instant;
 
 /// Latency division factors: six per code, so the pool has enough points to fill
 /// four workers.
 const SPEEDUPS: [f64; 6] = [1.0, 1.5, 2.0, 3.0, 4.0, 8.0];
-
-/// Fleet size when `--shards` / `CYCLONE_SHARDS` asks for fewer than two
-/// worker processes, which would measure no fleet at all.
-const DEFAULT_WORKER_PROCESSES: usize = 4;
-
-/// Sharded-throughput regression floor under `CYCLONE_ENFORCE=1` on hosts with
-/// 4+ cores: 4 worker processes over 12 embarrassingly parallel points must
-/// beat serial by well over this much; the slack absorbs spawn + merge
-/// overhead and CI noise.
-const ENFORCE_SHARDED_SPEEDUP_4CORE: f64 = 1.5;
-
-/// The gentler floor for 2–3 core hosts.
-const ENFORCE_SHARDED_SPEEDUP_2CORE: f64 = 1.15;
-
-/// Per-point shot floor of the serial-vs-sharded comparison. Each worker
-/// process pays a fixed ~0.5 s startup (mostly HGP code construction, paid in
-/// parallel across the fleet), so the measured pipeline only reflects *scaling*
-/// when per-point compute dominates it; 24k shots/point puts the serial
-/// reference around 3 s, which a 4-process fleet on 4+ cores beats by well over
-/// 2× including spawn + merge + assemble. The threaded and adaptive sections
-/// keep the cheaper `CYCLONE_SHOTS`-scaled budget.
-const FLEET_SHOTS_FLOOR: usize = 24_000;
 
 fn config(threads: usize, shots: usize) -> MemoryConfig {
     MemoryConfig {
@@ -73,7 +43,7 @@ fn config(threads: usize, shots: usize) -> MemoryConfig {
     }
 }
 
-/// The fleet's shared measurement workload (workers rebuild it identically).
+/// The measurement workload: the Fig. 5 sweep over two HGP codes.
 fn fig5_workload() -> ScenarioSpec {
     let codes = vec![
         qec::codes::hgp_100().expect("construction"),
@@ -86,89 +56,6 @@ fn timed_run(spec: &ScenarioSpec, options: &SweepOptions) -> (SweepResult, f64) 
     let start = Instant::now();
     let result = run_sweep(spec, options);
     (result, start.elapsed().as_secs_f64())
-}
-
-/// Applies the fleet-shared decode-cache directory, if one was requested (the
-/// sharded path's warm-start lever; estimates are bit-identical either way).
-fn with_decode_cache(options: SweepOptions, dir: Option<&Path>) -> SweepOptions {
-    match dir {
-        Some(dir) => options.with_decode_cache_dir(dir),
-        None => options,
-    }
-}
-
-/// Worker-process entry: compute this shard of the fig5 workload into its
-/// shard-local cache under the fleet directory, checkpointing per point.
-fn worker_main(shard: Shard, fleet_dir: &Path, shots: usize, decode_cache_dir: Option<&Path>) {
-    let spec = fig5_workload();
-    let options = SweepOptions::cached(config(1, shots), shard_cache_dir(fleet_dir, shard))
-        .with_shard(shard)
-        .with_checkpoint(1)
-        .with_fallback_cache_dir(fleet_dir);
-    let result = run_sweep(&spec, &with_decode_cache(options, decode_cache_dir));
-    assert_eq!(
-        result.computed + result.cache_hits + result.skipped,
-        spec.points.len()
-    );
-}
-
-/// The full multi-process pipeline, timed end to end: spawn one worker process
-/// per shard, wait, merge the shard-local caches, and assemble the final result
-/// from the merged cache. Returns the assembled result and the wall-clock of
-/// the whole pipeline (spawn → merge → assemble), which is what a user of
-/// `--shards N` actually waits for.
-fn timed_sharded(
-    shots: usize,
-    workers: usize,
-    fleet_dir: &Path,
-    decode_cache_dir: Option<&Path>,
-) -> (SweepResult, f64) {
-    let _ = std::fs::remove_dir_all(fleet_dir);
-    // cyclone-lint: allow(io-unwrap) -- bench harness setup is fail-fast: no fleet dir means no shards to measure
-    std::fs::create_dir_all(fleet_dir).expect("create fleet dir");
-    // cyclone-lint: allow(io-unwrap) -- bench harness setup is fail-fast: cannot re-spawn shards without our own path
-    let exe = std::env::current_exe().expect("own executable path");
-    let spec = fig5_workload();
-
-    let start = Instant::now();
-    let mut children = Vec::new();
-    for index in 0..workers {
-        let mut worker = std::process::Command::new(&exe);
-        worker
-            .arg("--worker-shard")
-            .arg(format!("{index}/{workers}"))
-            .arg("--fleet-dir")
-            .arg(fleet_dir)
-            .arg("--worker-shots")
-            .arg(shots.to_string());
-        if let Some(dir) = decode_cache_dir {
-            worker.arg("--decode-cache-dir").arg(dir);
-        }
-        let child = worker
-            .stdout(std::process::Stdio::null())
-            .spawn()
-            .expect("spawn fleet worker");
-        children.push(child);
-    }
-    for mut child in children {
-        let status = child.wait().expect("wait for fleet worker");
-        assert!(status.success(), "fleet worker failed with {status}");
-    }
-    merge_shard_caches(fleet_dir).expect("merge shard caches");
-    let (result, _) = timed_run(
-        &spec,
-        &with_decode_cache(
-            SweepOptions::cached(config(1, shots), fleet_dir),
-            decode_cache_dir,
-        ),
-    );
-    let elapsed = start.elapsed().as_secs_f64();
-    assert_eq!(
-        result.cache_hits,
-        spec.points.len(),
-        "the merged fleet cache must serve every point"
-    );
-    (result, elapsed)
 }
 
 /// One figure's adaptive-vs-fixed measurement, rendered as a JSON object literal.
@@ -226,27 +113,7 @@ fn adaptive_vs_fixed(figure: &str, spec: &ScenarioSpec, threads: usize, shots: u
 }
 
 fn main() {
-    // Worker re-exec: `--worker-shard i/N --fleet-dir DIR --worker-shots S
-    // [--decode-cache-dir DIR]` is this binary calling itself; compute the
-    // shard and exit.
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let flag = |name: &str| {
-        args.iter()
-            .position(|a| a == name)
-            .and_then(|i| args.get(i + 1))
-    };
-    if let Some(raw) = flag("--worker-shard") {
-        let shard = Shard::parse(raw).expect("valid --worker-shard i/N");
-        let fleet_dir = PathBuf::from(flag("--fleet-dir").expect("--fleet-dir"));
-        let shots = flag("--worker-shots")
-            .and_then(|s| s.parse().ok())
-            .expect("--worker-shots");
-        let decode_cache_dir = flag("--decode-cache-dir").map(Path::new);
-        worker_main(shard, &fleet_dir, shots, decode_cache_dir);
-        return;
-    }
     let ctx = RunContext::from_env();
-    let decode_cache_dir = ctx.sweep.decode_cache_dir.as_deref();
 
     // Scale up the per-point work so the measurement dominates thread startup and
     // timer noise (1000 shots/point in CI quick mode, 8000 by default).
@@ -254,11 +121,6 @@ fn main() {
     let threaded_workers = match ctx.config.threads {
         0 | 1 => 4,
         n => n,
-    };
-    let worker_processes = if ctx.shards < 2 {
-        DEFAULT_WORKER_PROCESSES
-    } else {
-        ctx.shards
     };
     let spec = fig5_workload();
     let points = spec.points.len();
@@ -271,18 +133,7 @@ fn main() {
         &spec,
         &SweepOptions::ephemeral(config(threaded_workers, shots)),
     );
-    // The multi-process comparison runs at its own (larger) budget so per-point
-    // compute dominates the fleet's fixed per-process startup.
-    let fleet_shots = shots.max(FLEET_SHOTS_FLOOR);
-    let (fleet_serial, fleet_serial_seconds) =
-        timed_run(&spec, &SweepOptions::ephemeral(config(1, fleet_shots)));
-    let fleet_dir =
-        std::env::temp_dir().join(format!("cyclone-sweep-fleet-{}", std::process::id()));
-    let (sharded, sharded_seconds) =
-        timed_sharded(fleet_shots, worker_processes, &fleet_dir, decode_cache_dir);
-    let _ = std::fs::remove_dir_all(&fleet_dir);
-
-    // The engine must be bit-identical at any pool size and any process count.
+    // The engine must be bit-identical at any pool size.
     for (a, b) in serial.points.iter().zip(&threaded.points) {
         assert_eq!(
             a.ler.failures, b.ler.failures,
@@ -291,23 +142,11 @@ fn main() {
         );
         assert_eq!(a.ler.ler, b.ler.ler);
     }
-    for (a, b) in fleet_serial.points.iter().zip(&sharded.points) {
-        assert_eq!(
-            a.ler.failures, b.ler.failures,
-            "point {} diverged across the process fleet",
-            a.id
-        );
-        assert_eq!(a.ler.ler, b.ler.ler);
-        assert_eq!(a.ler.std_err, b.ler.std_err);
-    }
 
     let host_cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     let threaded_speedup = serial_seconds / threaded_seconds;
-    let sharded_speedup = fleet_serial_seconds / sharded_seconds;
     let serial_pps = points as f64 / serial_seconds;
     let threaded_pps = points as f64 / threaded_seconds;
-    let fleet_serial_pps = points as f64 / fleet_serial_seconds;
-    let sharded_pps = points as f64 / sharded_seconds;
 
     println!("sweep engine, fig5-shaped sweep: {points} points x {shots} shots");
     println!("  host cores                {host_cores}");
@@ -315,37 +154,13 @@ fn main() {
     println!(
         "  threaded ({threaded_workers} workers)     {threaded_seconds:>8.3} s  ({threaded_pps:.2} points/sec)"
     );
-    println!("fleet comparison, same 12 points x {fleet_shots} shots:");
-    println!(
-        "  serial (1 process)        {fleet_serial_seconds:>8.3} s  ({fleet_serial_pps:.2} points/sec)"
-    );
-    println!(
-        "  sharded ({worker_processes} processes)    {sharded_seconds:>8.3} s  ({sharded_pps:.2} points/sec, spawn+merge+assemble included)"
-    );
     if host_cores == 1 {
         println!(
-            "  (single-core host: {threaded_speedup:.2}x threaded / {sharded_speedup:.2}x sharded \
-             ratios are NOT scaling measurements — everything shares one core)"
+            "  (single-core host: the {threaded_speedup:.2}x threaded ratio is NOT a scaling \
+             measurement — everything shares one core)"
         );
     } else {
         println!("  threaded wall-clock speedup  {threaded_speedup:.2}x");
-        println!("  sharded  wall-clock speedup  {sharded_speedup:.2}x");
-    }
-
-    // On a multi-core host the fleet must actually scale; a single core cannot
-    // show a wall-clock win, so there is nothing to enforce there.
-    if ctx.enforce && host_cores >= 2 {
-        let floor = if host_cores >= 4 {
-            ENFORCE_SHARDED_SPEEDUP_4CORE
-        } else {
-            ENFORCE_SHARDED_SPEEDUP_2CORE
-        };
-        assert!(
-            sharded_speedup >= floor,
-            "sharded sweep regressed: {sharded_speedup:.2}x < {floor}x floor \
-             ({host_cores} cores, {worker_processes} worker processes)"
-        );
-        println!("  CYCLONE_ENFORCE: sharded speedup {sharded_speedup:.2}x >= {floor}x floor");
     }
 
     // Adaptive vs fixed, per figure, at the same per-point shot cap (so every
@@ -376,13 +191,10 @@ fn main() {
     // single-core host the explicit reason replaces them (the raw seconds and
     // points/sec stay, and stay honest).
     let scaling = if host_cores > 1 {
-        format!(
-            "\"threaded_speedup\": {threaded_speedup:.3},\n  \
-             \"sharded_speedup\": {sharded_speedup:.3},"
-        )
+        format!("\"threaded_speedup\": {threaded_speedup:.3},")
     } else {
-        "\"scaling_not_measurable\": \"host_cores == 1: serial, threaded, and sharded runs all \
-         share one core, so their wall-clock ratios measure scheduling overhead, not scaling; \
+        "\"scaling_not_measurable\": \"host_cores == 1: serial and threaded runs share \
+         one core, so their wall-clock ratios measure scheduling overhead, not scaling; \
          raw seconds and points/sec are recorded above\","
             .to_string()
     };
@@ -393,17 +205,10 @@ fn main() {
          \"serial_seconds\": {serial_seconds:.4},\n  \
          \"threaded_workers\": {threaded_workers},\n  \
          \"threaded_seconds\": {threaded_seconds:.4},\n  \
-         \"worker_processes\": {worker_processes},\n  \
-         \"sharded_shots_per_point\": {fleet_shots},\n  \
-         \"fleet_serial_seconds\": {fleet_serial_seconds:.4},\n  \
-         \"sharded_seconds\": {sharded_seconds:.4},\n  \
          \"serial_points_per_sec\": {serial_pps:.3},\n  \
          \"threaded_points_per_sec\": {threaded_pps:.3},\n  \
-         \"fleet_serial_points_per_sec\": {fleet_serial_pps:.3},\n  \
-         \"sharded_points_per_sec\": {sharded_pps:.3},\n  \
          {scaling}\n  \
          \"bit_identical_across_pool_sizes\": true,\n  \
-         \"bit_identical_across_process_fleet\": true,\n  \
          \"adaptive_vs_fixed\": [{}\n  ]\n}}\n",
         figures
             .iter()

@@ -1,10 +1,10 @@
 //! The shared figure runner every bench binary fronts.
 //!
 //! A figure binary is three lines: pick codes, call its `cyclone::experiments`
-//! declaration, format rows into a [`Table`]. Everything else —
-//! the run configuration, sweep-cache control, worker fleets, and
-//! table/CSV/JSON emission — lives here, so the binaries share one frontend
-//! instead of one copy of the loop each.
+//! declaration, format rows into a [`Table`]. Everything else — the run
+//! configuration, sweep-cache control, and table/CSV/JSON emission — lives
+//! here, so the binaries share one frontend instead of one copy of the loop
+//! each.
 //!
 //! # Configuration
 //!
@@ -17,8 +17,7 @@
 //! (except the `--bench` that cargo appends).
 
 use crate::Table;
-use cyclone::sweep::{Shard, SweepOptions};
-use cyclone::sweep_cache::{merge_files, MergeReport};
+use cyclone::sweep::SweepOptions;
 use decoder::cache::atomic_write;
 use decoder::memory::{MemoryConfig, PrecisionTarget};
 use noise::ChannelSpec;
@@ -91,15 +90,6 @@ pub struct RunContext {
     /// into [`RunContext::sweep`]; `Schedule` is advisory — a figure that
     /// compiles profiled rounds resolves it per point.
     pub noise: NoiseFlag,
-    /// Requested worker-process count (`--shards`, default 1). `>= 2` without
-    /// a shard assignment makes this process a fleet coordinator (see
-    /// [`RunContext::run_worker_fleet`]).
-    pub shards: usize,
-    /// This process's shard assignment (`--shard i/N`, passed by the
-    /// coordinator). `Some` makes this a worker: [`RunContext::sweep`] is
-    /// already pointed at the shard-local cache with the main cache as
-    /// read-only fallback, checkpointed after every computed point.
-    pub shard: Option<Shard>,
     /// Recorded bench thresholds are hard failures (`CYCLONE_ENFORCE`).
     pub enforce: bool,
 }
@@ -119,8 +109,6 @@ struct Settings {
     max_shots: Option<usize>,
     fixed: bool,
     noise: NoiseFlag,
-    shards: usize,
-    shard: Option<Shard>,
     enforce: bool,
 }
 
@@ -229,21 +217,6 @@ const OPTIONS: &[Opt] = &[
         set: |s, v| {
             let noise = NoiseFlag::parse(v).map(|noise| s.noise = noise);
             noise.ok_or("expected uniform, biased:<ratio> or schedule")
-        },
-    },
-    Opt {
-        flag: "--shards N",
-        env: "CYCLONE_SHARDS",
-        default: "1",
-        set: |s, v| positive(v).map(|v| s.shards = v),
-    },
-    Opt {
-        flag: "--shard i/N",
-        env: "",
-        default: "",
-        set: |s, v| {
-            let shard = Shard::parse(v).map(|shard| s.shard = Some(shard));
-            shard.ok_or("expected i/N with i < N")
         },
     },
     Opt {
@@ -362,13 +335,7 @@ impl RunContext {
         let mut sweep = if s.no_cache {
             SweepOptions::ephemeral(config)
         } else {
-            // Workers write a shard-local cache (the main cache stays a
-            // read-only fallback), so N processes never race on one file.
-            let dir = match s.shard {
-                Some(shard) => shard_cache_dir(&cache_dir, shard),
-                None => cache_dir.clone(),
-            };
-            SweepOptions::cached(config, dir)
+            SweepOptions::cached(config, cache_dir)
         };
         // Adaptive when --target-rse is set, or by default with --full;
         // --fixed pins the fixed budget, bit-identical to the pre-adaptive
@@ -387,18 +354,7 @@ impl RunContext {
             sweep = sweep.with_channel(ChannelSpec::Biased { meas_ratio: ratio });
         }
         if let Some(dir) = s.decode_cache_dir {
-            // One decode-cache directory for the whole fleet: its atomic-rename
-            // save path is multi-process safe, and sharing lets workers warm
-            // each other's structured-channel caches.
             sweep = sweep.with_decode_cache_dir(dir);
-        }
-        if let Some(shard) = s.shard {
-            // A worker checkpoints after every computed point, so a killed
-            // worker loses at most the in-flight one.
-            sweep = sweep.with_shard(shard).with_checkpoint(1);
-            if !s.no_cache {
-                sweep = sweep.with_fallback_cache_dir(cache_dir);
-            }
         }
         Ok(RunContext {
             config,
@@ -406,152 +362,19 @@ impl RunContext {
             csv: s.csv,
             full: s.full,
             noise: s.noise,
-            shards: s.shards,
-            shard: s.shard,
             enforce: s.enforce,
         })
     }
 
-    /// The cache directory, when caching is enabled. For a worker this is the
-    /// shard-local directory; the main cache is `sweep.fallback_cache_dir`.
+    /// The cache directory, when caching is enabled.
     pub fn cache_dir(&self) -> Option<&Path> {
         self.sweep.cache_dir.as_deref()
-    }
-
-    /// Coordinator step: when `--shards N` (N ≥ 2) was requested, caching is on,
-    /// and this process has no shard assignment of its own, self-exec one worker
-    /// per shard (same binary, same flags, plus `--shard i/N`), wait for all of
-    /// them, and merge their shard-local caches into the main cache directory.
-    /// Everything else — including workers, `--no-cache` runs, and plain serial
-    /// runs — is a no-op.
-    ///
-    /// A failed or killed worker is reported but does not abort the run: its
-    /// checkpointed points still merge, and the caller's own serial sweep
-    /// recomputes whatever is missing. Output therefore stays bit-identical to
-    /// an unsharded run no matter how the fleet died.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error only when the fleet cannot be launched at all (the
-    /// executable path is unknown or the first spawn fails).
-    pub fn run_worker_fleet(&self) -> std::io::Result<Vec<(String, MergeReport)>> {
-        if self.shards < 2 || self.shard.is_some() {
-            return Ok(Vec::new());
-        }
-        let Some(main_dir) = self.cache_dir().map(Path::to_path_buf) else {
-            eprintln!("warning: --shards needs the sweep cache; running serially (--no-cache)");
-            return Ok(Vec::new());
-        };
-        let exe = std::env::current_exe()?;
-        let forwarded = forwardable_args(std::env::args().skip(1));
-        let mut children = Vec::new();
-        for index in 0..self.shards {
-            let shard = Shard::new(index, self.shards);
-            let spawned = std::process::Command::new(&exe)
-                .args(&forwarded)
-                .arg("--shard")
-                .arg(shard.to_string())
-                .stdout(std::process::Stdio::piped())
-                .stderr(std::process::Stdio::piped())
-                .spawn();
-            match spawned {
-                Ok(child) => children.push((shard, child)),
-                Err(err) if children.is_empty() => return Err(err),
-                Err(err) => eprintln!("warning: could not spawn shard {shard} worker: {err}"),
-            }
-        }
-        for (shard, child) in children {
-            match child.wait_with_output() {
-                Ok(output) if output.status.success() => {}
-                Ok(output) => {
-                    eprintln!(
-                        "warning: shard {shard} worker exited with {}",
-                        output.status
-                    );
-                    eprint!("{}", String::from_utf8_lossy(&output.stderr));
-                }
-                Err(err) => eprintln!("warning: could not wait for shard {shard} worker: {err}"),
-            }
-        }
-        merge_shard_caches(&main_dir)
     }
 }
 
 /// The default cache directory: `sweeps/` at the repository root.
 pub fn default_sweep_dir() -> PathBuf {
     PathBuf::from(concat!(env!("CARGO_MANIFEST_DIR"), "/../../sweeps"))
-}
-
-/// The shard-local cache directory of one worker: `<root>/shards/<i>-of-<N>`.
-pub fn shard_cache_dir(root: &Path, shard: Shard) -> PathBuf {
-    root.join("shards")
-        .join(format!("{}-of-{}", shard.index, shard.total))
-}
-
-/// The coordinator's argument list for its workers: its own arguments minus any
-/// `--shards`/`--shard` (the coordinator appends the worker's own `--shard`).
-fn forwardable_args(args: impl Iterator<Item = String>) -> Vec<String> {
-    let mut forwarded = Vec::new();
-    let mut skip_value = false;
-    for arg in args {
-        if skip_value {
-            skip_value = false;
-            continue;
-        }
-        if arg == "--shards" || arg == "--shard" {
-            skip_value = true;
-            continue;
-        }
-        forwarded.push(arg);
-    }
-    forwarded
-}
-
-/// Folds every shard-local cache under `<main_dir>/shards/*/` back into the
-/// main cache directory: files are grouped by name (`<figure>.json`; rendered
-/// `*.table.json` artifacts and stray temp files are ignored) and merged with
-/// [`merge_files`], so corrupt or incompatible shard files are skipped and
-/// reported rather than aborting. Caches left by a *different* shard layout
-/// merge just as well — the deterministic partition makes any union valid.
-///
-/// # Errors
-///
-/// Returns an error when the shard directories cannot be enumerated; per-file
-/// merge failures are reported to stderr and skipped.
-pub fn merge_shard_caches(main_dir: &Path) -> std::io::Result<Vec<(String, MergeReport)>> {
-    let shard_root = main_dir.join("shards");
-    let mut by_name: BTreeMap<String, Vec<PathBuf>> = BTreeMap::new();
-    let Ok(shard_dirs) = std::fs::read_dir(&shard_root) else {
-        return Ok(Vec::new()); // no shards directory: nothing to merge
-    };
-    for shard_dir in shard_dirs.flatten() {
-        let dir = shard_dir.path();
-        if !dir.is_dir() {
-            continue;
-        }
-        for file in std::fs::read_dir(&dir)?.flatten() {
-            let path = file.path();
-            let Some(name) = path.file_name().and_then(|n| n.to_str()) else {
-                continue;
-            };
-            if name.ends_with(".json") && !name.ends_with(".table.json") && !name.starts_with('.') {
-                by_name.entry(name.to_string()).or_default().push(path);
-            }
-        }
-    }
-    let mut reports = Vec::new();
-    for (name, sources) in by_name {
-        match merge_files(&main_dir.join(&name), &sources) {
-            Ok(report) => {
-                for (path, reason) in &report.sources_skipped {
-                    eprintln!("warning: merge skipped {}: {reason}", path.display());
-                }
-                reports.push((name, report));
-            }
-            Err(err) => eprintln!("warning: could not merge shard caches for {name}: {err}"),
-        }
-    }
-    Ok(reports)
 }
 
 /// A figure's printable result: the table plus optional trailing note lines
@@ -589,25 +412,8 @@ pub fn figure<R: Into<FigureReport>>(
     build: impl FnOnce(&RunContext) -> R,
 ) {
     let context = RunContext::from_env();
-    // Coordinator mode: fan the figure's points out across worker processes
-    // first, so the build below runs all-cache-hits over the merged result —
-    // bit-identical to a serial run, just computed by N cores.
-    match context.run_worker_fleet() {
-        Ok(merged) => {
-            for (file, report) in &merged {
-                println!(
-                    "(sharded: merged {} across {} shard cache(s) into {file})",
-                    report.entries_total, report.sources_merged
-                );
-            }
-        }
-        Err(err) => eprintln!("warning: worker fleet failed ({err}); computing serially"),
-    }
     let report: FigureReport = build(&context).into();
     report.table.print(title, context.csv);
-    if let Some(shard) = context.shard {
-        println!("(worker shard {shard}: skipped points belong to other shards)");
-    }
     if let Some(target) = &context.sweep.precision {
         println!(
             "(adaptive sampling: target rse {}, >={} failures, <={} shots/point)",
@@ -636,12 +442,7 @@ pub fn figure<R: Into<FigureReport>>(
 
 /// Serializes a rendered table as `<dir>/<name>.table.json`, atomically (a killed
 /// run leaves the previous file or none, never a torn one).
-fn write_table_json(
-    dir: &std::path::Path,
-    name: &str,
-    title: &str,
-    table: &Table,
-) -> std::io::Result<()> {
+fn write_table_json(dir: &Path, name: &str, title: &str, table: &Table) -> std::io::Result<()> {
     let mut root = BTreeMap::new();
     root.insert("figure".to_string(), Value::from(name));
     root.insert("title".to_string(), Value::from(title));
@@ -708,8 +509,6 @@ mod tests {
         ("--max-shots", "9000", &["x", "0"]),
         ("--fixed", "1", &["on"]),
         ("--noise", "biased:2", &["biased:-1", "gaussian"]),
-        ("--shards", "4", &["0"]),
-        ("--shard", "2/4", &["4/4", "2"]),
         ("CYCLONE_ENFORCE", "1", &["true"]),
         ("CYCLONE_SIMD", "off", &["sse2", "AVX2"]),
     ];
@@ -991,70 +790,6 @@ mod tests {
 
         // A malformed value is an error even after a valid one.
         assert!(parse(&["--noise", "biased:3", "--noise", "bogus"], &[]).is_err());
-    }
-
-    #[test]
-    fn shard_flags_resolve_worker_and_coordinator_modes() {
-        // Default: one shard, no assignment, single final cache write.
-        let ctx = resolve(&["--shots", "100"]);
-        assert_eq!(ctx.shards, 1);
-        assert!(ctx.shard.is_none());
-        assert!(ctx.sweep.shard.is_none());
-        assert_eq!(ctx.sweep.checkpoint, 0);
-
-        // Coordinator: --shards alone never shards the local sweep (the fleet
-        // does the sharded work; this process runs the all-hits serial pass).
-        let ctx = resolve(&["--shards", "4"]);
-        assert_eq!(ctx.shards, 4);
-        assert!(ctx.shard.is_none());
-        assert!(ctx.sweep.shard.is_none());
-
-        // Worker: shard-local cache under the main dir, main dir as read-only
-        // fallback, checkpoint after every point.
-        let ctx = resolve(&["--cache-dir", "/tmp/sweep-shard-test", "--shard", "2/4"]);
-        assert_eq!(ctx.shard, Some(Shard::new(2, 4)));
-        assert_eq!(ctx.sweep.shard, Some(Shard::new(2, 4)));
-        assert_eq!(
-            ctx.cache_dir(),
-            Some(Path::new("/tmp/sweep-shard-test/shards/2-of-4"))
-        );
-        assert_eq!(
-            ctx.sweep.fallback_cache_dir.as_deref(),
-            Some(Path::new("/tmp/sweep-shard-test"))
-        );
-        assert_eq!(ctx.sweep.checkpoint, 1);
-
-        // --no-cache disables the sharded cache plumbing but keeps the shard
-        // restriction itself.
-        let ctx = resolve(&["--no-cache", "--shard", "1/3"]);
-        assert!(ctx.cache_dir().is_none());
-        assert!(ctx.sweep.fallback_cache_dir.is_none());
-        assert_eq!(ctx.sweep.shard, Some(Shard::new(1, 3)));
-    }
-
-    #[test]
-    fn forwardable_args_strip_fleet_topology() {
-        let forwarded = forwardable_args(
-            args(&[
-                "--shots", "50", "--shards", "4", "--noise", "biased:2", "--shard", "1/4",
-            ])
-            .into_iter(),
-        );
-        assert_eq!(forwarded, args(&["--shots", "50", "--noise", "biased:2"]));
-    }
-
-    #[test]
-    fn forwardable_args_reparse_in_a_worker() {
-        let coordinator = args(&[
-            "--shots", "50", "--shards", "4", "--noise", "biased:2", "--bench",
-        ]);
-        let mut worker = forwardable_args(coordinator.into_iter());
-        worker.extend(args(&["--shard", "1/4"]));
-        let ctx = RunContext::from_args(&worker, |_| None).expect("worker arguments parse");
-        assert_eq!(ctx.shard, Some(Shard::new(1, 4)));
-        assert_eq!(ctx.shards, 1);
-        assert_eq!(ctx.config.shots, 50);
-        assert_eq!(ctx.noise, NoiseFlag::Biased(2.0));
     }
 
     #[test]

@@ -14,12 +14,10 @@
 //! * [`split_loops`] — the independent-loop analysis of §IV-C.
 //! * [`registry`] — [`qccd::compiler::Codesign`] impls for Cyclone and the standard
 //!   registry of every codesign the evaluation compares.
-//! * [`sweep`] — the parallel, cache-backed scenario sweep engine, with
-//!   deterministic work-sharding for multi-process fleets.
+//! * [`sweep`] — the parallel, cache-backed scenario sweep engine.
 //! * [`sweep_cache`] — the one reader and writer of sweep cache files, which the
-//!   sweep engine and the offline merge/stats/verify (the `sweep-cache` CLI)
-//!   share, so a file `verify` rejects is never read and shard-local caches
-//!   compose.
+//!   sweep engine and the offline stats/verify (the `sweep-cache` CLI) share, so
+//!   a file `verify` rejects is never read.
 //! * [`experiments`] — declarative scenario specs that regenerate every figure of
 //!   the evaluation through the sweep engine.
 //!
@@ -53,4 +51,4 @@ pub mod sweep_cache;
 pub use codesign::{CycloneCodesign, CycloneConfig};
 pub use condensed::{best_configuration, default_trap_counts, trap_capacity_sweep, TrapSweepPoint};
 pub use registry::{standard_registry, Cyclone};
-pub use sweep::{run_sweep, shard_of, ScenarioSpec, Shard, SweepOptions, SweepResult};
+pub use sweep::{run_sweep, ScenarioSpec, SweepOptions, SweepResult};

@@ -34,67 +34,6 @@ use noise::ChannelSpec;
 use qec::CssCode;
 use std::path::PathBuf;
 
-/// A deterministic work-shard assignment: of `total` cooperating processes, this
-/// one computes only the operating points whose stable identity hashes to
-/// `index` (see [`shard_of`]). Because the assignment depends only on the
-/// point's id string — never on spec order, shard count of a previous run, or
-/// the host — any shard layout partitions a spec into disjoint, collectively
-/// exhaustive subsets, and every point's estimate is the same bit-for-bit no
-/// matter which shard (or how many shards) computed it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Shard {
-    /// This process's shard index, `0 <= index < total`.
-    pub index: usize,
-    /// Total number of shards in the fleet (at least 1).
-    pub total: usize,
-}
-
-impl Shard {
-    /// A shard assignment.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `index < total`.
-    pub fn new(index: usize, total: usize) -> Self {
-        assert!(index < total, "shard index {index} out of range 0..{total}");
-        Shard { index, total }
-    }
-
-    /// Parses the `--shard` spelling `"i/N"` (e.g. `"2/4"`); `None` when
-    /// malformed or out of range (`i >= N` or `N == 0`).
-    pub fn parse(raw: &str) -> Option<Self> {
-        let (index, total) = raw.trim().split_once('/')?;
-        let index = index.trim().parse::<usize>().ok()?;
-        let total = total.trim().parse::<usize>().ok()?;
-        (index < total).then_some(Shard { index, total })
-    }
-
-    /// Whether the point with this stable id belongs to this shard.
-    pub fn contains(&self, id: &str) -> bool {
-        shard_of(id, self.total) == self.index
-    }
-}
-
-impl std::fmt::Display for Shard {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "{}/{}", self.index, self.total)
-    }
-}
-
-/// The shard that owns the point with stable id `id` in a `total`-shard layout:
-/// an FNV-1a digest of the id bytes reduced mod `total`. Stable across
-/// processes, platforms, and releases — the partition is part of the sharding
-/// contract, so shard-local caches from different fleet layouts stay mergeable.
-///
-/// # Panics
-///
-/// Panics when `total` is zero.
-pub fn shard_of(id: &str, total: usize) -> usize {
-    assert!(total > 0, "shard layouts need at least one shard");
-    let hash = noise::fnv::Fnv1a::new().write(id.as_bytes()).finish();
-    (hash % total as u64) as usize
-}
-
 /// One Monte-Carlo operating point of a scenario sweep.
 #[derive(Debug, Clone, PartialEq)]
 pub struct OperatingPoint {
@@ -239,22 +178,12 @@ pub struct SweepOptions {
     /// in-memory only. Estimates are bit-identical either way: cached entries are
     /// pure decoder outputs.
     pub decode_cache_dir: Option<PathBuf>,
-    /// Work-shard assignment: `Some` restricts computation to the spec points
-    /// this shard owns (see [`Shard::contains`]). Points owned by other shards
-    /// are still served from the cache when present; otherwise they come back as
-    /// [`PointOutcome::skipped`] with an empty estimate. `None` (the default)
-    /// computes every miss.
-    pub shard: Option<Shard>,
     /// Checkpoint granularity: with `checkpoint = k > 0` the cache file is
     /// rewritten whenever another `k` freshly computed points have finished,
     /// so a killed run loses only the points in flight and those finished
     /// since. `0` (the default) keeps the single final write. Checkpointing
     /// never changes estimates — only how often the same entries are published.
     pub checkpoint: usize,
-    /// Read-only secondary cache directory, consulted for points the primary
-    /// `cache_dir` misses. Never written. Lets a shard-local worker reuse a
-    /// pre-existing main cache without racing other workers on it.
-    pub fallback_cache_dir: Option<PathBuf>,
 }
 
 impl SweepOptions {
@@ -267,9 +196,7 @@ impl SweepOptions {
             precision: None,
             channel: None,
             decode_cache_dir: None,
-            shard: None,
             checkpoint: 0,
-            fallback_cache_dir: None,
         }
     }
 
@@ -303,24 +230,10 @@ impl SweepOptions {
         self
     }
 
-    /// Restricts computation to the points `shard` owns (builder style). Points
-    /// owned by other shards are cache-hits-or-skipped, never computed.
-    pub fn with_shard(mut self, shard: Shard) -> Self {
-        self.shard = Some(shard);
-        self
-    }
-
     /// Rewrites the cache file after every `every` freshly computed points
     /// (builder style); `0` restores the single final write.
     pub fn with_checkpoint(mut self, every: usize) -> Self {
         self.checkpoint = every;
-        self
-    }
-
-    /// Consults `dir` (read-only) for points the primary cache misses
-    /// (builder style).
-    pub fn with_fallback_cache_dir(mut self, dir: impl Into<PathBuf>) -> Self {
-        self.fallback_cache_dir = Some(dir.into());
         self
     }
 
@@ -356,9 +269,9 @@ pub struct PointOutcome {
     pub ler: LerEstimate,
     /// Whether the estimate was served from the cache.
     pub cached: bool,
-    /// Whether the point was skipped: it belongs to another shard and had no
-    /// cached estimate. Skipped points carry [`LerEstimate::empty`] and are
-    /// never written to the cache.
+    /// Always `false`: every point is served from the cache or estimated.
+    /// Kept only because the figure benchmark's gate still reads it; it goes
+    /// when that benchmark is next revised.
     pub skipped: bool,
 }
 
@@ -373,9 +286,6 @@ pub struct SweepResult {
     pub cache_hits: usize,
     /// How many points were recomputed.
     pub computed: usize,
-    /// How many points were skipped as another shard's work (always 0 for
-    /// unsharded runs).
-    pub skipped: usize,
 }
 
 impl SweepResult {
@@ -419,42 +329,36 @@ pub fn run_sweep(spec: &ScenarioSpec, options: &SweepOptions) -> SweepResult {
         );
     }
 
-    let file_name = format!("{}.json", spec.figure);
-    let cache_path = options.cache_dir.as_ref().map(|dir| dir.join(&file_name));
+    let cache_path = options
+        .cache_dir
+        .as_ref()
+        .map(|dir| dir.join(format!("{}.json", spec.figure)));
     let identity = CacheFile::new(&spec.figure, &options.config, options.precision.as_ref());
-    // The fallback directory (worker mode's read-only view of the main cache) is
-    // consulted only for points the primary cache misses. A file that does not
-    // parse, or belongs to another figure, seed or BP cap, serves nothing.
-    let files: Vec<CacheFile> = [&options.cache_dir, &options.fallback_cache_dir]
-        .into_iter()
-        .flatten()
-        .filter_map(|dir| CacheFile::read(&dir.join(&file_name)).ok())
-        .filter(|file| identity.identity_mismatch(file).is_none())
-        .collect();
+    // A file that does not parse, or belongs to another figure, seed or BP cap,
+    // serves nothing.
+    let file = cache_path
+        .as_deref()
+        .and_then(|path| CacheFile::read(path).ok())
+        .filter(|file| identity.identity_mismatch(file).is_none());
+    let entries: &[CacheEntry] = file.as_ref().map_or(&[], |file| &file.entries);
 
-    // `resolved`: per spec index, (estimate, served-from-cache); `None` at the
-    // end means skipped (another shard's uncached work). Workers fill the slots
-    // without allocating: map inserts on worker threads raised peak RSS ~10%.
+    // `resolved`: per spec index, (estimate, served-from-cache); `None` until
+    // the point is served or estimated. Workers fill the slots without
+    // allocating: map inserts on worker threads raised peak RSS ~10%.
     let mut resolved: Vec<Option<(LerEstimate, bool)>> = spec
         .points
         .iter()
         .map(|point| {
-            files.iter().find_map(|file| {
-                let entry = file.entries.iter().find(|entry| entry.id == point.id)?;
-                reuse(entry, point, options)
-                    .then(|| (LerEstimate::from_counts(entry.shots, entry.failures), true))
-            })
+            let entry = entries.iter().find(|entry| entry.id == point.id)?;
+            reuse(entry, point, options)
+                .then(|| (LerEstimate::from_counts(entry.shots, entry.failures), true))
         })
         .collect();
 
-    // Estimate the misses this shard owns; every `checkpoint`-th point to
-    // finish publishes everything resolved so far.
+    // Estimate every miss; every `checkpoint`-th point to finish publishes
+    // everything resolved so far.
     let misses: Vec<usize> = (0..spec.points.len())
         .filter(|&i| resolved[i].is_none())
-        .filter(|&i| match options.shard {
-            Some(shard) => shard.contains(&spec.points[i].id),
-            None => true,
-        })
         .collect();
     let jobs: Vec<LerPoint<'_>> = misses
         .iter()
@@ -518,30 +422,25 @@ pub fn run_sweep(spec: &ScenarioSpec, options: &SweepOptions) -> SweepResult {
     let points: Vec<PointOutcome> = spec
         .points
         .iter()
-        .enumerate()
-        .map(|(i, point)| {
-            let (ler, cached, skipped) = match resolved[i] {
-                Some((ler, cached)) => (ler, cached, false),
-                None => (LerEstimate::empty(), false, true),
-            };
+        .zip(resolved)
+        .map(|(point, slot)| {
+            let (ler, cached) = slot.expect("the scheduler estimates every miss");
             PointOutcome {
                 id: point.id.clone(),
                 p: point.p,
                 latency: point.latency,
                 ler,
                 cached,
-                skipped,
+                skipped: false,
             }
         })
         .collect();
 
     let cache_hits = points.iter().filter(|p| p.cached).count();
-    let skipped = points.iter().filter(|p| p.skipped).count();
     SweepResult {
         figure: spec.figure.clone(),
-        computed: points.len() - cache_hits - skipped,
+        computed: points.len() - cache_hits,
         cache_hits,
-        skipped,
         points,
     }
 }

@@ -1,17 +1,16 @@
 //! The sweep cache format, `sweeps/<figure>.json`: its one validating reader
-//! and its one writer, which [`crate::run_sweep`] and the offline `merge`,
-//! `stats` and `verify` all share. So a file `verify` rejects is never read: a
-//! sweep recomputes its points, and a merge skips it with the reason.
+//! and its one writer, which [`crate::run_sweep`], [`merge_files`] and the
+//! offline `stats` and `verify` all share. So a file `verify` rejects is never
+//! read: a sweep recomputes its points, and a merge skips it with the reason.
 //!
-//! Sharded fleets (see `bench::runner`) leave one cache file per shard; this
-//! module folds them back into a single file. The merge is a **union of point
-//! sets** with conflicts resolved by the same meets-or-exceeds order the sweep
-//! engine's reuse rules apply: an entry with strictly more recorded shots
-//! replaces one with fewer, and ties keep the incumbent. Because every entry is
-//! produced by per-shot seeded RNG streams, two entries with equal shot counts
-//! for the same point are bit-identical, which makes the merge commutative and
-//! idempotent — shards can be folded in any order, any number of times, and the
-//! result is the same file.
+//! [`merge_files`] folds several cache files of one figure into a single file.
+//! The merge is a **union of point sets** with conflicts resolved by the same
+//! meets-or-exceeds order the sweep engine's reuse rules apply: an entry with
+//! strictly more recorded shots replaces one with fewer, and ties keep the
+//! incumbent. Because every entry is produced by per-shot seeded RNG streams,
+//! two entries with equal shot counts for the same point are bit-identical,
+//! which makes the merge commutative and idempotent — files can be folded in
+//! any order, any number of times, and the result is the same file.
 //!
 //! Compatibility is decided at the header level: files must agree on `figure`,
 //! `seed`, and `bp_iterations` (the identity a sweep checks too). A source that
@@ -162,8 +161,8 @@ impl CacheFile {
 
     /// Writes the file atomically, entries in order. Zero-shot entries (points
     /// nobody computed) are dropped and each entry's `ler`/`std_err` come from
-    /// its counts, so a partial (checkpoint or sharded) write is a well-formed
-    /// cache that composes with other shards' files via [`merge_files`].
+    /// its counts, so a partial (checkpoint) write is a well-formed cache that
+    /// composes with other files via [`merge_files`].
     pub(crate) fn write(&self, path: &Path) -> std::io::Result<()> {
         atomic_write(path, &self.text())
     }

@@ -1,5 +1,6 @@
 //! Sweep-engine behavior: determinism across pool sizes, cache hit/miss/corruption
-//! semantics (fixed and adaptive), torn-write resistance of the cache file, and the
+//! semantics (fixed and adaptive), torn-write resistance of the cache file,
+//! resume-after-kill from checkpoints, merges of real caches, and the
 //! `covers_all_gates` invariant for every registered codesign, fuzzed
 //! (truncated and byte-flipped) cache files against every cache reader and the
 //! JSON shim, damaged caches that every reader must reject alike, and the pinned
@@ -751,17 +752,15 @@ fn decode_cache_dir_is_bit_identical_and_persists_files() {
 
 #[test]
 fn content_hashes_are_pinned() {
-    // Shard layout (`shard_of`), priors-LLR cache keys (`priors_digest`) and
-    // sweep-cache channel identity (`cache_id`) are persisted or shared across
-    // processes, so their FNV-1a values must never drift. A `usize::MAX` shard
-    // count exposes the full 64-bit hash; "a" is the published FNV-1a vector.
-    use cyclone::sweep::shard_of;
+    // The byte hash (`Fnv1a`), priors-LLR cache keys (`priors_digest`) and
+    // sweep-cache channel identity (`cache_id`) are persisted, so their FNV-1a
+    // values must never drift. "a" is the published FNV-1a vector.
+    use noise::fnv::Fnv1a;
+    let fnv = |bytes: &str| Fnv1a::new().write(bytes.as_bytes()).finish();
     let id = "fig14_bb_ler/cyclone/[[72,12,6]]/p=1e-3";
-    assert_eq!(shard_of(id, usize::MAX), 0xc0ff_1981_abf9_c05e);
-    assert_eq!(shard_of("", usize::MAX), 0xcbf2_9ce4_8422_2325);
-    assert_eq!(shard_of("a", usize::MAX), 0xaf63_dc4c_8601_ec8c);
-    assert_eq!(shard_of(id, 7), 5);
-    assert_eq!(shard_of("", 7), 2);
+    assert_eq!(fnv(id), 0xc0ff_1981_abf9_c05e);
+    assert_eq!(fnv(""), 0xcbf2_9ce4_8422_2325);
+    assert_eq!(fnv("a"), 0xaf63_dc4c_8601_ec8c);
     use decoder::bp::priors_digest;
     assert_eq!(priors_digest(&[]), 0xcbf2_9ce4_8422_2325);
     assert_eq!(priors_digest(&[1e-3; 4]), 0xc7a4_1288_3905_0ee5);
@@ -856,6 +855,131 @@ fn checkpoint_every_point_publishes_a_well_formed_cache_as_points_finish() {
     );
     assert_eq!(seen.last(), Some(&spec.points.len()), "{seen:?}");
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The points of [`tiny_spec`] whose id starts with `prefix`, under `figure`.
+fn spec_part(figure: &str, prefix: &str) -> ScenarioSpec {
+    let mut spec = tiny_spec(figure);
+    spec.points.retain(|point| point.id.starts_with(prefix));
+    spec
+}
+
+#[test]
+fn killed_sweep_resumes_from_its_checkpoints() {
+    let figure = "resume";
+    let full = tiny_spec(figure);
+    let reference = run_sweep(&full, &SweepOptions::ephemeral(quick_config(1)));
+    let dir = scratch_dir(figure);
+    let options = SweepOptions::cached(quick_config(2), &dir).with_checkpoint(1);
+
+    // A "killed" sweep: same figure, but only a prefix of the points ran before
+    // the kill. Checkpointing after every point means the prefix is already
+    // published as a valid cache file.
+    let partial = run_sweep(&spec_part(figure, "bb/"), &options);
+    assert_eq!(partial.computed, 2);
+    verify_file(&dir.join(format!("{figure}.json")))
+        .expect("checkpointed cache must be valid mid-run");
+
+    // The resumed sweep reruns the full spec: checkpointed points are cache
+    // hits (nothing lost), only the in-flight remainder computes.
+    let resumed = run_sweep(&full, &options);
+    assert_eq!(
+        resumed.cache_hits, 2,
+        "checkpointed points must survive the kill"
+    );
+    assert_eq!(resumed.computed, full.points.len() - 2);
+    for (a, b) in reference.points.iter().zip(&resumed.points) {
+        assert_eq!(a.ler.failures, b.ler.failures, "point {} diverged", a.id);
+        assert_eq!(a.ler.ler, b.ler.ler);
+        assert_eq!(a.ler.std_err, b.ler.std_err);
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Runs the `bb/` and `hgp/` halves of [`tiny_spec`] as two separate cached
+/// sweeps under `root` and returns their two cache files.
+fn run_halves(figure: &str, root: &std::path::Path) -> Vec<PathBuf> {
+    ["bb/", "hgp/"]
+        .iter()
+        .map(|prefix| {
+            let dir = root.join(prefix.trim_end_matches('/'));
+            run_sweep(
+                &spec_part(figure, prefix),
+                &SweepOptions::cached(quick_config(2), &dir),
+            );
+            dir.join(format!("{figure}.json"))
+        })
+        .collect()
+}
+
+#[test]
+fn merge_of_real_caches_is_commutative_and_idempotent() {
+    let spec = tiny_spec("commute");
+    let reference = run_sweep(&spec, &SweepOptions::ephemeral(quick_config(1)));
+    let root = scratch_dir("commute");
+    let sources = run_halves("commute", &root);
+
+    let forward = root.join("forward.json");
+    let reverse = root.join("reverse.json");
+    merge_files(&forward, &sources).expect("forward merge");
+    let mut reversed = sources.clone();
+    reversed.reverse();
+    merge_files(&reverse, &reversed).expect("reverse merge");
+    let forward_text = std::fs::read_to_string(&forward).expect("read");
+    assert_eq!(
+        forward_text,
+        std::fs::read_to_string(&reverse).expect("read"),
+        "merge order must not matter"
+    );
+    // Merging the same sources into an existing destination changes nothing.
+    merge_files(&forward, &sources).expect("re-merge");
+    assert_eq!(
+        forward_text,
+        std::fs::read_to_string(&forward).expect("read")
+    );
+
+    // The merged file serves the whole spec, bit-identical to one sweep.
+    std::fs::rename(&forward, root.join("commute.json")).expect("rename");
+    let merged = run_sweep(&spec, &SweepOptions::cached(quick_config(1), &root));
+    assert_eq!(merged.cache_hits, spec.points.len());
+    for (a, b) in reference.points.iter().zip(&merged.points) {
+        assert_eq!(a.ler.failures, b.ler.failures, "point {} diverged", a.id);
+        assert_eq!(a.ler.ler, b.ler.ler);
+        assert_eq!(a.ler.std_err, b.ler.std_err);
+    }
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+#[test]
+fn corrupt_merge_source_is_skipped_and_recomputed() {
+    let spec = tiny_spec("corrupt-source");
+    let reference = run_sweep(&spec, &SweepOptions::ephemeral(quick_config(1)));
+    let root = scratch_dir("corrupt-source");
+    let sources = run_halves("corrupt-source", &root);
+
+    // Corrupt one source: the merge must skip (and report) it, not fail, and
+    // the cached run over the merged file recomputes exactly the lost points
+    // back to the reference.
+    let bad = &sources[1];
+    std::fs::write(bad, "{\"figure\": \"corrupt-source\", \"poi").expect("corrupt");
+    let report =
+        merge_files(&root.join("corrupt-source.json"), &sources).expect("merge with corruption");
+    assert_eq!(report.sources_merged, 1);
+    assert_eq!(report.sources_skipped.len(), 1);
+    assert_eq!(&report.sources_skipped[0].0, bad);
+
+    let lost = spec_part("corrupt-source", "hgp/").points.len();
+    let repaired = run_sweep(&spec, &SweepOptions::cached(quick_config(2), &root));
+    assert_eq!(
+        repaired.computed, lost,
+        "only the corrupt source's points recompute"
+    );
+    assert_eq!(repaired.cache_hits, spec.points.len() - lost);
+    for (a, b) in reference.points.iter().zip(&repaired.points) {
+        assert_eq!(a.ler.failures, b.ler.failures, "point {} diverged", a.id);
+        assert_eq!(a.ler.ler, b.ler.ler);
+    }
+    let _ = std::fs::remove_dir_all(&root);
 }
 
 /// A small real cache for the reader fuzz tests: the spec, its
@@ -1034,7 +1158,7 @@ const PINNED_ADAPTIVE: &str = concat!(
     "\n",
 );
 
-/// [`PINNED_FIXED`] merged with a second shard's file: entries in id order.
+/// [`PINNED_FIXED`] merged with a second run's file: entries in id order.
 const PINNED_MERGED: &str = concat!(
     r#"{"bp_iterations":12,"figure":"pin","mode":"fixed","points":[{"channel":"biased:2","failures":17,"id":"a/biased","latency":0,"ler":0.2833333333333333,"p":0.03,"shots":60,"std_err":0.05817438662555248},"#,
     r#"{"channel":"uniform","failures":9,"id":"m/uniform","latency":0,"ler":0.15,"p":0.08,"shots":60,"std_err":0.046097722286464436},"#,
@@ -1084,14 +1208,14 @@ fn cache_file_bytes_are_pinned() {
         std::fs::read_to_string(adaptive.join("pin.json")).expect("adaptive cache written");
     assert_eq!(adaptive_text, PINNED_ADAPTIVE);
 
-    // A second shard computed a third point of the same figure.
+    // A second run computed a third point of the same figure.
     let mut other = ScenarioSpec::new("pin");
     let idx = other.code(spec.codes[0].clone());
     other.point("m/uniform", idx, 8e-2, 0.0);
-    let shard = dir.join("shard");
-    run_sweep(&other, &SweepOptions::cached(quick_config(1), &shard));
+    let second = dir.join("second");
+    run_sweep(&other, &SweepOptions::cached(quick_config(1), &second));
     let merged = dir.join("merged.json");
-    merge_files(&merged, &[fixed_file, shard.join("pin.json")]).expect("merge");
+    merge_files(&merged, &[fixed_file, second.join("pin.json")]).expect("merge");
     let merged_text = std::fs::read_to_string(&merged).expect("merged cache written");
     assert_eq!(merged_text, PINNED_MERGED);
     let _ = std::fs::remove_dir_all(&dir);

@@ -1,6 +1,6 @@
 //! `cyclone-lint`: offline workspace static analysis for the Cyclone repo's
-//! three load-bearing invariants — bit-identical results at any thread/shard
-//! count, zero steady-state allocations in decode hot paths, and a complete
+//! three load-bearing invariants — bit-identical results at any thread count,
+//! zero steady-state allocations in decode hot paths, and a complete
 //! `CYCLONE_*` configuration registry — plus the I/O unwrap policy that keeps
 //! cache corruption from panicking sweeps.
 //!

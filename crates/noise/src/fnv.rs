@@ -1,7 +1,7 @@
 //! The workspace's one byte-wise content hash: 64-bit FNV-1a. Its values are
-//! persisted (decode-cache file names, sweep-cache channel identities) and
-//! shared across processes (the sweep shard layout), so the algorithm and the
-//! little-endian byte order of [`Fnv1a::write_u64`] are an on-disk contract.
+//! persisted (decode-cache file names, sweep-cache channel identities), so the
+//! algorithm and the little-endian byte order of [`Fnv1a::write_u64`] are an
+//! on-disk contract.
 
 /// A streaming 64-bit FNV-1a hasher.
 ///
