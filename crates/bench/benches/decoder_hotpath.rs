@@ -8,10 +8,11 @@
 //!   the scalar CSR reference (`crates/decoder/tests/oracle/bp.rs`, included
 //!   below) on the same syndromes;
 //! * **OSD-fallback** — decodes of syndromes on which BP fails, exercising the
-//!   word-level ordered-statistics path; the warm-started OSD stage and the
-//!   cold OSD oracle (`crates/decoder/tests/oracle/osd.rs`, included below)
-//!   are also timed separately (same syndromes, precomputed BP suspicion), so
-//!   the warm-start lever's gain is recorded on every run;
+//!   word-level ordered-statistics path; the library's column-basis OSD
+//!   stage and the cold OSD oracle (`crates/decoder/tests/oracle/osd.rs`,
+//!   included below) are also timed separately (same syndromes, precomputed
+//!   BP suspicion), so the column basis's gain over a full sort and
+//!   elimination is recorded on every run;
 //! * **`[[225,9,6]]`** — BP-converged and OSD-fallback decode rates on the
 //!   hypergraph product code of Fig. 15, the decode-bound figure (recorded,
 //!   not enforced);
@@ -62,7 +63,7 @@ use std::time::Instant;
 #[path = "../../decoder/tests/oracle/bp.rs"]
 mod oracle_bp;
 
-/// The cold OSD-0 reference the warm-started OSD stage is pinned to.
+/// The cold OSD-0 reference the column-basis OSD stage is pinned to.
 #[path = "../../decoder/tests/oracle/osd.rs"]
 mod oracle_osd;
 
@@ -84,7 +85,7 @@ const ENFORCE_MIN_UNIFORM_BATCH_SHOTS_PER_SEC: f64 = 1_000_000.0;
 /// misses: every first-seen multi-event syndrome pays the full BP-failure +
 /// OSD-fallback cost, pinned bit-identical to the scalar decoder. The BP/OSD
 /// hot-loop work (word-packed convergence, branchless min-sum signs, row-major
-/// total accumulation, warm-started OSD) brought the measured cold penalty from
+/// total accumulation, a faster OSD stage) brought the measured cold penalty from
 /// ~28× down to ~20× on this container; 25× is the do-not-regress ceiling.
 /// The *warm* run — the persistent decode cache loaded — is held to the much
 /// tighter [`ENFORCE_MAX_WARM_STRUCTURED_PENALTY`].
@@ -349,10 +350,11 @@ fn main() {
         black_box(decode(&decoder, black_box(s), &mut scratch));
     });
 
-    // --- OSD stage alone, warm-started vs cold. -----------------------------
+    // --- OSD stage alone, column basis vs cold. -----------------------------
     // Same fallback syndromes, BP suspicion precomputed, so the two timings
-    // isolate exactly the warm-start lever (column-permutation reuse +
-    // early-exit elimination); the property suite pins them bit-identical.
+    // isolate the OSD stage: the library's heap-ordered column basis against
+    // the oracle's full sort, augmented-matrix gather and elimination; the
+    // property suite pins them bit-identical.
     let suspicions: Vec<Vec<f64>> = fallback_syndromes
         .iter()
         .map(|s| {
@@ -362,20 +364,20 @@ fn main() {
         .collect();
     let osd_only = OsdDecoder::new(code.hz().clone());
     let osd_cold = oracle_osd::ColdOsd::new(code.hz());
-    let mut warm_scratch = DecoderScratch::new();
+    let mut basis_scratch = DecoderScratch::new();
     let mut cold_scratch = oracle_osd::ColdOsdScratch::default();
     for (s, susp) in fallback_syndromes.iter().zip(&suspicions) {
-        assert!(osd_only.decode_into(s, susp, &mut warm_scratch));
+        assert!(osd_only.decode_into(s, susp, &mut basis_scratch));
         assert!(osd_cold.decode(s, susp, &mut cold_scratch));
-        assert_eq!(warm_scratch.error(), cold_scratch.error());
+        assert_eq!(basis_scratch.error(), cold_scratch.error());
     }
     let before = allocations();
-    let osd_warm_rate = rate(iters / 4, |i| {
+    let osd_basis_rate = rate(iters / 4, |i| {
         let k = i % fallback_syndromes.len();
         black_box(osd_only.decode_into(
             black_box(&fallback_syndromes[k]),
             &suspicions[k],
-            &mut warm_scratch,
+            &mut basis_scratch,
         ));
     });
     let osd_cold_rate = rate(iters / 4, |i| {
@@ -391,7 +393,7 @@ fn main() {
         0,
         "steady-state OSD decode_into must not allocate"
     );
-    let osd_warm_speedup = osd_warm_rate / osd_cold_rate;
+    let osd_basis_speedup = osd_basis_rate / osd_cold_rate;
 
     // --- [[225,9,6]]: BP-converged and OSD-fallback decodes. ----------------
     // Record-only: the Fig. 15 HGP code's per-decode costs, where fixed
@@ -515,8 +517,8 @@ fn main() {
         "    scalar ref   {bp_scalar_rate:>12.0} decodes/sec ({bp_simd_speedup:.2}x kernel gain)"
     );
     println!("  OSD-fallback   {osd_rate:>12.0} decodes/sec (BP failure + OSD)");
-    println!("    OSD warm     {osd_warm_rate:>12.0} decodes/sec (stage alone)");
-    println!("    OSD cold     {osd_cold_rate:>12.0} decodes/sec ({osd_warm_speedup:.2}x warm-start gain)");
+    println!("    OSD basis    {osd_basis_rate:>12.0} decodes/sec (stage alone)");
+    println!("    OSD cold     {osd_cold_rate:>12.0} decodes/sec ({osd_basis_speedup:.2}x column-basis gain)");
     println!(
         "  {}: BP-converged {hgp_bp_rate:.0}, OSD-fallback {hgp_osd_rate:.0} decodes/sec",
         hgp.descriptor()
@@ -620,8 +622,8 @@ fn main() {
          \"bp_scalar_decodes_per_sec\": {bp_scalar_rate:.1},\n  \
          \"bp_simd_speedup\": {bp_simd_speedup:.2},\n  \
          \"osd_fallback_decodes_per_sec\": {osd_rate:.1},\n  \
-         \"osd_stage_decodes_per_sec\": {{\n    \"warm\": {osd_warm_rate:.1},\n    \
-         \"cold\": {osd_cold_rate:.1},\n    \"warm_start_speedup\": {osd_warm_speedup:.2}\n  }},\n  \
+         \"osd_stage_decodes_per_sec\": {{\n    \"column_basis\": {osd_basis_rate:.1},\n    \
+         \"cold\": {osd_cold_rate:.1},\n    \"column_basis_speedup\": {osd_basis_speedup:.2}\n  }},\n  \
          \"hgp_225_9_6\": {{\n    \"bp_converged_decodes_per_sec\": {hgp_bp_rate:.1},\n    \
          \"osd_fallback_decodes_per_sec\": {hgp_osd_rate:.1}\n  }},\n  \
          \"batch_shots_per_sec\": {{\n    \"uniform\": {uniform_batch:.1},\n    \

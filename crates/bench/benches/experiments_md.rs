@@ -373,10 +373,11 @@ fn main() {
          context bind, and a 4-way set-associative per-syndrome decode cache\n\
          (16,384 slots, conflict evictions counted)\n\
          replays repeated syndromes as a word-compare plus a copy. Lanes that\n\
-         still reach the OSD fallback hit a warm-started ordered-statistics\n\
-         stage (column-permutation reuse + early-exit elimination, pinned\n\
-         bit-identical to the cold OSD oracle `tests/oracle/osd.rs` by a property\n\
-         test). Each lane consumes its own seeded per-shot stream, so every\n\
+         still reach the OSD fallback hit a column-basis ordered-statistics\n\
+         stage (heap-ordered columns, stopped at the first basis that spans the\n\
+         syndrome, pinned bit-identical to the cold OSD oracle\n\
+         `tests/oracle/osd.rs` by a property test). Each lane consumes its own\n\
+         seeded per-shot stream, so every\n\
          table in this file is bit-identical to a scalar per-shot reference\n\
          sampler at any thread count and any batch size (pinned by a property\n\
          test across the code catalog × channel shapes × batch sizes).\n\n\
@@ -393,8 +394,8 @@ fn main() {
          decoder_hotpath`) records the batch shot rates per channel shape\n\
          (`batch_shots_per_sec`), per-channel\n\
          `weight1_fastpath_rate` / `osd_fallback_rate` / `cache_hit_rate`\n\
-         (`batch_channel_stats`), the warm and cold OSD stage rates\n\
-         (`osd_stage_decodes_per_sec`), conflict evictions\n\
+         (`batch_channel_stats`), the column-basis and cold OSD stage rates\n\
+         (`osd_stage_decodes_per_sec.{column_basis,cold}`), conflict evictions\n\
          (`batch_cache_evictions`), whether a persisted decode cache was\n\
          loaded (`decode_cache.{entries_loaded,warm}`), the worst\n\
          structured-channel penalty vs the uniform batch rate\n\

@@ -290,6 +290,28 @@ mod tests {
     }
 
     #[test]
+    fn undeclared_variables_are_named() {
+        use runner::check_variable_names;
+        // Every declared variable, and names outside the prefix, pass.
+        let declared = [
+            "CYCLONE_SHOTS",
+            "CYCLONE_THREADS",
+            "CYCLONE_SIMD",
+            "CYCLONE_ENFORCE",
+            "CYCLONE_DECODE_CACHE_DIR",
+            "HOME",
+            "CARGO_TARGET_DIR",
+            "NOT_CYCLONE_SHOTS",
+        ];
+        assert_eq!(check_variable_names(declared), Ok(()));
+        // A retired option and a typo are named.
+        for unknown in ["CYCLONE_SHARDS", "CYCLONE_SHOT"] {
+            let err = check_variable_names(["HOME", "CYCLONE_SHOTS", unknown]).unwrap_err();
+            assert!(err.contains(unknown), "{err}");
+        }
+    }
+
+    #[test]
     fn format_helpers() {
         assert_eq!(ms(0.001), "1.00");
         assert!(sci(1.5e-3).contains('e'));

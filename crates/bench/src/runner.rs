@@ -14,7 +14,8 @@
 //! `--` (`cargo bench -p bench --bench figNN -- --shots 2000`) and beat their
 //! variables; an empty value counts as unset. Any other value parses or is an
 //! error naming the option and the value, and so is an unknown argument
-//! (except the `--bench` that cargo appends).
+//! (except the `--bench` that cargo appends) or a `CYCLONE_*` variable no
+//! row declares (a retired option or a typo would otherwise change nothing).
 
 use crate::Table;
 use cyclone::sweep::SweepOptions;
@@ -273,16 +274,37 @@ fn apply(settings: &mut Settings, opt: &Opt, name: &str, raw: &str) -> Result<()
     (opt.set)(settings, raw).map_err(|expected| format!("{name} {raw:?}: {expected}"))
 }
 
+/// Checks the names of the environment's variables: every `CYCLONE_*` name
+/// must be the variable of an option row.
+///
+/// # Errors
+///
+/// The first undeclared `CYCLONE_*` name, in the order given.
+pub fn check_variable_names<'a>(names: impl IntoIterator<Item = &'a str>) -> Result<(), String> {
+    let mut names = names.into_iter();
+    match names.find(|name| name.starts_with("CYCLONE_") && !OPTIONS.iter().any(|o| o.env == *name))
+    {
+        Some(name) => Err(format!("unknown variable {name}: no option reads it")),
+        None => Ok(()),
+    }
+}
+
 impl RunContext {
     /// Resolves the context from the process arguments and environment. A
-    /// malformed value or an unknown argument is printed and exits the
-    /// process with status 2, before anything is built.
+    /// malformed value, an unknown argument or an unknown `CYCLONE_*`
+    /// variable is printed and exits the process with status 2, before
+    /// anything is built.
     pub fn from_env() -> Self {
         let args: Vec<String> = std::env::args().skip(1).collect();
-        Self::from_args(&args, |name| std::env::var(name).ok()).unwrap_or_else(|err| {
-            eprintln!("error: {err}");
-            std::process::exit(2)
-        })
+        let names: Vec<String> = std::env::vars_os()
+            .map(|(name, _)| name.to_string_lossy().into_owned())
+            .collect();
+        check_variable_names(names.iter().map(String::as_str))
+            .and_then(|()| Self::from_args(&args, |name| std::env::var(name).ok()))
+            .unwrap_or_else(|err| {
+                eprintln!("error: {err}");
+                std::process::exit(2)
+            })
     }
 
     /// Resolves the context from explicit arguments and an environment lookup

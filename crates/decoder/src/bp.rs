@@ -14,6 +14,12 @@
 //! the graph (channel LLRs, first messages, arena padding) is built once per
 //! `(priors, graph)` digest key.
 //!
+//! The convergence test after each iteration is proportional to the hard
+//! decision's weight, not to the matrix: `H` is also stored column-packed,
+//! and `H·ê` is the XOR of the packed columns of the decision's set bits
+//! (a few columns at physical error rates), compared with the syndrome word
+//! by word.
+//!
 //! The core reads a word-packed syndrome (bit `r & 63` of word `r >> 6` is
 //! check `r`) and leaves the word-packed hard decision in the scratch, which
 //! is what the bit-sliced Monte-Carlo batch path ([`crate::memory`]) holds
@@ -76,11 +82,11 @@ pub struct BeliefPropagation {
     h: SparseBinMat,
     graph: TannerGraph,
     max_iterations: usize,
-    /// Word-packed row supports of `h` (`mask_words` words per check), for the
-    /// AND/XOR-popcount convergence check.
-    check_masks: Vec<u64>,
-    /// Words per check row in `check_masks`: `num_cols.div_ceil(64)`.
-    mask_words: usize,
+    /// `h` column-packed ([`SparseBinMat::packed_columns`]), so the
+    /// convergence test XORs only the columns the hard decision sets.
+    columns: Vec<u64>,
+    /// Words per packed hard decision: `num_cols.div_ceil(64)`.
+    err_words: usize,
     /// A basis of the left kernel of `h` (the `y` with `yᵀH = 0`), packed
     /// check-major 64 vectors at a time: bit `j` of `left_kernel[g * m + r]`
     /// is entry `r` of basis vector `64g + j`. Empty when `h` has full row
@@ -109,13 +115,6 @@ impl BeliefPropagation {
     pub fn new(h: SparseBinMat, max_iterations: usize) -> Self {
         assert!(max_iterations > 0, "need at least one BP iteration");
         let graph = TannerGraph::new(&h);
-        let mask_words = h.num_cols().div_ceil(64);
-        let mut check_masks = vec![0u64; h.num_rows() * mask_words];
-        for r in 0..h.num_rows() {
-            for &c in h.row(r) {
-                check_masks[r * mask_words + (c >> 6)] |= 1 << (c & 63);
-            }
-        }
         let m = h.num_rows();
         let kernel = h.to_bitmat().transpose().null_space();
         let mut left_kernel = vec![0u64; kernel.len().div_ceil(64) * m];
@@ -126,12 +125,13 @@ impl BeliefPropagation {
                 }
             }
         }
+        let (columns, err_words) = (h.packed_columns(), h.num_cols().div_ceil(64));
         BeliefPropagation {
             h,
             graph,
             max_iterations,
-            check_masks,
-            mask_words,
+            columns,
+            err_words,
             left_kernel,
             simd: Simd::from_env(),
         }
@@ -249,7 +249,7 @@ impl BeliefPropagation {
     /// because one scratch may serve the equal-shaped X and Z decoders.
     fn prime(&self, priors: &[f64], key: u64, scratch: &mut DecoderScratch) {
         let graph = &self.graph;
-        let (padded_n, arena_len) = (self.mask_words * 64, graph.arena_len());
+        let (padded_n, arena_len) = (self.err_words * 64, graph.arena_len());
         scratch.channel_llr.ensure_len(padded_n);
         let channel_llr = scratch.channel_llr.as_mut_slice();
         for (llr, &p) in channel_llr.iter_mut().zip(priors) {
@@ -307,8 +307,10 @@ impl BeliefPropagation {
     /// Signs are handled branchlessly: parity is over `msg < 0.0` (NOT the IEEE
     /// sign bit — `-0.0` stays "positive"), and each output is
     /// `±(scale · mag_excl)`, exact because IEEE multiplication signs are the
-    /// XOR of the operand signs. Convergence ANDs the precomputed word-packed
-    /// row masks against the packed hard decision — pure boolean parity.
+    /// XOR of the operand signs. Convergence XORs the packed columns of the
+    /// hard decision's set bits into `H·ê` and compares it with the syndrome
+    /// word by word — pure boolean parity, in work proportional to the
+    /// decision's weight.
     ///
     /// A syndrome outside the column space of `H` (a flipped check measurement
     /// routinely puts it there) can never be reproduced, and the left-kernel
@@ -335,13 +337,13 @@ impl BeliefPropagation {
             "bits past the last check must be zero"
         );
 
-        let mask_words = self.mask_words;
         scratch
             .syn_mask
             .ensure_len(graph.num_row_groups() * PAD_LANES);
-        if scratch.err_words.len() != mask_words {
-            scratch.err_words.resize(mask_words, 0);
+        if scratch.err_words.len() != self.err_words {
+            scratch.err_words.resize(self.err_words, 0);
         }
+        scratch.parity.resize(syndrome.len(), 0);
 
         // `prime` sized the arenas and set their padding for this graph.
         let first_messages = scratch.vtc_init.as_slice();
@@ -351,7 +353,7 @@ impl BeliefPropagation {
         let llrs_pad = scratch.llrs_pad.as_mut_slice();
         let syn_mask = scratch.syn_mask.as_mut_slice();
         let err_words = &mut scratch.err_words;
-        let check_masks = &self.check_masks;
+        let parity = &mut scratch.parity;
         let (group_ptr, col_ptr, col_slots) =
             (graph.group_ptr(), graph.col_ptr(), graph.col_slots());
         let simd = self.simd;
@@ -390,17 +392,10 @@ impl BeliefPropagation {
                 simd.hard_decision(llrs_pad, err_words);
             }
             // Convergence: does the hard decision reproduce the syndrome?
-            let matches = consistent
-                && check_masks
-                    .chunks_exact(mask_words)
-                    .enumerate()
-                    .all(|(r, mask)| {
-                        let acc = mask
-                            .iter()
-                            .zip(err_words.iter())
-                            .fold(0u64, |acc, (&mw, &ew)| acc ^ (mw & ew));
-                        u64::from(acc.count_ones() & 1) == (syndrome[r >> 6] >> (r & 63)) & 1
-                    });
+            let matches = consistent && {
+                column_parity(&self.columns, err_words, parity);
+                parity[..] == syndrome[..]
+            };
             if matches {
                 return BpStatus {
                     converged: true,
@@ -423,6 +418,28 @@ impl BeliefPropagation {
     }
     // cyclone-lint: end-hot-path
 }
+
+/// `H·e` for a word-packed `e`, from the column-packed `H` of
+/// [`BeliefPropagation`]: the XOR of the columns of the set bits of `e`,
+/// written packed into `parity` (`parity.len()` words per column). The
+/// work is proportional to the weight of `e`, not to the size of `H`.
+// cyclone-lint: hot-path
+fn column_parity(columns: &[u64], e: &[u64], parity: &mut [u64]) {
+    let syn_words = parity.len();
+    parity.fill(0);
+    for (w, &word) in e.iter().enumerate() {
+        let mut bits = word;
+        while bits != 0 {
+            let c = (w << 6) | bits.trailing_zeros() as usize;
+            let column = &columns[c * syn_words..(c + 1) * syn_words];
+            for (p, &v) in parity.iter_mut().zip(column) {
+                *p ^= v;
+            }
+            bits &= bits - 1;
+        }
+    }
+}
+// cyclone-lint: end-hot-path
 
 #[cfg(test)]
 mod tests {
@@ -636,6 +653,77 @@ mod tests {
         }
         // Every bounce changed the graph, so every decode primed anew.
         assert_eq!(bounced.priors_rebuilds(), 24);
+    }
+
+    #[test]
+    fn column_packed_parity_matches_the_row_mask_loop() {
+        // The convergence test's `H·ê`, from the columns of the set bits,
+        // against the row-mask loop it replaced: each check's word-packed row
+        // ANDed with the decision, parity by popcount.
+        let mut state = 0x2545_F491_4F6C_DD1Du64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        for (m, n) in [
+            (70usize, 128usize),
+            (130, 100),
+            (65, 64),
+            (36, 72),
+            (129, 193),
+        ] {
+            let rows: Vec<Vec<usize>> = (0..m)
+                .map(|_| {
+                    let mut row: Vec<usize> = (0..n).filter(|_| next() % 11 == 0).collect();
+                    row.push((next() % n as u64) as usize);
+                    row.sort_unstable();
+                    row.dedup();
+                    row
+                })
+                .collect();
+            let h = SparseBinMat::from_row_supports(n, rows);
+            let bp = BeliefPropagation::new(h.clone(), 1);
+            let words = n.div_ceil(64);
+            let mut row_masks = vec![0u64; m * words];
+            for r in 0..m {
+                for &c in h.row(r) {
+                    row_masks[r * words + (c >> 6)] |= 1 << (c & 63);
+                }
+            }
+            let tail = |e: &mut Vec<u64>| {
+                if n % 64 != 0 {
+                    e[words - 1] &= (1u64 << (n % 64)) - 1;
+                }
+            };
+            let mut decisions: Vec<Vec<u64>> = vec![vec![0; words], vec![u64::MAX; words]];
+            for k in [1, 3, 6] {
+                for _ in 0..16 {
+                    // Each bit set with probability 2^-k: dense (a coin flip)
+                    // to sparse (one in 64).
+                    decisions.push(
+                        (0..words)
+                            .map(|_| (0..k).fold(u64::MAX, |acc, _| acc & next()))
+                            .collect(),
+                    );
+                }
+            }
+            for mut e in decisions {
+                tail(&mut e);
+                let mut want = vec![0u64; m.div_ceil(64)];
+                for (r, mask) in row_masks.chunks_exact(words).enumerate() {
+                    let acc = mask
+                        .iter()
+                        .zip(&e)
+                        .fold(0u64, |acc, (&mw, &ew)| acc ^ (mw & ew));
+                    want[r >> 6] |= u64::from(acc.count_ones() & 1) << (r & 63);
+                }
+                let mut got = vec![u64::MAX; m.div_ceil(64)];
+                column_parity(&bp.columns, &e, &mut got);
+                assert_eq!(got, want, "m = {m}, n = {n}, e = {e:x?}");
+            }
+        }
     }
 
     #[test]

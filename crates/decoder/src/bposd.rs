@@ -158,9 +158,9 @@ impl BpOsdDecoder {
     /// `scratch.err_words`: the BP hard decision when BP converged
     /// or the syndrome is inconsistent, else the OSD solution.
     ///
-    /// Skipping OSD also skips its warm-start sort of `scratch.order`, which
-    /// changes nothing: the sort's comparator is a strict total order, so the
-    /// next fallback sorts whatever permutation it finds to the same result.
+    /// Skipping OSD changes no later decode: the OSD stage rebuilds its heap,
+    /// basis and residual on every call and reads nothing an earlier call
+    /// left in the scratch.
     // cyclone-lint: hot-path
     pub(crate) fn decode_packed_keyed_into(
         &self,

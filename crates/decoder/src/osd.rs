@@ -7,28 +7,34 @@
 //! elimination, and solves for the unique error supported (as much as possible) on the
 //! most suspicious positions that reproduces the syndrome exactly.
 //!
-//! The hot path works at word level throughout, from a word-packed syndrome to
-//! a word-packed solution (the `bool` entry point [`OsdDecoder::decode_into`]
-//! packs and unpacks around it): the
-//! augmented matrix `[H(ordered) | s]` is built into reused `u64` row storage
-//! borrowed from a [`DecoderScratch`] by scattering each row's support through
-//! the inverse column permutation (O(nnz + m·words), not O(m·n)), pivots are
-//! located with masked `trailing_zeros` scans over whole words, and
-//! elimination XORs whole rows — no per-bit `get`/`set` traffic and no heap
-//! allocation in steady state.
+//! The work scales with the columns the solution needs, not with the matrix.
+//! [`OsdDecoder`] stores `H` column-packed, and `OsdDecoder::solve_packed`
+//! (the word-packed core behind the `bool` entry point
+//! [`OsdDecoder::decode_into`]):
 //!
-//! [`OsdDecoder::decode_into`] also **warm-starts** from the scratch state
-//! left by the previous fallback: the suspicion sort starts from the previous
-//! column permutation (Monte-Carlo shots at one operating point produce highly
-//! similar BP posteriors, so the nearly-sorted input is fast under pdqsort), and
-//! elimination stops as soon as the residual syndrome column is cleared (the
-//! remaining pivots of a full run would all read off zero). Both shortcuts are
-//! provably bit-identical to a cold decode — dense gather, fresh `0..n` order,
-//! full elimination — which lives in the test oracle
-//! (`tests/oracle/osd.rs`) and pins them in property tests.
+//! * heapifies one integer key per column, so columns pop in exactly the
+//!   order of a full sort (suspicion descending, then index ascending)
+//!   without sorting all `n` of them;
+//! * reduces each popped column against the basis of the columns kept so far
+//!   and keeps it only if it is independent — so the kept columns are the
+//!   greedy independent prefix of the order, the pivot columns of a
+//!   Gauss–Jordan elimination in that order;
+//! * reduces the residual syndrome by each new basis vector, and stops as
+//!   soon as it is zero. Each basis vector carries its combination of kept
+//!   columns, so the solution is the XOR of the combinations the residual
+//!   used — the unique one over the kept, independent columns, which the
+//!   pivots a full elimination would add later do not change.
+//!
+//! All buffers are borrowed from a [`DecoderScratch`], so there is no heap
+//! allocation in steady state. The cold reference — a full sort, the
+//! augmented matrix `[H(ordered) | s]` gathered over all `n` columns, and a
+//! full elimination — is the test oracle (`tests/oracle/osd.rs`), which the
+//! property suite pins this decoder to bit for bit.
 
 use crate::scratch::DecoderScratch;
+use crate::sparse::SparseBinMat;
 use qec::linalg::BitMat;
+use std::collections::BinaryHeap;
 
 /// Sort key for suspicion scores: NaN (e.g. from a degenerate prior) maps to the
 /// lowest possible suspicion instead of silently scrambling the order, and signed
@@ -44,16 +50,33 @@ fn suspicion_key(x: f64) -> f64 {
     }
 }
 
+/// The heap key of column `c` with suspicion `x`: the high half orders like
+/// `suspicion_key(x)` under `total_cmp` (negative floats have their bits
+/// inverted, the others their sign bit set), and the low half is
+/// `u64::MAX - c`. A max-heap therefore pops the most suspicious column
+/// first, and the lower index first among equal suspicions.
+#[inline]
+fn column_key(x: f64, c: usize) -> u128 {
+    let bits = suspicion_key(x).to_bits();
+    let ordered = bits ^ ((((bits as i64) >> 63) as u64) | 1 << 63);
+    (u128::from(ordered) << 64) | u128::from(u64::MAX - c as u64)
+}
+
 /// OSD-0 decoder over a fixed parity-check matrix.
 #[derive(Debug, Clone)]
 pub struct OsdDecoder {
     h: BitMat,
+    /// `H` column-packed ([`SparseBinMat::packed_columns`]).
+    columns: Vec<u64>,
 }
 
 impl OsdDecoder {
     /// Creates an OSD decoder for the parity-check matrix `h`.
     pub fn new(h: BitMat) -> Self {
-        OsdDecoder { h }
+        OsdDecoder {
+            columns: SparseBinMat::from_bitmat(&h).packed_columns(),
+            h,
+        }
     }
 
     /// The parity-check matrix.
@@ -80,14 +103,10 @@ impl OsdDecoder {
     /// the solution in [`DecoderScratch::error`] when the syndrome is consistent;
     /// returns `false` — leaving `scratch.error` untouched — otherwise.
     ///
-    /// The elimination keeps its own consistency check for direct callers.
+    /// The solver keeps its own consistency check for direct callers.
     /// [`crate::bposd::BpOsdDecoder`] never reaches it with an inconsistent
     /// syndrome: BP's left-kernel parity proves those first, and OSD is
     /// skipped.
-    ///
-    /// Warm-starts from the previous fallback's scratch state (column-permutation
-    /// reuse + early-exit elimination); output is bit-identical to a cold
-    /// decode (fresh `0..n` order, full elimination).
     ///
     /// # Panics
     ///
@@ -115,6 +134,16 @@ impl OsdDecoder {
     /// The word-packed core of [`OsdDecoder::decode_into`]: the syndrome is
     /// packed 64 checks per word, and on success the solution is left packed
     /// in `scratch.err_words` (`false` leaves it untouched).
+    ///
+    /// Each basis row is a reduced vector (one bit per check) followed by its
+    /// combination: one bit per basis index, the kept columns it is the XOR
+    /// of (as many words, since a basis has at most `m` vectors). Row `k`
+    /// of a `k`-vector basis is the candidate under reduction. Basis vector
+    /// `k` is zero at the pivot checks of vectors `0..k`, so reducing in
+    /// insertion order clears every pivot, and a nonzero combination of
+    /// basis vectors always has a set pivot: a vector reduced to zero is
+    /// dependent, and a reduced residual is zero exactly when the syndrome
+    /// is in the span.
     // cyclone-lint: hot-path
     pub(crate) fn solve_packed(
         &self,
@@ -122,140 +151,75 @@ impl OsdDecoder {
         suspicion: &[f64],
         scratch: &mut DecoderScratch,
     ) -> bool {
-        let m = self.h.num_rows();
         let n = self.h.num_cols();
-        assert_eq!(syndrome.len(), m.div_ceil(64), "syndrome length mismatch");
+        let sw = self.h.num_rows().div_ceil(64);
+        assert_eq!(syndrome.len(), sw, "syndrome length mismatch");
         assert_eq!(suspicion.len(), n, "need one score per column");
+        let width = 2 * sw;
 
-        // Column order: most suspicious first (ties broken by index for determinism).
-        // The index tiebreak makes the comparator a strict total order, so the
-        // unstable sort yields the same permutation as a stable one — without the
-        // stable sort's temporary-buffer allocation. Warm start: any permutation of
-        // 0..n sorts to the same unique result under a strict total order, so the
-        // previous decode's order (nearly sorted for the typical shot-to-shot
-        // posterior drift) is a valid — and faster — starting point. `scratch.order`
-        // is only ever written here, so `len() == n` implies it is a permutation
-        // of `0..n`.
-        let order = &mut scratch.order;
-        if order.len() != n {
-            order.clear();
-            order.extend(0..n);
-        }
-        order.sort_unstable_by(|&a, &b| {
-            suspicion_key(suspicion[b])
-                .total_cmp(&suspicion_key(suspicion[a]))
-                .then(a.cmp(&b))
-        });
-        let pos_of = &mut scratch.pos_of;
-        pos_of.resize(n, 0);
-        for (pos, &orig) in order.iter().enumerate() {
-            pos_of[orig] = pos;
-        }
+        let mut keys = std::mem::take(&mut scratch.column_keys);
+        keys.clear();
+        keys.extend(suspicion.iter().enumerate().map(|(c, &x)| column_key(x, c)));
+        let mut heap = BinaryHeap::from(keys);
 
-        // Augmented matrix [H(ordered) | s] in word-packed rows: the syndrome lives
-        // at bit position `n`. Each row is zeroed and its support — the set bits
-        // of its dense words, found by `trailing_zeros` — scattered through
-        // `pos_of`, so the build costs O(nnz + m·words), not O(m·n).
-        let words = (n + 1).div_ceil(64);
-        scratch.aug.resize(m * words, 0);
-        for (r, out) in scratch.aug.chunks_exact_mut(words).enumerate() {
-            let sr = (syndrome[r >> 6] >> (r & 63)) & 1;
-            out.fill(0);
-            for (w, &word) in self.h.row_words(r).iter().enumerate() {
-                let mut bits = word;
-                while bits != 0 {
-                    let pos = pos_of[(w << 6) | bits.trailing_zeros() as usize];
-                    out[pos >> 6] |= 1 << (pos & 63);
-                    bits &= bits - 1;
-                }
-            }
-            out[n >> 6] |= sr << (n & 63);
-        }
-
-        // Greedy elimination in permuted-column order. Invariant: every row at or
-        // below `pivot_row` has zeros in all columns already passed, so the next
-        // pivot column is the minimum leading set bit over those rows — found by a
-        // masked trailing_zeros scan of each row's words (the syndrome bit is masked
-        // out of the final word) — and the pivot row is the first row attaining it.
-        let aug = &mut scratch.aug;
-        let pivot_cols = &mut scratch.pivot_cols;
-        pivot_cols.clear();
-        let last_word_mask = (1u64 << (n & 63)) - 1;
-        let (syn_word, syn_bit) = (n >> 6, n & 63);
-        let mut pivot_row = 0usize;
-        while pivot_row < m {
-            // Early exit once the residual syndrome is cleared: if no remaining row
-            // carries a syndrome bit, every further pivot of a full elimination
-            // would read off zero — pivot rows are only ever XORed *into* other
-            // rows, and XOR with a zero-syndrome row preserves syndrome bits, so
-            // (inductively) the remaining rows keep zero syndrome to the end and
-            // the OSD-0 solution entries they would contribute are all zero, i.e.
-            // exactly what the readoff below already assumes for non-pivots. The
-            // inconsistent case can never take this exit (it requires a surviving
-            // syndrome bit), so detection is unaffected.
-            if !(pivot_row..m).any(|r| (aug[r * words + syn_word] >> syn_bit) & 1 == 1) {
+        let residual = &mut scratch.residual;
+        residual.clear();
+        residual.extend_from_slice(syndrome);
+        residual.resize(width, 0);
+        let basis = &mut scratch.basis;
+        basis.clear();
+        let pivots = &mut scratch.pivots;
+        pivots.clear();
+        let kept = &mut scratch.kept_columns;
+        kept.clear();
+        let mut solved = syndrome.iter().all(|&w| w == 0);
+        while !solved {
+            let Some(key) = heap.pop() else {
                 break;
-            }
-            let mut best_col = usize::MAX;
-            let mut best_row = usize::MAX;
-            for r in pivot_row..m {
-                let row = &aug[r * words..(r + 1) * words];
-                for (w, &raw) in row.iter().enumerate() {
-                    let word = if w == words - 1 {
-                        raw & last_word_mask
-                    } else {
-                        raw
-                    };
-                    if word != 0 {
-                        let lead = (w << 6) | word.trailing_zeros() as usize;
-                        if lead < best_col {
-                            best_col = lead;
-                            best_row = r;
-                        }
-                        break;
-                    }
+            };
+            let c = (u64::MAX - key as u64) as usize;
+            // The basis has fewer than `m` vectors (a full one spans every
+            // syndrome), so index `k` fits the combination words.
+            let k = pivots.len();
+            basis.resize((k + 1) * width, 0);
+            let (reduced, candidate) = basis.split_at_mut(k * width);
+            candidate[..sw].copy_from_slice(&self.columns[c * sw..(c + 1) * sw]);
+            candidate[sw..].fill(0);
+            candidate[sw + (k >> 6)] |= 1 << (k & 63);
+            for (row, &(w, bit)) in reduced.chunks_exact(width).zip(pivots.iter()) {
+                if candidate[w] & bit != 0 {
+                    xor_into(candidate, row);
                 }
             }
-            if best_col == usize::MAX {
-                break;
-            }
-            if best_row != pivot_row {
-                for w in 0..words {
-                    aug.swap(pivot_row * words + w, best_row * words + w);
-                }
-            }
-            let (pivot_word, pivot_bit) = (best_col >> 6, best_col & 63);
-            for rr in 0..m {
-                if rr != pivot_row && (aug[rr * words + pivot_word] >> pivot_bit) & 1 == 1 {
-                    for w in 0..words {
-                        let v = aug[pivot_row * words + w];
-                        aug[rr * words + w] ^= v;
-                    }
-                }
-            }
-            pivot_cols.push(best_col);
-            pivot_row += 1;
-        }
-
-        // Consistency: any all-zero row must have zero syndrome. (After an
-        // early exit the remaining rows may be nonzero, but all carry zero
-        // syndrome — the exit condition — so the loop still passes.)
-        for r in pivot_cols.len()..m {
-            if (aug[r * words + syn_word] >> syn_bit) & 1 == 1 {
-                return false;
+            let Some(w) = candidate[..sw].iter().position(|&v| v != 0) else {
+                continue;
+            };
+            let bit = candidate[w] & candidate[w].wrapping_neg();
+            pivots.push((w, bit));
+            kept.push(c);
+            if residual[w] & bit != 0 {
+                xor_into(residual, candidate);
+                solved = residual[..sw].iter().all(|&v| v == 0);
             }
         }
+        scratch.column_keys = heap.into_vec();
+        if !solved {
+            return false;
+        }
 
-        // OSD-0: non-pivot columns are set to zero; pivot columns read off the
-        // syndrome column.
+        // The residual's combination: the kept columns whose XOR is `s`.
         let solution = &mut scratch.err_words;
         solution.clear();
         solution.resize(n.div_ceil(64), 0);
-        for (row, &col) in pivot_cols.iter().enumerate() {
-            let c = order[col];
-            solution[c >> 6] |= ((aug[row * words + syn_word] >> syn_bit) & 1) << (c & 63);
+        for (w, &word) in residual[sw..].iter().enumerate() {
+            let mut bits = word;
+            while bits != 0 {
+                let c = kept[(w << 6) | bits.trailing_zeros() as usize];
+                solution[c >> 6] |= 1 << (c & 63);
+                bits &= bits - 1;
+            }
         }
-        debug_assert!((0..m).all(|r| {
+        debug_assert!((0..self.h.num_rows()).all(|r| {
             let parity = self
                 .h
                 .row_words(r)
@@ -267,6 +231,14 @@ impl OsdDecoder {
         true
     }
     // cyclone-lint: end-hot-path
+}
+
+/// `dst ^= src`, word by word.
+#[inline]
+fn xor_into(dst: &mut [u64], src: &[u64]) {
+    for (d, &s) in dst.iter_mut().zip(src) {
+        *d ^= s;
+    }
 }
 
 #[cfg(test)]
@@ -370,15 +342,16 @@ mod tests {
     }
 
     #[test]
-    fn warm_start_matches_cold_on_dirty_scratch() {
-        // Re-decode a stream of different syndromes/suspicions through one warm
-        // scratch; every result must equal a decode into a fresh scratch, which
-        // sorts from the `0..n` order. (The property suite pins both against
-        // the cold oracle in `tests/oracle/osd.rs`.)
+    fn dirty_scratch_matches_fresh_scratch() {
+        // Re-decode a stream of different syndromes/suspicions through one
+        // dirty scratch (heap storage, basis and residual left by the previous
+        // decode); every result must equal a decode into a fresh scratch. (The
+        // property suite pins both against the cold oracle in
+        // `tests/oracle/osd.rs`.)
         let h = repetition_h(70);
         let cols = h.num_cols();
         let osd = OsdDecoder::new(h.clone());
-        let mut warm = DecoderScratch::new();
+        let mut dirty = DecoderScratch::new();
         for round in 0..20usize {
             let mut e = vec![false; cols];
             e[(round * 7) % cols] = true;
@@ -387,15 +360,16 @@ mod tests {
             let suspicion: Vec<f64> = (0..cols)
                 .map(|i| ((i * 31 + round * 17) % 97) as f64 / 97.0)
                 .collect();
-            let cold = osd.decode(&s, &suspicion).expect("consistent");
-            assert!(osd.decode_into(&s, &suspicion, &mut warm));
-            assert_eq!(warm.error(), cold.as_slice(), "round {round}");
+            let fresh = osd.decode(&s, &suspicion).expect("consistent");
+            assert!(osd.decode_into(&s, &suspicion, &mut dirty));
+            assert_eq!(dirty.error(), fresh.as_slice(), "round {round}");
         }
     }
 
     #[test]
-    fn warm_start_still_detects_inconsistency() {
-        // A zero row with a nonzero syndrome can never trigger the early exit.
+    fn dirty_scratch_still_detects_inconsistency() {
+        // A zero row with a nonzero syndrome: the heap runs out with the
+        // residual still set.
         let h = BitMat::from_dense(&[vec![1, 1], vec![0, 0]]);
         let osd = OsdDecoder::new(h);
         let mut scratch = DecoderScratch::new();
@@ -406,9 +380,9 @@ mod tests {
     }
 
     #[test]
-    fn warm_start_survives_size_migration() {
-        // A scratch whose order permutation belongs to a different n must fall
-        // back to the fresh 0..n order, not index out of bounds or misdecode.
+    fn resized_scratch_matches_fresh_scratch() {
+        // A scratch whose buffers were sized for a different n (and m) must
+        // give the fresh-scratch answer, not index out of bounds or misdecode.
         let mut scratch = DecoderScratch::new();
         for n in [9usize, 70, 15] {
             let h = repetition_h(n);
@@ -417,9 +391,9 @@ mod tests {
             e[n / 2] = true;
             let s = h.mul_vec(&e);
             let suspicion: Vec<f64> = (0..n).map(|i| 1.0 / (2.0 + i as f64)).collect();
-            let cold = osd.decode(&s, &suspicion).expect("consistent");
+            let fresh = osd.decode(&s, &suspicion).expect("consistent");
             assert!(osd.decode_into(&s, &suspicion, &mut scratch));
-            assert_eq!(scratch.error(), cold.as_slice(), "n = {n}");
+            assert_eq!(scratch.error(), fresh.as_slice(), "n = {n}");
         }
     }
 

@@ -2,8 +2,8 @@
 //!
 //! [`DecoderScratch`] owns every working buffer the BP / OSD / BP+OSD hot paths need:
 //! the flat message arenas of belief propagation, the channel LLRs and first
-//! messages (built once per priors and graph digest), and the ordered-statistics
-//! column permutation, its inverse, and the word-packed augmented matrix. The
+//! messages (built once per priors and graph digest), the packed hard decision and
+//! its syndrome, and the ordered-statistics column heap, basis and residual. The
 //! scratch entry points of [`crate::bp::BeliefPropagation`], [`crate::osd::OsdDecoder`], and
 //! [`crate::bposd::BpOsdDecoder`] borrow all of their state from one of these, so a
 //! caller that keeps a scratch alive (one per worker thread, typically) performs zero
@@ -124,22 +124,31 @@ pub struct DecoderScratch {
     /// The `bool` entry points' copy of `err_words`, one entry per variable.
     pub(crate) error: Vec<bool>,
     /// The word-packed correction (bit `c & 63` of word `c >> 6`): the BP hard
-    /// decision, consumed by the mask-based convergence check, or the OSD
-    /// solution that replaces it.
+    /// decision, consumed by the convergence test, or the OSD solution that
+    /// replaces it.
     pub(crate) err_words: Vec<u64>,
+    /// The packed syndrome `H·ê` of the BP hard decision (the XOR of the
+    /// packed columns of its set bits), which the convergence test compares
+    /// with the decoded syndrome.
+    pub(crate) parity: Vec<u64>,
     /// The `bool` entry points' packed copy of their syndrome.
     pub(crate) syn_bits: Vec<u64>,
     // Ordered statistics -----------------------------------------------------
     /// Per-variable suspicion scores handed from BP to OSD.
     pub(crate) suspicion: Vec<f64>,
-    /// Column permutation, most suspicious first.
-    pub(crate) order: Vec<usize>,
-    /// Inverse of `order`: the permuted position of each original column.
-    pub(crate) pos_of: Vec<usize>,
-    /// Word-packed augmented matrix `[H(ordered) | s]`, row-major.
-    pub(crate) aug: Vec<u64>,
-    /// Pivot column (in permuted coordinates) of each pivot row, in row order.
-    pub(crate) pivot_cols: Vec<usize>,
+    /// Storage of the column heap: one key per column, suspicion in the high
+    /// half and the column in the low half (see [`crate::osd`]).
+    pub(crate) column_keys: Vec<u128>,
+    /// The column basis, row-major: each row a reduced packed column
+    /// followed by its combination over basis indices.
+    pub(crate) basis: Vec<u64>,
+    /// The pivot check of each basis vector, as (word, one-bit mask).
+    pub(crate) pivots: Vec<(usize, u64)>,
+    /// The column of `H` each basis vector was reduced from, in basis order.
+    pub(crate) kept_columns: Vec<usize>,
+    /// The residual syndrome and its combination over basis indices, in the
+    /// layout of a basis row.
+    pub(crate) residual: Vec<u64>,
 }
 
 impl DecoderScratch {

@@ -239,9 +239,10 @@ fn check_pass(
 }
 
 /// The word-packed hard decision: bit `c & 63` of `err_words[c >> 6]` is
-/// `llrs_pad[c] < 0.0`, exactly the bits the mask-based convergence check
+/// `llrs_pad[c] < 0.0`, exactly the bits the column-packed convergence test
 /// consumes. `llrs_pad` holds 64 entries per word; entries past the variable
-/// count must be `+∞`, which packs as a zero bit (so does `-0.0` and `NaN`).
+/// count must be `+∞`, which packs as a zero bit (so does `-0.0` and `NaN`),
+/// because the test reads one column of `H` per set bit.
 #[inline(always)]
 fn hard_decision(llrs_pad: &[f64], err_words: &mut [u64]) {
     for (word, llrs) in err_words.iter_mut().zip(llrs_pad.chunks_exact(64)) {

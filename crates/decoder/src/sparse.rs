@@ -102,6 +102,21 @@ impl SparseBinMat {
     }
     // cyclone-lint: end-hot-path
 
+    /// The columns packed 64 rows per word: column `c` is words
+    /// `c * w..(c + 1) * w`, `w = num_rows.div_ceil(64)`, with row `r` at bit
+    /// `r & 63` of word `r >> 6` — the layout in which `H·e` for a sparse `e`
+    /// is the XOR of a few columns.
+    pub(crate) fn packed_columns(&self) -> Vec<u64> {
+        let w = self.num_rows.div_ceil(64);
+        let mut words = vec![0u64; self.num_cols * w];
+        for (c, col) in self.cols.iter().enumerate() {
+            for &r in col {
+                words[c * w + (r >> 6)] |= 1 << (r & 63);
+            }
+        }
+        words
+    }
+
     /// Returns a dense copy.
     pub fn to_bitmat(&self) -> BitMat {
         BitMat::from_row_supports(self.num_rows, self.num_cols, &self.rows)

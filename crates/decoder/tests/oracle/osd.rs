@@ -1,9 +1,9 @@
 //! The cold OSD-0 reference: a fresh `0..n` column order on every decode, the
 //! augmented matrix `[H(ordered) | s]` gathered bit by bit from the dense
 //! rows of `H` over all `n` columns, and a full Gauss-Jordan elimination with
-//! no early exit. The decoder's warm-started OSD (permutation reuse, sparse
-//! scatter through the inverse permutation, early exit) is pinned to it byte
-//! for byte, and the `decoder_hotpath` bench times it as the cold OSD stage.
+//! no early exit. The decoder's column-basis OSD (heap-ordered columns
+//! reduced against a basis until the residual syndrome is zero) is pinned to
+//! it byte for byte, and the `decoder_hotpath` bench times both OSD stages.
 
 use qec::linalg::BitMat;
 

@@ -282,66 +282,73 @@ proptest! {
     }
 
     #[test]
-    fn warm_started_osd_is_bit_identical_to_cold_osd(
+    fn column_basis_osd_is_bit_identical_to_cold_osd(
         seed in 0u64..40,
         p in 0.005f64..0.05,
-        code_pick in 0usize..4,
-        channel_pick in 0usize..3,
         bp_iterations in 2usize..8,
     ) {
-        // The warm-started OSD (column-permutation reuse + early-exit
-        // elimination) must produce exactly the cold path's output on the
-        // suspicion vectors real BP failures produce — across the code catalog
-        // and channel shapes, with one dirty scratch carried across shots and
-        // sectors the way the Monte-Carlo fallback reuses it. Measurement flips
-        // inject syndromes the error alone would not produce, including ones
-        // outside the column space (the inconsistent branch).
-        let code = match code_pick {
-            0 => qec::codes::bb_72_12_6().expect("valid"),
-            1 => qec::codes::hgp_100().expect("valid"),
-            2 => qec::codes::bb_90_8_10().expect("valid"),
-            _ => qec::codes::hgp_225_9_6().expect("valid"),
-        };
+        // The column-basis OSD (heap-ordered columns, early stop at a zero
+        // residual) must produce exactly the cold path's output: on the
+        // suspicion vectors real BP failures produce, and on vectors that
+        // stress the heap key (all-equal scores; NaN, ±0 and ±∞; ties that
+        // straddle a 64-column word). Both sectors of the four benchmark
+        // codes and the redundant check matrix, one dirty scratch carried
+        // across them the way the Monte-Carlo fallback reuses it. Each
+        // syndrome H·e is also decoded after one check flip, which puts it
+        // outside the column space on the matrices with redundant checks
+        // (the inconsistent branch).
         let model = HardwareNoiseModel::new(NoiseParameters::new(p), 2e-3);
-        let n = code.num_qubits();
         let p_eff = model.effective_error_rate();
-        let meas_rate = match channel_pick {
-            0 => 0.0,
-            1 => (2.0 * p_eff).min(0.75),
-            _ => (8.0 * p_eff).min(0.75),
-        };
         let mut rng = StdRng::seed_from_u64(0xC1C1_0DE5 ^ seed);
         let mut bp_scratch = DecoderScratch::new();
-        let mut warm = DecoderScratch::new();
-        for _shot in 0..6 {
-            let error: Vec<bool> = (0..n).map(|_| rng.gen_bool(p_eff)).collect();
-            for (h, mut syndrome) in [
-                (code.hz(), code.z_syndrome(&error)),
-                (code.hx(), code.x_syndrome(&error)),
-            ] {
-                if meas_rate > 0.0 {
-                    for bit in syndrome.iter_mut() {
-                        if rng.gen_bool(meas_rate) {
-                            *bit = !*bit;
+        let mut dirty = DecoderScratch::new();
+        let mut cold = ColdOsdScratch::default();
+        let mut verdicts = [0usize; 2];
+        let mut matrices = Vec::new();
+        for code in [
+            qec::codes::bb_72_12_6(),
+            qec::codes::hgp_100(),
+            qec::codes::bb_90_8_10(),
+            qec::codes::hgp_225_9_6(),
+        ] {
+            let code = code.expect("valid");
+            matrices.push(code.hz().clone());
+            matrices.push(code.hx().clone());
+        }
+        matrices.push(redundant_check_matrix());
+        for h in &matrices {
+            let (m, n) = h.shape();
+            // The three-column redundant matrix needs a high rate to see errors.
+            let rate = if n < 64 { 0.5 } else { p_eff };
+            let (priors, key) = uniform_priors(n, p_eff.clamp(1e-9, 0.45));
+            let dec = BpOsdDecoder::new(h, bp_iterations);
+            let osd = OsdDecoder::new(h.clone());
+            let cold_osd = ColdOsd::new(h);
+            for _shot in 0..2 {
+                let error: Vec<bool> = (0..n).map(|_| rng.gen_bool(rate)).collect();
+                let syndrome = h.mul_vec(&error);
+                let mut flipped = syndrome.clone();
+                let at = rng.gen_range(0..m);
+                flipped[at] = !flipped[at];
+                for syndrome in [syndrome, flipped] {
+                    // The suspicion vector the real fallback would see: the
+                    // negated BP posterior LLRs of a full decode.
+                    dec.decode_with_priors_keyed_into(&syndrome, &priors, key, &mut bp_scratch);
+                    let from_bp: Vec<f64> = bp_scratch.llrs().iter().map(|&l| -l).collect();
+                    let [all_equal, specials, straddling] = adversarial_suspicions(n, &mut rng);
+                    for suspicion in [from_bp, all_equal, specials, straddling] {
+                        let ok_cold = cold_osd.decode(&syndrome, &suspicion, &mut cold);
+                        let ok = osd.decode_into(&syndrome, &suspicion, &mut dirty);
+                        prop_assert_eq!(ok, ok_cold, "consistency verdict diverged");
+                        if ok_cold {
+                            prop_assert_eq!(dirty.error(), cold.error());
                         }
+                        verdicts[usize::from(ok_cold)] += 1;
                     }
-                }
-                // Produce the suspicion vector the real fallback would see: the
-                // negated BP posterior LLRs left in the scratch by a full decode.
-                let dec = BpOsdDecoder::new(h, bp_iterations);
-                let (priors, key) = uniform_priors(n, p_eff.clamp(1e-9, 0.45));
-                dec.decode_with_priors_keyed_into(&syndrome, &priors, key, &mut bp_scratch);
-                let suspicion: Vec<f64> = bp_scratch.llrs().iter().map(|&l| -l).collect();
-                let osd = OsdDecoder::new(h.clone());
-                let mut cold = ColdOsdScratch::default();
-                let ok_cold = ColdOsd::new(h).decode(&syndrome, &suspicion, &mut cold);
-                let ok_warm = osd.decode_into(&syndrome, &suspicion, &mut warm);
-                prop_assert_eq!(ok_warm, ok_cold, "consistency verdict diverged");
-                if ok_cold {
-                    prop_assert_eq!(warm.error(), cold.error());
                 }
             }
         }
+        prop_assert!(verdicts.iter().all(|&v| v > 0), "verdicts seen: {:?}", verdicts);
     }
 
     #[test]
@@ -571,6 +578,28 @@ fn redundant_check_matrix() -> qec::linalg::BitMat {
     qec::linalg::BitMat::from_row_supports(71, 3, &rows)
 }
 
+/// Suspicion vectors that stress the OSD column order's heap key: one score
+/// for every column (drawn from 0, 1.5 and -2); each score drawn from NaN,
+/// -NaN, ±0, ±∞ and ±1; and groups of eight consecutive columns sharing a
+/// score, offset by four so that a group straddles every 64-column word
+/// boundary, with five levels repeating so that distant groups tie too.
+fn adversarial_suspicions(n: usize, rng: &mut StdRng) -> [Vec<f64>; 3] {
+    const SPECIAL: [f64; 8] = [
+        f64::NAN,
+        -f64::NAN,
+        0.0,
+        -0.0,
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+        1.0,
+        -1.0,
+    ];
+    let level = [0.0, 1.5, -2.0][rng.gen_range(0..3usize)];
+    let specials = (0..n).map(|_| SPECIAL[rng.gen_range(0..8usize)]).collect();
+    let straddling = (0..n).map(|c| ((c + 4) / 8 % 5) as f64 * 0.5).collect();
+    [vec![level; n], specials, straddling]
+}
+
 /// The check matrices of both sectors of catalog code `pick` (0..8, the full
 /// catalog smallest HGP first, then BB), or of [`redundant_check_matrix`]
 /// for `pick == 8`.
@@ -789,8 +818,9 @@ proptest! {
         // One scratch carries every decode, alternating a syndrome H·e with
         // the same syndrome after one measurement flip. The high error rate
         // and low iteration cap make consistent syndromes fall back to OSD,
-        // whose warm start then sorts from the column order of the last
-        // fallback that ran OSD, however many skipped ones came between.
+        // which then starts from the heap storage, basis and residual left by
+        // the last fallback that ran OSD, however many skipped ones came
+        // between.
         let code = inconsistent_prone_code(pick);
         let n = code.num_qubits();
         let (priors, _) = uniform_priors(n, p);

@@ -127,7 +127,7 @@ impl BitMat {
     /// Number of `u64` storage words per row.
     ///
     /// Together with [`BitMat::row_words`] this exposes the packed representation to
-    /// word-level consumers (e.g. the OSD decoder's augmented-matrix construction);
+    /// word-level consumers (e.g. the OSD decoder's column-packed copy of `H`);
     /// bit `c` of a row lives in word `c / 64` at bit position `c % 64`.
     #[inline]
     pub fn words_per_row(&self) -> usize {
