@@ -19,20 +19,16 @@
 //! * **full-shot (batch)** — complete Monte-Carlo shots (depolarizing sample +
 //!   X and Z decodes + logical checks) through the bit-sliced 64-lane sampler
 //!   (`MemoryExperiment::sample_batch_with`: word-level syndrome extraction,
-//!   zero-syndrome lane skip, weight-1 fast path, per-syndrome decode cache),
-//!   for the uniform, biased, and schedule-shaped channels, with per-channel
-//!   weight-1-fast-path and OSD-fallback rates from `BatchStats` deltas.
-//!
-//! Setting `CYCLONE_DECODE_CACHE_DIR` persists the structured channels' decode
-//! caches there and loads them back on the next run: a **cold** run (nothing to
-//! load) pays every compulsory syndrome decode once, a **warm** run serves them
-//! from the persisted cache. The JSON records which state was measured.
+//!   zero-syndrome lane skip, per-syndrome decode cache), for the uniform,
+//!   biased, and schedule-shaped channels, with per-channel OSD-fallback and
+//!   cache-hit rates from `BatchStats` deltas. Each structured channel is
+//!   measured twice on one scratch: a **cold** pass pays every compulsory
+//!   syndrome decode once, and a **warm** pass replays the same shots through
+//!   the cache the cold pass filled.
 //!
 //! A counting global allocator verifies the zero-allocation claim: after warmup,
 //! every timed loop — decoder stages and batch shots, all channel shapes, cold
-//! and warm — must
-//! perform **zero** heap allocations (cache load/store and the weight-1 table
-//! build happen outside the timed loops). Each run overwrites
+//! and warm — must perform **zero** heap allocations. Each run overwrites
 //! `BENCH_decoder.json` at the repository root with its measurements, so the
 //! file always holds the current commit's numbers and the perf trajectory
 //! accumulates in git history (and in CI artifacts). All timed loops are
@@ -87,16 +83,16 @@ const ENFORCE_MIN_UNIFORM_BATCH_SHOTS_PER_SEC: f64 = 1_000_000.0;
 /// hot-loop work (word-packed convergence, branchless min-sum signs, row-major
 /// total accumulation, a faster OSD stage) brought the measured cold penalty from
 /// ~28× down to ~20× on this container; 25× is the do-not-regress ceiling.
-/// The *warm* run — the persistent decode cache loaded — is held to the much
-/// tighter [`ENFORCE_MAX_WARM_STRUCTURED_PENALTY`].
+/// The *warm* pass — the same shots replayed through the filled decode cache —
+/// is held to the much tighter [`ENFORCE_MAX_WARM_STRUCTURED_PENALTY`].
 const ENFORCE_MAX_STRUCTURED_PENALTY: f64 = 25.0;
 
-/// Warm-run regression ceiling for the structured-channel penalty: with the
-/// persisted caches loaded, compulsory misses vanish (measured ~2× on this
+/// Warm-pass regression ceiling for the structured-channel penalty: replaying
+/// the cold pass's shots, compulsory misses vanish (measured ~2× on this
 /// container, dominated by the per-shot RNG stream that bit-identity pins).
 const ENFORCE_MAX_WARM_STRUCTURED_PENALTY: f64 = 5.0;
 
-/// Warm-run regression floor for the slowest structured-channel batch rate
+/// Warm-pass regression floor for the slowest structured-channel batch rate
 /// (measured ~2M shots/sec on this container).
 const ENFORCE_MIN_WARM_STRUCTURED_BATCH_SHOTS_PER_SEC: f64 = 300_000.0;
 
@@ -172,10 +168,6 @@ struct ChannelMeasurement {
 }
 
 impl ChannelMeasurement {
-    fn weight1_fastpath_rate(&self) -> f64 {
-        self.stats.weight1_hits as f64 / self.stats.active_lanes.max(1) as f64
-    }
-
     fn osd_fallback_rate(&self) -> f64 {
         self.stats.osd_fallbacks as f64 / self.stats.active_lanes.max(1) as f64
     }
@@ -193,9 +185,9 @@ impl ChannelMeasurement {
 
 /// Measures steady-state batch throughput (shots/sec) for one experiment, and
 /// asserts the timed loop is allocation-free. `batch` arrives warm (buffers and
-/// decode caches sized, OSD arenas grown); the cache context re-bind and the
-/// weight-1 table build happen on the first (untimed) chunk, which never
-/// allocates in the timed loop that follows.
+/// decode caches sized, OSD arenas grown); the cache context re-bind happens
+/// on the first (untimed) chunk, so the timed loop that follows never
+/// allocates.
 fn batch_rate(
     exp: &MemoryExperiment,
     cfg: &MemoryConfig,
@@ -203,9 +195,9 @@ fn batch_rate(
     chunks: usize,
 ) -> ChannelMeasurement {
     // One untimed chunk re-binds the decode caches to this experiment's context
-    // (which zeroes the cache counters when the context changes), builds the
-    // weight-1 table, and repopulates the popular syndromes. The stat baselines
-    // are captured *after* it, so the deltas cover exactly the timed loop.
+    // (which zeroes the cache counters when the context changes) and
+    // repopulates the popular syndromes. The stat baselines are captured
+    // *after* it, so the deltas cover exactly the timed loop.
     black_box(exp.sample_batch_with(cfg, 0, 64, batch));
     let stats0 = batch.stats();
     let (hits0, misses0) = batch.cache_stats();
@@ -226,10 +218,10 @@ fn batch_rate(
         allocations,
         stats: BatchStats {
             active_lanes: stats1.active_lanes - stats0.active_lanes,
-            weight1_hits: stats1.weight1_hits - stats0.weight1_hits,
             decoded: stats1.decoded - stats0.decoded,
             osd_fallbacks: stats1.osd_fallbacks - stats0.osd_fallbacks,
             inconsistent: stats1.inconsistent - stats0.inconsistent,
+            ..BatchStats::default()
         },
         cache_hits: hits1 - hits0,
         cache_misses: misses1 - misses0,
@@ -280,7 +272,6 @@ fn main() {
     let ctx = RunContext::from_env();
     let iters = 40 * ctx.config.shots; // 16k iterations by default, 2k in CI quick mode
     let enforce = ctx.enforce;
-    let decode_cache_dir = ctx.sweep.decode_cache_dir;
 
     // --- BP-only: weight-1 errors, cycled over every qubit. -----------------
     let weight1_syndromes: Vec<Vec<bool>> = (0..n)
@@ -464,10 +455,9 @@ fn main() {
 
     // One warm scratch serves every channel: a high-noise burst grows the OSD
     // arenas and decode-cache storage once, then each `batch_rate` re-binds the
-    // caches to its channel context allocation-free. When
-    // CYCLONE_DECODE_CACHE_DIR is set, each structured channel's caches are
-    // loaded before and persisted after its measurement (both outside the
-    // timed loop), so a rerun with the same directory measures the warm state.
+    // caches to its channel context allocation-free. Each structured channel
+    // is measured twice: the second pass replays the first pass's shots
+    // through the cache it filled.
     let cfg = MemoryConfig {
         shots: 0,
         bp_iterations: 30,
@@ -480,24 +470,18 @@ fn main() {
     }
     let chunks = (iters / 64).max(8);
     let uniform = batch_rate(&exp, &cfg, &mut batch, chunks);
-    let mut entries_loaded = 0usize;
-    let mut structured = |channel: ErrorChannel| -> ChannelMeasurement {
+    let mut structured = |channel: ErrorChannel| -> [ChannelMeasurement; 2] {
         let exp = MemoryExperiment::with_channel(&code, model, channel, 30);
-        if let Some(dir) = &decode_cache_dir {
-            entries_loaded += exp.load_decode_caches(dir, &mut batch);
-        }
-        let measurement = batch_rate(&exp, &cfg, &mut batch, chunks);
-        if let Some(dir) = &decode_cache_dir {
-            exp.store_decode_caches(dir, &batch)
-                .expect("persist decode caches");
-        }
-        measurement
+        let cold = batch_rate(&exp, &cfg, &mut batch, chunks);
+        [cold, batch_rate(&exp, &cfg, &mut batch, chunks)]
     };
-    let biased = structured(biased_channel());
-    let schedule = structured(schedule_channel());
-    let warm = entries_loaded > 0;
+    let [biased, biased_warm] = structured(biased_channel());
+    let [schedule, schedule_warm] = structured(schedule_channel());
     let cache_evictions = batch.cache_evictions();
-    let steady_state_allocs = uniform.allocations + biased.allocations + schedule.allocations;
+    let steady_state_allocs = [&uniform, &biased, &biased_warm, &schedule, &schedule_warm]
+        .iter()
+        .map(|m| m.allocations)
+        .sum::<usize>();
 
     // The headline figures: the batch path is what `MemoryExperiment::run`
     // executes, so the pre-PR speedup and the structured-channel penalty are
@@ -508,7 +492,8 @@ fn main() {
     let speedup = uniform_batch / PRE_PR_BASELINE_SHOTS_PER_SEC;
     let structured_min = biased_batch.min(schedule_batch);
     let structured_penalty = uniform_batch / structured_min;
-    let cache_hit_rate = biased.cache_hit_rate();
+    let warm_min = biased_warm.shots_per_sec.min(schedule_warm.shots_per_sec);
+    let warm_penalty = uniform_batch / warm_min;
 
     println!("decoder hot path, [[72,12,6]] BB code at p = {P:.0e} ({iters} iterations)");
     println!("  simd dispatch: {}", simd.isa_name());
@@ -524,32 +509,29 @@ fn main() {
         hgp.descriptor()
     );
     println!("  batch shots    {uniform_batch:>12.0} shots/sec (uniform, 64 lanes/word)");
-    for (name, m) in [("biased", &biased), ("schedule", &schedule)] {
+    for (name, m, warm) in [
+        ("biased", &biased, &biased_warm),
+        ("schedule", &schedule, &schedule_warm),
+    ] {
         println!(
-            "    {name:<9}  {:>12.0} shots/sec (weight-1 fast path {:.1}%, OSD fallback {:.1}%, \
+            "    {name:<9}  {:>12.0} shots/sec cold, {:.0} warm (OSD fallback {:.1}%, \
              OSD skipped as inconsistent {:.1}% of active lanes)",
             m.shots_per_sec,
-            100.0 * m.weight1_fastpath_rate(),
+            warm.shots_per_sec,
             100.0 * m.osd_fallback_rate(),
             100.0 * m.inconsistent_rate(),
         );
     }
     println!(
-        "  decode-cache hit rate (biased batch): {:.1}%  ({cache_evictions} conflict evictions)",
-        100.0 * cache_hit_rate
+        "  decode-cache hit rate (biased batch): {:.1}% cold, {:.1}% warm  \
+         ({cache_evictions} conflict evictions)",
+        100.0 * biased.cache_hit_rate(),
+        100.0 * biased_warm.cache_hit_rate(),
     );
-    match (&decode_cache_dir, warm) {
-        (None, _) => {}
-        (Some(dir), false) => println!(
-            "  persistent decode cache: cold (nothing to load from {})",
-            dir.display()
-        ),
-        (Some(dir), true) => println!(
-            "  persistent decode cache: warm ({entries_loaded} entries loaded from {})",
-            dir.display()
-        ),
-    }
-    println!("  worst structured penalty vs uniform batch: {structured_penalty:.2}x");
+    println!(
+        "  worst structured penalty vs uniform batch: {structured_penalty:.2}x cold, \
+         {warm_penalty:.2}x warm"
+    );
     println!("  steady-state heap allocations per shot: {steady_state_allocs}");
     println!(
         "  speedup vs pre-PR baseline ({PRE_PR_BASELINE_SHOTS_PER_SEC:.0} shots/sec): {speedup:.2}x"
@@ -566,18 +548,16 @@ fn main() {
             "structured-channel penalty regressed: {structured_penalty:.2}x > \
              {ENFORCE_MAX_STRUCTURED_PENALTY:.2}x"
         );
-        if warm {
-            assert!(
-                structured_penalty <= ENFORCE_MAX_WARM_STRUCTURED_PENALTY,
-                "warm structured-channel penalty regressed: {structured_penalty:.2}x > \
-                 {ENFORCE_MAX_WARM_STRUCTURED_PENALTY:.2}x"
-            );
-            assert!(
-                structured_min >= ENFORCE_MIN_WARM_STRUCTURED_BATCH_SHOTS_PER_SEC,
-                "warm structured batch throughput regressed: {structured_min:.0} < \
-                 {ENFORCE_MIN_WARM_STRUCTURED_BATCH_SHOTS_PER_SEC:.0} shots/sec"
-            );
-        }
+        assert!(
+            warm_penalty <= ENFORCE_MAX_WARM_STRUCTURED_PENALTY,
+            "warm structured-channel penalty regressed: {warm_penalty:.2}x > \
+             {ENFORCE_MAX_WARM_STRUCTURED_PENALTY:.2}x"
+        );
+        assert!(
+            warm_min >= ENFORCE_MIN_WARM_STRUCTURED_BATCH_SHOTS_PER_SEC,
+            "warm structured batch throughput regressed: {warm_min:.0} < \
+             {ENFORCE_MIN_WARM_STRUCTURED_BATCH_SHOTS_PER_SEC:.0} shots/sec"
+        );
         // Kernel thresholds are tied to the AVX2 compilation: other dispatches
         // record honest numbers without gating on them, and a
         // `CYCLONE_SIMD=off` enforce run stays on the scalar-safe ceilings.
@@ -594,8 +574,7 @@ fn main() {
             );
         }
         println!(
-            "  CYCLONE_ENFORCE: thresholds hold ({}{})",
-            if warm { "cold + warm" } else { "cold" },
+            "  CYCLONE_ENFORCE: thresholds hold (cold + warm{})",
             if simd.isa() == SimdIsa::Avx2 {
                 " + avx2"
             } else {
@@ -606,10 +585,8 @@ fn main() {
 
     let channel_stats = |m: &ChannelMeasurement| {
         format!(
-            "{{\n      \"weight1_fastpath_rate\": {:.3},\n      \
-             \"osd_fallback_rate\": {:.3},\n      \"inconsistent_rate\": {:.3},\n      \
-             \"cache_hit_rate\": {:.3}\n    }}",
-            m.weight1_fastpath_rate(),
+            "{{\n      \"osd_fallback_rate\": {:.3},\n      \
+             \"inconsistent_rate\": {:.3},\n      \"cache_hit_rate\": {:.3}\n    }}",
             m.osd_fallback_rate(),
             m.inconsistent_rate(),
             m.cache_hit_rate(),
@@ -630,8 +607,11 @@ fn main() {
          \"biased\": {biased_batch:.1},\n    \"schedule\": {schedule_batch:.1}\n  }},\n  \
          \"batch_channel_stats\": {{\n    \"biased\": {},\n    \"schedule\": {}\n  }},\n  \
          \"batch_cache_evictions\": {cache_evictions},\n  \
-         \"decode_cache\": {{\n    \"persistent\": {},\n    \
-         \"entries_loaded\": {entries_loaded},\n    \"warm\": {warm}\n  }},\n  \
+         \"decode_cache\": {{\n    \"warm_batch_shots_per_sec\": {{\n      \
+         \"biased\": {:.1},\n      \"schedule\": {:.1}\n    }},\n    \
+         \"warm_cache_hit_rate\": {{\n      \"biased\": {:.3},\n      \
+         \"schedule\": {:.3}\n    }},\n    \
+         \"warm_structured_penalty_vs_uniform\": {warm_penalty:.2}\n  }},\n  \
          \"structured_penalty_vs_uniform\": {structured_penalty:.2},\n  \
          \"steady_state_allocs_per_shot\": {steady_state_allocs},\n  \
          \"pre_pr_baseline_shots_per_sec\": {PRE_PR_BASELINE_SHOTS_PER_SEC:.1},\n  \
@@ -640,7 +620,10 @@ fn main() {
         simd.isa_name(),
         channel_stats(&biased),
         channel_stats(&schedule),
-        decode_cache_dir.is_some(),
+        biased_warm.shots_per_sec,
+        schedule_warm.shots_per_sec,
+        biased_warm.cache_hit_rate(),
+        schedule_warm.cache_hit_rate(),
     );
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_decoder.json");
     // cyclone-lint: allow(io-unwrap) -- bench artifact write is fail-fast by design: a partial BENCH_decoder.json must abort the run, not pass CI

@@ -368,11 +368,10 @@ fn main() {
          (`MemoryExperiment::sample_batch_with`): 64 shots per `u64` word —\n\
          data-qubit flips, per-check measurement flips, and word-level syndrome\n\
          extraction all operate on whole words, zero-syndrome lanes skip BP\n\
-         entirely, weight-1 (single-check) syndromes resolve from a per-check\n\
-         correction table built by running the real decoder once per check at\n\
-         context bind, and a 4-way set-associative per-syndrome decode cache\n\
-         (16,384 slots, conflict evictions counted)\n\
-         replays repeated syndromes as a word-compare plus a copy. Lanes that\n\
+         entirely, and a 4-way set-associative per-syndrome decode cache\n\
+         (16,384 slots, conflict evictions counted) replays repeated\n\
+         syndromes, single flipped check measurements included, as a\n\
+         word-compare plus a copy. Lanes that\n\
          still reach the OSD fallback hit a column-basis ordered-statistics\n\
          stage (heap-ordered columns, stopped at the first basis that spans the\n\
          syndrome, pinned bit-identical to the cold OSD oracle\n\
@@ -381,30 +380,28 @@ fn main() {
          table in this file is bit-identical to a scalar per-shot reference\n\
          sampler at any thread count and any batch size (pinned by a property\n\
          test across the code catalog × channel shapes × batch sizes).\n\n\
-         The decode caches persist: `--decode-cache-dir DIR` (or\n\
-         `CYCLONE_DECODE_CACHE_DIR`) stores each channel context's cache as\n\
-         JSON after a sweep and reloads it on the next run, keyed by a digest\n\
-         of the check matrix, BP iteration count, and decode priors — entries\n\
-         are pure decoder outputs, so estimates are bit-identical whether the\n\
-         cache is cold, warm, or deleted.\n\n\
+         Each worker keeps its decode caches in memory for the length of a\n\
+         sweep, keyed by a digest of the check matrix, BP iteration count, and\n\
+         decode priors. Entries are exact decoder outputs, so estimates never\n\
+         depend on what a cache holds.\n\n\
          Error rates are validated at `ErrorChannel` construction: rates above\n\
          the depolarizing maximum (0.75) saturate there with a recorded\n\
          `saturated()` flag instead of being silently clamped mid-sample.\n\n\
          `BENCH_decoder.json` (written by `cargo bench -p bench --bench\n\
          decoder_hotpath`) records the batch shot rates per channel shape\n\
          (`batch_shots_per_sec`), per-channel\n\
-         `weight1_fastpath_rate` / `osd_fallback_rate` / `cache_hit_rate`\n\
+         `osd_fallback_rate` / `inconsistent_rate` / `cache_hit_rate`\n\
          (`batch_channel_stats`), the column-basis and cold OSD stage rates\n\
          (`osd_stage_decodes_per_sec.{column_basis,cold}`), conflict evictions\n\
-         (`batch_cache_evictions`), whether a persisted decode cache was\n\
-         loaded (`decode_cache.{entries_loaded,warm}`), the worst\n\
+         (`batch_cache_evictions`), a warm pass that replays each structured\n\
+         channel's shots through the cache its cold pass filled\n\
+         (`decode_cache.*`), the worst cold\n\
          structured-channel penalty vs the uniform batch rate\n\
          (`structured_penalty_vs_uniform`), and `speedup_vs_pre_pr` computed at\n\
          run time from the recorded `pre_pr_baseline_shots_per_sec` field.\n\
          `CYCLONE_ENFORCE=1` (set in CI) turns the recorded thresholds into\n\
          hard assertions alongside the always-on zero-steady-state-allocation\n\
-         check; CI runs the bench cold then warm against one cache directory\n\
-         and holds the warm run to penalty ≤ 5× and ≥ 300k structured\n\
+         check, and holds the warm pass to penalty ≤ 5× and ≥ 300k structured\n\
          shots/sec.\n",
     );
 

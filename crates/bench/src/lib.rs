@@ -298,14 +298,13 @@ mod tests {
             "CYCLONE_THREADS",
             "CYCLONE_SIMD",
             "CYCLONE_ENFORCE",
-            "CYCLONE_DECODE_CACHE_DIR",
             "HOME",
             "CARGO_TARGET_DIR",
             "NOT_CYCLONE_SHOTS",
         ];
         assert_eq!(check_variable_names(declared), Ok(()));
-        // A retired option and a typo are named.
-        for unknown in ["CYCLONE_SHARDS", "CYCLONE_SHOT"] {
+        // Retired options and a typo are named.
+        for unknown in ["CYCLONE_SHARDS", "CYCLONE_DECODE_CACHE_DIR", "CYCLONE_SHOT"] {
             let err = check_variable_names(["HOME", "CYCLONE_SHOTS", unknown]).unwrap_err();
             assert!(err.contains(unknown), "{err}");
         }

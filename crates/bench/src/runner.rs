@@ -104,7 +104,6 @@ struct Settings {
     csv: bool,
     no_cache: bool,
     cache_dir: Option<PathBuf>,
-    decode_cache_dir: Option<PathBuf>,
     target_rse: Option<f64>,
     min_failures: usize,
     max_shots: Option<usize>,
@@ -180,12 +179,6 @@ const OPTIONS: &[Opt] = &[
         env: "CYCLONE_SWEEP_DIR",
         default: "",
         set: |s, v| path(v).map(|v| s.cache_dir = Some(v)),
-    },
-    Opt {
-        flag: "--decode-cache-dir DIR",
-        env: "CYCLONE_DECODE_CACHE_DIR",
-        default: "",
-        set: |s, v| path(v).map(|v| s.decode_cache_dir = Some(v)),
     },
     Opt {
         flag: "--target-rse X",
@@ -375,9 +368,6 @@ impl RunContext {
         if let NoiseFlag::Biased(ratio) = s.noise {
             sweep = sweep.with_channel(ChannelSpec::Biased { meas_ratio: ratio });
         }
-        if let Some(dir) = s.decode_cache_dir {
-            sweep = sweep.with_decode_cache_dir(dir);
-        }
         Ok(RunContext {
             config,
             sweep,
@@ -525,7 +515,6 @@ mod tests {
         ("--csv", "1", &["yes"]),
         ("--no-cache", "1", &["2"]),
         ("--cache-dir", "/tmp/sweep-test", &[]),
-        ("--decode-cache-dir", "/tmp/decode-test", &[]),
         ("--target-rse", "0.25", &["nan", "inf", "0", "-0.1", "O.1"]),
         ("--min-failures", "30", &["4OO", "-1"]),
         ("--max-shots", "9000", &["x", "0"]),
@@ -656,27 +645,6 @@ mod tests {
             resolve(&[]).cache_dir(),
             Some(default_sweep_dir().as_path())
         );
-    }
-
-    #[test]
-    fn decode_cache_dir_flag_threads_into_sweep_options() {
-        // Default: no persistent decode cache (in-memory only).
-        assert!(resolve(&["--shots", "100"])
-            .sweep
-            .decode_cache_dir
-            .is_none());
-
-        let ctx = resolve(&["--decode-cache-dir", "/tmp/decode-test"]);
-        assert_eq!(
-            ctx.sweep.decode_cache_dir.as_deref(),
-            Some(Path::new("/tmp/decode-test"))
-        );
-
-        // Orthogonal to the sweep cache: --no-cache disables result caching but
-        // leaves the decode cache alone.
-        let ctx = resolve(&["--no-cache", "--decode-cache-dir", "/tmp/decode-test"]);
-        assert!(ctx.cache_dir().is_none());
-        assert!(ctx.sweep.decode_cache_dir.is_some());
     }
 
     #[test]

@@ -16,7 +16,7 @@
 //! runs to publication-quality sampling.
 
 use crate::registry::{standard_registry, Cyclone};
-use crate::sweep::{run_sweep, ScenarioSpec, SweepOptions, SweepResult};
+use crate::sweep::{run_sweep, ScenarioSpec, SweepOptions};
 use decoder::memory::LerEstimate;
 use noise::{ChannelSpec, ErrorChannel, HardwareNoiseModel, NoiseParameters};
 use qccd::compiler::codesign::BASELINE_CAPACITY;
@@ -807,15 +807,6 @@ pub fn spatial_summary(codes: &[CssCode]) -> Vec<SpatialRow> {
             }
         })
         .collect()
-}
-
-// ---------------------------------------------------------------------------
-// Sweep summary — the per-figure totals EXPERIMENTS.md and CI artifacts report
-// ---------------------------------------------------------------------------
-
-/// Cache/compute totals of one figure's sweep (reported by the bench frontends).
-pub fn sweep_totals(result: &SweepResult) -> (usize, usize, usize) {
-    (result.points.len(), result.cache_hits, result.computed)
 }
 
 #[cfg(test)]

@@ -173,11 +173,6 @@ pub struct SweepOptions {
     /// [`OperatingPoint::channel`] override) under this spec; `None` keeps the
     /// uniform channel, bit-identical to the engine before channels existed.
     pub channel: Option<ChannelSpec>,
-    /// Directory for persistent per-context decode caches (syndrome → correction
-    /// tables keyed by matrix + priors digest). `None` keeps decode caches
-    /// in-memory only. Estimates are bit-identical either way: cached entries are
-    /// pure decoder outputs.
-    pub decode_cache_dir: Option<PathBuf>,
     /// Checkpoint granularity: with `checkpoint = k > 0` the cache file is
     /// rewritten whenever another `k` freshly computed points have finished,
     /// so a killed run loses only the points in flight and those finished
@@ -195,7 +190,6 @@ impl SweepOptions {
             cache_dir: None,
             precision: None,
             channel: None,
-            decode_cache_dir: None,
             checkpoint: 0,
         }
     }
@@ -219,14 +213,6 @@ impl SweepOptions {
     /// (builder style).
     pub fn with_channel(mut self, channel: ChannelSpec) -> Self {
         self.channel = Some(channel);
-        self
-    }
-
-    /// Persists per-context decode caches under `dir` across runs
-    /// (builder style). Safe to enable anywhere: cache entries are pure
-    /// decoder outputs, so estimates stay bit-identical.
-    pub fn with_decode_cache_dir(mut self, dir: impl Into<PathBuf>) -> Self {
-        self.decode_cache_dir = Some(dir.into());
         self
     }
 
@@ -404,18 +390,13 @@ pub fn run_sweep(spec: &ScenarioSpec, options: &SweepOptions) -> SweepResult {
         }
     };
     let mut finished = 0;
-    estimate_points(
-        &jobs,
-        &options.config,
-        options.decode_cache_dir.as_deref(),
-        |job, est| {
-            resolved[misses[job]] = Some((est, false));
-            finished += 1;
-            if options.checkpoint != 0 && finished % options.checkpoint == 0 {
-                publish(&resolved, "checkpoint");
-            }
-        },
-    );
+    estimate_points(&jobs, &options.config, |job, est| {
+        resolved[misses[job]] = Some((est, false));
+        finished += 1;
+        if options.checkpoint != 0 && finished % options.checkpoint == 0 {
+            publish(&resolved, "checkpoint");
+        }
+    });
 
     publish(&resolved, "write");
 

@@ -704,53 +704,6 @@ fn every_registered_codesign_covers_all_gates() {
 }
 
 #[test]
-fn decode_cache_dir_is_bit_identical_and_persists_files() {
-    // The persistent decode cache memoizes pure decoder outputs, so enabling it
-    // (cold or warm) must never change an estimate — under a structured channel
-    // that exercises the OSD fallback as well as under uniform noise.
-    let dir = scratch_dir("decode-cache");
-    let spec = tiny_spec("decode-cache");
-    let config = quick_config(2);
-    let channel = ChannelSpec::Biased { meas_ratio: 4.0 };
-
-    let plain = run_sweep(
-        &spec,
-        &SweepOptions::ephemeral(config).with_channel(channel.clone()),
-    );
-    let writing = run_sweep(
-        &spec,
-        &SweepOptions::ephemeral(config)
-            .with_channel(channel.clone())
-            .with_decode_cache_dir(&dir),
-    );
-    let files: Vec<_> = std::fs::read_dir(&dir)
-        .expect("decode cache dir created")
-        .collect();
-    assert!(!files.is_empty(), "cold run persisted decode caches");
-    let warm = run_sweep(
-        &spec,
-        &SweepOptions::ephemeral(config)
-            .with_channel(channel)
-            .with_decode_cache_dir(&dir),
-    );
-    for ((a, b), c) in plain.points.iter().zip(&writing.points).zip(&warm.points) {
-        assert_eq!(
-            a.ler.failures, b.ler.failures,
-            "cold run diverged at {}",
-            a.id
-        );
-        assert_eq!(a.ler.ler, b.ler.ler);
-        assert_eq!(
-            a.ler.failures, c.ler.failures,
-            "warm run diverged at {}",
-            a.id
-        );
-        assert_eq!(a.ler.ler, c.ler.ler);
-    }
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-#[test]
 fn content_hashes_are_pinned() {
     // The byte hash (`Fnv1a`), priors-LLR cache keys (`priors_digest`) and
     // sweep-cache channel identity (`cache_id`) are persisted, so their FNV-1a

@@ -26,9 +26,10 @@
 //! [`DecodeCache::load_from`]): the file records the context tag, the word
 //! shapes and a digest of its entries, and a load admits all of a file's
 //! entries or none: only when the context matches the currently bound one and
-//! the entries match the digest. So sweep re-runs and CI warm runs skip the
-//! compulsory-miss wall without ever replaying a correction from a foreign
-//! matrix or channel, or from a damaged file.
+//! the entries match the digest, so a loaded cache never replays a correction
+//! from a foreign matrix or channel, or from a damaged file. No sweep path
+//! persists its caches; the pair is kept only for the figure benchmark's
+//! persistence probe, and goes when that benchmark is next revised.
 
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};

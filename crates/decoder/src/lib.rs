@@ -10,7 +10,8 @@
 //!   overridable via `CYCLONE_SIMD`,
 //! * reusable decode workspaces ([`scratch`]) backing the allocation-free
 //!   `decode_with_priors_keyed_into` hot path,
-//! * a persistent per-context syndrome → correction cache ([`cache`]),
+//! * a per-context syndrome → correction cache ([`cache`]), the one store of
+//!   decoder outputs,
 //! * a circuit-level Pauli-frame simulator for syndrome-extraction circuits
 //!   ([`pauli`]),
 //! * and the Monte-Carlo logical-memory harness that couples compiled execution

@@ -216,36 +216,14 @@ impl MemoryConfig {
     }
 }
 
-/// Precomputed corrections for every weight-1 syndrome of one decode context.
-///
-/// A weight-1 syndrome under measurement noise is overwhelmingly a single
-/// measurement-check flip — a "re-measure" event whose correction is known in
-/// advance — and when it is instead caused by a data error whose column is that
-/// unit vector, the table entry covers that case too, because every entry is
-/// built by running the real sector decode on the single-bit syndrome `e_r`.
-/// Decoding is a pure function of `(matrix, priors, syndrome)`, so the table
-/// lookup is bit-identical to a live decode while bypassing BP *and* OSD.
-#[derive(Debug, Clone, Default)]
-struct Weight1Table {
-    /// Context tag the table was built for (same identity as [`DecodeCache`]).
-    tag: u64,
-    /// Words per packed correction row.
-    corr_words: usize,
-    /// Number of checks (rows of the table).
-    rows: usize,
-    /// `rows × corr_words` packed corrections, check-major.
-    corr: Vec<u64>,
-    /// Whether the table holds corrections for the bound context.
-    built: bool,
-}
-
 /// Aggregate decode-resolution counters of one [`BatchScratch`], accumulated
 /// since the scratch was created (never reset by context rebinds): how active
-/// lanes were resolved. `decoded` counts full BP(+OSD) decodes — i.e. lanes not
-/// served by the weight-1 table or the decode cache — `osd_fallbacks` the
-/// subset that needed the OSD stage, and `inconsistent` the subset of those
-/// whose syndrome the left-kernel parity proved outside the column space of
-/// `H`, so that OSD was skipped and the BP hard decision kept.
+/// lanes were resolved. Every active lane is either a decode-cache hit
+/// ([`BatchScratch::cache_stats`]) or a full BP(+OSD) decode, counted in
+/// `decoded`; `osd_fallbacks` is the subset that needed the OSD stage, and
+/// `inconsistent` the subset of those whose syndrome the left-kernel parity
+/// proved outside the column space of `H`, so that OSD was skipped and the BP
+/// hard decision kept.
 ///
 /// Which lanes reach a full decode depends on what each worker's decode cache
 /// already holds, so `decoded`, `osd_fallbacks` and `inconsistent` are not
@@ -254,9 +232,11 @@ struct Weight1Table {
 pub struct BatchStats {
     /// Active (non-zero-syndrome) lanes seen.
     pub active_lanes: u64,
-    /// Lanes resolved by the weight-1 fast-path table.
+    /// Always zero: weight-1 syndromes go through the decode cache like any
+    /// other lane. Kept only because the figure benchmark's probes still read
+    /// it; it goes when that benchmark is next revised.
     pub weight1_hits: u64,
-    /// Lanes that ran a full decode (cache and weight-1 misses).
+    /// Lanes that ran a full decode (decode-cache misses).
     pub decoded: u64,
     /// Full decodes that fell through BP to the OSD stage.
     pub osd_fallbacks: u64,
@@ -264,13 +244,12 @@ pub struct BatchStats {
     pub inconsistent: u64,
 }
 
-/// One sector's decode state in a [`BatchScratch`]: the decoder scratch, the
-/// per-syndrome cache, and the weight-1 fast-path table.
+/// One sector's decode state in a [`BatchScratch`]: the decoder scratch and
+/// the per-syndrome cache.
 #[derive(Debug, Clone, Default)]
 struct SectorBatch {
     decode: DecoderScratch,
     cache: DecodeCache,
-    w1: Weight1Table,
 }
 
 /// The lane buffers shared by both sectors of a batch decode.
@@ -291,8 +270,7 @@ struct LaneBuffers {
 /// per `u64` lane, so error patterns, measurement flips, syndromes, corrections,
 /// and logical-failure parities are all held column-major as words. Buffers are
 /// sized on the first batch and reused — zero heap allocation in steady state —
-/// and each sector keeps its own [`DecoderScratch`], [`DecodeCache`], and
-/// weight-1 fast-path table.
+/// and each sector keeps its own [`DecoderScratch`] and [`DecodeCache`].
 #[derive(Debug, Clone, Default)]
 pub struct BatchScratch {
     x: SectorBatch,
@@ -372,10 +350,6 @@ pub struct MemoryExperiment<'a> {
     x_ctx: u64,
     /// Decode-context base tag of the Z-sector decoder (`Hx` + cap).
     z_ctx: u64,
-    /// Directory for persisted decode caches: when set, a worker loads matching
-    /// per-sector cache files when it joins a point and stores its caches back
-    /// when it leaves (see [`MemoryExperiment::set_decode_cache_dir`]).
-    decode_cache_dir: Option<PathBuf>,
 }
 
 /// Flattens logical operators from dense masks to index supports.
@@ -435,7 +409,6 @@ impl<'a> MemoryExperiment<'a> {
             logical_z_supports: supports_of(code.logical_z()),
             x_ctx: matrix_tag(code.hz(), bp_iterations),
             z_ctx: matrix_tag(code.hx(), bp_iterations),
-            decode_cache_dir: None,
         };
         exp.bind_channel();
         exp
@@ -499,23 +472,11 @@ impl<'a> MemoryExperiment<'a> {
         &self.channel
     }
 
-    /// Sets (or clears) the persistent decode-cache directory. When set, every
-    /// worker of [`run`](MemoryExperiment::run) loads matching per-sector cache
-    /// files when it joins and stores its caches back when it leaves (atomic
-    /// rename, last writer wins — every complete file is valid, entries are
-    /// pure decoder outputs). Files are keyed by code label,
-    /// sector, and the full decode-context digest (matrix + BP cap + priors), so
-    /// a stale or foreign file can never contribute an entry; deleting the
-    /// directory at any time only costs warm-up misses.
-    pub fn set_decode_cache_dir(&mut self, dir: Option<PathBuf>) {
-        self.decode_cache_dir = dir;
-    }
-
     /// The current per-sector decode-context tags `(x, z)`: the matrix digests
     /// mixed with the active channel's priors identity (the clamped rate for a
     /// uniform channel, else the priors digest). This is the one place the tag
-    /// is computed: [`DecodeCache`]s bind, weight-1 tables build, and persisted
-    /// cache files are named under it.
+    /// is computed: [`DecodeCache`]s bind, and persisted cache files are named,
+    /// under it.
     fn sector_contexts(&self) -> (u64, u64) {
         let prior_bits = match self.channel.uniform_rate() {
             Some(p) => p.clamp(1e-9, 0.45).to_bits(),
@@ -545,6 +506,10 @@ impl<'a> MemoryExperiment<'a> {
     /// contexts and loads any matching persisted cache files from `dir`.
     /// Returns the number of entries admitted (0 when no file matches — a
     /// persisted cache is an accelerator, never a correctness input).
+    ///
+    /// No sweep loads or stores decode caches: this pair is kept only for the
+    /// figure benchmark's persistence probe, and goes when that benchmark is
+    /// next revised.
     pub fn load_decode_caches(&self, dir: &Path, batch: &mut BatchScratch) -> usize {
         let n = self.code.num_qubits();
         let (x_ctx, z_ctx) = self.sector_contexts();
@@ -617,20 +582,6 @@ impl<'a> MemoryExperiment<'a> {
         );
     }
 
-    /// One sector decode of a packed syndrome through the keyed per-bit priors
-    /// (a uniform channel is a constant priors vector); the packed correction
-    /// is left in `scratch`. Returns the decode status (which stage resolved
-    /// the syndrome) for fallback-rate telemetry.
-    // cyclone-lint: hot-path
-    fn decode_sector(
-        &self,
-        decoder: &BpOsdDecoder,
-        syndrome: &[u64],
-        scratch: &mut DecoderScratch,
-    ) -> crate::bposd::DecodeStatus {
-        decoder.decode_packed_keyed_into(syndrome, &self.priors, self.priors_key, scratch)
-    }
-
     /// Samples and decodes up to 64 Monte-Carlo shots at once, bit-sliced one shot
     /// per `u64` lane; returns the failure mask (bit `k` set iff shot
     /// `first_shot + k` suffered a logical error). `count` must be in `1..=64`.
@@ -652,12 +603,12 @@ impl<'a> MemoryExperiment<'a> {
     /// which is the decode-cache key and the input of the word-packed BP+OSD
     /// core, whose packed correction is the cached value. BP+OSD runs only for
     /// lanes with a non-trivial syndrome (a zero syndrome provably decodes to
-    /// the zero correction under the clamped priors), weight-1 syndromes under
-    /// measurement noise come from a precomputed table, and repeated syndromes
+    /// the zero correction under the clamped priors), and repeated syndromes
     /// are served from a per-sector [`DecodeCache`] whose entries store the
     /// exact decoder output — so failures never depend on batch size, lane
     /// order, or cache state. In steady state the batch performs zero heap
     /// allocations.
+    // cyclone-lint: hot-path
     pub fn sample_batch_with(
         &self,
         config: &MemoryConfig,
@@ -729,8 +680,8 @@ impl<'a> MemoryExperiment<'a> {
 
     /// One sector of the batch path: word-level syndrome extraction and
     /// measurement flips, the bit transpose to per-lane packed syndromes,
-    /// weight-1-table and cache-backed decoding of the active lanes, and
-    /// word-level logical-failure parities. Returns the sector's failure mask.
+    /// cache-backed decoding of the active lanes, and word-level
+    /// logical-failure parities. Returns the sector's failure mask.
     #[allow(clippy::too_many_arguments)]
     fn batch_decode_sector(
         &self,
@@ -759,13 +710,6 @@ impl<'a> MemoryExperiment<'a> {
         let mut active: u64 = lanes.syn_words.iter().fold(0, |acc, &w| acc | w);
         if active != 0 {
             sector.cache.ensure(ctx, m, n);
-            // Measurement noise makes weight-1 syndromes the dominant non-trivial
-            // case; precompute their corrections once per context. (Uniform
-            // channels skip the table: weight-1 syndromes are rare there and the
-            // m warm-up decodes would not pay for themselves.)
-            if !flip_words.is_empty() {
-                self.ensure_weight1(decoder, ctx, lanes, sector);
-            }
             let words = m.div_ceil(64);
             transpose_lanes(&lanes.syn_words, words, &mut lanes.lane_syn);
             while active != 0 {
@@ -774,26 +718,18 @@ impl<'a> MemoryExperiment<'a> {
                 let lane = 1u64 << k;
                 stats.active_lanes += 1;
                 let syndrome = &lanes.lane_syn[k * words..(k + 1) * words];
-                let weight: u32 = syndrome.iter().map(|w| w.count_ones()).sum();
-                // Weight-1 fast path: scatter the precomputed correction row —
-                // bit-identical to a live decode because the row *is* one.
-                if weight == 1 && sector.w1.built {
-                    let (b, &word) = syndrome
-                        .iter()
-                        .enumerate()
-                        .find(|(_, &w)| w != 0)
-                        .expect("weight-1 syndrome has a set bit");
-                    let r = (b << 6) + word.trailing_zeros() as usize;
-                    let row = &sector.w1.corr[r * sector.w1.corr_words..];
-                    scatter_lane(&row[..sector.w1.corr_words], lane, &mut lanes.corr_words);
-                    stats.weight1_hits += 1;
-                    continue;
-                }
                 if let Some(stored) = sector.cache.lookup(syndrome) {
                     scatter_lane(stored, lane, &mut lanes.corr_words);
                     continue;
                 }
-                let status = self.decode_sector(decoder, syndrome, &mut sector.decode);
+                // A cache miss decodes through the keyed per-bit priors (a
+                // uniform channel is a constant priors vector).
+                let status = decoder.decode_packed_keyed_into(
+                    syndrome,
+                    &self.priors,
+                    self.priors_key,
+                    &mut sector.decode,
+                );
                 stats.decoded += 1;
                 if status.method == DecodeMethod::OrderedStatistics {
                     stats.osd_fallbacks += 1;
@@ -815,43 +751,6 @@ impl<'a> MemoryExperiment<'a> {
         fail
     }
     // cyclone-lint: end-hot-path
-
-    /// Builds (or rebinds) one sector's weight-1 correction table: for every
-    /// check `r`, run the real sector decode on the single-bit syndrome `e_r`
-    /// and pack the resulting correction. Runs once per decode context per
-    /// worker (outside the steady state: storage is sized here, and re-binding
-    /// to the same context is a tag compare).
-    fn ensure_weight1(
-        &self,
-        decoder: &BpOsdDecoder,
-        ctx: u64,
-        lanes: &mut LaneBuffers,
-        sector: &mut SectorBatch,
-    ) {
-        let m = decoder.check_matrix().num_rows();
-        let n = self.code.num_qubits();
-        let corr_len = n.div_ceil(64).max(1);
-        let w1 = &mut sector.w1;
-        if w1.built && w1.tag == ctx && w1.rows == m && w1.corr_words == corr_len {
-            return;
-        }
-        w1.tag = ctx;
-        w1.rows = m;
-        w1.corr_words = corr_len;
-        w1.corr.clear();
-        w1.corr.resize(m * corr_len, 0);
-        // `e_r` is built packed in the lane buffer, which the caller's
-        // transpose overwrites afterwards.
-        let unit = &mut lanes.lane_syn;
-        for r in 0..m {
-            unit.clear();
-            unit.resize(m.div_ceil(64), 0);
-            unit[r >> 6] = 1 << (r & 63);
-            self.decode_sector(decoder, unit, &mut sector.decode);
-            w1.corr[r * corr_len..(r + 1) * corr_len].copy_from_slice(&sector.decode.err_words);
-        }
-        w1.built = true;
-    }
 
     /// Runs the Monte-Carlo experiment and returns the LER estimate.
     ///
@@ -1010,8 +909,7 @@ impl<F: FnMut(usize, LerEstimate)> Queue<'_, F> {
 /// chunks, and calls `report` under the queue lock with each point's estimate
 /// as it finishes. A worker gets a point's experiment from `bind` on its own
 /// state (made by `new_worker`) and reuses one [`BatchScratch`] while it stays
-/// on one code, loading a point's persisted decode caches when it joins the
-/// point and storing them when it leaves.
+/// on one code.
 fn schedule<'a, S>(
     targets: &[Option<PrecisionTarget>],
     config: &MemoryConfig,
@@ -1047,19 +945,11 @@ fn schedule<'a, S>(
                 code = exp.code;
             }
             let shots = budgets[point].0;
-            if let Some(dir) = &exp.decode_cache_dir {
-                exp.load_decode_caches(dir, &mut batch);
-            }
             let mut chunk = Some(first);
             while let Some(c) = chunk {
                 let start = c * 64;
                 let mask = exp.sample_batch_with(config, start, 64.min(shots - start), &mut batch);
                 chunk = lock().finish(point, c, mask);
-            }
-            // Persistence is best-effort: a read-only directory must not fail
-            // the estimate.
-            if let Some(dir) = &exp.decode_cache_dir {
-                let _ = exp.store_decode_caches(dir, &batch);
             }
         }
     };
@@ -1100,14 +990,9 @@ pub struct LerPoint<'a> {
 /// does not run alone at the end. Fixed and adaptive points may be mixed, and
 /// every estimate is bit-identical to the point's own [`MemoryExperiment::run`]
 /// at any worker count. Workers keep one experiment per distinct code.
-///
-/// With `decode_cache_dir` set, a worker loads a point's persisted decode caches
-/// when it joins the point and stores them when it leaves (see
-/// [`MemoryExperiment::set_decode_cache_dir`]); they never affect estimates.
 pub fn estimate_points(
     points: &[LerPoint<'_>],
     config: &MemoryConfig,
-    decode_cache_dir: Option<&Path>,
     on_point: impl FnMut(usize, LerEstimate) + Send,
 ) {
     let targets: Vec<_> = points.iter().map(|point| point.precision).collect();
@@ -1131,7 +1016,6 @@ pub fn estimate_points(
                 });
             let exp = &mut experiments[at].1;
             exp.set_model(model);
-            exp.set_decode_cache_dir(decode_cache_dir.map(Path::to_path_buf));
             // A structured channel replaces the uniform one set_model just
             // installed; uniform specs skip the rebuild.
             if let Some(spec) = point.channel.filter(|spec| !spec.is_uniform()) {
@@ -1255,13 +1139,9 @@ mod tests {
 
     /// Every estimate [`estimate_points`] reports, in input order; each point
     /// must be reported exactly once.
-    fn estimates_of(
-        points: &[LerPoint<'_>],
-        config: &MemoryConfig,
-        dir: Option<&Path>,
-    ) -> Vec<LerEstimate> {
+    fn estimates_of(points: &[LerPoint<'_>], config: &MemoryConfig) -> Vec<LerEstimate> {
         let mut reported = vec![None; points.len()];
-        estimate_points(points, config, dir, |i, est| {
+        estimate_points(points, config, |i, est| {
             assert!(
                 reported[i].replace(est).is_none(),
                 "point {i} reported twice"
@@ -1552,7 +1432,7 @@ mod tests {
                 precision: Some(target),
             },
         ];
-        let mixed = estimates_of(&points, &config, None);
+        let mixed = estimates_of(&points, &config);
         // The fixed slot matches the plain fixed path ...
         assert_eq!(mixed[0], logical_error_rate(&code, 0.05, 0.0, &config));
         // ... and the adaptive slot matches a direct adaptive run.
@@ -1572,8 +1452,8 @@ mod tests {
 
     #[test]
     fn scratch_sampling_matches_allocating_sampling() {
-        // One dirty batch scratch (warm decode caches and weight-1 tables) must
-        // sample exactly what a freshly allocated scratch samples per batch.
+        // One dirty batch scratch (warm decode caches) must sample exactly
+        // what a freshly allocated scratch samples per batch.
         let code = bb_72_12_6().expect("valid");
         let model = HardwareNoiseModel::new(NoiseParameters::new(6e-3), 2e-3);
         let exp = MemoryExperiment::new(&code, model, 20);
@@ -1621,7 +1501,7 @@ mod tests {
                 precision: None,
             },
         ];
-        let pooled = estimates_of(&points, &cfg, None);
+        let pooled = estimates_of(&points, &cfg);
         assert_eq!(pooled.len(), 3);
         for (point, est) in points.iter().zip(&pooled) {
             let direct = logical_error_rate(point.code, point.p, point.latency, &cfg);
@@ -1633,7 +1513,7 @@ mod tests {
 
     #[test]
     fn estimate_points_handles_empty_input() {
-        assert!(estimates_of(&[], &MemoryConfig::default(), None).is_empty());
+        assert!(estimates_of(&[], &MemoryConfig::default()).is_empty());
     }
 
     #[test]
@@ -1712,10 +1592,9 @@ mod tests {
     }
 
     #[test]
-    fn structured_runs_are_bit_identical_across_pools_and_cache_dirs() {
-        // Under measurement noise every worker builds weight-1 tables and fills
-        // decode caches of its own; neither the worker count nor persisted
-        // caches (cold or warm) may change the estimate.
+    fn structured_runs_are_bit_identical_across_pools() {
+        // Under measurement noise every worker fills decode caches of its own;
+        // the worker count may not change the estimate.
         let code = bb_72_12_6().expect("valid");
         let model = HardwareNoiseModel::new(NoiseParameters::new(5e-3), 0.0);
         let base = MemoryConfig {
@@ -1726,24 +1605,11 @@ mod tests {
         };
         let channel =
             noise::ErrorChannel::biased(code.num_qubits(), code.num_stabilizers(), 5e-3, 0.5);
-        let mut exp = MemoryExperiment::with_channel(&code, model, channel, base.bp_iterations);
-        let reference = exp.run(&base, None);
+        let exp = MemoryExperiment::with_channel(&code, model, channel, base.bp_iterations);
         assert_eq!(
             exp.run(&MemoryConfig { threads: 4, ..base }, None),
-            reference
+            exp.run(&base, None)
         );
-        let dir =
-            std::env::temp_dir().join(format!("cyclone-pool-identity-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        exp.set_decode_cache_dir(Some(dir.clone()));
-        assert_eq!(exp.run(&base, None), reference, "cold persistent caches");
-        assert_eq!(exp.run(&base, None), reference, "warm persistent caches");
-        assert_eq!(
-            exp.run(&MemoryConfig { threads: 4, ..base }, None),
-            reference,
-            "warm caches across a worker pool"
-        );
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -1822,7 +1688,7 @@ mod tests {
                 precision: None,
             },
         ];
-        let estimates = estimates_of(&points, &cfg, None);
+        let estimates = estimates_of(&points, &cfg);
         // None and an explicit Uniform spec are the same path ...
         assert_eq!(estimates[0], estimates[1]);
         assert_eq!(estimates[0], logical_error_rate(&code, 5e-3, 0.0, &cfg));
@@ -1925,6 +1791,13 @@ mod tests {
             hits > misses,
             "physical-rate syndromes should mostly repeat (hits {hits}, misses {misses})"
         );
+        let stats = batch.stats();
+        assert_eq!(
+            stats.active_lanes,
+            hits + stats.decoded,
+            "every active lane resolves exactly once: {stats:?} cache hits {hits}"
+        );
+        assert!(stats.osd_fallbacks <= stats.decoded);
         // Replaying through a warm cache reproduces every mask bit-for-bit.
         for (chunk, &mask) in masks.iter().enumerate() {
             assert_eq!(
@@ -1932,43 +1805,6 @@ mod tests {
                 mask
             );
         }
-    }
-
-    #[test]
-    fn weight1_fast_path_serves_measurement_flip_lanes() {
-        // Under measurement noise, single-flip syndromes dominate the active
-        // lanes; they must resolve through the weight-1 table, not BP/OSD, and
-        // stats must account for every active lane exactly once.
-        let code = bb_72_12_6().expect("valid");
-        let model = HardwareNoiseModel::new(NoiseParameters::new(3e-3), 0.0);
-        let exp = MemoryExperiment::with_channel(
-            &code,
-            model,
-            noise::ErrorChannel::biased(code.num_qubits(), code.num_stabilizers(), 3e-3, 6e-3),
-            20,
-        );
-        let cfg = MemoryConfig {
-            shots: 0,
-            bp_iterations: 20,
-            threads: 1,
-            seed: 0xC1C1_0DE5,
-        };
-        let mut batch = BatchScratch::new();
-        for chunk in 0..40 {
-            exp.sample_batch_with(&cfg, chunk * 64, 64, &mut batch);
-        }
-        let stats = batch.stats();
-        assert!(
-            stats.weight1_hits > 0,
-            "measurement flips must exercise the weight-1 fast path"
-        );
-        let (hits, _) = batch.cache_stats();
-        assert_eq!(
-            stats.active_lanes,
-            stats.weight1_hits + hits + stats.decoded,
-            "every active lane resolves exactly once: {stats:?} cache hits {hits}"
-        );
-        assert!(stats.osd_fallbacks <= stats.decoded);
     }
 
     /// The decode-resolution counters of twenty 64-shot batches of `code`
@@ -2029,40 +1865,39 @@ mod tests {
         let channel =
             noise::ErrorChannel::biased(code.num_qubits(), code.num_stabilizers(), 3e-3, 6e-3);
         let cfg = MemoryConfig {
-            shots: 400,
+            shots: 0,
             bp_iterations: 20,
             threads: 1,
             seed: 0xC1C1_0DE5,
         };
 
-        let mut exp = MemoryExperiment::with_channel(&code, model, channel.clone(), 20);
-        let cold = exp.run(&cfg, None);
-
-        exp.set_decode_cache_dir(Some(dir.clone()));
-        let writing = exp.run(&cfg, None);
-        assert_eq!(
-            cold.failures, writing.failures,
-            "cache dir must not change results"
-        );
-        let files: Vec<_> = std::fs::read_dir(&dir)
-            .expect("cache dir created")
-            .filter_map(|e| e.ok())
+        let exp = MemoryExperiment::with_channel(&code, model, channel.clone(), 20);
+        let mut cold = BatchScratch::new();
+        let masks: Vec<u64> = (0..8)
+            .map(|chunk| exp.sample_batch_with(&cfg, chunk * 64, 64, &mut cold))
             .collect();
-        assert!(!files.is_empty(), "run must persist sector cache files");
+        exp.store_decode_caches(&dir, &cold)
+            .expect("cache dir writable");
+        let files = std::fs::read_dir(&dir).expect("cache dir created").count();
+        assert!(files > 0, "store must persist sector cache files");
 
         // A fresh experiment over the same context loads the persisted entries
-        // and reproduces the estimate bit-for-bit.
-        let mut warm_exp = MemoryExperiment::with_channel(&code, model, channel.clone(), 20);
-        let mut scratch = BatchScratch::new();
-        let loaded = warm_exp.load_decode_caches(&dir, &mut scratch);
+        // and replays every batch bit-for-bit, decoding less than the cold pass.
+        let warm_exp = MemoryExperiment::with_channel(&code, model, channel, 20);
+        let mut warm = BatchScratch::new();
+        let loaded = warm_exp.load_decode_caches(&dir, &mut warm);
         assert!(
             loaded > 0,
             "persisted entries must load for the same context"
         );
-        warm_exp.set_decode_cache_dir(Some(dir.clone()));
-        let warm = warm_exp.run(&cfg, None);
-        assert_eq!(cold.failures, warm.failures);
-        assert_eq!(cold.ler, warm.ler);
+        for (chunk, &mask) in masks.iter().enumerate() {
+            assert_eq!(
+                warm_exp.sample_batch_with(&cfg, chunk * 64, 64, &mut warm),
+                mask,
+                "chunk {chunk}"
+            );
+        }
+        assert!(warm.stats().decoded < cold.stats().decoded);
 
         // Decoding depends on the data-rate priors, not the measurement rates:
         // a channel differing only in measurement ratio shares the decode
@@ -2086,62 +1921,6 @@ mod tests {
         let mut other_scratch = BatchScratch::new();
         assert_eq!(other.load_decode_caches(&dir, &mut other_scratch), 0);
 
-        // Adaptive runs accept the directory too and stay bit-identical.
-        let target = PrecisionTarget::new(0.3, 1, 400);
-        let plain = MemoryExperiment::with_channel(&code, model, channel.clone(), 20)
-            .run(&cfg, Some(&target));
-        let mut adaptive_exp = MemoryExperiment::with_channel(&code, model, channel, 20);
-        adaptive_exp.set_decode_cache_dir(Some(dir.clone()));
-        let adaptive = adaptive_exp.run(&cfg, Some(&target));
-        assert_eq!(plain.failures, adaptive.failures);
-        assert_eq!(plain.shots, adaptive.shots);
-
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn estimate_points_adaptive_in_matches_without_cache_dir() {
-        let dir = std::env::temp_dir().join(format!("points-cache-{}", std::process::id()));
-        std::fs::remove_dir_all(&dir).ok();
-        let code = bb_72_12_6().expect("valid");
-        let spec = ChannelSpec::Biased { meas_ratio: 2.0 };
-        let points = [
-            LerPoint {
-                code: &code,
-                p: 4e-3,
-                latency: 0.0,
-                channel: Some(&spec),
-                precision: None,
-            },
-            LerPoint {
-                code: &code,
-                p: 4e-3,
-                latency: 0.0,
-                channel: None,
-                precision: None,
-            },
-        ];
-        let cfg = MemoryConfig {
-            shots: 200,
-            bp_iterations: 20,
-            threads: 2,
-            seed: 0xC1C1_0DE5,
-        };
-        let plain = estimates_of(&points, &cfg, None);
-        let writing = estimates_of(&points, &cfg, Some(dir.as_path()));
-        let warm = estimates_of(&points, &cfg, Some(dir.as_path()));
-        for (a, b) in plain.iter().zip(&writing) {
-            assert_eq!(a.failures, b.failures);
-        }
-        for (a, b) in plain.iter().zip(&warm) {
-            assert_eq!(a.failures, b.failures);
-        }
-        assert!(
-            std::fs::read_dir(&dir)
-                .map(|d| d.count() > 0)
-                .unwrap_or(false),
-            "point pool must persist decode caches"
-        );
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -548,7 +548,7 @@ proptest! {
         let want: Vec<LerEstimate> = points.iter().map(|pt| single_thread_estimate(pt, &config)).collect();
         for threads in [1, 2, 3, 8] {
             let mut got = vec![None; points.len()];
-            estimate_points(&points, &MemoryConfig { threads, ..config }, None, |i, est| {
+            estimate_points(&points, &MemoryConfig { threads, ..config }, |i, est| {
                 got[i] = Some(est);
             });
             let got: Vec<LerEstimate> = got.into_iter().map(|est| est.expect("reported")).collect();

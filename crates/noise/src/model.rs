@@ -77,12 +77,6 @@ impl NoiseParameters {
         self
     }
 
-    /// Returns a copy with a different measurement error.
-    pub fn with_measurement(mut self, pm: f64) -> Self {
-        self.measurement = pm;
-        self
-    }
-
     /// Base circuit-level error rate of a *data* qubit per round: the dominant of
     /// the gate error rates acting on it (two-qubit entangling gates and the
     /// single-qubit basis rotations around them).
@@ -130,20 +124,6 @@ impl HardwareNoiseModel {
             parameters,
             round_latency,
             coherence: CoherenceTimes::symmetric(t),
-        }
-    }
-
-    /// Builds a model with explicitly chosen coherence times.
-    pub fn with_coherence(
-        parameters: NoiseParameters,
-        round_latency: f64,
-        coherence: CoherenceTimes,
-    ) -> Self {
-        assert!(round_latency >= 0.0, "latency must be non-negative");
-        HardwareNoiseModel {
-            parameters,
-            round_latency,
-            coherence,
         }
     }
 

@@ -109,17 +109,6 @@ pub struct CompiledRound {
 }
 
 impl CompiledRound {
-    /// Fraction of the serialized work that the schedule managed to overlap:
-    /// `execution_time / serialized_total` (Fig. 20 right; smaller is more parallel).
-    pub fn serialization_fraction(&self) -> f64 {
-        let total = self.breakdown.serialized_total();
-        if total == 0.0 {
-            1.0
-        } else {
-            self.execution_time / total
-        }
-    }
-
     /// Effective parallelism: how many operations ran concurrently on average
     /// (`serialized_total / execution_time`).
     pub fn effective_parallelism(&self) -> f64 {

@@ -21,13 +21,6 @@ pub struct WiringCost {
     pub individually_wired_traps: usize,
 }
 
-impl WiringCost {
-    /// Total number of traps covered by this wiring plan.
-    pub fn total_traps(&self) -> usize {
-        self.broadcast_traps + self.individually_wired_traps
-    }
-}
-
 /// Computes the DAC/wiring cost of a topology under its natural control policy.
 ///
 /// * Ring (Cyclone): all traps move in lockstep, so a **constant** number of DACs

@@ -162,17 +162,6 @@ pub fn gross_code_parameters() -> BbParameters {
     }
 }
 
-/// Parameters of the `[[288,12,18]]` BB code.
-pub fn bb_288_12_18_parameters() -> BbParameters {
-    BbParameters {
-        l: 12,
-        m: 12,
-        a: vec![Monomial::x(3), Monomial::y(2), Monomial::y(7)],
-        b: vec![Monomial::y(3), Monomial::x(1), Monomial::x(2)],
-        claimed_distance: Some(18),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -201,11 +201,6 @@ impl BitMat {
         (0..self.cols).filter(|&c| self.get(r, c)).collect()
     }
 
-    /// Returns the indices of set rows in column `c`.
-    pub fn col_support(&self, c: usize) -> Vec<usize> {
-        (0..self.rows).filter(|&r| self.get(r, c)).collect()
-    }
-
     /// Returns the Hamming weight of row `r`.
     pub fn row_weight(&self, r: usize) -> usize {
         let base = r * self.words_per_row;
@@ -218,25 +213,6 @@ impl BitMat {
     /// Returns the Hamming weight of column `c`.
     pub fn col_weight(&self, c: usize) -> usize {
         (0..self.rows).filter(|&r| self.get(r, c)).count()
-    }
-
-    /// XORs row `src` into row `dst` (`dst += src` over GF(2)).
-    pub fn xor_row_into(&mut self, src: usize, dst: usize) {
-        assert!(
-            src < self.rows && dst < self.rows,
-            "row index out of bounds"
-        );
-        if src == dst {
-            for w in 0..self.words_per_row {
-                self.data[dst * self.words_per_row + w] = 0;
-            }
-            return;
-        }
-        let (a, b) = (src * self.words_per_row, dst * self.words_per_row);
-        for w in 0..self.words_per_row {
-            let v = self.data[a + w];
-            self.data[b + w] ^= v;
-        }
     }
 
     /// Swaps rows `a` and `b`.
