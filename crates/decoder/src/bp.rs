@@ -28,9 +28,20 @@
 //! syndrome: it packs it, runs the same core, and unpacks the hard decision
 //! and the posteriors into [`DecoderScratch::error`] and
 //! [`DecoderScratch::llrs`].
+//!
+//! The batch path decodes a queue of independent syndromes at once, through
+//! a **lockstep queue decoder** (`BeliefPropagation::decode_queue_packed`, behind
+//! [`crate::bposd::BpOsdDecoder::decode_queue_packed`]). Under measurement
+//! noise most BP iterations belong to inconsistent syndromes, which never
+//! converge and run every iteration; it runs those in groups of
+//! [`LOCKSTEP_LANES`], one SIMD lane each, through the lockstep kernels over
+//! arenas in the same interleaved slot numbering with one `f64` per lane.
+//! Each lane runs exactly the single core's arithmetic, so it is
+//! bit-identical to it. Consistent syndromes, and a last group of fewer than
+//! [`MIN_LOCKSTEP_LANES`], decode on the single core.
 
-use crate::scratch::DecoderScratch;
-use crate::simd::Simd;
+use crate::scratch::{DecoderScratch, LockstepArenas};
+use crate::simd::{Simd, LOCKSTEP_LANES};
 use crate::sparse::{SparseBinMat, TannerGraph, PAD_LANES};
 
 /// A 64-bit FNV-1a digest over the exact bit patterns of a priors vector — the
@@ -76,6 +87,49 @@ pub struct BpStatus {
 /// Min-sum normalization (scaling) factor of the check-node messages.
 const MIN_SUM_SCALE: f64 = 0.75;
 
+/// The fewest syndromes a lockstep group runs with; a shorter last group
+/// decodes on the single-syndrome core. One lockstep iteration costs about
+/// 5.4 single-core iterations however many lanes are used (30-iteration
+/// decodes on `[[72,12,6]]` and `[[225,9,6]]`, AVX2): four lanes run 1.36×
+/// slower than the single core, five break even, six gain 1.1× and eight
+/// 1.4–1.5×.
+pub const MIN_LOCKSTEP_LANES: usize = 6;
+
+/// The lockstep queue decoder's view of [`TannerGraph`]'s interleaved slot
+/// numbering, padding left out: check `r`'s real slots in row order are
+/// `row_slots[row_ptr[r]..row_ptr[r + 1]]`, and column `c`'s in ascending
+/// check order are `col_slots[col_ptr[c]..col_ptr[c + 1]]`.
+#[derive(Debug, Clone)]
+struct LaneTables {
+    row_ptr: Vec<usize>,
+    row_slots: Vec<u32>,
+    col_ptr: Vec<usize>,
+    col_slots: Vec<u32>,
+}
+
+impl LaneTables {
+    fn new(h: &SparseBinMat, graph: &TannerGraph) -> Self {
+        let (mut row_ptr, mut row_slots) = (vec![0], Vec::new());
+        for r in 0..h.num_rows() {
+            let base = graph.group_ptr()[r / PAD_LANES] + r % PAD_LANES;
+            row_slots.extend((0..h.row(r).len()).map(|j| (base + j * PAD_LANES) as u32));
+            row_ptr.push(row_slots.len());
+        }
+        let (mut col_ptr, mut col_slots) = (vec![0], Vec::new());
+        for c in 0..h.num_cols() {
+            let base = graph.col_ptr()[c / PAD_LANES] + c % PAD_LANES;
+            col_slots.extend((0..h.col(c).len()).map(|j| graph.col_slots()[base + j * PAD_LANES]));
+            col_ptr.push(col_slots.len());
+        }
+        LaneTables {
+            row_ptr,
+            row_slots,
+            col_ptr,
+            col_slots,
+        }
+    }
+}
+
 /// Normalized min-sum belief propagation decoder.
 #[derive(Debug, Clone)]
 pub struct BeliefPropagation {
@@ -95,6 +149,8 @@ pub struct BeliefPropagation {
     /// Which compilation of the [`crate::simd`] kernels `propagate` runs,
     /// decided once at construction ([`Simd::from_env`]).
     simd: Simd,
+    /// The slot tables of the lockstep queue decoder.
+    lanes: LaneTables,
 }
 
 impl BeliefPropagation {
@@ -126,7 +182,9 @@ impl BeliefPropagation {
             }
         }
         let (columns, err_words) = (h.packed_columns(), h.num_cols().div_ceil(64));
+        let lanes = LaneTables::new(&h, &graph);
         BeliefPropagation {
+            lanes,
             h,
             graph,
             max_iterations,
@@ -238,8 +296,198 @@ impl BeliefPropagation {
         if scratch.cached_priors_key != Some((key, self.graph.digest())) {
             self.prime(priors, key, scratch);
         }
-        self.propagate(syndrome, scratch)
+        let consistent = self.prepare(syndrome, scratch);
+        self.propagate(syndrome, scratch, consistent)
     }
+
+    /// Decodes a queue of word-packed syndromes (`syndromes` holds
+    /// `num_rows.div_ceil(64)` words per syndrome) and hands each result to
+    /// `done` with its queue index. When `done` runs, `scratch` holds that
+    /// decode's hard decision and posteriors exactly as
+    /// [`Self::decode_packed_keyed_into`] leaves them. Returns how many
+    /// syndromes ran in lockstep groups.
+    ///
+    /// Lockstep groups are for the decodes that provably run every
+    /// iteration: the inconsistent syndromes, which the left-kernel parity
+    /// finds before the first iteration. A consistent syndrome decodes on
+    /// the single core at once, because most converge within a few
+    /// iterations, where moving one in and out of a lane costs more than
+    /// lockstep saves. The inconsistent ones gather into groups of
+    /// [`LOCKSTEP_LANES`], one lane each, which run every iteration together
+    /// in the lockstep kernels of [`crate::simd`]: their arenas use the
+    /// interleaved slot numbering of [`TannerGraph`], slot-major with one
+    /// `f64` per lane, so each lane runs its checks in row order and sums its
+    /// columns in ascending check order, skipping padding. That is the
+    /// arithmetic of the single core, so every lane is bit-identical to it.
+    /// A last group shorter than [`MIN_LOCKSTEP_LANES`] decodes on the single
+    /// core instead.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `H` has no checks, `syndromes` is not a whole number of
+    /// syndromes, or as [`Self::decode_with_priors_keyed_into`] does.
+    // cyclone-lint: hot-path
+    pub(crate) fn decode_queue_packed(
+        &self,
+        syndromes: &[u64],
+        priors: &[f64],
+        key: u64,
+        scratch: &mut DecoderScratch,
+        mut done: impl FnMut(usize, BpStatus, &mut DecoderScratch),
+    ) -> u64 {
+        let words = self.h.num_rows().div_ceil(64);
+        assert!(
+            words > 0 && syndromes.len() % words == 0,
+            "the queue holds whole packed syndromes"
+        );
+        assert_eq!(
+            priors.len(),
+            self.h.num_cols(),
+            "one prior per variable required"
+        );
+        debug_assert_eq!(key, priors_digest(priors), "key is not the priors digest");
+        if scratch.cached_priors_key != Some((key, self.graph.digest())) {
+            self.prime(priors, key, scratch);
+        }
+        let mut arenas = std::mem::take(&mut scratch.lockstep);
+        let (mut group, mut len, mut grouped) = ([0usize; LOCKSTEP_LANES], 0, 0u64);
+        for (index, syndrome) in syndromes.chunks_exact(words).enumerate() {
+            let consistent = self.prepare(syndrome, scratch);
+            if consistent {
+                let status = self.propagate(syndrome, scratch, consistent);
+                done(index, status, scratch);
+                continue;
+            }
+            group[len] = index;
+            len += 1;
+            if len == LOCKSTEP_LANES {
+                self.run_group(&group, syndromes, scratch, &mut arenas, &mut done);
+                grouped += len as u64;
+                len = 0;
+            }
+        }
+        if len >= MIN_LOCKSTEP_LANES {
+            self.run_group(&group[..len], syndromes, scratch, &mut arenas, &mut done);
+            grouped += len as u64;
+        } else {
+            for &index in &group[..len] {
+                let syndrome = &syndromes[index * words..(index + 1) * words];
+                self.prepare(syndrome, scratch);
+                let status = self.propagate(syndrome, scratch, false);
+                done(index, status, scratch);
+            }
+        }
+        scratch.lockstep = arenas;
+        grouped
+    }
+
+    /// Decodes one group of inconsistent syndromes (queue indices into
+    /// `syndromes`), one lane each, through all iterations, and hands each
+    /// result to `done`. A short group fills its spare lanes with its last
+    /// syndrome, whose extra results are dropped.
+    fn run_group(
+        &self,
+        group: &[usize],
+        syndromes: &[u64],
+        scratch: &mut DecoderScratch,
+        arenas: &mut LockstepArenas,
+        done: &mut impl FnMut(usize, BpStatus, &mut DecoderScratch),
+    ) {
+        let (words, n) = (self.h.num_rows().div_ceil(64), self.h.num_cols());
+        self.size_lockstep(arenas);
+        for (lane, &index) in group.iter().enumerate() {
+            self.prepare(&syndromes[index * words..(index + 1) * words], scratch);
+            self.load_lane(lane, scratch, arenas);
+        }
+        for lane in group.len()..LOCKSTEP_LANES {
+            self.load_lane(lane, scratch, arenas);
+        }
+        let max = self.max_iterations;
+        for iteration in 1..=max {
+            // Only the last iteration's hard decision is returned.
+            self.lockstep_iteration(arenas, scratch.channel_llr.as_slice(), iteration == max);
+        }
+        for (lane, &index) in group.iter().enumerate() {
+            let decisions = arenas.err_words.chunks_exact(LOCKSTEP_LANES);
+            for (word, lanes) in scratch.err_words.iter_mut().zip(decisions) {
+                *word = lanes[lane];
+            }
+            let posteriors = arenas.posteriors.as_slice().chunks_exact(LOCKSTEP_LANES);
+            for (llr, column) in scratch.llrs_pad.as_mut_slice()[..n]
+                .iter_mut()
+                .zip(posteriors)
+            {
+                *llr = column[lane];
+            }
+            let status = BpStatus {
+                converged: false,
+                iterations: max,
+                consistent: false,
+            };
+            done(index, status, scratch);
+        }
+    }
+
+    /// Sizes the lockstep arenas for this graph (a no-op in steady state)
+    /// and sets the posteriors' `+∞` tail.
+    fn size_lockstep(&self, arenas: &mut LockstepArenas) {
+        let slots = self.graph.num_interleaved_slots() * LOCKSTEP_LANES;
+        arenas.var_to_check.ensure_len(slots);
+        arenas.check_to_var.ensure_len(slots);
+        arenas
+            .posteriors
+            .ensure_len(self.err_words * 64 * LOCKSTEP_LANES);
+        arenas.posteriors.as_mut_slice()[self.h.num_cols() * LOCKSTEP_LANES..].fill(f64::INFINITY);
+        arenas
+            .syn_masks
+            .ensure_len(self.h.num_rows() * LOCKSTEP_LANES);
+        arenas.err_words.resize(self.err_words * LOCKSTEP_LANES, 0);
+    }
+
+    /// Starts the decode [`Self::prepare`]d in `scratch` in lane `lane`: its
+    /// syndrome masks, and the primed first messages at every real slot.
+    fn load_lane(&self, lane: usize, scratch: &DecoderScratch, arenas: &mut LockstepArenas) {
+        let masks = arenas.syn_masks.as_mut_slice();
+        for (masks, &mask) in masks
+            .chunks_exact_mut(LOCKSTEP_LANES)
+            .zip(scratch.syn_mask.as_slice())
+        {
+            masks[lane] = mask;
+        }
+        let first_messages = scratch.vtc_init.as_slice();
+        let var_to_check = arenas.var_to_check.as_mut_slice();
+        for &slot in &self.lanes.row_slots {
+            let slot = slot as usize;
+            var_to_check[slot * LOCKSTEP_LANES + lane] = first_messages[slot];
+        }
+    }
+
+    /// One iteration of every lane: the check pass and the variable pass
+    /// with its writeback, then, when `decide`, each lane's packed hard
+    /// decision.
+    fn lockstep_iteration(&self, arenas: &mut LockstepArenas, channel_llr: &[f64], decide: bool) {
+        let (tables, simd) = (&self.lanes, self.simd);
+        simd.lockstep_check_pass(
+            arenas.syn_masks.as_slice(),
+            &tables.row_ptr,
+            &tables.row_slots,
+            arenas.var_to_check.as_slice(),
+            arenas.check_to_var.as_mut_slice(),
+            MIN_SUM_SCALE,
+        );
+        simd.lockstep_var_pass(
+            &tables.col_ptr,
+            &tables.col_slots,
+            channel_llr,
+            arenas.check_to_var.as_slice(),
+            arenas.var_to_check.as_mut_slice(),
+            arenas.posteriors.as_mut_slice(),
+        );
+        if decide {
+            simd.lockstep_hard_decision(arenas.posteriors.as_slice(), &mut arenas.err_words);
+        }
+    }
+    // cyclone-lint: end-hot-path
 
     /// Builds everything a decode needs that depends only on the priors and
     /// the graph, once per `(priors digest, graph digest)` key: the channel
@@ -323,58 +571,30 @@ impl BeliefPropagation {
     /// On return the hard decision is in `scratch.err_words` and the
     /// posteriors in `scratch.llrs_pad[..n]` (the writeback of the final
     /// iteration is skipped, so nothing overwrites them).
+    ///
+    /// A decode runs [`Self::prepare`] for its syndrome first, which builds
+    /// the syndrome's lane masks and finds `consistent`.
     // cyclone-lint: hot-path
-    fn propagate(&self, syndrome: &[u64], scratch: &mut DecoderScratch) -> BpStatus {
-        let m = self.h.num_rows();
+    fn propagate(
+        &self,
+        syndrome: &[u64],
+        scratch: &mut DecoderScratch,
+        consistent: bool,
+    ) -> BpStatus {
         let graph = &self.graph;
-        assert_eq!(
-            syndrome.len(),
-            m.div_ceil(64),
-            "packed syndrome must hold one bit per check"
-        );
-        debug_assert!(
-            m % 64 == 0 || syndrome.last().is_none_or(|&w| w >> (m % 64) == 0),
-            "bits past the last check must be zero"
-        );
-
-        scratch
-            .syn_mask
-            .ensure_len(graph.num_row_groups() * PAD_LANES);
-        if scratch.err_words.len() != self.err_words {
-            scratch.err_words.resize(self.err_words, 0);
-        }
-        scratch.parity.resize(syndrome.len(), 0);
-
         // `prime` sized the arenas and set their padding for this graph.
         let first_messages = scratch.vtc_init.as_slice();
         let check_to_var = scratch.ctv_lanes.as_mut_slice();
         let var_to_check = scratch.vtc_lanes.as_mut_slice();
         let channel_llr = scratch.channel_llr.as_slice();
         let llrs_pad = scratch.llrs_pad.as_mut_slice();
-        let syn_mask = scratch.syn_mask.as_mut_slice();
+        let syn_mask = scratch.syn_mask.as_slice();
         let err_words = &mut scratch.err_words;
         let parity = &mut scratch.parity;
         let (group_ptr, col_ptr, col_slots) =
             (graph.group_ptr(), graph.col_ptr(), graph.col_slots());
         let simd = self.simd;
         let scale = MIN_SUM_SCALE;
-
-        // Per-decode init: the syndrome is constant across iterations, so its
-        // lane masks are built once (phantom lanes past `m` read zero bits).
-        for (lanes, &word) in syn_mask.chunks_mut(64).zip(syndrome) {
-            for (b, lane) in lanes.iter_mut().enumerate() {
-                *lane = ((word >> b) & 1).wrapping_neg();
-            }
-        }
-        // Consistency: every left-kernel vector has even parity with the
-        // syndrome (`syn_mask` selects the kernel bits of the set checks).
-        let consistent = self.left_kernel.chunks_exact(m.max(1)).all(|group| {
-            let odd = group
-                .iter()
-                .zip(syn_mask.iter())
-                .fold(0u64, |acc, (&k, &s)| acc ^ (k & s));
-            odd == 0
-        });
 
         for iteration in 1..=self.max_iterations {
             // The first check pass reads the primed first messages directly.
@@ -415,6 +635,46 @@ impl BeliefPropagation {
             iterations: self.max_iterations,
             consistent,
         }
+    }
+
+    /// The per-decode set-up of [`Self::propagate`]: sizes the decision and
+    /// parity buffers and builds the syndrome's per-check lane masks
+    /// (`scratch.syn_mask`; the syndrome is constant across iterations, and
+    /// phantom lanes past `m` read zero bits). Returns the left-kernel
+    /// verdict: whether the syndrome is consistent.
+    fn prepare(&self, syndrome: &[u64], scratch: &mut DecoderScratch) -> bool {
+        let m = self.h.num_rows();
+        assert_eq!(
+            syndrome.len(),
+            m.div_ceil(64),
+            "packed syndrome must hold one bit per check"
+        );
+        debug_assert!(
+            m % 64 == 0 || syndrome.last().is_none_or(|&w| w >> (m % 64) == 0),
+            "bits past the last check must be zero"
+        );
+        scratch
+            .syn_mask
+            .ensure_len(self.graph.num_row_groups() * PAD_LANES);
+        if scratch.err_words.len() != self.err_words {
+            scratch.err_words.resize(self.err_words, 0);
+        }
+        scratch.parity.resize(syndrome.len(), 0);
+        let syn_mask = scratch.syn_mask.as_mut_slice();
+        for (lanes, &word) in syn_mask.chunks_mut(64).zip(syndrome) {
+            for (b, lane) in lanes.iter_mut().enumerate() {
+                *lane = ((word >> b) & 1).wrapping_neg();
+            }
+        }
+        // Consistency: every left-kernel vector has even parity with the
+        // syndrome (`syn_mask` selects the kernel bits of the set checks).
+        self.left_kernel.chunks_exact(m.max(1)).all(|group| {
+            let odd = group
+                .iter()
+                .zip(syn_mask.iter())
+                .fold(0u64, |acc, (&k, &s)| acc ^ (k & s));
+            odd == 0
+        })
     }
     // cyclone-lint: end-hot-path
 }
@@ -724,6 +984,97 @@ mod tests {
                 assert_eq!(got, want, "m = {m}, n = {n}, e = {e:x?}");
             }
         }
+    }
+
+    #[test]
+    fn lockstep_groups_match_the_single_core() {
+        // [[72,12,6]] syndromes of weight-5 errors, two in three of them with
+        // one check flipped, which makes them inconsistent: 22 syndromes hold
+        // 14 inconsistent ones, a full group of eight and a short group of
+        // six with two spare lanes. Every decode must match the single core
+        // in status, hard decision and the bits of every posterior.
+        let code = qec::codes::bb_72_12_6().expect("valid");
+        let h = SparseBinMat::from_bitmat(code.hz());
+        let (m, n) = (h.num_rows(), h.num_cols());
+        let words = m.div_ceil(64);
+        let priors: Vec<f64> = (0..n).map(|q| 0.01 + 0.002 * (q % 5) as f64).collect();
+        let key = priors_digest(&priors);
+        let mut state = 0x2545_F491_4F6C_DD1Du64;
+        let mut queue = Vec::new();
+        for i in 0..22 {
+            let mut error = vec![false; n];
+            for _ in 0..5 {
+                state = state
+                    .wrapping_mul(6_364_136_223_846_793_005)
+                    .wrapping_add(1);
+                error[(state >> 33) as usize % n] = true;
+            }
+            let mut syndrome = h.syndrome(&error);
+            if i % 3 != 0 {
+                syndrome[i % m] = !syndrome[i % m];
+            }
+            let mut packed = vec![0u64; words];
+            for (r, _) in syndrome.iter().enumerate().filter(|(_, &bit)| bit) {
+                packed[r >> 6] |= 1 << (r & 63);
+            }
+            queue.extend(packed);
+        }
+        for simd in [Simd::scalar(), Simd::detect()] {
+            let bp = BeliefPropagation::new(h.clone(), 30).with_simd(simd);
+            let mut single = DecoderScratch::new();
+            let want: Vec<_> = queue
+                .chunks_exact(words)
+                .map(|syndrome| {
+                    let status = bp.decode_packed_keyed_into(syndrome, &priors, key, &mut single);
+                    let llrs: Vec<u64> = single.llrs_pad.as_slice()[..n]
+                        .iter()
+                        .map(|l| l.to_bits())
+                        .collect();
+                    (status, single.err_words.clone(), llrs)
+                })
+                .collect();
+            assert_eq!(want.iter().filter(|(s, ..)| !s.consistent).count(), 14);
+            let mut scratch = DecoderScratch::new();
+            let mut order = Vec::new();
+            let grouped =
+                bp.decode_queue_packed(&queue, &priors, key, &mut scratch, |i, status, scratch| {
+                    let llrs: Vec<u64> = scratch.llrs_pad.as_slice()[..n]
+                        .iter()
+                        .map(|l| l.to_bits())
+                        .collect();
+                    assert_eq!(
+                        (status, scratch.err_words.clone(), llrs),
+                        want[i],
+                        "{} syndrome {i}",
+                        simd.isa_name()
+                    );
+                    order.push(i);
+                });
+            assert_eq!(grouped, 14);
+            order.sort_unstable();
+            assert_eq!(order, (0..22).collect::<Vec<_>>());
+        }
+    }
+
+    #[test]
+    fn short_queues_decode_on_the_single_core() {
+        let h = repetition_check(7);
+        let bp = BeliefPropagation::new(h.clone(), 30);
+        let priors = [0.05; 7];
+        let key = priors_digest(&priors);
+        let queue = [0b1u64, 0b11, 0b110];
+        let mut scratch = DecoderScratch::new();
+        let mut finished = 0;
+        let grouped = bp.decode_queue_packed(&queue, &priors, key, &mut scratch, |_, status, _| {
+            assert!(status.converged);
+            finished += 1;
+        });
+        assert_eq!((grouped, finished), (0, 3));
+        assert_eq!(
+            scratch.lockstep.var_to_check.len(),
+            0,
+            "no lockstep arena was sized"
+        );
     }
 
     #[test]

@@ -17,7 +17,10 @@ use qec::linalg::BitMat;
 pub enum DecodeMethod {
     /// BP converged on its own.
     BeliefPropagation,
-    /// BP failed; the OSD-0 fallback produced the answer.
+    /// BP did not converge. For a consistent syndrome the OSD-0 fallback
+    /// produced the answer; for an inconsistent one (outside the column
+    /// space of `H`, see [`DecodeStatus::consistent`]) OSD was skipped and
+    /// the answer is the BP hard decision of the last iteration.
     OrderedStatistics,
 }
 
@@ -172,6 +175,51 @@ impl BpOsdDecoder {
         let bp_status = self
             .bp
             .decode_packed_keyed_into(syndrome, priors, key, scratch);
+        self.finish(syndrome, bp_status, scratch)
+    }
+
+    /// Decodes a queue of word-packed syndromes (`num_rows.div_ceil(64)`
+    /// words each, zero past the last check) and calls `done` with each
+    /// one's queue index, status and packed correction, in the order the
+    /// decodes finish. Every result is bit for bit what
+    /// [`Self::decode_with_priors_keyed_into`] returns for that syndrome.
+    ///
+    /// BP runs the inconsistent syndromes eight at a time in lockstep lanes
+    /// (see the [`crate::bp`] module docs), and every BP result then takes
+    /// the same OSD tail as a single decode. Returns how many syndromes ran
+    /// in lockstep groups.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `H` has no checks, `syndromes` is not a whole number of
+    /// packed syndromes, or a prior is outside `(0, 1)` on a priors-cache
+    /// miss.
+    pub fn decode_queue_packed(
+        &self,
+        syndromes: &[u64],
+        priors: &[f64],
+        key: u64,
+        scratch: &mut DecoderScratch,
+        mut done: impl FnMut(usize, DecodeStatus, &[u64]),
+    ) -> u64 {
+        let words = self.check_matrix().num_rows().div_ceil(64);
+        self.bp
+            .decode_queue_packed(syndromes, priors, key, scratch, |i, bp_status, scratch| {
+                let syndrome = &syndromes[i * words..(i + 1) * words];
+                let status = self.finish(syndrome, bp_status, scratch);
+                done(i, status, &scratch.err_words);
+            })
+    }
+
+    /// The OSD tail of a BP run whose hard decision and posteriors are in
+    /// `scratch`: a converged or inconsistent decode keeps the hard
+    /// decision, any other runs OSD-0 on the negated posteriors.
+    fn finish(
+        &self,
+        syndrome: &[u64],
+        bp_status: crate::bp::BpStatus,
+        scratch: &mut DecoderScratch,
+    ) -> DecodeStatus {
         let status = DecodeStatus {
             method: DecodeMethod::OrderedStatistics,
             iterations: bp_status.iterations,

@@ -80,8 +80,19 @@ const WAYS: usize = 4;
 
 /// Default number of cache slots (power of two). Sized to hold the popular
 /// syndromes of the catalog codes — singles plus most of the two-event tail,
-/// a few thousand distinct at physical rates — while keeping the per-worker
-/// footprint small (slots × (syndrome + correction) words, ~400 KiB here).
+/// a few thousand distinct at physical rates.
+///
+/// The footprint is slots × (syndrome + correction) words per sector and
+/// worker: 384 KiB on `[[72,12,6]]` (1 + 2 words a slot), but 768 KiB on
+/// `[[225,9,6]]` (2 + 4 words), so about 3.1 MB over two sectors and two
+/// workers, over a third of the 8.1 MB peak RSS of the figure benchmark's
+/// `hgp-uniform-adaptive` workload. Capacity does not limit the hit rate
+/// there: with 2²⁰ slots, the benchmark's `cache.hit_frac` rose only from
+/// 0.767 to 0.788 on `bb-uniform-fixed` (its 104k evictions are one-off
+/// syndromes) and from 0.777 to 0.779 on `hgp-uniform-adaptive`; with 4,096
+/// slots, peak RSS fell from 6.1 to 4.6 MB and from 8.1 to 5.5 MB, at hit
+/// rates of 0.708 and 0.758. Any size change needs its own paired
+/// end-to-end measurement.
 pub const DEFAULT_SLOTS: usize = 16384;
 
 /// Schema version written by [`DecodeCache::save_to`]. Schema 2 added the

@@ -7,7 +7,9 @@
 //!   fallback ([`osd`]), combined in [`bposd`],
 //! * the min-sum lane kernels, compiled for the baseline ISA and for AVX2 with
 //!   runtime dispatch ([`simd`]), byte-identical to the scalar reference and
-//!   overridable via `CYCLONE_SIMD`,
+//!   overridable via `CYCLONE_SIMD`; one set decodes one syndrome, one lane
+//!   per check or column, and the lockstep set decodes up to eight at once,
+//!   one lane per syndrome,
 //! * reusable decode workspaces ([`scratch`]) backing the allocation-free
 //!   `decode_with_priors_keyed_into` hot path,
 //! * a per-context syndrome → correction cache ([`cache`]), the one store of

@@ -16,10 +16,11 @@
 //! integers with thresholds computed when the channel is bound
 //! ([`bernoulli_threshold`]), syndromes are extracted 64 shots per word, one bit
 //! transpose per 64-check block yields each shot's packed syndrome (the
-//! decode-cache key), and cache misses run the word-packed BP+OSD core, whose
-//! packed correction is the cached value.
+//! decode-cache key), and a sector batch's distinct cache misses are decoded
+//! as one queue, whose inconsistent syndromes run in lockstep BP groups
+//! ([`crate::bp`]); each packed correction is the cached value.
 
-use crate::bposd::{BpOsdDecoder, DecodeMethod};
+use crate::bposd::{BpOsdDecoder, DecodeMethod, DecodeStatus};
 use crate::cache::DecodeCache;
 use crate::scratch::DecoderScratch;
 use noise::{ChannelSpec, ErrorChannel, HardwareNoiseModel, NoiseParameters};
@@ -226,8 +227,9 @@ impl MemoryConfig {
 /// hard decision kept.
 ///
 /// Which lanes reach a full decode depends on what each worker's decode cache
-/// already holds, so `decoded`, `osd_fallbacks` and `inconsistent` are not
-/// deterministic across thread counts; the decoded corrections are.
+/// already holds, so `decoded`, `osd_fallbacks`, `inconsistent` and
+/// `lockstep_lanes` are not deterministic across thread counts; the decoded
+/// corrections are.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct BatchStats {
     /// Active (non-zero-syndrome) lanes seen.
@@ -242,6 +244,18 @@ pub struct BatchStats {
     pub osd_fallbacks: u64,
     /// OSD fallbacks whose syndrome was proven inconsistent (OSD skipped).
     pub inconsistent: u64,
+    /// Full decodes whose BP ran in lockstep groups of several syndromes
+    /// ([`crate::bp`]); the rest ran on the single-syndrome core.
+    pub lockstep_lanes: u64,
+}
+
+impl BatchStats {
+    /// Counts one full decode.
+    fn record(&mut self, status: DecodeStatus) {
+        self.decoded += 1;
+        self.osd_fallbacks += u64::from(status.method == DecodeMethod::OrderedStatistics);
+        self.inconsistent += u64::from(!status.consistent);
+    }
 }
 
 /// One sector's decode state in a [`BatchScratch`]: the decoder scratch and
@@ -263,6 +277,11 @@ struct LaneBuffers {
     lane_syn: Vec<u64>,
     /// Correction words, qubit-major (reused across sectors).
     corr_words: Vec<u64>,
+    /// The sector batch's distinct decode-cache misses, packed like
+    /// `lane_syn`, in lane order: the decode queue.
+    queue_syn: Vec<u64>,
+    /// The lane bit of each queued syndrome's first lane.
+    queue_lanes: Vec<u64>,
 }
 
 /// Per-worker workspace of the bit-sliced batch sampler
@@ -606,8 +625,12 @@ impl<'a> MemoryExperiment<'a> {
     /// the zero correction under the clamped priors), and repeated syndromes
     /// are served from a per-sector [`DecodeCache`] whose entries store the
     /// exact decoder output — so failures never depend on batch size, lane
-    /// order, or cache state. In steady state the batch performs zero heap
-    /// allocations.
+    /// order, or cache state. Every active lane is looked up first; the
+    /// distinct misses are then decoded as one queue
+    /// ([`BpOsdDecoder::decode_queue_packed`], the inconsistent ones in
+    /// lockstep BP groups), and a lane that repeats a queued miss is served by the
+    /// cache once that decode is inserted. In steady state the batch performs
+    /// zero heap allocations.
     // cyclone-lint: hot-path
     pub fn sample_batch_with(
         &self,
@@ -680,8 +703,10 @@ impl<'a> MemoryExperiment<'a> {
 
     /// One sector of the batch path: word-level syndrome extraction and
     /// measurement flips, the bit transpose to per-lane packed syndromes,
-    /// cache-backed decoding of the active lanes, and word-level
-    /// logical-failure parities. Returns the sector's failure mask.
+    /// cache-backed decoding of the active lanes (cache lookups, then one
+    /// decode queue of the distinct misses), and
+    /// word-level logical-failure parities. Returns the sector's failure
+    /// mask.
     #[allow(clippy::too_many_arguments)]
     fn batch_decode_sector(
         &self,
@@ -712,29 +737,68 @@ impl<'a> MemoryExperiment<'a> {
             sector.cache.ensure(ctx, m, n);
             let words = m.div_ceil(64);
             transpose_lanes(&lanes.syn_words, words, &mut lanes.lane_syn);
+            // Every active lane is looked up before anything decodes; a
+            // lane repeating a queued miss waits for that decode.
+            lanes.queue_syn.clear();
+            lanes.queue_lanes.clear();
+            let (mut waiting, mut queued_bits) = (0u64, 0u64);
+            let mut pending = active;
+            while pending != 0 {
+                let k = pending.trailing_zeros() as usize;
+                pending &= pending - 1;
+                let lane = 1u64 << k;
+                stats.active_lanes += 1;
+                let syndrome = &lanes.lane_syn[k * words..(k + 1) * words];
+                // `queued_bits` holds one hashed bit of each queued miss's
+                // first word, so a lane whose bit is clear (almost every
+                // cache hit) skips the scan and its mispredicted exit.
+                let bit = 1u64 << (syndrome[0].wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 58);
+                let queued = queued_bits & bit != 0
+                    && lanes.queue_syn.chunks_exact(words).any(|q| q == syndrome);
+                if queued {
+                    waiting |= lane;
+                } else if let Some(stored) = sector.cache.lookup(syndrome) {
+                    scatter_lane(stored, lane, &mut lanes.corr_words);
+                } else {
+                    lanes.queue_syn.extend_from_slice(syndrome);
+                    lanes.queue_lanes.push(lane);
+                    queued_bits |= bit;
+                }
+            }
+            // The misses decode through the keyed per-bit priors (a uniform
+            // channel is a constant priors vector), the inconsistent ones in
+            // lockstep groups, and are inserted as they finish.
+            let (queue, corr_words, cache) =
+                (&lanes.queue_syn, &mut lanes.corr_words, &mut sector.cache);
+            stats.lockstep_lanes += decoder.decode_queue_packed(
+                queue,
+                &self.priors,
+                self.priors_key,
+                &mut sector.decode,
+                |i, status, correction| {
+                    stats.record(status);
+                    scatter_lane(correction, lanes.queue_lanes[i], corr_words);
+                    cache.insert(&queue[i * words..(i + 1) * words], correction);
+                },
+            );
+            active = waiting;
             while active != 0 {
                 let k = active.trailing_zeros() as usize;
                 active &= active - 1;
                 let lane = 1u64 << k;
-                stats.active_lanes += 1;
                 let syndrome = &lanes.lane_syn[k * words..(k + 1) * words];
                 if let Some(stored) = sector.cache.lookup(syndrome) {
                     scatter_lane(stored, lane, &mut lanes.corr_words);
                     continue;
                 }
-                // A cache miss decodes through the keyed per-bit priors (a
-                // uniform channel is a constant priors vector).
+                // Evicted by a later insert of the same batch: decode again.
                 let status = decoder.decode_packed_keyed_into(
                     syndrome,
                     &self.priors,
                     self.priors_key,
                     &mut sector.decode,
                 );
-                stats.decoded += 1;
-                if status.method == DecodeMethod::OrderedStatistics {
-                    stats.osd_fallbacks += 1;
-                }
-                stats.inconsistent += u64::from(!status.consistent);
+                stats.record(status);
                 let correction = &sector.decode.err_words;
                 scatter_lane(correction, lane, &mut lanes.corr_words);
                 sector.cache.insert(syndrome, correction);
@@ -853,7 +917,7 @@ impl FailureRecord {
 }
 
 /// The work state [`schedule`]'s workers share, behind one mutex.
-struct Queue<'b, F> {
+struct Queue<'b> {
     /// Shot budget of every point, in input order, and its target.
     budgets: &'b [(usize, Option<PrecisionTarget>)],
     /// Points `0..started` have been started.
@@ -861,55 +925,61 @@ struct Queue<'b, F> {
     /// Started, unfinished points with their failure records, which live
     /// only from a point's start to its finish.
     live: Vec<(usize, FailureRecord)>,
-    /// Called with each point's estimate as it finishes.
-    report: F,
 }
 
-impl<F: FnMut(usize, LerEstimate)> Queue<'_, F> {
+impl Queue<'_> {
     /// Hands an idle worker its next `(point, chunk)`: the first chunk of the
     /// next unstarted point in input order, else a chunk of the live point
-    /// with the most unclaimed chunks. `None` once no chunk is left.
-    fn join(&mut self) -> Option<(usize, usize)> {
-        while let Some(&(shots, target)) = self.budgets.get(self.started) {
+    /// with the most unclaimed chunks. The chunk is `None` for a zero-shot
+    /// point, which is finished as soon as it starts. `None` once no chunk
+    /// is left.
+    fn join(&mut self) -> Option<(usize, Option<usize>)> {
+        if let Some(&(shots, target)) = self.budgets.get(self.started) {
             let point = self.started;
             self.started += 1;
             if shots == 0 {
-                // A zero-shot budget yields the explicit empty estimate, not a 1-shot floor.
-                (self.report)(point, LerEstimate::empty());
-                continue;
+                return Some((point, None));
             }
             let mut record = FailureRecord::new(shots, target);
             let first = record.claim();
             self.live.push((point, record));
-            return first.map(|chunk| (point, chunk));
+            return Some((point, first));
         }
         let (point, record) = self
             .live
             .iter_mut()
             .max_by_key(|(_, record)| record.masks.len() - record.claimed)?;
-        record.claim().map(|chunk| (*point, chunk))
+        record.claim().map(|chunk| (*point, Some(chunk)))
     }
 
-    /// Records a finished chunk's failure mask and hands the worker the next
-    /// unclaimed chunk of the same point. A finished point is reported and
-    /// dropped; masks still in flight for it cannot change its estimate.
-    fn finish(&mut self, point: usize, chunk: usize, mask: u64) -> Option<usize> {
-        let at = self.live.iter().position(|&(p, _)| p == point)?;
+    /// Records a finished chunk's failure mask. Returns the next unclaimed
+    /// chunk of the same point, if any, and the point's estimate if this
+    /// chunk finished it. A finished point is dropped; masks still in flight
+    /// for it cannot change its estimate.
+    fn finish(
+        &mut self,
+        point: usize,
+        chunk: usize,
+        mask: u64,
+    ) -> (Option<usize>, Option<LerEstimate>) {
+        let Some(at) = self.live.iter().position(|&(p, _)| p == point) else {
+            return (None, None);
+        };
         if self.live[at].1.add(chunk, mask) {
             let (_, record) = self.live.swap_remove(at);
-            (self.report)(point, record.estimate());
-            return None;
+            return (None, Some(record.estimate()));
         }
-        self.live[at].1.claim()
+        (self.live[at].1.claim(), None)
     }
 }
 
 /// Samples one point per target (`None` = the fixed `config.shots` budget) on
 /// `config.worker_count()` spawned workers, never more than there are 64-shot
-/// chunks, and calls `report` under the queue lock with each point's estimate
-/// as it finishes. A worker gets a point's experiment from `bind` on its own
-/// state (made by `new_worker`) and reuses one [`BatchScratch`] while it stays
-/// on one code.
+/// chunks, and calls `report` with each point's estimate as it finishes,
+/// under a mutex of its own: a slow `report` (a checkpoint publish) never
+/// holds up the other workers' chunk claims. A worker gets a point's
+/// experiment from `bind` on its own state (made by `new_worker`) and reuses
+/// one [`BatchScratch`] while it stays on one code.
 fn schedule<'a, S>(
     targets: &[Option<PrecisionTarget>],
     config: &MemoryConfig,
@@ -927,9 +997,10 @@ fn schedule<'a, S>(
         budgets: &budgets,
         started: 0,
         live: Vec::new(),
-        report,
     });
+    let report = Mutex::new(report);
     let lock = || queue.lock().expect("unpoisoned");
+    let publish = |point, estimate| (report.lock().expect("unpoisoned"))(point, estimate);
     let work = || {
         let mut state = new_worker();
         let mut batch = BatchScratch::new();
@@ -937,6 +1008,11 @@ fn schedule<'a, S>(
         loop {
             let Some((point, first)) = lock().join() else {
                 break;
+            };
+            let Some(first) = first else {
+                // A zero-shot budget yields the explicit empty estimate, not a 1-shot floor.
+                publish(point, LerEstimate::empty());
+                continue;
             };
             let exp = bind(&mut state, point);
             // One scratch per code: resizing one across codes kept ~0.4 MB more resident.
@@ -949,7 +1025,11 @@ fn schedule<'a, S>(
             while let Some(c) = chunk {
                 let start = c * 64;
                 let mask = exp.sample_batch_with(config, start, 64.min(shots - start), &mut batch);
-                chunk = lock().finish(point, c, mask);
+                let (next, finished) = lock().finish(point, c, mask);
+                if let Some(estimate) = finished {
+                    publish(point, estimate);
+                }
+                chunk = next;
             }
         }
     };
@@ -1759,6 +1839,70 @@ mod tests {
             c.failures <= a.failures,
             "lower rate cannot fail more often"
         );
+    }
+
+    #[test]
+    fn report_runs_outside_the_scheduler_lock() {
+        // Two workers, two one-chunk points. The second worker starts only
+        // once the first report has begun, and that report waits until the
+        // second worker has bound its point, which needs the scheduler's
+        // lock: a report made under that lock would wait out the timeout.
+        use std::sync::Condvar;
+        use std::time::Duration;
+        let code = bb_72_12_6().expect("valid");
+        let model = HardwareNoiseModel::new(NoiseParameters::new(1e-3), 0.0);
+        let exp = MemoryExperiment::new(&code, model, 10);
+        let config = MemoryConfig {
+            shots: 64,
+            threads: 2,
+            ..MemoryConfig::default()
+        };
+        // (workers started, a report has begun, points bound)
+        let state = (Mutex::new((0usize, false, 0usize)), Condvar::new());
+        let wait_for = |what: &str, done: fn(&(usize, bool, usize)) -> bool| {
+            let guard = state.0.lock().expect("unpoisoned");
+            let (guard, waited) = state
+                .1
+                .wait_timeout_while(guard, Duration::from_secs(10), |s| !done(s))
+                .expect("unpoisoned");
+            drop(guard);
+            assert!(!waited.timed_out(), "timed out waiting for {what}");
+        };
+        let update = |change: fn(&mut (usize, bool, usize))| {
+            change(&mut state.0.lock().expect("unpoisoned"));
+            state.1.notify_all();
+        };
+        let mut reported = Vec::new();
+        schedule(
+            &[None, None],
+            &config,
+            || {
+                update(|s| s.0 += 1);
+                if state.0.lock().expect("unpoisoned").0 == 2 {
+                    wait_for("the first report", |s| s.1);
+                }
+            },
+            |_, _| {
+                update(|s| s.2 += 1);
+                &exp
+            },
+            |point, estimate| {
+                if reported.is_empty() {
+                    update(|s| s.1 = true);
+                    wait_for("the second point's bind", |s| s.2 == 2);
+                }
+                reported.push((point, estimate));
+            },
+        );
+        reported.sort_by_key(|&(point, _)| point);
+        let want = exp.run(
+            &MemoryConfig {
+                threads: 1,
+                ..config
+            },
+            None,
+        );
+        assert_eq!(reported, [(0, want), (1, want)]);
     }
 
     #[test]

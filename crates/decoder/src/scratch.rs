@@ -1,9 +1,10 @@
 //! Reusable decoder workspaces.
 //!
 //! [`DecoderScratch`] owns every working buffer the BP / OSD / BP+OSD hot paths need:
-//! the flat message arenas of belief propagation, the channel LLRs and first
-//! messages (built once per priors and graph digest), the packed hard decision and
-//! its syndrome, and the ordered-statistics column heap, basis and residual. The
+//! the flat message arenas of belief propagation (and the wider ones of its
+//! lockstep queue decoder), the channel LLRs and first messages (built once per priors
+//! and graph digest), the packed hard decision and its syndrome, and the
+//! ordered-statistics column heap, basis and residual. The
 //! scratch entry points of [`crate::bp::BeliefPropagation`], [`crate::osd::OsdDecoder`], and
 //! [`crate::bposd::BpOsdDecoder`] borrow all of their state from one of these, so a
 //! caller that keeps a scratch alive (one per worker thread, typically) performs zero
@@ -74,6 +75,27 @@ impl<T: Lane> LaneArena<T> {
     }
 }
 
+/// The arenas of the lockstep queue decoder ([`crate::bp`]): the same interleaved
+/// slot numbering as the single-syndrome arenas, slot-major with
+/// [`crate::simd::LOCKSTEP_LANES`] entries per slot, one lane per syndrome.
+/// Sized on first lockstep use and reused after.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct LockstepArenas {
+    /// Variable→check messages, at real slots only.
+    pub(crate) var_to_check: LaneArena<f64>,
+    /// Check→variable messages, at real slots only.
+    pub(crate) check_to_var: LaneArena<f64>,
+    /// Posteriors, column-major; `+∞` from the last column up to the next
+    /// multiple of 64, so the hard decision packs whole words.
+    pub(crate) posteriors: LaneArena<f64>,
+    /// Per-check syndrome masks, check-major: all-ones where the lane's
+    /// syndrome sets the check.
+    pub(crate) syn_masks: LaneArena<u64>,
+    /// Each lane's packed hard decision, word-major: word `w` of lane `l`
+    /// is entry `w * LOCKSTEP_LANES + l`.
+    pub(crate) err_words: Vec<u64>,
+}
+
 /// A caller-owned workspace for the BP / OSD / BP+OSD scratch decode paths.
 ///
 /// Create one with [`DecoderScratch::new`] and pass it to every decode; the buffers
@@ -133,6 +155,8 @@ pub struct DecoderScratch {
     pub(crate) parity: Vec<u64>,
     /// The `bool` entry points' packed copy of their syndrome.
     pub(crate) syn_bits: Vec<u64>,
+    /// The lockstep queue decoder's arenas, empty until its first lockstep group.
+    pub(crate) lockstep: LockstepArenas,
     // Ordered statistics -----------------------------------------------------
     /// Per-variable suspicion scores handed from BP to OSD.
     pub(crate) suspicion: Vec<f64>,

@@ -16,6 +16,12 @@
 //!   order-sensitive floating-point sum is unchanged. Short columns and
 //!   phantom lanes add `-0.0` from the spare cell, which changes no bit.
 //!
+//! The **lockstep kernels** decode several syndromes at once over the same
+//! slot numbering: their arenas are slot-major with [`LOCKSTEP_LANES`] `f64`
+//! per slot, lane = syndrome. Each check's real slots run in row order and
+//! each column's in ascending check order, padding skipped, so every lane
+//! repeats the single-syndrome arithmetic above exactly.
+//!
 //! Each kernel is compiled twice: once for the target's baseline ISA (what
 //! [`Simd::scalar`] and non-x86 hosts run; the compiler is free to vectorize
 //! it, e.g. with SSE2 on x86-64) and once inside a
@@ -39,6 +45,10 @@
 //! compilation. [`Simd::parse`] is the one parser of that value.
 
 use crate::sparse::PAD_LANES;
+
+/// How many syndromes the lockstep kernels decode at once: their arenas hold
+/// this many `f64` per slot, one lane per syndrome.
+pub const LOCKSTEP_LANES: usize = 8;
 
 /// The IEEE-754 sign bit of an `f64`.
 const SIGN_BIT: u64 = 1 << 63;
@@ -173,6 +183,23 @@ compiled_twice! {
         check_to_var: &[f64],
         var_to_check: &mut [f64],
     );
+    lockstep_check_pass(
+        syn_masks: &[u64],
+        row_ptr: &[usize],
+        row_slots: &[u32],
+        var_to_check: &[f64],
+        check_to_var: &mut [f64],
+        scale: f64,
+    );
+    lockstep_var_pass(
+        col_ptr: &[usize],
+        col_slots: &[u32],
+        channel_llr: &[f64],
+        check_to_var: &[f64],
+        var_to_check: &mut [f64],
+        posteriors: &mut [f64],
+    );
+    lockstep_hard_decision(posteriors: &[f64], err_words: &mut [u64]);
 }
 
 /// The min-sum check-node pass over the row-interleaved layout: reads
@@ -327,6 +354,148 @@ fn var_writeback(
                 var_to_check[slot] = llr[lane] - check_to_var[slot];
             }
         }
+    }
+}
+
+/// The lanes of one slot (or column) in a lockstep arena: entries
+/// `slot * LOCKSTEP_LANES..(slot + 1) * LOCKSTEP_LANES`, one per syndrome.
+#[inline(always)]
+fn lanes(arena: &[f64], slot: usize) -> &[f64; LOCKSTEP_LANES] {
+    let at = slot * LOCKSTEP_LANES;
+    arena[at..at + LOCKSTEP_LANES]
+        .try_into()
+        .expect("a slot holds one entry per lane")
+}
+
+/// [`lanes`], writable.
+#[inline(always)]
+fn lanes_mut(arena: &mut [f64], slot: usize) -> &mut [f64; LOCKSTEP_LANES] {
+    let at = slot * LOCKSTEP_LANES;
+    (&mut arena[at..at + LOCKSTEP_LANES])
+        .try_into()
+        .expect("a slot holds one entry per lane")
+}
+
+/// The check-node pass of the lockstep arenas (slot-major, one entry per
+/// lane = syndrome): check `r` owns the interleaved slots
+/// `row_slots[row_ptr[r]..row_ptr[r + 1]]`, its real messages in row order,
+/// and `syn_masks[r * LOCKSTEP_LANES + lane]` is all-ones when the lane's
+/// syndrome sets check `r`. Per lane this is [`check_pass`]'s update of one
+/// lane-row, minus the padding slots, whose neutral messages change neither
+/// reduction: the same ladder over the same messages in the same order.
+#[inline(always)]
+fn lockstep_check_pass(
+    syn_masks: &[u64],
+    row_ptr: &[usize],
+    row_slots: &[u32],
+    var_to_check: &[f64],
+    check_to_var: &mut [f64],
+    scale: f64,
+) {
+    for (span, syn) in row_ptr
+        .windows(2)
+        .zip(syn_masks.chunks_exact(LOCKSTEP_LANES))
+    {
+        let slots = &row_slots[span[0]..span[1]];
+        let mut sign = [0u64; LOCKSTEP_LANES];
+        sign.copy_from_slice(syn);
+        let mut min1 = [f64::INFINITY; LOCKSTEP_LANES];
+        let mut min2 = [f64::INFINITY; LOCKSTEP_LANES];
+        for &slot in slots {
+            let msgs = lanes(var_to_check, slot as usize);
+            for lane in 0..LOCKSTEP_LANES {
+                let msg = msgs[lane];
+                sign[lane] ^= u64::from(msg < 0.0).wrapping_neg();
+                let mag = msg.abs();
+                let new1 = mag < min1[lane];
+                let kept2 = if mag < min2[lane] { mag } else { min2[lane] };
+                min2[lane] = if new1 { min1[lane] } else { kept2 };
+                min1[lane] = if new1 { mag } else { min1[lane] };
+            }
+        }
+        let mut scaled1 = [0.0f64; LOCKSTEP_LANES];
+        let mut scaled2 = [0.0f64; LOCKSTEP_LANES];
+        for lane in 0..LOCKSTEP_LANES {
+            scaled1[lane] = scale * min1[lane];
+            scaled2[lane] = scale * min2[lane];
+            sign[lane] &= SIGN_BIT;
+        }
+        for &slot in slots {
+            let msgs = lanes(var_to_check, slot as usize);
+            let out = lanes_mut(check_to_var, slot as usize);
+            for lane in 0..LOCKSTEP_LANES {
+                let msg = msgs[lane];
+                let flip = sign[lane] ^ (u64::from(msg < 0.0) << 63);
+                let v = if msg.abs() == min1[lane] {
+                    scaled2[lane]
+                } else {
+                    scaled1[lane]
+                };
+                out[lane] = f64::from_bits(v.to_bits() ^ flip);
+            }
+        }
+    }
+}
+
+/// The variable-node pass of the lockstep arenas, with its writeback:
+/// column `c` owns the slots `col_slots[col_ptr[c]..col_ptr[c + 1]]` in
+/// ascending check order, so each lane's posterior
+/// `posteriors[c * LOCKSTEP_LANES + lane]` is `channel_llr[c]` plus the
+/// column's messages added in [`var_pass`]'s order (its `-0.0` padding
+/// terms are skipped, which changes no bit), and each slot then gets the
+/// posterior minus its own message, as in [`var_writeback`]. Columns past
+/// the last are left as they are.
+#[inline(always)]
+fn lockstep_var_pass(
+    col_ptr: &[usize],
+    col_slots: &[u32],
+    channel_llr: &[f64],
+    check_to_var: &[f64],
+    var_to_check: &mut [f64],
+    posteriors: &mut [f64],
+) {
+    for ((span, &prior), post) in col_ptr
+        .windows(2)
+        .zip(channel_llr)
+        .zip(posteriors.chunks_exact_mut(LOCKSTEP_LANES))
+    {
+        let slots = &col_slots[span[0]..span[1]];
+        let mut acc = [prior; LOCKSTEP_LANES];
+        for &slot in slots {
+            let msgs = lanes(check_to_var, slot as usize);
+            for lane in 0..LOCKSTEP_LANES {
+                acc[lane] += msgs[lane];
+            }
+        }
+        post.copy_from_slice(&acc);
+        for &slot in slots {
+            let msgs = lanes(check_to_var, slot as usize);
+            let out = lanes_mut(var_to_check, slot as usize);
+            for lane in 0..LOCKSTEP_LANES {
+                out[lane] = acc[lane] - msgs[lane];
+            }
+        }
+    }
+}
+
+/// [`hard_decision`] of every lane of the lockstep posteriors (64 columns
+/// of `LOCKSTEP_LANES` entries per word, `+∞` past the last column): word
+/// `w` of lane `l`'s packed decision is `err_words[w * LOCKSTEP_LANES + l]`.
+/// Each word is shifted in from its last column down, a recurrence per lane,
+/// so the compiler vectorizes across lanes rather than across columns.
+#[inline(always)]
+fn lockstep_hard_decision(posteriors: &[f64], err_words: &mut [u64]) {
+    for (block, out) in posteriors
+        .chunks_exact(64 * LOCKSTEP_LANES)
+        .zip(err_words.chunks_exact_mut(LOCKSTEP_LANES))
+    {
+        let mut bits = [0u64; LOCKSTEP_LANES];
+        for post in block.chunks_exact(LOCKSTEP_LANES).rev() {
+            for lane in 0..LOCKSTEP_LANES {
+                bits[lane] = (bits[lane] << 1) | u64::from(post[lane] < 0.0);
+            }
+        }
+        out.copy_from_slice(&bits);
     }
 }
 // cyclone-lint: end-hot-path

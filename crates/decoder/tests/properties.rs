@@ -3,7 +3,7 @@
 
 mod oracle;
 
-use decoder::bp::{priors_digest, BeliefPropagation};
+use decoder::bp::{priors_digest, BeliefPropagation, MIN_LOCKSTEP_LANES};
 use decoder::bposd::{BpOsdDecoder, DecodeMethod};
 use decoder::memory::{
     estimate_points, BatchScratch, LerEstimate, LerPoint, MemoryConfig, MemoryExperiment,
@@ -839,4 +839,158 @@ proptest! {
             reference.assert_matches(&flipped, &priors, &mut scratch);
         }
     }
+}
+
+/// Both sectors of the four benchmark codes, then [`redundant_check_matrix`].
+fn benchmark_matrices() -> Vec<qec::linalg::BitMat> {
+    let mut matrices = Vec::new();
+    for code in [
+        qec::codes::bb_72_12_6(),
+        qec::codes::hgp_100(),
+        qec::codes::bb_90_8_10(),
+        qec::codes::hgp_225_9_6(),
+    ] {
+        let code = code.expect("valid");
+        matrices.push(code.hz().clone());
+        matrices.push(code.hx().clone());
+    }
+    matrices.push(redundant_check_matrix());
+    matrices
+}
+
+/// `bits` packed 64 per word, zero past the last bit.
+fn pack(bits: &[bool]) -> Vec<u64> {
+    let mut words = vec![0u64; bits.len().div_ceil(64)];
+    for (i, _) in bits.iter().enumerate().filter(|(_, &bit)| bit) {
+        words[i >> 6] |= 1 << (i & 63);
+    }
+    words
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24).with_seed(0xC1C1_0DE5))]
+
+    #[test]
+    fn lockstep_queue_is_bit_identical_to_single_decodes(
+        seed in 0u64..1000,
+        pick in 0usize..9,
+        prior_pick in 0usize..3,
+        queue_len in 1usize..=40,
+        p in 0.005f64..0.08,
+        bp_iterations in 1usize..30,
+    ) {
+        // A queue of syndromes through the lockstep queue decoder against one
+        // single-core decode each: correction words, method, iterations and
+        // consistency verdict, in both kernel compilations. The queue mixes
+        // duplicates, syndromes H·e, and the same after one check flip
+        // (inconsistent on the matrices with redundant checks, so they run
+        // in lockstep groups, full, short, or too short to run).
+        let h = &benchmark_matrices()[pick];
+        let (m, n) = h.shape();
+        let rate = if n < 64 { 0.4 } else { p };
+        let priors: Vec<f64> = match prior_pick {
+            0 => vec![p; n],
+            1 => (0..n).map(|q| if q % 4 == 0 { (4.0 * p).min(0.45) } else { p }).collect(),
+            _ => (0..n).map(|q| p * (0.25 + (q % 7) as f64 * 0.25)).collect(),
+        };
+        let key = priors_digest(&priors);
+        let mut rng = StdRng::seed_from_u64(0xC1C1_0DE5 ^ seed);
+        let mut queue: Vec<Vec<bool>> = Vec::new();
+        for _ in 0..queue_len {
+            if !queue.is_empty() && rng.gen_bool(0.2) {
+                let again = queue[rng.gen_range(0..queue.len())].clone();
+                queue.push(again);
+                continue;
+            }
+            let error: Vec<bool> = (0..n).map(|_| rng.gen_bool(rate)).collect();
+            let mut syndrome = h.mul_vec(&error);
+            if rng.gen_bool(0.4) {
+                let at = rng.gen_range(0..m);
+                syndrome[at] = !syndrome[at];
+            }
+            queue.push(syndrome);
+        }
+        let packed: Vec<u64> = queue.iter().flat_map(|s| pack(s)).collect();
+        for simd in [Simd::detect(), Simd::scalar()] {
+            let decoder = BpOsdDecoder::new(h, bp_iterations).with_simd(simd);
+            let mut single = DecoderScratch::new();
+            let want: Vec<_> = queue
+                .iter()
+                .map(|s| {
+                    let status = decoder.decode_with_priors_keyed_into(s, &priors, key, &mut single);
+                    (status, pack(single.error()))
+                })
+                .collect();
+            let mut got = vec![None; queue.len()];
+            let mut scratch = DecoderScratch::new();
+            // Twice through one scratch: the second pass reuses its arenas.
+            for _pass in 0..2 {
+                got.fill(None);
+                let grouped = decoder.decode_queue_packed(&packed, &priors, key, &mut scratch, |i, status, correction| {
+                    assert!(got[i].is_none(), "syndrome {i} finished twice");
+                    got[i] = Some((status, correction.to_vec()));
+                });
+                // Inconsistent syndromes run in groups of eight, and a
+                // last group of at least six; the rest on the single core.
+                let inconsistent = want.iter().filter(|(status, _)| !status.consistent).count();
+                let last = inconsistent % 8;
+                let lockstep = inconsistent - last + if last >= MIN_LOCKSTEP_LANES { last } else { 0 };
+                prop_assert_eq!(grouped, lockstep as u64);
+                for (i, (got, want)) in got.iter().zip(&want).enumerate() {
+                    prop_assert_eq!(got.as_ref(), Some(want), "{} syndrome {}", simd.isa_name(), i);
+                }
+            }
+        }
+    }
+}
+
+/// Samples `chunks` 64-shot batches of `code` under `channel` through one
+/// batch scratch, asserts every shot's verdict equals the scalar oracle's,
+/// and returns the batch's decode counters.
+fn batch_stats_against_the_oracle(
+    code: &qec::CssCode,
+    model: HardwareNoiseModel,
+    channel: ErrorChannel,
+    chunks: usize,
+) -> decoder::memory::BatchStats {
+    let exp = MemoryExperiment::with_channel(code, model, channel.clone(), 30);
+    let oracle = oracle::ScalarSampler::new(code, channel, 30);
+    let config = MemoryConfig {
+        shots: 0,
+        bp_iterations: 30,
+        threads: 1,
+        seed: 0xC1C1_0DE5,
+    };
+    let mut batch = BatchScratch::new();
+    let mut shot_scratch = oracle::ShotScratch::default();
+    for chunk in 0..chunks {
+        let mask = exp.sample_batch_with(&config, chunk * 64, 64, &mut batch);
+        for k in 0..64 {
+            let shot = chunk * 64 + k;
+            let mut rng = StdRng::seed_from_u64(config.shot_seed(shot));
+            let want = oracle.sample_one_with(&mut rng, &mut shot_scratch);
+            assert_eq!((mask >> k) & 1 == 1, want, "shot {shot}");
+        }
+    }
+    batch.stats()
+}
+
+#[test]
+fn batch_decode_runs_lockstep_groups_and_the_single_core_like_the_oracle() {
+    // A high-rate biased channel leaves many distinct cache misses per
+    // sector batch, which decode in lockstep groups; a low-rate uniform one
+    // leaves too few, which decode on the single core.
+    let code = qec::codes::bb_72_12_6().expect("valid");
+    let (n, checks) = (code.num_qubits(), code.num_stabilizers());
+    let model = HardwareNoiseModel::new(NoiseParameters::new(2e-2), 0.0);
+    let p = model.effective_error_rate();
+    let biased = ErrorChannel::biased(n, checks, p, 2.0 * p);
+    let high = batch_stats_against_the_oracle(&code, model, biased, 4);
+    assert!(high.lockstep_lanes > 0, "{high:?}");
+    assert!(high.lockstep_lanes <= high.decoded, "{high:?}");
+    let model = HardwareNoiseModel::new(NoiseParameters::new(3e-4), 0.0);
+    let uniform = ErrorChannel::uniform(n, model.effective_error_rate());
+    let low = batch_stats_against_the_oracle(&code, model, uniform, 8);
+    assert!(low.decoded > 0, "{low:?}");
+    assert_eq!(low.lockstep_lanes, 0, "{low:?}");
 }
