@@ -5,8 +5,10 @@
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use cyclone::{CycloneCodesign, CycloneConfig};
+use decoder::bp::priors_digest;
 use decoder::bposd::BpOsdDecoder;
 use decoder::pauli::{CircuitNoise, PauliFrameSimulator};
+use decoder::scratch::DecoderScratch;
 use qccd::compiler::baseline::compile_baseline;
 use qccd::compiler::dynamic::compile_dynamic;
 use qccd::timing::OperationTimes;
@@ -67,6 +69,9 @@ fn bench_decoder(c: &mut Criterion) {
     let code = bb_72_12_6().expect("valid");
     let decoder = BpOsdDecoder::new(code.hz(), 30);
     let n = code.num_qubits();
+    let priors = vec![0.01; n];
+    let key = priors_digest(&priors);
+    let mut scratch = DecoderScratch::new();
     let mut rng = StdRng::seed_from_u64(1);
     c.bench_function("bp+osd decode bb72 p=1e-2", |b| {
         b.iter_batched(
@@ -74,7 +79,7 @@ fn bench_decoder(c: &mut Criterion) {
                 let e: Vec<bool> = (0..n).map(|_| rng.gen_bool(0.01)).collect();
                 code.z_syndrome(&e)
             },
-            |syndrome| decoder.decode(&syndrome, 0.01),
+            |syndrome| decoder.decode_with_priors_keyed_into(&syndrome, &priors, key, &mut scratch),
             BatchSize::SmallInput,
         )
     });

@@ -43,7 +43,6 @@ use decoder::bposd::{BpOsdDecoder, DecodeMethod};
 use decoder::memory::{BatchScratch, BatchStats, MemoryConfig, MemoryExperiment};
 use decoder::osd::OsdDecoder;
 use decoder::scratch::DecoderScratch;
-use decoder::simd::SimdIsa;
 use decoder::sparse::SparseBinMat;
 use noise::{ErrorChannel, HardwareNoiseModel, NoiseParameters};
 use qec::codes::{bb_72_12_6, hgp_225_9_6};
@@ -561,7 +560,7 @@ fn main() {
         // Kernel thresholds are tied to the AVX2 compilation: other dispatches
         // record honest numbers without gating on them, and a
         // `CYCLONE_SIMD=off` enforce run stays on the scalar-safe ceilings.
-        if simd.isa() == SimdIsa::Avx2 {
+        if simd.isa_name() == "avx2" {
             assert!(
                 bp_simd_speedup >= ENFORCE_MIN_BP_SIMD_SPEEDUP,
                 "AVX2 BP kernel gain regressed: {bp_simd_speedup:.2}x < \
@@ -575,7 +574,7 @@ fn main() {
         }
         println!(
             "  CYCLONE_ENFORCE: thresholds hold (cold + warm{})",
-            if simd.isa() == SimdIsa::Avx2 {
+            if simd.isa_name() == "avx2" {
                 " + avx2"
             } else {
                 ""

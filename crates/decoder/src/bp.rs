@@ -20,25 +20,24 @@
 //! (a few columns at physical error rates), compared with the syndrome word
 //! by word.
 //!
-//! The core reads a word-packed syndrome (bit `r & 63` of word `r >> 6` is
-//! check `r`) and leaves the word-packed hard decision in the scratch, which
-//! is what the bit-sliced Monte-Carlo batch path ([`crate::memory`]) holds
-//! anyway. The public entry point
-//! ([`BeliefPropagation::decode_with_priors_keyed_into`]) takes a `bool`
-//! syndrome: it packs it, runs the same core, and unpacks the hard decision
-//! and the posteriors into [`DecoderScratch::error`] and
-//! [`DecoderScratch::llrs`].
+//! The one decode core is a **queue decoder** over word-packed syndromes
+//! (bit `r & 63` of word `r >> 6` is check `r`),
+//! `BeliefPropagation::decode_queue_packed`, behind
+//! [`crate::bposd::BpOsdDecoder::decode_queue_packed`]. The bit-sliced
+//! Monte-Carlo batch path ([`crate::memory`]) hands it a sector batch's
+//! distinct cache misses; the `bool` entry point
+//! ([`BeliefPropagation::decode_with_priors_keyed_into`]) packs its syndrome,
+//! decodes it as a queue of one, and unpacks the hard decision and the
+//! posteriors into [`DecoderScratch::error`] and [`DecoderScratch::llrs`].
 //!
-//! The batch path decodes a queue of independent syndromes at once, through
-//! a **lockstep queue decoder** (`BeliefPropagation::decode_queue_packed`, behind
-//! [`crate::bposd::BpOsdDecoder::decode_queue_packed`]). Under measurement
-//! noise most BP iterations belong to inconsistent syndromes, which never
-//! converge and run every iteration; it runs those in groups of
-//! [`LOCKSTEP_LANES`], one SIMD lane each, through the lockstep kernels over
-//! arenas in the same interleaved slot numbering with one `f64` per lane.
-//! Each lane runs exactly the single core's arithmetic, so it is
-//! bit-identical to it. Consistent syndromes, and a last group of fewer than
-//! [`MIN_LOCKSTEP_LANES`], decode on the single core.
+//! Under measurement noise most BP iterations belong to inconsistent
+//! syndromes, which never converge and run every iteration; the queue runs
+//! those in **lockstep groups** of [`LOCKSTEP_LANES`], one SIMD lane each,
+//! through the lockstep kernels over arenas in the same interleaved slot
+//! numbering with one `f64` per lane. Each lane runs exactly the
+//! single-syndrome arithmetic, so it is bit-identical to it. Consistent
+//! syndromes, and a last group of fewer than [`MIN_LOCKSTEP_LANES`] (so every
+//! queue of one), decode one at a time.
 
 use crate::scratch::{DecoderScratch, LockstepArenas};
 use crate::simd::{Simd, LOCKSTEP_LANES};
@@ -55,19 +54,6 @@ pub fn priors_digest(priors: &[f64]) -> u64 {
         hash.write_u64(p.to_bits());
     }
     hash.finish()
-}
-
-/// Result of a BP run (owning variant returned by the allocating wrappers).
-#[derive(Debug, Clone, PartialEq)]
-pub struct BpResult {
-    /// Hard-decision error estimate (one entry per column of `H`).
-    pub error: Vec<bool>,
-    /// Posterior log-likelihood ratios (positive = probably no error).
-    pub llrs: Vec<f64>,
-    /// Whether the hard decision reproduces the syndrome.
-    pub converged: bool,
-    /// Number of iterations executed.
-    pub iterations: usize,
 }
 
 /// Outcome of a scratch-borrowing BP run; the error estimate and posterior LLRs live
@@ -88,10 +74,10 @@ pub struct BpStatus {
 const MIN_SUM_SCALE: f64 = 0.75;
 
 /// The fewest syndromes a lockstep group runs with; a shorter last group
-/// decodes on the single-syndrome core. One lockstep iteration costs about
-/// 5.4 single-core iterations however many lanes are used (30-iteration
+/// decodes on the single-syndrome loop. One lockstep iteration costs about
+/// 5.4 single-syndrome iterations however many lanes are used (30-iteration
 /// decodes on `[[72,12,6]]` and `[[225,9,6]]`, AVX2): four lanes run 1.36×
-/// slower than the single core, five break even, six gain 1.1× and eight
+/// slower than one at a time, five break even, six gain 1.1× and eight
 /// 1.4–1.5×.
 pub const MIN_LOCKSTEP_LANES: usize = 6;
 
@@ -213,30 +199,6 @@ impl BeliefPropagation {
         &self.h
     }
 
-    /// Runs BP for a syndrome with uniform prior error probability `p`
-    /// (allocating convenience wrapper around
-    /// [`BeliefPropagation::decode_with_priors_keyed_into`] with constant priors).
-    ///
-    /// # Panics
-    ///
-    /// Panics if dimensions do not match or `p` is outside `(0, 1)`.
-    pub fn decode(&self, syndrome: &[bool], p: f64) -> BpResult {
-        let priors = vec![p; self.h.num_cols()];
-        let mut scratch = DecoderScratch::new();
-        let status = self.decode_with_priors_keyed_into(
-            syndrome,
-            &priors,
-            priors_digest(&priors),
-            &mut scratch,
-        );
-        BpResult {
-            error: scratch.error,
-            llrs: scratch.llrs,
-            converged: status.converged,
-            iterations: status.iterations,
-        }
-    }
-
     /// Runs BP with per-bit prior error probabilities, borrowing all working
     /// buffers from `scratch`; the error estimate and posterior LLRs are left in
     /// [`DecoderScratch::error`] / [`DecoderScratch::llrs`]. A uniform channel is
@@ -252,8 +214,9 @@ impl BeliefPropagation {
     /// and the LLR conversion actually runs — by construction a hit means an
     /// identical, already-validated vector was converted before.
     ///
-    /// This packs the syndrome, runs the word-packed core every decode path
-    /// shares, and unpacks its hard decision and posteriors.
+    /// This packs the syndrome, decodes it as a queue of one
+    /// ([`crate::bposd::BpOsdDecoder::decode_queue_packed`] has the public
+    /// queue), and unpacks its hard decision and posteriors.
     ///
     /// # Panics
     ///
@@ -271,61 +234,42 @@ impl BeliefPropagation {
             self.h.num_rows(),
             "syndrome length must equal number of checks"
         );
-        let status = scratch.with_packed_syndrome(syndrome, |packed, scratch| {
-            self.decode_packed_keyed_into(packed, priors, key, scratch)
+        let mut status = None;
+        scratch.with_packed_syndrome(syndrome, |packed, scratch| {
+            self.decode_queue_packed(packed, priors, key, scratch, |_, s, _| status = Some(s))
         });
         scratch.unpack_decode(self.h.num_cols());
-        status
+        status.expect("a queue of one decodes once")
     }
 
-    /// The word-packed decode core: [`Self::decode_with_priors_keyed_into`]
-    /// on a syndrome packed 64 checks per word (`num_rows.div_ceil(64)` words,
-    /// zero past the last check). The hard decision is left packed in the
-    /// scratch (`err_words`) and the posteriors in its
-    /// padded accumulator; neither is unpacked.
-    pub(crate) fn decode_packed_keyed_into(
-        &self,
-        syndrome: &[u64],
-        priors: &[f64],
-        key: u64,
-        scratch: &mut DecoderScratch,
-    ) -> BpStatus {
-        let n = self.h.num_cols();
-        assert_eq!(priors.len(), n, "one prior per variable required");
-        debug_assert_eq!(key, priors_digest(priors), "key is not the priors digest");
-        if scratch.cached_priors_key != Some((key, self.graph.digest())) {
-            self.prime(priors, key, scratch);
-        }
-        let consistent = self.prepare(syndrome, scratch);
-        self.propagate(syndrome, scratch, consistent)
-    }
-
-    /// Decodes a queue of word-packed syndromes (`syndromes` holds
-    /// `num_rows.div_ceil(64)` words per syndrome) and hands each result to
-    /// `done` with its queue index. When `done` runs, `scratch` holds that
-    /// decode's hard decision and posteriors exactly as
-    /// [`Self::decode_packed_keyed_into`] leaves them. Returns how many
-    /// syndromes ran in lockstep groups.
+    /// The one decode core: decodes a queue of word-packed syndromes
+    /// (`num_rows.div_ceil(64)` words each, zero past the last check) and
+    /// hands each result to `done` with its queue index. When `done` runs,
+    /// `scratch` holds that decode's hard decision, packed in
+    /// `scratch.err_words`, and its posteriors, in `scratch.llrs_pad[..n]`.
+    /// Returns how many syndromes ran in lockstep groups. An `H` without
+    /// checks has one syndrome, the empty one, so its queue holds no words
+    /// and is one decode.
     ///
     /// Lockstep groups are for the decodes that provably run every
     /// iteration: the inconsistent syndromes, which the left-kernel parity
     /// finds before the first iteration. A consistent syndrome decodes on
-    /// the single core at once, because most converge within a few
-    /// iterations, where moving one in and out of a lane costs more than
-    /// lockstep saves. The inconsistent ones gather into groups of
+    /// the single-syndrome loop ([`Self::propagate`]) at once, because most
+    /// converge within a few iterations, where moving one in and out of a
+    /// lane costs more than lockstep saves. The inconsistent ones gather into groups of
     /// [`LOCKSTEP_LANES`], one lane each, which run every iteration together
     /// in the lockstep kernels of [`crate::simd`]: their arenas use the
     /// interleaved slot numbering of [`TannerGraph`], slot-major with one
     /// `f64` per lane, so each lane runs its checks in row order and sums its
     /// columns in ascending check order, skipping padding. That is the
-    /// arithmetic of the single core, so every lane is bit-identical to it.
-    /// A last group shorter than [`MIN_LOCKSTEP_LANES`] decodes on the single
-    /// core instead.
+    /// arithmetic of the single-syndrome loop, so every lane is bit-identical
+    /// to it. A last group shorter than [`MIN_LOCKSTEP_LANES`] decodes on the
+    /// single-syndrome loop instead.
     ///
     /// # Panics
     ///
-    /// Panics if `H` has no checks, `syndromes` is not a whole number of
-    /// syndromes, or as [`Self::decode_with_priors_keyed_into`] does.
+    /// Panics if `syndromes` is not a whole number of syndromes, or as
+    /// [`Self::decode_with_priors_keyed_into`] does.
     // cyclone-lint: hot-path
     pub(crate) fn decode_queue_packed(
         &self,
@@ -336,8 +280,10 @@ impl BeliefPropagation {
         mut done: impl FnMut(usize, BpStatus, &mut DecoderScratch),
     ) -> u64 {
         let words = self.h.num_rows().div_ceil(64);
-        assert!(
-            words > 0 && syndromes.len() % words == 0,
+        let count = syndromes.len().checked_div(words).unwrap_or(1);
+        assert_eq!(
+            syndromes.len(),
+            count * words,
             "the queue holds whole packed syndromes"
         );
         assert_eq!(
@@ -351,7 +297,8 @@ impl BeliefPropagation {
         }
         let mut arenas = std::mem::take(&mut scratch.lockstep);
         let (mut group, mut len, mut grouped) = ([0usize; LOCKSTEP_LANES], 0, 0u64);
-        for (index, syndrome) in syndromes.chunks_exact(words).enumerate() {
+        for index in 0..count {
+            let syndrome = &syndromes[index * words..(index + 1) * words];
             let consistent = self.prepare(syndrome, scratch);
             if consistent {
                 let status = self.propagate(syndrome, scratch, consistent);
@@ -711,13 +658,50 @@ mod tests {
         SparseBinMat::from_row_supports(n, rows)
     }
 
+    /// One scratch decode through the keyed entry point.
+    fn decode_keyed(
+        bp: &BeliefPropagation,
+        s: &[bool],
+        priors: &[f64],
+        scratch: &mut DecoderScratch,
+    ) -> BpStatus {
+        bp.decode_with_priors_keyed_into(s, priors, priors_digest(priors), scratch)
+    }
+
+    /// A fresh-scratch decode at constant prior `p`, and the scratch holding
+    /// its hard decision and posteriors.
+    fn decode_uniform(bp: &BeliefPropagation, s: &[bool], p: f64) -> (BpStatus, DecoderScratch) {
+        let mut scratch = DecoderScratch::new();
+        let status = decode_keyed(bp, s, &vec![p; bp.matrix().num_cols()], &mut scratch);
+        (status, scratch)
+    }
+
+    /// The error estimate of a fresh-scratch decode.
+    fn fresh_error(bp: &BeliefPropagation, s: &[bool], priors: &[f64]) -> Vec<bool> {
+        let mut scratch = DecoderScratch::new();
+        decode_keyed(bp, s, priors, &mut scratch);
+        scratch.error
+    }
+
     #[test]
     fn zero_syndrome_decodes_to_zero() {
         let h = repetition_check(7);
         let bp = BeliefPropagation::new(h.clone(), 20);
-        let result = bp.decode(&[false; 6], 0.01);
-        assert!(result.converged);
-        assert!(result.error.iter().all(|&b| !b));
+        let (status, scratch) = decode_uniform(&bp, &[false; 6], 0.01);
+        assert!(status.converged);
+        assert!(scratch.error().iter().all(|&b| !b));
+    }
+
+    #[test]
+    fn a_matrix_without_checks_decodes_its_empty_syndrome() {
+        // One syndrome, the empty one: the queue of one holds no words. The
+        // first iteration's hard decision (each prior's sign) reproduces it.
+        let bp = BeliefPropagation::new(SparseBinMat::from_row_supports(3, Vec::new()), 20);
+        let mut scratch = DecoderScratch::new();
+        let status = decode_keyed(&bp, &[], &[0.1, 0.7, 0.2], &mut scratch);
+        assert!(status.converged && status.consistent);
+        assert_eq!(status.iterations, 1);
+        assert_eq!(scratch.error(), [false, true, false]);
     }
 
     #[test]
@@ -727,9 +711,9 @@ mod tests {
         let mut e = vec![false; 7];
         e[3] = true;
         let s = h.syndrome(&e);
-        let result = bp.decode(&s, 0.05);
-        assert!(result.converged);
-        assert_eq!(result.error, e);
+        let (status, scratch) = decode_uniform(&bp, &s, 0.05);
+        assert!(status.converged);
+        assert_eq!(scratch.error(), e);
     }
 
     #[test]
@@ -739,9 +723,9 @@ mod tests {
         let mut e = vec![false; 5];
         e[0] = true;
         let s = h.syndrome(&e);
-        let result = bp.decode(&s, 0.05);
-        assert!(result.converged);
-        assert_eq!(result.error, e);
+        let (status, scratch) = decode_uniform(&bp, &s, 0.05);
+        assert!(status.converged);
+        assert_eq!(scratch.error(), e);
     }
 
     #[test]
@@ -757,27 +741,10 @@ mod tests {
             let mut e = vec![false; 7];
             e[i] = true;
             let s = h.syndrome(&e);
-            let r = bp.decode(&s, 0.02);
-            assert!(r.converged, "bit {i} did not converge");
-            assert_eq!(h.syndrome(&r.error), s, "bit {i} wrong syndrome");
+            let (status, scratch) = decode_uniform(&bp, &s, 0.02);
+            assert!(status.converged, "bit {i} did not converge");
+            assert_eq!(h.syndrome(scratch.error()), s, "bit {i} wrong syndrome");
         }
-    }
-
-    /// One scratch decode through the keyed entry point.
-    fn decode_keyed(
-        bp: &BeliefPropagation,
-        s: &[bool],
-        priors: &[f64],
-        scratch: &mut DecoderScratch,
-    ) -> BpStatus {
-        bp.decode_with_priors_keyed_into(s, priors, priors_digest(priors), scratch)
-    }
-
-    /// The error estimate of a fresh-scratch decode.
-    fn fresh_error(bp: &BeliefPropagation, s: &[bool], priors: &[f64]) -> Vec<bool> {
-        let mut scratch = DecoderScratch::new();
-        decode_keyed(bp, s, priors, &mut scratch);
-        scratch.error
     }
 
     #[test]
@@ -809,12 +776,11 @@ mod tests {
             let mut e = vec![false; 7];
             e[bit] = true;
             let s = h.syndrome(&e);
-            let fresh = bp.decode(&s, 0.05);
+            let (want, fresh) = decode_uniform(&bp, &s, 0.05);
             let status = decode_keyed(&bp, &s, &[0.05; 7], &mut scratch);
-            assert_eq!(status.converged, fresh.converged);
-            assert_eq!(status.iterations, fresh.iterations);
-            assert_eq!(scratch.error(), fresh.error.as_slice());
-            assert_eq!(scratch.llrs(), fresh.llrs.as_slice());
+            assert_eq!(status, want);
+            assert_eq!(scratch.error(), fresh.error());
+            assert_eq!(scratch.llrs(), fresh.llrs());
         }
     }
 
@@ -829,13 +795,13 @@ mod tests {
         let a = decode_keyed(&bp, &s, &[0.05; 5], &mut scratch);
         // A different constant p must refresh the cached channel LLR.
         let b = decode_keyed(&bp, &s, &[0.01; 5], &mut scratch);
-        assert_eq!(scratch.error(), bp.decode(&s, 0.01).error.as_slice());
+        assert_eq!(scratch.error(), fresh_error(&bp, &s, &[0.01; 5]));
         // A per-bit priors decode in between must not poison the cache.
         let _ = decode_keyed(&bp, &s, &[0.3, 0.2, 0.3, 0.3, 0.3], &mut scratch);
         let c = decode_keyed(&bp, &s, &[0.05; 5], &mut scratch);
         assert_eq!(a.converged, c.converged);
         assert_eq!(a.iterations, c.iterations);
-        assert_eq!(scratch.error(), bp.decode(&s, 0.05).error.as_slice());
+        assert_eq!(scratch.error(), fresh_error(&bp, &s, &[0.05; 5]));
         assert!(b.converged);
     }
 
@@ -991,8 +957,9 @@ mod tests {
         // [[72,12,6]] syndromes of weight-5 errors, two in three of them with
         // one check flipped, which makes them inconsistent: 22 syndromes hold
         // 14 inconsistent ones, a full group of eight and a short group of
-        // six with two spare lanes. Every decode must match the single core
-        // in status, hard decision and the bits of every posterior.
+        // six with two spare lanes. Every decode must match a decode of its
+        // syndrome alone in status, hard decision and the bits of every
+        // posterior.
         let code = qec::codes::bb_72_12_6().expect("valid");
         let h = SparseBinMat::from_bitmat(code.hz());
         let (m, n) = (h.num_rows(), h.num_cols());
@@ -1021,16 +988,21 @@ mod tests {
         }
         for simd in [Simd::scalar(), Simd::detect()] {
             let bp = BeliefPropagation::new(h.clone(), 30).with_simd(simd);
+            // The reference: each syndrome alone, a queue of one, which
+            // never forms a group.
             let mut single = DecoderScratch::new();
             let want: Vec<_> = queue
                 .chunks_exact(words)
                 .map(|syndrome| {
-                    let status = bp.decode_packed_keyed_into(syndrome, &priors, key, &mut single);
-                    let llrs: Vec<u64> = single.llrs_pad.as_slice()[..n]
-                        .iter()
-                        .map(|l| l.to_bits())
-                        .collect();
-                    (status, single.err_words.clone(), llrs)
+                    let mut want = None;
+                    bp.decode_queue_packed(syndrome, &priors, key, &mut single, |_, status, s| {
+                        let llrs: Vec<u64> = s.llrs_pad.as_slice()[..n]
+                            .iter()
+                            .map(|l| l.to_bits())
+                            .collect();
+                        want = Some((status, s.err_words.clone(), llrs));
+                    });
+                    want.expect("decoded")
                 })
                 .collect();
             assert_eq!(want.iter().filter(|(s, ..)| !s.consistent).count(), 14);

@@ -5,8 +5,14 @@
 //! provides the shared reimplementation: belief propagation first, and ordered-
 //! statistics post-processing whenever BP fails to reproduce the syndrome (see
 //! DESIGN.md, substitution 2).
+//!
+//! [`BpOsdDecoder::decode_queue_packed`] is the one decode core: it decodes a
+//! queue of word-packed syndromes through BP's queue decoder (see the
+//! [`crate::bp`] module docs) and gives each result the OSD tail. The `bool`
+//! entry point [`BpOsdDecoder::decode_with_priors_keyed_into`] is a queue of
+//! one.
 
-use crate::bp::{priors_digest, BeliefPropagation};
+use crate::bp::BeliefPropagation;
 use crate::osd::OsdDecoder;
 use crate::scratch::DecoderScratch;
 use crate::sparse::SparseBinMat;
@@ -22,17 +28,6 @@ pub enum DecodeMethod {
     /// space of `H`, see [`DecodeStatus::consistent`]) OSD was skipped and
     /// the answer is the BP hard decision of the last iteration.
     OrderedStatistics,
-}
-
-/// Outcome of a BP+OSD decode (owning variant returned by the allocating wrapper).
-#[derive(Debug, Clone)]
-pub struct Decode {
-    /// The estimated error pattern.
-    pub error: Vec<bool>,
-    /// Which stage produced the estimate.
-    pub method: DecodeMethod,
-    /// BP iterations used.
-    pub iterations: usize,
 }
 
 /// Outcome of a scratch-borrowing BP+OSD decode; the error pattern lives in the
@@ -84,40 +79,8 @@ impl BpOsdDecoder {
         self.bp.simd()
     }
 
-    /// Decodes `syndrome` assuming a uniform prior error probability `p` per bit
-    /// (allocating convenience wrapper around
-    /// [`BpOsdDecoder::decode_with_priors_keyed_into`] with constant priors).
-    ///
-    /// The returned pattern reproduces the syndrome whenever the syndrome lies
-    /// in the column space of `H` (OSD finds a solution for every such
-    /// syndrome). Under measurement noise it need not: a flipped check
-    /// measurement can move the syndrome outside the column space. Then BP
-    /// cannot converge, the left-kernel parity proves it and OSD is skipped,
-    /// and the BP hard decision is returned with
-    /// [`DecodeMethod::OrderedStatistics`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if the syndrome length does not match the number of checks, or `p`
-    /// is outside `(0, 1)`.
-    pub fn decode(&self, syndrome: &[bool], p: f64) -> Decode {
-        let priors = vec![p; self.check_matrix().num_cols()];
-        let mut scratch = DecoderScratch::new();
-        let status = self.decode_with_priors_keyed_into(
-            syndrome,
-            &priors,
-            priors_digest(&priors),
-            &mut scratch,
-        );
-        Decode {
-            error: scratch.error,
-            method: status.method,
-            iterations: status.iterations,
-        }
-    }
-
     /// Scratch-borrowing BP+OSD decode with per-bit prior error probabilities
-    /// and their caller-precomputed [`priors_digest`] key (the steady-state
+    /// and their caller-precomputed [`crate::bp::priors_digest`] key (the steady-state
     /// priors-LLR cache hit is a single `u64` compare, see
     /// [`BeliefPropagation::decode_with_priors_keyed_into`]). The error pattern
     /// is left in [`DecoderScratch::error`]. When the syndrome is inconsistent
@@ -127,9 +90,13 @@ impl BpOsdDecoder {
     /// [`DecodeMethod::OrderedStatistics`], exactly what an OSD that found no
     /// solution would leave.
     ///
-    /// This packs the syndrome, runs the word-packed BP+OSD core the
-    /// Monte-Carlo batch path calls directly, and unpacks the correction (and
-    /// the BP posteriors into [`DecoderScratch::llrs`]).
+    /// The returned pattern reproduces the syndrome whenever the syndrome
+    /// lies in the column space of `H` (OSD finds a solution for every such
+    /// syndrome).
+    ///
+    /// This packs the syndrome, decodes it as a queue of one through
+    /// [`Self::decode_queue_packed`], and unpacks the correction (and the BP
+    /// posteriors into [`DecoderScratch::llrs`]).
     ///
     /// # Panics
     ///
@@ -148,52 +115,32 @@ impl BpOsdDecoder {
             m,
             "syndrome length must equal number of checks"
         );
-        let status = scratch.with_packed_syndrome(syndrome, |packed, scratch| {
-            self.decode_packed_keyed_into(packed, priors, key, scratch)
+        let mut status = None;
+        scratch.with_packed_syndrome(syndrome, |packed, scratch| {
+            self.decode_queue_packed(packed, priors, key, scratch, |_, s, _| status = Some(s))
         });
         scratch.unpack_decode(self.check_matrix().num_cols());
-        status
+        status.expect("a queue of one decodes once")
     }
 
-    /// The word-packed BP+OSD core: [`Self::decode_with_priors_keyed_into`] on
-    /// a syndrome packed 64 checks per word (`num_rows.div_ceil(64)` words,
-    /// zero past the last check). The correction is left packed in
-    /// `scratch.err_words`: the BP hard decision when BP converged
-    /// or the syndrome is inconsistent, else the OSD solution.
-    ///
-    /// Skipping OSD changes no later decode: the OSD stage rebuilds its heap,
-    /// basis and residual on every call and reads nothing an earlier call
-    /// left in the scratch.
-    // cyclone-lint: hot-path
-    pub(crate) fn decode_packed_keyed_into(
-        &self,
-        syndrome: &[u64],
-        priors: &[f64],
-        key: u64,
-        scratch: &mut DecoderScratch,
-    ) -> DecodeStatus {
-        let bp_status = self
-            .bp
-            .decode_packed_keyed_into(syndrome, priors, key, scratch);
-        self.finish(syndrome, bp_status, scratch)
-    }
-
-    /// Decodes a queue of word-packed syndromes (`num_rows.div_ceil(64)`
-    /// words each, zero past the last check) and calls `done` with each
-    /// one's queue index, status and packed correction, in the order the
-    /// decodes finish. Every result is bit for bit what
-    /// [`Self::decode_with_priors_keyed_into`] returns for that syndrome.
+    /// The one BP+OSD decode core: decodes a queue of word-packed syndromes
+    /// (`num_rows.div_ceil(64)` words each, zero past the last check) and
+    /// calls `done` with each one's queue index, status and packed
+    /// correction, in the order the decodes finish. The correction is the BP
+    /// hard decision when BP converged or the syndrome is inconsistent, else
+    /// the OSD solution. An `H` without checks has one syndrome, the empty
+    /// one, so its queue holds no words and is one decode.
     ///
     /// BP runs the inconsistent syndromes eight at a time in lockstep lanes
-    /// (see the [`crate::bp`] module docs), and every BP result then takes
-    /// the same OSD tail as a single decode. Returns how many syndromes ran
-    /// in lockstep groups.
+    /// (see the [`crate::bp`] module docs), bit-identical to decoding each
+    /// alone, and every BP result then takes the same OSD tail. Returns how
+    /// many syndromes ran in lockstep groups.
     ///
     /// # Panics
     ///
-    /// Panics if `H` has no checks, `syndromes` is not a whole number of
-    /// packed syndromes, or a prior is outside `(0, 1)` on a priors-cache
-    /// miss.
+    /// Panics if `syndromes` is not a whole number of packed syndromes, or
+    /// a prior is outside `(0, 1)` on a priors-cache miss.
+    // cyclone-lint: hot-path
     pub fn decode_queue_packed(
         &self,
         syndromes: &[u64],
@@ -214,6 +161,10 @@ impl BpOsdDecoder {
     /// The OSD tail of a BP run whose hard decision and posteriors are in
     /// `scratch`: a converged or inconsistent decode keeps the hard
     /// decision, any other runs OSD-0 on the negated posteriors.
+    ///
+    /// Skipping OSD changes no later decode: the OSD stage rebuilds its heap,
+    /// basis and residual on every call and reads nothing an earlier call
+    /// left in the scratch.
     fn finish(
         &self,
         syndrome: &[u64],
@@ -251,11 +202,30 @@ impl BpOsdDecoder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bp::priors_digest;
     use qec::codes::bb_72_12_6;
     use qec::linalg::weight;
     use rand::rngs::StdRng;
     use rand::Rng;
     use rand::SeedableRng;
+
+    /// One scratch decode through the keyed entry point at constant prior `p`.
+    fn decode_uniform_into(
+        dec: &BpOsdDecoder,
+        s: &[bool],
+        p: f64,
+        scratch: &mut DecoderScratch,
+    ) -> DecodeStatus {
+        let priors = vec![p; dec.check_matrix().num_cols()];
+        dec.decode_with_priors_keyed_into(s, &priors, priors_digest(&priors), scratch)
+    }
+
+    /// The correction of a fresh-scratch decode at constant prior `p`.
+    fn correction(dec: &BpOsdDecoder, s: &[bool], p: f64) -> Vec<bool> {
+        let mut scratch = DecoderScratch::new();
+        decode_uniform_into(dec, s, p, &mut scratch);
+        scratch.error
+    }
 
     #[test]
     fn decodes_weight_one_and_two_errors_on_bb72() {
@@ -268,8 +238,8 @@ mod tests {
             let mut e = vec![false; n];
             e[i] = true;
             let s = code.z_syndrome(&e);
-            let d = dec.decode(&s, 0.01);
-            let residual: Vec<bool> = e.iter().zip(&d.error).map(|(&a, &b)| a ^ b).collect();
+            let d = correction(&dec, &s, 0.01);
+            let residual: Vec<bool> = e.iter().zip(&d).map(|(&a, &b)| a ^ b).collect();
             assert!(code.z_syndrome(&residual).iter().all(|&b| !b));
             assert!(
                 !code.x_error_is_logical(&residual),
@@ -287,8 +257,8 @@ mod tests {
             e[a] = true;
             e[b] = true;
             let s = code.z_syndrome(&e);
-            let d = dec.decode(&s, 0.01);
-            let residual: Vec<bool> = e.iter().zip(&d.error).map(|(&x, &y)| x ^ y).collect();
+            let d = correction(&dec, &s, 0.01);
+            let residual: Vec<bool> = e.iter().zip(&d).map(|(&x, &y)| x ^ y).collect();
             assert!(code.z_syndrome(&residual).iter().all(|&v| !v));
             assert!(
                 !code.x_error_is_logical(&residual),
@@ -306,67 +276,34 @@ mod tests {
         for _ in 0..25 {
             let e: Vec<bool> = (0..n).map(|_| rng.gen_bool(0.05)).collect();
             let s = code.x_syndrome(&e);
-            let d = dec.decode(&s, 0.05);
-            assert_eq!(code.x_syndrome(&d.error), s);
+            assert_eq!(code.x_syndrome(&correction(&dec, &s, 0.05)), s);
         }
-    }
-
-    /// One scratch decode through the keyed entry point at constant prior `p`.
-    fn decode_uniform_into(
-        dec: &BpOsdDecoder,
-        s: &[bool],
-        p: f64,
-        scratch: &mut DecoderScratch,
-    ) -> DecodeStatus {
-        let priors = vec![p; dec.check_matrix().num_cols()];
-        dec.decode_with_priors_keyed_into(s, &priors, priors_digest(&priors), scratch)
     }
 
     #[test]
     fn decode_into_reuses_scratch_across_sectors() {
-        // One scratch bounced between the X- and Z-sector decoders (different row
-        // counts, same column count) must keep matching the allocating path.
+        // One warm scratch bounced between the X- and Z-sector decoders
+        // (different row counts, same column count) must keep computing what
+        // a fresh scratch computes, on BP-converged and OSD-fallback
+        // syndromes alike (the sweep-level property test extends this across
+        // the catalog).
         let code = bb_72_12_6().expect("valid");
-        let dec_z = BpOsdDecoder::new(code.hz(), 18);
-        let dec_x = BpOsdDecoder::new(code.hx(), 18);
-        let n = code.num_qubits();
-        let mut rng = StdRng::seed_from_u64(0xC1C1_0DE5);
-        let mut scratch = DecoderScratch::new();
-        for _ in 0..12 {
-            let e: Vec<bool> = (0..n).map(|_| rng.gen_bool(0.04)).collect();
-            for (dec, s) in [(&dec_z, code.z_syndrome(&e)), (&dec_x, code.x_syndrome(&e))] {
-                let fresh = dec.decode(&s, 0.04);
-                let status = decode_uniform_into(dec, &s, 0.04, &mut scratch);
-                assert_eq!(status.method, fresh.method);
-                assert_eq!(status.iterations, fresh.iterations);
-                assert_eq!(scratch.error(), fresh.error.as_slice());
-            }
-        }
-    }
-
-    #[test]
-    fn uniform_priors_match_the_uniform_path_including_osd_fallback() {
-        // A constant priors vector through one warm, reused scratch must compute
-        // exactly what the allocating uniform decode computes on a fresh scratch,
-        // on BP-converged and OSD-fallback syndromes alike (the sweep-level
-        // property test extends this across the catalog).
-        let code = bb_72_12_6().expect("valid");
-        let dec = BpOsdDecoder::new(code.hz(), 12);
+        let dec_z = BpOsdDecoder::new(code.hz(), 12);
+        let dec_x = BpOsdDecoder::new(code.hx(), 12);
         let n = code.num_qubits();
         let p = 0.03;
         let mut rng = StdRng::seed_from_u64(0xC1C1_0DE5);
         let mut scratch = DecoderScratch::new();
         let mut fallbacks = 0usize;
-        for _ in 0..30 {
+        for _ in 0..15 {
             let e: Vec<bool> = (0..n).map(|_| rng.gen_bool(0.06)).collect();
-            let s = code.z_syndrome(&e);
-            let uniform = dec.decode(&s, p);
-            let with_priors = decode_uniform_into(&dec, &s, p, &mut scratch);
-            assert_eq!(uniform.method, with_priors.method);
-            assert_eq!(uniform.iterations, with_priors.iterations);
-            assert_eq!(uniform.error.as_slice(), scratch.error());
-            if uniform.method == DecodeMethod::OrderedStatistics {
-                fallbacks += 1;
+            for (dec, s) in [(&dec_z, code.z_syndrome(&e)), (&dec_x, code.x_syndrome(&e))] {
+                let mut fresh = DecoderScratch::new();
+                let want = decode_uniform_into(dec, &s, p, &mut fresh);
+                let status = decode_uniform_into(dec, &s, p, &mut scratch);
+                assert_eq!(status, want);
+                assert_eq!(scratch.error(), fresh.error());
+                fallbacks += usize::from(want.method == DecodeMethod::OrderedStatistics);
             }
         }
         assert!(fallbacks > 0, "test must exercise the OSD fallback");
@@ -396,14 +333,22 @@ mod tests {
         assert_eq!(status.method, DecodeMethod::OrderedStatistics);
         assert_eq!(status.iterations, 30);
         assert!(!status.consistent);
-        let bp = dec.bp.decode(&syndrome, 0.01);
-        assert!(!bp.converged);
-        assert_eq!(scratch.error(), bp.error.as_slice());
+        let priors = vec![0.01; code.num_qubits()];
+        let mut bp = DecoderScratch::new();
+        let bp_status = dec.bp.decode_with_priors_keyed_into(
+            &syndrome,
+            &priors,
+            priors_digest(&priors),
+            &mut bp,
+        );
+        assert!(!bp_status.converged);
+        assert_eq!(scratch.error(), bp.error());
         assert_ne!(h.mul_vec(scratch.error()), syndrome);
     }
 
-    /// The packed core's correction equals the bool API's error, packed;
-    /// statuses match, and so do the posteriors the bool API unpacks.
+    /// A queue of one through a warm scratch against the bool adapter on a
+    /// fresh one: statuses match, the packed correction is the adapter's
+    /// error packed, and the posteriors are the ones the adapter unpacks.
     fn assert_core_matches_adapter(
         dec: &BpOsdDecoder,
         syndrome: &[bool],
@@ -415,7 +360,11 @@ mod tests {
         for (r, _) in syndrome.iter().enumerate().filter(|(_, &bit)| bit) {
             packed[r >> 6] |= 1 << (r & 63);
         }
-        let core = dec.decode_packed_keyed_into(&packed, priors, key, warm);
+        let mut core = None;
+        dec.decode_queue_packed(&packed, priors, key, warm, |_, status, correction| {
+            core = Some((status, correction.to_vec()));
+        });
+        let (core, correction) = core.expect("a queue of one decodes once");
         let mut fresh = DecoderScratch::new();
         let adapter = dec.decode_with_priors_keyed_into(syndrome, priors, key, &mut fresh);
         assert_eq!(core, adapter);
@@ -423,7 +372,7 @@ mod tests {
         for (c, _) in fresh.error().iter().enumerate().filter(|(_, &bit)| bit) {
             want[c >> 6] |= 1 << (c & 63);
         }
-        assert_eq!(warm.err_words, want);
+        assert_eq!(correction, want);
         let n = priors.len();
         let bits = |llrs: &[f64]| llrs.iter().map(|l| l.to_bits()).collect::<Vec<_>>();
         assert_eq!(
@@ -485,8 +434,14 @@ mod tests {
     fn zero_syndrome_gives_zero_error() {
         let code = bb_72_12_6().expect("valid");
         let dec = BpOsdDecoder::new(code.hz(), 20);
-        let d = dec.decode(&vec![false; code.num_z_stabilizers()], 0.01);
-        assert_eq!(weight(&d.error), 0);
-        assert_eq!(d.method, DecodeMethod::BeliefPropagation);
+        let mut scratch = DecoderScratch::new();
+        let status = decode_uniform_into(
+            &dec,
+            &vec![false; code.num_z_stabilizers()],
+            0.01,
+            &mut scratch,
+        );
+        assert_eq!(weight(scratch.error()), 0);
+        assert_eq!(status.method, DecodeMethod::BeliefPropagation);
     }
 }

@@ -10,8 +10,8 @@
 //!   overridable via `CYCLONE_SIMD`; one set decodes one syndrome, one lane
 //!   per check or column, and the lockstep set decodes up to eight at once,
 //!   one lane per syndrome,
-//! * reusable decode workspaces ([`scratch`]) backing the allocation-free
-//!   `decode_with_priors_keyed_into` hot path,
+//! * one decode core, the queue decoder [`BpOsdDecoder::decode_queue_packed`],
+//!   whose reusable workspaces ([`scratch`]) keep it allocation-free,
 //! * a per-context syndrome → correction cache ([`cache`]), the one store of
 //!   decoder outputs,
 //! * a circuit-level Pauli-frame simulator for syndrome-extraction circuits
@@ -38,6 +38,13 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
+#[cfg(test)] // for the integration tests' oracle, shared with the unit tests
+extern crate self as decoder;
+#[cfg(test)]
+#[allow(dead_code)]
+#[path = "../tests/oracle/mod.rs"]
+mod oracle;
+
 pub mod bp;
 pub mod bposd;
 pub mod cache;
@@ -52,4 +59,4 @@ pub use bposd::BpOsdDecoder;
 pub use memory::{logical_error_rate, BatchScratch, LerEstimate, MemoryConfig, MemoryExperiment};
 pub use pauli::{CircuitNoise, PauliFrameSimulator};
 pub use scratch::DecoderScratch;
-pub use simd::{Simd, SimdIsa};
+pub use simd::Simd;

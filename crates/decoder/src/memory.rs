@@ -245,7 +245,7 @@ pub struct BatchStats {
     /// OSD fallbacks whose syndrome was proven inconsistent (OSD skipped).
     pub inconsistent: u64,
     /// Full decodes whose BP ran in lockstep groups of several syndromes
-    /// ([`crate::bp`]); the rest ran on the single-syndrome core.
+    /// ([`crate::bp`]); the rest ran on the single-syndrome loop.
     pub lockstep_lanes: u64,
 }
 
@@ -703,8 +703,8 @@ impl<'a> MemoryExperiment<'a> {
 
     /// One sector of the batch path: word-level syndrome extraction and
     /// measurement flips, the bit transpose to per-lane packed syndromes,
-    /// cache-backed decoding of the active lanes (cache lookups, then one
-    /// decode queue of the distinct misses), and
+    /// cache-backed decoding of the active lanes (rounds of cache lookups,
+    /// each followed by one decode queue of the distinct misses), and
     /// word-level logical-failure parities. Returns the sector's failure
     /// mask.
     #[allow(clippy::too_many_arguments)]
@@ -737,71 +737,55 @@ impl<'a> MemoryExperiment<'a> {
             sector.cache.ensure(ctx, m, n);
             let words = m.div_ceil(64);
             transpose_lanes(&lanes.syn_words, words, &mut lanes.lane_syn);
-            // Every active lane is looked up before anything decodes; a
-            // lane repeating a queued miss waits for that decode.
-            lanes.queue_syn.clear();
-            lanes.queue_lanes.clear();
-            let (mut waiting, mut queued_bits) = (0u64, 0u64);
-            let mut pending = active;
-            while pending != 0 {
-                let k = pending.trailing_zeros() as usize;
-                pending &= pending - 1;
-                let lane = 1u64 << k;
-                stats.active_lanes += 1;
-                let syndrome = &lanes.lane_syn[k * words..(k + 1) * words];
-                // `queued_bits` holds one hashed bit of each queued miss's
-                // first word, so a lane whose bit is clear (almost every
-                // cache hit) skips the scan and its mispredicted exit.
-                let bit = 1u64 << (syndrome[0].wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 58);
-                let queued = queued_bits & bit != 0
-                    && lanes.queue_syn.chunks_exact(words).any(|q| q == syndrome);
-                if queued {
-                    waiting |= lane;
-                } else if let Some(stored) = sector.cache.lookup(syndrome) {
-                    scatter_lane(stored, lane, &mut lanes.corr_words);
-                } else {
-                    lanes.queue_syn.extend_from_slice(syndrome);
-                    lanes.queue_lanes.push(lane);
-                    queued_bits |= bit;
-                }
-            }
-            // The misses decode through the keyed per-bit priors (a uniform
-            // channel is a constant priors vector), the inconsistent ones in
-            // lockstep groups, and are inserted as they finish.
-            let (queue, corr_words, cache) =
-                (&lanes.queue_syn, &mut lanes.corr_words, &mut sector.cache);
-            stats.lockstep_lanes += decoder.decode_queue_packed(
-                queue,
-                &self.priors,
-                self.priors_key,
-                &mut sector.decode,
-                |i, status, correction| {
-                    stats.record(status);
-                    scatter_lane(correction, lanes.queue_lanes[i], corr_words);
-                    cache.insert(&queue[i * words..(i + 1) * words], correction);
-                },
-            );
-            active = waiting;
+            stats.active_lanes += u64::from(active.count_ones());
+            // Each round looks every unresolved lane up, then decodes the
+            // distinct misses as one queue. A lane repeating a queued miss
+            // waits for the next round, which finds that decode in the cache
+            // (or queues it again if a later insert evicted it). A round's
+            // first lane never waits, so there are at most 64 rounds.
             while active != 0 {
-                let k = active.trailing_zeros() as usize;
-                active &= active - 1;
-                let lane = 1u64 << k;
-                let syndrome = &lanes.lane_syn[k * words..(k + 1) * words];
-                if let Some(stored) = sector.cache.lookup(syndrome) {
-                    scatter_lane(stored, lane, &mut lanes.corr_words);
-                    continue;
+                lanes.queue_syn.clear();
+                lanes.queue_lanes.clear();
+                let (mut waiting, mut queued_bits) = (0u64, 0u64);
+                while active != 0 {
+                    let k = active.trailing_zeros() as usize;
+                    active &= active - 1;
+                    let lane = 1u64 << k;
+                    let syndrome = &lanes.lane_syn[k * words..(k + 1) * words];
+                    // `queued_bits` holds one hashed bit of each queued miss's
+                    // first word, so a lane whose bit is clear (almost every
+                    // cache hit) skips the scan and its mispredicted exit.
+                    let bit = 1u64 << (syndrome[0].wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 58);
+                    let queued = queued_bits & bit != 0
+                        && lanes.queue_syn.chunks_exact(words).any(|q| q == syndrome);
+                    if queued {
+                        waiting |= lane;
+                    } else if let Some(stored) = sector.cache.lookup(syndrome) {
+                        scatter_lane(stored, lane, &mut lanes.corr_words);
+                    } else {
+                        lanes.queue_syn.extend_from_slice(syndrome);
+                        lanes.queue_lanes.push(lane);
+                        queued_bits |= bit;
+                    }
                 }
-                // Evicted by a later insert of the same batch: decode again.
-                let status = decoder.decode_packed_keyed_into(
-                    syndrome,
+                // The misses decode through the keyed per-bit priors (a
+                // uniform channel is a constant priors vector), the
+                // inconsistent ones in lockstep groups, and are inserted as
+                // they finish.
+                let (queue, corr_words, cache) =
+                    (&lanes.queue_syn, &mut lanes.corr_words, &mut sector.cache);
+                stats.lockstep_lanes += decoder.decode_queue_packed(
+                    queue,
                     &self.priors,
                     self.priors_key,
                     &mut sector.decode,
+                    |i, status, correction| {
+                        stats.record(status);
+                        scatter_lane(correction, lanes.queue_lanes[i], corr_words);
+                        cache.insert(&queue[i * words..(i + 1) * words], correction);
+                    },
                 );
-                stats.record(status);
-                let correction = &sector.decode.err_words;
-                scatter_lane(correction, lane, &mut lanes.corr_words);
-                sector.cache.insert(syndrome, correction);
+                active = waiting;
             }
         }
         let mut fail = 0u64;
@@ -1998,6 +1982,48 @@ mod tests {
         let stats = batch_stats_under(&code, ChannelSpec::Biased { meas_ratio: 2.0 });
         assert!(stats.decoded > 0, "{stats:?}");
         assert_eq!(stats.inconsistent, 0, "{stats:?}");
+    }
+
+    #[test]
+    fn lanes_waiting_on_an_evicted_decode_resolve_in_a_later_round() {
+        // One-set caches (4 slots) on both sectors: a high-rate biased
+        // channel leaves each sector batch far more distinct misses than
+        // slots, so later inserts evict decodes that repeated lanes wait on,
+        // and a later round decodes those again. The masks must equal a
+        // default-cache run and the scalar oracle, shot for shot.
+        let code = bb_72_12_6().expect("valid");
+        let (n, checks) = (code.num_qubits(), code.num_stabilizers());
+        let model = HardwareNoiseModel::new(NoiseParameters::new(2e-2), 0.0);
+        let p = model.effective_error_rate();
+        let channel = ErrorChannel::biased(n, checks, p, 2.0 * p);
+        let exp = MemoryExperiment::with_channel(&code, model, channel.clone(), 30);
+        let cfg = MemoryConfig {
+            shots: 0,
+            bp_iterations: 30,
+            threads: 1,
+            seed: 0xC1C1_0DE5,
+        };
+        let oracle = crate::oracle::ScalarSampler::new(&code, channel, 30);
+        let mut shot_scratch = crate::oracle::ShotScratch::default();
+        let mut tiny = BatchScratch::new();
+        tiny.x.cache = DecodeCache::with_slots(4);
+        tiny.z.cache = DecodeCache::with_slots(4);
+        let mut default = BatchScratch::new();
+        for chunk in 0..4 {
+            let mask = exp.sample_batch_with(&cfg, chunk * 64, 64, &mut tiny);
+            let want = exp.sample_batch_with(&cfg, chunk * 64, 64, &mut default);
+            assert_eq!(mask, want, "chunk {chunk}");
+            for k in 0..64 {
+                let shot = chunk * 64 + k;
+                let mut rng = StdRng::seed_from_u64(cfg.shot_seed(shot));
+                let scalar = oracle.sample_one_with(&mut rng, &mut shot_scratch);
+                assert_eq!((mask >> k) & 1 == 1, scalar, "shot {shot}");
+            }
+        }
+        assert!(tiny.cache_evictions() > 0);
+        let (hits, _) = tiny.cache_stats();
+        let stats = tiny.stats();
+        assert_eq!(stats.active_lanes, hits + stats.decoded, "{stats:?}");
     }
 
     #[test]

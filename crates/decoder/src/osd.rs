@@ -9,8 +9,9 @@
 //!
 //! The work scales with the columns the solution needs, not with the matrix.
 //! [`OsdDecoder`] stores `H` column-packed, and `OsdDecoder::solve_packed`
-//! (the word-packed core behind the `bool` entry point
-//! [`OsdDecoder::decode_into`]):
+//! — the OSD stage of the one decode core,
+//! [`crate::bposd::BpOsdDecoder::decode_queue_packed`], and the word-packed
+//! core behind the `bool` entry point [`OsdDecoder::decode_into`]:
 //!
 //! * heapifies one integer key per column, so columns pop in exactly the
 //!   order of a full sort (suspicion descending, then index ascending)
@@ -84,24 +85,12 @@ impl OsdDecoder {
         &self.h
     }
 
-    /// Decodes a syndrome given per-bit "suspicion" scores (higher = more likely in
-    /// error, e.g. `-llr` from BP). Returns an error vector `e` with `H·e = syndrome`,
-    /// or `None` if the syndrome is not in the column space of `H` — which a
-    /// flipped check measurement can cause even when the data error is
-    /// correctable.
-    ///
-    /// # Panics
-    ///
-    /// Panics if dimensions do not match.
-    pub fn decode(&self, syndrome: &[bool], suspicion: &[f64]) -> Option<Vec<bool>> {
-        let mut scratch = DecoderScratch::new();
-        self.decode_into(syndrome, suspicion, &mut scratch)
-            .then_some(scratch.error)
-    }
-
-    /// Scratch-borrowing variant of [`OsdDecoder::decode`]: returns `true` and leaves
-    /// the solution in [`DecoderScratch::error`] when the syndrome is consistent;
-    /// returns `false` — leaving `scratch.error` untouched — otherwise.
+    /// Decodes a syndrome given per-bit "suspicion" scores (higher = more
+    /// likely in error, e.g. `-llr` from BP). Returns `true` and leaves in
+    /// [`DecoderScratch::error`] an error vector `e` with `H·e = syndrome`,
+    /// or returns `false`, leaving `scratch.error` untouched, if the syndrome
+    /// is not in the column space of `H` — which a flipped check measurement
+    /// can cause even when the data error is correctable.
     ///
     /// The solver keeps its own consistency check for direct callers.
     /// [`crate::bposd::BpOsdDecoder`] never reaches it with an inconsistent
@@ -246,6 +235,14 @@ mod tests {
     use super::*;
     use qec::linalg::weight;
 
+    /// A fresh-scratch decode: the solution, or `None` for an inconsistent
+    /// syndrome.
+    fn solve(osd: &OsdDecoder, syndrome: &[bool], suspicion: &[f64]) -> Option<Vec<bool>> {
+        let mut scratch = DecoderScratch::new();
+        osd.decode_into(syndrome, suspicion, &mut scratch)
+            .then_some(scratch.error)
+    }
+
     fn repetition_h(n: usize) -> BitMat {
         let rows: Vec<Vec<usize>> = (0..n - 1).map(|i| vec![i, i + 1]).collect();
         BitMat::from_row_supports(n - 1, n, &rows)
@@ -260,7 +257,7 @@ mod tests {
         e[5] = true;
         let s = h.mul_vec(&e);
         // Uniform suspicion: the decoder must still return *a* valid solution.
-        let sol = osd.decode(&s, &[1.0; 9]).expect("consistent");
+        let sol = solve(&osd, &s, &[1.0; 9]).expect("consistent");
         assert_eq!(h.mul_vec(&sol), s);
     }
 
@@ -273,7 +270,7 @@ mod tests {
         let s = h.mul_vec(&e);
         let mut suspicion = vec![0.0; 9];
         suspicion[4] = 10.0;
-        let sol = osd.decode(&s, &suspicion).expect("consistent");
+        let sol = solve(&osd, &s, &suspicion).expect("consistent");
         assert_eq!(sol, e);
     }
 
@@ -286,7 +283,7 @@ mod tests {
         let s = h.mul_vec(&e);
         // Mild suspicion centred on the true error position.
         let suspicion: Vec<f64> = (0..15).map(|i| if i == 7 { 2.0 } else { 0.1 }).collect();
-        let sol = osd.decode(&s, &suspicion).expect("consistent");
+        let sol = solve(&osd, &s, &suspicion).expect("consistent");
         assert_eq!(h.mul_vec(&sol), s);
         assert!(
             weight(&sol) <= 2,
@@ -300,7 +297,7 @@ mod tests {
         // H with a zero row cannot produce a nonzero syndrome on that row.
         let h = BitMat::from_dense(&[vec![1, 1], vec![0, 0]]);
         let osd = OsdDecoder::new(h);
-        assert!(osd.decode(&[false, true], &[0.5, 0.5]).is_none());
+        assert!(solve(&osd, &[false, true], &[0.5, 0.5]).is_none());
     }
 
     #[test]
@@ -317,11 +314,11 @@ mod tests {
         let mut suspicion = vec![0.1; 9];
         suspicion[4] = 10.0;
         suspicion[7] = f64::NAN;
-        let sol = osd.decode(&s, &suspicion).expect("consistent");
+        let sol = solve(&osd, &s, &suspicion).expect("consistent");
         assert_eq!(sol, e, "NaN column must not attract the solution");
         let mut as_neg_inf = suspicion.clone();
         as_neg_inf[7] = f64::NEG_INFINITY;
-        assert_eq!(osd.decode(&s, &as_neg_inf), Some(sol));
+        assert_eq!(solve(&osd, &s, &as_neg_inf), Some(sol));
     }
 
     #[test]
@@ -336,7 +333,7 @@ mod tests {
             e[1] = true;
             let s = h.mul_vec(&e);
             let suspicion: Vec<f64> = (0..cols).map(|i| if e[i] { 5.0 } else { 0.2 }).collect();
-            let sol = osd.decode(&s, &suspicion).expect("consistent");
+            let sol = solve(&osd, &s, &suspicion).expect("consistent");
             assert_eq!(h.mul_vec(&sol), s, "n = {cols}");
         }
     }
@@ -360,7 +357,7 @@ mod tests {
             let suspicion: Vec<f64> = (0..cols)
                 .map(|i| ((i * 31 + round * 17) % 97) as f64 / 97.0)
                 .collect();
-            let fresh = osd.decode(&s, &suspicion).expect("consistent");
+            let fresh = solve(&osd, &s, &suspicion).expect("consistent");
             assert!(osd.decode_into(&s, &suspicion, &mut dirty));
             assert_eq!(dirty.error(), fresh.as_slice(), "round {round}");
         }
@@ -376,7 +373,7 @@ mod tests {
         // Dirty the scratch with a consistent decode first.
         assert!(osd.decode_into(&[true, false], &[0.5, 0.5], &mut scratch));
         assert!(!osd.decode_into(&[false, true], &[0.5, 0.5], &mut scratch));
-        assert!(osd.decode(&[false, true], &[0.5, 0.5]).is_none());
+        assert!(solve(&osd, &[false, true], &[0.5, 0.5]).is_none());
     }
 
     #[test]
@@ -391,7 +388,7 @@ mod tests {
             e[n / 2] = true;
             let s = h.mul_vec(&e);
             let suspicion: Vec<f64> = (0..n).map(|i| 1.0 / (2.0 + i as f64)).collect();
-            let fresh = osd.decode(&s, &suspicion).expect("consistent");
+            let fresh = solve(&osd, &s, &suspicion).expect("consistent");
             assert!(osd.decode_into(&s, &suspicion, &mut scratch));
             assert_eq!(scratch.error(), fresh.as_slice(), "n = {n}");
         }
@@ -407,7 +404,7 @@ mod tests {
             e[n / 3] = true;
             let s = h.mul_vec(&e);
             let suspicion: Vec<f64> = (0..n).map(|i| 1.0 / (1.0 + i as f64)).collect();
-            let fresh = osd.decode(&s, &suspicion).expect("consistent");
+            let fresh = solve(&osd, &s, &suspicion).expect("consistent");
             assert!(osd.decode_into(&s, &suspicion, &mut scratch));
             assert_eq!(scratch.error(), fresh.as_slice());
         }

@@ -1,15 +1,16 @@
 //! Reusable decoder workspaces.
 //!
-//! [`DecoderScratch`] owns every working buffer the BP / OSD / BP+OSD hot paths need:
-//! the flat message arenas of belief propagation (and the wider ones of its
-//! lockstep queue decoder), the channel LLRs and first messages (built once per priors
-//! and graph digest), the packed hard decision and its syndrome, and the
-//! ordered-statistics column heap, basis and residual. The
-//! scratch entry points of [`crate::bp::BeliefPropagation`], [`crate::osd::OsdDecoder`], and
-//! [`crate::bposd::BpOsdDecoder`] borrow all of their state from one of these, so a
-//! caller that keeps a scratch alive (one per worker thread, typically) performs zero
-//! heap allocation per decode in steady state: buffers are grown on first use and
-//! reused — never shrunk — afterwards.
+//! [`DecoderScratch`] owns every working buffer of the one decode core,
+//! [`crate::bposd::BpOsdDecoder::decode_queue_packed`]: the flat message
+//! arenas of belief propagation (and the wider ones of its lockstep groups),
+//! the channel LLRs and first messages (built once per priors and graph
+//! digest), the packed hard decision and its syndrome, and the
+//! ordered-statistics column heap, basis and residual. The `bool` entry
+//! points pack their syndrome into it and unpack their result into
+//! [`DecoderScratch::error`] and [`DecoderScratch::llrs`]. A caller that
+//! keeps a scratch alive (one per worker thread, typically) performs zero
+//! heap allocation per decode in steady state: buffers are grown on first
+//! use and reused — never shrunk — afterwards.
 
 use crate::sparse::PAD_LANES;
 

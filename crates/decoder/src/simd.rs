@@ -55,8 +55,10 @@ const SIGN_BIT: u64 = 1 << 63;
 
 /// Which compilation of the kernels the decoder runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SimdIsa {
-    /// The kernels compiled with AVX2 enabled (four `f64` per vector).
+pub(crate) enum SimdIsa {
+    /// The kernels compiled with AVX2 enabled (four `f64` per vector);
+    /// only x86-64 hosts detect it.
+    #[cfg_attr(not(target_arch = "x86_64"), allow(dead_code))]
     Avx2,
     /// The kernels compiled for the target's baseline ISA.
     Scalar,
@@ -110,11 +112,6 @@ impl Simd {
         Simd {
             isa: SimdIsa::Scalar,
         }
-    }
-
-    /// The dispatched compilation.
-    pub fn isa(&self) -> SimdIsa {
-        self.isa
     }
 
     /// The compilation's name as recorded in bench artifacts.
@@ -623,7 +620,7 @@ mod tests {
     #[test]
     fn avx2_check_pass_is_bit_identical_to_scalar() {
         let simd = Simd::detect();
-        if simd.isa() != SimdIsa::Avx2 {
+        if simd.isa != SimdIsa::Avx2 {
             eprintln!("avx2 not available on this host; kernel covered by the baseline test");
         }
         assert_kernel_matches_scalar(&adversarial_rows(), 0.75, simd);
@@ -759,7 +756,7 @@ mod tests {
         let detected = Simd::detect();
         #[cfg(target_arch = "x86_64")]
         assert_eq!(
-            detected.isa() == SimdIsa::Avx2,
+            detected.isa == SimdIsa::Avx2,
             is_x86_feature_detected!("avx2")
         );
         assert!(matches!(detected.isa_name(), "avx2" | "scalar"));

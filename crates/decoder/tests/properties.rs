@@ -3,8 +3,8 @@
 
 mod oracle;
 
-use decoder::bp::{priors_digest, BeliefPropagation, MIN_LOCKSTEP_LANES};
-use decoder::bposd::{BpOsdDecoder, DecodeMethod};
+use decoder::bp::{priors_digest, BeliefPropagation, BpStatus, MIN_LOCKSTEP_LANES};
+use decoder::bposd::{BpOsdDecoder, DecodeMethod, DecodeStatus};
 use decoder::memory::{
     estimate_points, BatchScratch, LerEstimate, LerPoint, MemoryConfig, MemoryExperiment,
     PrecisionTarget,
@@ -27,6 +27,24 @@ fn uniform_priors(n: usize, p: f64) -> (Vec<f64>, u64) {
     let priors = vec![p; n];
     let key = priors_digest(&priors);
     (priors, key)
+}
+
+/// A BP+OSD decode at constant prior `p` through a fresh scratch, and that
+/// scratch, which holds the correction.
+fn fresh_decode(dec: &BpOsdDecoder, syndrome: &[bool], p: f64) -> (DecodeStatus, DecoderScratch) {
+    let (priors, key) = uniform_priors(dec.check_matrix().num_cols(), p);
+    let mut scratch = DecoderScratch::new();
+    let status = dec.decode_with_priors_keyed_into(syndrome, &priors, key, &mut scratch);
+    (status, scratch)
+}
+
+/// A BP decode at constant prior `p` through a fresh scratch, and that
+/// scratch, which holds the hard decision and the posteriors.
+fn fresh_bp(bp: &BeliefPropagation, syndrome: &[bool], p: f64) -> (BpStatus, DecoderScratch) {
+    let (priors, key) = uniform_priors(bp.matrix().num_cols(), p);
+    let mut scratch = DecoderScratch::new();
+    let status = bp.decode_with_priors_keyed_into(syndrome, &priors, key, &mut scratch);
+    (status, scratch)
 }
 
 /// Reused buffers of [`assert_kernels_match_oracle`]: one for the scalar
@@ -90,8 +108,8 @@ proptest! {
         let n = code.num_qubits();
         let error: Vec<bool> = (0..n).map(|_| rng.gen_bool(p)).collect();
         let syndrome = code.z_syndrome(&error);
-        let decoded = decoder.decode(&syndrome, p);
-        prop_assert_eq!(code.z_syndrome(&decoded.error), syndrome);
+        let (_, decoded) = fresh_decode(&decoder, &syndrome, p);
+        prop_assert_eq!(code.z_syndrome(decoded.error()), syndrome);
     }
 
     #[test]
@@ -105,8 +123,8 @@ proptest! {
         let mut error = vec![false; n];
         error[q] = true;
         let syndrome = code.z_syndrome(&error);
-        let decoded = decoder.decode(&syndrome, 0.01);
-        let residual: Vec<bool> = error.iter().zip(&decoded.error).map(|(&a, &b)| a ^ b).collect();
+        let (_, decoded) = fresh_decode(&decoder, &syndrome, 0.01);
+        let residual: Vec<bool> = error.iter().zip(decoded.error()).map(|(&a, &b)| a ^ b).collect();
         prop_assert!(!code.x_error_is_logical(&residual));
     }
 
@@ -127,8 +145,9 @@ proptest! {
         bp_iterations in 1usize..12,
     ) {
         // One dirty scratch reused across every case, matrix size, and decoder —
-        // exactly the Monte-Carlo steady state. Low iteration caps make the OSD
-        // fallback fire often; low error weights keep BP-converged cases common.
+        // exactly the Monte-Carlo steady state — against a fresh scratch per
+        // decode. Low iteration caps make the OSD fallback fire often; low
+        // error weights keep BP-converged cases common.
         let c = ClassicalCode::gallager_ldpc(8 + 4 * (seed % 2) as usize, 3, 4, seed % 11);
         let code = square_hypergraph_product(&c).expect("valid");
         let h = code.hz();
@@ -139,30 +158,28 @@ proptest! {
 
         let (priors, key) = uniform_priors(n, p);
         let bp = BeliefPropagation::new(SparseBinMat::from_bitmat(h), bp_iterations);
-        let bp_legacy = bp.decode(&syndrome, p);
+        let (bp_fresh, bp_fresh_scratch) = fresh_bp(&bp, &syndrome, p);
         let mut scratch = DecoderScratch::new();
         let bp_status = bp.decode_with_priors_keyed_into(&syndrome, &priors, key, &mut scratch);
-        prop_assert_eq!(bp_status.converged, bp_legacy.converged);
-        prop_assert_eq!(bp_status.iterations, bp_legacy.iterations);
-        prop_assert_eq!(scratch.error(), bp_legacy.error.as_slice());
-        prop_assert_eq!(scratch.llrs(), bp_legacy.llrs.as_slice());
+        prop_assert_eq!(bp_status, bp_fresh);
+        prop_assert_eq!(scratch.error(), bp_fresh_scratch.error());
+        prop_assert_eq!(scratch.llrs(), bp_fresh_scratch.llrs());
 
         // Full BP+OSD through the *same* (now dirty) scratch: both the converged
-        // and the fallback branch must match the allocating path bit for bit.
+        // and the fallback branch must match the fresh scratch bit for bit.
         let dec = BpOsdDecoder::new(h, bp_iterations);
-        let legacy = dec.decode(&syndrome, p);
+        let (fresh, fresh_scratch) = fresh_decode(&dec, &syndrome, p);
         let status = dec.decode_with_priors_keyed_into(&syndrome, &priors, key, &mut scratch);
-        prop_assert_eq!(status.method, legacy.method);
-        prop_assert_eq!(status.iterations, legacy.iterations);
-        prop_assert_eq!(scratch.error(), legacy.error.as_slice());
-        if !bp_legacy.converged {
+        prop_assert_eq!(status, fresh);
+        prop_assert_eq!(scratch.error(), fresh_scratch.error());
+        if !bp_fresh.converged {
             prop_assert_eq!(status.method, DecodeMethod::OrderedStatistics);
         }
         // And a second decode of the same syndrome through the warm scratch (the
         // cached channel-LLR path) must be stable.
         let again = dec.decode_with_priors_keyed_into(&syndrome, &priors, key, &mut scratch);
         prop_assert_eq!(again.method, status.method);
-        prop_assert_eq!(scratch.error(), legacy.error.as_slice());
+        prop_assert_eq!(scratch.error(), fresh_scratch.error());
     }
 
     #[test]
@@ -176,7 +193,7 @@ proptest! {
         // constant priors vector. Through one dirty scratch whose channel-LLR
         // cache is repeatedly invalidated — bounced between the X and Z sector
         // decoders and interleaved with a per-bit priors decode — it must
-        // compute exactly what a fresh allocating decode computes: same hard
+        // compute exactly what a decode through a fresh scratch computes: same hard
         // decisions, same posteriors, same OSD fallbacks, across the catalog.
         let code = match code_pick {
             0 => qec::codes::bb_72_12_6().expect("valid"),
@@ -196,16 +213,16 @@ proptest! {
         ] {
             let dec = BpOsdDecoder::new(h, bp_iterations);
             let bp = BeliefPropagation::new(SparseBinMat::from_bitmat(h), bp_iterations);
-            let fresh = dec.decode(&syndrome, p);
-            let fresh_bp = bp.decode(&syndrome, p);
+            let (fresh, fresh_scratch) = fresh_decode(&dec, &syndrome, p);
+            let (bp_fresh, bp_fresh_scratch) = fresh_bp(&bp, &syndrome, p);
             let _ = dec.decode_with_priors_keyed_into(&syndrome, &skewed, skewed_key, &mut scratch);
             let cached = dec.decode_with_priors_keyed_into(&syndrome, &priors, key, &mut scratch);
             prop_assert_eq!(cached.method, fresh.method);
             prop_assert_eq!(cached.iterations, fresh.iterations);
-            prop_assert_eq!(scratch.error(), fresh.error.as_slice());
+            prop_assert_eq!(scratch.error(), fresh_scratch.error());
             let bp_cached = bp.decode_with_priors_keyed_into(&syndrome, &priors, key, &mut scratch);
-            prop_assert_eq!(bp_cached.converged, fresh_bp.converged);
-            prop_assert_eq!(scratch.llrs(), fresh_bp.llrs.as_slice());
+            prop_assert_eq!(bp_cached.converged, bp_fresh.converged);
+            prop_assert_eq!(scratch.llrs(), bp_fresh_scratch.llrs());
         }
     }
 
@@ -722,36 +739,53 @@ impl DecodeReference {
         }
     }
 
-    /// Decodes `syndrome` through `scratch` and asserts the result equals the
-    /// scalar BP oracle followed, when it does not converge, by the cold OSD
-    /// on its negated posteriors: method, iterations, consistency verdict,
+    /// What a BP+OSD decode of `syndrome` must return: the scalar BP oracle
+    /// followed, when it does not converge, by the cold OSD on its negated
+    /// posteriors. Returns the status, the correction and the posteriors.
+    fn expected(&self, syndrome: &[bool], priors: &[f64]) -> (DecodeStatus, Vec<bool>, Vec<f64>) {
+        let mut oracle = ScalarBpScratch::default();
+        let bp = self
+            .bp
+            .decode(syndrome, priors, priors_digest(priors), &mut oracle);
+        let mut error = oracle.error().to_vec();
+        let method = if bp.converged {
+            DecodeMethod::BeliefPropagation
+        } else {
+            let suspicion: Vec<f64> = oracle.llrs().iter().map(|&l| -l).collect();
+            let mut cold = ColdOsdScratch::default();
+            if self.osd.decode(syndrome, &suspicion, &mut cold) {
+                error = cold.error().to_vec();
+            }
+            DecodeMethod::OrderedStatistics
+        };
+        let status = DecodeStatus {
+            method,
+            iterations: bp.iterations,
+            consistent: bp.consistent,
+        };
+        (status, error, oracle.llrs().to_vec())
+    }
+
+    /// Decodes `syndrome` through `scratch` and asserts the result equals
+    /// [`Self::expected`]: method, iterations, consistency verdict,
     /// correction, and the bits of every posterior LLR. Returns the status.
     fn assert_matches(
         &self,
         syndrome: &[bool],
         priors: &[f64],
         scratch: &mut DecoderScratch,
-    ) -> decoder::bposd::DecodeStatus {
+    ) -> DecodeStatus {
         let key = priors_digest(priors);
         let got = self
             .decoder
             .decode_with_priors_keyed_into(syndrome, priors, key, scratch);
-        let mut oracle = ScalarBpScratch::default();
-        let bp = self.bp.decode(syndrome, priors, key, &mut oracle);
-        let mut want_error = oracle.error().to_vec();
-        let want_method = if bp.converged {
-            DecodeMethod::BeliefPropagation
-        } else {
-            let suspicion: Vec<f64> = oracle.llrs().iter().map(|&l| -l).collect();
-            let mut cold = ColdOsdScratch::default();
-            if self.osd.decode(syndrome, &suspicion, &mut cold) {
-                want_error = cold.error().to_vec();
-            }
-            DecodeMethod::OrderedStatistics
-        };
-        assert_eq!(got.method, want_method, "method on {syndrome:?}");
-        assert_eq!(got.iterations, bp.iterations, "iterations on {syndrome:?}");
-        assert_eq!(got.consistent, bp.consistent, "verdict on {syndrome:?}");
+        let (want, want_error, want_llrs) = self.expected(syndrome, priors);
+        assert_eq!(got.method, want.method, "method on {syndrome:?}");
+        assert_eq!(
+            got.iterations, want.iterations,
+            "iterations on {syndrome:?}"
+        );
+        assert_eq!(got.consistent, want.consistent, "verdict on {syndrome:?}");
         assert_eq!(
             scratch.error(),
             want_error.as_slice(),
@@ -759,7 +793,7 @@ impl DecodeReference {
         );
         assert_eq!(
             llr_bits(scratch.llrs()),
-            llr_bits(oracle.llrs()),
+            llr_bits(&want_llrs),
             "LLRs on {syndrome:?}"
         );
         got
@@ -879,9 +913,10 @@ proptest! {
         p in 0.005f64..0.08,
         bp_iterations in 1usize..30,
     ) {
-        // A queue of syndromes through the lockstep queue decoder against one
-        // single-core decode each: correction words, method, iterations and
-        // consistency verdict, in both kernel compilations. The queue mixes
+        // A queue of syndromes through the lockstep queue decoder against the
+        // scalar BP oracle and the cold OSD, syndrome by syndrome: correction
+        // words, method, iterations and consistency verdict, in both kernel
+        // compilations. The queue mixes
         // duplicates, syndromes H·e, and the same after one check flip
         // (inconsistent on the matrices with redundant checks, so they run
         // in lockstep groups, full, short, or too short to run).
@@ -911,16 +946,17 @@ proptest! {
             queue.push(syndrome);
         }
         let packed: Vec<u64> = queue.iter().flat_map(|s| pack(s)).collect();
+        // The reference of each syndrome: the scalar BP oracle and the cold OSD.
+        let reference = DecodeReference::new(h, bp_iterations);
+        let want: Vec<_> = queue
+            .iter()
+            .map(|s| {
+                let (status, error, _) = reference.expected(s, &priors);
+                (status, pack(&error))
+            })
+            .collect();
         for simd in [Simd::detect(), Simd::scalar()] {
             let decoder = BpOsdDecoder::new(h, bp_iterations).with_simd(simd);
-            let mut single = DecoderScratch::new();
-            let want: Vec<_> = queue
-                .iter()
-                .map(|s| {
-                    let status = decoder.decode_with_priors_keyed_into(s, &priors, key, &mut single);
-                    (status, pack(single.error()))
-                })
-                .collect();
             let mut got = vec![None; queue.len()];
             let mut scratch = DecoderScratch::new();
             // Twice through one scratch: the second pass reuses its arenas.
@@ -931,7 +967,7 @@ proptest! {
                     got[i] = Some((status, correction.to_vec()));
                 });
                 // Inconsistent syndromes run in groups of eight, and a
-                // last group of at least six; the rest on the single core.
+                // last group of at least six; the rest one at a time.
                 let inconsistent = want.iter().filter(|(status, _)| !status.consistent).count();
                 let last = inconsistent % 8;
                 let lockstep = inconsistent - last + if last >= MIN_LOCKSTEP_LANES { last } else { 0 };
@@ -979,7 +1015,7 @@ fn batch_stats_against_the_oracle(
 fn batch_decode_runs_lockstep_groups_and_the_single_core_like_the_oracle() {
     // A high-rate biased channel leaves many distinct cache misses per
     // sector batch, which decode in lockstep groups; a low-rate uniform one
-    // leaves too few, which decode on the single core.
+    // leaves too few, which decode one at a time.
     let code = qec::codes::bb_72_12_6().expect("valid");
     let (n, checks) = (code.num_qubits(), code.num_stabilizers());
     let model = HardwareNoiseModel::new(NoiseParameters::new(2e-2), 0.0);

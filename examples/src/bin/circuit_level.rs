@@ -9,9 +9,11 @@
 //! cargo run --release -p examples --bin circuit_level [shots]
 //! ```
 
+use decoder::bp::priors_digest;
 use decoder::bposd::BpOsdDecoder;
 use decoder::memory::{logical_error_rate, MemoryConfig};
 use decoder::pauli::{CircuitNoise, PauliFrameSimulator};
+use decoder::scratch::DecoderScratch;
 use qec::codes::bb_72_12_6;
 use qec::schedule::parallel_xz_schedule;
 use rand::rngs::StdRng;
@@ -30,6 +32,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let sim = PauliFrameSimulator::new(&code, &schedule, noise);
     let x_decoder = BpOsdDecoder::new(code.hz(), 30);
     let z_decoder = BpOsdDecoder::new(code.hx(), 30);
+    // Both sectors decode with the uniform prior 4p; one scratch per sector.
+    let priors = vec![p * 4.0; code.num_qubits()];
+    let key = priors_digest(&priors);
+    let (mut x_scratch, mut z_scratch) = (DecoderScratch::new(), DecoderScratch::new());
 
     let mut rng = StdRng::seed_from_u64(2026);
     let mut failures = 0usize;
@@ -37,20 +43,20 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let outcome = sim.simulate_fresh_round(&mut rng);
         // Decode the measured syndromes (single round, so the measured syndrome is
         // used directly) and apply the corrections to the residual data frame.
-        let x_corr = x_decoder.decode(&outcome.z_syndrome, p * 4.0).error;
-        let z_corr = z_decoder.decode(&outcome.x_syndrome, p * 4.0).error;
+        x_decoder.decode_with_priors_keyed_into(&outcome.z_syndrome, &priors, key, &mut x_scratch);
+        z_decoder.decode_with_priors_keyed_into(&outcome.x_syndrome, &priors, key, &mut z_scratch);
         let x_residual: Vec<bool> = outcome
             .frame
             .x_errors
             .iter()
-            .zip(&x_corr)
+            .zip(x_scratch.error())
             .map(|(&a, &b)| a ^ b)
             .collect();
         let z_residual: Vec<bool> = outcome
             .frame
             .z_errors
             .iter()
-            .zip(&z_corr)
+            .zip(z_scratch.error())
             .map(|(&a, &b)| a ^ b)
             .collect();
         if code.x_error_is_logical(&x_residual) || code.z_error_is_logical(&z_residual) {
