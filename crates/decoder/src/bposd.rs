@@ -282,29 +282,48 @@ mod tests {
 
     #[test]
     fn decode_into_reuses_scratch_across_sectors() {
-        // One warm scratch bounced between the X- and Z-sector decoders
-        // (different row counts, same column count) must keep computing what
-        // a fresh scratch computes, on BP-converged and OSD-fallback
-        // syndromes alike (the sweep-level property test extends this across
-        // the catalog).
+        // One scratch bounced between the X- and Z-sector decoders (different row
+        // counts, same column count) must keep matching a fresh scratch.
         let code = bb_72_12_6().expect("valid");
-        let dec_z = BpOsdDecoder::new(code.hz(), 12);
-        let dec_x = BpOsdDecoder::new(code.hx(), 12);
+        let dec_z = BpOsdDecoder::new(code.hz(), 18);
+        let dec_x = BpOsdDecoder::new(code.hx(), 18);
+        let n = code.num_qubits();
+        let mut rng = StdRng::seed_from_u64(0xC1C1_0DE5);
+        let mut scratch = DecoderScratch::new();
+        for _ in 0..12 {
+            let e: Vec<bool> = (0..n).map(|_| rng.gen_bool(0.04)).collect();
+            for (dec, s) in [(&dec_z, code.z_syndrome(&e)), (&dec_x, code.x_syndrome(&e))] {
+                let mut fresh = DecoderScratch::new();
+                let want = decode_uniform_into(dec, &s, 0.04, &mut fresh);
+                let status = decode_uniform_into(dec, &s, 0.04, &mut scratch);
+                assert_eq!(status, want);
+                assert_eq!(scratch.error(), fresh.error());
+            }
+        }
+    }
+
+    #[test]
+    fn uniform_priors_match_the_uniform_path_including_osd_fallback() {
+        // A constant priors vector through one warm, reused scratch must compute
+        // exactly what it computes on a fresh scratch, on BP-converged and
+        // OSD-fallback syndromes alike (the sweep-level property test extends
+        // this across the catalog).
+        let code = bb_72_12_6().expect("valid");
+        let dec = BpOsdDecoder::new(code.hz(), 12);
         let n = code.num_qubits();
         let p = 0.03;
         let mut rng = StdRng::seed_from_u64(0xC1C1_0DE5);
         let mut scratch = DecoderScratch::new();
         let mut fallbacks = 0usize;
-        for _ in 0..15 {
+        for _ in 0..30 {
             let e: Vec<bool> = (0..n).map(|_| rng.gen_bool(0.06)).collect();
-            for (dec, s) in [(&dec_z, code.z_syndrome(&e)), (&dec_x, code.x_syndrome(&e))] {
-                let mut fresh = DecoderScratch::new();
-                let want = decode_uniform_into(dec, &s, p, &mut fresh);
-                let status = decode_uniform_into(dec, &s, p, &mut scratch);
-                assert_eq!(status, want);
-                assert_eq!(scratch.error(), fresh.error());
-                fallbacks += usize::from(want.method == DecodeMethod::OrderedStatistics);
-            }
+            let s = code.z_syndrome(&e);
+            let mut fresh = DecoderScratch::new();
+            let uniform = decode_uniform_into(&dec, &s, p, &mut fresh);
+            let with_priors = decode_uniform_into(&dec, &s, p, &mut scratch);
+            assert_eq!(uniform, with_priors);
+            assert_eq!(fresh.error(), scratch.error());
+            fallbacks += usize::from(uniform.method == DecodeMethod::OrderedStatistics);
         }
         assert!(fallbacks > 0, "test must exercise the OSD fallback");
     }
