@@ -332,11 +332,12 @@ fn main() {
            are adaptive by default; `--fixed` pins the fixed path, which\n\
            reproduces the pre-adaptive tables byte-for-byte.\n\n\
          Every point also samples under an **error channel** (`--noise\n\
-         uniform|biased:<ratio>|schedule`): `uniform` is the historical scalar\n\
-         model, `biased:<ratio>` adds measurement flips at `<ratio>` times the\n\
-         data rate, and `schedule` derives per-qubit rates from each codesign's\n\
-         compiled idle exposure (the `fig_hetero` scenario sweeps all three\n\
-         across the codesign registry).\n\n\
+         uniform|biased:<ratio>`): `uniform` is the historical scalar model and\n\
+         `biased:<ratio>` adds measurement flips at `<ratio>` times the data\n\
+         rate. Schedule-derived channels, with per-qubit rates from each\n\
+         codesign's compiled idle exposure, are not an option: the `fig_hetero`\n\
+         scenario always sweeps them beside uniform and biased across the\n\
+         codesign registry.\n\n\
          The `sweeps/<figure>.json` cache (schema 3) records the shots actually\n\
          spent per point and the channel it was sampled under. A fixed-budget\n\
          request reuses an entry only at the exact shot count; a\n\

@@ -47,19 +47,15 @@ pub enum NoiseFlag {
     Uniform,
     /// Measurement flips at this ratio of the effective data rate on every point.
     Biased(f64),
-    /// Schedule-derived per-qubit channels, resolved by figures that compile
-    /// profiled rounds; others fall back to uniform.
-    Schedule,
 }
 
 impl NoiseFlag {
-    /// Parses `uniform`, `biased:<ratio>` (finite, non-negative ratio), or
-    /// `schedule`; anything else is malformed (`None`).
+    /// Parses `uniform` or `biased:<ratio>` (finite, non-negative ratio);
+    /// anything else is malformed (`None`).
     pub fn parse(raw: &str) -> Option<Self> {
         let raw = raw.trim();
         match raw {
             "uniform" => Some(NoiseFlag::Uniform),
-            "schedule" => Some(NoiseFlag::Schedule),
             _ => raw.strip_prefix("biased:").and_then(|ratio| {
                 ratio
                     .trim()
@@ -88,8 +84,7 @@ pub struct RunContext {
     /// Full code catalog requested (`--full`).
     pub full: bool,
     /// The requested channel mode (`--noise`). `Biased` is already threaded
-    /// into [`RunContext::sweep`]; `Schedule` is advisory — a figure that
-    /// compiles profiled rounds resolves it per point.
+    /// into [`RunContext::sweep`].
     pub noise: NoiseFlag,
     /// Recorded bench thresholds are hard failures (`CYCLONE_ENFORCE`).
     pub enforce: bool,
@@ -210,7 +205,7 @@ const OPTIONS: &[Opt] = &[
         default: "uniform",
         set: |s, v| {
             let noise = NoiseFlag::parse(v).map(|noise| s.noise = noise);
-            noise.ok_or("expected uniform, biased:<ratio> or schedule")
+            noise.ok_or("expected uniform or biased:<ratio>")
         },
     },
     Opt {
@@ -432,15 +427,8 @@ pub fn figure<R: Into<FigureReport>>(
             target.target_rse, target.min_failures, target.max_shots
         );
     }
-    match context.noise {
-        NoiseFlag::Uniform => {}
-        NoiseFlag::Biased(ratio) => {
-            println!("(noise channel: measurement flips at {ratio}x the data rate on every point)");
-        }
-        NoiseFlag::Schedule => println!(
-            "(noise channel: schedule-derived; honored by figures that compile profiled \
-             rounds, e.g. fig_hetero — latency-only figures sample uniformly)"
-        ),
+    if let NoiseFlag::Biased(ratio) = context.noise {
+        println!("(noise channel: measurement flips at {ratio}x the data rate on every point)");
     }
     for note in &report.notes {
         println!("\n{note}");
@@ -452,7 +440,7 @@ pub fn figure<R: Into<FigureReport>>(
     }
 }
 
-/// Serializes a rendered table as `<dir>/<name>.table.json`, atomically (a killed
+/// Writes a rendered table as `<dir>/<name>.table.json`, atomically (a killed
 /// run leaves the previous file or none, never a torn one).
 fn write_table_json(dir: &Path, name: &str, title: &str, table: &Table) -> std::io::Result<()> {
     let mut root = BTreeMap::new();
@@ -519,7 +507,11 @@ mod tests {
         ("--min-failures", "30", &["4OO", "-1"]),
         ("--max-shots", "9000", &["x", "0"]),
         ("--fixed", "1", &["on"]),
-        ("--noise", "biased:2", &["biased:-1", "gaussian"]),
+        (
+            "--noise",
+            "biased:2",
+            &["biased:-1", "gaussian", "schedule"],
+        ),
         ("CYCLONE_ENFORCE", "1", &["true"]),
         ("CYCLONE_SIMD", "off", &["sse2", "AVX2"]),
     ];
@@ -567,9 +559,9 @@ mod tests {
             ("CYCLONE_NOISE", "biased:2"),
             ("CYCLONE_CSV", "0"),
         ];
-        let ctx = parse(&["--shots", "77", "--noise", "schedule", "--csv"], &vars).unwrap();
+        let ctx = parse(&["--shots", "77", "--noise", "uniform", "--csv"], &vars).unwrap();
         assert_eq!(ctx.config.shots, 77);
-        assert_eq!(ctx.noise, NoiseFlag::Schedule);
+        assert_eq!(ctx.noise, NoiseFlag::Uniform);
         assert!(ctx.csv);
         // Without the flags the variables apply; an empty one is unset.
         let ctx = parse(&[], &vars).unwrap();
@@ -746,9 +738,8 @@ mod tests {
     }
 
     #[test]
-    fn noise_flag_parses_all_three_modes() {
-        assert_eq!(NoiseFlag::parse("uniform"), Some(NoiseFlag::Uniform));
-        assert_eq!(NoiseFlag::parse(" schedule "), Some(NoiseFlag::Schedule));
+    fn noise_flag_parses_uniform_and_biased() {
+        assert_eq!(NoiseFlag::parse(" uniform "), Some(NoiseFlag::Uniform));
         assert_eq!(NoiseFlag::parse("biased:2.5"), Some(NoiseFlag::Biased(2.5)));
         assert_eq!(NoiseFlag::parse("biased: 0 "), Some(NoiseFlag::Biased(0.0)));
         assert_eq!(NoiseFlag::parse("biased:-1"), None);
@@ -771,12 +762,6 @@ mod tests {
             ctx.sweep.channel,
             Some(ChannelSpec::Biased { meas_ratio: 3.0 })
         );
-
-        // schedule is advisory: the sweep default stays uniform, figures that can
-        // resolve per-codesign channels read ctx.noise.
-        let ctx = resolve(&["--noise", "schedule"]);
-        assert_eq!(ctx.noise, NoiseFlag::Schedule);
-        assert!(ctx.sweep.channel.is_none());
 
         // A malformed value is an error even after a valid one.
         assert!(parse(&["--noise", "biased:3", "--noise", "bogus"], &[]).is_err());

@@ -19,10 +19,9 @@ use qccd::timing::OperationTimes;
 use qccd::topology::ring;
 use qccd::{Topology, TopologyKind};
 use qec::{CssCode, StabKind};
-use serde::{Deserialize, Serialize};
 
 /// Configuration of a Cyclone instance.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CycloneConfig {
     /// Number of traps on the ring. `None` selects the base form,
     /// `max(|X|, |Z|)` traps (one ancilla per trap).

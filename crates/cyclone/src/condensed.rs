@@ -9,10 +9,9 @@
 use crate::codesign::{CycloneCodesign, CycloneConfig};
 use qccd::timing::OperationTimes;
 use qec::CssCode;
-use serde::{Deserialize, Serialize};
 
 /// One point of the trap-count / capacity sweep.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TrapSweepPoint {
     /// Number of traps `x`.
     pub num_traps: usize,

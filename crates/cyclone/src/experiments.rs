@@ -27,14 +27,13 @@ use qccd::wiring::wiring_cost;
 use qec::codes::CatalogEntry;
 use qec::schedule::{max_parallel_schedule, parallel_speedup, serial_schedule};
 use qec::CssCode;
-use serde::{Deserialize, Serialize};
 
 // ---------------------------------------------------------------------------
 // Fig. 3 — idealized parallel vs serial speedup
 // ---------------------------------------------------------------------------
 
 /// One bar of Fig. 3.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SpeedupRow {
     /// Code label, e.g. `"[[144,12,12]]"`.
     pub code: String,
@@ -71,7 +70,7 @@ pub fn fig3_parallel_speedup(catalog: &[CatalogEntry]) -> Vec<SpeedupRow> {
 // ---------------------------------------------------------------------------
 
 /// One point of Fig. 5: the baseline's LER when its latency is divided by `speedup`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LatencyLerRow {
     /// Code label.
     pub code: String,
@@ -135,7 +134,7 @@ pub fn fig5_latency_vs_ler(
 // ---------------------------------------------------------------------------
 
 /// The four cells of the Fig. 6 confusion matrix (execution times in seconds).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ConfusionMatrix {
     /// Code label.
     pub code: String,
@@ -168,7 +167,7 @@ pub fn fig6_confusion_matrix(code: &CssCode, times: &OperationTimes) -> Confusio
 // ---------------------------------------------------------------------------
 
 /// One point of Fig. 9.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct JunctionSensitivityRow {
     /// Fractional reduction of junction crossing times (0 = nominal).
     pub reduction: f64,
@@ -231,7 +230,7 @@ pub fn fig9_junction_sensitivity(
 // ---------------------------------------------------------------------------
 
 /// One point of Fig. 13.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TrapSensitivityRow {
     /// Number of traps.
     pub num_traps: usize,
@@ -301,7 +300,7 @@ pub fn fig13_trap_capacity_sweep(
 // ---------------------------------------------------------------------------
 
 /// One point of the Fig. 14/15 LER comparison curves.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LerComparisonRow {
     /// Code label.
     pub code: String,
@@ -387,7 +386,7 @@ pub fn ler_comparison(
 // ---------------------------------------------------------------------------
 
 /// One bar pair of Fig. 16.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SpacetimeRow {
     /// Code label.
     pub code: String,
@@ -422,7 +421,7 @@ pub fn fig16_spacetime(codes: &[CssCode], times: &OperationTimes) -> Vec<Spaceti
 // ---------------------------------------------------------------------------
 
 /// One point of Fig. 17.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LooseCapacityRow {
     /// Per-trap ion capacity given to the baseline grid.
     pub capacity: usize,
@@ -474,7 +473,7 @@ pub fn fig17_loose_capacity(
 // ---------------------------------------------------------------------------
 
 /// One point of Fig. 18.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct OpTimeSweepRow {
     /// Fractional reduction `r` applied to every gate and shuttling duration.
     pub reduction: f64,
@@ -538,7 +537,7 @@ pub fn fig18_op_time_sweep(
 // ---------------------------------------------------------------------------
 
 /// One row of Fig. 19.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ExecutionTimeRow {
     /// Code label.
     pub code: String,
@@ -570,7 +569,7 @@ pub fn fig19_execution_times(codes: &[CssCode], times: &OperationTimes) -> Vec<E
 // ---------------------------------------------------------------------------
 
 /// One compiler's row in Fig. 20.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CompilerComparisonRow {
     /// Compiler label.
     pub compiler: String,
@@ -629,7 +628,7 @@ pub fn fig20_compiler_comparison(
 // ---------------------------------------------------------------------------
 
 /// One row of Fig. 21.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SwapSensitivityRow {
     /// Codesign label (`"baseline"` or `"cyclone"`).
     pub codesign: String,
@@ -662,7 +661,7 @@ pub fn fig21_swap_sensitivity(code: &CssCode) -> Vec<SwapSensitivityRow> {
 
 /// One row of the heterogeneous-noise scenario: a codesign evaluated under one
 /// error channel.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct HeteroRow {
     /// Codesign label from the registry.
     pub codesign: String,
@@ -764,7 +763,7 @@ pub fn fig_hetero(
 // ---------------------------------------------------------------------------
 
 /// One row of the spatial-efficiency summary table.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SpatialRow {
     /// Code label.
     pub code: String,

@@ -306,7 +306,7 @@ impl DecodeCache {
         !self.valid.iter().any(|&v| v)
     }
 
-    /// Serializes every valid entry (plus the context tag and word shapes) to
+    /// Writes every valid entry (plus the context tag and word shapes) to
     /// `path` as JSON, via an atomic temp-file + rename in the same directory,
     /// so readers never observe a torn file. Entries are pure decoder outputs,
     /// so the file is a throwaway accelerator: deleting it at any time only

@@ -28,12 +28,11 @@ use qec::linalg::BitMat;
 use qec::CssCode;
 use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
-use serde::{Deserialize, Serialize};
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
 /// An estimated logical error rate with sampling statistics.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LerEstimate {
     /// Number of Monte-Carlo shots.
     pub shots: usize,
@@ -123,7 +122,7 @@ impl LerEstimate {
 /// The stopping decision is evaluated on shot *prefixes* of the same seeded
 /// per-shot RNG streams the fixed-budget path uses, so the adaptive result is the
 /// fixed result of its own shot count: bit-identical at any worker count.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PrecisionTarget {
     /// Stop once the relative standard error (`std_err / ler`) is at or below this
     /// (a non-positive value never stops early: sample to `max_shots`).
@@ -162,7 +161,7 @@ impl PrecisionTarget {
 }
 
 /// Configuration of a memory experiment.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MemoryConfig {
     /// Number of Monte-Carlo shots.
     pub shots: usize,
@@ -339,7 +338,6 @@ impl BatchScratch {
 #[derive(Debug)]
 pub struct MemoryExperiment<'a> {
     code: &'a CssCode,
-    model: HardwareNoiseModel,
     /// The per-qubit channel driving the sampler. Defaults to the uniform channel
     /// at the model's effective error rate.
     channel: ErrorChannel,
@@ -415,7 +413,6 @@ impl<'a> MemoryExperiment<'a> {
     pub fn new(code: &'a CssCode, model: HardwareNoiseModel, bp_iterations: usize) -> Self {
         let mut exp = MemoryExperiment {
             code,
-            model,
             channel: ErrorChannel::uniform(code.num_qubits(), model.effective_error_rate()),
             priors: Vec::new(),
             priors_key: 0,
@@ -453,14 +450,13 @@ impl<'a> MemoryExperiment<'a> {
     /// Latency and error-rate sweeps over one code should construct a single
     /// experiment and call this between points instead of rebuilding everything.
     pub fn set_model(&mut self, model: HardwareNoiseModel) {
-        self.model = model;
         self.set_channel(ErrorChannel::uniform(
             self.code.num_qubits(),
             model.effective_error_rate(),
         ));
     }
 
-    /// Replaces the per-qubit error channel, keeping model and decoders.
+    /// Replaces the per-qubit error channel, keeping the decoders.
     ///
     /// # Panics
     ///

@@ -150,7 +150,7 @@ impl Report {
         self.library_lines.iter().map(|&(_, lines)| lines).sum()
     }
 
-    /// Serializes the report as machine-readable JSON (schema 1).
+    /// Renders the report as machine-readable JSON (schema 1).
     pub fn to_json(&self) -> String {
         fn esc(s: &str) -> String {
             let mut out = String::with_capacity(s.len() + 2);

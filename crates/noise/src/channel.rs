@@ -37,7 +37,6 @@
 //! exposures map one-to-one onto measurement flip probabilities.
 
 use crate::model::HardwareNoiseModel;
-use serde::{Deserialize, Serialize};
 
 /// The maximum physically meaningful depolarizing probability: at 3/4 the channel
 /// is fully depolarizing, so rates above it have no extra physical content.
@@ -46,7 +45,7 @@ use serde::{Deserialize, Serialize};
 pub const DEPOLARIZING_MAX: f64 = 0.75;
 
 /// A per-qubit error channel for one syndrome-extraction round.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ErrorChannel {
     /// Per-data-qubit depolarizing probability.
     data: Vec<f64>,
@@ -215,7 +214,7 @@ impl ErrorChannel {
 /// The serializable recipe for an [`ErrorChannel`]: how an operating point's
 /// hardware noise model is turned into per-qubit rates. This is what sweep
 /// specifications carry and what participates in sweep-cache point identity.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub enum ChannelSpec {
     /// The historical scalar model: every data qubit at the model's effective
     /// error rate, noiseless measurement. Bit-identical to the pre-channel path.

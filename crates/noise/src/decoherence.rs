@@ -13,10 +13,8 @@
 //! The total error probability `p_x + p_y + p_z` is what the memory experiments add on
 //! top of the base circuit-level error rate.
 
-use serde::{Deserialize, Serialize};
-
 /// Decay (`T1`) and dephasing (`T2`) times, in seconds.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CoherenceTimes {
     /// Amplitude-damping (decay) time `T1`, seconds.
     pub t1: f64,

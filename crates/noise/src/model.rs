@@ -6,14 +6,13 @@
 //! rates used by the memory experiments.
 
 use crate::decoherence::{coherence_time_from_p, pauli_twirl_error, CoherenceTimes};
-use serde::{Deserialize, Serialize};
 
 /// Base circuit-level error rates.
 ///
 /// The paper models every operation error as an independent depolarizing channel with
 /// probability `p` (the *physical error rate*); the fields are kept separate so that
 /// sensitivity studies can vary them independently.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NoiseParameters {
     /// Two-qubit gate depolarizing probability.
     pub two_qubit_gate: f64,
@@ -101,7 +100,7 @@ impl NoiseParameters {
 }
 
 /// A noise model that couples circuit-level noise with latency-induced decoherence.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct HardwareNoiseModel {
     parameters: NoiseParameters,
     /// Compiled execution latency of one syndrome-extraction round, in seconds.

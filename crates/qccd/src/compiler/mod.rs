@@ -29,11 +29,9 @@ pub mod variants;
 pub use codesign::{Codesign, CodesignRegistry};
 pub use sim::IdleExposure;
 
-use serde::{Deserialize, Serialize};
-
 /// Time spent in each operation category, in seconds of *occupied resource time*
 /// (i.e. the fully serialized, "unrolled" cost of Fig. 20's component breakdown).
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct ComponentTimes {
     /// Two-qubit (and swap-constituent) gate execution time.
     pub gate: f64,
@@ -84,7 +82,7 @@ impl ComponentTimes {
 }
 
 /// The result of compiling one round of syndrome extraction onto hardware.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CompiledRound {
     /// Human-readable codesign label, e.g. `"baseline-grid + static EJF"`.
     pub codesign: String,

@@ -20,7 +20,6 @@ use crate::hardware::{Bfs, NodeId, NodeKind, Topology};
 use crate::placement::Placement;
 use crate::timing::OperationTimes;
 use qec::{CssCode, StabKind};
-use serde::{Deserialize, Serialize};
 
 /// Per-qubit idle exposure of one compiled syndrome-extraction round.
 ///
@@ -32,7 +31,7 @@ use serde::{Deserialize, Serialize};
 /// qubit decoheres under the Pauli-twirled idling channel. The uniform noise
 /// model charges every qubit the whole round (`horizon`); this profile is the
 /// per-qubit refinement `noise::ErrorChannel::from_schedule` consumes.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct IdleExposure {
     /// Idle exposure of each data qubit, seconds.
     pub data: Vec<f64>,

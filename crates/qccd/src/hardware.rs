@@ -7,13 +7,11 @@
 //! structural queries (trap/junction counts, degrees) used by the compilers and the
 //! spatial-cost analysis.
 
-use serde::{Deserialize, Serialize};
-
 /// Index of a node (trap or junction) in a [`Topology`].
 pub type NodeId = usize;
 
 /// What a topology node is.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum NodeKind {
     /// An ion trap able to hold up to `capacity` ions and execute one gate at a time.
     Trap {
@@ -40,7 +38,7 @@ impl NodeKind {
 }
 
 /// Named class of layout, used for reporting and to pick compiler specializations.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum TopologyKind {
     /// The paper's baseline: a square grid of traps with vertical junction columns.
     BaselineGrid,
@@ -74,7 +72,7 @@ impl std::fmt::Display for TopologyKind {
 }
 
 /// The hardware connectivity graph.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Topology {
     name: String,
     kind: TopologyKind,

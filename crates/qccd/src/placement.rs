@@ -8,11 +8,10 @@
 
 use crate::hardware::{Bfs, NodeId, Topology};
 use qec::{CssCode, StabKind};
-use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 
 /// A program ion: either a data qubit or the ancilla of a stabilizer.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum IonKind {
     /// Data qubit with its index in the code.
     Data(usize),
@@ -26,7 +25,7 @@ pub enum IonKind {
 }
 
 /// Assignment of every program ion to a home trap.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Placement {
     /// Home trap of each data qubit (indexed by data-qubit id).
     pub data_trap: Vec<NodeId>,

@@ -7,10 +7,8 @@
 //! `GateSwap` (three CX gates) and `IonSwap` (position-based, scaling with the
 //! interaction distance).
 
-use serde::{Deserialize, Serialize};
-
 /// Which physical mechanism is used to reorder ions within a chain.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum SwapKind {
     /// Swap implemented as three CX gates; cost `3 × gate_time(chain)`. The paper's
     /// default for Cyclone.
@@ -31,7 +29,7 @@ impl std::fmt::Display for SwapKind {
 }
 
 /// All hardware operation durations, in seconds.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OperationTimes {
     /// Splitting an ion off a chain (80 µs).
     pub split: f64,
@@ -137,11 +135,6 @@ impl OperationTimes {
                 self.split * d + self.split * (d - 1.0) + self.ion_swap_constant
             }
         }
-    }
-
-    /// Combined duration of one full "hop": split + one move + merge (no junction).
-    pub fn hop(&self) -> f64 {
-        self.split + self.shuttle_move + self.merge
     }
 
     /// Returns a copy with every gate and shuttling duration scaled by `1 - r`,

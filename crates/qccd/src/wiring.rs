@@ -8,10 +8,9 @@
 //! codesigns need one per trap.
 
 use crate::hardware::{Topology, TopologyKind};
-use serde::{Deserialize, Serialize};
 
 /// Summary of control-electronics requirements for a codesign.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WiringCost {
     /// Number of independent DAC channel groups required.
     pub dacs: usize,

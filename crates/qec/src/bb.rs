@@ -15,10 +15,9 @@
 use crate::css::CssCode;
 use crate::error::QecError;
 use crate::linalg::BitMat;
-use serde::{Deserialize, Serialize};
 
 /// A monomial `x^a · y^b` in the bivariate group algebra.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Monomial {
     /// Exponent of `x` (taken modulo `l`).
     pub x: usize,
@@ -45,7 +44,7 @@ impl Monomial {
 
 /// Parameters of a bivariate bicycle code: cyclic orders `l`, `m` and the monomial
 /// supports of the polynomials `A` and `B`.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BbParameters {
     /// Order of the `x` shift.
     pub l: usize,

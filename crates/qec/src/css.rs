@@ -8,10 +8,9 @@
 
 use crate::error::QecError;
 use crate::linalg::{dot, BitMat};
-use serde::{Deserialize, Serialize};
 
 /// Which stabilizer sector a check belongs to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum StabKind {
     /// An X-type stabilizer (product of Pauli X on its support).
     X,
@@ -29,7 +28,7 @@ impl std::fmt::Display for StabKind {
 }
 
 /// A single stabilizer generator: its sector and the data qubits in its support.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Stabilizer {
     /// X or Z sector.
     pub kind: StabKind,

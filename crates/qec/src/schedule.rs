@@ -17,7 +17,6 @@
 
 use crate::coloring::{edge_color_bipartite, Edge};
 use crate::css::{CssCode, StabKind};
-use serde::{Deserialize, Serialize};
 
 /// A single entangling gate of the syndrome-extraction circuit.
 ///
@@ -25,7 +24,7 @@ use serde::{Deserialize, Serialize};
 /// qubit the target; for Z stabilizers the data qubit is the control and the ancilla
 /// (prepared in `|0⟩`) the target. The scheduling layers only care about *which pair
 /// interacts when*; the direction is recovered from `kind` by the circuit builder.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct GateOp {
     /// Stabilizer sector.
     pub kind: StabKind,
@@ -39,7 +38,7 @@ pub struct GateOp {
 pub type Timeslice = Vec<GateOp>;
 
 /// Which scheduling policy produced a schedule.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SchedulePolicy {
     /// Fully serialized: one gate per slice.
     Serial,
@@ -61,7 +60,7 @@ impl std::fmt::Display for SchedulePolicy {
 }
 
 /// An idealized (hardware-independent) syndrome-extraction schedule.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Schedule {
     policy: SchedulePolicy,
     slices: Vec<Timeslice>,

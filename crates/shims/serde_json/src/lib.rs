@@ -1,9 +1,9 @@
 //! Offline API-compatible shim for the `serde_json` crate.
 //!
 //! Provides a self-contained [`Value`] tree with JSON rendering and parsing.
-//! Generic `to_string<T: Serialize>` is not offered (the serde shim's traits
-//! carry no methods); callers build a [`Value`] explicitly instead and read
-//! parsed documents back through the [`Value`] accessors.
+//! There is no generic `to_string<T>` over user types: callers build a
+//! [`Value`] explicitly instead and read parsed documents back through the
+//! [`Value`] accessors.
 
 use std::collections::BTreeMap;
 use std::fmt;
