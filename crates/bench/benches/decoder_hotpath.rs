@@ -43,6 +43,7 @@ use decoder::bposd::{BpOsdDecoder, DecodeMethod};
 use decoder::memory::{BatchScratch, BatchStats, MemoryConfig, MemoryExperiment};
 use decoder::osd::OsdDecoder;
 use decoder::scratch::DecoderScratch;
+use decoder::simd::Simd;
 use decoder::sparse::SparseBinMat;
 use noise::{ErrorChannel, HardwareNoiseModel, NoiseParameters};
 use qec::codes::{bb_72_12_6, hgp_225_9_6};
@@ -95,18 +96,19 @@ const ENFORCE_MAX_WARM_STRUCTURED_PENALTY: f64 = 5.0;
 /// (measured ~2M shots/sec on this container).
 const ENFORCE_MIN_WARM_STRUCTURED_BATCH_SHOTS_PER_SEC: f64 = 300_000.0;
 
-/// AVX2-only regression floor for the BP kernel gain, applied under
-/// `CYCLONE_ENFORCE=1` when the dispatch is the AVX2 compilation:
+/// Vector-dispatch regression floor for the BP kernel gain, applied under
+/// `CYCLONE_ENFORCE=1` when the dispatch is a vector compilation (AVX2 or
+/// AVX-512):
 /// `bp_only_decodes_per_sec` must be at least this multiple of the rate of
 /// the scalar CSR reference (`crates/decoder/tests/oracle/bp.rs`) measured in
 /// the same run. The baseline compilation of the kernels is itself
 /// vectorized, so the ratio is always taken against that fixed reference
-/// program, never against `CYCLONE_SIMD=off`. Other dispatches record the
-/// ratio without enforcing it.
+/// program, never against `CYCLONE_SIMD=off`. The baseline dispatch records
+/// the ratio without enforcing it.
 const ENFORCE_MIN_BP_SIMD_SPEEDUP: f64 = 1.5;
 
 /// SIMD-only ceiling for the worst cold structured-channel penalty under
-/// `CYCLONE_ENFORCE=1` on an AVX2 host: the vectorized check pass shrinks the
+/// `CYCLONE_ENFORCE=1` under a vector dispatch: the vectorized check pass shrinks the
 /// compulsory-miss BP cost, so the cold penalty must sit below the scalar-era
 /// 22× (the scalar-safe [`ENFORCE_MAX_STRUCTURED_PENALTY`] ceiling still
 /// applies to `CYCLONE_SIMD=off` runs).
@@ -557,27 +559,31 @@ fn main() {
             "warm structured batch throughput regressed: {warm_min:.0} < \
              {ENFORCE_MIN_WARM_STRUCTURED_BATCH_SHOTS_PER_SEC:.0} shots/sec"
         );
-        // Kernel thresholds are tied to the AVX2 compilation: other dispatches
-        // record honest numbers without gating on them, and a
-        // `CYCLONE_SIMD=off` enforce run stays on the scalar-safe ceilings.
-        if simd.isa_name() == "avx2" {
+        // Kernel thresholds hold for every vector compilation (AVX2 or
+        // AVX-512): the baseline dispatch records honest numbers without
+        // gating on them, and a `CYCLONE_SIMD=off` enforce run stays on the
+        // scalar-safe ceilings.
+        let vector = simd != Simd::scalar();
+        if vector {
             assert!(
                 bp_simd_speedup >= ENFORCE_MIN_BP_SIMD_SPEEDUP,
-                "AVX2 BP kernel gain regressed: {bp_simd_speedup:.2}x < \
-                 {ENFORCE_MIN_BP_SIMD_SPEEDUP:.2}x vs same-run scalar reference"
+                "{} BP kernel gain regressed: {bp_simd_speedup:.2}x < \
+                 {ENFORCE_MIN_BP_SIMD_SPEEDUP:.2}x vs same-run scalar reference",
+                simd.isa_name()
             );
             assert!(
                 structured_penalty <= ENFORCE_MAX_SIMD_STRUCTURED_PENALTY,
-                "AVX2 structured-channel penalty regressed: {structured_penalty:.2}x > \
-                 {ENFORCE_MAX_SIMD_STRUCTURED_PENALTY:.2}x"
+                "{} structured-channel penalty regressed: {structured_penalty:.2}x > \
+                 {ENFORCE_MAX_SIMD_STRUCTURED_PENALTY:.2}x",
+                simd.isa_name()
             );
         }
         println!(
             "  CYCLONE_ENFORCE: thresholds hold (cold + warm{})",
-            if simd.isa_name() == "avx2" {
-                " + avx2"
+            if vector {
+                format!(" + {}", simd.isa_name())
             } else {
-                ""
+                String::new()
             }
         );
     }

@@ -36,8 +36,9 @@
 //! through the lockstep kernels over arenas in the same interleaved slot
 //! numbering with one `f64` per lane. Each lane runs exactly the
 //! single-syndrome arithmetic, so it is bit-identical to it. Consistent
-//! syndromes, and a last group of fewer than [`MIN_LOCKSTEP_LANES`] (so every
-//! queue of one), decode one at a time.
+//! syndromes, and a last group of fewer than
+//! [`Simd::min_lockstep_lanes`] (so every queue of one), decode one at a
+//! time.
 
 use crate::scratch::{DecoderScratch, LockstepArenas};
 use crate::simd::{Simd, LOCKSTEP_LANES};
@@ -72,14 +73,6 @@ pub struct BpStatus {
 
 /// Min-sum normalization (scaling) factor of the check-node messages.
 const MIN_SUM_SCALE: f64 = 0.75;
-
-/// The fewest syndromes a lockstep group runs with; a shorter last group
-/// decodes on the single-syndrome loop. One lockstep iteration costs about
-/// 5.4 single-syndrome iterations however many lanes are used (30-iteration
-/// decodes on `[[72,12,6]]` and `[[225,9,6]]`, AVX2): four lanes run 1.36×
-/// slower than one at a time, five break even, six gain 1.1× and eight
-/// 1.4–1.5×.
-pub const MIN_LOCKSTEP_LANES: usize = 6;
 
 /// The lockstep queue decoder's view of [`TannerGraph`]'s interleaved slot
 /// numbering, padding left out: check `r`'s real slots in row order are
@@ -182,7 +175,7 @@ impl BeliefPropagation {
     }
 
     /// Overrides the kernel dispatch decided by [`Simd::from_env`] — how tests
-    /// and benches run both compilations side by side regardless of
+    /// and benches run every compilation side by side regardless of
     /// `CYCLONE_SIMD`.
     pub fn with_simd(mut self, simd: Simd) -> Self {
         self.simd = simd;
@@ -263,8 +256,8 @@ impl BeliefPropagation {
     /// `f64` per lane, so each lane runs its checks in row order and sums its
     /// columns in ascending check order, skipping padding. That is the
     /// arithmetic of the single-syndrome loop, so every lane is bit-identical
-    /// to it. A last group shorter than [`MIN_LOCKSTEP_LANES`] decodes on the
-    /// single-syndrome loop instead.
+    /// to it. A last group shorter than [`Simd::min_lockstep_lanes`] decodes
+    /// on the single-syndrome loop instead.
     ///
     /// # Panics
     ///
@@ -313,7 +306,7 @@ impl BeliefPropagation {
                 len = 0;
             }
         }
-        if len >= MIN_LOCKSTEP_LANES {
+        if len >= self.simd.min_lockstep_lanes() {
             self.run_group(&group[..len], syndromes, scratch, &mut arenas, &mut done);
             grouped += len as u64;
         } else {
@@ -351,7 +344,8 @@ impl BeliefPropagation {
         }
         let max = self.max_iterations;
         for iteration in 1..=max {
-            // Only the last iteration's hard decision is returned.
+            // Only the last iteration's posteriors and hard decision are
+            // returned.
             self.lockstep_iteration(arenas, scratch.channel_llr.as_slice(), iteration == max);
         }
         for (lane, &index) in group.iter().enumerate() {
@@ -410,9 +404,9 @@ impl BeliefPropagation {
     }
 
     /// One iteration of every lane: the check pass and the variable pass
-    /// with its writeback, then, when `decide`, each lane's packed hard
-    /// decision.
-    fn lockstep_iteration(&self, arenas: &mut LockstepArenas, channel_llr: &[f64], decide: bool) {
+    /// with its writeback, or, when `last`, the variable pass's posteriors
+    /// and each lane's packed hard decision.
+    fn lockstep_iteration(&self, arenas: &mut LockstepArenas, channel_llr: &[f64], last: bool) {
         let (tables, simd) = (&self.lanes, self.simd);
         simd.lockstep_check_pass(
             arenas.syn_masks.as_slice(),
@@ -429,8 +423,9 @@ impl BeliefPropagation {
             arenas.check_to_var.as_slice(),
             arenas.var_to_check.as_mut_slice(),
             arenas.posteriors.as_mut_slice(),
+            last,
         );
-        if decide {
+        if last {
             simd.lockstep_hard_decision(arenas.posteriors.as_slice(), &mut arenas.err_words);
         }
     }
@@ -597,7 +592,7 @@ impl BeliefPropagation {
             "packed syndrome must hold one bit per check"
         );
         debug_assert!(
-            m % 64 == 0 || syndrome.last().is_none_or(|&w| w >> (m % 64) == 0),
+            m.is_multiple_of(64) || syndrome.last().is_none_or(|&w| w >> (m % 64) == 0),
             "bits past the last check must be zero"
         );
         scratch
@@ -864,7 +859,7 @@ mod tests {
                     state = state
                         .wrapping_mul(6_364_136_223_846_793_005)
                         .wrapping_add(1);
-                    (state >> 33) % 32 == 0
+                    (state >> 33).is_multiple_of(32)
                 })
                 .collect();
             let bp = &sectors[shot % 2];
@@ -986,7 +981,7 @@ mod tests {
             }
             queue.extend(packed);
         }
-        for simd in [Simd::scalar(), Simd::detect()] {
+        for simd in Simd::supported() {
             let bp = BeliefPropagation::new(h.clone(), 30).with_simd(simd);
             // The reference: each syndrome alone, a queue of one, which
             // never forms a group.
@@ -1043,7 +1038,7 @@ mod tests {
         });
         assert_eq!((grouped, finished), (0, 3));
         assert_eq!(
-            scratch.lockstep.var_to_check.len(),
+            scratch.lockstep.var_to_check.as_slice().len(),
             0,
             "no lockstep arena was sized"
         );

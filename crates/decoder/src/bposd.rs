@@ -405,7 +405,7 @@ mod tests {
     #[test]
     fn packed_core_matches_the_bool_adapter_in_both_compilations() {
         // The four benchmark codes ([[225,9,6]] has 108 checks per sector,
-        // two syndrome words), both sectors, both kernel compilations, one
+        // two syndrome words), both sectors, every kernel compilation, one
         // warm scratch per decoder against a fresh one per bool decode, and
         // syndromes that BP resolves, that fall back to OSD, and (on the
         // bivariate bicycle codes' redundant checks) that are inconsistent.
@@ -421,7 +421,7 @@ mod tests {
             let n = code.num_qubits();
             let priors: Vec<f64> = (0..n).map(|q| 0.01 + 0.004 * (q % 7) as f64).collect();
             for h in [code.hz(), code.hx()] {
-                for simd in [crate::simd::Simd::scalar(), crate::simd::Simd::detect()] {
+                for simd in crate::simd::Simd::supported() {
                     let dec = BpOsdDecoder::new(h, 30).with_simd(simd);
                     let mut warm = DecoderScratch::new();
                     for shot in 0..24 {

@@ -5,8 +5,8 @@
 //! * a sparse binary matrix type and flattened Tanner graphs ([`sparse`]),
 //! * normalized min-sum belief propagation ([`bp`]) with an ordered-statistics
 //!   fallback ([`osd`]), combined in [`bposd`],
-//! * the min-sum lane kernels, compiled for the baseline ISA and for AVX2 with
-//!   runtime dispatch ([`simd`]), byte-identical to the scalar reference and
+//! * the min-sum lane kernels, compiled for the baseline ISA, for AVX2 and for
+//!   AVX-512 with runtime dispatch ([`simd`]), byte-identical to the scalar reference and
 //!   overridable via `CYCLONE_SIMD`; one set decodes one syndrome, one lane
 //!   per check or column, and the lockstep set decodes up to eight at once,
 //!   one lane per syndrome,

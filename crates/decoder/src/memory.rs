@@ -488,18 +488,16 @@ impl<'a> MemoryExperiment<'a> {
     }
 
     /// The current per-sector decode-context tags `(x, z)`: the matrix digests
-    /// mixed with the active channel's priors identity (the clamped rate for a
-    /// uniform channel, else the priors digest). This is the one place the tag
-    /// is computed: [`DecodeCache`]s bind, and persisted cache files are named,
-    /// under it.
+    /// mixed with the digest of the clamped data priors the decoders run with,
+    /// whatever the channel's shape. So channels that decode with identical
+    /// priors (a uniform channel and a biased one at the same data rate)
+    /// share a tag, and a worker moving between them keeps its decode cache.
+    /// This is the one place the tag is computed: [`DecodeCache`]s bind, and
+    /// persisted cache files are named, under it.
     fn sector_contexts(&self) -> (u64, u64) {
-        let prior_bits = match self.channel.uniform_rate() {
-            Some(p) => p.clamp(1e-9, 0.45).to_bits(),
-            None => self.priors_key,
-        };
         (
-            mix_ctx(self.x_ctx, prior_bits),
-            mix_ctx(self.z_ctx, prior_bits),
+            mix_ctx(self.x_ctx, self.priors_key),
+            mix_ctx(self.z_ctx, self.priors_key),
         )
     }
 
@@ -2093,14 +2091,14 @@ mod tests {
     #[test]
     fn decode_context_tags_are_pinned() {
         // The tags name persisted decode-cache files, so the matrix digest and
-        // its mix with the priors identity must never drift.
+        // its mix with the priors digest must never drift. Every channel is
+        // tagged by its clamped data priors, so the uniform channel and a
+        // biased one at the same data rate (identical priors) share a tag.
         let code = bb_72_12_6().expect("valid");
         let model = HardwareNoiseModel::new(NoiseParameters::new(3e-3), 0.0);
         let mut exp = MemoryExperiment::new(&code, model, 20);
-        assert_eq!(
-            exp.sector_contexts(),
-            (0x6979_f1ae_9060_ca28, 0x47ec_5680_aac6_1823)
-        );
+        let uniform = exp.sector_contexts();
+        assert_eq!(uniform, (0x9854_98d6_2c05_bf21, 0xe003_ae75_d17f_6894));
         exp.set_channel(noise::ErrorChannel::biased(
             code.num_qubits(),
             code.num_stabilizers(),
@@ -2110,6 +2108,18 @@ mod tests {
         assert_eq!(
             exp.sector_contexts(),
             (0x9854_98d6_2c05_bf21, 0xe003_ae75_d17f_6894)
+        );
+        assert_eq!(exp.sector_contexts(), uniform);
+        exp.set_channel(noise::ErrorChannel::biased(
+            code.num_qubits(),
+            code.num_stabilizers(),
+            4e-3,
+            6e-3,
+        ));
+        assert_ne!(
+            exp.sector_contexts(),
+            uniform,
+            "the data rate must move the tag"
         );
     }
 

@@ -14,65 +14,72 @@
 
 use crate::sparse::PAD_LANES;
 
-/// One 32-byte-aligned bundle of [`PAD_LANES`] lanes — the allocation unit of
-/// [`LaneArena`].
-#[repr(C, align(32))]
-#[derive(Debug, Clone, Copy)]
-struct Chunk<T>([T; PAD_LANES]);
+/// Lanes per [`Chunk`]: eight `f64`, one 64-byte cache line — a full
+/// AVX-512 vector, and one slot of the lockstep arenas.
+const CHUNK_LANES: usize = 8;
 
-/// A 32-byte-aligned arena of `f64` messages or `u64` masks backing the BP
+/// One 64-byte-aligned bundle of [`CHUNK_LANES`] lanes — the allocation unit
+/// of [`LaneArena`].
+#[repr(C, align(64))]
+#[derive(Debug, Clone, Copy)]
+struct Chunk<T>([T; CHUNK_LANES]);
+
+/// A 64-byte-aligned arena of `f64` messages or `u64` masks backing the BP
 /// lane buffers.
 ///
-/// The lane kernels in [`crate::simd`] issue full-width four-lane loads and
-/// stores over these buffers every iteration (under the AVX2 compilation). A
-/// plain `Vec<f64>` is only guaranteed 16-byte alignment by the allocator, and
-/// a 16-mod-32 base address makes every 256-bit access straddle two cache
-/// lines — measured to cost the AVX2 check pass roughly a quarter of its
-/// throughput on the `[[72,12,6]]` code, with the outcome decided by
-/// per-process allocation luck. Backing the storage with 32-byte-aligned
-/// chunks removes that coin flip. Lengths are always multiples of
-/// [`PAD_LANES`] (both lane layouts guarantee this), enforced by a debug
-/// assertion.
+/// The lane kernels in [`crate::simd`] issue full-width loads and stores over
+/// these buffers every iteration: four lanes under the AVX2 compilation, and
+/// one lockstep slot of eight lanes (64 bytes) under the AVX-512 one. A plain
+/// `Vec<f64>` is only guaranteed 16-byte alignment by the allocator, and a
+/// base address off the vector width makes every vector access straddle two
+/// cache lines — measured to cost the AVX2 check pass roughly a quarter of
+/// its throughput on the `[[72,12,6]]` code, with the outcome decided by
+/// per-process allocation luck. Backing the storage with cache-line-aligned
+/// chunks removes that coin flip for both widths. Lengths are always
+/// multiples of [`PAD_LANES`] (both lane layouts guarantee this), enforced by
+/// a debug assertion; the last chunk may hold unused lanes past `len`.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct LaneArena<T> {
     chunks: Vec<Chunk<T>>,
+    len: usize,
 }
 
-/// The lane types: eight bytes wide, so a [`Chunk`] of four is exactly its
-/// 32-byte alignment and holds no padding.
+/// The lane types: eight bytes wide, so a [`Chunk`] of eight is exactly its
+/// 64-byte alignment and holds no padding.
 pub(crate) trait Lane: Copy + Default {}
 impl Lane for f64 {}
 impl Lane for u64 {}
 
 impl<T: Lane> LaneArena<T> {
-    /// Number of lanes (always a multiple of [`PAD_LANES`]).
-    pub(crate) fn len(&self) -> usize {
-        self.chunks.len() * PAD_LANES
-    }
-
-    /// Resizes to exactly `len` lanes, filling any newly added chunks with zeros.
+    /// Resizes to exactly `len` lanes (always a multiple of [`PAD_LANES`]),
+    /// filling any newly added lanes with zeros.
     pub(crate) fn ensure_len(&mut self, len: usize) {
         debug_assert_eq!(len % PAD_LANES, 0, "lane arena length must be chunked");
-        if self.len() != len {
-            self.chunks
-                .resize(len / PAD_LANES, Chunk([T::default(); PAD_LANES]));
+        if self.len != len {
+            let kept = self.len.min(len);
+            self.chunks.resize(
+                len.div_ceil(CHUNK_LANES),
+                Chunk([T::default(); CHUNK_LANES]),
+            );
+            self.len = len;
+            self.as_mut_slice()[kept..].fill(T::default());
         }
     }
 
     /// Views the arena as a flat read-only slice.
     pub(crate) fn as_slice(&self) -> &[T] {
         // SAFETY: as in `as_mut_slice`.
-        unsafe { core::slice::from_raw_parts(self.chunks.as_ptr().cast::<T>(), self.len()) }
+        unsafe { core::slice::from_raw_parts(self.chunks.as_ptr().cast::<T>(), self.len) }
     }
 
-    /// Views the arena as a flat slice with a 32-byte-aligned base.
+    /// Views the arena as a flat slice with a 64-byte-aligned base.
     pub(crate) fn as_mut_slice(&mut self) -> &mut [T] {
-        // SAFETY: `Chunk<T>` is `#[repr(C)]` over `[T; PAD_LANES]`, and every
-        // `Lane` type is eight bytes, so a chunk is exactly 32 bytes with no
+        // SAFETY: `Chunk<T>` is `#[repr(C)]` over `[T; CHUNK_LANES]`, and every
+        // `Lane` type is eight bytes, so a chunk is exactly 64 bytes with no
         // padding and the chunks store contiguous `T`s; the cast stays within
-        // the one live allocation and `self.len()` counts exactly the `T`s it
-        // owns.
-        unsafe { core::slice::from_raw_parts_mut(self.chunks.as_mut_ptr().cast::<T>(), self.len()) }
+        // the one live allocation, and `self.len` is at most the
+        // `chunks.len() * CHUNK_LANES` `T`s it owns.
+        unsafe { core::slice::from_raw_parts_mut(self.chunks.as_mut_ptr().cast::<T>(), self.len) }
     }
 }
 
@@ -125,7 +132,7 @@ pub struct DecoderScratch {
     /// check pass of every decode reads in place of `vtc_lanes`.
     pub(crate) vtc_init: LaneArena<f64>,
     /// Check→variable messages in the row-interleaved layout
-    /// ([`crate::sparse::TannerGraph`]), 32-byte aligned so the kernels'
+    /// ([`crate::sparse::TannerGraph`]), 64-byte aligned so the kernels'
     /// full-width accesses never split cache lines. The spare cell holds
     /// `-0.0`.
     pub(crate) ctv_lanes: LaneArena<f64>,
@@ -252,5 +259,36 @@ mod tests {
         assert!(s.llrs().is_empty());
         assert!(s.cached_priors_key.is_none());
         assert_eq!(s.priors_rebuilds(), 0);
+    }
+
+    #[test]
+    fn lane_arenas_are_cache_line_aligned_and_zero_filled() {
+        let mut messages = LaneArena::<f64>::default();
+        let mut masks = LaneArena::<u64>::default();
+        for len in [4, 8, 12, 4, 1_728, 20, 8 * 216, 36] {
+            let before = messages.as_slice().len();
+            messages.ensure_len(len);
+            masks.ensure_len(len);
+            assert_eq!(
+                (messages.as_slice().len(), masks.as_slice().len()),
+                (len, len)
+            );
+            assert_eq!(
+                messages.as_slice().as_ptr() as usize % 64,
+                0,
+                "f64 arena of {len}"
+            );
+            assert_eq!(
+                masks.as_slice().as_ptr() as usize % 64,
+                0,
+                "u64 arena of {len}"
+            );
+            if len > before {
+                assert!(messages.as_slice()[before..].iter().all(|&v| v == 0.0));
+                assert!(masks.as_slice()[before..].iter().all(|&v| v == 0));
+            }
+            messages.as_mut_slice().fill(7.5);
+            masks.as_mut_slice().fill(u64::MAX);
+        }
     }
 }

@@ -22,14 +22,20 @@
 //! each column's in ascending check order, padding skipped, so every lane
 //! repeats the single-syndrome arithmetic above exactly.
 //!
-//! Each kernel is compiled twice: once for the target's baseline ISA (what
-//! [`Simd::scalar`] and non-x86 hosts run; the compiler is free to vectorize
-//! it, e.g. with SSE2 on x86-64) and once inside a
-//! `#[target_feature(enable = "avx2")]` wrapper, chosen once at decoder
-//! construction by `is_x86_feature_detected!` ([`Simd::detect`]). Only the
-//! kernels are compiled under AVX2, not the whole propagate loop.
+//! Each kernel is compiled three times: once for the target's baseline ISA
+//! (what [`Simd::scalar`] and non-x86 hosts run; the compiler is free to
+//! vectorize it, e.g. with SSE2 on x86-64), once inside a
+//! `#[target_feature(enable = "avx2")]` wrapper, and once inside an
+//! `avx512f,avx512vl,avx512dq,avx512bw` wrapper, whose eight `f64` lanes fill
+//! one lockstep slot. [`Simd::detect`] picks one at decoder construction by
+//! `is_x86_feature_detected!`: AVX-512, else AVX2, else the baseline. Only
+//! the kernels are compiled under these features, not the whole propagate
+//! loop. On a 2-vCPU Xeon reporting AVX-512 (rustc 1.95), the lockstep check
+//! pass over `[[72,12,6]]`'s 216 slots took 1,380–1,890 TSC cycles a call in
+//! the AVX-512 compilation, against 2,030–2,050 in the AVX2 one and 3,550 in
+//! the baseline one (medians of 200 rounds of 100 calls, two runs).
 //!
-//! Why both compilations are bit-identical to each other and to the
+//! Why every compilation is bit-identical to the others and to the
 //! scalar reference without hand-written intrinsics: Rust never reassociates
 //! or contracts floating-point operations, and no kernel has horizontal
 //! (cross-lane) operations — every check lane performs exactly the
@@ -37,8 +43,9 @@
 //! update, in row order, and every column lane exactly the scalar additions,
 //! in check order. The vector width therefore changes only speed.
 //! Vectorization quality still depends on the compiler, so the kernel-level
-//! tests below and the property tests in `tests/properties.rs` pin both
-//! compilations to the scalar reference byte for byte.
+//! tests below and the property tests in `tests/properties.rs` pin every
+//! compilation the host supports ([`Simd::supported`]) to the scalar
+//! reference byte for byte.
 //!
 //! The `CYCLONE_SIMD` environment variable takes two values: `auto` (the
 //! default; empty counts as unset) detects, and `off` pins the baseline
@@ -56,6 +63,10 @@ const SIGN_BIT: u64 = 1 << 63;
 /// Which compilation of the kernels the decoder runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum SimdIsa {
+    /// The kernels compiled with AVX-512 (F, VL, DQ, BW) enabled: eight `f64`
+    /// per vector, one lockstep slot; only x86-64 hosts detect it.
+    #[cfg_attr(not(target_arch = "x86_64"), allow(dead_code))]
+    Avx512,
     /// The kernels compiled with AVX2 enabled (four `f64` per vector);
     /// only x86-64 hosts detect it.
     #[cfg_attr(not(target_arch = "x86_64"), allow(dead_code))]
@@ -98,13 +109,34 @@ impl Simd {
         }
     }
 
-    /// The AVX2 compilation when this host supports it, else the baseline one.
+    /// The widest compilation this host supports: AVX-512, else AVX2, else
+    /// the baseline one. The last entry of [`Simd::supported`].
     pub fn detect() -> Self {
+        *Self::supported()
+            .last()
+            .expect("the baseline is always supported")
+    }
+
+    /// Every compilation this host can run, baseline first and widest last —
+    /// how tests and benches cover each of them.
+    pub fn supported() -> Vec<Self> {
+        let mut supported = vec![Self::scalar()];
         #[cfg(target_arch = "x86_64")]
-        if is_x86_feature_detected!("avx2") {
-            return Simd { isa: SimdIsa::Avx2 };
+        {
+            if is_x86_feature_detected!("avx2") {
+                supported.push(Simd { isa: SimdIsa::Avx2 });
+            }
+            if is_x86_feature_detected!("avx512f")
+                && is_x86_feature_detected!("avx512vl")
+                && is_x86_feature_detected!("avx512dq")
+                && is_x86_feature_detected!("avx512bw")
+            {
+                supported.push(Simd {
+                    isa: SimdIsa::Avx512,
+                });
+            }
         }
-        Self::scalar()
+        supported
     }
 
     /// The baseline compilation (what non-x86 hosts detect).
@@ -117,38 +149,43 @@ impl Simd {
     /// The compilation's name as recorded in bench artifacts.
     pub fn isa_name(&self) -> &'static str {
         match self.isa {
+            SimdIsa::Avx512 => "avx512",
             SimdIsa::Avx2 => "avx2",
             SimdIsa::Scalar => "scalar",
         }
     }
+
+    /// The fewest syndromes a lockstep group runs with in this compilation;
+    /// a shorter last group decodes on the single-syndrome loop. A lockstep
+    /// group costs about the same however many of its [`LOCKSTEP_LANES`]
+    /// lanes are used, so this is where a group overtakes decoding its
+    /// syndromes one at a time. Measured on 30-iteration decodes on
+    /// `[[72,12,6]]` and `[[225,9,6]]` (a 2-vCPU Xeon reporting AVX-512,
+    /// rustc 1.95; median time ratio, one at a time over lockstep, of 60
+    /// interleaved pairs, two runs): the baseline compilation breaks even at
+    /// six lanes (0.99–1.05) and gains 1.29–1.34× at eight; AVX2 loses at
+    /// four (0.86–0.91), gains 1.08–1.15× at five and 1.75–1.87× at eight;
+    /// AVX-512, whose eight lanes fill one vector, loses at three
+    /// (0.81–0.88), gains 1.07–1.21× at four and 2.08–2.33× at eight.
+    pub fn min_lockstep_lanes(&self) -> usize {
+        match self.isa {
+            SimdIsa::Avx512 => 4,
+            SimdIsa::Avx2 => 5,
+            SimdIsa::Scalar => 6,
+        }
+    }
 }
 
-/// For each kernel `name(args)`, defines `Simd::name(self, args)`, which runs
-/// the kernel in the dispatched compilation, and `avx2::name`, the kernel's
-/// AVX2 compilation: a `#[target_feature(enable = "avx2")]` wrapper into which
-/// the `#[inline(always)]` kernel body is inlined.
-macro_rules! compiled_twice {
-    ($($kernel:ident($($arg:ident: $ty:ty),* $(,)?);)*) => {
-        impl Simd {
-            $(
-                #[doc = concat!("Runs [`", stringify!($kernel), "`] in the dispatched compilation.")]
-                pub(crate) fn $kernel(self, $($arg: $ty),*) {
-                    #[cfg(target_arch = "x86_64")]
-                    if self.isa == SimdIsa::Avx2 {
-                        // SAFETY: an `Avx2` dispatch is only built by `detect`, after
-                        // `is_x86_feature_detected!("avx2")` reported the feature.
-                        return unsafe { avx2::$kernel($($arg),*) };
-                    }
-                    $kernel($($arg),*);
-                }
-            )*
-        }
-
-        /// The AVX2 compilation of the kernels.
+/// Defines `mod $module`, the kernels compiled under `$features`: one
+/// `#[target_feature]` wrapper per kernel, into which the `#[inline(always)]`
+/// kernel body is inlined.
+macro_rules! compiled_under {
+    ($module:ident, $features:literal, $($kernel:ident($($arg:ident: $ty:ty),*);)*) => {
+        #[doc = concat!("The kernels compiled with `", $features, "` enabled.")]
         #[cfg(target_arch = "x86_64")]
-        mod avx2 {
+        mod $module {
             $(
-                #[target_feature(enable = "avx2")]
+                #[target_feature(enable = $features)]
                 pub(super) fn $kernel($($arg: $ty),*) {
                     super::$kernel($($arg),*);
                 }
@@ -157,7 +194,42 @@ macro_rules! compiled_twice {
     };
 }
 
-compiled_twice! {
+/// For each kernel `name(args)`, defines `Simd::name(self, args)`, which runs
+/// the kernel in the dispatched compilation, and its AVX2 and AVX-512
+/// compilations, `avx2::name` and `avx512::name` ([`compiled_under`]).
+macro_rules! compiled_thrice {
+    ($($kernel:ident($($arg:ident: $ty:ty),* $(,)?);)*) => {
+        impl Simd {
+            $(
+                #[doc = concat!("Runs [`", stringify!($kernel), "`] in the dispatched compilation.")]
+                // One argument more than its kernel, `self`.
+                #[allow(clippy::too_many_arguments)]
+                pub(crate) fn $kernel(self, $($arg: $ty),*) {
+                    #[cfg(target_arch = "x86_64")]
+                    match self.isa {
+                        // SAFETY: an `Avx512` dispatch is only built by `supported`,
+                        // after `is_x86_feature_detected!` reported all four features.
+                        SimdIsa::Avx512 => return unsafe { avx512::$kernel($($arg),*) },
+                        // SAFETY: an `Avx2` dispatch is only built by `supported`,
+                        // after `is_x86_feature_detected!("avx2")` reported the feature.
+                        SimdIsa::Avx2 => return unsafe { avx2::$kernel($($arg),*) },
+                        SimdIsa::Scalar => {}
+                    }
+                    $kernel($($arg),*);
+                }
+            )*
+        }
+
+        compiled_under!(avx2, "avx2", $($kernel($($arg: $ty),*);)*);
+        compiled_under!(
+            avx512,
+            "avx512f,avx512vl,avx512dq,avx512bw",
+            $($kernel($($arg: $ty),*);)*
+        );
+    };
+}
+
+compiled_thrice! {
     check_pass(
         syn_mask: &[u64],
         group_ptr: &[usize],
@@ -195,6 +267,7 @@ compiled_twice! {
         check_to_var: &[f64],
         var_to_check: &mut [f64],
         posteriors: &mut [f64],
+        last: bool,
     );
     lockstep_hard_decision(posteriors: &[f64], err_words: &mut [u64]);
 }
@@ -212,6 +285,17 @@ compiled_twice! {
 /// row excludes only the first index holding the minimum, this emits `scaled2`
 /// at every lane position whose magnitude equals it — the same bits, because
 /// tied magnitudes force `min2 == min1` and hence `scaled2 == scaled1`.
+///
+/// The ladder is written without a blend: `above1` is the larger of `mag`
+/// and `min1` (`min1` when `mag < min1`, else `mag`), and `min2` takes it
+/// when `above1 < min2`. That gives the scalar ladder's `min2` for every
+/// input: on a new minimum both give the old `min1` (never above `min2`),
+/// otherwise both give the smaller of `mag` and `min2`. A NaN magnitude
+/// fails every `<`, so `above1` is that NaN and `min2` keeps its value, just
+/// as in the scalar ladder; the reverse operand order would promote `min1`
+/// instead. Each select is one vector min or max. The sign parity is folded
+/// into `scaled1` and `scaled2` once per check, so each output is the
+/// selected value XOR the message's own `msg < 0.0` sign bit.
 #[inline(always)]
 fn check_pass(
     syn_mask: &[u64],
@@ -231,18 +315,21 @@ fn check_pass(
                 let msg = msgs[lane];
                 sign[lane] ^= u64::from(msg < 0.0).wrapping_neg();
                 let mag = msg.abs();
-                let new1 = mag < min1[lane];
-                let kept2 = if mag < min2[lane] { mag } else { min2[lane] };
-                min2[lane] = if new1 { min1[lane] } else { kept2 };
-                min1[lane] = if new1 { mag } else { min1[lane] };
+                let above1 = if mag < min1[lane] { min1[lane] } else { mag };
+                min2[lane] = if above1 < min2[lane] {
+                    above1
+                } else {
+                    min2[lane]
+                };
+                min1[lane] = if mag < min1[lane] { mag } else { min1[lane] };
             }
         }
         let mut scaled1 = [0.0f64; PAD_LANES];
         let mut scaled2 = [0.0f64; PAD_LANES];
         for lane in 0..PAD_LANES {
-            scaled1[lane] = scale * min1[lane];
-            scaled2[lane] = scale * min2[lane];
-            sign[lane] &= SIGN_BIT;
+            let parity = sign[lane] & SIGN_BIT;
+            scaled1[lane] = f64::from_bits((scale * min1[lane]).to_bits() ^ parity);
+            scaled2[lane] = f64::from_bits((scale * min2[lane]).to_bits() ^ parity);
         }
         for (msgs, out) in var_to_check[start..end]
             .chunks_exact(PAD_LANES)
@@ -250,13 +337,12 @@ fn check_pass(
         {
             for lane in 0..PAD_LANES {
                 let msg = msgs[lane];
-                let flip = sign[lane] ^ (u64::from(msg < 0.0) << 63);
                 let v = if msg.abs() == min1[lane] {
                     scaled2[lane]
                 } else {
                     scaled1[lane]
                 };
-                out[lane] = f64::from_bits(v.to_bits() ^ flip);
+                out[lane] = f64::from_bits(v.to_bits() ^ (u64::from(msg < 0.0) << 63));
             }
         }
     }
@@ -379,7 +465,8 @@ fn lanes_mut(arena: &mut [f64], slot: usize) -> &mut [f64; LOCKSTEP_LANES] {
 /// and `syn_masks[r * LOCKSTEP_LANES + lane]` is all-ones when the lane's
 /// syndrome sets check `r`. Per lane this is [`check_pass`]'s update of one
 /// lane-row, minus the padding slots, whose neutral messages change neither
-/// reduction: the same ladder over the same messages in the same order.
+/// reduction: the same ladder and sign fold over the same messages in the
+/// same order.
 #[inline(always)]
 fn lockstep_check_pass(
     syn_masks: &[u64],
@@ -404,31 +491,33 @@ fn lockstep_check_pass(
                 let msg = msgs[lane];
                 sign[lane] ^= u64::from(msg < 0.0).wrapping_neg();
                 let mag = msg.abs();
-                let new1 = mag < min1[lane];
-                let kept2 = if mag < min2[lane] { mag } else { min2[lane] };
-                min2[lane] = if new1 { min1[lane] } else { kept2 };
-                min1[lane] = if new1 { mag } else { min1[lane] };
+                let above1 = if mag < min1[lane] { min1[lane] } else { mag };
+                min2[lane] = if above1 < min2[lane] {
+                    above1
+                } else {
+                    min2[lane]
+                };
+                min1[lane] = if mag < min1[lane] { mag } else { min1[lane] };
             }
         }
         let mut scaled1 = [0.0f64; LOCKSTEP_LANES];
         let mut scaled2 = [0.0f64; LOCKSTEP_LANES];
         for lane in 0..LOCKSTEP_LANES {
-            scaled1[lane] = scale * min1[lane];
-            scaled2[lane] = scale * min2[lane];
-            sign[lane] &= SIGN_BIT;
+            let parity = sign[lane] & SIGN_BIT;
+            scaled1[lane] = f64::from_bits((scale * min1[lane]).to_bits() ^ parity);
+            scaled2[lane] = f64::from_bits((scale * min2[lane]).to_bits() ^ parity);
         }
         for &slot in slots {
             let msgs = lanes(var_to_check, slot as usize);
             let out = lanes_mut(check_to_var, slot as usize);
             for lane in 0..LOCKSTEP_LANES {
                 let msg = msgs[lane];
-                let flip = sign[lane] ^ (u64::from(msg < 0.0) << 63);
                 let v = if msg.abs() == min1[lane] {
                     scaled2[lane]
                 } else {
                     scaled1[lane]
                 };
-                out[lane] = f64::from_bits(v.to_bits() ^ flip);
+                out[lane] = f64::from_bits(v.to_bits() ^ (u64::from(msg < 0.0) << 63));
             }
         }
     }
@@ -436,12 +525,16 @@ fn lockstep_check_pass(
 
 /// The variable-node pass of the lockstep arenas, with its writeback:
 /// column `c` owns the slots `col_slots[col_ptr[c]..col_ptr[c + 1]]` in
-/// ascending check order, so each lane's posterior
-/// `posteriors[c * LOCKSTEP_LANES + lane]` is `channel_llr[c]` plus the
-/// column's messages added in [`var_pass`]'s order (its `-0.0` padding
-/// terms are skipped, which changes no bit), and each slot then gets the
-/// posterior minus its own message, as in [`var_writeback`]. Columns past
-/// the last are left as they are.
+/// ascending check order, so each lane's posterior is `channel_llr[c]` plus
+/// the column's messages added in [`var_pass`]'s order (its `-0.0` padding
+/// terms are skipped, which changes no bit). On the `last` iteration the
+/// posterior is stored in `posteriors[c * LOCKSTEP_LANES + lane]`; on every
+/// other one each slot instead gets the posterior minus its own message, as
+/// in [`var_writeback`]. Only the last iteration's posteriors are read (its
+/// hard decision and the returned LLRs), and its writeback would feed no
+/// further check pass, so each store is skipped where nothing reads it —
+/// about 3% of a 30-iteration lockstep group in every compilation. Columns
+/// past the last are left as they are.
 #[inline(always)]
 fn lockstep_var_pass(
     col_ptr: &[usize],
@@ -450,6 +543,7 @@ fn lockstep_var_pass(
     check_to_var: &[f64],
     var_to_check: &mut [f64],
     posteriors: &mut [f64],
+    last: bool,
 ) {
     for ((span, &prior), post) in col_ptr
         .windows(2)
@@ -464,7 +558,10 @@ fn lockstep_var_pass(
                 acc[lane] += msgs[lane];
             }
         }
-        post.copy_from_slice(&acc);
+        if last {
+            post.copy_from_slice(&acc);
+            continue;
+        }
         for &slot in slots {
             let msgs = lanes(check_to_var, slot as usize);
             let out = lanes_mut(var_to_check, slot as usize);
@@ -502,7 +599,7 @@ mod tests {
     use super::*;
 
     /// Scalar reference of one check-row update, lifted verbatim from the
-    /// property-pinned reference loop — the ground truth both compilations of
+    /// property-pinned reference loop — the ground truth every compilation of
     /// the kernel must match bit for bit.
     fn scalar_check_row(syn: bool, msgs: &[f64], scale: f64, out: &mut [f64]) {
         let mut neg = u64::from(syn);
@@ -608,7 +705,26 @@ mod tests {
             ),
             (true, vec![-0.0, -0.0]),                        // tied zeros
             (false, vec![f64::NEG_INFINITY, f64::INFINITY]), // tied infinities
+            // NaN magnitudes: first, middle and last in the row, next to
+            // tied minima, and with the sign bit set. No comparison may
+            // promote a NaN into either minimum.
+            (true, vec![f64::NAN, 1.0, -3.0, 2.0]),
+            (false, vec![1.0, f64::NAN, 3.0, -2.0, 5.0]),
+            (true, vec![-1.0, 4.0, 2.0, f64::NAN]),
+            (false, vec![2.0, f64::NAN, -2.0, 6.0]),
+            (true, vec![0.5, -0.5, -f64::NAN, 0.5, 9.0]),
+            (false, vec![f64::NAN, f64::NAN]),
+            (true, vec![3.0, -f64::NAN, f64::NAN, 1.0, f64::NAN]),
         ]
+    }
+
+    /// The host's compilation named `isa`, if it supports it.
+    fn compilation(isa: &str) -> Option<Simd> {
+        let found = Simd::supported().into_iter().find(|s| s.isa_name() == isa);
+        if found.is_none() {
+            eprintln!("{isa} not available on this host; kernel covered by the baseline test");
+        }
+        found
     }
 
     #[test]
@@ -619,12 +735,86 @@ mod tests {
 
     #[test]
     fn avx2_check_pass_is_bit_identical_to_scalar() {
-        let simd = Simd::detect();
-        if simd.isa != SimdIsa::Avx2 {
-            eprintln!("avx2 not available on this host; kernel covered by the baseline test");
+        if let Some(simd) = compilation("avx2") {
+            assert_kernel_matches_scalar(&adversarial_rows(), 0.75, simd);
+            assert_kernel_matches_scalar(&adversarial_rows(), 1.0, simd);
         }
-        assert_kernel_matches_scalar(&adversarial_rows(), 0.75, simd);
-        assert_kernel_matches_scalar(&adversarial_rows(), 1.0, simd);
+    }
+
+    #[test]
+    fn avx512_check_pass_is_bit_identical_to_scalar() {
+        if let Some(simd) = compilation("avx512") {
+            assert_kernel_matches_scalar(&adversarial_rows(), 0.75, simd);
+            assert_kernel_matches_scalar(&adversarial_rows(), 1.0, simd);
+        }
+    }
+
+    /// The lockstep check pass over the adversarial rows, one check per row:
+    /// lane `l` holds the row rotated left by `l` (so each NaN, tie and
+    /// infinity visits every position) with its syndrome bit flipped on odd
+    /// lanes, and every lane's outputs must match the scalar reference of
+    /// that lane's row byte for byte, in every compilation.
+    #[test]
+    fn lockstep_check_pass_is_bit_identical_to_scalar() {
+        let rows = adversarial_rows();
+        let lane_row = |r: usize, lane: usize| {
+            let (syn, msgs) = &rows[r];
+            let mut msgs = msgs.clone();
+            if !msgs.is_empty() {
+                let len = msgs.len();
+                msgs.rotate_left(lane % len);
+            }
+            (*syn ^ (lane % 2 == 1), msgs)
+        };
+        let mut row_ptr = vec![0usize];
+        for (_, msgs) in &rows {
+            row_ptr.push(row_ptr.last().unwrap() + msgs.len());
+        }
+        let slots = *row_ptr.last().unwrap();
+        // Slots in reverse order, so a check's slots are not contiguous.
+        let row_slots: Vec<u32> = (0..slots as u32).rev().collect();
+        let mut var_to_check = vec![0.0f64; slots * LOCKSTEP_LANES];
+        let mut syn_masks = vec![0u64; rows.len() * LOCKSTEP_LANES];
+        for r in 0..rows.len() {
+            for lane in 0..LOCKSTEP_LANES {
+                let (syn, msgs) = lane_row(r, lane);
+                syn_masks[r * LOCKSTEP_LANES + lane] = if syn { u64::MAX } else { 0 };
+                for (j, &msg) in msgs.iter().enumerate() {
+                    let slot = row_slots[row_ptr[r] + j] as usize;
+                    var_to_check[slot * LOCKSTEP_LANES + lane] = msg;
+                }
+            }
+        }
+        for simd in Simd::supported() {
+            for scale in [0.75, 1.0] {
+                let mut check_to_var = vec![0.0f64; slots * LOCKSTEP_LANES];
+                simd.lockstep_check_pass(
+                    &syn_masks,
+                    &row_ptr,
+                    &row_slots,
+                    &var_to_check,
+                    &mut check_to_var,
+                    scale,
+                );
+                for r in 0..rows.len() {
+                    for lane in 0..LOCKSTEP_LANES {
+                        let (syn, msgs) = lane_row(r, lane);
+                        let mut want = vec![0.0f64; msgs.len()];
+                        scalar_check_row(syn, &msgs, scale, &mut want);
+                        for (j, want) in want.iter().enumerate() {
+                            let slot = row_slots[row_ptr[r] + j] as usize;
+                            let got = check_to_var[slot * LOCKSTEP_LANES + lane];
+                            assert_eq!(
+                                got.to_bits(),
+                                want.to_bits(),
+                                "{} row {r} lane {lane} edge {j}: got {got:?}, want {want:?}",
+                                simd.isa_name()
+                            );
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]
@@ -655,7 +845,7 @@ mod tests {
                 word
             })
             .collect();
-        for simd in [Simd::scalar(), Simd::detect()] {
+        for simd in Simd::supported() {
             let mut got = vec![u64::MAX; words];
             simd.hard_decision(&llrs, &mut got);
             assert_eq!(got, expect, "{} hard decision", simd.isa_name());
@@ -664,7 +854,7 @@ mod tests {
 
     /// The column-lane variable pass and its writeback against row-major
     /// scalar accumulation (channel LLR, then every real edge in row-major
-    /// order), byte for byte, in both compilations. The first column group
+    /// order), byte for byte, in every compilation. The first column group
     /// has degrees 2, 2, 3 and 5; `n = 10` leaves two phantom lanes; column 9
     /// has degree 0 and a `-0.0` channel LLR. Messages include `±0.0`, `±∞`
     /// (column 3 sums both into NaN) and extreme magnitudes; padding slots
@@ -716,7 +906,7 @@ mod tests {
                 want[c] += ctv[slot(r, j)];
             }
         }
-        for simd in [Simd::scalar(), Simd::detect()] {
+        for simd in Simd::supported() {
             let isa = simd.isa_name();
             let mut llrs = vec![0.0f64; padded];
             simd.var_pass(
@@ -755,10 +945,28 @@ mod tests {
         assert_eq!(Simd::scalar().isa_name(), "scalar");
         let detected = Simd::detect();
         #[cfg(target_arch = "x86_64")]
-        assert_eq!(
-            detected.isa == SimdIsa::Avx2,
-            is_x86_feature_detected!("avx2")
-        );
-        assert!(matches!(detected.isa_name(), "avx2" | "scalar"));
+        {
+            let avx512 = is_x86_feature_detected!("avx512f")
+                && is_x86_feature_detected!("avx512vl")
+                && is_x86_feature_detected!("avx512dq")
+                && is_x86_feature_detected!("avx512bw");
+            let avx2 = is_x86_feature_detected!("avx2");
+            let want = if avx512 {
+                SimdIsa::Avx512
+            } else if avx2 {
+                SimdIsa::Avx2
+            } else {
+                SimdIsa::Scalar
+            };
+            assert_eq!(detected.isa, want);
+            let mut names = vec!["scalar"];
+            names.extend(avx2.then_some("avx2"));
+            names.extend(avx512.then_some("avx512"));
+            let supported: Vec<_> = Simd::supported().iter().map(Simd::isa_name).collect();
+            assert_eq!(supported, names);
+        }
+        assert!(matches!(detected.isa_name(), "avx512" | "avx2" | "scalar"));
+        assert_eq!(Simd::supported().last(), Some(&detected));
+        assert_eq!(Simd::supported()[0], Simd::scalar());
     }
 }

@@ -146,8 +146,8 @@ impl SparseBinMat {
 
 /// Lane width of the interleaved layouts: checks (check pass) and columns
 /// (variable pass) are processed in groups of four, one per `f64` lane of an
-/// AVX2 vector. Both compilations of the [`crate::simd`] kernels walk the same
-/// layouts.
+/// AVX2 vector. Every compilation of the [`crate::simd`] kernels walks the
+/// same layouts.
 pub const PAD_LANES: usize = 4;
 
 /// A flattened Tanner graph derived from a [`SparseBinMat`], in the two

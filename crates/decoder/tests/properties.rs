@@ -3,7 +3,7 @@
 
 mod oracle;
 
-use decoder::bp::{priors_digest, BeliefPropagation, BpStatus, MIN_LOCKSTEP_LANES};
+use decoder::bp::{priors_digest, BeliefPropagation, BpStatus};
 use decoder::bposd::{BpOsdDecoder, DecodeMethod, DecodeStatus};
 use decoder::memory::{
     estimate_points, BatchScratch, LerEstimate, LerPoint, MemoryConfig, MemoryExperiment,
@@ -52,7 +52,8 @@ fn fresh_bp(bp: &BeliefPropagation, syndrome: &[bool], p: f64) -> (BpStatus, Dec
 #[derive(Default)]
 struct PinScratch {
     oracle: ScalarBpScratch,
-    kernels: [DecoderScratch; 2],
+    /// One per compilation of the lane kernels (at most three).
+    kernels: [DecoderScratch; 3],
 }
 
 /// The exact bit patterns of an LLR vector.
@@ -60,8 +61,8 @@ fn llr_bits(llrs: &[f64]) -> Vec<u64> {
     llrs.iter().map(|v| v.to_bits()).collect()
 }
 
-/// Decodes `syndrome` with the scalar oracle and with both compilations of the
-/// lane kernels (`Simd::detect()` and `Simd::scalar()`), each through its own
+/// Decodes `syndrome` with the scalar oracle and with every compilation of the
+/// lane kernels the host supports (`Simd::supported()`), each through its own
 /// reused scratch, and asserts they agree byte for byte: convergence verdict,
 /// iteration count, hard decision and the bits of every posterior LLR.
 fn assert_kernels_match_oracle(
@@ -73,10 +74,7 @@ fn assert_kernels_match_oracle(
 ) {
     let key = priors_digest(priors);
     let want = ScalarBp::new(h, bp_iterations).decode(syndrome, priors, key, &mut scratch.oracle);
-    for (simd, kernel_scratch) in [Simd::detect(), Simd::scalar()]
-        .into_iter()
-        .zip(&mut scratch.kernels)
-    {
+    for (simd, kernel_scratch) in Simd::supported().into_iter().zip(&mut scratch.kernels) {
         let bp = BeliefPropagation::new(h.clone(), bp_iterations).with_simd(simd);
         let got = bp.decode_with_priors_keyed_into(syndrome, priors, key, kernel_scratch);
         let isa = simd.isa_name();
@@ -377,8 +375,8 @@ proptest! {
         channel_pick in 0usize..3,
         flip_bits in 0u64..8,
     ) {
-        // Both compilations of the lane kernels (`Simd::detect()`, AVX2 where
-        // available, and `Simd::scalar()`, the baseline compilation) must
+        // Every compilation of the lane kernels the host supports
+        // (`Simd::supported()`: the baseline, AVX2 and AVX-512) must
         // reproduce the scalar CSR oracle byte for byte — across the code
         // catalog, all three channel shapes (uniform, biased and
         // schedule-derived priors, plus a constant priors vector at the
@@ -955,7 +953,7 @@ proptest! {
                 (status, pack(&error))
             })
             .collect();
-        for simd in [Simd::detect(), Simd::scalar()] {
+        for simd in Simd::supported() {
             let decoder = BpOsdDecoder::new(h, bp_iterations).with_simd(simd);
             let mut got = vec![None; queue.len()];
             let mut scratch = DecoderScratch::new();
@@ -967,10 +965,12 @@ proptest! {
                     got[i] = Some((status, correction.to_vec()));
                 });
                 // Inconsistent syndromes run in groups of eight, and a
-                // last group of at least six; the rest one at a time.
+                // last group of at least the compilation's minimum; the
+                // rest one at a time.
                 let inconsistent = want.iter().filter(|(status, _)| !status.consistent).count();
                 let last = inconsistent % 8;
-                let lockstep = inconsistent - last + if last >= MIN_LOCKSTEP_LANES { last } else { 0 };
+                let lockstep = inconsistent - last
+                    + if last >= simd.min_lockstep_lanes() { last } else { 0 };
                 prop_assert_eq!(grouped, lockstep as u64);
                 for (i, (got, want)) in got.iter().zip(&want).enumerate() {
                     prop_assert_eq!(got.as_ref(), Some(want), "{} syndrome {}", simd.isa_name(), i);

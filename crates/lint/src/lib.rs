@@ -32,7 +32,7 @@
 //! * `unsafe-safety` — an `unsafe` block, fn, or impl in non-test library code
 //!   without an adjacent safety argument: a `// SAFETY:` comment on or directly
 //!   above the line, or a `/// # Safety` doc section on the item. Every
-//!   `unsafe` entry (the AVX2 kernel calls in `decoder::simd`, the aligned
+//!   `unsafe` entry (the vector kernel calls in `decoder::simd`, the aligned
 //!   arena views in `decoder::scratch`) must carry its soundness argument.
 //! * `annotation` — malformed suppressions: `allow` without a reason, unknown
 //!   rule names, unbalanced hot-path markers. Suppressions are part of the

@@ -436,7 +436,7 @@ fn has_adjacent_safety(file: &SourceFile, line: usize) -> bool {
 /// non-test library/binary code needs an adjacent safety argument — a
 /// `// SAFETY:` comment on the same line or directly above it, or a
 /// `/// # Safety` doc section on the item. Benches and tests are exempt
-/// (matching the other code-shape rules); the AVX2 kernel calls in
+/// (matching the other code-shape rules); the vector kernel calls in
 /// `decoder::simd` model the expected form.
 fn unsafe_safety(file: &SourceFile, out: &mut Vec<(Finding, bool)>) {
     if !matches!(file.kind, FileKind::Lib | FileKind::Bin) {
