@@ -1,20 +1,19 @@
 //! Criterion micro-benchmarks of the substrates: code construction, schedule
-//! generation, baseline and Cyclone compilation, BP+OSD decoding, and Pauli-frame
-//! sampling. These measure the library's own performance (not the simulated hardware
-//! times of the figure benches).
+//! generation, baseline and Cyclone compilation, and BP+OSD decoding. These measure
+//! the library's own performance (not the simulated hardware times of the figure
+//! benches).
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use cyclone::{CycloneCodesign, CycloneConfig};
 use decoder::bp::priors_digest;
 use decoder::bposd::BpOsdDecoder;
-use decoder::pauli::{CircuitNoise, PauliFrameSimulator};
 use decoder::scratch::DecoderScratch;
 use qccd::compiler::baseline::compile_baseline;
 use qccd::compiler::dynamic::compile_dynamic;
 use qccd::timing::OperationTimes;
 use qccd::topology::{baseline_grid, mesh_junction_network};
 use qec::codes::{bb_72_12_6, hgp_225_9_6};
-use qec::schedule::{max_parallel_schedule, parallel_xz_schedule, serial_schedule};
+use qec::schedule::{max_parallel_schedule, serial_schedule};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -85,16 +84,6 @@ fn bench_decoder(c: &mut Criterion) {
     });
 }
 
-fn bench_pauli_frame(c: &mut Criterion) {
-    let code = bb_72_12_6().expect("valid");
-    let sched = parallel_xz_schedule(&code);
-    let sim = PauliFrameSimulator::new(&code, &sched, CircuitNoise::uniform(1e-3));
-    let mut rng = StdRng::seed_from_u64(2);
-    c.bench_function("pauli frame round bb72", |b| {
-        b.iter(|| sim.simulate_fresh_round(&mut rng))
-    });
-}
-
 criterion_group!(
     name = substrates;
     config = Criterion::default().sample_size(10);
@@ -103,7 +92,6 @@ criterion_group!(
         bench_cyclone_compile,
         bench_baseline_compile,
         bench_dynamic_mesh_compile,
-        bench_decoder,
-        bench_pauli_frame
+        bench_decoder
 );
 criterion_main!(substrates);

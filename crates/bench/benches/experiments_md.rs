@@ -7,13 +7,13 @@
 //! sampling; the shot count used is recorded in the document header.
 
 use bench::runner::RunContext;
+use cyclone::default_trap_counts;
 use cyclone::experiments::{
     fig13_trap_capacity_sweep, fig16_spacetime, fig17_loose_capacity, fig18_op_time_sweep,
     fig20_compiler_comparison, fig21_swap_sensitivity, fig3_parallel_speedup, fig5_latency_vs_ler,
     fig6_confusion_matrix, fig9_junction_sensitivity, fig_hetero, ler_comparison, spatial_summary,
     HETERO_DEFAULT_RATIOS,
 };
-use cyclone::{best_configuration, default_trap_counts, trap_capacity_sweep};
 use qccd::timing::OperationTimes;
 
 struct Row {
@@ -112,13 +112,6 @@ fn main() {
             best.execution_time * 1e3
         ),
     });
-    // Consistency check against the compile-only sweep helper.
-    let sweep_points = trap_capacity_sweep(&sens, &counts, &times);
-    assert_eq!(
-        best_configuration(&sweep_points).map(|p| p.num_traps),
-        Some(best.num_traps),
-        "sweep-engine best configuration must match the compile-only sweep"
-    );
 
     // Figs. 14/15 — LER comparison.
     for (figure, label, codes) in [

@@ -17,7 +17,7 @@
 use qccd::compiler::{CompiledRound, ComponentTimes, IdleExposure};
 use qccd::timing::OperationTimes;
 use qccd::topology::ring;
-use qccd::{Topology, TopologyKind};
+use qccd::Topology;
 use qec::{CssCode, StabKind};
 
 /// Configuration of a Cyclone instance.
@@ -26,9 +26,6 @@ pub struct CycloneConfig {
     /// Number of traps on the ring. `None` selects the base form,
     /// `max(|X|, |Z|)` traps (one ancilla per trap).
     pub num_traps: Option<usize>,
-    /// Explicit per-trap ion capacity. `None` selects the "tight" capacity
-    /// `⌈n/x⌉ + ⌈a/x⌉` (data plus resident ancillas).
-    pub trap_capacity: Option<usize>,
 }
 
 impl CycloneConfig {
@@ -39,10 +36,7 @@ impl CycloneConfig {
 
     /// A condensed Cyclone with exactly `x` traps and tight capacity.
     pub fn with_traps(x: usize) -> Self {
-        CycloneConfig {
-            num_traps: Some(x),
-            trap_capacity: None,
-        }
+        CycloneConfig { num_traps: Some(x) }
     }
 }
 
@@ -82,11 +76,8 @@ impl CycloneCodesign {
         let num_ancilla = code.num_x_stabilizers().max(code.num_z_stabilizers());
         let x = config.num_traps.unwrap_or(num_ancilla.max(1));
         let n = code.num_qubits();
-        let tight_capacity = n.div_ceil(x) + num_ancilla.div_ceil(x);
-        let capacity = config
-            .trap_capacity
-            .unwrap_or(tight_capacity)
-            .max(tight_capacity);
+        // The "tight" capacity: data plus resident ancillas.
+        let capacity = n.div_ceil(x) + num_ancilla.div_ceil(x);
 
         // Balanced data partition: consecutive qubits dealt into traps as evenly as
         // possible (the paper only requires the partition to be balanced).
@@ -321,23 +312,6 @@ impl CycloneCodesign {
             },
         )
     }
-
-    /// The closed-form worst-case execution time
-    /// `2·x·(s + ⌈a/x⌉·(t_swap + g·⌈n/x⌉)) + 2·⌈a/x⌉·t_meas`,
-    /// where `s` is the per-step shuttle cost, `a = max(|X|,|Z|)` the ancilla count and
-    /// `n` the number of data qubits (§IV-A).
-    pub fn worst_case_execution_time(&self, times: &OperationTimes, num_data: usize) -> f64 {
-        let x = self.num_traps as f64;
-        let anc_per_trap = self.num_ancilla.div_ceil(self.num_traps) as f64;
-        let data_per_trap = num_data.div_ceil(self.num_traps) as f64;
-        let chain =
-            (num_data.div_ceil(self.num_traps) + self.num_ancilla.div_ceil(self.num_traps)).max(2);
-        let s = times.split + 2.0 * times.shuttle_move + times.junction_crossing(2) + times.merge;
-        let g = times.two_qubit_gate(chain);
-        let t_swap = times.swap(chain, 1);
-        let per_step = anc_per_trap * (s + t_swap) + anc_per_trap * data_per_trap * g;
-        2.0 * x * per_step + 2.0 * anc_per_trap * (times.measurement + times.preparation)
-    }
 }
 
 /// Per-qubit busy-time accumulator of one lockstep rotation (see
@@ -359,17 +333,35 @@ impl RotationProfile {
     }
 }
 
-/// True when the topology produced by a Cyclone config is a physically realizable ring.
-pub fn is_valid_cyclone_topology(topology: &Topology) -> bool {
-    topology.kind() == TopologyKind::Ring && topology.is_physically_realizable()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::registry::Cyclone;
     use qccd::compiler::Codesign;
+    use qccd::TopologyKind;
     use qec::codes::{bb_72_12_6, hgp_225_9_6};
+
+    /// The closed-form worst-case execution time
+    /// `2·x·(s + ⌈a/x⌉·(t_swap + g·⌈n/x⌉)) + 2·⌈a/x⌉·t_meas`,
+    /// where `s` is the per-step shuttle cost, `a = max(|X|,|Z|)` the ancilla count and
+    /// `n` the number of data qubits (§IV-A).
+    fn worst_case_execution_time(
+        design: &CycloneCodesign,
+        times: &OperationTimes,
+        num_data: usize,
+    ) -> f64 {
+        let x = design.num_traps as f64;
+        let anc_per_trap = design.num_ancilla.div_ceil(design.num_traps) as f64;
+        let data_per_trap = num_data.div_ceil(design.num_traps) as f64;
+        let chain = (num_data.div_ceil(design.num_traps)
+            + design.num_ancilla.div_ceil(design.num_traps))
+        .max(2);
+        let s = times.split + 2.0 * times.shuttle_move + times.junction_crossing(2) + times.merge;
+        let g = times.two_qubit_gate(chain);
+        let t_swap = times.swap(chain, 1);
+        let per_step = anc_per_trap * (s + t_swap) + anc_per_trap * data_per_trap * g;
+        2.0 * x * per_step + 2.0 * anc_per_trap * (times.measurement + times.preparation)
+    }
 
     #[test]
     fn base_cyclone_has_half_m_traps() {
@@ -377,7 +369,8 @@ mod tests {
         let design = CycloneCodesign::new(&code, CycloneConfig::base());
         assert_eq!(design.num_traps(), code.num_stabilizers() / 2);
         assert_eq!(design.num_ancilla(), code.num_stabilizers() / 2);
-        assert!(is_valid_cyclone_topology(design.topology()));
+        assert_eq!(design.topology().kind(), TopologyKind::Ring);
+        assert!(design.topology().is_physically_realizable());
     }
 
     #[test]
@@ -415,7 +408,7 @@ mod tests {
             let design = CycloneCodesign::new(&code, CycloneConfig::with_traps(x));
             let (round, _) = design.compile(&OperationTimes::default());
             let bound =
-                design.worst_case_execution_time(&OperationTimes::default(), code.num_qubits());
+                worst_case_execution_time(&design, &OperationTimes::default(), code.num_qubits());
             assert!(
                 round.execution_time <= bound * 1.001,
                 "x={x}: simulated {} exceeds bound {}",

@@ -17,8 +17,6 @@ pub struct TrapSweepPoint {
     pub num_traps: usize,
     /// Tight per-trap ion capacity used for this point.
     pub trap_capacity: usize,
-    /// Chain length (ions per trap) seen by the gate-time model.
-    pub ions_per_trap: usize,
     /// Simulated execution time of one syndrome-extraction round, seconds.
     pub execution_time: f64,
 }
@@ -38,7 +36,6 @@ pub fn trap_capacity_sweep(
             TrapSweepPoint {
                 num_traps: design.num_traps(),
                 trap_capacity: design.trap_capacity(),
-                ions_per_trap: design.trap_capacity(),
                 execution_time: round.execution_time,
             }
         })

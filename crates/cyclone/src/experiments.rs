@@ -15,6 +15,7 @@
 //! [`SweepOptions::cached`] adds the cache) so shot counts scale from quick smoke
 //! runs to publication-quality sampling.
 
+use crate::condensed::{trap_capacity_sweep, TrapSweepPoint};
 use crate::registry::{standard_registry, Cyclone};
 use crate::sweep::{run_sweep, ScenarioSpec, SweepOptions};
 use decoder::memory::LerEstimate;
@@ -23,7 +24,7 @@ use qccd::compiler::codesign::BASELINE_CAPACITY;
 use qccd::compiler::{Codesign, IdleExposure};
 use qccd::timing::{OperationTimes, SwapKind};
 use qccd::topology::baseline_grid;
-use qccd::wiring::wiring_cost;
+use qccd::wiring::dac_count;
 use qec::codes::CatalogEntry;
 use qec::schedule::{max_parallel_schedule, parallel_speedup, serial_schedule};
 use qec::CssCode;
@@ -242,34 +243,22 @@ pub struct TrapSensitivityRow {
     pub ler: LerEstimate,
 }
 
-/// Declares the Fig. 13 scenario: one point per condensed Cyclone trap count. Returns
-/// the spec and the `(num_traps, trap_capacity, execution_time)` row metadata.
+/// Declares the Fig. 13 scenario: one point per condensed Cyclone trap count, compiled
+/// by [`trap_capacity_sweep`]. Returns the spec and the compiled sweep points.
 pub fn fig13_spec(
     code: &CssCode,
     p: f64,
     trap_counts: &[usize],
-) -> (ScenarioSpec, Vec<(usize, usize, f64)>) {
-    let times = OperationTimes::default();
+) -> (ScenarioSpec, Vec<TrapSweepPoint>) {
+    let points = trap_capacity_sweep(code, trap_counts, &OperationTimes::default());
     let mut spec = ScenarioSpec::new("fig13_trap_capacity_sweep");
     let idx = spec.code(code.clone());
-    let mut meta = Vec::new();
-    for &x in trap_counts {
-        let wrapper = Cyclone::condensed(x);
-        let design = wrapper.instantiate(code);
-        let (round, _) = design.compile(&times);
-        meta.push((
-            design.num_traps(),
-            design.trap_capacity(),
-            round.execution_time,
-        ));
-        spec.point(
-            format!("{}/x={x}", wrapper.name()),
-            idx,
-            p,
-            round.execution_time,
-        );
+    for point in &points {
+        let x = point.num_traps;
+        let label = format!("{}/x={x}", Cyclone::condensed(x).name());
+        spec.point(label, idx, p, point.execution_time);
     }
-    (spec, meta)
+    (spec, points)
 }
 
 /// Fig. 13: Cyclone execution time and LER across "tight" trap/capacity arrangements
@@ -280,18 +269,17 @@ pub fn fig13_trap_capacity_sweep(
     trap_counts: &[usize],
     options: &SweepOptions,
 ) -> Vec<TrapSensitivityRow> {
-    let (spec, meta) = fig13_spec(code, p, trap_counts);
+    let (spec, points) = fig13_spec(code, p, trap_counts);
     let result = run_sweep(&spec, options);
-    meta.into_iter()
+    points
+        .into_iter()
         .zip(&result.points)
-        .map(
-            |((num_traps, trap_capacity, execution_time), outcome)| TrapSensitivityRow {
-                num_traps,
-                trap_capacity,
-                execution_time,
-                ler: outcome.ler,
-            },
-        )
+        .map(|(point, outcome)| TrapSensitivityRow {
+            num_traps: point.num_traps,
+            trap_capacity: point.trap_capacity,
+            execution_time: point.execution_time,
+            ler: outcome.ler,
+        })
         .collect()
 }
 
@@ -797,11 +785,11 @@ pub fn spatial_summary(codes: &[CssCode]) -> Vec<SpatialRow> {
                 code: code.descriptor(),
                 baseline_traps: grid.num_traps(),
                 baseline_junctions: grid.num_junctions(),
-                baseline_dacs: wiring_cost(&grid, 0).dacs,
+                baseline_dacs: dac_count(&grid),
                 baseline_ancillas: code.num_stabilizers(),
                 cyclone_traps: ring_topo.num_traps(),
                 cyclone_junctions: ring_topo.num_junctions(),
-                cyclone_dacs: wiring_cost(ring_topo, 0).dacs,
+                cyclone_dacs: dac_count(ring_topo),
                 cyclone_ancillas: design.num_ancilla(),
             }
         })

@@ -9,9 +9,8 @@
 //! means less decoherence — improves logical error rates by orders of magnitude over
 //! 2D-grid baselines for hypergraph product and bivariate bicycle codes.
 //!
-//! * [`codesign`] — the Cyclone compiler and its closed-form runtime bound.
+//! * [`codesign`] — the Cyclone compiler: the ring topology and its lockstep rotation.
 //! * [`condensed`] — "tight" variants trading trap count for trap density (Fig. 13).
-//! * [`split_loops`] — the independent-loop analysis of §IV-C.
 //! * [`registry`] — [`qccd::compiler::Codesign`] impls for Cyclone and the standard
 //!   registry of every codesign the evaluation compares.
 //! * [`sweep`] — the parallel, cache-backed scenario sweep engine.
@@ -44,7 +43,6 @@ pub mod codesign;
 pub mod condensed;
 pub mod experiments;
 pub mod registry;
-pub mod split_loops;
 pub mod sweep;
 pub mod sweep_cache;
 

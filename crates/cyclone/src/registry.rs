@@ -38,15 +38,10 @@ impl Cyclone {
         }
     }
 
-    /// The underlying per-code compiler (exposes trap/ancilla counts and the
-    /// closed-form bound beyond what [`Codesign::compile`] returns).
+    /// The underlying per-code compiler (exposes the trap count, trap capacity,
+    /// ancilla count and data partition beyond what [`Codesign::compile`] returns).
     pub fn instantiate(&self, code: &CssCode) -> CycloneCodesign {
         CycloneCodesign::new(code, self.config)
-    }
-
-    /// The configuration this wrapper instantiates per code.
-    pub fn config(&self) -> CycloneConfig {
-        self.config
     }
 }
 

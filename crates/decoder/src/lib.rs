@@ -14,8 +14,6 @@
 //!   whose reusable workspaces ([`scratch`]) keep it allocation-free,
 //! * a per-context syndrome → correction cache ([`cache`]), the one store of
 //!   decoder outputs,
-//! * a circuit-level Pauli-frame simulator for syndrome-extraction circuits
-//!   ([`pauli`]),
 //! * and the Monte-Carlo logical-memory harness that couples compiled execution
 //!   latency to decoherence noise ([`memory`]): one (point, 64-shot chunk)
 //!   scheduler for fixed budgets and precision targets alike, behind a sweep
@@ -50,13 +48,11 @@ pub mod bposd;
 pub mod cache;
 pub mod memory;
 pub mod osd;
-pub mod pauli;
 pub mod scratch;
 pub mod simd;
 pub mod sparse;
 
 pub use bposd::BpOsdDecoder;
 pub use memory::{logical_error_rate, BatchScratch, LerEstimate, MemoryConfig, MemoryExperiment};
-pub use pauli::{CircuitNoise, PauliFrameSimulator};
 pub use scratch::DecoderScratch;
 pub use simd::Simd;

@@ -293,9 +293,11 @@ compiled_thrice! {
 /// otherwise both give the smaller of `mag` and `min2`. A NaN magnitude
 /// fails every `<`, so `above1` is that NaN and `min2` keeps its value, just
 /// as in the scalar ladder; the reverse operand order would promote `min1`
-/// instead. Each select is one vector min or max. The sign parity is folded
-/// into `scaled1` and `scaled2` once per check, so each output is the
-/// selected value XOR the message's own `msg < 0.0` sign bit.
+/// instead. Each select is one vector min or max. The source computes
+/// `scaled1` and `scaled2`, the sign-folded scaled minima, once per check, but
+/// that saves nothing in the shipped code: every compilation re-forms them per
+/// message, as a blend of `min1` and `min2`, a multiply by `scale` and a
+/// parity XOR, and then XORs in the message's own `msg < 0.0` sign bit.
 #[inline(always)]
 fn check_pass(
     syn_mask: &[u64],
@@ -466,7 +468,9 @@ fn lanes_mut(arena: &mut [f64], slot: usize) -> &mut [f64; LOCKSTEP_LANES] {
 /// syndrome sets check `r`. Per lane this is [`check_pass`]'s update of one
 /// lane-row, minus the padding slots, whose neutral messages change neither
 /// reduction: the same ladder and sign fold over the same messages in the
-/// same order.
+/// same order. As there, the machine code re-forms the selected scaled
+/// minimum and its parity per message (blend, multiply, XOR), not once per
+/// check.
 #[inline(always)]
 fn lockstep_check_pass(
     syn_masks: &[u64],

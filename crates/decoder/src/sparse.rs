@@ -66,11 +66,6 @@ impl SparseBinMat {
         &self.cols[c]
     }
 
-    /// Total number of nonzero entries.
-    pub fn num_entries(&self) -> usize {
-        self.rows.iter().map(Vec::len).sum()
-    }
-
     /// Computes the syndrome `H·e` of an error pattern.
     ///
     /// # Panics
@@ -310,7 +305,7 @@ mod tests {
         let s = SparseBinMat::from_bitmat(&m);
         assert_eq!(s.num_rows(), 2);
         assert_eq!(s.num_cols(), 3);
-        assert_eq!(s.num_entries(), 4);
+        assert_eq!((0..2).map(|r| s.row(r).len()).sum::<usize>(), 4);
         assert_eq!(s.to_bitmat(), m);
     }
 

@@ -136,11 +136,11 @@ impl ErrorChannel {
     /// A schedule-shaped channel: per-qubit rates derived from the per-qubit idle
     /// exposure of a compiled round.
     ///
-    /// Each data qubit's rate is the model's base circuit-level data error plus the
+    /// Each data qubit's rate is the physical error rate `p` plus the
     /// Pauli-twirled decoherence accumulated over *that qubit's* idle exposure
     /// (instead of the whole-round latency every qubit is charged under the uniform
-    /// model); each check's measurement flip rate is the base measurement error
-    /// plus the decoherence over the measuring ancilla's idle exposure. Rates that
+    /// model); each check's measurement flip rate is `p` plus the decoherence over
+    /// the measuring ancilla's idle exposure. Rates that
     /// exceed [`DEPOLARIZING_MAX`] saturate there via [`ErrorChannel::from_rates`],
     /// with the saturation recorded in [`ErrorChannel::saturated`].
     ///
@@ -148,17 +148,12 @@ impl ErrorChannel {
     /// ion layout); pass an empty slice for noiseless measurement.
     pub fn from_schedule(model: &HardwareNoiseModel, data_idle: &[f64], meas_idle: &[f64]) -> Self {
         let coherence = model.coherence();
-        let base_data = model.parameters().base_data_error();
-        let base_meas = model.parameters().base_measurement_error();
-        let data = data_idle
-            .iter()
-            .map(|&idle| base_data + crate::decoherence::pauli_twirl_error(idle, coherence))
-            .collect();
-        let measurement = meas_idle
-            .iter()
-            .map(|&idle| base_meas + crate::decoherence::pauli_twirl_error(idle, coherence))
-            .collect();
-        Self::from_rates(data, measurement)
+        let p = model.parameters().physical_error_rate();
+        let rate = |&idle: &f64| p + crate::decoherence::pauli_twirl_error(idle, coherence);
+        Self::from_rates(
+            data_idle.iter().map(rate).collect(),
+            meas_idle.iter().map(rate).collect(),
+        )
     }
 
     /// Number of data qubits.
@@ -365,15 +360,18 @@ mod tests {
     fn schedule_channel_tracks_idle_exposure() {
         let m = model(5e-4, 5e-3);
         let ch = ErrorChannel::from_schedule(&m, &[0.0, 5e-3, 5e-2], &[0.0, 5e-3]);
-        // Zero idle recovers the base circuit-level rate.
-        assert_eq!(ch.data()[0], m.parameters().base_data_error());
-        assert_eq!(ch.measurement()[0], m.parameters().base_measurement_error());
+        // Zero idle recovers the physical error rate.
+        assert_eq!(ch.data()[0], 5e-4);
+        assert_eq!(ch.measurement()[0], 5e-4);
         // More idle, more decoherence.
         assert!(ch.data()[1] < ch.data()[2]);
         assert!(ch.measurement()[1] > ch.measurement()[0]);
         // Idle equal to the round latency reproduces the scalar effective rate.
         assert_eq!(ch.data()[1], m.effective_error_rate());
-        assert_eq!(ch.measurement()[1], m.effective_measurement_error());
+        assert_eq!(
+            ch.measurement()[1],
+            (5e-4 + m.decoherence_error()).min(0.75)
+        );
         assert_eq!(ch.uniform_rate(), None);
     }
 

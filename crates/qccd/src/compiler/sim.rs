@@ -165,11 +165,6 @@ impl<'a> ShuttleSim<'a> {
         self.ion_trap.len()
     }
 
-    /// Current trap of an ion.
-    pub fn ion_location(&self, ion: IonId) -> NodeId {
-        self.ion_trap[ion]
-    }
-
     /// Latest completion time seen so far.
     pub fn horizon(&self) -> f64 {
         self.horizon
@@ -389,12 +384,6 @@ impl<'a> ShuttleSim<'a> {
     }
     // cyclone-lint: end-hot-path
 
-    /// Measures the ancilla of stabilizer (`kind`, `index`) in place, starting no
-    /// earlier than `ready`; returns the completion time.
-    pub fn measure_ancilla(&mut self, kind: StabKind, index: usize, ready: f64) -> f64 {
-        self.measure_ion(self.ancilla_ion(kind, index), ready)
-    }
-
     /// Measures, in ion order (X ancillas ascending, then Z ancillas ascending),
     /// every ancilla with a ready time in `ready` (indexed by ion id; `None` skips
     /// the ion). A fixed order keeps the float breakdown sums bit-identical.
@@ -507,7 +496,7 @@ mod tests {
         assert!(end >= times.split + times.merge + times.gate_base);
         // The ancilla now lives in the data trap.
         let anc = sim.ancilla_ion(stab.kind, stab.index);
-        assert_eq!(sim.ion_location(anc), placement.data_trap[data]);
+        assert_eq!(sim.ion_trap[anc], placement.data_trap[data]);
     }
 
     #[test]
@@ -545,7 +534,7 @@ mod tests {
         let (code, topo, times) = setup();
         let placement = greedy_cluster_placement(&code, &topo);
         let mut sim = ShuttleSim::new(&code, &topo, &placement, &times);
-        let end = sim.measure_ancilla(StabKind::X, 0, 0.0);
+        let end = sim.measure_ion(sim.ancilla_ion(StabKind::X, 0), 0.0);
         assert!(end >= times.measurement);
         assert_eq!(sim.horizon(), end);
     }
@@ -596,7 +585,7 @@ mod tests {
         let (code, topo, times) = setup();
         let placement = greedy_cluster_placement(&code, &topo);
         let mut sim = ShuttleSim::new(&code, &topo, &placement, &times);
-        let end = sim.measure_ancilla(StabKind::X, 0, 0.0);
+        let end = sim.measure_ion(sim.ancilla_ion(StabKind::X, 0), 0.0);
         let exposure = sim.idle_exposure();
         assert_eq!(
             exposure.x_ancilla[0], 0.0,
@@ -614,7 +603,7 @@ mod tests {
             for &d in &stab.support {
                 sim.execute_gate(stab.kind, stab.index, d, 0.0);
             }
-            sim.measure_ancilla(stab.kind, stab.index, sim.horizon());
+            sim.measure_ion(sim.ancilla_ion(stab.kind, stab.index), sim.horizon());
         }
         let exposure = sim.idle_exposure();
         for t in exposure
@@ -675,7 +664,7 @@ mod tests {
         let mut sim = ShuttleSim::new(&code, &topo, &placement, &times);
         let victim = sim.ancilla_ion(StabKind::X, 0);
         let t = sim.rebalance(0, 0.0);
-        assert_eq!(sim.ion_location(victim), 1);
+        assert_eq!(sim.ion_trap[victim], 1);
         assert_eq!(sim.num_rebalances(), 1);
         assert_eq!(t, times.split + times.shuttle_move + times.merge);
     }
@@ -689,7 +678,7 @@ mod tests {
         let mut sim = ShuttleSim::new(&code, &topo, &placement, &times);
         let victim = sim.ancilla_ion(StabKind::X, 0);
         sim.rebalance(0, 0.0);
-        assert_eq!(sim.ion_location(victim), 2);
+        assert_eq!(sim.ion_trap[victim], 2);
     }
 
     #[test]
@@ -702,7 +691,7 @@ mod tests {
         let mut sim = ShuttleSim::new(&code, &topo, &placement, &times);
         let traps = topo.traps();
         let anc = sim.ancilla_ion(StabKind::X, 0);
-        let start_trap = sim.ion_location(anc);
+        let start_trap = sim.ion_trap[anc];
         // Move to the adjacent trap and then to the opposite side; the long move takes
         // strictly longer.
         let near = traps

@@ -3,7 +3,7 @@
 //! This crate is the hardware substrate of the Cyclone reproduction. It models
 //! Quantum Charge Coupled Device machines as graphs of ion traps and junctions
 //! ([`hardware`], [`topology`]), with the published operation timings ([`timing`]),
-//! a control-wiring cost model ([`wiring`]), qubit-to-trap mapping policies
+//! the DAC count of each topology's control wiring ([`wiring`]), qubit-to-trap mapping policies
 //! ([`placement`]), and compilers that turn an idealized syndrome-extraction schedule
 //! into a timed execution with shuttling, roadblocks, and rebalancing ([`compiler`]).
 //!

@@ -50,20 +50,6 @@ impl Placement {
             + self.x_ancilla_trap.iter().filter(|&&t| t == trap).count()
             + self.z_ancilla_trap.iter().filter(|&&t| t == trap).count()
     }
-
-    /// The number of distinct traps used by this placement.
-    pub fn traps_used(&self) -> usize {
-        let mut all: Vec<NodeId> = self
-            .data_trap
-            .iter()
-            .chain(&self.x_ancilla_trap)
-            .chain(&self.z_ancilla_trap)
-            .copied()
-            .collect();
-        all.sort_unstable();
-        all.dedup();
-        all.len()
-    }
 }
 
 /// Orders data qubits by a breadth-first traversal of the "shares a stabilizer" graph,
@@ -310,7 +296,8 @@ mod tests {
             p.data_trap.len() + p.x_ancilla_trap.len() + p.z_ancilla_trap.len(),
             25
         );
-        assert!(p.traps_used() <= 10);
+        // Every ion's home is one of the ring's 10 traps.
+        assert_eq!((0..10).map(|t| p.resident_count(t)).sum::<usize>(), 25);
     }
 
     #[test]

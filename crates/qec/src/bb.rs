@@ -213,9 +213,10 @@ mod tests {
     fn polynomial_matrix_is_circulant() {
         let m = polynomial_matrix(3, 2, &[Monomial::x(1)]);
         // Every row and column has weight exactly 1.
+        let mt = m.transpose();
         for r in 0..6 {
             assert_eq!(m.row_weight(r), 1);
-            assert_eq!(m.col_weight(r), 1);
+            assert_eq!(mt.row_weight(r), 1);
         }
     }
 }

@@ -116,16 +116,6 @@ impl ClassicalCode {
         )
     }
 
-    /// The `[7,4,3]` Hamming code.
-    pub fn hamming_7_4() -> Self {
-        let h = BitMat::from_dense(&[
-            vec![1, 0, 1, 0, 1, 0, 1],
-            vec![0, 1, 1, 0, 0, 1, 1],
-            vec![0, 0, 0, 1, 1, 1, 1],
-        ]);
-        ClassicalCode::new("hamming[7,4,3]", h)
-    }
-
     /// A seeded `(wc, wr)`-regular LDPC code with `n` bits and `m = n * wc / wr`
     /// checks, built with the configuration model: every column gets exactly `wc`
     /// edge stubs, every check exactly `wr`, and stubs are matched by a seeded
@@ -222,9 +212,19 @@ mod tests {
         assert_eq!((n, k, d), (5, 1, Some(5)));
     }
 
+    /// The `[7,4,3]` Hamming code.
+    fn hamming_7_4() -> ClassicalCode {
+        let h = BitMat::from_dense(&[
+            vec![1, 0, 1, 0, 1, 0, 1],
+            vec![0, 1, 1, 0, 0, 1, 1],
+            vec![0, 0, 0, 1, 1, 1, 1],
+        ]);
+        ClassicalCode::new("hamming[7,4,3]", h)
+    }
+
     #[test]
     fn hamming_parameters() {
-        let c = ClassicalCode::hamming_7_4();
+        let c = hamming_7_4();
         let (n, k, d) = c.parameters();
         assert_eq!((n, k, d), (7, 4, Some(3)));
     }
@@ -237,10 +237,11 @@ mod tests {
         for r in 0..h.num_rows() {
             assert_eq!(h.row_weight(r), 4, "every check has weight wr");
         }
+        let ht = h.transpose();
         for col in 0..h.num_cols() {
             // Column weight can drop below wc if two permutations collide on the same
             // (row-block, bit) pair, but can never exceed wc.
-            assert!(h.col_weight(col) <= 3);
+            assert!(ht.row_weight(col) <= 3);
         }
     }
 

@@ -352,8 +352,12 @@ mod tests {
     /// The distance-3 rotated-free Steane-style code: the [[7,1,3]] CSS code built
     /// from two copies of the Hamming code's parity check.
     fn steane() -> CssCode {
-        let h = crate::classical::ClassicalCode::hamming_7_4();
-        let hm = h.parity_check().clone();
+        // The [7,4,3] Hamming code's parity check.
+        let hm = crate::linalg::BitMat::from_dense(&[
+            vec![1, 0, 1, 0, 1, 0, 1],
+            vec![0, 1, 1, 0, 0, 1, 1],
+            vec![0, 0, 0, 1, 1, 1, 1],
+        ]);
         CssCode::new("steane", hm.clone(), hm, false, Some(3)).expect("steane is a valid CSS code")
     }
 

@@ -100,7 +100,15 @@ mod tests {
 
     #[test]
     fn dimension_formula_matches_computed() {
-        let c1 = ClassicalCode::hamming_7_4();
+        // The [7,4,3] Hamming code.
+        let c1 = ClassicalCode::new(
+            "hamming[7,4,3]",
+            BitMat::from_dense(&[
+                vec![1, 0, 1, 0, 1, 0, 1],
+                vec![0, 1, 1, 0, 0, 1, 1],
+                vec![0, 0, 0, 1, 1, 1, 1],
+            ]),
+        );
         let c2 = ClassicalCode::repetition(4);
         let code = hypergraph_product(&c1, &c2).expect("valid construction");
         assert_eq!(code.num_qubits(), hgp_num_qubits(&c1, &c2));

@@ -210,11 +210,6 @@ impl BitMat {
             .sum()
     }
 
-    /// Returns the Hamming weight of column `c`.
-    pub fn col_weight(&self, c: usize) -> usize {
-        (0..self.rows).filter(|&r| self.get(r, c)).count()
-    }
-
     /// Swaps rows `a` and `b`.
     pub fn swap_rows(&mut self, a: usize, b: usize) {
         if a == b {
@@ -463,13 +458,6 @@ impl BitMat {
         Some(x)
     }
 
-    /// Returns true when vector `v` (length = cols) lies in the row space of `self`.
-    pub fn row_space_contains(&self, v: &[bool]) -> bool {
-        assert_eq!(v.len(), self.cols, "vector length must equal column count");
-        let t = self.transpose();
-        t.solve(v).is_some()
-    }
-
     /// Returns the rows as support lists (useful for sparse consumers).
     pub fn to_row_supports(&self) -> Vec<Vec<usize>> {
         (0..self.rows).map(|r| self.row_support(r)).collect()
@@ -622,8 +610,10 @@ mod tests {
     #[test]
     fn row_space_membership() {
         let m = BitMat::from_dense(&[vec![1, 1, 0], vec![0, 1, 1]]);
-        assert!(m.row_space_contains(&[true, false, true])); // sum of rows
-        assert!(!m.row_space_contains(&[true, false, false]));
+        // v lies in the row space of m exactly when m^T x = v is solvable.
+        let t = m.transpose();
+        assert!(t.solve(&[true, false, true]).is_some()); // sum of rows
+        assert!(t.solve(&[true, false, false]).is_none());
     }
 
     #[test]

@@ -105,11 +105,6 @@ impl Schedule {
         self.num_z
     }
 
-    /// Maximum number of gates in any single timeslice.
-    pub fn max_parallelism(&self) -> usize {
-        self.slices.iter().map(Vec::len).max().unwrap_or(0)
-    }
-
     /// Checks the schedule invariants:
     /// 1. every (stabilizer, data) gate of the code appears exactly once;
     /// 2. within a timeslice no data qubit and no ancilla is used twice.
@@ -298,7 +293,7 @@ mod tests {
         let s = serial_schedule(&code);
         assert!(s.validate(&code));
         assert_eq!(s.depth(), s.num_gates());
-        assert_eq!(s.max_parallelism(), 1);
+        assert!(s.slices().iter().all(|slice| slice.len() == 1));
     }
 
     #[test]

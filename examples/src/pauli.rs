@@ -3,12 +3,16 @@
 //! The simulator tracks an X-frame and a Z-frame bit per qubit (data and ancilla) and
 //! propagates them through the entangling gates of a syndrome-extraction schedule,
 //! injecting stochastic depolarizing faults after every operation — the standard
-//! circuit-level noise model. It is used to validate the faster effective-error-rate
-//! memory model and to run circuit-level experiments on the smaller codes.
+//! circuit-level noise model. The `circuit_level` example runs it against the faster
+//! effective-error-rate memory model the figures use.
 
+use decoder::bp::priors_digest;
+use decoder::bposd::BpOsdDecoder;
+use decoder::scratch::DecoderScratch;
 use qec::schedule::Schedule;
 use qec::{CssCode, StabKind};
-use rand::Rng;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
 /// Stochastic fault probabilities for the circuit-level model.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -32,12 +36,6 @@ impl CircuitNoise {
             measurement: p,
             idle: 0.0,
         }
-    }
-
-    /// Adds a per-round idle (decoherence) error probability.
-    pub fn with_idle(mut self, idle: f64) -> Self {
-        self.idle = idle;
-        self
     }
 }
 
@@ -77,11 +75,6 @@ impl<'a> PauliFrameSimulator<'a> {
             schedule,
             noise,
         }
-    }
-
-    /// The configured noise.
-    pub fn noise(&self) -> CircuitNoise {
-        self.noise
     }
 
     fn depolarize_single<R: Rng>(rng: &mut R, p: f64, x: &mut bool, z: &mut bool) {
@@ -232,13 +225,61 @@ impl<'a> PauliFrameSimulator<'a> {
     }
 }
 
+/// Runs `shots` fresh noisy rounds of `schedule` at uniform circuit-level noise `p`,
+/// decodes each round's measured syndromes with BP+OSD (30 iterations, uniform prior
+/// `4p`) and returns how many residual frames are logical errors.
+///
+/// One seeded generator drives every shot in order, so a given `(shots, seed)`
+/// always returns the same count.
+pub fn circuit_level_failures(
+    code: &CssCode,
+    schedule: &Schedule,
+    p: f64,
+    shots: usize,
+    seed: u64,
+) -> usize {
+    let sim = PauliFrameSimulator::new(code, schedule, CircuitNoise::uniform(p));
+    let x_decoder = BpOsdDecoder::new(code.hz(), 30);
+    let z_decoder = BpOsdDecoder::new(code.hx(), 30);
+    // Both sectors decode with the uniform prior 4p; one scratch per sector.
+    let priors = vec![p * 4.0; code.num_qubits()];
+    let key = priors_digest(&priors);
+    let (mut x_scratch, mut z_scratch) = (DecoderScratch::new(), DecoderScratch::new());
+
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut failures = 0usize;
+    for _ in 0..shots {
+        let outcome = sim.simulate_fresh_round(&mut rng);
+        // Decode the measured syndromes (single round, so the measured syndrome is
+        // used directly) and apply the corrections to the residual data frame.
+        x_decoder.decode_with_priors_keyed_into(&outcome.z_syndrome, &priors, key, &mut x_scratch);
+        z_decoder.decode_with_priors_keyed_into(&outcome.x_syndrome, &priors, key, &mut z_scratch);
+        let x_residual: Vec<bool> = outcome
+            .frame
+            .x_errors
+            .iter()
+            .zip(x_scratch.error())
+            .map(|(&a, &b)| a ^ b)
+            .collect();
+        let z_residual: Vec<bool> = outcome
+            .frame
+            .z_errors
+            .iter()
+            .zip(z_scratch.error())
+            .map(|(&a, &b)| a ^ b)
+            .collect();
+        if code.x_error_is_logical(&x_residual) || code.z_error_is_logical(&z_residual) {
+            failures += 1;
+        }
+    }
+    failures
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use qec::codes::bb_72_12_6;
     use qec::schedule::parallel_xz_schedule;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
 
     #[test]
     fn noiseless_round_gives_zero_syndrome() {
@@ -299,7 +340,10 @@ mod tests {
             let sim = PauliFrameSimulator::new(
                 &code,
                 &sched,
-                CircuitNoise::uniform(1e-4).with_idle(idle),
+                CircuitNoise {
+                    idle,
+                    ..CircuitNoise::uniform(1e-4)
+                },
             );
             (0..300)
                 .filter(|_| {
