@@ -4,7 +4,7 @@
 //! report exactly zero.
 
 use bench::{ms, Table};
-use cyclone::standard_registry;
+use cyclone::Codesign;
 use qccd::timing::OperationTimes;
 
 fn main() {
@@ -13,7 +13,6 @@ fn main() {
         "Roadblock census: baseline grid vs Cyclone",
         |ctx| {
             let times = OperationTimes::default();
-            let registry = standard_registry();
             let mut table = Table::new(&[
                 "code",
                 "family",
@@ -23,8 +22,8 @@ fn main() {
                 "C wait (ms)",
             ]);
             for entry in bench::catalog(ctx.full) {
-                let base = registry.compile("baseline", &entry.code, &times);
-                let cyc = registry.compile("cyclone", &entry.code, &times);
+                let base = Codesign::Baseline.compile(&entry.code, &times);
+                let cyc = Codesign::Cyclone.compile(&entry.code, &times);
                 assert_eq!(
                     cyc.roadblock_events, 0,
                     "{}: Cyclone must be roadblock-free",

@@ -1,12 +1,12 @@
 //! Experiment runners that regenerate every figure of the paper's evaluation.
 //!
 //! Every Monte-Carlo figure is a thin declaration: it assembles a [`ScenarioSpec`]
-//! (codesigns from the [`registry`](crate::registry) × codes × operating points) and
-//! hands it to the [`sweep`](crate::sweep) engine, which parallelizes the points,
-//! caches results in `sweeps/<figure>.json`, and keeps everything bit-identical at
-//! any thread count. Figures compile registered codesigns by label through the
-//! [`standard_registry`]; the trap-count and capacity sweeps (Figs. 13 and 17) build
-//! their unregistered variants directly.
+//! ([`Codesign`] variants × codes × operating points) and hands it to the
+//! [`sweep`](crate::sweep) engine, which parallelizes the points, caches results in
+//! `sweeps/<figure>.json`, and keeps everything bit-identical at any thread count.
+//! Figures compile [`Codesign`] variants directly; the trap-count and capacity
+//! sweeps (Figs. 13 and 17) compile their other trap counts and capacities through
+//! [`CycloneCodesign`] and [`compile_baseline`] on [`baseline_grid`].
 //!
 //! Each `figNN_*` function returns plain data rows; the `bench` crate's binaries
 //! print them as the tables/series of the corresponding figure, and `EXPERIMENTS.md`
@@ -15,13 +15,13 @@
 //! [`SweepOptions::cached`] adds the cache) so shot counts scale from quick smoke
 //! runs to publication-quality sampling.
 
+use crate::codesign::{CycloneCodesign, CycloneConfig};
 use crate::condensed::{trap_capacity_sweep, TrapSweepPoint};
-use crate::registry::{standard_registry, Cyclone};
+use crate::registry::{Codesign, BASELINE_CAPACITY};
 use crate::sweep::{run_sweep, ScenarioSpec, SweepOptions};
 use decoder::memory::LerEstimate;
 use noise::{ChannelSpec, ErrorChannel, HardwareNoiseModel, NoiseParameters};
-use qccd::compiler::codesign::BASELINE_CAPACITY;
-use qccd::compiler::{Codesign, IdleExposure};
+use qccd::compiler::baseline::compile_baseline;
 use qccd::timing::{OperationTimes, SwapKind};
 use qccd::topology::baseline_grid;
 use qccd::wiring::dac_count;
@@ -86,11 +86,10 @@ pub struct LatencyLerRow {
 /// Declares the Fig. 5 scenario: each code's compiled baseline latency divided by the
 /// given factors, at fixed physical error rate `p`.
 pub fn fig5_spec(codes: &[CssCode], p: f64, speedups: &[f64]) -> ScenarioSpec {
-    let registry = standard_registry();
     let times = OperationTimes::default();
     let mut spec = ScenarioSpec::new("fig05_latency_vs_ler");
     for code in codes {
-        let base = registry.compile("baseline", code, &times);
+        let base = Codesign::Baseline.compile(code, &times);
         let idx = spec.code(code.clone());
         for &s in speedups {
             spec.point(
@@ -149,17 +148,16 @@ pub struct ConfusionMatrix {
     pub circle_dynamic: f64,
 }
 
-/// Fig. 6: execution time of every software/hardware combination, all four cells
-/// pulled from the codesign registry.
+/// Fig. 6: execution time of every software/hardware combination; each of the four
+/// cells is one [`Codesign`].
 pub fn fig6_confusion_matrix(code: &CssCode, times: &OperationTimes) -> ConfusionMatrix {
-    let registry = standard_registry();
-    let cell = |label: &str| registry.compile(label, code, times).execution_time;
+    let cell = |design: Codesign| design.compile(code, times).execution_time;
     ConfusionMatrix {
         code: code.descriptor(),
-        grid_static: cell("baseline"),
-        grid_dynamic: cell("dynamic-grid"),
-        circle_static: cell("ring-static"),
-        circle_dynamic: cell("cyclone"),
+        grid_static: cell(Codesign::Baseline),
+        grid_dynamic: cell(Codesign::DynamicGrid),
+        circle_static: cell(Codesign::RingStatic),
+        circle_dynamic: cell(Codesign::Cyclone),
     }
 }
 
@@ -185,15 +183,14 @@ pub struct JunctionSensitivityRow {
 /// metadata the sweep result alone does not carry).
 pub fn fig9_spec(code: &CssCode, p: f64, reductions: &[f64]) -> (ScenarioSpec, Vec<f64>) {
     let nominal = OperationTimes::default();
-    let registry = standard_registry();
     let mut spec = ScenarioSpec::new("fig09_junction_sensitivity");
     let idx = spec.code(code.clone());
-    let baseline = registry.compile("baseline", code, &nominal);
+    let baseline = Codesign::Baseline.compile(code, &nominal);
     spec.point("baseline", idx, p, baseline.execution_time);
     let mut mesh_times = Vec::new();
     for &r in reductions {
         let times = nominal.with_junction_reduction(r);
-        let round = registry.compile("dynamic-mesh", code, &times);
+        let round = Codesign::DynamicMesh.compile(code, &times);
         mesh_times.push(round.execution_time);
         spec.point(format!("mesh/r={r}"), idx, p, round.execution_time);
     }
@@ -255,8 +252,7 @@ pub fn fig13_spec(
     let idx = spec.code(code.clone());
     for point in &points {
         let x = point.num_traps;
-        let label = format!("{}/x={x}", Cyclone::condensed(x).name());
-        spec.point(label, idx, p, point.execution_time);
+        spec.point(format!("cyclone-x{x}/x={x}"), idx, p, point.execution_time);
     }
     (spec, points)
 }
@@ -313,12 +309,11 @@ pub fn ler_comparison_spec(
     ps: &[f64],
 ) -> (ScenarioSpec, Vec<(f64, f64)>) {
     let times = OperationTimes::default();
-    let registry = standard_registry();
     let mut spec = ScenarioSpec::new(figure);
     let mut latencies = Vec::new();
     for code in codes {
-        let base = registry.compile("baseline", code, &times);
-        let cyc = registry.compile("cyclone", code, &times);
+        let base = Codesign::Baseline.compile(code, &times);
+        let cyc = Codesign::Cyclone.compile(code, &times);
         latencies.push((base.execution_time, cyc.execution_time));
         let idx = spec.code(code.clone());
         for &p in ps {
@@ -388,12 +383,11 @@ pub struct SpacetimeRow {
 
 /// Fig. 16: relative spacetime cost of the baseline vs base Cyclone.
 pub fn fig16_spacetime(codes: &[CssCode], times: &OperationTimes) -> Vec<SpacetimeRow> {
-    let registry = standard_registry();
     codes
         .iter()
         .map(|code| {
-            let b = registry.compile("baseline", code, times).spacetime_cost();
-            let c = registry.compile("cyclone", code, times).spacetime_cost();
+            let b = Codesign::Baseline.compile(code, times).spacetime_cost();
+            let c = Codesign::Cyclone.compile(code, times).spacetime_cost();
             SpacetimeRow {
                 code: code.descriptor(),
                 baseline_spacetime: b,
@@ -427,8 +421,8 @@ pub fn fig17_spec(code: &CssCode, p: f64, capacities: &[usize]) -> (ScenarioSpec
     let idx = spec.code(code.clone());
     let mut exec_times = Vec::new();
     for &cap in capacities {
-        let design = qccd::compiler::codesign::BaselineGrid::with_capacity(cap);
-        let round = design.compile(code, &times);
+        let grid = baseline_grid(code.num_qubits(), cap);
+        let (round, _) = compile_baseline(code, &grid, &times, &serial_schedule(code));
         exec_times.push(round.execution_time);
         spec.point(format!("baseline/cap={cap}"), idx, p, round.execution_time);
     }
@@ -479,14 +473,13 @@ pub struct OpTimeSweepRow {
 /// reduced operation times. Returns the spec and the per-reduction
 /// `(baseline_latency, cyclone_latency)` pairs.
 pub fn fig18_spec(code: &CssCode, p: f64, reductions: &[f64]) -> (ScenarioSpec, Vec<(f64, f64)>) {
-    let registry = standard_registry();
     let mut spec = ScenarioSpec::new("fig18_op_time_sweep");
     let idx = spec.code(code.clone());
     let mut latencies = Vec::new();
     for &r in reductions {
         let times = OperationTimes::default().scaled(r);
-        let base = registry.compile("baseline", code, &times);
-        let cyc = registry.compile("cyclone", code, &times);
+        let base = Codesign::Baseline.compile(code, &times);
+        let cyc = Codesign::Cyclone.compile(code, &times);
         latencies.push((base.execution_time, cyc.execution_time));
         spec.point(format!("baseline/r={r}"), idx, p, base.execution_time);
         spec.point(format!("cyclone/r={r}"), idx, p, cyc.execution_time);
@@ -539,15 +532,14 @@ pub struct ExecutionTimeRow {
 
 /// Fig. 19: raw execution times on the alternate grid, baseline grid, and Cyclone.
 pub fn fig19_execution_times(codes: &[CssCode], times: &OperationTimes) -> Vec<ExecutionTimeRow> {
-    let registry = standard_registry();
-    let cell = |label: &str, code: &CssCode| registry.compile(label, code, times).execution_time;
+    let cell = |design: Codesign, code: &CssCode| design.compile(code, times).execution_time;
     codes
         .iter()
         .map(|code| ExecutionTimeRow {
             code: code.descriptor(),
-            alternate_grid: cell("alternate-grid", code),
-            baseline: cell("baseline", code),
-            cyclone: cell("cyclone", code),
+            alternate_grid: cell(Codesign::AlternateGrid, code),
+            baseline: cell(Codesign::Baseline, code),
+            cyclone: cell(Codesign::Cyclone, code),
         })
         .collect()
 }
@@ -577,12 +569,12 @@ pub struct CompilerComparisonRow {
     pub parallelization: f64,
 }
 
-/// The `(display name, registry label)` pairs of the Fig. 20 comparison.
-pub const FIG20_COMPILERS: [(&str, &str); 4] = [
-    ("Baseline (EJF)", "baseline"),
-    ("Baseline 2 (shuttle-muzzled)", "baseline2"),
-    ("Baseline 3 (MoveLess-style)", "baseline3"),
-    ("Cyclone", "cyclone"),
+/// The `(display name, codesign)` pairs of the Fig. 20 comparison.
+pub const FIG20_COMPILERS: [(&str, Codesign); 4] = [
+    ("Baseline (EJF)", Codesign::Baseline),
+    ("Baseline 2 (shuttle-muzzled)", Codesign::Baseline2),
+    ("Baseline 3 (MoveLess-style)", Codesign::Baseline3),
+    ("Cyclone", Codesign::Cyclone),
 ];
 
 /// Fig. 20: total and component-wise execution times of the three baseline compilers
@@ -591,11 +583,10 @@ pub fn fig20_compiler_comparison(
     code: &CssCode,
     times: &OperationTimes,
 ) -> Vec<CompilerComparisonRow> {
-    let registry = standard_registry();
     FIG20_COMPILERS
         .iter()
-        .map(|&(display, label)| {
-            let round = registry.compile(label, code, times);
+        .map(|&(display, design)| {
+            let round = design.compile(code, times);
             let b = round.breakdown;
             CompilerComparisonRow {
                 compiler: display.to_string(),
@@ -628,15 +619,14 @@ pub struct SwapSensitivityRow {
 
 /// Fig. 21: execution time of baseline and Cyclone under GateSwap vs IonSwap.
 pub fn fig21_swap_sensitivity(code: &CssCode) -> Vec<SwapSensitivityRow> {
-    let registry = standard_registry();
     let mut rows = Vec::new();
     for kind in [SwapKind::GateSwap, SwapKind::IonSwap] {
         let times = OperationTimes::default().with_swap_kind(kind);
-        for label in ["baseline", "cyclone"] {
+        for design in [Codesign::Baseline, Codesign::Cyclone] {
             rows.push(SwapSensitivityRow {
-                codesign: label.to_string(),
+                codesign: design.name().to_string(),
                 swap_kind: kind.to_string(),
-                execution_time: registry.compile(label, code, &times).execution_time,
+                execution_time: design.compile(code, &times).execution_time,
             });
         }
     }
@@ -644,14 +634,14 @@ pub fn fig21_swap_sensitivity(code: &CssCode) -> Vec<SwapSensitivityRow> {
 }
 
 // ---------------------------------------------------------------------------
-// fig_hetero — channel-structured noise across the codesign registry
+// fig_hetero — channel-structured noise across every codesign
 // ---------------------------------------------------------------------------
 
 /// One row of the heterogeneous-noise scenario: a codesign evaluated under one
 /// error channel.
 #[derive(Debug, Clone, PartialEq)]
 pub struct HeteroRow {
-    /// Codesign label from the registry.
+    /// Codesign label ([`Codesign::name`]).
     pub codesign: String,
     /// Channel label: `"uniform"`, `"biased:<ratio>"`, or `"schedule"`.
     pub channel: String,
@@ -664,25 +654,25 @@ pub struct HeteroRow {
 /// The measurement-bias ratios swept by the `fig_hetero` binary by default.
 pub const HETERO_DEFAULT_RATIOS: [f64; 3] = [0.5, 2.0, 8.0];
 
-/// Declares the heterogeneous-noise scenario: every codesign in the standard
-/// registry, sampled under (a) the uniform channel, (b) one biased channel per
+/// Declares the heterogeneous-noise scenario: every codesign in [`Codesign::ALL`]
+/// order, sampled under (a) the uniform channel, (b) one biased channel per
 /// measurement-bias ratio, and (c) the schedule-derived channel built from the
-/// codesign's own per-qubit idle exposure ([`Codesign::compile_profiled`];
-/// codesigns without a profile fall back to uniform exposure). Returns the spec
-/// plus `(codesign, channel, latency)` row metadata in point order.
+/// codesign's own per-qubit idle exposure ([`Codesign::compile_profiled`]).
+/// Returns the spec plus `(codesign, channel, latency)` row metadata in point
+/// order.
 pub fn fig_hetero_spec(
     code: &CssCode,
     p: f64,
     ratios: &[f64],
 ) -> (ScenarioSpec, Vec<(String, String, f64)>) {
-    let registry = standard_registry();
     let times = OperationTimes::default();
     let mut spec = ScenarioSpec::new("fig_hetero");
     let idx = spec.code(code.clone());
     let mut meta = Vec::new();
-    for design in registry.iter() {
+    for design in Codesign::ALL {
         let label = design.name().to_string();
         let (round, exposure) = design.compile_profiled(code, &times);
+        let exposure = exposure.expect("every codesign profiles its idle exposure");
         let latency = round.execution_time;
         spec.point_channel(
             format!("{label}/uniform"),
@@ -702,14 +692,6 @@ pub fn fig_hetero_spec(
             );
             meta.push((label.clone(), format!("biased:{r}"), latency));
         }
-        let exposure = exposure.unwrap_or_else(|| {
-            IdleExposure::uniform(
-                latency,
-                code.num_qubits(),
-                code.num_x_stabilizers(),
-                code.num_z_stabilizers(),
-            )
-        });
         let model = HardwareNoiseModel::new(NoiseParameters::new(p), latency);
         let channel =
             ErrorChannel::from_schedule(&model, &exposure.data, &exposure.measurement_order());
@@ -725,7 +707,7 @@ pub fn fig_hetero_spec(
     (spec, meta)
 }
 
-/// fig_hetero: logical error rate of every registered codesign under uniform,
+/// fig_hetero: logical error rate of every codesign under uniform,
 /// measurement-biased, and schedule-derived per-qubit channels at fixed `p`.
 pub fn fig_hetero(
     code: &CssCode,
@@ -779,7 +761,7 @@ pub fn spatial_summary(codes: &[CssCode]) -> Vec<SpatialRow> {
         .iter()
         .map(|code| {
             let grid = baseline_grid(code.num_qubits(), BASELINE_CAPACITY);
-            let design = Cyclone::base().instantiate(code);
+            let design = CycloneCodesign::new(code, CycloneConfig::base());
             let ring_topo = design.topology();
             SpatialRow {
                 code: code.descriptor(),
@@ -926,10 +908,9 @@ mod tests {
         let code = tiny_hgp();
         let ratios = [4.0];
         let rows = fig_hetero(&code, 8e-3, &ratios, &ephemeral());
-        let registry = standard_registry();
-        // One uniform + one biased + one schedule row per registered codesign.
-        assert_eq!(rows.len(), registry.len() * (ratios.len() + 2));
-        for label in registry.labels() {
+        // One uniform + one biased + one schedule row per codesign.
+        assert_eq!(rows.len(), Codesign::ALL.len() * (ratios.len() + 2));
+        for label in Codesign::ALL.map(Codesign::name) {
             let of_label: Vec<_> = rows.iter().filter(|r| r.codesign == label).collect();
             assert_eq!(of_label.len(), 3, "{label} rows missing");
             assert!(of_label.iter().any(|r| r.channel == "uniform"));

@@ -11,8 +11,8 @@
 //!
 //! * [`codesign`] — the Cyclone compiler: the ring topology and its lockstep rotation.
 //! * [`condensed`] — "tight" variants trading trap count for trap density (Fig. 13).
-//! * [`registry`] — [`qccd::compiler::Codesign`] impls for Cyclone and the standard
-//!   registry of every codesign the evaluation compares.
+//! * [`registry`] — the [`Codesign`] enum: every codesign the evaluation compares,
+//!   each a (topology, schedule, policy) triple spelled out in one `match`.
 //! * [`sweep`] — the parallel, cache-backed scenario sweep engine.
 //! * [`sweep_cache`] — the one reader and writer of sweep cache files, which the
 //!   sweep engine and the offline stats/verify (the `sweep-cache` CLI) share, so
@@ -48,5 +48,5 @@ pub mod sweep_cache;
 
 pub use codesign::{CycloneCodesign, CycloneConfig};
 pub use condensed::{best_configuration, default_trap_counts, trap_capacity_sweep, TrapSweepPoint};
-pub use registry::{standard_registry, Cyclone};
+pub use registry::{standard_registry, Codesign};
 pub use sweep::{run_sweep, ScenarioSpec, SweepOptions, SweepResult};

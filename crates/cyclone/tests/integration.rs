@@ -3,7 +3,7 @@
 //! uses them.
 
 use cyclone::experiments::{fig16_spacetime, fig20_compiler_comparison, spatial_summary};
-use cyclone::{standard_registry, CycloneCodesign, CycloneConfig};
+use cyclone::{Codesign, CycloneCodesign, CycloneConfig};
 use decoder::memory::{logical_error_rate, MemoryConfig};
 use noise::{HardwareNoiseModel, NoiseParameters};
 use qccd::compiler::baseline::compile_baseline;
@@ -28,9 +28,8 @@ fn quick_config() -> MemoryConfig {
 fn end_to_end_cyclone_beats_baseline_on_bb72() {
     let code = bb_72_12_6().expect("valid code");
     let times = OperationTimes::default();
-    let registry = standard_registry();
-    let base = registry.compile("baseline", &code, &times);
-    let cyc = registry.compile("cyclone", &code, &times);
+    let base = Codesign::Baseline.compile(&code, &times);
+    let cyc = Codesign::Cyclone.compile(&code, &times);
 
     // Temporal claim: Cyclone is faster.
     assert!(

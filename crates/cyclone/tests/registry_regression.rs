@@ -1,10 +1,10 @@
 //! Regression pin: every registry label compiles to the `CompiledRound` of its
 //! (topology, schedule, policy) triple.
 //!
-//! Each `Codesign` impl binds one topology constructor and one schedule to one
+//! Each `Codesign` variant binds one topology constructor and one schedule to one
 //! of the four policy functions (`compile_baseline`, `compile_baseline2`,
 //! `compile_baseline3`, `compile_dynamic`) or to `CycloneCodesign::compile`. This
-//! suite spells that mapping out independently of the impls and compares the full
+//! suite spells that mapping out independently of `Codesign` and compares the full
 //! `CompiledRound` (execution time, component breakdown, every count) with `==`,
 //! so rebinding a label to another topology, schedule, or policy fails here.
 //!

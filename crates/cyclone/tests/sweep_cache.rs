@@ -1,17 +1,17 @@
 //! Sweep-engine behavior: determinism across pool sizes, cache hit/miss/corruption
 //! semantics (fixed and adaptive), torn-write resistance of the cache file,
-//! resume-after-kill from checkpoints, merges of real caches, and the
-//! `covers_all_gates` invariant for every registered codesign, fuzzed
-//! (truncated and byte-flipped) cache files against every cache reader and the
-//! JSON shim, damaged caches that every reader must reject alike, and the pinned
-//! bytes of the cache format.
+//! resume-after-kill from checkpoints, merges of real caches, the every-gate-once
+//! invariant for every codesign, fuzzed (truncated and byte-flipped) cache files
+//! against every cache reader and the JSON shim, damaged caches that every reader
+//! must reject alike, and the pinned bytes of the cache format.
 
-use cyclone::standard_registry;
 use cyclone::sweep::{run_sweep, ScenarioSpec, SweepOptions};
 use cyclone::sweep_cache::{merge_files, verify_file};
+use cyclone::Codesign;
 use decoder::memory::{LerEstimate, MemoryConfig, PrecisionTarget};
 use noise::{ChannelSpec, ErrorChannel};
 use proptest::prelude::*;
+use qccd::timing::OperationTimes;
 use std::path::PathBuf;
 use std::sync::OnceLock;
 
@@ -683,18 +683,20 @@ fn per_point_channel_overrides_the_sweep_default() {
 
 #[test]
 fn every_registered_codesign_covers_all_gates() {
-    // The Cyclone-specific invariant generalized through the trait: every codesign
-    // must execute each stabilizer-support gate exactly once, on both code
-    // families. (The expensive grid/mesh codesigns are exercised on the small
-    // catalog codes; CYCLONE_FULL=1 in the regression suite covers the rest.)
-    let registry = standard_registry();
+    // The Cyclone-specific invariant generalized to every codesign: each must
+    // execute each stabilizer-support gate exactly once, on both code families.
+    // (The expensive grid/mesh codesigns are exercised on the small catalog
+    // codes; CYCLONE_FULL=1 in the regression suite covers the rest.)
+    let times = OperationTimes::default();
     for code in [
         qec::codes::bb_72_12_6().expect("valid"),
         qec::codes::hgp_100().expect("valid"),
     ] {
-        for design in registry.iter() {
-            assert!(
-                design.covers_all_gates(&code),
+        let expected: usize = code.stabilizers().iter().map(|s| s.support.len()).sum();
+        for design in Codesign::ALL {
+            assert_eq!(
+                design.compile(&code, &times).num_gates,
+                expected,
                 "codesign `{}` missed gates on {}",
                 design.name(),
                 code.descriptor()

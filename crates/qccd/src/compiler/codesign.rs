@@ -1,435 +1,57 @@
-//! The [`Codesign`] trait: one uniform entry point over every hardware/software
-//! combination the evaluation compares, plus a [`CodesignRegistry`] that enumerates
-//! codesigns by label.
-//!
-//! A codesign bundles a topology, a schedule, and one of the four compile policies
-//! ([`compile_baseline`], [`compile_baseline2`], [`compile_baseline3`],
-//! [`compile_dynamic`]) behind [`Codesign::compile_profiled`], its one required
-//! compile method; [`Codesign::compile`] drops the idle profile. A new topology or
-//! policy is one new impl and one `register` call.
-
-use crate::compiler::baseline::compile_baseline;
-use crate::compiler::dynamic::compile_dynamic;
-use crate::compiler::sim::IdleExposure;
-use crate::compiler::variants::{compile_baseline2, compile_baseline3};
-use crate::compiler::CompiledRound;
-use crate::timing::OperationTimes;
-use crate::topology::{alternate_grid, baseline_grid, mesh_junction_network, ring};
-use qec::schedule::{max_parallel_schedule, serial_schedule};
-use qec::CssCode;
-
-/// Per-trap ion capacity of the paper's baseline grid.
-pub const BASELINE_CAPACITY: usize = 5;
-
-/// A hardware topology + compilation policy that can execute one round of syndrome
-/// extraction for any CSS code.
-pub trait Codesign: Send + Sync {
-    /// Stable registry label, e.g. `"baseline"` or `"dynamic-mesh"`.
-    fn name(&self) -> &str;
-
-    /// Compiles one syndrome-extraction round of `code` under the given operation
-    /// times, constructing whatever topology/placement the codesign prescribes, and
-    /// returns the round plus its per-qubit [`IdleExposure`] when the codesign can
-    /// produce one (`None` otherwise — callers fall back to
-    /// [`IdleExposure::uniform`], which reproduces the scalar noise model).
-    fn compile_profiled(
-        &self,
-        code: &CssCode,
-        times: &OperationTimes,
-    ) -> (CompiledRound, Option<IdleExposure>);
-
-    /// [`Codesign::compile_profiled`] without the idle profile.
-    fn compile(&self, code: &CssCode, times: &OperationTimes) -> CompiledRound {
-        self.compile_profiled(code, times).0
-    }
-
-    /// Verifies that a compiled round executes every gate of the syndrome-extraction
-    /// circuit exactly once (each stabilizer touches each qubit of its support once).
-    fn covers_all_gates(&self, code: &CssCode) -> bool {
-        let expected: usize = code.stabilizers().iter().map(|s| s.support.len()).sum();
-        self.compile(code, &OperationTimes::default()).num_gates == expected
-    }
-}
-
-/// The paper's baseline: a 2D grid with [`BASELINE_CAPACITY`]-ion traps, greedy
-/// cluster mapping, and static earliest-job-first scheduling of the serial schedule.
-#[derive(Debug, Clone)]
-pub struct BaselineGrid {
-    /// Per-trap ion capacity (the paper uses [`BASELINE_CAPACITY`]).
-    pub capacity: usize,
-    name: String,
-}
-
-impl BaselineGrid {
-    /// The paper's configuration (capacity 5), labelled `"baseline"`.
-    pub fn new() -> Self {
-        Self::with_capacity(BASELINE_CAPACITY)
-    }
-
-    /// A loose/tight-capacity variant, labelled `"baseline-cap{c}"` when `c` differs
-    /// from the paper's value (used by the Fig. 17 loose-capacity sensitivity study).
-    pub fn with_capacity(capacity: usize) -> Self {
-        let name = if capacity == BASELINE_CAPACITY {
-            "baseline".to_string()
-        } else {
-            format!("baseline-cap{capacity}")
-        };
-        BaselineGrid { capacity, name }
-    }
-}
-
-impl Default for BaselineGrid {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl Codesign for BaselineGrid {
-    fn name(&self) -> &str {
-        &self.name
-    }
-
-    fn compile_profiled(
-        &self,
-        code: &CssCode,
-        times: &OperationTimes,
-    ) -> (CompiledRound, Option<IdleExposure>) {
-        let topo = baseline_grid(code.num_qubits(), self.capacity);
-        let (round, exposure) = compile_baseline(code, &topo, times, &serial_schedule(code));
-        (round, Some(exposure))
-    }
-}
-
-/// Baseline 2: the grid with stabilizer-batched gate ordering ("muzzle the shuttle").
-#[derive(Debug, Clone, Default)]
-pub struct Baseline2Grid;
-
-impl Codesign for Baseline2Grid {
-    fn name(&self) -> &str {
-        "baseline2"
-    }
-
-    fn compile_profiled(
-        &self,
-        code: &CssCode,
-        times: &OperationTimes,
-    ) -> (CompiledRound, Option<IdleExposure>) {
-        let topo = baseline_grid(code.num_qubits(), BASELINE_CAPACITY);
-        let (round, exposure) = compile_baseline2(code, &topo, times, &serial_schedule(code));
-        (round, Some(exposure))
-    }
-}
-
-/// Baseline 3: the grid with destination-trap-batched gate ordering ("MoveLess"-style).
-#[derive(Debug, Clone, Default)]
-pub struct Baseline3Grid;
-
-impl Codesign for Baseline3Grid {
-    fn name(&self) -> &str {
-        "baseline3"
-    }
-
-    fn compile_profiled(
-        &self,
-        code: &CssCode,
-        times: &OperationTimes,
-    ) -> (CompiledRound, Option<IdleExposure>) {
-        let topo = baseline_grid(code.num_qubits(), BASELINE_CAPACITY);
-        let (round, exposure) = compile_baseline3(code, &topo, times, &serial_schedule(code));
-        (round, Some(exposure))
-    }
-}
-
-/// The dynamic timeslice policy of §III-A on the baseline grid (Fig. 4a / Fig. 6:
-/// releasing whole timeslices onto a grid roadblocks heavily).
-#[derive(Debug, Clone, Default)]
-pub struct DynamicGrid;
-
-impl Codesign for DynamicGrid {
-    fn name(&self) -> &str {
-        "dynamic-grid"
-    }
-
-    fn compile_profiled(
-        &self,
-        code: &CssCode,
-        times: &OperationTimes,
-    ) -> (CompiledRound, Option<IdleExposure>) {
-        let topo = baseline_grid(code.num_qubits(), BASELINE_CAPACITY);
-        let (round, exposure) = compile_dynamic(code, &topo, times, &max_parallel_schedule(code));
-        (round, Some(exposure))
-    }
-}
-
-/// The dynamic timeslice policy on the mesh junction network of §III-C (one data
-/// qubit per trap; waiting concentrates on junctions, Fig. 9).
-#[derive(Debug, Clone, Default)]
-pub struct DynamicMesh;
-
-impl Codesign for DynamicMesh {
-    fn name(&self) -> &str {
-        "dynamic-mesh"
-    }
-
-    fn compile_profiled(
-        &self,
-        code: &CssCode,
-        times: &OperationTimes,
-    ) -> (CompiledRound, Option<IdleExposure>) {
-        let topo = mesh_junction_network(code.num_qubits(), BASELINE_CAPACITY);
-        let (round, exposure) = compile_dynamic(code, &topo, times, &max_parallel_schedule(code));
-        (round, Some(exposure))
-    }
-}
-
-/// The alternate grid (L-junction serpentine) with the static baseline policy
-/// (Fig. 19's third configuration).
-#[derive(Debug, Clone, Default)]
-pub struct AlternateGrid;
-
-impl Codesign for AlternateGrid {
-    fn name(&self) -> &str {
-        "alternate-grid"
-    }
-
-    fn compile_profiled(
-        &self,
-        code: &CssCode,
-        times: &OperationTimes,
-    ) -> (CompiledRound, Option<IdleExposure>) {
-        let topo = alternate_grid(code.num_qubits(), BASELINE_CAPACITY);
-        let (round, exposure) = compile_baseline(code, &topo, times, &serial_schedule(code));
-        (round, Some(exposure))
-    }
-}
-
-/// A Cyclone-shaped ring driven by the *uncoordinated* static baseline policy: the
-/// Fig. 6 confusion matrix's "circle hardware + static software" cell, which is worse
-/// than the grid because every shuttle goes the long way around and serializes.
-#[derive(Debug, Clone, Default)]
-pub struct RingStatic;
-
-impl Codesign for RingStatic {
-    fn name(&self) -> &str {
-        "ring-static"
-    }
-
-    fn compile_profiled(
-        &self,
-        code: &CssCode,
-        times: &OperationTimes,
-    ) -> (CompiledRound, Option<IdleExposure>) {
-        let a = code.num_x_stabilizers().max(code.num_z_stabilizers());
-        let capacity = code.num_qubits().div_ceil(a) + 2;
-        let topo = ring(a, capacity);
-        let (round, exposure) = compile_baseline(code, &topo, times, &serial_schedule(code));
-        (round, Some(exposure))
-    }
-}
-
-/// An ordered collection of codesigns, looked up by label.
-///
-/// The `cyclone` crate's `registry::standard_registry()` returns the full set the
-/// evaluation compares (this crate's grid/mesh/ring baselines plus the Cyclone
-/// codesigns it defines on top).
-#[derive(Default)]
-pub struct CodesignRegistry {
-    entries: Vec<Box<dyn Codesign>>,
-}
-
-impl CodesignRegistry {
-    /// An empty registry.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Adds a codesign.
-    ///
-    /// # Panics
-    ///
-    /// Panics if another codesign with the same label is already registered.
-    pub fn register(&mut self, codesign: Box<dyn Codesign>) -> &mut Self {
-        assert!(
-            self.get(codesign.name()).is_none(),
-            "duplicate codesign label `{}`",
-            codesign.name()
-        );
-        self.entries.push(codesign);
-        self
-    }
-
-    /// Looks a codesign up by its label.
-    pub fn get(&self, label: &str) -> Option<&dyn Codesign> {
-        self.entries
-            .iter()
-            .find(|c| c.name() == label)
-            .map(AsRef::as_ref)
-    }
-
-    /// Compiles one round of `code` with the codesign registered as `label`.
-    ///
-    /// # Panics
-    ///
-    /// Panics, naming the label, if no codesign is registered under it.
-    pub fn compile(&self, label: &str, code: &CssCode, times: &OperationTimes) -> CompiledRound {
-        self.get(label)
-            .unwrap_or_else(|| panic!("codesign `{label}` not registered"))
-            .compile(code, times)
-    }
-
-    /// All registered labels, in registration order.
-    pub fn labels(&self) -> Vec<&str> {
-        self.entries.iter().map(|c| c.name()).collect()
-    }
-
-    /// Iterates over the registered codesigns in registration order.
-    pub fn iter(&self) -> impl Iterator<Item = &dyn Codesign> {
-        self.entries.iter().map(AsRef::as_ref)
-    }
-
-    /// Number of registered codesigns.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Whether the registry is empty.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-}
-
-impl std::fmt::Debug for CodesignRegistry {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("CodesignRegistry")
-            .field("labels", &self.labels())
-            .finish()
-    }
-}
-
-/// The grid/mesh/ring codesigns defined by this crate (everything except Cyclone).
-pub fn qccd_codesigns() -> Vec<Box<dyn Codesign>> {
-    vec![
-        Box::new(BaselineGrid::new()),
-        Box::new(Baseline2Grid),
-        Box::new(Baseline3Grid),
-        Box::new(DynamicGrid),
-        Box::new(DynamicMesh),
-        Box::new(AlternateGrid),
-        Box::new(RingStatic),
-    ]
-}
+//! Policy-level coverage of the grid/mesh/ring codesigns: the seven (topology,
+//! schedule, policy) triples the evaluation compiles with this crate's policies.
+//! The `cyclone` crate's `registry::Codesign` enum names them, next to Cyclone.
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::compiler::baseline::compile_baseline;
+    use crate::compiler::dynamic::compile_dynamic;
+    use crate::compiler::variants::{compile_baseline2, compile_baseline3};
+    use crate::timing::OperationTimes;
+    use crate::topology::{alternate_grid, baseline_grid, mesh_junction_network, ring};
     use qec::classical::ClassicalCode;
     use qec::hgp::square_hypergraph_product;
-
-    fn small_code() -> CssCode {
-        square_hypergraph_product(&ClassicalCode::repetition(3)).expect("valid")
-    }
-
-    fn qccd_registry() -> CodesignRegistry {
-        let mut reg = CodesignRegistry::new();
-        for c in qccd_codesigns() {
-            reg.register(c);
-        }
-        reg
-    }
-
-    #[test]
-    fn registry_lookup_by_label() {
-        let reg = qccd_registry();
-        assert_eq!(reg.len(), 7);
-        assert!(!reg.is_empty());
-        assert!(reg.get("baseline").is_some());
-        assert!(reg.get("dynamic-mesh").is_some());
-        assert!(reg.get("nonexistent").is_none());
-        assert_eq!(reg.labels()[0], "baseline");
-    }
-
-    #[test]
-    #[should_panic(expected = "duplicate codesign label")]
-    fn registry_rejects_duplicate_labels() {
-        let mut reg = CodesignRegistry::new();
-        reg.register(Box::new(BaselineGrid::new()));
-        reg.register(Box::new(BaselineGrid::new()));
-    }
-
-    #[test]
-    fn trait_compile_matches_free_functions() {
-        let code = small_code();
-        let times = OperationTimes::default();
-        let topo = baseline_grid(code.num_qubits(), BASELINE_CAPACITY);
-        let direct = compile_baseline(&code, &topo, &times, &serial_schedule(&code)).0;
-        let via_trait = BaselineGrid::new().compile(&code, &times);
-        assert_eq!(direct, via_trait);
-
-        let direct_dyn = compile_dynamic(&code, &topo, &times, &max_parallel_schedule(&code)).0;
-        assert_eq!(direct_dyn, DynamicGrid.compile(&code, &times));
-        assert_eq!(
-            direct_dyn,
-            qccd_registry().compile("dynamic-grid", &code, &times)
-        );
-    }
+    use qec::schedule::{max_parallel_schedule, serial_schedule};
 
     #[test]
     fn every_qccd_codesign_covers_all_gates() {
-        let code = small_code();
-        for design in qccd_codesigns() {
-            assert!(
-                design.covers_all_gates(&code),
-                "{} missed gates",
-                design.name()
-            );
-        }
-    }
-
-    #[test]
-    fn every_qccd_codesign_profiles_bit_identically_to_compile() {
-        // Every sim-driven codesign must produce a real (non-fallback) profile
-        // whose exposures fit inside the round.
-        let code = small_code();
+        // Each stabilizer touches each qubit of its support exactly once.
+        let code = square_hypergraph_product(&ClassicalCode::repetition(3)).expect("valid");
         let times = OperationTimes::default();
-        for design in qccd_codesigns() {
-            let (round, exposure) = design.compile_profiled(&code, &times);
-            let exposure = exposure
-                .unwrap_or_else(|| panic!("{} should export an idle profile", design.name()));
-            assert_eq!(exposure.horizon, round.execution_time);
-            assert_eq!(exposure.data.len(), code.num_qubits());
-            assert_eq!(exposure.x_ancilla.len(), code.num_x_stabilizers());
-            assert_eq!(exposure.z_ancilla.len(), code.num_z_stabilizers());
-            for &t in exposure
-                .data
-                .iter()
-                .chain(&exposure.x_ancilla)
-                .chain(&exposure.z_ancilla)
-            {
-                assert!(
-                    (0.0..=exposure.horizon).contains(&t),
-                    "{}: exposure {t} outside [0, horizon]",
-                    design.name()
-                );
-            }
-            // Gates must have made at least one qubit busy.
-            assert!(
-                exposure.data.iter().any(|&t| t < exposure.horizon),
-                "{}: no data qubit was ever busy",
-                design.name()
-            );
+        let (n, cap) = (code.num_qubits(), 5);
+        let (serial, parallel) = (serial_schedule(&code), max_parallel_schedule(&code));
+        let grid = baseline_grid(n, cap);
+        let a = code.num_x_stabilizers().max(code.num_z_stabilizers());
+        let rounds = [
+            ("baseline", compile_baseline(&code, &grid, &times, &serial)),
+            (
+                "baseline2",
+                compile_baseline2(&code, &grid, &times, &serial),
+            ),
+            (
+                "baseline3",
+                compile_baseline3(&code, &grid, &times, &serial),
+            ),
+            (
+                "dynamic-grid",
+                compile_dynamic(&code, &grid, &times, &parallel),
+            ),
+            (
+                "dynamic-mesh",
+                compile_dynamic(&code, &mesh_junction_network(n, cap), &times, &parallel),
+            ),
+            (
+                "alternate-grid",
+                compile_baseline(&code, &alternate_grid(n, cap), &times, &serial),
+            ),
+            (
+                "ring-static",
+                compile_baseline(&code, &ring(a, n.div_ceil(a) + 2), &times, &serial),
+            ),
+        ];
+        let expected: usize = code.stabilizers().iter().map(|s| s.support.len()).sum();
+        for (label, (round, _)) in rounds {
+            assert_eq!(round.num_gates, expected, "{label} missed gates");
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "codesign `nonexistent` not registered")]
-    fn registry_compile_names_an_unknown_label() {
-        qccd_registry().compile("nonexistent", &small_code(), &OperationTimes::default());
-    }
-
-    #[test]
-    fn loose_capacity_baseline_gets_distinct_label() {
-        assert_eq!(BaselineGrid::new().name(), "baseline");
-        assert_eq!(BaselineGrid::with_capacity(5).name(), "baseline");
-        assert_eq!(BaselineGrid::with_capacity(9).name(), "baseline-cap9");
     }
 }

@@ -16,17 +16,16 @@
 //!   grids in Fig. 4a and Fig. 6, and on the mesh junction network of §III-C).
 //!
 //! Each returns the [`CompiledRound`] together with its per-qubit [`IdleExposure`].
-//! The [`codesign`] module binds them (and the Cyclone compilers layered on top in
-//! the `cyclone` crate) to topologies behind the [`Codesign`] trait, enumerable and
-//! compilable by label through a [`CodesignRegistry`].
+//! The `cyclone` crate's `registry::Codesign` enum binds each policy to a topology
+//! and a schedule, next to its own Cyclone compilers.
 
 pub mod baseline;
-pub mod codesign;
+#[cfg(test)]
+mod codesign;
 pub mod dynamic;
 pub mod sim;
 pub mod variants;
 
-pub use codesign::{Codesign, CodesignRegistry};
 pub use sim::IdleExposure;
 
 /// Time spent in each operation category, in seconds of *occupied resource time*

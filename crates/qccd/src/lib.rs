@@ -5,7 +5,9 @@
 //! ([`hardware`], [`topology`]), with the published operation timings ([`timing`]),
 //! the DAC count of each topology's control wiring ([`wiring`]), qubit-to-trap mapping policies
 //! ([`placement`]), and compilers that turn an idealized syndrome-extraction schedule
-//! into a timed execution with shuttling, roadblocks, and rebalancing ([`compiler`]).
+//! into a timed execution with shuttling, roadblocks, and rebalancing ([`compiler`]):
+//! four policy functions over one discrete-event simulator. Which topology and
+//! schedule each policy runs on is the `cyclone` crate's `registry::Codesign`.
 //!
 //! # Quick example
 //!
@@ -40,7 +42,7 @@ pub mod timing;
 pub mod topology;
 pub mod wiring;
 
-pub use compiler::{Codesign, CodesignRegistry, CompiledRound, ComponentTimes, IdleExposure};
+pub use compiler::{CompiledRound, ComponentTimes, IdleExposure};
 pub use hardware::{NodeId, NodeKind, Topology, TopologyKind};
 pub use placement::Placement;
 pub use timing::{OperationTimes, SwapKind};

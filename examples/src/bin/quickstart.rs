@@ -7,7 +7,7 @@
 //! cargo run --release -p examples --bin quickstart
 //! ```
 
-use cyclone::standard_registry;
+use cyclone::Codesign;
 use decoder::memory::{logical_error_rate, MemoryConfig};
 use qccd::timing::OperationTimes;
 use qec::codes::bb_72_12_6;
@@ -25,9 +25,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     let times = OperationTimes::default();
-    let registry = standard_registry();
-    let baseline = registry.compile("baseline", &code, &times);
-    let cyclone = registry.compile("cyclone", &code, &times);
+    let baseline = Codesign::Baseline.compile(&code, &times);
+    let cyclone = Codesign::Cyclone.compile(&code, &times);
 
     println!("\nsyndrome-extraction round:");
     for round in [&baseline, &cyclone] {

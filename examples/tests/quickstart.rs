@@ -2,7 +2,7 @@
 //! paper's headline claim: compiling `[[72,12,6]]` onto Cyclone yields a faster,
 //! roadblock-free syndrome-extraction round than the baseline 2D grid.
 
-use cyclone::standard_registry;
+use cyclone::Codesign;
 use decoder::memory::{logical_error_rate, MemoryConfig};
 use qccd::timing::OperationTimes;
 use qec::codes::bb_72_12_6;
@@ -13,9 +13,8 @@ fn quickstart_flow_runs_end_to_end_with_zero_roadblocks() {
     assert_eq!(code.num_qubits(), 72);
 
     let times = OperationTimes::default();
-    let registry = standard_registry();
-    let baseline = registry.compile("baseline", &code, &times);
-    let cyclone = registry.compile("cyclone", &code, &times);
+    let baseline = Codesign::Baseline.compile(&code, &times);
+    let cyclone = Codesign::Cyclone.compile(&code, &times);
 
     // The headline claim: Cyclone is roadblock-free; the baseline grid is not.
     assert_eq!(
