@@ -1,7 +1,8 @@
 //! Decoder hot-path throughput on the `[[72,12,6]]` BB code.
 //!
-//! Measures per-decode and per-shot rates with plain wall-clock timing (the
-//! criterion shim's statistics are no richer — see `crates/shims/README.md`):
+//! Measures per-decode and per-shot rates with plain wall-clock timing, one
+//! run per measurement, so treat the numbers as indicative (figbench repeats
+//! its timings and records their spread):
 //!
 //! * **BP-only** — decodes of weight-1-error syndromes, which belief propagation
 //!   resolves without the OSD fallback, timed in alternating rounds against
@@ -33,9 +34,9 @@
 //! file always holds the current commit's numbers and the perf trajectory
 //! accumulates in git history (and in CI artifacts). All timed loops are
 //! single-threaded — worker parallelism is `MemoryExperiment::run`'s concern,
-//! not the hot path's. `CYCLONE_SHOTS` scales the measurement length (CI uses
-//! 50), and `CYCLONE_ENFORCE=1` turns the recorded regression thresholds below
-//! into hard assertions.
+//! not the hot path's. `--shots` scales the measurement length (CI uses 50),
+//! and `--enforce` turns the recorded regression thresholds below into hard
+//! assertions.
 
 use bench::runner::RunContext;
 use decoder::bp::priors_digest;
@@ -70,14 +71,14 @@ mod oracle_osd;
 /// always computed from it at run time — never hand-entered.
 const PRE_PR_BASELINE_SHOTS_PER_SEC: f64 = 61_860.0;
 
-/// Regression floor for the batch uniform rate under `CYCLONE_ENFORCE=1`
-/// (quick mode included): the original tentpole target for this container, with
+/// Regression floor for the batch uniform rate under `--enforce` (at
+/// `--shots 50` too): the original tentpole target for this container, with
 /// the measured rate (~4M shots/sec full-length) leaving roughly 3× headroom.
 const ENFORCE_MIN_UNIFORM_BATCH_SHOTS_PER_SEC: f64 = 1_000_000.0;
 
 /// Regression ceiling for the worst **cold** structured-channel penalty
 /// (`uniform_batch / min(biased_batch, schedule_batch)`) under
-/// `CYCLONE_ENFORCE=1`. The cold run is bounded by compulsory decode-cache
+/// `--enforce`. The cold run is bounded by compulsory decode-cache
 /// misses: every first-seen multi-event syndrome pays the full BP-failure +
 /// OSD-fallback cost, pinned bit-identical to the scalar decoder. The BP/OSD
 /// hot-loop work (word-packed convergence, branchless min-sum signs, row-major
@@ -97,7 +98,7 @@ const ENFORCE_MAX_WARM_STRUCTURED_PENALTY: f64 = 5.0;
 const ENFORCE_MIN_WARM_STRUCTURED_BATCH_SHOTS_PER_SEC: f64 = 300_000.0;
 
 /// Vector-dispatch regression floor for the BP kernel gain, applied under
-/// `CYCLONE_ENFORCE=1` when the dispatch is a vector compilation (AVX2 or
+/// `--enforce` when the dispatch is a vector compilation (AVX2 or
 /// AVX-512):
 /// `bp_only_decodes_per_sec` must be at least this multiple of the rate of
 /// the scalar CSR reference (`crates/decoder/tests/oracle/bp.rs`) measured in
@@ -108,7 +109,7 @@ const ENFORCE_MIN_WARM_STRUCTURED_BATCH_SHOTS_PER_SEC: f64 = 300_000.0;
 const ENFORCE_MIN_BP_SIMD_SPEEDUP: f64 = 1.5;
 
 /// SIMD-only ceiling for the worst cold structured-channel penalty under
-/// `CYCLONE_ENFORCE=1` under a vector dispatch: the vectorized check pass shrinks the
+/// `--enforce` under a vector dispatch: the vectorized check pass shrinks the
 /// compulsory-miss BP cost, so the cold penalty must sit below the scalar-era
 /// 22× (the scalar-safe [`ENFORCE_MAX_STRUCTURED_PENALTY`] ceiling still
 /// applies to `CYCLONE_SIMD=off` runs).
@@ -271,7 +272,7 @@ fn main() {
         dec.decode_with_priors_keyed_into(s, &priors, key, scratch)
     };
     let ctx = RunContext::from_env();
-    let iters = 40 * ctx.config.shots; // 16k iterations by default, 2k in CI quick mode
+    let iters = 40 * ctx.config.shots; // 16k iterations by default, 2k at CI's --shots 50
     let enforce = ctx.enforce;
 
     // --- BP-only: weight-1 errors, cycled over every qubit. -----------------
@@ -579,7 +580,7 @@ fn main() {
             );
         }
         println!(
-            "  CYCLONE_ENFORCE: thresholds hold (cold + warm{})",
+            "  --enforce: thresholds hold (cold + warm{})",
             if vector {
                 format!(" + {}", simd.isa_name())
             } else {

@@ -3,8 +3,8 @@
 //!
 //! All Monte-Carlo rows go through the sweep engine, so a regeneration after the
 //! figure suite has populated `sweeps/` is almost entirely cache hits; running it
-//! cold recomputes (and caches) everything. `CYCLONE_SHOTS` / `--shots` scale the
-//! sampling; the shot count used is recorded in the document header.
+//! cold recomputes (and caches) everything. `--shots` scales the sampling; the
+//! shot count used is recorded in the document header.
 
 use bench::runner::RunContext;
 use cyclone::default_trap_counts;
@@ -314,8 +314,8 @@ fn main() {
     doc.push_str(
         "\n## Sampling modes and the sweep cache\n\n\
          Every Monte-Carlo point runs in one of two modes:\n\n\
-         * **Fixed budget** (the default): exactly `--shots` / `CYCLONE_SHOTS`\n\
-           Monte-Carlo shots per point, bit-identical at any thread count.\n\
+         * **Fixed budget** (the default): exactly `--shots` Monte-Carlo shots\n\
+           per point, bit-identical at any thread count.\n\
          * **Precision-targeted (adaptive)**: each point samples the *same* seeded\n\
            shot streams but stops at the smallest shot count with ≥ `--min-failures`\n\
            failures and relative standard error ≤ `--target-rse`, capped by\n\
@@ -329,8 +329,8 @@ fn main() {
          `biased:<ratio>` adds measurement flips at `<ratio>` times the data\n\
          rate. Schedule-derived channels, with per-qubit rates from each\n\
          codesign's compiled idle exposure, are not an option: the `fig_hetero`\n\
-         scenario always sweeps them beside uniform and biased across the\n\
-         codesign registry.\n\n\
+         scenario always sweeps them beside uniform and biased for every\n\
+         codesign.\n\n\
          The `sweeps/<figure>.json` cache (schema 3) records the shots actually\n\
          spent per point and the channel it was sampled under. A fixed-budget\n\
          request reuses an entry only at the exact shot count; a\n\
@@ -340,13 +340,13 @@ fn main() {
          is read: a cache is an accelerator, so a schema-1 or schema-2 file is a\n\
          miss whose points are recomputed, and files with a foreign seed or BP\n\
          iteration count are invalidated wholesale.\n\n\
-         Regenerate with more sampling: `CYCLONE_SHOTS=20000 cargo bench -p bench \
-         --bench experiments_md` (or `-- --shots 20000`); add `--target-rse 0.05 \
+         Regenerate with more sampling: `cargo bench -p bench --bench \
+         experiments_md -- --shots 20000`; add `--target-rse 0.05 \
          --min-failures 400` for publication-grade uniform precision.\n\
-         `CYCLONE_FULL=1` extends every sweep to the full code catalog.\n\n\
+         `--full` extends every sweep to the full code catalog.\n\n\
          ## Parallel sweeps\n\n\
          Every figure sweep runs in one process, on one scheduler of (point,\n\
-         64-shot chunk) work items: `--threads N` / `CYCLONE_THREADS=N` sizes\n\
+         64-shot chunk) work items: `--threads N` sizes\n\
          its worker pool, and estimates, caches and tables are byte-identical\n\
          at any thread count. The `sweep-cache` binary (`cargo run -p cyclone\n\
          --bin sweep-cache -- stats|verify`) inspects cache files by hand\n\
@@ -393,7 +393,7 @@ fn main() {
          structured-channel penalty vs the uniform batch rate\n\
          (`structured_penalty_vs_uniform`), and `speedup_vs_pre_pr` computed at\n\
          run time from the recorded `pre_pr_baseline_shots_per_sec` field.\n\
-         `CYCLONE_ENFORCE=1` (set in CI) turns the recorded thresholds into\n\
+         `--enforce` (set in CI) turns the recorded thresholds into\n\
          hard assertions alongside the always-on zero-steady-state-allocation\n\
          check, and holds the warm pass to penalty ≤ 5× and ≥ 300k structured\n\
          shots/sec.\n",

@@ -1,6 +1,6 @@
 //! Sweep-engine throughput: wall-clock of a multi-point figure sweep executed
 //! serially (one worker) and on the in-process chunk scheduler
-//! (`CYCLONE_THREADS`, default 4 here), plus adaptive-vs-fixed sampling cost
+//! (`--threads`, default 4 here), plus adaptive-vs-fixed sampling cost
 //! per figure. Each run overwrites `BENCH_sweep.json` at the repository root,
 //! so the file always holds the current commit's numbers.
 //!
@@ -21,8 +21,8 @@
 //! precision with the surplus shots saved (high-LER points); the JSON records
 //! wall-clock and total shots spent for both modes, per figure.
 //!
-//! `--shots` / `CYCLONE_SHOTS` scales the per-point work (CI uses 50); the
-//! settings resolve through [`RunContext`] like every figure's.
+//! `--shots` scales the per-point work (CI uses 50); the settings resolve
+//! through [`RunContext`] like every figure's.
 
 use bench::runner::RunContext;
 use cyclone::experiments::{fig5_spec, ler_comparison_spec};

@@ -5,8 +5,8 @@
 //! them are thin frontends over [`runner`], which handles argument parsing,
 //! Monte-Carlo configuration, sweep-cache control, and aligned-table / CSV / JSON
 //! output. The helpers here cover code selection and table formatting. Every
-//! run option — flag, `CYCLONE_*` variable, default, effect — is listed in the
-//! README's options table.
+//! run option — flag, default, effect — is listed in the README's options
+//! table.
 
 pub mod runner;
 
@@ -194,10 +194,10 @@ mod tests {
     use super::*;
     use runner::RunContext;
 
-    /// Resolves a context with no arguments and `name=value` as the only
-    /// environment variable.
-    fn with_var(name: &str, value: &str) -> Result<RunContext, String> {
-        RunContext::from_args(&[], |n| (n == name).then(|| value.to_string()))
+    /// Resolves a context from `list`.
+    fn parse(list: &[&str]) -> Result<RunContext, String> {
+        let args: Vec<String> = list.iter().map(|s| s.to_string()).collect();
+        RunContext::from_args(&args)
     }
 
     #[test]
@@ -219,94 +219,77 @@ mod tests {
 
     #[test]
     fn defaults_are_reasonable() {
-        let ctx = RunContext::from_args(&[], |_| None).expect("defaults parse");
+        let ctx = parse(&[]).expect("defaults parse");
         assert_eq!(ctx.config.shots, 400);
         assert_eq!(error_rate_grid().len(), 5);
         assert_eq!(catalog(ctx.full).len(), 4);
     }
 
     #[test]
-    fn env_parse_is_generic_over_fromstr() {
-        // usize / f64 / switch variables share the trim + empty-is-unset rule.
-        assert_eq!(with_var("CYCLONE_SHOTS", " 42 ").unwrap().config.shots, 42);
-        assert_eq!(with_var("CYCLONE_SHOTS", "").unwrap().config.shots, 400);
-        assert!(with_var("CYCLONE_CSV", "1").unwrap().csv);
-        let ctx = with_var("CYCLONE_TARGET_RSE", " 2.5 ").unwrap();
-        assert_eq!(ctx.sweep.precision.map(|t| t.target_rse), Some(2.5));
-        assert!(with_var("CYCLONE_TARGET_RSE", "")
-            .unwrap()
-            .sweep
-            .precision
-            .is_none());
-        for (name, bad) in [("CYCLONE_SHOTS", "nope"), ("CYCLONE_TARGET_RSE", "x")] {
-            let err = with_var(name, bad).unwrap_err();
-            assert!(err.contains(name) && err.contains(bad), "{err}");
-        }
-    }
-
-    #[test]
     fn shots_parsing_defaults_and_overrides() {
-        assert_eq!(with_var("CYCLONE_SHOTS", "50").unwrap().config.shots, 50);
-        assert_eq!(
-            with_var("CYCLONE_SHOTS", " 1250 ").unwrap().config.shots,
-            1250
-        );
-        // Empty is unset.
-        assert_eq!(with_var("CYCLONE_SHOTS", "").unwrap().config.shots, 400);
+        assert_eq!(parse(&[]).unwrap().config.shots, 400);
+        assert_eq!(parse(&["--shots", "1250"]).unwrap().config.shots, 1250);
         // Zero shots would panic the LER estimator, so it is malformed too.
-        for bad in ["abc", "-3", "1e3", "0", "2k"] {
-            let err = with_var("CYCLONE_SHOTS", bad).unwrap_err();
-            assert!(err.contains("CYCLONE_SHOTS") && err.contains(bad), "{err}");
+        for bad in ["abc", "-3", "1e3", "0", "2k", ""] {
+            let err = parse(&["--shots", bad]).unwrap_err();
+            assert!(err.contains("--shots") && err.contains(bad), "{err}");
         }
     }
 
     #[test]
     fn threads_parsing_defaults_and_overrides() {
-        assert_eq!(with_var("CYCLONE_THREADS", "").unwrap().config.threads, 0);
-        assert_eq!(
-            with_var("CYCLONE_THREADS", " 12 ").unwrap().config.threads,
-            12
-        );
+        assert_eq!(parse(&[]).unwrap().config.threads, 0);
+        assert_eq!(parse(&["--threads", "12"]).unwrap().config.threads, 12);
         // "0" is an explicit auto-detect request, not a malformed value.
-        assert_eq!(with_var("CYCLONE_THREADS", "0").unwrap().config.threads, 0);
-        for bad in ["abc", "-2", "2.5"] {
-            let err = with_var("CYCLONE_THREADS", bad).unwrap_err();
-            assert!(
-                err.contains("CYCLONE_THREADS") && err.contains(bad),
-                "{err}"
-            );
-        }
-    }
-
-    #[test]
-    fn flag_parsing_accepts_only_literal_one() {
-        assert!(with_var("CYCLONE_CSV", " 1").unwrap().csv);
-        assert!(!with_var("CYCLONE_CSV", "0").unwrap().csv);
-        assert!(!with_var("CYCLONE_CSV", "").unwrap().csv);
-        for bad in ["true", "yes", "2"] {
-            let err = with_var("CYCLONE_CSV", bad).unwrap_err();
-            assert!(err.contains("CYCLONE_CSV") && err.contains(bad), "{err}");
+        assert_eq!(parse(&["--threads", "0"]).unwrap().config.threads, 0);
+        for bad in ["abc", "-2", "2.5", ""] {
+            let err = parse(&["--threads", bad]).unwrap_err();
+            assert!(err.contains("--threads") && err.contains(bad), "{err}");
         }
     }
 
     #[test]
     fn undeclared_variables_are_named() {
-        use runner::check_variable_names;
-        // Every declared variable, and names outside the prefix, pass.
-        let declared = [
+        use runner::check_environment;
+        // A well-formed CYCLONE_SIMD, and names outside the prefix, pass.
+        let vars = [
+            ("HOME", "/home/ci"),
+            ("CARGO_TARGET_DIR", "target"),
+            ("NOT_CYCLONE_SHOTS", "50"),
+            ("CYCLONE_SIMD", "off"),
+        ];
+        assert_eq!(check_environment(vars), Ok(()));
+        for simd in ["", "auto", "off"] {
+            assert_eq!(check_environment([("CYCLONE_SIMD", simd)]), Ok(()));
+        }
+        // Every retired option's variable, and a typo, is named.
+        for name in [
             "CYCLONE_SHOTS",
             "CYCLONE_THREADS",
-            "CYCLONE_SIMD",
+            "CYCLONE_FULL",
+            "CYCLONE_CSV",
+            "CYCLONE_NO_CACHE",
+            "CYCLONE_SWEEP_DIR",
+            "CYCLONE_TARGET_RSE",
+            "CYCLONE_MIN_FAILURES",
+            "CYCLONE_MAX_SHOTS",
+            "CYCLONE_FIXED",
+            "CYCLONE_NOISE",
             "CYCLONE_ENFORCE",
-            "HOME",
-            "CARGO_TARGET_DIR",
-            "NOT_CYCLONE_SHOTS",
-        ];
-        assert_eq!(check_variable_names(declared), Ok(()));
-        // Retired options and a typo are named.
-        for unknown in ["CYCLONE_SHARDS", "CYCLONE_DECODE_CACHE_DIR", "CYCLONE_SHOT"] {
-            let err = check_variable_names(["HOME", "CYCLONE_SHOTS", unknown]).unwrap_err();
-            assert!(err.contains(unknown), "{err}");
+            "CYCLONE_SHARDS",
+            "CYCLONE_DECODE_CACHE_DIR",
+            "CYCLONE_SHOT",
+        ] {
+            let err = check_environment([("HOME", "/home/ci"), (name, "1")]).unwrap_err();
+            assert!(err.contains(name), "{err}");
+        }
+    }
+
+    #[test]
+    fn malformed_simd_variable_is_named_with_its_value() {
+        for bad in ["sse2", "AVX2", "1"] {
+            let err = runner::check_environment([("CYCLONE_SIMD", bad)]).unwrap_err();
+            assert!(err.contains(&format!("CYCLONE_SIMD {bad:?}")), "{err}");
         }
     }
 

@@ -8,19 +8,20 @@
 //!
 //! # Configuration
 //!
-//! Every option is one row of `OPTIONS`: its flag, its `CYCLONE_*` variable,
-//! its default and its parser. The options table in the README lists the same
-//! rows with their effects, and a test keeps the two in step. Flags go after
-//! `--` (`cargo bench -p bench --bench figNN -- --shots 2000`) and beat their
-//! variables; an empty value counts as unset. Any other value parses or is an
-//! error naming the option and the value, and so is an unknown argument
-//! (except the `--bench` that cargo appends) or a `CYCLONE_*` variable no
-//! row declares (a retired option or a typo would otherwise change nothing).
+//! Every option is one row of `OPTIONS`: its flag, its default and its parser.
+//! The options table in the README lists the same rows with their effects, and
+//! a test keeps the two in step. Flags go after `--` (`cargo bench -p bench
+//! --bench figNN -- --shots 2000`). Every value parses or is an error naming
+//! the flag and the value, and so is an unknown argument (except the `--bench`
+//! that cargo appends). The one environment variable is `CYCLONE_SIMD`, which
+//! the decoder reads when it is built; any other `CYCLONE_*` variable is an
+//! error (a retired option or a typo would otherwise change nothing).
 
 use crate::Table;
 use cyclone::sweep::SweepOptions;
 use decoder::cache::atomic_write;
 use decoder::memory::{MemoryConfig, PrecisionTarget};
+use decoder::simd::Simd;
 use noise::ChannelSpec;
 use serde_json::Value;
 use std::collections::BTreeMap;
@@ -39,7 +40,7 @@ pub const DEFAULT_MIN_FAILURES: usize = 100;
 /// much deeper to reach the target precision.
 pub const MAX_SHOTS_FACTOR: usize = 20;
 
-/// The resolved `--noise` / `CYCLONE_NOISE` channel mode.
+/// The resolved `--noise` channel mode.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub enum NoiseFlag {
     /// The historical scalar model (the default).
@@ -69,7 +70,7 @@ impl NoiseFlag {
 }
 
 /// Everything a figure closure needs: the Monte-Carlo configuration and the sweep
-/// options (pool size + cache location) resolved from flags and environment.
+/// options (pool size + cache location) resolved from the flags.
 #[derive(Debug, Clone)]
 pub struct RunContext {
     /// Monte-Carlo configuration for LER points.
@@ -86,7 +87,7 @@ pub struct RunContext {
     /// The requested channel mode (`--noise`). `Biased` is already threaded
     /// into [`RunContext::sweep`].
     pub noise: NoiseFlag,
-    /// Recorded bench thresholds are hard failures (`CYCLONE_ENFORCE`).
+    /// Recorded bench thresholds are hard failures (`--enforce`).
     pub enforce: bool,
 }
 
@@ -110,20 +111,18 @@ struct Settings {
 /// One run option.
 struct Opt {
     /// The flag with its value placeholder (`"--shots N"`); a flag without one
-    /// is a switch. Empty: no flag.
+    /// is a switch.
     flag: &'static str,
-    /// The environment variable. Empty: no variable.
-    env: &'static str,
-    /// The default, parsed before the variable and the flag. Empty: unset.
+    /// The default, parsed before the flags. Empty: unset.
     default: &'static str,
-    /// Stores a trimmed, non-empty value (a switch flag stores `"1"`), or says
-    /// what was expected instead.
+    /// Stores a value (a switch flag stores `"1"`), or says what was expected
+    /// instead.
     set: fn(&mut Settings, &str) -> Result<(), &'static str>,
 }
 
 impl Opt {
     /// The flag without its placeholder.
-    fn flag_name(&self) -> &'static str {
+    fn name(&self) -> &'static str {
         self.flag.split(' ').next().unwrap_or_default()
     }
 }
@@ -132,76 +131,56 @@ impl Opt {
 const OPTIONS: &[Opt] = &[
     Opt {
         flag: "--shots N",
-        env: "CYCLONE_SHOTS",
         default: "400",
         set: |s, v| positive(v).map(|v| s.shots = v),
     },
     Opt {
         flag: "--threads N",
-        env: "CYCLONE_THREADS",
         default: "0",
         set: |s, v| count(v).map(|v| s.threads = v),
     },
     Opt {
-        flag: "--quick",
-        env: "",
-        default: "",
-        set: |s, _| {
-            s.shots = 50;
-            Ok(())
-        },
-    },
-    Opt {
         flag: "--full",
-        env: "CYCLONE_FULL",
         default: "0",
         set: |s, v| switch(v).map(|v| s.full = v),
     },
     Opt {
         flag: "--csv",
-        env: "CYCLONE_CSV",
         default: "0",
         set: |s, v| switch(v).map(|v| s.csv = v),
     },
     Opt {
         flag: "--no-cache",
-        env: "CYCLONE_NO_CACHE",
         default: "0",
         set: |s, v| switch(v).map(|v| s.no_cache = v),
     },
     Opt {
         flag: "--cache-dir DIR",
-        env: "CYCLONE_SWEEP_DIR",
         default: "",
         set: |s, v| path(v).map(|v| s.cache_dir = Some(v)),
     },
     Opt {
         flag: "--target-rse X",
-        env: "CYCLONE_TARGET_RSE",
         default: "",
         set: |s, v| positive_real(v).map(|v| s.target_rse = Some(v)),
     },
     Opt {
         flag: "--min-failures N",
-        env: "CYCLONE_MIN_FAILURES",
         default: "100",
         set: |s, v| count(v).map(|v| s.min_failures = v),
     },
     Opt {
         flag: "--max-shots N",
-        env: "CYCLONE_MAX_SHOTS",
         default: "",
         set: |s, v| positive(v).map(|v| s.max_shots = Some(v)),
     },
     Opt {
         flag: "--fixed",
-        env: "CYCLONE_FIXED",
         default: "0",
         set: |s, v| switch(v).map(|v| s.fixed = v),
     },
     Opt {
         flag: "--noise MODE",
-        env: "CYCLONE_NOISE",
         default: "uniform",
         set: |s, v| {
             let noise = NoiseFlag::parse(v).map(|noise| s.noise = noise);
@@ -209,18 +188,9 @@ const OPTIONS: &[Opt] = &[
         },
     },
     Opt {
-        flag: "",
-        env: "CYCLONE_ENFORCE",
+        flag: "--enforce",
         default: "0",
         set: |s, v| switch(v).map(|v| s.enforce = v),
-    },
-    // Read by the decoder itself when it is built; checked here with the
-    // decoder's own parser so a malformed value fails before anything is.
-    Opt {
-        flag: "",
-        env: "CYCLONE_SIMD",
-        default: "auto",
-        set: |_, v| decoder::simd::Simd::parse(v).map(|_| ()),
     },
 ];
 
@@ -250,73 +220,76 @@ fn switch(raw: &str) -> Result<bool, &'static str> {
 }
 
 fn path(raw: &str) -> Result<PathBuf, &'static str> {
+    if raw.is_empty() {
+        return Err("expected a directory");
+    }
     Ok(raw.into())
 }
 
-/// Stores `raw` through `opt`'s parser; `name` is how the error names the option.
-fn apply(settings: &mut Settings, opt: &Opt, name: &str, raw: &str) -> Result<(), String> {
-    let raw = raw.trim();
-    if raw.is_empty() {
-        return Ok(());
-    }
-    (opt.set)(settings, raw).map_err(|expected| format!("{name} {raw:?}: {expected}"))
+/// Stores `raw` through `opt`'s parser, or names the flag and the value.
+fn apply(settings: &mut Settings, opt: &Opt, raw: &str) -> Result<(), String> {
+    (opt.set)(settings, raw).map_err(|expected| format!("{} {raw:?}: {expected}", opt.name()))
 }
 
-/// Checks the names of the environment's variables: every `CYCLONE_*` name
-/// must be the variable of an option row.
+/// Checks the environment's variables: `CYCLONE_SIMD`, the one variable a run
+/// reads, must parse, and no other `CYCLONE_*` name may be set.
 ///
 /// # Errors
 ///
-/// The first undeclared `CYCLONE_*` name, in the order given.
-pub fn check_variable_names<'a>(names: impl IntoIterator<Item = &'a str>) -> Result<(), String> {
-    let mut names = names.into_iter();
-    match names.find(|name| name.starts_with("CYCLONE_") && !OPTIONS.iter().any(|o| o.env == *name))
-    {
-        Some(name) => Err(format!("unknown variable {name}: no option reads it")),
-        None => Ok(()),
+/// The first malformed `CYCLONE_SIMD` value or other `CYCLONE_*` name, in the
+/// order given.
+pub(crate) fn check_environment<'a>(
+    vars: impl IntoIterator<Item = (&'a str, &'a str)>,
+) -> Result<(), String> {
+    for (name, value) in vars {
+        if name == "CYCLONE_SIMD" {
+            Simd::parse(value).map_err(|expected| format!("{name} {value:?}: {expected}"))?;
+        } else if name.starts_with("CYCLONE_") {
+            return Err(format!(
+                "unknown variable {name}: CYCLONE_SIMD is the only variable; \
+                 set run options by flag, after `--`"
+            ));
+        }
     }
+    Ok(())
 }
 
 impl RunContext {
-    /// Resolves the context from the process arguments and environment. A
-    /// malformed value, an unknown argument or an unknown `CYCLONE_*`
-    /// variable is printed and exits the process with status 2, before
-    /// anything is built.
+    /// Resolves the context from the process arguments and checks the
+    /// environment. A malformed value, an unknown argument or a `CYCLONE_*`
+    /// variable other than a well-formed `CYCLONE_SIMD` is printed and exits
+    /// the process with status 2, before anything is built.
     pub fn from_env() -> Self {
         let args: Vec<String> = std::env::args().skip(1).collect();
-        let names: Vec<String> = std::env::vars_os()
-            .map(|(name, _)| name.to_string_lossy().into_owned())
-            .collect();
-        check_variable_names(names.iter().map(String::as_str))
-            .and_then(|()| Self::from_args(&args, |name| std::env::var(name).ok()))
-            .unwrap_or_else(|err| {
-                eprintln!("error: {err}");
-                std::process::exit(2)
+        let vars: Vec<(String, String)> = std::env::vars_os()
+            .map(|(name, value)| {
+                (
+                    name.to_string_lossy().into(),
+                    value.to_string_lossy().into(),
+                )
             })
+            .collect();
+        check_environment(
+            vars.iter()
+                .map(|(name, value)| (name.as_str(), value.as_str())),
+        )
+        .and_then(|()| Self::from_args(&args))
+        .unwrap_or_else(|err| {
+            eprintln!("error: {err}");
+            std::process::exit(2)
+        })
     }
 
-    /// Resolves the context from explicit arguments and an environment lookup
-    /// (tests pass a fixed one): defaults, then variables, then flags.
+    /// Resolves the context from explicit arguments: defaults, then flags.
     ///
     /// # Errors
     ///
-    /// A value its option does not parse, naming the option and the value; an
+    /// A value its option does not parse, naming the flag and the value; an
     /// unknown argument; a flag missing its value.
-    pub fn from_args(
-        args: &[String],
-        env: impl Fn(&str) -> Option<String>,
-    ) -> Result<Self, String> {
+    pub fn from_args(args: &[String]) -> Result<Self, String> {
         let mut s = Settings::default();
-        for opt in OPTIONS {
-            let name = if opt.env.is_empty() {
-                opt.flag_name()
-            } else {
-                opt.env
-            };
-            apply(&mut s, opt, name, opt.default)?;
-            if !opt.env.is_empty() {
-                apply(&mut s, opt, opt.env, &env(opt.env).unwrap_or_default())?;
-            }
+        for opt in OPTIONS.iter().filter(|opt| !opt.default.is_empty()) {
+            apply(&mut s, opt, opt.default)?;
         }
         let mut args = args.iter();
         while let Some(arg) = args.next() {
@@ -325,14 +298,14 @@ impl RunContext {
             }
             let opt = OPTIONS
                 .iter()
-                .find(|opt| !opt.flag.is_empty() && opt.flag_name() == arg)
+                .find(|opt| opt.name() == arg)
                 .ok_or_else(|| format!("unknown argument {arg:?}"))?;
             let value = if opt.flag.contains(' ') {
                 args.next().ok_or_else(|| format!("{arg}: missing value"))?
             } else {
                 "1"
             };
-            apply(&mut s, opt, arg, value)?;
+            apply(&mut s, opt, value)?;
         }
 
         let config = MemoryConfig {
@@ -475,111 +448,64 @@ fn write_table_json(dir: &Path, name: &str, title: &str, table: &Table) -> std::
 mod tests {
     use super::*;
 
-    fn args(list: &[&str]) -> Vec<String> {
-        list.iter().map(|s| s.to_string()).collect()
-    }
-
-    /// Resolves `list` against a fixed environment (tests never read or write
-    /// the process environment).
-    fn parse(list: &[&str], vars: &[(&str, &str)]) -> Result<RunContext, String> {
-        RunContext::from_args(&args(list), |name| {
-            vars.iter()
-                .find(|(var, _)| *var == name)
-                .map(|(_, value)| value.to_string())
-        })
+    fn parse(list: &[&str]) -> Result<RunContext, String> {
+        let args: Vec<String> = list.iter().map(|s| s.to_string()).collect();
+        RunContext::from_args(&args)
     }
 
     fn resolve(list: &[&str]) -> RunContext {
-        parse(list, &[]).expect("well-formed arguments")
+        parse(list).expect("well-formed arguments")
     }
 
-    /// Per option, in `OPTIONS` order (keyed by flag, or by variable when there
-    /// is no flag): a well-formed value and values its parser rejects.
+    /// Per option, in `OPTIONS` order: its flag, a well-formed value (empty
+    /// for a switch) and values its parser rejects.
     const CASES: &[(&str, &str, &[&str])] = &[
-        ("--shots", "77", &["2k", "0", "abc"]),
-        ("--threads", "3", &["-1", "x"]),
-        ("--quick", "", &[]),
-        ("--full", "1", &["true"]),
-        ("--csv", "1", &["yes"]),
-        ("--no-cache", "1", &["2"]),
+        ("--shots", "77", &["2k", "0", "abc", "-3", "1e3", " 50"]),
+        ("--threads", "3", &["-1", "x", "2.5"]),
+        ("--full", "", &[]),
+        ("--csv", "", &[]),
+        ("--no-cache", "", &[]),
         ("--cache-dir", "/tmp/sweep-test", &[]),
         ("--target-rse", "0.25", &["nan", "inf", "0", "-0.1", "O.1"]),
         ("--min-failures", "30", &["4OO", "-1"]),
         ("--max-shots", "9000", &["x", "0"]),
-        ("--fixed", "1", &["on"]),
+        ("--fixed", "", &[]),
         (
             "--noise",
             "biased:2",
             &["biased:-1", "gaussian", "schedule"],
         ),
-        ("CYCLONE_ENFORCE", "1", &["true"]),
-        ("CYCLONE_SIMD", "off", &["sse2", "AVX2"]),
+        ("--enforce", "", &[]),
     ];
 
     #[test]
     fn every_option_parses_or_names_the_malformed_value() {
         assert_eq!(CASES.len(), OPTIONS.len());
-        for (opt, &(key, good, bad)) in OPTIONS.iter().zip(CASES) {
-            let flag = opt.flag_name();
-            assert_eq!(key, if flag.is_empty() { opt.env } else { flag });
-            let takes_value = opt.flag.contains(' ');
-            // A well-formed value resolves alike through the flag and the
-            // variable.
-            let by_flag = (!flag.is_empty()).then(|| {
-                let list = if takes_value {
-                    vec![flag, good]
-                } else {
-                    vec![flag]
-                };
-                format!("{:?}", parse(&list, &[]).expect(key))
-            });
-            if !opt.env.is_empty() {
-                let by_env = format!("{:?}", parse(&[], &[(opt.env, good)]).expect(key));
-                if let Some(by_flag) = by_flag {
-                    assert_eq!(by_flag, by_env, "{key}");
-                }
+        for (opt, &(flag, good, bad)) in OPTIONS.iter().zip(CASES) {
+            assert_eq!(flag, opt.name());
+            if !opt.flag.contains(' ') {
+                assert!(good.is_empty() && bad.is_empty(), "{flag} is a switch");
+                resolve(&[flag]);
+                continue;
             }
-            for value in bad {
-                if takes_value {
-                    let err = parse(&[flag, value], &[]).unwrap_err();
-                    assert!(err.contains(flag) && err.contains(value), "{err}");
-                }
-                if !opt.env.is_empty() {
-                    let err = parse(&[], &[(opt.env, value)]).unwrap_err();
-                    assert!(err.contains(opt.env) && err.contains(value), "{err}");
-                }
+            resolve(&[flag, good]);
+            // An empty value is malformed like any other.
+            for value in bad.iter().chain(&[""]) {
+                let err = parse(&[flag, value]).unwrap_err();
+                assert!(err.contains(&format!("{flag} {value:?}")), "{err}");
             }
         }
     }
 
     #[test]
-    fn flags_beat_their_variables() {
-        let vars = [
-            ("CYCLONE_SHOTS", "900"),
-            ("CYCLONE_NOISE", "biased:2"),
-            ("CYCLONE_CSV", "0"),
-        ];
-        let ctx = parse(&["--shots", "77", "--noise", "uniform", "--csv"], &vars).unwrap();
-        assert_eq!(ctx.config.shots, 77);
-        assert_eq!(ctx.noise, NoiseFlag::Uniform);
-        assert!(ctx.csv);
-        // Without the flags the variables apply; an empty one is unset.
-        let ctx = parse(&[], &vars).unwrap();
-        assert_eq!(ctx.config.shots, 900);
-        assert_eq!(ctx.noise, NoiseFlag::Biased(2.0));
-        assert_eq!(
-            parse(&[], &[("CYCLONE_SHOTS", " ")]).unwrap().config.shots,
-            400
-        );
-    }
-
-    #[test]
     fn unknown_arguments_are_errors_except_cargo_bench() {
-        let err = parse(&["--shot", "50"], &[]).unwrap_err();
-        assert!(err.contains("--shot"), "{err}");
-        let err = parse(&["--shots"], &[]).unwrap_err();
+        for unknown in ["--shot", "--quick", "50"] {
+            let err = parse(&[unknown]).unwrap_err();
+            assert!(err.contains(&format!("{unknown:?}")), "{err}");
+        }
+        let err = parse(&["--shots"]).unwrap_err();
         assert!(err.contains("--shots") && err.contains("missing"), "{err}");
-        assert_eq!(resolve(&["--quick", "--bench"]).config.shots, 50);
+        assert_eq!(resolve(&["--shots", "50", "--bench"]).config.shots, 50);
     }
 
     #[test]
@@ -595,10 +521,10 @@ mod tests {
         let readme = include_str!("../../../README.md");
         let rows: Vec<Vec<&str>> = readme
             .lines()
-            .skip_while(|line| !line.starts_with("| flag | env | default | effect |"))
+            .skip_while(|line| !line.starts_with("| flag | default | effect |"))
             .skip(2)
             .take_while(|line| line.starts_with('|'))
-            .map(|line| line.split('|').skip(1).take(3).map(str::trim).collect())
+            .map(|line| line.split('|').skip(1).take(2).map(str::trim).collect())
             .collect();
         let cell = |s: &str| {
             if s.is_empty() {
@@ -609,24 +535,23 @@ mod tests {
         };
         let expected: Vec<Vec<String>> = OPTIONS
             .iter()
-            .map(|opt| vec![cell(opt.flag), cell(opt.env), cell(opt.default)])
+            .map(|opt| vec![cell(opt.flag), cell(opt.default)])
             .collect();
         assert_eq!(rows, expected);
     }
 
     #[test]
     fn flags_override_defaults() {
-        let ctx = resolve(&["--shots", "77", "--threads", "3", "--no-cache"]);
+        let ctx = resolve(&[]);
+        assert_eq!(ctx.config.seed, 0xC1C1_0DE5);
+        assert!(!ctx.enforce);
+        // A later flag beats an earlier one.
+        let list = ["--shots", "10", "--shots", "77", "--threads", "3"];
+        let ctx = resolve(&[&list[..], &["--no-cache", "--enforce"]].concat());
         assert_eq!(ctx.config.shots, 77);
         assert_eq!(ctx.config.threads, 3);
         assert!(ctx.cache_dir().is_none());
-        assert_eq!(ctx.config.seed, 0xC1C1_0DE5);
-        assert!(!ctx.enforce);
-    }
-
-    #[test]
-    fn quick_flag_sets_ci_shot_count() {
-        assert_eq!(resolve(&["--quick"]).config.shots, 50);
+        assert!(ctx.enforce);
     }
 
     #[test]
@@ -640,20 +565,6 @@ mod tests {
     }
 
     #[test]
-    fn malformed_flag_values_fall_back() {
-        // Only an empty value falls back (to the default or the variable); a
-        // malformed one is an error naming the flag, never a silent default.
-        assert_eq!(resolve(&["--shots", ""]).config.shots, 400);
-        assert_eq!(resolve(&["--threads", " "]).config.threads, 0);
-        let ctx = parse(&["--shots", ""], &[("CYCLONE_SHOTS", "90")]).unwrap();
-        assert_eq!(ctx.config.shots, 90);
-        for (flag, bad) in [("--shots", "abc"), ("--threads", "x")] {
-            let err = parse(&[flag, bad], &[]).unwrap_err();
-            assert!(err.contains(flag) && err.contains(bad), "{err}");
-        }
-    }
-
-    #[test]
     fn default_runs_stay_on_the_fixed_path() {
         // No adaptive flags, no --full → precision target absent, so sweeps are
         // bit-identical to the pre-adaptive engine.
@@ -661,55 +572,17 @@ mod tests {
     }
 
     #[test]
-    fn malformed_target_rse_defers_to_the_mode_default() {
-        // An empty value is unset, never a disable: with --full the adaptive
-        // default applies, without it the run stays fixed.
-        let ctx = resolve(&["--full", "--target-rse", ""]);
-        let target = ctx.sweep.precision.expect("--full samples adaptively");
-        assert_eq!(target.target_rse, DEFAULT_TARGET_RSE);
-        assert!(resolve(&["--target-rse", ""]).sweep.precision.is_none());
-        let ctx = parse(&["--full"], &[("CYCLONE_TARGET_RSE", " ")]).unwrap();
-        assert_eq!(
-            ctx.sweep.precision.map(|t| t.target_rse),
-            Some(DEFAULT_TARGET_RSE)
-        );
-        // A typo or a non-finite value is an error in either mode: NaN must not
-        // reach a stop rule that can never fire.
+    fn malformed_target_rse_is_an_error_in_either_mode() {
+        // A typo, a non-finite or an empty value is an error with or without
+        // --full's adaptive default: NaN must not reach a stop rule that can
+        // never fire, and an empty value must not silently pick the mode's
+        // default.
         for mode in [&["--full"][..], &[]] {
-            for bad in ["O.1", "abc", "nan", "inf"] {
+            for bad in ["O.1", "abc", "nan", "inf", ""] {
                 let list = [mode, &["--target-rse", bad][..]].concat();
-                let err = parse(&list, &[]).unwrap_err();
-                assert!(err.contains("--target-rse") && err.contains(bad), "{err}");
+                let err = parse(&list).unwrap_err();
+                assert!(err.contains(&format!("--target-rse {bad:?}")), "{err}");
             }
-        }
-    }
-
-    #[test]
-    fn malformed_adaptive_flag_values_keep_earlier_settings() {
-        // An empty --min-failures/--max-shots keeps what the variables set; a
-        // malformed one is an error rather than a silent discard of them.
-        let vars = [
-            ("CYCLONE_MIN_FAILURES", "40"),
-            ("CYCLONE_MAX_SHOTS", "5000"),
-        ];
-        let list = [
-            "--target-rse",
-            "0.2",
-            "--min-failures",
-            "",
-            "--max-shots",
-            "",
-        ];
-        let target = parse(&list, &vars)
-            .unwrap()
-            .sweep
-            .precision
-            .expect("adaptive");
-        assert_eq!(target.min_failures, 40);
-        assert_eq!(target.max_shots, 5000);
-        for (flag, bad) in [("--min-failures", "4OO"), ("--max-shots", "x")] {
-            let err = parse(&["--target-rse", "0.2", flag, bad], &vars).unwrap_err();
-            assert!(err.contains(flag) && err.contains(bad), "{err}");
         }
     }
 
@@ -764,7 +637,7 @@ mod tests {
         );
 
         // A malformed value is an error even after a valid one.
-        assert!(parse(&["--noise", "biased:3", "--noise", "bogus"], &[]).is_err());
+        assert!(parse(&["--noise", "biased:3", "--noise", "bogus"]).is_err());
     }
 
     #[test]

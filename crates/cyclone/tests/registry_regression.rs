@@ -11,9 +11,10 @@
 //! By default the exhaustive sweep covers the catalog codes that compile in
 //! test-profile seconds ([[72,12,6]], [[90,8,10]], [[100,4,4]]) with **all**
 //! registered codesigns, plus the cheap codesigns on every remaining catalog code.
-//! Set `CYCLONE_FULL=1` to pin all codesigns on the complete catalog (the
-//! grid/mesh compilers on [[400,16,6]] and [[625,25,8]] take minutes each in the
-//! test profile).
+//! The ignored full-catalog test pins the rest: the grid/mesh compilers on the
+//! larger codes, which take minutes each in the test profile and seconds in
+//! release (`cargo test --release -p cyclone --test registry_regression --
+//! --include-ignored`).
 
 use cyclone::codesign::{CycloneCodesign, CycloneConfig};
 use cyclone::standard_registry;
@@ -83,10 +84,6 @@ fn is_cheap(label: &str) -> bool {
     label.starts_with("cyclone")
 }
 
-fn full_run() -> bool {
-    std::env::var("CYCLONE_FULL").ok().as_deref().map(str::trim) == Some("1")
-}
-
 fn assert_pinned(label: &str, code: &CssCode, times: &OperationTimes) {
     let via_trait = standard_registry().compile(label, code, times);
     let from_parts = compile_from_parts(label, code, times);
@@ -98,22 +95,35 @@ fn assert_pinned(label: &str, code: &CssCode, times: &OperationTimes) {
     );
 }
 
-#[test]
-fn registry_codesigns_match_legacy_entry_points_on_catalog() {
+/// Whether the default (not ignored) catalog test pins `label` on `code`: every
+/// codesign on codes of up to 100 qubits, the cheap ones on every code.
+fn pinned_by_default(label: &str, code: &CssCode) -> bool {
+    code.num_qubits() <= 100 || is_cheap(label)
+}
+
+/// Pins every catalog (label, code) pair that `keep` selects.
+fn pin_catalog(keep: impl Fn(&str, &CssCode) -> bool) {
     let times = OperationTimes::default();
-    let registry = standard_registry();
     let catalog = qec::codes::full_catalog().expect("catalog construction");
-    let full = full_run();
     for entry in &catalog {
-        // The grid/mesh compilers on the large catalog codes take minutes in the
-        // test profile; cover them exhaustively only in CYCLONE_FULL runs.
-        let all_codesigns = full || entry.code.num_qubits() <= 100;
-        for label in registry.labels() {
-            if all_codesigns || is_cheap(label) {
+        for label in standard_registry().labels() {
+            if keep(label, &entry.code) {
                 assert_pinned(label, &entry.code, &times);
             }
         }
     }
+}
+
+#[test]
+fn registry_codesigns_match_legacy_entry_points_on_catalog() {
+    pin_catalog(pinned_by_default);
+}
+
+#[test]
+#[ignore = "the grid/mesh compilers take minutes per large code in the test profile; \
+            run in release with --include-ignored"]
+fn registry_codesigns_match_legacy_entry_points_on_full_catalog() {
+    pin_catalog(|label, code| !pinned_by_default(label, code));
 }
 
 #[test]

@@ -45,7 +45,7 @@ fn scratch_dir(test: &str) -> PathBuf {
 
 #[test]
 fn sweep_is_deterministic_across_pool_sizes() {
-    // The CYCLONE_THREADS knob feeds MemoryConfig::threads; the engine must be
+    // The --threads flag feeds MemoryConfig::threads; the engine must be
     // bit-identical at 1 and 4 workers.
     let spec = tiny_spec("det");
     let one = run_sweep(&spec, &SweepOptions::ephemeral(quick_config(1)));
@@ -686,7 +686,8 @@ fn every_registered_codesign_covers_all_gates() {
     // The Cyclone-specific invariant generalized to every codesign: each must
     // execute each stabilizer-support gate exactly once, on both code families.
     // (The expensive grid/mesh codesigns are exercised on the small catalog
-    // codes; CYCLONE_FULL=1 in the regression suite covers the rest.)
+    // codes; the regression suite's ignored full-catalog test covers the
+    // rest.)
     let times = OperationTimes::default();
     for code in [
         qec::codes::bb_72_12_6().expect("valid"),

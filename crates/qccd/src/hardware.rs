@@ -48,12 +48,6 @@ pub enum TopologyKind {
     MeshJunction,
     /// A ring of traps connected through L-shaped (degree-2) junctions — Cyclone.
     Ring,
-    /// A single large trap holding every ion (no shuttling).
-    SingleTrap,
-    /// The idealized fully connected graph of traps (OPT).
-    FullyConnected,
-    /// OPT with unused edges pruned (Pseudo-OPT).
-    PseudoOpt,
 }
 
 impl std::fmt::Display for TopologyKind {
@@ -63,9 +57,6 @@ impl std::fmt::Display for TopologyKind {
             TopologyKind::AlternateGrid => "alternate-grid",
             TopologyKind::MeshJunction => "mesh-junction",
             TopologyKind::Ring => "ring",
-            TopologyKind::SingleTrap => "single-trap",
-            TopologyKind::FullyConnected => "opt-fully-connected",
-            TopologyKind::PseudoOpt => "pseudo-opt",
         };
         write!(f, "{s}")
     }
@@ -414,9 +405,9 @@ mod tests {
 
     #[test]
     fn connected_empty_and_singleton() {
-        let t = Topology::new("empty", TopologyKind::SingleTrap);
+        let t = Topology::new("empty", TopologyKind::Ring);
         assert!(t.is_connected());
-        let mut s = Topology::new("one", TopologyKind::SingleTrap);
+        let mut s = Topology::new("one", TopologyKind::Ring);
         s.add_trap(10);
         assert!(s.is_connected());
     }

@@ -3,8 +3,7 @@
 //! The baseline compiler of the paper uses a *greedy cluster mapping*: data qubits
 //! that share stabilizers are placed into the same or nearby traps, and each
 //! stabilizer's ancilla is placed in the trap holding the largest share of its
-//! support. [`greedy_cluster_placement`] implements that policy for any topology;
-//! [`round_robin_placement`] is the naive alternative used in ablations.
+//! support. [`greedy_cluster_placement`] implements that policy for any topology.
 
 use crate::hardware::{Bfs, NodeId, Topology};
 use qec::{CssCode, StabKind};
@@ -42,13 +41,6 @@ impl Placement {
             StabKind::X => self.x_ancilla_trap[index],
             StabKind::Z => self.z_ancilla_trap[index],
         }
-    }
-
-    /// Number of ions whose home is trap `trap`.
-    pub fn resident_count(&self, trap: NodeId) -> usize {
-        self.data_trap.iter().filter(|&&t| t == trap).count()
-            + self.x_ancilla_trap.iter().filter(|&&t| t == trap).count()
-            + self.z_ancilla_trap.iter().filter(|&&t| t == trap).count()
     }
 }
 
@@ -193,60 +185,20 @@ pub fn greedy_cluster_placement(code: &CssCode, topology: &Topology) -> Placemen
     }
 }
 
-/// Naive round-robin placement: data qubits, then ancillas, dealt across traps in
-/// index order. Used as an ablation of the mapping policy.
-///
-/// # Panics
-///
-/// Panics if the topology's total capacity cannot hold all ions.
-pub fn round_robin_placement(code: &CssCode, topology: &Topology) -> Placement {
-    let traps = topology.traps();
-    assert!(!traps.is_empty(), "topology has no traps");
-    let total_ions = code.num_qubits() + code.num_stabilizers();
-    assert!(
-        topology.total_capacity() >= total_ions,
-        "topology capacity {} cannot hold {} ions",
-        topology.total_capacity(),
-        total_ions
-    );
-    let capacity: Vec<usize> = traps
-        .iter()
-        .map(|&t| topology.node(t).capacity().unwrap_or(0))
-        .collect();
-    let mut load = vec![0usize; traps.len()];
-    let mut cursor = 0usize;
-    let mut next_slot = |load: &mut Vec<usize>| -> NodeId {
-        loop {
-            let i = cursor % traps.len();
-            cursor += 1;
-            if load[i] < capacity[i] {
-                load[i] += 1;
-                return traps[i];
-            }
-        }
-    };
-    let data_trap: Vec<NodeId> = (0..code.num_qubits())
-        .map(|_| next_slot(&mut load))
-        .collect();
-    let x_ancilla_trap: Vec<NodeId> = (0..code.num_x_stabilizers())
-        .map(|_| next_slot(&mut load))
-        .collect();
-    let z_ancilla_trap: Vec<NodeId> = (0..code.num_z_stabilizers())
-        .map(|_| next_slot(&mut load))
-        .collect();
-    Placement {
-        data_trap,
-        x_ancilla_trap,
-        z_ancilla_trap,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::topology::{baseline_grid, ring};
     use qec::classical::ClassicalCode;
     use qec::hgp::square_hypergraph_product;
+
+    /// Number of ions whose home is trap `trap`.
+    fn resident_count(p: &Placement, trap: NodeId) -> usize {
+        [&p.data_trap, &p.x_ancilla_trap, &p.z_ancilla_trap]
+            .iter()
+            .map(|homes| homes.iter().filter(|&&t| t == trap).count())
+            .sum()
+    }
 
     fn small_code() -> CssCode {
         let rep = ClassicalCode::repetition(3);
@@ -260,7 +212,7 @@ mod tests {
         let p = greedy_cluster_placement(&code, &topo);
         for &trap in topo.traps().iter() {
             let cap = topo.node(trap).capacity().unwrap();
-            assert!(p.resident_count(trap) <= cap, "trap {trap} over capacity");
+            assert!(resident_count(&p, trap) <= cap, "trap {trap} over capacity");
         }
         assert_eq!(p.data_trap.len(), 13);
         assert_eq!(p.x_ancilla_trap.len(), 6);
@@ -285,19 +237,6 @@ mod tests {
             hits * 4 >= code.num_stabilizers(),
             "only {hits} ancillas co-located"
         );
-    }
-
-    #[test]
-    fn round_robin_covers_all_ions() {
-        let code = small_code();
-        let topo = ring(10, 4);
-        let p = round_robin_placement(&code, &topo);
-        assert_eq!(
-            p.data_trap.len() + p.x_ancilla_trap.len() + p.z_ancilla_trap.len(),
-            25
-        );
-        // Every ion's home is one of the ring's 10 traps.
-        assert_eq!((0..10).map(|t| p.resident_count(t)).sum::<usize>(), 25);
     }
 
     #[test]

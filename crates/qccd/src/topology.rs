@@ -11,12 +11,8 @@
 //!   junctions with the traps on the perimeter, giving effective all-to-all paths.
 //! * [`ring`] — §IV, Fig. 11a: the Cyclone layout, a circle of traps joined through
 //!   degree-2 (L-shaped) junctions at the corners.
-//! * [`single_trap`] — §IV-D: one large trap holding every ion (no shuttling).
-//! * [`fully_connected`] / [`pseudo_opt`] — §III-B, Fig. 7: the idealized OPT design
-//!   and its pruned variant (not physically realizable; used to bound parallelism).
 
 use crate::hardware::{NodeId, Topology, TopologyKind};
-use qec::CssCode;
 
 /// The paper's baseline grid for a code with `num_data` data qubits: an `l × l` grid
 /// of traps with `l = ⌈√num_data⌉`, horizontal trap-to-trap links, and a column of
@@ -206,64 +202,9 @@ pub fn ring(num_traps: usize, capacity: usize) -> Topology {
     t
 }
 
-/// A single trap that holds every ion of the code (data plus ancilla); used in the
-/// Fig. 13 "tight architectures" sweep end point of one trap and `n + m/2` ions.
-pub fn single_trap(total_ions: usize) -> Topology {
-    let mut t = Topology::new(
-        format!("single-trap capacity={total_ions}"),
-        TopologyKind::SingleTrap,
-    );
-    t.add_trap(total_ions);
-    t
-}
-
-/// The idealized OPT layout (§III-B): one trap per data qubit, fully connected by
-/// shuttling paths. Not physically realizable (trap degree ≫ 2); used only to bound
-/// the achievable parallelism.
-pub fn fully_connected(num_data: usize, capacity: usize) -> Topology {
-    let mut t = Topology::new(
-        format!("OPT fully-connected n={num_data}"),
-        TopologyKind::FullyConnected,
-    );
-    let traps: Vec<NodeId> = (0..num_data).map(|_| t.add_trap(capacity)).collect();
-    for i in 0..num_data {
-        for j in (i + 1)..num_data {
-            t.add_edge(traps[i], traps[j]);
-        }
-    }
-    t
-}
-
-/// Pseudo-OPT (§III-B, Fig. 7b): OPT with every edge not used by some stabilizer
-/// removed — i.e. two data traps stay connected only if the corresponding data qubits
-/// appear together in at least one stabilizer. Still generally non-planar, but far
-/// sparser than OPT.
-pub fn pseudo_opt(code: &CssCode, capacity: usize) -> Topology {
-    let n = code.num_qubits();
-    let mut t = Topology::new(
-        format!("pseudo-OPT for {}", code.name()),
-        TopologyKind::PseudoOpt,
-    );
-    let traps: Vec<NodeId> = (0..n).map(|_| t.add_trap(capacity)).collect();
-    let mut connected = std::collections::HashSet::new();
-    for stab in code.stabilizers() {
-        for (idx, &a) in stab.support.iter().enumerate() {
-            for &b in &stab.support[idx + 1..] {
-                let key = (a.min(b), a.max(b));
-                if connected.insert(key) {
-                    t.add_edge(traps[key.0], traps[key.1]);
-                }
-            }
-        }
-    }
-    t
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use qec::classical::ClassicalCode;
-    use qec::hgp::square_hypergraph_product;
 
     #[test]
     fn baseline_grid_structure() {
@@ -327,25 +268,18 @@ mod tests {
 
     #[test]
     fn fully_connected_is_unrealizable() {
-        let t = fully_connected(6, 2);
-        assert!(!t.is_physically_realizable());
+        // The paper's idealized OPT layout (§III-B): six traps, every pair
+        // joined directly, so each trap has degree 5 > 2.
+        let mut t = Topology::new("fully connected", TopologyKind::BaselineGrid);
+        let traps: Vec<NodeId> = (0..6).map(|_| t.add_trap(2)).collect();
+        for (i, &a) in traps.iter().enumerate() {
+            for &b in &traps[i + 1..] {
+                t.add_edge(a, b);
+            }
+        }
         assert_eq!(t.num_edges(), 15);
-    }
-
-    #[test]
-    fn pseudo_opt_sparser_than_opt() {
-        let rep = ClassicalCode::repetition(3);
-        let code = square_hypergraph_product(&rep).expect("valid");
-        let opt = fully_connected(code.num_qubits(), 2);
-        let pseudo = pseudo_opt(&code, 2);
-        assert!(pseudo.num_edges() < opt.num_edges());
-        assert_eq!(pseudo.num_traps(), code.num_qubits());
-    }
-
-    #[test]
-    fn single_trap_holds_everything() {
-        let t = single_trap(441);
-        assert_eq!(t.num_traps(), 1);
-        assert_eq!(t.total_capacity(), 441);
+        assert!(t.is_connected());
+        assert!(!t.is_physically_realizable());
+        assert_eq!(t.constraint_violations(), traps);
     }
 }

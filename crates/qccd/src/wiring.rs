@@ -15,10 +15,9 @@ use crate::hardware::{Topology, TopologyKind};
 /// * Ring (Cyclone): all traps move in lockstep, so one broadcast group suffices
 ///   (the paper notes "theoretically requiring only one DAC with forwarding").
 /// * Grids and meshes: uncoordinated movements require one DAC per trap.
-/// * Single trap: one DAC.
 pub fn dac_count(topology: &Topology) -> usize {
     match topology.kind() {
-        TopologyKind::Ring | TopologyKind::SingleTrap => 1,
+        TopologyKind::Ring => 1,
         _ => topology.num_traps(),
     }
 }
@@ -26,7 +25,7 @@ pub fn dac_count(topology: &Topology) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::topology::{baseline_grid, ring, single_trap};
+    use crate::topology::{baseline_grid, ring};
 
     #[test]
     fn ring_needs_constant_dacs() {
@@ -47,10 +46,5 @@ mod tests {
         let adv_small = dac_count(&baseline_grid(25, 5)) / dac_count(&ring(13, 8));
         let adv_large = dac_count(&baseline_grid(625, 5)) / dac_count(&ring(300, 8));
         assert!(adv_large > adv_small);
-    }
-
-    #[test]
-    fn single_trap_one_dac() {
-        assert_eq!(dac_count(&single_trap(100)), 1);
     }
 }

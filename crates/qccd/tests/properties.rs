@@ -3,13 +3,10 @@
 
 use proptest::prelude::*;
 use qccd::compiler::baseline::compile_baseline;
-use qccd::hardware::{Bfs, NodeId, Topology};
-use qccd::placement::{greedy_cluster_placement, round_robin_placement};
+use qccd::hardware::{Bfs, NodeId, Topology, TopologyKind};
+use qccd::placement::greedy_cluster_placement;
 use qccd::timing::{OperationTimes, SwapKind};
-use qccd::topology::{
-    alternate_grid, baseline_grid, fully_connected, grid_with_side, mesh_junction_network,
-    pseudo_opt, ring, single_trap,
-};
+use qccd::topology::{alternate_grid, baseline_grid, grid_with_side, mesh_junction_network, ring};
 use qec::classical::ClassicalCode;
 use qec::hgp::hypergraph_product;
 use qec::schedule::serial_schedule;
@@ -47,7 +44,8 @@ fn reference_path(t: &Topology, from: NodeId, to: NodeId) -> Option<Vec<NodeId>>
     None
 }
 
-/// Builder `which` (one of the eight topology builders) at scale `size`.
+/// Builder `which` (one of the five topology builders, or a complete graph of
+/// traps, the densest tie-breaking case) at scale `size`.
 fn build_topology(which: usize, size: usize, cap: usize) -> Topology {
     match which {
         0 => baseline_grid(size, cap),
@@ -55,12 +53,16 @@ fn build_topology(which: usize, size: usize, cap: usize) -> Topology {
         2 => alternate_grid(size.max(4), cap.max(2)),
         3 => mesh_junction_network(size.max(4), cap),
         4 => ring(size, cap),
-        5 => fully_connected(size.min(24), cap),
-        6 => {
-            let c = ClassicalCode::gallager_ldpc(8, 3, 4, size as u64);
-            pseudo_opt(&hypergraph_product(&c, &c).expect("valid"), cap)
+        _ => {
+            let mut t = Topology::new("complete", TopologyKind::BaselineGrid);
+            let traps: Vec<NodeId> = (0..size.min(24)).map(|_| t.add_trap(cap)).collect();
+            for (i, &a) in traps.iter().enumerate() {
+                for &b in &traps[i + 1..] {
+                    t.add_edge(a, b);
+                }
+            }
+            t
         }
-        _ => single_trap(size),
     }
 }
 
@@ -116,7 +118,7 @@ proptest! {
 
     #[test]
     fn bfs_matches_early_exit_reference(
-        which in 0usize..8,
+        which in 0usize..6,
         size in 1usize..60,
         cap in 1usize..6,
         pairs in proptest::collection::vec((any::<u64>(), any::<u64>()), 1..12),
@@ -170,14 +172,12 @@ proptest! {
         let c = ClassicalCode::gallager_ldpc(8, 3, 4, seed);
         let code = hypergraph_product(&c, &c).expect("valid");
         let topo = baseline_grid(code.num_qubits(), 5);
-        for placement in [
-            greedy_cluster_placement(&code, &topo),
-            round_robin_placement(&code, &topo),
-        ] {
-            for &trap in &topo.traps() {
-                let cap = topo.node(trap).capacity().unwrap();
-                prop_assert!(placement.resident_count(trap) <= cap);
-            }
+        let placement = greedy_cluster_placement(&code, &topo);
+        let homes = [&placement.data_trap, &placement.x_ancilla_trap, &placement.z_ancilla_trap];
+        for &trap in &topo.traps() {
+            let cap = topo.node(trap).capacity().unwrap();
+            let residents: usize = homes.iter().map(|h| h.iter().filter(|&&t| t == trap).count()).sum();
+            prop_assert!(residents <= cap);
         }
     }
 
