@@ -147,18 +147,15 @@ impl CycloneCodesign {
         }
     }
 
-    /// Home trap of ancilla slot `j` (before any rotation).
-    fn ancilla_home(&self, slot: usize) -> usize {
+    /// Home trap of every ancilla slot (before any rotation), in slot order.
+    fn ancilla_homes(&self) -> Vec<usize> {
         // Slots are dealt to traps in order: trap 0 gets the first `ancilla_per_trap[0]`
         // slots, and so on.
-        let mut remaining = slot;
-        for (trap, &count) in self.ancilla_per_trap.iter().enumerate() {
-            if remaining < count {
-                return trap;
-            }
-            remaining -= count;
-        }
-        self.num_traps - 1
+        self.ancilla_per_trap
+            .iter()
+            .enumerate()
+            .flat_map(|(trap, &count)| std::iter::repeat_n(trap, count))
+            .collect()
     }
 
     /// Simulates one lockstep rotation measuring `sector`, returning
@@ -172,6 +169,7 @@ impl CycloneCodesign {
         profile: &mut RotationProfile,
     ) -> (f64, ComponentTimes, usize) {
         let supports = self.sector_supports(sector);
+        let homes = self.ancilla_homes();
         let x = self.num_traps;
         // Chain length for gate-time purposes: resident data + resident ancillas.
         let chain_len: Vec<usize> = (0..x)
@@ -194,19 +192,20 @@ impl CycloneCodesign {
             .max(1);
         let junction_cross = times.junction_crossing(2);
 
+        let mut gates_in_trap = vec![0usize; x];
         for step in 0..x {
             // Gate phase: ancilla slot j currently sits at trap (home_j + step) mod x
             // and performs gates with every resident data qubit in its stabilizer's
-            // support. Traps execute one gate at a time, so the phase lasts as long as
-            // the busiest trap.
-            let mut gates_in_trap = vec![0usize; x];
+            // support (data qubit `d` resides in trap `d % x`, the balanced partition).
+            // Traps execute one gate at a time, so the phase lasts as long as the
+            // busiest trap.
+            gates_in_trap.fill(0);
             for (slot, support) in supports.iter().enumerate() {
-                let trap = (self.ancilla_home(slot) + step) % x;
-                let here = &self.data_partition[trap];
+                let trap = (homes[slot] + step) % x;
                 let g = times.two_qubit_gate(chain_len[trap]);
                 let mut count = 0usize;
                 for d in support {
-                    if here.contains(d) {
+                    if d % x == trap {
                         count += 1;
                         profile.data_busy[*d] += g;
                         profile.ancilla_busy[slot] += g;

@@ -12,8 +12,8 @@
 //! test-profile seconds ([[72,12,6]], [[90,8,10]], [[100,4,4]]) with **all**
 //! registered codesigns, plus the cheap codesigns on every remaining catalog code.
 //! The ignored full-catalog test pins the rest: the grid/mesh compilers on the
-//! larger codes, which take minutes each in the test profile and seconds in
-//! release (`cargo test --release -p cyclone --test registry_regression --
+//! larger codes, ~20 s in the test profile and under 2 s in release on a 2-vCPU
+//! host (`cargo test --release -p cyclone --test registry_regression --
 //! --include-ignored`).
 
 use cyclone::codesign::{CycloneCodesign, CycloneConfig};

@@ -78,8 +78,6 @@ pub type IonId = usize;
 pub struct ShuttleSim<'a> {
     topology: &'a Topology,
     times: &'a OperationTimes,
-    /// Trap node ids in topology order — the rebalancer's candidate order.
-    traps: Vec<NodeId>,
     /// Search buffers reused by every shuttle and rebalance.
     bfs: Bfs,
     /// The current shuttle's path, reused across shuttles.
@@ -129,7 +127,6 @@ impl<'a> ShuttleSim<'a> {
         ShuttleSim {
             topology,
             times,
-            traps: topology.traps(),
             bfs: Bfs::new(),
             path: Vec::new(),
             num_data,
@@ -237,8 +234,7 @@ impl<'a> ShuttleSim<'a> {
         if source == target {
             return ready;
         }
-        self.bfs.run(self.topology, source);
-        if !self.bfs.path_into(target, &mut self.path) {
+        if !self.bfs.path(self.topology, source, target, &mut self.path) {
             panic!("no shuttling path between {source} and {target}");
         }
         self.num_shuttles += 1;
@@ -320,20 +316,15 @@ impl<'a> ShuttleSim<'a> {
                 None => return now,
             },
         };
-        // Find the nearest trap with room: one search answers every candidate.
-        self.bfs.run(self.topology, trap);
-        let mut best: Option<(usize, NodeId)> = None;
-        for &cand in &self.traps {
-            if cand == trap || self.occupancy[cand].len() >= self.trap_capacity(cand) {
-                continue;
-            }
-            if let Some(d) = self.bfs.distance(cand) {
-                if best.is_none_or(|(bd, _)| d < bd) {
-                    best = Some((d, cand));
-                }
-            }
-        }
-        let Some((dist, dest)) = best else {
+        // The nearest other trap with room; junctions have no capacity.
+        let (topology, occupancy) = (self.topology, &self.occupancy);
+        let has_room = |v: NodeId| {
+            topology
+                .node(v)
+                .capacity()
+                .is_some_and(|c| occupancy[v].len() < c)
+        };
+        let Some((dest, dist)) = self.bfs.nearest(topology, trap, has_room) else {
             // Nowhere to rebalance to: allow the overflow but record the event.
             self.num_rebalances += 1;
             return now;
@@ -690,6 +681,12 @@ mod tests {
         let times = OperationTimes::default();
         let mut sim = ShuttleSim::new(&code, &topo, &placement, &times);
         let traps = topo.traps();
+        let hops = |from: NodeId, to: NodeId| {
+            let mut path = Vec::new();
+            Bfs::new()
+                .path(&topo, from, to, &mut path)
+                .then(|| path.len() - 1)
+        };
         let anc = sim.ancilla_ion(StabKind::X, 0);
         let start_trap = sim.ion_trap[anc];
         // Move to the adjacent trap and then to the opposite side; the long move takes
@@ -697,13 +694,13 @@ mod tests {
         let near = traps
             .iter()
             .copied()
-            .find(|&t| topo.distance(start_trap, t) == Some(2))
+            .find(|&t| hops(start_trap, t) == Some(2))
             .unwrap();
         let t_near = sim.shuttle_ion(anc, near, 0.0);
         let far = traps
             .iter()
             .copied()
-            .max_by_key(|&t| topo.distance(near, t).unwrap_or(0))
+            .max_by_key(|&t| hops(near, t).unwrap_or(0))
             .unwrap();
         let t_far = sim.shuttle_ion(anc, far, t_near) - t_near;
         assert!(t_far > t_near);

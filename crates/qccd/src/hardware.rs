@@ -3,8 +3,9 @@
 //! A [`Topology`] is an undirected graph whose nodes are either ion traps (with a
 //! finite ion capacity) or junctions (degree ≤ 4 routing elements). Edges are
 //! shuttling segments. Concrete layouts (grids, rings, meshes, …) are built in
-//! [`crate::topology`]; this module provides the graph datatype, path finding, and
-//! structural queries (trap/junction counts, degrees) used by the compilers and the
+//! [`crate::topology`]; this module provides the graph datatype, the routing
+//! queries of [`Bfs`] (shortest path, nearest accepted node), and structural
+//! queries (trap/junction counts, degrees) used by the compilers and the
 //! spatial-cost analysis.
 
 /// Index of a node (trap or junction) in a [`Topology`].
@@ -170,43 +171,19 @@ impl Topology {
         self.nodes.len() - self.num_traps()
     }
 
-    /// Number of undirected edges.
-    pub fn num_edges(&self) -> usize {
-        self.adjacency.iter().map(Vec::len).sum::<usize>() / 2
-    }
-
     /// Total ion capacity across all traps.
     pub fn total_capacity(&self) -> usize {
         self.nodes.iter().filter_map(NodeKind::capacity).sum()
     }
 
-    /// Breadth-first shortest path (as a node sequence including both endpoints).
-    ///
-    /// Returns `None` when no path exists. A one-off wrapper over [`Bfs`]; callers
-    /// that query repeatedly should own a [`Bfs`] and reuse its buffers.
-    pub fn shortest_path(&self, from: NodeId, to: NodeId) -> Option<Vec<NodeId>> {
-        let mut bfs = Bfs::new();
-        bfs.run(self, from);
-        let mut path = Vec::new();
-        bfs.path_into(to, &mut path).then_some(path)
-    }
-
-    /// Hop distance between two nodes (`None` if disconnected). A one-off wrapper
-    /// over [`Bfs`].
-    pub fn distance(&self, from: NodeId, to: NodeId) -> Option<usize> {
-        let mut bfs = Bfs::new();
-        bfs.run(self, from);
-        bfs.distance(to)
-    }
-
-    /// Whether the graph is connected (ignoring isolated check: empty graphs count as
-    /// connected).
+    /// Whether the graph is connected (empty graphs count as connected).
     pub fn is_connected(&self) -> bool {
         if self.nodes.is_empty() {
             return true;
         }
+        // A nearest-node query that accepts nothing visits the whole component.
         let mut bfs = Bfs::new();
-        bfs.run(self, 0);
+        bfs.nearest(self, 0, |_| false);
         bfs.num_reached() == self.nodes.len()
     }
 
@@ -228,29 +205,29 @@ impl Topology {
     }
 }
 
-/// Marks a node the last search did not reach.
-const UNREACHED: usize = usize::MAX;
-
-/// A breadth-first search from one source that records the hop distance to, and
-/// the BFS-tree predecessor of, every node — the single path-finding routine of the
-/// crate.
+/// Breadth-first search buffers answering the crate's two routing queries, each
+/// of which stops as soon as it has its answer:
 ///
-/// One [`Bfs::run`] answers every distance and path query from its source, so a
-/// caller comparing many destinations (the rebalancer's nearest-free-trap scan, the
-/// placement fallback) pays one traversal instead of one per candidate. The buffers
-/// are reused across runs: a caller that owns a `Bfs` allocates only when a
-/// topology with more nodes than any before is searched.
+/// * [`Bfs::path`] — the shortest path between two nodes (every shuttle);
+/// * [`Bfs::nearest`] — the nearest node, other than the source, that a
+///   predicate accepts (the rebalancer's free trap, the placement fallback).
 ///
 /// Neighbors are visited in adjacency order and every node keeps the predecessor
-/// that discovered it first, so the reconstructed path is exactly the one an
-/// early-exit BFS towards the same destination would return.
+/// that discovered it first, so a query returns exactly what a search of the whole
+/// topology followed by a lookup would. The buffers are reused across queries and
+/// no result outlives its query: a visited mark is an epoch stamp, so starting a
+/// query costs nothing per node and a query costs the nodes it visits, not the
+/// size of the topology. A caller that owns a `Bfs` allocates only when a topology
+/// with more nodes than any before is searched.
 #[derive(Debug, Clone, Default)]
 pub struct Bfs {
-    /// Hop distance from the source, `UNREACHED` for unreached nodes.
-    dist: Vec<usize>,
-    /// BFS-tree predecessor of every reached node (the source is its own).
+    /// Epoch of the query that last visited each node.
+    seen: Vec<u32>,
+    /// The current query's epoch; never 0, the mark of a node no query visited.
+    epoch: u32,
+    /// BFS-tree predecessor of every node the current query visited.
     prev: Vec<NodeId>,
-    /// Reached nodes in discovery order; doubles as the FIFO queue.
+    /// Visited nodes in discovery order; doubles as the FIFO queue.
     order: Vec<NodeId>,
 }
 
@@ -260,62 +237,121 @@ impl Bfs {
         Self::default()
     }
 
-    /// Searches `topology` from `from`, replacing the previous run's results.
+    // cyclone-lint: hot-path
+    /// Starts a query from `from`: a fresh epoch, and `from` as the only visited
+    /// node. The marks are cleared only when the epoch counter wraps.
+    fn start(&mut self, topology: &Topology, from: NodeId) {
+        let n = topology.num_nodes();
+        assert!(from < n, "source node {from} out of range");
+        if self.seen.len() < n {
+            self.seen.resize(n, 0);
+            self.prev.resize(n, 0);
+        }
+        self.epoch = self.epoch.wrapping_add(1);
+        if self.epoch == 0 {
+            self.seen.fill(0);
+            self.epoch = 1;
+        }
+        self.order.clear();
+        self.seen[from] = self.epoch;
+        self.prev[from] = from;
+        self.order.push(from);
+    }
+
+    /// Overwrites `path` with the shortest path from `from` to `to`, both endpoints
+    /// included, searching only until `to` is discovered. Returns false (leaving
+    /// `path` empty) when `to` is unreachable.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `from` or `to` is not a node of `topology`.
+    pub fn path(
+        &mut self,
+        topology: &Topology,
+        from: NodeId,
+        to: NodeId,
+        path: &mut Vec<NodeId>,
+    ) -> bool {
+        path.clear();
+        assert!(to < topology.num_nodes(), "target node {to} out of range");
+        self.start(topology, from);
+        if from == to {
+            path.push(from);
+            return true;
+        }
+        let mut head = 0;
+        while let Some(&u) = self.order.get(head) {
+            head += 1;
+            for &v in topology.neighbors(u) {
+                if self.seen[v] == self.epoch {
+                    continue;
+                }
+                self.seen[v] = self.epoch;
+                self.prev[v] = u;
+                if v == to {
+                    let mut cur = to;
+                    path.push(cur);
+                    while cur != from {
+                        cur = self.prev[cur];
+                        path.push(cur);
+                    }
+                    path.reverse();
+                    return true;
+                }
+                self.order.push(v);
+            }
+        }
+        false
+    }
+
+    /// The node nearest to `from`, other than `from`, that `accept` accepts, with
+    /// its hop distance; `None` when no reachable node is accepted.
+    ///
+    /// The search expands one distance layer at a time and stops after the first
+    /// layer holding an accepted node; ties within that layer go to the lowest
+    /// node id, i.e. the node earliest in topology order.
     ///
     /// # Panics
     ///
     /// Panics if `from` is not a node of `topology`.
-    // cyclone-lint: hot-path
-    pub fn run(&mut self, topology: &Topology, from: NodeId) {
-        let n = topology.num_nodes();
-        assert!(from < n, "source node {from} out of range");
-        self.dist.clear();
-        self.dist.resize(n, UNREACHED);
-        self.prev.clear();
-        self.prev.resize(n, UNREACHED);
-        self.order.clear();
-        self.dist[from] = 0;
-        self.prev[from] = from;
-        self.order.push(from);
-        let mut head = 0;
-        while let Some(&u) = self.order.get(head) {
-            head += 1;
-            let next = self.dist[u] + 1;
-            for &v in topology.neighbors(u) {
-                if self.dist[v] == UNREACHED {
-                    self.dist[v] = next;
-                    self.prev[v] = u;
-                    self.order.push(v);
+    pub fn nearest(
+        &mut self,
+        topology: &Topology,
+        from: NodeId,
+        mut accept: impl FnMut(NodeId) -> bool,
+    ) -> Option<(NodeId, usize)> {
+        self.start(topology, from);
+        // The current distance layer is `order[begin..end]`.
+        let (mut begin, mut end) = (0, 1);
+        let mut dist = 0;
+        while begin < end {
+            for i in begin..end {
+                let u = self.order[i];
+                for &v in topology.neighbors(u) {
+                    if self.seen[v] != self.epoch {
+                        self.seen[v] = self.epoch;
+                        self.order.push(v);
+                    }
                 }
             }
+            dist += 1;
+            (begin, end) = (end, self.order.len());
+            let best = self.order[begin..end]
+                .iter()
+                .copied()
+                .filter(|&v| accept(v))
+                .min();
+            if let Some(v) = best {
+                return Some((v, dist));
+            }
         }
-    }
-
-    /// Hop distance from the last source to `to` (`None` if unreachable).
-    pub fn distance(&self, to: NodeId) -> Option<usize> {
-        Some(self.dist[to]).filter(|&d| d != UNREACHED)
-    }
-
-    /// Overwrites `path` with the shortest path from the last source to `to`, both
-    /// endpoints included. Returns false (leaving `path` empty) when `to` is
-    /// unreachable.
-    pub fn path_into(&self, to: NodeId, path: &mut Vec<NodeId>) -> bool {
-        path.clear();
-        if self.dist[to] == UNREACHED {
-            return false;
-        }
-        let mut cur = to;
-        path.push(cur);
-        while self.prev[cur] != cur {
-            cur = self.prev[cur];
-            path.push(cur);
-        }
-        path.reverse();
-        true
+        None
     }
     // cyclone-lint: end-hot-path
 
-    /// Number of nodes the last run reached, its source included.
+    /// Number of nodes the last query queued, its source included (a `path` query
+    /// never queues its target). After a `nearest` that accepts nothing, this is
+    /// the size of the source's component.
     pub fn num_reached(&self) -> usize {
         self.order.len()
     }
@@ -324,6 +360,14 @@ impl Bfs {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Hop distance between two nodes (`None` if disconnected).
+    fn hop_distance(topology: &Topology, from: NodeId, to: NodeId) -> Option<usize> {
+        let mut path = Vec::new();
+        Bfs::new()
+            .path(topology, from, to, &mut path)
+            .then(|| path.len() - 1)
+    }
 
     fn line_of_traps(n: usize) -> Topology {
         let mut t = Topology::new("line", TopologyKind::Ring);
@@ -341,39 +385,79 @@ mod tests {
         t.add_edge(2, j);
         assert_eq!(t.num_traps(), 3);
         assert_eq!(t.num_junctions(), 1);
-        assert_eq!(t.num_edges(), 3);
         assert_eq!(t.total_capacity(), 12);
     }
 
     #[test]
     fn shortest_path_on_line() {
         let t = line_of_traps(5);
-        let p = t.shortest_path(0, 4).expect("connected");
-        assert_eq!(p, vec![0, 1, 2, 3, 4]);
-        assert_eq!(t.distance(0, 4), Some(4));
-        assert_eq!(t.distance(2, 2), Some(0));
+        let mut bfs = Bfs::new();
+        let mut path = vec![99];
+        assert!(bfs.path(&t, 0, 4, &mut path));
+        assert_eq!(path, vec![0, 1, 2, 3, 4]);
+        assert!(bfs.path(&t, 2, 2, &mut path));
+        assert_eq!(path, vec![2]);
+        assert_eq!(hop_distance(&t, 3, 1), Some(2));
     }
 
     #[test]
-    fn one_search_answers_every_destination() {
+    fn path_stops_at_its_target() {
+        let t = line_of_traps(6);
+        let mut bfs = Bfs::new();
+        let mut path = Vec::new();
+        assert!(bfs.path(&t, 0, 2, &mut path));
+        assert_eq!(path, vec![0, 1, 2]);
+        // Node 2 is found while node 1 is expanded; only nodes 0 and 1 were queued.
+        assert_eq!(bfs.num_reached(), 2);
+    }
+
+    #[test]
+    fn nearest_takes_the_lowest_id_of_the_first_accepted_layer() {
+        // 0 - 1 - 2 - 3 - 4, plus 5 hanging off 0: layer 1 from 0 is {1, 5}.
+        let mut t = line_of_traps(5);
+        let five = t.add_trap(4);
+        t.add_edge(0, five);
+        let mut bfs = Bfs::new();
+        assert_eq!(bfs.nearest(&t, 0, |v| v == 5 || v == 1), Some((1, 1)));
+        assert_eq!(bfs.nearest(&t, 0, |v| v >= 3), Some((5, 1)));
+        assert_eq!(bfs.nearest(&t, 0, |v| v == 3 || v == 4), Some((3, 3)));
+        // The source itself is never an answer.
+        assert_eq!(bfs.nearest(&t, 2, |v| v == 2), None);
+        assert_eq!(bfs.nearest(&t, 2, |_| false), None);
+        assert_eq!(bfs.num_reached(), 6);
+    }
+
+    #[test]
+    fn epochs_forget_the_previous_query() {
         let mut t = line_of_traps(4);
         let lonely = t.add_trap(4);
         let mut bfs = Bfs::new();
-        bfs.run(&t, 1);
-        assert_eq!(bfs.num_reached(), 4);
-        assert_eq!(
-            (0..5).map(|v| bfs.distance(v)).collect::<Vec<_>>(),
-            vec![Some(1), Some(0), Some(1), Some(2), None]
-        );
-        let mut path = vec![99];
-        assert!(bfs.path_into(3, &mut path));
-        assert_eq!(path, vec![1, 2, 3]);
-        assert!(!bfs.path_into(lonely, &mut path));
+        let mut path = Vec::new();
+        assert!(!bfs.path(&t, 1, lonely, &mut path));
         assert!(path.is_empty());
+        assert_eq!(bfs.num_reached(), 4);
+        assert!(bfs.path(&t, 3, 0, &mut path));
+        assert_eq!(path, vec![3, 2, 1, 0]);
         // Reusing the buffers on a smaller graph forgets the larger one.
-        bfs.run(&line_of_traps(2), 0);
-        assert_eq!(bfs.num_reached(), 2);
-        assert_eq!(bfs.distance(1), Some(1));
+        let small = line_of_traps(2);
+        assert_eq!(bfs.nearest(&small, 0, |_| true), Some((1, 1)));
+        assert!(bfs.path(&small, 1, 0, &mut path));
+        assert_eq!(path, vec![1, 0]);
+    }
+
+    #[test]
+    fn epoch_wrap_clears_the_marks() {
+        let t = line_of_traps(3);
+        let mut bfs = Bfs::new();
+        let mut path = Vec::new();
+        assert!(bfs.path(&t, 0, 2, &mut path));
+        // The next query starts at the wrapped epoch; stale marks must not hide
+        // any node from it.
+        bfs.epoch = u32::MAX;
+        bfs.seen.fill(1);
+        assert!(bfs.path(&t, 0, 2, &mut path));
+        assert_eq!(path, vec![0, 1, 2]);
+        assert_eq!(bfs.epoch, 1);
     }
 
     #[test]
@@ -381,9 +465,8 @@ mod tests {
         let mut t = line_of_traps(2);
         let lonely = t.add_trap(4);
         assert!(!t.is_connected());
-        assert_eq!(t.shortest_path(0, lonely), None);
+        assert_eq!(hop_distance(&t, 0, lonely), None);
     }
-
     #[test]
     fn constraint_violations_detected() {
         let mut t = Topology::new("star", TopologyKind::BaselineGrid);

@@ -100,14 +100,11 @@ pub fn greedy_cluster_placement(code: &CssCode, topology: &Topology) -> Placemen
         topology.total_capacity(),
         total_ions
     );
-    let capacity: Vec<usize> = traps
-        .iter()
-        .map(|&t| topology.node(t).capacity().unwrap_or(0))
+    // Capacity and load by node id; junctions hold nothing.
+    let capacity: Vec<usize> = (0..topology.num_nodes())
+        .map(|v| topology.node(v).capacity().unwrap_or(0))
         .collect();
-    let mut load = vec![0usize; traps.len()];
-
-    // Reserve one slot per trap for visiting ancillas when possible.
-    let reserve: Vec<usize> = capacity.iter().map(|&c| usize::from(c > 1)).collect();
+    let mut load = vec![0usize; topology.num_nodes()];
 
     let order = cluster_order(code);
     let mut data_trap = vec![0 as NodeId; code.num_qubits()];
@@ -118,14 +115,12 @@ pub fn greedy_cluster_placement(code: &CssCode, topology: &Topology) -> Placemen
         for relax in [false, true] {
             for offset in 0..traps.len() {
                 let i = (cursor + offset) % traps.len();
-                let limit = if relax {
-                    capacity[i]
-                } else {
-                    capacity[i].saturating_sub(reserve[i])
-                };
-                if load[i] < limit {
-                    data_trap[q] = traps[i];
-                    load[i] += 1;
+                let t = traps[i];
+                // Reserve one slot per trap for visiting ancillas when possible.
+                let reserve = usize::from(!relax && capacity[t] > 1);
+                if load[t] < capacity[t] - reserve {
+                    data_trap[q] = t;
+                    load[t] += 1;
                     cursor = i;
                     placed = true;
                     break;
@@ -138,39 +133,39 @@ pub fn greedy_cluster_placement(code: &CssCode, topology: &Topology) -> Placemen
         assert!(placed, "failed to place data qubit {q}");
     }
 
-    let trap_index: std::collections::HashMap<NodeId, usize> =
-        traps.iter().enumerate().map(|(i, &t)| (t, i)).collect();
-
     let mut bfs = Bfs::new();
+    // (trap, support count) of the current stabilizer, most-shared trap first.
+    let mut best: Vec<(NodeId, usize)> = Vec::new();
     let mut place_ancillas = |kind: StabKind| -> Vec<NodeId> {
         code.sector_stabilizers(kind)
             .iter()
             .map(|stab| {
-                // Count support per trap.
-                let mut counts: std::collections::HashMap<NodeId, usize> = Default::default();
+                // Count support per trap: a stabilizer touches a handful of traps.
+                best.clear();
                 for &d in &stab.support {
-                    *counts.entry(data_trap[d]).or_insert(0) += 1;
-                }
-                let mut best: Vec<(NodeId, usize)> = counts.into_iter().collect();
-                best.sort_by_key(|&(t, c)| (std::cmp::Reverse(c), t));
-                for (t, _) in &best {
-                    let i = trap_index[t];
-                    if load[i] < capacity[i] {
-                        load[i] += 1;
-                        return *t;
+                    let t = data_trap[d];
+                    match best.iter_mut().find(|(u, _)| *u == t) {
+                        Some((_, c)) => *c += 1,
+                        None => best.push((t, 1)),
                     }
                 }
-                // Fall back to the nearest trap (by hop distance from the best trap)
-                // with room, ties to the earliest trap.
+                best.sort_by_key(|&(t, c)| (std::cmp::Reverse(c), t));
+                let has_room = |t: NodeId| load[t] < capacity[t];
+                // The most-shared trap with room; else the nearest trap (by hop
+                // distance from the most-shared trap) with room, ties to the earliest
+                // trap; traps it cannot reach come last, in trap order.
                 let anchor = best.first().map_or(traps[0], |&(t, _)| t);
-                bfs.run(topology, anchor);
-                let (_, i) = (0..traps.len())
-                    .filter(|&i| load[i] < capacity[i])
-                    .map(|i| (bfs.distance(traps[i]).unwrap_or(usize::MAX), i))
-                    .min()
-                    .expect("capacity was pre-checked");
-                load[i] += 1;
-                traps[i]
+                let t = match best.iter().map(|&(t, _)| t).find(|&t| has_room(t)) {
+                    Some(t) => t,
+                    None if has_room(anchor) => anchor,
+                    None => bfs
+                        .nearest(topology, anchor, has_room)
+                        .map(|(t, _)| t)
+                        .or_else(|| traps.iter().copied().find(|&t| has_room(t)))
+                        .expect("capacity was pre-checked"),
+                };
+                load[t] += 1;
+                t
             })
             .collect()
     };

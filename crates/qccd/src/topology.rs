@@ -205,6 +205,7 @@ pub fn ring(num_traps: usize, capacity: usize) -> Topology {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::hardware::Bfs;
 
     #[test]
     fn baseline_grid_structure() {
@@ -252,8 +253,12 @@ mod tests {
         let traps = t.traps();
         // Adjacent traps are 2 hops apart (through the junction); opposite traps are
         // 8 hops (4 traps * 2).
-        assert_eq!(t.distance(traps[0], traps[1]), Some(2));
-        assert_eq!(t.distance(traps[0], traps[4]), Some(8));
+        let mut bfs = Bfs::new();
+        let mut path = Vec::new();
+        assert!(bfs.path(&t, traps[0], traps[1], &mut path));
+        assert_eq!(path.len() - 1, 2);
+        assert!(bfs.path(&t, traps[0], traps[4], &mut path));
+        assert_eq!(path.len() - 1, 8);
     }
 
     #[test]
@@ -277,7 +282,8 @@ mod tests {
                 t.add_edge(a, b);
             }
         }
-        assert_eq!(t.num_edges(), 15);
+        let num_edges = (0..t.num_nodes()).map(|v| t.degree(v)).sum::<usize>() / 2;
+        assert_eq!(num_edges, 15);
         assert!(t.is_connected());
         assert!(!t.is_physically_realizable());
         assert_eq!(t.constraint_violations(), traps);

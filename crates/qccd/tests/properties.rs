@@ -12,9 +12,9 @@ use qec::hgp::hypergraph_product;
 use qec::schedule::serial_schedule;
 use std::collections::VecDeque;
 
-/// The early-exit BFS `Topology::shortest_path` used before path finding moved to
-/// the single-source [`Bfs`]: stops as soon as `to` is discovered. Kept as the
-/// reference the production routine must reproduce node for node.
+/// An early-exit BFS written independently of [`Bfs`] (a fresh predecessor vector
+/// and a `VecDeque` per call): it stops as soon as `to` is discovered.
+/// [`Bfs::path`] must reproduce its path node for node.
 fn reference_path(t: &Topology, from: NodeId, to: NodeId) -> Option<Vec<NodeId>> {
     if from == to {
         return Some(vec![from]);
@@ -43,6 +43,44 @@ fn reference_path(t: &Topology, from: NodeId, to: NodeId) -> Option<Vec<NodeId>>
     }
     None
 }
+
+/// Hop distance from `from` to every node (`None` where unreachable), by a plain
+/// search of the whole topology: the brute-force reference of [`Bfs::nearest`].
+fn all_distances(t: &Topology, from: NodeId) -> Vec<Option<usize>> {
+    let mut dist = vec![None; t.num_nodes()];
+    dist[from] = Some(0);
+    let mut queue = VecDeque::from([from]);
+    while let Some(u) = queue.pop_front() {
+        let next = dist[u].map(|d| d + 1);
+        for &v in t.neighbors(u) {
+            if dist[v].is_none() {
+                dist[v] = next;
+                queue.push_back(v);
+            }
+        }
+    }
+    dist
+}
+
+/// Hop distance between two nodes (`None` if disconnected), by [`Bfs::path`].
+fn hop_distance(t: &Topology, from: NodeId, to: NodeId) -> Option<usize> {
+    let mut path = Vec::new();
+    Bfs::new()
+        .path(t, from, to, &mut path)
+        .then(|| path.len() - 1)
+}
+
+/// A SplitMix64 step: the accept sets' random bits.
+fn splitmix(state: &mut u64) -> u64 {
+    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    let mut z = *state;
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
+/// Number of cases of [`build_topology`].
+const BUILDERS: usize = 6;
 
 /// Builder `which` (one of the five topology builders, or a complete graph of
 /// traps, the densest tie-breaking case) at scale `size`.
@@ -110,38 +148,59 @@ proptest! {
         let a = traps[0];
         let b = traps[x / 2];
         let c = traps[x / 3];
-        let dab = t.distance(a, b).unwrap();
-        let dbc = t.distance(b, c).unwrap();
-        let dac = t.distance(a, c).unwrap();
+        let dab = hop_distance(&t, a, b).unwrap();
+        let dbc = hop_distance(&t, b, c).unwrap();
+        let dac = hop_distance(&t, a, c).unwrap();
         prop_assert!(dac <= dab + dbc);
     }
 
     #[test]
     fn bfs_matches_early_exit_reference(
-        which in 0usize..6,
         size in 1usize..60,
         cap in 1usize..6,
-        pairs in proptest::collection::vec((any::<u64>(), any::<u64>()), 1..12),
+        queries in proptest::collection::vec((any::<u64>(), any::<u64>(), any::<u64>()), 1..8),
     ) {
-        let t = build_topology(which, size, cap);
-        let n = t.num_nodes() as u64;
-        // Searching a larger topology first exercises buffer reuse across sizes.
+        // One `Bfs` answers every query below: across sizes (the larger grid first),
+        // builders, and both kinds of query, so each query must ignore the marks of
+        // the ones before it.
         let mut bfs = Bfs::new();
-        bfs.run(&baseline_grid(64, 5), 0);
         let mut path = Vec::new();
-        for (a, b) in pairs {
-            let (from, to) = ((a % n) as usize, (b % n) as usize);
-            let want = reference_path(&t, from, to);
-            prop_assert_eq!(t.shortest_path(from, to), want.clone());
-            prop_assert_eq!(t.distance(from, to), want.as_ref().map(|p| p.len() - 1));
-            // One search from `from` answers every destination exactly as the
-            // early-exit reference does.
-            bfs.run(&t, from);
-            for dest in 0..t.num_nodes() {
-                let want = reference_path(&t, from, dest);
-                prop_assert_eq!(bfs.path_into(dest, &mut path), want.is_some());
-                prop_assert_eq!(&path, want.as_ref().unwrap_or(&Vec::new()));
-                prop_assert_eq!(bfs.distance(dest), want.map(|p| p.len() - 1));
+        prop_assert!(bfs.path(&baseline_grid(64, 5), 0, 1, &mut path));
+        for which in 0..BUILDERS {
+            let mut t = build_topology(which, size, cap);
+            // A component no query from the builder's nodes reaches.
+            let island = t.add_trap(cap);
+            let shore = t.add_junction();
+            t.add_edge(island, shore);
+            let n = t.num_nodes();
+            for (k, &(a, b, bits)) in queries.iter().enumerate() {
+                let (from, to) = ((a % n as u64) as usize, (b % n as u64) as usize);
+                // The first query of each topology checks every destination.
+                let targets = if k == 0 { 0..n } else { to..to + 1 };
+                for dest in targets {
+                    let want = reference_path(&t, from, dest);
+                    prop_assert_eq!(bfs.path(&t, from, dest, &mut path), want.is_some());
+                    prop_assert_eq!(&path, want.as_ref().unwrap_or(&Vec::new()));
+                }
+
+                // `nearest` is the minimum of (full-search distance, node id) over the
+                // accepted nodes other than the source.
+                let dist = all_distances(&t, from);
+                let mut state = bits;
+                let sparse: Vec<bool> = (0..n).map(|_| splitmix(&mut state).is_multiple_of(8)).collect();
+                let dense: Vec<bool> = (0..n).map(|_| splitmix(&mut state).is_multiple_of(2)).collect();
+                let sets = [vec![false; n], (0..n).map(|v| v == from).collect(), sparse, dense];
+                for accept in &sets {
+                    let want = (0..n)
+                        .filter(|&v| v != from && accept[v])
+                        .filter_map(|v| dist[v].map(|d| (d, v)))
+                        .min()
+                        .map(|(d, v)| (v, d));
+                    prop_assert_eq!(bfs.nearest(&t, from, |v| accept[v]), want);
+                }
+                // An accept set that matches nothing visits the whole component.
+                bfs.nearest(&t, from, |_| false);
+                prop_assert_eq!(bfs.num_reached(), dist.iter().flatten().count());
             }
         }
     }
