@@ -7,14 +7,14 @@
 //! shot count used is recorded in the document header.
 
 use bench::runner::RunContext;
-use cyclone::default_trap_counts;
 use cyclone::experiments::{
-    fig13_trap_capacity_sweep, fig16_spacetime, fig17_loose_capacity, fig18_op_time_sweep,
-    fig20_compiler_comparison, fig21_swap_sensitivity, fig3_parallel_speedup, fig5_latency_vs_ler,
-    fig6_confusion_matrix, fig9_junction_sensitivity, fig_hetero, ler_comparison, spatial_summary,
-    HETERO_DEFAULT_RATIOS,
+    fig13_fastest, fig13_trap_capacity_sweep, fig16_spacetime, fig17_loose_capacity,
+    fig18_op_time_sweep, fig19_execution_times, fig20_compiler_comparison, fig21_swap_sensitivity,
+    fig3_parallel_speedup, fig5_latency_vs_ler, fig6_confusion_matrix, fig9_crossover,
+    fig9_junction_sensitivity, fig_hetero, ler_comparison, spatial_summary, worst_degradation,
+    LerComparisonRow, OpTimeSweepRow, FIG17_CAPACITIES, FIG5_P, FIG5_SPEEDUPS,
 };
-use qccd::timing::OperationTimes;
+use cyclone::Codesign;
 
 struct Row {
     figure: &'static str,
@@ -23,14 +23,8 @@ struct Row {
     measured: String,
 }
 
-/// Number of distinct codesigns in the hetero rows (one uniform row each).
-fn standard_registry_len(rows: &[cyclone::experiments::HeteroRow]) -> usize {
-    rows.iter().filter(|r| r.channel == "uniform").count()
-}
-
 fn main() {
     let ctx = RunContext::from_env();
-    let times = OperationTimes::default();
     let catalog = bench::catalog(ctx.full);
     let codes: Vec<_> = catalog.iter().map(|e| e.code.clone()).collect();
     let sens = bench::sensitivity_code();
@@ -52,55 +46,47 @@ fn main() {
     });
 
     // Fig. 5 — baseline LER vs latency reduction.
-    let fig5 = fig5_latency_vs_ler(
-        &bench::hgp_codes(ctx.full),
-        5e-4,
-        &[1.0, 2.0, 4.0],
-        &ctx.sweep,
-    );
+    let fig5 = fig5_latency_vs_ler(&bench::hgp_codes(ctx.full), &FIG5_SPEEDUPS, &ctx.sweep);
     let first = &fig5[0];
-    let fastest = &fig5[2];
+    let fastest = &fig5[FIG5_SPEEDUPS.len() - 1];
     rows.push(Row {
         figure: "Fig. 5",
-        scenario: format!("{} baseline latency / 1x vs / 4x at p=5e-4", first.code),
+        scenario: format!(
+            "{} baseline latency / {}x vs / {}x at p={FIG5_P:e}",
+            first.code, first.speedup, fastest.speedup
+        ),
         paper: "faster syndrome extraction lowers LER",
         measured: format!("LER {:.3e} -> {:.3e}", first.ler.ler, fastest.ler.ler),
     });
 
     // Fig. 6 — confusion matrix.
-    let m = fig6_confusion_matrix(&sens, &times);
+    let m = fig6_confusion_matrix(&sens);
     rows.push(Row {
         figure: "Fig. 6",
         scenario: format!("software x hardware matrix, {}", m.code),
         paper: "only circle+coordinated (Cyclone) beats the grid baseline",
         measured: format!(
             "Cyclone cell {:.1}x faster than grid+static; circle+static {:.1}x slower",
-            m.grid_static / m.circle_dynamic,
+            m.cyclone_speedup(),
             m.circle_static / m.grid_static
         ),
     });
 
     // Fig. 9 — junction sensitivity.
-    let fig9 = fig9_junction_sensitivity(&sens, 5e-4, &[0.0, 0.3, 0.5, 0.7, 0.9], &ctx.sweep);
-    let crossover = fig9
-        .iter()
-        .find(|r| r.mesh_ler.ler <= r.baseline_ler.ler)
-        .map(|r| format!("crossover at {:.0}% reduction", r.reduction * 100.0))
-        .unwrap_or_else(|| "no crossover in sweep".to_string());
+    let fig9 = fig9_junction_sensitivity(&sens, &ctx.sweep);
     rows.push(Row {
         figure: "Fig. 9",
         scenario: format!("mesh junction network vs baseline, {}", sens.descriptor()),
         paper: "mesh needs ~70% junction-time reduction to beat the baseline",
-        measured: crossover,
+        measured: match fig9_crossover(&fig9) {
+            Some(r) => format!("crossover at {:.0}% reduction", r * 100.0),
+            None => "no crossover in sweep".to_string(),
+        },
     });
 
     // Fig. 13 — trap/capacity sweep.
-    let counts = default_trap_counts(&sens);
-    let fig13 = fig13_trap_capacity_sweep(&sens, 1e-4, &counts, &ctx.sweep);
-    let best = fig13
-        .iter()
-        .min_by(|a, b| a.execution_time.total_cmp(&b.execution_time))
-        .expect("nonempty");
+    let fig13 = fig13_trap_capacity_sweep(&sens, &ctx.sweep);
+    let best = fig13_fastest(&fig13).expect("nonempty");
     rows.push(Row {
         figure: "Fig. 13",
         scenario: format!("condensed Cyclone trap counts on {}", sens.descriptor()),
@@ -114,19 +100,15 @@ fn main() {
     });
 
     // Figs. 14/15 — LER comparison.
-    for (figure, label, codes) in [
-        ("Fig. 14", "BB", bench::bb_codes(ctx.full)),
-        ("Fig. 15", "HGP", bench::hgp_codes(ctx.full)),
+    let (bb, hgp) = (bench::bb_codes(ctx.full), bench::hgp_codes(ctx.full));
+    for (figure, name, label, codes) in [
+        ("Fig. 14", "fig14_bb_ler", "BB", bb),
+        ("Fig. 15", "fig15_hgp_ler", "HGP", hgp),
     ] {
-        let cache_name = if label == "BB" {
-            "fig14_bb_ler"
-        } else {
-            "fig15_hgp_ler"
-        };
-        let rows_f = ler_comparison(cache_name, &codes, &bench::error_rate_grid(), &ctx.sweep);
+        let rows_f = ler_comparison(name, &codes, &bench::error_rate_grid(), &ctx.sweep);
         let best_improvement = rows_f
             .iter()
-            .map(|r| r.baseline_ler.ler / r.cyclone_ler.ler)
+            .map(LerComparisonRow::improvement)
             .fold(f64::MIN, f64::max);
         rows.push(Row {
             figure,
@@ -137,7 +119,7 @@ fn main() {
     }
 
     // Fig. 16 — spacetime cost.
-    let fig16 = fig16_spacetime(&codes, &times);
+    let fig16 = fig16_spacetime(&codes);
     let max_improvement = fig16.iter().map(|r| r.improvement).fold(f64::MIN, f64::max);
     rows.push(Row {
         figure: "Fig. 16",
@@ -147,42 +129,45 @@ fn main() {
     });
 
     // Fig. 17 — loose capacity.
-    let fig17 = fig17_loose_capacity(&sens, 1e-4, &[5, 8, 12, 20, 40], &ctx.sweep);
-    let spread = fig17
-        .iter()
-        .map(|r| r.execution_time)
-        .fold(f64::MIN, f64::max)
-        / fig17
-            .iter()
-            .map(|r| r.execution_time)
-            .fold(f64::MAX, f64::min);
+    let fig17 = fig17_loose_capacity(&sens, &ctx.sweep);
+    let times = fig17.iter().map(|r| r.execution_time);
+    let spread = times.clone().fold(f64::MIN, f64::max) / times.fold(f64::MAX, f64::min);
     rows.push(Row {
         figure: "Fig. 17",
         scenario: format!("baseline with excess trap capacity, {}", sens.descriptor()),
         paper: "looser traps give negligible improvement",
-        measured: format!("exec-time spread {spread:.2}x across capacities 5–40"),
+        measured: format!(
+            "exec-time spread {spread:.2}x across capacities {}–{}",
+            FIG17_CAPACITIES[0],
+            FIG17_CAPACITIES[FIG17_CAPACITIES.len() - 1]
+        ),
     });
 
     // Fig. 18 — uniformly faster operations.
-    let fig18 = fig18_op_time_sweep(&sens, 1e-4, &[0.0, 0.5, 0.9], &ctx.sweep);
-    let gap0 = fig18[0].baseline_latency / fig18[0].cyclone_latency;
-    let gap9 = fig18[2].baseline_latency / fig18[2].cyclone_latency;
+    let fig18 = fig18_op_time_sweep(&sens, &ctx.sweep);
+    let (first, last) = (&fig18[0], &fig18[fig18.len() - 1]);
+    let percent = |r: f64| format!("{:.0}%", r * 100.0);
+    let (from, to) = (percent(first.reduction), percent(last.reduction));
+    let gap = |r: &OpTimeSweepRow| r.baseline_latency / r.cyclone_latency;
     rows.push(Row {
         figure: "Fig. 18",
         scenario: format!(
-            "gate+shuttle times reduced 0% -> 90%, {}",
+            "gate+shuttle times reduced {from} -> {to}, {}",
             sens.descriptor()
         ),
         paper: "Cyclone's latency edge persists as operations speed up",
-        measured: format!("latency gap {gap0:.1}x at 0%, {gap9:.1}x at 90%"),
+        measured: format!(
+            "latency gap {:.1}x at {from}, {:.1}x at {to}",
+            gap(first),
+            gap(last)
+        ),
     });
 
     // Fig. 19 — execution times (captured via Fig. 16's codes).
-    let fig19 = cyclone::experiments::fig19_execution_times(&codes, &times);
-    let speedups: Vec<f64> = fig19.iter().map(|r| r.baseline / r.cyclone).collect();
-    let (s_lo, s_hi) = speedups
-        .iter()
-        .fold((f64::MAX, f64::MIN), |(lo, hi), &s| (lo.min(s), hi.max(s)));
+    let fig19 = fig19_execution_times(&codes);
+    let (s_lo, s_hi) = fig19.iter().fold((f64::MAX, f64::MIN), |(lo, hi), r| {
+        (lo.min(r.cyclone_speedup()), hi.max(r.cyclone_speedup()))
+    });
     rows.push(Row {
         figure: "Fig. 19",
         scenario: format!("alternate grid / baseline / Cyclone, {} codes", fig19.len()),
@@ -191,7 +176,7 @@ fn main() {
     });
 
     // Fig. 20 — compiler comparison.
-    let fig20 = fig20_compiler_comparison(&sens, &times);
+    let fig20 = fig20_compiler_comparison(&sens);
     let cyclone_row = fig20
         .iter()
         .find(|r| r.compiler == "Cyclone")
@@ -239,26 +224,16 @@ fn main() {
 
     // fig_hetero — channel-structured noise across the codesign registry.
     let bb = qec::codes::bb_72_12_6().expect("valid");
-    let hetero = fig_hetero(&bb, 2e-3, &HETERO_DEFAULT_RATIOS, &ctx.sweep);
-    let worst = hetero
-        .iter()
-        .filter(|r| r.channel != "uniform")
-        .filter_map(|r| {
-            let uniform = hetero
-                .iter()
-                .find(|u| u.codesign == r.codesign && u.channel == "uniform")?;
-            Some((r.ler.ler / uniform.ler.ler, r))
-        })
-        .max_by(|a, b| a.0.total_cmp(&b.0));
+    let hetero = fig_hetero(&bb, &ctx.hetero_ratios(), &ctx.sweep);
     rows.push(Row {
         figure: "Hetero",
         scenario: format!(
             "{} codesigns x uniform/biased/schedule channels, {}",
-            standard_registry_len(&hetero),
+            Codesign::ALL.len(),
             bb.descriptor()
         ),
         paper: "beyond-paper: noise structure as a scenario dimension",
-        measured: match worst {
+        measured: match worst_degradation(&hetero) {
             Some((d, r)) => format!(
                 "largest LER degradation vs uniform {d:.1}x ({} under {})",
                 r.codesign, r.channel

@@ -4,7 +4,6 @@
 use bench::runner::FigureReport;
 use bench::{ms, sensitivity_code, Table};
 use cyclone::experiments::fig6_confusion_matrix;
-use qccd::timing::OperationTimes;
 
 fn main() {
     let code = sensitivity_code();
@@ -13,7 +12,7 @@ fn main() {
         code.descriptor()
     );
     bench::runner::figure("fig06_confusion_matrix", &title, |_ctx| {
-        let m = fig6_confusion_matrix(&code, &OperationTimes::default());
+        let m = fig6_confusion_matrix(&code);
         let mut table = Table::new(&["software \\ hardware", "grid (ms)", "circle (ms)"]);
         table.row(vec![
             "static (EJF DAG)".into(),
@@ -29,7 +28,7 @@ fn main() {
             table,
             vec![format!(
                 "coordinated circle (Cyclone) is {:.1}x faster than the baseline grid+static cell",
-                m.grid_static / m.circle_dynamic
+                m.cyclone_speedup()
             )],
         )
     });

@@ -4,7 +4,7 @@
 
 use bench::runner::FigureReport;
 use bench::{ms, sci, sensitivity_code, Table};
-use cyclone::experiments::fig9_junction_sensitivity;
+use cyclone::experiments::{fig9_crossover, fig9_junction_sensitivity};
 
 fn main() {
     let code = sensitivity_code();
@@ -13,8 +13,7 @@ fn main() {
         code.descriptor()
     );
     bench::runner::figure("fig09_junction_sensitivity", &title, |ctx| {
-        let reductions = [0.0, 0.3, 0.5, 0.7, 0.9];
-        let rows = fig9_junction_sensitivity(&code, 5e-4, &reductions, &ctx.sweep);
+        let rows = fig9_junction_sensitivity(&code, &ctx.sweep);
         let mut table = Table::new(&[
             "junction time reduction",
             "mesh exec (ms)",
@@ -29,10 +28,10 @@ fn main() {
                 sci(r.baseline_ler.ler),
             ]);
         }
-        let note = match rows.iter().find(|r| r.mesh_ler.ler <= r.baseline_ler.ler) {
-            Some(cross) => format!(
+        let note = match fig9_crossover(&rows) {
+            Some(reduction) => format!(
                 "mesh network first beats the baseline at a {:.0}% junction-time reduction",
-                cross.reduction * 100.0
+                reduction * 100.0
             ),
             None => "mesh network never beats the baseline in this sweep".to_string(),
         };

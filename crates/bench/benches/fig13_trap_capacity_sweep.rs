@@ -3,8 +3,7 @@
 
 use bench::runner::FigureReport;
 use bench::{ms, sci, sensitivity_code, Table};
-use cyclone::default_trap_counts;
-use cyclone::experiments::fig13_trap_capacity_sweep;
+use cyclone::experiments::{fig13_fastest, fig13_trap_capacity_sweep, FIG13_P};
 
 fn main() {
     let code = sensitivity_code();
@@ -13,22 +12,19 @@ fn main() {
         code.descriptor()
     );
     bench::runner::figure("fig13_trap_capacity_sweep", &title, |ctx| {
-        let counts = default_trap_counts(&code);
-        let rows = fig13_trap_capacity_sweep(&code, 1e-4, &counts, &ctx.sweep);
-        let mut table = Table::new(&["traps", "capacity", "exec (ms)", "LER @ p=1e-4"]);
+        let rows = fig13_trap_capacity_sweep(&code, &ctx.sweep);
+        let ler_header = format!("LER @ p={FIG13_P:e}");
+        let mut table = Table::new(&["traps", "capacity", "exec (ms)", &ler_header]);
         for r in &rows {
             table.row(vec![
-                r.num_traps.to_string(),
-                r.trap_capacity.to_string(),
-                ms(r.execution_time),
+                r.point.num_traps.to_string(),
+                r.point.trap_capacity.to_string(),
+                ms(r.point.execution_time),
                 sci(r.ler.ler),
             ]);
         }
         let mut notes = Vec::new();
-        if let Some(best) = rows
-            .iter()
-            .min_by(|a, b| a.execution_time.total_cmp(&b.execution_time))
-        {
+        if let Some(best) = fig13_fastest(&rows) {
             notes.push(format!(
                 "fastest configuration: {} traps with capacity {} ({} ms)",
                 best.num_traps,

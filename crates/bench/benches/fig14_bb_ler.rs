@@ -22,13 +22,13 @@ fn main() {
             ]);
             for r in rows {
                 table.row(vec![
-                    r.code,
+                    r.code.clone(),
                     sci(r.p),
                     ms(r.baseline_latency),
                     ms(r.cyclone_latency),
                     sci(r.baseline_ler.ler),
                     sci(r.cyclone_ler.ler),
-                    format!("{:.1}x", r.baseline_ler.ler / r.cyclone_ler.ler),
+                    format!("{:.1}x", r.improvement()),
                 ]);
             }
             table

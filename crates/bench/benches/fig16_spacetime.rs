@@ -3,7 +3,6 @@
 
 use bench::Table;
 use cyclone::experiments::fig16_spacetime;
-use qccd::timing::OperationTimes;
 
 fn main() {
     bench::runner::figure(
@@ -14,7 +13,7 @@ fn main() {
                 .into_iter()
                 .map(|e| e.code)
                 .collect();
-            let rows = fig16_spacetime(&codes, &OperationTimes::default());
+            let rows = fig16_spacetime(&codes);
             let mut table = Table::new(&[
                 "code",
                 "baseline spacetime",

@@ -11,8 +11,7 @@ fn main() {
         code.descriptor()
     );
     bench::runner::figure("fig17_loose_capacity", &title, |ctx| {
-        let capacities = [5, 8, 12, 20, 40];
-        let rows = fig17_loose_capacity(&code, 1e-4, &capacities, &ctx.sweep);
+        let rows = fig17_loose_capacity(&code, &ctx.sweep);
         let mut table = Table::new(&["trap capacity", "baseline exec (ms)", "baseline LER"]);
         for r in rows {
             table.row(vec![

@@ -13,8 +13,7 @@ fn main() {
         code.descriptor()
     );
     bench::runner::figure("fig18_op_time_sweep", &title, |ctx| {
-        let reductions = [0.0, 0.25, 0.5, 0.75, 0.9];
-        let rows = fig18_op_time_sweep(&code, 1e-4, &reductions, &ctx.sweep);
+        let rows = fig18_op_time_sweep(&code, &ctx.sweep);
         let mut table = Table::new(&[
             "reduction",
             "baseline lat (ms)",

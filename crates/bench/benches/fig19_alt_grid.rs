@@ -3,7 +3,6 @@
 
 use bench::{ms, Table};
 use cyclone::experiments::fig19_execution_times;
-use qccd::timing::OperationTimes;
 
 fn main() {
     bench::runner::figure(
@@ -14,7 +13,7 @@ fn main() {
                 .into_iter()
                 .map(|e| e.code)
                 .collect();
-            let rows = fig19_execution_times(&codes, &OperationTimes::default());
+            let rows = fig19_execution_times(&codes);
             let mut table = Table::new(&[
                 "code",
                 "alternate grid (ms)",
@@ -24,11 +23,11 @@ fn main() {
             ]);
             for r in rows {
                 table.row(vec![
-                    r.code,
+                    r.code.clone(),
                     ms(r.alternate_grid),
                     ms(r.baseline),
                     ms(r.cyclone),
-                    format!("{:.1}x", r.baseline / r.cyclone),
+                    format!("{:.1}x", r.cyclone_speedup()),
                 ]);
             }
             table

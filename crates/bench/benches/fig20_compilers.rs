@@ -3,7 +3,6 @@
 
 use bench::{ms, sensitivity_code, Table};
 use cyclone::experiments::fig20_compiler_comparison;
-use qccd::timing::OperationTimes;
 
 fn main() {
     let code = sensitivity_code();
@@ -12,7 +11,7 @@ fn main() {
         code.descriptor()
     );
     bench::runner::figure("fig20_compilers", &title, |_ctx| {
-        let rows = fig20_compiler_comparison(&code, &OperationTimes::default());
+        let rows = fig20_compiler_comparison(&code);
         let mut table = Table::new(&[
             "compiler",
             "exec (ms)",

@@ -25,7 +25,7 @@
 //! through [`RunContext`] like every figure's.
 
 use bench::runner::RunContext;
-use cyclone::experiments::{fig5_spec, ler_comparison_spec};
+use cyclone::experiments::{fig5_spec, fig9_spec, ler_comparison_spec};
 use cyclone::sweep::{run_sweep, ScenarioSpec, SweepOptions, SweepResult};
 use decoder::memory::{MemoryConfig, PrecisionTarget};
 use std::time::Instant;
@@ -49,7 +49,7 @@ fn fig5_workload() -> ScenarioSpec {
         qec::codes::hgp_100().expect("construction"),
         qec::codes::hgp_225_9_6().expect("construction"),
     ];
-    fig5_spec(&codes, 5e-4, &SPEEDUPS)
+    fig5_spec(&codes, &SPEEDUPS)
 }
 
 fn timed_run(spec: &ScenarioSpec, options: &SweepOptions) -> (SweepResult, f64) {
@@ -175,7 +175,7 @@ fn main() {
     // 5e-3..0.25): at a full-shot budget (5x the engine workload above) its
     // high-failure points stop orders of magnitude early.
     let sens = bench::sensitivity_code();
-    let (fig9, _) = cyclone::experiments::fig9_spec(&sens, 5e-4, &[0.0, 0.3, 0.5, 0.7, 0.9]);
+    let fig9 = fig9_spec(&sens);
     let figures = [
         adaptive_vs_fixed("fig05_latency_vs_ler", &spec, threaded_workers, shots),
         adaptive_vs_fixed("fig14_bb_ler", &fig14, threaded_workers, shots),

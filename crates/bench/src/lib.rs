@@ -3,7 +3,7 @@
 //!
 //! Each figure has its own `harness = false` bench target under `benches/`; all of
 //! them are thin frontends over [`runner`], which handles argument parsing,
-//! Monte-Carlo configuration, sweep-cache control, and aligned-table / CSV / JSON
+//! Monte-Carlo configuration, sweep-cache control, and aligned-table / JSON
 //! output. The helpers here cover code selection and table formatting. Every
 //! run option — flag, default, effect — is listed in the README's options
 //! table.
@@ -98,7 +98,7 @@ pub fn sensitivity_code() -> CssCode {
     codes::hgp_225_9_6().expect("construction")
 }
 
-/// A simple column-aligned (or CSV) table printer.
+/// A simple column-aligned table printer.
 #[derive(Debug, Clone)]
 pub struct Table {
     headers: Vec<String>,
@@ -135,17 +135,8 @@ impl Table {
         &self.rows
     }
 
-    /// Renders the table as aligned columns, or as CSV with `csv`.
-    pub fn render(&self, csv: bool) -> String {
-        if csv {
-            let mut out = self.headers.join(",");
-            out.push('\n');
-            for row in &self.rows {
-                out.push_str(&row.join(","));
-                out.push('\n');
-            }
-            return out;
-        }
+    /// Renders the table as aligned columns.
+    pub fn render(&self) -> String {
         let mut widths: Vec<usize> = self.headers.iter().map(String::len).collect();
         for row in &self.rows {
             for (w, cell) in widths.iter_mut().zip(row) {
@@ -173,9 +164,9 @@ impl Table {
     }
 
     /// Prints the rendered table to stdout with a title line.
-    pub fn print(&self, title: &str, csv: bool) {
+    pub fn print(&self, title: &str) {
         println!("\n== {title} ==");
-        print!("{}", self.render(csv));
+        print!("{}", self.render());
     }
 }
 
@@ -204,10 +195,9 @@ mod tests {
     fn table_renders_aligned() {
         let mut t = Table::new(&["a", "long header"]);
         t.row(vec!["1".into(), "2".into()]);
-        let s = t.render(false);
+        let s = t.render();
         assert!(s.contains("long header"));
         assert!(s.lines().count() >= 3);
-        assert_eq!(t.render(true), "a,long header\n1,2\n");
     }
 
     #[test]

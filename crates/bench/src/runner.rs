@@ -2,7 +2,7 @@
 //!
 //! A figure binary is three lines: pick codes, call its `cyclone::experiments`
 //! declaration, format rows into a [`Table`]. Everything else — the run
-//! configuration, sweep-cache control, and table/CSV/JSON emission — lives
+//! configuration, sweep-cache control, and table/JSON emission — lives
 //! here, so the binaries share one frontend instead of one copy of the loop
 //! each.
 //!
@@ -18,6 +18,7 @@
 //! error (a retired option or a typo would otherwise change nothing).
 
 use crate::Table;
+use cyclone::experiments::HETERO_DEFAULT_RATIOS;
 use cyclone::sweep::SweepOptions;
 use decoder::cache::atomic_write;
 use decoder::memory::{MemoryConfig, PrecisionTarget};
@@ -80,8 +81,6 @@ pub struct RunContext {
     /// active, `None` = fixed shot budget, and the default channel spec in
     /// `sweep.channel` when `--noise biased:<ratio>` is active).
     pub sweep: SweepOptions,
-    /// CSV output requested (`--csv`).
-    pub csv: bool,
     /// Full code catalog requested (`--full`).
     pub full: bool,
     /// The requested channel mode (`--noise`). `Biased` is already threaded
@@ -97,7 +96,6 @@ struct Settings {
     shots: usize,
     threads: usize,
     full: bool,
-    csv: bool,
     no_cache: bool,
     cache_dir: Option<PathBuf>,
     target_rse: Option<f64>,
@@ -143,11 +141,6 @@ const OPTIONS: &[Opt] = &[
         flag: "--full",
         default: "0",
         set: |s, v| switch(v).map(|v| s.full = v),
-    },
-    Opt {
-        flag: "--csv",
-        default: "0",
-        set: |s, v| switch(v).map(|v| s.csv = v),
     },
     Opt {
         flag: "--no-cache",
@@ -339,11 +332,21 @@ impl RunContext {
         Ok(RunContext {
             config,
             sweep,
-            csv: s.csv,
             full: s.full,
             noise: s.noise,
             enforce: s.enforce,
         })
+    }
+
+    /// `fig_hetero`'s measurement-bias ratios: the defaults, then the
+    /// `--noise biased:<ratio>` ratio when it is not one of them.
+    pub fn hetero_ratios(&self) -> Vec<f64> {
+        let mut ratios = HETERO_DEFAULT_RATIOS.to_vec();
+        match self.noise {
+            NoiseFlag::Biased(extra) if !ratios.contains(&extra) => ratios.push(extra),
+            _ => {}
+        }
+        ratios
     }
 
     /// The cache directory, when caching is enabled.
@@ -393,7 +396,7 @@ pub fn figure<R: Into<FigureReport>>(
 ) {
     let context = RunContext::from_env();
     let report: FigureReport = build(&context).into();
-    report.table.print(title, context.csv);
+    report.table.print(title);
     if let Some(target) = &context.sweep.precision {
         println!(
             "(adaptive sampling: target rse {}, >={} failures, <={} shots/point)",
@@ -463,7 +466,6 @@ mod tests {
         ("--shots", "77", &["2k", "0", "abc", "-3", "1e3", " 50"]),
         ("--threads", "3", &["-1", "x", "2.5"]),
         ("--full", "", &[]),
-        ("--csv", "", &[]),
         ("--no-cache", "", &[]),
         ("--cache-dir", "/tmp/sweep-test", &[]),
         ("--target-rse", "0.25", &["nan", "inf", "0", "-0.1", "O.1"]),
@@ -638,6 +640,15 @@ mod tests {
 
         // A malformed value is an error even after a valid one.
         assert!(parse(&["--noise", "biased:3", "--noise", "bogus"]).is_err());
+    }
+
+    #[test]
+    fn hetero_ratios_add_a_new_noise_ratio_once() {
+        assert_eq!(resolve(&[]).hetero_ratios(), HETERO_DEFAULT_RATIOS);
+        let ratios = resolve(&["--noise", "biased:4"]).hetero_ratios();
+        assert_eq!(ratios, [0.5, 2.0, 8.0, 4.0]);
+        let ratios = resolve(&["--noise", "biased:2"]).hetero_ratios();
+        assert_eq!(ratios, HETERO_DEFAULT_RATIOS);
     }
 
     #[test]

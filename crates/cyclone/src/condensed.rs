@@ -21,18 +21,14 @@ pub struct TrapSweepPoint {
     pub execution_time: f64,
 }
 
-/// Sweeps Cyclone over the given trap counts using tight capacities, returning one
-/// point per value of `x`.
-pub fn trap_capacity_sweep(
-    code: &CssCode,
-    trap_counts: &[usize],
-    times: &OperationTimes,
-) -> Vec<TrapSweepPoint> {
+/// Sweeps Cyclone over the given trap counts using tight capacities and the default
+/// operation times, returning one point per value of `x`.
+pub fn trap_capacity_sweep(code: &CssCode, trap_counts: &[usize]) -> Vec<TrapSweepPoint> {
     trap_counts
         .iter()
         .map(|&x| {
             let design = CycloneCodesign::new(code, CycloneConfig::with_traps(x));
-            let (round, _) = design.compile(times);
+            let (round, _) = design.compile(&OperationTimes::default());
             TrapSweepPoint {
                 num_traps: design.num_traps(),
                 trap_capacity: design.trap_capacity(),
@@ -54,13 +50,13 @@ pub fn default_trap_counts(code: &CssCode) -> Vec<usize> {
     counts
 }
 
-/// Returns the sweep point with the lowest execution time (the "ideal" Cyclone).
-pub fn best_configuration(points: &[TrapSweepPoint]) -> Option<&TrapSweepPoint> {
-    points.iter().min_by(|a, b| {
-        a.execution_time
-            .partial_cmp(&b.execution_time)
-            .expect("finite times")
-    })
+/// Returns the sweep point with the lowest execution time (the "ideal" Cyclone);
+/// of a tie, the first.
+pub fn best_configuration<'a>(
+    points: impl IntoIterator<Item = &'a TrapSweepPoint>,
+) -> Option<&'a TrapSweepPoint> {
+    let points = points.into_iter();
+    points.min_by(|a, b| a.execution_time.total_cmp(&b.execution_time))
 }
 
 #[cfg(test)]
@@ -71,8 +67,7 @@ mod tests {
     #[test]
     fn sweep_covers_requested_counts() {
         let code = hgp_225_9_6().expect("valid");
-        let times = OperationTimes::default();
-        let points = trap_capacity_sweep(&code, &[9, 27, 54, 108], &times);
+        let points = trap_capacity_sweep(&code, &[9, 27, 54, 108]);
         assert_eq!(points.len(), 4);
         assert!(points.iter().all(|p| p.execution_time > 0.0));
     }
@@ -80,8 +75,7 @@ mod tests {
     #[test]
     fn single_trap_is_terrible() {
         let code = hgp_225_9_6().expect("valid");
-        let times = OperationTimes::default();
-        let points = trap_capacity_sweep(&code, &[1, 108], &times);
+        let points = trap_capacity_sweep(&code, &[1, 108]);
         assert!(
             points[0].execution_time > 10.0 * points[1].execution_time,
             "one giant trap ({:.3}s) must be far slower than the base form ({:.3}s)",
@@ -93,8 +87,7 @@ mod tests {
     #[test]
     fn best_configuration_is_minimum() {
         let code = hgp_225_9_6().expect("valid");
-        let times = OperationTimes::default();
-        let points = trap_capacity_sweep(&code, &default_trap_counts(&code), &times);
+        let points = trap_capacity_sweep(&code, &default_trap_counts(&code));
         let best = best_configuration(&points).expect("nonempty sweep");
         assert!(points
             .iter()

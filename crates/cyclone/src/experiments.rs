@@ -1,24 +1,21 @@
 //! Experiment runners that regenerate every figure of the paper's evaluation.
 //!
-//! Every Monte-Carlo figure is a thin declaration: it assembles a [`ScenarioSpec`]
-//! ([`Codesign`] variants × codes × operating points) and hands it to the
-//! [`sweep`](crate::sweep) engine, which parallelizes the points, caches results in
-//! `sweeps/<figure>.json`, and keeps everything bit-identical at any thread count.
-//! Figures compile [`Codesign`] variants directly; the trap-count and capacity
-//! sweeps (Figs. 13 and 17) compile their other trap counts and capacities through
-//! [`CycloneCodesign`] and [`compile_baseline`] on [`baseline_grid`].
-//!
-//! Each `figNN_*` function returns plain data rows; the `bench` crate's binaries
-//! print them as the tables/series of the corresponding figure, and `EXPERIMENTS.md`
-//! records the paper-vs-measured comparison. Monte-Carlo figures take
-//! [`SweepOptions`] ([`SweepOptions::ephemeral`] runs in memory,
-//! [`SweepOptions::cached`] adds the cache) so shot counts scale from quick smoke
-//! runs to publication-quality sampling.
+//! Each figure is declared once, here; its `bench` binary and `experiments_md`
+//! (which writes `EXPERIMENTS.md`) both call the declaration. Its **operating
+//! points** are constants of the figure ([`FIG9_REDUCTIONS`], `FIGNN_P`, …) or
+//! values it derives (Fig. 13's trap counts, the default [`OperationTimes`]); a
+//! parameter is left only where a caller varies it (the code lists, Fig. 5's
+//! speedups, `fig_hetero`'s ratios, [`ler_comparison`]'s name and rates). Its
+//! **rows** are plain data: a Monte-Carlo figure assembles a [`ScenarioSpec`]
+//! ([`Codesign`] variants × codes × operating points) and reads each row's
+//! latency and estimate from the [`sweep`](crate::sweep) engine's outcomes under
+//! the given [`SweepOptions`]. Its **findings** (a crossover, the fastest
+//! configuration, an improvement) are methods or functions next to the row type.
 
 use crate::codesign::{CycloneCodesign, CycloneConfig};
-use crate::condensed::{trap_capacity_sweep, TrapSweepPoint};
 use crate::registry::{Codesign, BASELINE_CAPACITY};
 use crate::sweep::{run_sweep, ScenarioSpec, SweepOptions};
+use crate::{best_configuration, default_trap_counts, trap_capacity_sweep, TrapSweepPoint};
 use decoder::memory::LerEstimate;
 use noise::{ChannelSpec, ErrorChannel, HardwareNoiseModel, NoiseParameters};
 use qccd::compiler::baseline::compile_baseline;
@@ -70,6 +67,11 @@ pub fn fig3_parallel_speedup(catalog: &[CatalogEntry]) -> Vec<SpeedupRow> {
 // Fig. 5 — LER improvement when the baseline is sped up
 // ---------------------------------------------------------------------------
 
+/// Physical error rate of Fig. 5.
+pub const FIG5_P: f64 = 5e-4;
+/// The latency division factors Fig. 5 plots.
+pub const FIG5_SPEEDUPS: [f64; 3] = [1.0, 2.0, 4.0];
+
 /// One point of Fig. 5: the baseline's LER when its latency is divided by `speedup`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct LatencyLerRow {
@@ -84,8 +86,8 @@ pub struct LatencyLerRow {
 }
 
 /// Declares the Fig. 5 scenario: each code's compiled baseline latency divided by the
-/// given factors, at fixed physical error rate `p`.
-pub fn fig5_spec(codes: &[CssCode], p: f64, speedups: &[f64]) -> ScenarioSpec {
+/// given factors, at [`FIG5_P`].
+pub fn fig5_spec(codes: &[CssCode], speedups: &[f64]) -> ScenarioSpec {
     let times = OperationTimes::default();
     let mut spec = ScenarioSpec::new("fig05_latency_vs_ler");
     for code in codes {
@@ -95,7 +97,7 @@ pub fn fig5_spec(codes: &[CssCode], p: f64, speedups: &[f64]) -> ScenarioSpec {
             spec.point(
                 format!("baseline/{}/s={s}", code.descriptor()),
                 idx,
-                p,
+                FIG5_P,
                 base.execution_time / s,
             );
         }
@@ -104,29 +106,25 @@ pub fn fig5_spec(codes: &[CssCode], p: f64, speedups: &[f64]) -> ScenarioSpec {
 }
 
 /// Fig. 5: LER of each code as the compiled baseline latency is divided by the given
-/// factors, at fixed physical error rate `p`.
+/// factors, at [`FIG5_P`].
 pub fn fig5_latency_vs_ler(
     codes: &[CssCode],
-    p: f64,
     speedups: &[f64],
     options: &SweepOptions,
 ) -> Vec<LatencyLerRow> {
-    let spec = fig5_spec(codes, p, speedups);
-    let result = run_sweep(&spec, options);
-    let mut rows = Vec::new();
-    let mut outcomes = result.points.iter();
-    for code in codes {
-        for &s in speedups {
-            let outcome = outcomes.next().expect("one outcome per point");
-            rows.push(LatencyLerRow {
-                code: code.descriptor(),
-                speedup: s,
-                latency: outcome.latency,
-                ler: outcome.ler,
-            });
-        }
-    }
-    rows
+    let result = run_sweep(&fig5_spec(codes, speedups), options);
+    let points = codes
+        .iter()
+        .flat_map(|code| speedups.iter().map(|&s| (code.descriptor(), s)));
+    points
+        .zip(&result.points)
+        .map(|((code, speedup), outcome)| LatencyLerRow {
+            code,
+            speedup,
+            latency: outcome.latency,
+            ler: outcome.ler,
+        })
+        .collect()
 }
 
 // ---------------------------------------------------------------------------
@@ -148,10 +146,19 @@ pub struct ConfusionMatrix {
     pub circle_dynamic: f64,
 }
 
+impl ConfusionMatrix {
+    /// Fig. 6's finding: how many times faster the Cyclone cell is than the
+    /// grid+static baseline.
+    pub fn cyclone_speedup(&self) -> f64 {
+        self.grid_static / self.circle_dynamic
+    }
+}
+
 /// Fig. 6: execution time of every software/hardware combination; each of the four
 /// cells is one [`Codesign`].
-pub fn fig6_confusion_matrix(code: &CssCode, times: &OperationTimes) -> ConfusionMatrix {
-    let cell = |design: Codesign| design.compile(code, times).execution_time;
+pub fn fig6_confusion_matrix(code: &CssCode) -> ConfusionMatrix {
+    let times = OperationTimes::default();
+    let cell = |design: Codesign| design.compile(code, &times).execution_time;
     ConfusionMatrix {
         code: code.descriptor(),
         grid_static: cell(Codesign::Baseline),
@@ -165,6 +172,11 @@ pub fn fig6_confusion_matrix(code: &CssCode, times: &OperationTimes) -> Confusio
 // Fig. 9 — junction-crossing-time sensitivity of the mesh junction network
 // ---------------------------------------------------------------------------
 
+/// Physical error rate of Fig. 9.
+pub const FIG9_P: f64 = 5e-4;
+/// The junction-crossing-time reductions Fig. 9 sweeps.
+pub const FIG9_REDUCTIONS: [f64; 5] = [0.0, 0.3, 0.5, 0.7, 0.9];
+
 /// One point of Fig. 9.
 #[derive(Debug, Clone, PartialEq)]
 pub struct JunctionSensitivityRow {
@@ -172,111 +184,98 @@ pub struct JunctionSensitivityRow {
     pub reduction: f64,
     /// Mesh-junction-network execution time, seconds.
     pub mesh_execution_time: f64,
-    /// Mesh-junction-network LER at the configured `p`.
+    /// Mesh-junction-network LER at [`FIG9_P`].
     pub mesh_ler: LerEstimate,
     /// Baseline-grid LER at the same `p` (horizontal reference line).
     pub baseline_ler: LerEstimate,
 }
 
 /// Declares the Fig. 9 scenario: the baseline reference point plus one mesh point per
-/// junction-time reduction. Returns the spec and the mesh execution times (row
-/// metadata the sweep result alone does not carry).
-pub fn fig9_spec(code: &CssCode, p: f64, reductions: &[f64]) -> (ScenarioSpec, Vec<f64>) {
+/// reduction of [`FIG9_REDUCTIONS`].
+pub fn fig9_spec(code: &CssCode) -> ScenarioSpec {
     let nominal = OperationTimes::default();
     let mut spec = ScenarioSpec::new("fig09_junction_sensitivity");
     let idx = spec.code(code.clone());
     let baseline = Codesign::Baseline.compile(code, &nominal);
-    spec.point("baseline", idx, p, baseline.execution_time);
-    let mut mesh_times = Vec::new();
-    for &r in reductions {
-        let times = nominal.with_junction_reduction(r);
-        let round = Codesign::DynamicMesh.compile(code, &times);
-        mesh_times.push(round.execution_time);
-        spec.point(format!("mesh/r={r}"), idx, p, round.execution_time);
+    spec.point("baseline", idx, FIG9_P, baseline.execution_time);
+    for r in FIG9_REDUCTIONS {
+        let round = Codesign::DynamicMesh.compile(code, &nominal.with_junction_reduction(r));
+        spec.point(format!("mesh/r={r}"), idx, FIG9_P, round.execution_time);
     }
-    (spec, mesh_times)
+    spec
 }
 
 /// Fig. 9: LER of the mesh junction network as junction crossing times are reduced,
 /// against the baseline grid reference.
 pub fn fig9_junction_sensitivity(
     code: &CssCode,
-    p: f64,
-    reductions: &[f64],
     options: &SweepOptions,
 ) -> Vec<JunctionSensitivityRow> {
-    let (spec, mesh_times) = fig9_spec(code, p, reductions);
-    let result = run_sweep(&spec, options);
-    let baseline_ler = result.points[0].ler;
-    reductions
+    let result = run_sweep(&fig9_spec(code), options);
+    let (baseline, mesh) = result.points.split_first().expect("the baseline point");
+    FIG9_REDUCTIONS
         .iter()
-        .zip(mesh_times)
-        .zip(&result.points[1..])
-        .map(
-            |((&r, mesh_execution_time), outcome)| JunctionSensitivityRow {
-                reduction: r,
-                mesh_execution_time,
-                mesh_ler: outcome.ler,
-                baseline_ler,
-            },
-        )
+        .zip(mesh)
+        .map(|(&reduction, outcome)| JunctionSensitivityRow {
+            reduction,
+            mesh_execution_time: outcome.latency,
+            mesh_ler: outcome.ler,
+            baseline_ler: baseline.ler,
+        })
         .collect()
+}
+
+/// Fig. 9's finding: the first reduction at which the mesh's LER is at most the
+/// baseline's, or `None` when the mesh never catches up.
+pub fn fig9_crossover(rows: &[JunctionSensitivityRow]) -> Option<f64> {
+    let cross = rows.iter().find(|r| r.mesh_ler.ler <= r.baseline_ler.ler);
+    cross.map(|r| r.reduction)
 }
 
 // ---------------------------------------------------------------------------
 // Fig. 13 — trap-count / ion-capacity sensitivity of Cyclone
 // ---------------------------------------------------------------------------
 
+/// Physical error rate of Fig. 13.
+pub const FIG13_P: f64 = 1e-4;
+
 /// One point of Fig. 13.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TrapSensitivityRow {
-    /// Number of traps.
-    pub num_traps: usize,
-    /// Tight trap capacity for this configuration.
-    pub trap_capacity: usize,
-    /// Cyclone execution time, seconds.
-    pub execution_time: f64,
-    /// LER at the configured physical error rate.
+    /// The compiled configuration: trap count, tight capacity, execution time.
+    pub point: TrapSweepPoint,
+    /// LER at [`FIG13_P`].
     pub ler: LerEstimate,
 }
 
-/// Declares the Fig. 13 scenario: one point per condensed Cyclone trap count, compiled
-/// by [`trap_capacity_sweep`]. Returns the spec and the compiled sweep points.
-pub fn fig13_spec(
+/// Fig. 13: Cyclone execution time and LER across "tight" trap/capacity arrangements
+/// (the trap counts of [`default_trap_counts`]) at [`FIG13_P`]; the paper uses the
+/// `[[225,9,6]]` code.
+pub fn fig13_trap_capacity_sweep(
     code: &CssCode,
-    p: f64,
-    trap_counts: &[usize],
-) -> (ScenarioSpec, Vec<TrapSweepPoint>) {
-    let points = trap_capacity_sweep(code, trap_counts, &OperationTimes::default());
+    options: &SweepOptions,
+) -> Vec<TrapSensitivityRow> {
+    let points = trap_capacity_sweep(code, &default_trap_counts(code));
     let mut spec = ScenarioSpec::new("fig13_trap_capacity_sweep");
     let idx = spec.code(code.clone());
     for point in &points {
-        let x = point.num_traps;
-        spec.point(format!("cyclone-x{x}/x={x}"), idx, p, point.execution_time);
+        let (x, latency) = (point.num_traps, point.execution_time);
+        spec.point(format!("cyclone-x{x}/x={x}"), idx, FIG13_P, latency);
     }
-    (spec, points)
-}
-
-/// Fig. 13: Cyclone execution time and LER across "tight" trap/capacity arrangements
-/// at fixed `p` (the paper uses `p = 10⁻⁴` on the `[[225,9,6]]` code).
-pub fn fig13_trap_capacity_sweep(
-    code: &CssCode,
-    p: f64,
-    trap_counts: &[usize],
-    options: &SweepOptions,
-) -> Vec<TrapSensitivityRow> {
-    let (spec, points) = fig13_spec(code, p, trap_counts);
     let result = run_sweep(&spec, options);
     points
         .into_iter()
         .zip(&result.points)
         .map(|(point, outcome)| TrapSensitivityRow {
-            num_traps: point.num_traps,
-            trap_capacity: point.trap_capacity,
-            execution_time: point.execution_time,
+            point,
             ler: outcome.ler,
         })
         .collect()
+}
+
+/// Fig. 13's finding: the fastest configuration ([`best_configuration`]).
+pub fn fig13_fastest(rows: &[TrapSensitivityRow]) -> Option<&TrapSweepPoint> {
+    best_configuration(rows.iter().map(|r| &r.point))
 }
 
 // ---------------------------------------------------------------------------
@@ -298,6 +297,13 @@ pub struct LerComparisonRow {
     pub baseline_ler: LerEstimate,
     /// Cyclone LER estimate.
     pub cyclone_ler: LerEstimate,
+}
+
+impl LerComparisonRow {
+    /// The finding of Figs. 14/15: the baseline's LER over Cyclone's.
+    pub fn improvement(&self) -> f64 {
+        self.baseline_ler.ler / self.cyclone_ler.ler
+    }
 }
 
 /// Declares the Fig. 14/15 scenario (`figure` names the cache file: the BB and HGP
@@ -343,25 +349,21 @@ pub fn ler_comparison(
     ps: &[f64],
     options: &SweepOptions,
 ) -> Vec<LerComparisonRow> {
-    let (spec, latencies) = ler_comparison_spec(figure, codes, ps);
-    let result = run_sweep(&spec, options);
-    let mut rows = Vec::new();
-    let mut outcomes = result.points.iter();
-    for (code, (baseline_latency, cyclone_latency)) in codes.iter().zip(latencies) {
-        for &p in ps {
-            let base = outcomes.next().expect("baseline outcome");
-            let cyc = outcomes.next().expect("cyclone outcome");
-            rows.push(LerComparisonRow {
-                code: code.descriptor(),
-                p,
-                baseline_latency,
-                cyclone_latency,
-                baseline_ler: base.ler,
-                cyclone_ler: cyc.ler,
-            });
-        }
-    }
-    rows
+    let result = run_sweep(&ler_comparison_spec(figure, codes, ps).0, options);
+    let points = codes
+        .iter()
+        .flat_map(|code| ps.iter().map(|&p| (code.descriptor(), p)));
+    points
+        .zip(result.points.chunks(2))
+        .map(|((code, p), pair)| LerComparisonRow {
+            code,
+            p,
+            baseline_latency: pair[0].latency,
+            cyclone_latency: pair[1].latency,
+            baseline_ler: pair[0].ler,
+            cyclone_ler: pair[1].ler,
+        })
+        .collect()
 }
 
 // ---------------------------------------------------------------------------
@@ -382,12 +384,13 @@ pub struct SpacetimeRow {
 }
 
 /// Fig. 16: relative spacetime cost of the baseline vs base Cyclone.
-pub fn fig16_spacetime(codes: &[CssCode], times: &OperationTimes) -> Vec<SpacetimeRow> {
+pub fn fig16_spacetime(codes: &[CssCode]) -> Vec<SpacetimeRow> {
+    let times = OperationTimes::default();
     codes
         .iter()
         .map(|code| {
-            let b = Codesign::Baseline.compile(code, times).spacetime_cost();
-            let c = Codesign::Cyclone.compile(code, times).spacetime_cost();
+            let b = Codesign::Baseline.compile(code, &times).spacetime_cost();
+            let c = Codesign::Cyclone.compile(code, &times).spacetime_cost();
             SpacetimeRow {
                 code: code.descriptor(),
                 baseline_spacetime: b,
@@ -402,6 +405,11 @@ pub fn fig16_spacetime(codes: &[CssCode], times: &OperationTimes) -> Vec<Spaceti
 // Fig. 17 — baseline sensitivity to loose (excess) trap capacity
 // ---------------------------------------------------------------------------
 
+/// Physical error rate of Fig. 17.
+pub const FIG17_P: f64 = 1e-4;
+/// The per-trap capacities Fig. 17 gives the baseline grid.
+pub const FIG17_CAPACITIES: [usize; 5] = [5, 8, 12, 20, 40];
+
 /// One point of Fig. 17.
 #[derive(Debug, Clone, PartialEq)]
 pub struct LooseCapacityRow {
@@ -409,42 +417,33 @@ pub struct LooseCapacityRow {
     pub capacity: usize,
     /// Baseline execution time, seconds.
     pub execution_time: f64,
-    /// Baseline LER at the configured `p`.
+    /// Baseline LER at [`FIG17_P`].
     pub ler: LerEstimate,
 }
 
-/// Declares the Fig. 17 scenario: the baseline grid with excess per-trap capacity.
-/// Returns the spec and the per-capacity execution times.
-pub fn fig17_spec(code: &CssCode, p: f64, capacities: &[usize]) -> (ScenarioSpec, Vec<f64>) {
+/// Fig. 17: the baseline's LER when its traps are given the excess capacities of
+/// [`FIG17_CAPACITIES`].
+pub fn fig17_loose_capacity(code: &CssCode, options: &SweepOptions) -> Vec<LooseCapacityRow> {
     let times = OperationTimes::default();
     let mut spec = ScenarioSpec::new("fig17_loose_capacity");
     let idx = spec.code(code.clone());
-    let mut exec_times = Vec::new();
-    for &cap in capacities {
+    for cap in FIG17_CAPACITIES {
         let grid = baseline_grid(code.num_qubits(), cap);
         let (round, _) = compile_baseline(code, &grid, &times, &serial_schedule(code));
-        exec_times.push(round.execution_time);
-        spec.point(format!("baseline/cap={cap}"), idx, p, round.execution_time);
+        spec.point(
+            format!("baseline/cap={cap}"),
+            idx,
+            FIG17_P,
+            round.execution_time,
+        );
     }
-    (spec, exec_times)
-}
-
-/// Fig. 17: the baseline's LER when its traps are given excess capacity.
-pub fn fig17_loose_capacity(
-    code: &CssCode,
-    p: f64,
-    capacities: &[usize],
-    options: &SweepOptions,
-) -> Vec<LooseCapacityRow> {
-    let (spec, exec_times) = fig17_spec(code, p, capacities);
     let result = run_sweep(&spec, options);
-    capacities
+    FIG17_CAPACITIES
         .iter()
-        .zip(exec_times)
         .zip(&result.points)
-        .map(|((&capacity, execution_time), outcome)| LooseCapacityRow {
+        .map(|(&capacity, outcome)| LooseCapacityRow {
             capacity,
-            execution_time,
+            execution_time: outcome.latency,
             ler: outcome.ler,
         })
         .collect()
@@ -454,14 +453,19 @@ pub fn fig17_loose_capacity(
 // Fig. 18 — sensitivity to uniformly faster gates and shuttling
 // ---------------------------------------------------------------------------
 
+/// Physical error rate of Fig. 18.
+pub const FIG18_P: f64 = 1e-4;
+/// The uniform operation-time reductions Fig. 18 sweeps.
+pub const FIG18_REDUCTIONS: [f64; 5] = [0.0, 0.25, 0.5, 0.75, 0.9];
+
 /// One point of Fig. 18.
 #[derive(Debug, Clone, PartialEq)]
 pub struct OpTimeSweepRow {
     /// Fractional reduction `r` applied to every gate and shuttling duration.
     pub reduction: f64,
-    /// Baseline LER at the configured `p`.
+    /// Baseline LER at [`FIG18_P`].
     pub baseline_ler: LerEstimate,
-    /// Cyclone LER at the configured `p`.
+    /// Cyclone LER at [`FIG18_P`].
     pub cyclone_ler: LerEstimate,
     /// Baseline execution time after the reduction, seconds.
     pub baseline_latency: f64,
@@ -469,47 +473,29 @@ pub struct OpTimeSweepRow {
     pub cyclone_latency: f64,
 }
 
-/// Declares the Fig. 18 scenario: baseline and Cyclone recompiled under uniformly
-/// reduced operation times. Returns the spec and the per-reduction
-/// `(baseline_latency, cyclone_latency)` pairs.
-pub fn fig18_spec(code: &CssCode, p: f64, reductions: &[f64]) -> (ScenarioSpec, Vec<(f64, f64)>) {
+/// Fig. 18: LER of baseline and Cyclone, recompiled with gate and shuttling times
+/// reduced by each fraction of [`FIG18_REDUCTIONS`].
+pub fn fig18_op_time_sweep(code: &CssCode, options: &SweepOptions) -> Vec<OpTimeSweepRow> {
     let mut spec = ScenarioSpec::new("fig18_op_time_sweep");
     let idx = spec.code(code.clone());
-    let mut latencies = Vec::new();
-    for &r in reductions {
+    for r in FIG18_REDUCTIONS {
         let times = OperationTimes::default().scaled(r);
         let base = Codesign::Baseline.compile(code, &times);
         let cyc = Codesign::Cyclone.compile(code, &times);
-        latencies.push((base.execution_time, cyc.execution_time));
-        spec.point(format!("baseline/r={r}"), idx, p, base.execution_time);
-        spec.point(format!("cyclone/r={r}"), idx, p, cyc.execution_time);
+        spec.point(format!("baseline/r={r}"), idx, FIG18_P, base.execution_time);
+        spec.point(format!("cyclone/r={r}"), idx, FIG18_P, cyc.execution_time);
     }
-    (spec, latencies)
-}
-
-/// Fig. 18: LER of baseline and Cyclone as gate and shuttling times are reduced by a
-/// uniform percentage.
-pub fn fig18_op_time_sweep(
-    code: &CssCode,
-    p: f64,
-    reductions: &[f64],
-    options: &SweepOptions,
-) -> Vec<OpTimeSweepRow> {
-    let (spec, latencies) = fig18_spec(code, p, reductions);
     let result = run_sweep(&spec, options);
-    reductions
+    FIG18_REDUCTIONS
         .iter()
-        .zip(latencies)
         .zip(result.points.chunks(2))
-        .map(
-            |((&r, (baseline_latency, cyclone_latency)), pair)| OpTimeSweepRow {
-                reduction: r,
-                baseline_ler: pair[0].ler,
-                cyclone_ler: pair[1].ler,
-                baseline_latency,
-                cyclone_latency,
-            },
-        )
+        .map(|(&reduction, pair)| OpTimeSweepRow {
+            reduction,
+            baseline_ler: pair[0].ler,
+            cyclone_ler: pair[1].ler,
+            baseline_latency: pair[0].latency,
+            cyclone_latency: pair[1].latency,
+        })
         .collect()
 }
 
@@ -530,9 +516,17 @@ pub struct ExecutionTimeRow {
     pub cyclone: f64,
 }
 
+impl ExecutionTimeRow {
+    /// Fig. 19's finding: how many times faster Cyclone is than the baseline.
+    pub fn cyclone_speedup(&self) -> f64 {
+        self.baseline / self.cyclone
+    }
+}
+
 /// Fig. 19: raw execution times on the alternate grid, baseline grid, and Cyclone.
-pub fn fig19_execution_times(codes: &[CssCode], times: &OperationTimes) -> Vec<ExecutionTimeRow> {
-    let cell = |design: Codesign, code: &CssCode| design.compile(code, times).execution_time;
+pub fn fig19_execution_times(codes: &[CssCode]) -> Vec<ExecutionTimeRow> {
+    let times = OperationTimes::default();
+    let cell = |design: Codesign, code: &CssCode| design.compile(code, &times).execution_time;
     codes
         .iter()
         .map(|code| ExecutionTimeRow {
@@ -579,14 +573,12 @@ pub const FIG20_COMPILERS: [(&str, Codesign); 4] = [
 
 /// Fig. 20: total and component-wise execution times of the three baseline compilers
 /// and Cyclone on the same code, plus the realized parallelization.
-pub fn fig20_compiler_comparison(
-    code: &CssCode,
-    times: &OperationTimes,
-) -> Vec<CompilerComparisonRow> {
+pub fn fig20_compiler_comparison(code: &CssCode) -> Vec<CompilerComparisonRow> {
+    let times = OperationTimes::default();
     FIG20_COMPILERS
         .iter()
         .map(|&(display, design)| {
-            let round = design.compile(code, times);
+            let round = design.compile(code, &times);
             let b = round.breakdown;
             CompilerComparisonRow {
                 compiler: display.to_string(),
@@ -651,7 +643,10 @@ pub struct HeteroRow {
     pub ler: LerEstimate,
 }
 
-/// The measurement-bias ratios swept by the `fig_hetero` binary by default.
+/// Physical error rate of the heterogeneous-noise scenario.
+pub const HETERO_P: f64 = 2e-3;
+/// The measurement-bias ratios the heterogeneous-noise scenario always sweeps
+/// (`--noise biased:<ratio>` adds one).
 pub const HETERO_DEFAULT_RATIOS: [f64; 3] = [0.5, 2.0, 8.0];
 
 /// Declares the heterogeneous-noise scenario: every codesign in [`Codesign::ALL`]
@@ -708,14 +703,9 @@ pub fn fig_hetero_spec(
 }
 
 /// fig_hetero: logical error rate of every codesign under uniform,
-/// measurement-biased, and schedule-derived per-qubit channels at fixed `p`.
-pub fn fig_hetero(
-    code: &CssCode,
-    p: f64,
-    ratios: &[f64],
-    options: &SweepOptions,
-) -> Vec<HeteroRow> {
-    let (spec, meta) = fig_hetero_spec(code, p, ratios);
+/// measurement-biased, and schedule-derived per-qubit channels at [`HETERO_P`].
+pub fn fig_hetero(code: &CssCode, ratios: &[f64], options: &SweepOptions) -> Vec<HeteroRow> {
+    let (spec, meta) = fig_hetero_spec(code, HETERO_P, ratios);
     let result = run_sweep(&spec, options);
     meta.into_iter()
         .zip(&result.points)
@@ -726,6 +716,24 @@ pub fn fig_hetero(
             ler: outcome.ler,
         })
         .collect()
+}
+
+/// How many times `row`'s LER exceeds the LER of its codesign's uniform row in
+/// `rows` (NaN when there is none).
+pub fn degradation_vs_uniform(rows: &[HeteroRow], row: &HeteroRow) -> f64 {
+    let uniform = |u: &&HeteroRow| u.codesign == row.codesign && u.channel == "uniform";
+    rows.iter()
+        .find(uniform)
+        .map_or(f64::NAN, |u| row.ler.ler / u.ler.ler)
+}
+
+/// fig_hetero's finding: the structured-channel row that degrades most against
+/// uniform, with its degradation; of a tie, the first in row order.
+pub fn worst_degradation(rows: &[HeteroRow]) -> Option<(f64, &HeteroRow)> {
+    rows.iter()
+        .filter(|r| r.channel != "uniform")
+        .map(|r| (degradation_vs_uniform(rows, r), r))
+        .reduce(|worst, next| if next.0 > worst.0 { next } else { worst })
 }
 
 // ---------------------------------------------------------------------------
@@ -803,6 +811,11 @@ mod tests {
         SweepOptions::ephemeral(quick_config())
     }
 
+    /// An estimate of `failures` in 100 shots.
+    fn est(failures: usize) -> LerEstimate {
+        LerEstimate::from_counts(100, failures)
+    }
+
     #[test]
     fn fig3_rows_have_large_speedups() {
         let catalog = vec![CatalogEntry {
@@ -819,7 +832,7 @@ mod tests {
     #[test]
     fn fig6_matrix_orders_as_in_paper() {
         let code = tiny_hgp();
-        let m = fig6_confusion_matrix(&code, &OperationTimes::default());
+        let m = fig6_confusion_matrix(&code);
         // Coordinated circle (Cyclone) is the fastest cell; uncoordinated circle the slowest.
         assert!(m.circle_dynamic < m.grid_static);
         assert!(m.circle_static > m.circle_dynamic);
@@ -828,7 +841,7 @@ mod tests {
     #[test]
     fn fig16_spacetime_improvement_positive() {
         let code = tiny_hgp();
-        let rows = fig16_spacetime(std::slice::from_ref(&code), &OperationTimes::default());
+        let rows = fig16_spacetime(std::slice::from_ref(&code));
         assert_eq!(rows.len(), 1);
         assert!(
             rows[0].improvement > 1.0,
@@ -840,7 +853,7 @@ mod tests {
     #[test]
     fn fig20_includes_all_four_compilers() {
         let code = tiny_hgp();
-        let rows = fig20_compiler_comparison(&code, &OperationTimes::default());
+        let rows = fig20_compiler_comparison(&code);
         assert_eq!(rows.len(), 4);
         assert!(rows.iter().all(|r| r.execution_time > 0.0));
         assert!(rows.iter().all(|r| r.parallelization >= 1.0));
@@ -884,12 +897,7 @@ mod tests {
     #[test]
     fn fig5_latency_rows_cover_speedups() {
         let code = tiny_hgp();
-        let rows = fig5_latency_vs_ler(
-            std::slice::from_ref(&code),
-            5e-3,
-            &[1.0, 2.0, 4.0],
-            &ephemeral(),
-        );
+        let rows = fig5_latency_vs_ler(std::slice::from_ref(&code), &FIG5_SPEEDUPS, &ephemeral());
         assert_eq!(rows.len(), 3);
         assert!(rows[0].latency > rows[2].latency);
     }
@@ -897,8 +905,8 @@ mod tests {
     #[test]
     fn fig9_rows_share_the_baseline_reference() {
         let code = tiny_hgp();
-        let rows = fig9_junction_sensitivity(&code, 5e-3, &[0.0, 0.5], &ephemeral());
-        assert_eq!(rows.len(), 2);
+        let rows = fig9_junction_sensitivity(&code, &ephemeral());
+        assert_eq!(rows.len(), FIG9_REDUCTIONS.len());
         assert_eq!(rows[0].baseline_ler.ler, rows[1].baseline_ler.ler);
         assert!(rows[1].mesh_execution_time < rows[0].mesh_execution_time);
     }
@@ -907,7 +915,7 @@ mod tests {
     fn fig_hetero_covers_every_codesign_and_channel() {
         let code = tiny_hgp();
         let ratios = [4.0];
-        let rows = fig_hetero(&code, 8e-3, &ratios, &ephemeral());
+        let rows = fig_hetero(&code, &ratios, &ephemeral());
         // One uniform + one biased + one schedule row per codesign.
         assert_eq!(rows.len(), Codesign::ALL.len() * (ratios.len() + 2));
         for label in Codesign::ALL.map(Codesign::name) {
@@ -925,16 +933,116 @@ mod tests {
             .iter()
             .find(|r| r.codesign == "baseline" && r.channel == "uniform")
             .expect("baseline uniform row");
-        let direct = logical_error_rate(&code, 8e-3, baseline_uniform.latency, &quick_config());
+        let direct = logical_error_rate(&code, HETERO_P, baseline_uniform.latency, &quick_config());
         assert_eq!(baseline_uniform.ler, direct);
     }
 
     #[test]
     fn fig18_rows_pair_baseline_and_cyclone() {
         let code = tiny_hgp();
-        let rows = fig18_op_time_sweep(&code, 5e-3, &[0.0, 0.5], &ephemeral());
-        assert_eq!(rows.len(), 2);
+        let rows = fig18_op_time_sweep(&code, &ephemeral());
+        assert_eq!(rows.len(), 5);
         assert!(rows[1].baseline_latency < rows[0].baseline_latency);
         assert!(rows.iter().all(|r| r.cyclone_latency < r.baseline_latency));
+    }
+
+    fn junction_row(reduction: f64, mesh: usize, baseline: usize) -> JunctionSensitivityRow {
+        JunctionSensitivityRow {
+            reduction,
+            mesh_execution_time: 1.0,
+            mesh_ler: est(mesh),
+            baseline_ler: est(baseline),
+        }
+    }
+
+    #[test]
+    fn fig9_crossover_is_the_first_reduction_at_or_below_the_baseline() {
+        let never = [junction_row(0.0, 9, 5), junction_row(0.5, 6, 5)];
+        assert_eq!(fig9_crossover(&never), None);
+        // A tie with the baseline is a crossover, and the first one counts.
+        let at_first = [junction_row(0.0, 5, 5), junction_row(0.5, 1, 5)];
+        assert_eq!(fig9_crossover(&at_first), Some(0.0));
+        let later = [
+            junction_row(0.0, 9, 5),
+            junction_row(0.7, 4, 5),
+            junction_row(0.9, 1, 5),
+        ];
+        assert_eq!(fig9_crossover(&later), Some(0.7));
+    }
+
+    #[test]
+    fn fig13_fastest_keeps_the_first_of_a_tie() {
+        let row = |num_traps, execution_time| TrapSensitivityRow {
+            point: TrapSweepPoint {
+                num_traps,
+                trap_capacity: 4,
+                execution_time,
+            },
+            ler: est(1),
+        };
+        let rows = [row(1, 0.9), row(9, 0.2), row(16, 0.2), row(108, 0.3)];
+        assert_eq!(fig13_fastest(&rows).map(|p| p.num_traps), Some(9));
+        assert_eq!(fig13_fastest(&[]), None);
+    }
+
+    #[test]
+    fn hetero_worst_degradation_keeps_the_first_of_a_tie() {
+        let row = |codesign: &str, channel: &str, failures| HeteroRow {
+            codesign: codesign.into(),
+            channel: channel.into(),
+            latency: 1.0,
+            ler: est(failures),
+        };
+        let rows = [
+            row("baseline", "uniform", 2),
+            row("baseline", "biased:2", 8),
+            row("cyclone", "uniform", 1),
+            row("cyclone", "biased:2", 4),
+            row("cyclone", "schedule", 2),
+        ];
+        assert_eq!(degradation_vs_uniform(&rows, &rows[4]), 2.0);
+        // baseline/biased:2 and cyclone/biased:2 both degrade 4x.
+        let (worst, at) = worst_degradation(&rows).expect("structured rows");
+        assert_eq!(worst, 4.0);
+        assert_eq!(
+            (at.codesign.as_str(), at.channel.as_str()),
+            ("baseline", "biased:2")
+        );
+        assert!(worst_degradation(&rows[..1]).is_none());
+    }
+
+    #[test]
+    fn improvement_against_a_zero_failure_floor_is_finite() {
+        let row = |baseline, cyclone| LerComparisonRow {
+            code: "[[72,12,6]]".into(),
+            p: 1e-3,
+            baseline_latency: 2.0,
+            cyclone_latency: 1.0,
+            baseline_ler: baseline,
+            cyclone_ler: cyclone,
+        };
+        // No Cyclone failure in 100 shots: its LER is the half-failure floor
+        // 0.5/100, so 10 baseline failures read as a 20x improvement.
+        assert_eq!(row(est(10), est(0)).improvement(), 20.0);
+        assert_eq!(row(est(10), est(5)).improvement(), 2.0);
+    }
+
+    #[test]
+    fn findings_read_their_rows() {
+        let m = ConfusionMatrix {
+            code: String::new(),
+            grid_static: 9.0,
+            grid_dynamic: 8.0,
+            circle_static: 20.0,
+            circle_dynamic: 1.5,
+        };
+        assert_eq!(m.cyclone_speedup(), 6.0);
+        let row = ExecutionTimeRow {
+            code: String::new(),
+            alternate_grid: 3.0,
+            baseline: 2.0,
+            cyclone: 0.5,
+        };
+        assert_eq!(row.cyclone_speedup(), 4.0);
     }
 }

@@ -88,9 +88,8 @@ fn full_pipeline_on_small_hgp_surface_like_code() {
 
 #[test]
 fn spacetime_improvement_holds_for_both_families() {
-    let times = OperationTimes::default();
     let codes = vec![bb_72_12_6().expect("valid")];
-    let rows = fig16_spacetime(&codes, &times);
+    let rows = fig16_spacetime(&codes);
     for row in rows {
         assert!(
             row.improvement > 2.0,
@@ -104,7 +103,7 @@ fn spacetime_improvement_holds_for_both_families() {
 #[test]
 fn compiler_comparison_shows_cyclone_most_parallel() {
     let code = bb_72_12_6().expect("valid");
-    let rows = fig20_compiler_comparison(&code, &OperationTimes::default());
+    let rows = fig20_compiler_comparison(&code);
     let cyclone = rows
         .iter()
         .find(|r| r.compiler == "Cyclone")

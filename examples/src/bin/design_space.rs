@@ -10,16 +10,14 @@
 
 use cyclone::experiments::{fig6_confusion_matrix, spatial_summary};
 use cyclone::{best_configuration, default_trap_counts, trap_capacity_sweep};
-use qccd::timing::OperationTimes;
 use qec::codes::hgp_225_9_6;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let code = hgp_225_9_6()?;
-    let times = OperationTimes::default();
 
     println!("== Cyclone trap/capacity sweep for {code} ==");
     println!("{:>8} {:>10} {:>16}", "traps", "capacity", "exec time (ms)");
-    let points = trap_capacity_sweep(&code, &default_trap_counts(&code), &times);
+    let points = trap_capacity_sweep(&code, &default_trap_counts(&code));
     for p in &points {
         println!(
             "{:>8} {:>10} {:>16.2}",
@@ -38,7 +36,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     println!("\n== software x hardware confusion matrix (execution time, ms) ==");
-    let m = fig6_confusion_matrix(&code, &times);
+    let m = fig6_confusion_matrix(&code);
     println!("{:>24} {:>12} {:>12}", "", "grid", "circle");
     println!(
         "{:>24} {:>12.1} {:>12.1}",

@@ -58,7 +58,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             row.cyclone_ler.ler,
             row.baseline_latency * 1e3,
             row.cyclone_latency * 1e3,
-            row.baseline_ler.ler / row.cyclone_ler.ler
+            row.improvement()
         );
     }
     Ok(())
