@@ -46,7 +46,7 @@ fn main() {
     });
 
     // Fig. 5 — baseline LER vs latency reduction.
-    let fig5 = fig5_latency_vs_ler(&bench::hgp_codes(ctx.full), &FIG5_SPEEDUPS, &ctx.sweep);
+    let fig5 = fig5_latency_vs_ler(&bench::hgp_codes(ctx.full), &ctx.sweep);
     let first = &fig5[0];
     let fastest = &fig5[FIG5_SPEEDUPS.len() - 1];
     rows.push(Row {
