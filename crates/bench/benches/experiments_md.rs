@@ -152,7 +152,7 @@ fn main() {
     rows.push(Row {
         figure: "Fig. 18",
         scenario: format!(
-            "gate+shuttle times reduced {from} -> {to}, {}",
+            "all op times reduced {from} -> {to} (paper: gate+shuttle only), {}",
             sens.descriptor()
         ),
         paper: "Cyclone's latency edge persists as operations speed up",

@@ -1,7 +1,7 @@
-//! Fig. 18 — sensitivity to uniformly reducing gate and shuttling times by a fixed
-//! percentage on the `[[225,9,6]]` code at `p = 10⁻⁴`. As operations get faster the
-//! baseline-to-Cyclone gap narrows (the code's error-correcting ability becomes the
-//! limit).
+//! Fig. 18 — sensitivity to uniformly reducing every operation time (gates,
+//! shuttling, measurement and preparation) by a fixed percentage on the
+//! `[[225,9,6]]` code at `p = 10⁻⁴`. The paper reduces gate and shuttle times
+//! only.
 
 use bench::{ms, sci, sensitivity_code, Table};
 use cyclone::experiments::fig18_op_time_sweep;

@@ -447,7 +447,7 @@ pub fn fig17_loose_capacity(code: &CssCode, options: &SweepOptions) -> Vec<Loose
 }
 
 // ---------------------------------------------------------------------------
-// Fig. 18 — sensitivity to uniformly faster gates and shuttling
+// Fig. 18 — sensitivity to uniformly faster operations
 // ---------------------------------------------------------------------------
 
 /// Physical error rate of Fig. 18.
@@ -458,7 +458,7 @@ pub const FIG18_REDUCTIONS: [f64; 5] = [0.0, 0.25, 0.5, 0.75, 0.9];
 /// One point of Fig. 18.
 #[derive(Debug, Clone, PartialEq)]
 pub struct OpTimeSweepRow {
-    /// Fractional reduction `r` applied to every gate and shuttling duration.
+    /// Fractional reduction `r` of every operation duration ([`OperationTimes::scaled`]).
     pub reduction: f64,
     /// Baseline LER at [`FIG18_P`].
     pub baseline_ler: LerEstimate,
@@ -470,8 +470,9 @@ pub struct OpTimeSweepRow {
     pub cyclone_latency: f64,
 }
 
-/// Fig. 18: LER of baseline and Cyclone, recompiled with gate and shuttling times
-/// reduced by each fraction of [`FIG18_REDUCTIONS`].
+/// Fig. 18: LER of baseline and Cyclone, recompiled with every operation time
+/// (gates, shuttling, measurement and preparation) reduced by each fraction of
+/// [`FIG18_REDUCTIONS`]. The paper reduces gate and shuttle times only.
 pub fn fig18_op_time_sweep(code: &CssCode, options: &SweepOptions) -> Vec<OpTimeSweepRow> {
     let mut spec = ScenarioSpec::new("fig18_op_time_sweep");
     let idx = spec.code(code.clone());

@@ -12,7 +12,9 @@
 //! * is deterministic at any thread count: every point is evaluated with the same
 //!   per-shot RNG streams derived from [`MemoryConfig::seed`] (the workspace's
 //!   `0xC1C1_0DE5` convention, shared with `decoder::memory`), so results are
-//!   bit-identical whether `--threads` is 1 or 64;
+//!   bit-identical whether `--threads` is 1 or 64. The scheduler exploits this:
+//!   each shot is drawn once per code to find the uniform-channel points at which
+//!   it is error-free (given two or more), and those points skip it;
 //! * serializes results to `sweeps/<figure>.json` and reuses them as a cache on
 //!   re-runs: a point is recomputed only when its id, operating point, or Monte-Carlo
 //!   configuration changed, so quick-mode CI runs and full-shot local runs compose

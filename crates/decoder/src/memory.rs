@@ -11,6 +11,10 @@
 //! base seed, so the estimate is identical for any worker count. A worker reuses one
 //! [`BatchScratch`] per code, so steady-state sampling performs zero heap allocation.
 //!
+//! Every sweep point samples the same per-shot streams: for each code with two or
+//! more uniform points, [`estimate_points`] draws each shot once and those points
+//! skip the shots it proves error-free. Structured channels and `run` draw all.
+//!
 //! The batch path ([`MemoryExperiment::sample_batch_with`]) keeps its data packed
 //! from the first draw to the decode cache: Bernoulli draws compare raw 53-bit
 //! integers with thresholds computed when the channel is bound
@@ -29,7 +33,7 @@ use qec::CssCode;
 use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
 use std::path::{Path, PathBuf};
-use std::sync::Mutex;
+use std::sync::{Mutex, OnceLock};
 
 /// An estimated logical error rate with sampling statistics.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -454,6 +458,7 @@ impl<'a> MemoryExperiment<'a> {
             self.code.num_qubits(),
             model.effective_error_rate(),
         ));
+        debug_assert_eq!(self.data_thresholds[0], uniform_threshold(&model));
     }
 
     /// Replaces the per-qubit error channel, keeping the decoders.
@@ -633,10 +638,28 @@ impl<'a> MemoryExperiment<'a> {
         count: usize,
         batch: &mut BatchScratch,
     ) -> u64 {
+        self.sample_batch_masked(config, first_shot, count, 0, batch)
+    }
+
+    /// [`MemoryExperiment::sample_batch_with`] without seeding or drawing the lanes
+    /// in `clean` (a [`CleanShots`] mask), whose draws would leave no error either.
+    fn sample_batch_masked(
+        &self,
+        config: &MemoryConfig,
+        first_shot: usize,
+        count: usize,
+        clean: u64,
+        batch: &mut BatchScratch,
+    ) -> u64 {
         assert!(
             (1..=64).contains(&count),
             "batch holds 1..=64 shots, got {count}"
         );
+        debug_assert!(clean == 0 || self.flip_thresholds.is_empty());
+        let lanes = u64::MAX >> (64 - count);
+        if clean & lanes == lanes {
+            return 0;
+        }
         let n = self.code.num_qubits();
         batch.x_err_words.clear();
         batch.x_err_words.resize(n, 0);
@@ -644,7 +667,7 @@ impl<'a> MemoryExperiment<'a> {
         batch.z_err_words.resize(n, 0);
         batch.flip_words.clear();
         batch.flip_words.resize(self.flip_thresholds.len(), 0);
-        for k in 0..count {
+        for k in (0..count).filter(|&k| clean >> k & 1 == 0) {
             let lane = 1u64 << k;
             let mut rng = StdRng::seed_from_u64(config.shot_seed(first_shot + k));
             for (q, &t) in self.data_thresholds.iter().enumerate() {
@@ -687,12 +710,7 @@ impl<'a> MemoryExperiment<'a> {
             &mut batch.z,
             &mut batch.stats,
         );
-        let mask = if count == 64 {
-            u64::MAX
-        } else {
-            (1u64 << count) - 1
-        };
-        (fail_x | fail_z) & mask
+        (fail_x | fail_z) & lanes
     }
 
     /// One sector of the batch path: word-level syndrome extraction and
@@ -813,6 +831,7 @@ impl<'a> MemoryExperiment<'a> {
             config,
             || self,
             |exp, _| *exp,
+            |_, _| 0,
             |_, est| estimate = est,
         );
         estimate
@@ -957,12 +976,14 @@ impl Queue<'_> {
 /// under a mutex of its own: a slow `report` (a checkpoint publish) never
 /// holds up the other workers' chunk claims. A worker gets a point's
 /// experiment from `bind` on its own state (made by `new_worker`) and reuses
-/// one [`BatchScratch`] while it stays on one code.
+/// one [`BatchScratch`] while it stays on one code. It skips the lanes
+/// `clean(point, chunk)` proves error-free at that point.
 fn schedule<'a, S>(
     targets: &[Option<PrecisionTarget>],
     config: &MemoryConfig,
     new_worker: impl Fn() -> S + Sync,
     bind: impl Fn(&mut S, usize) -> &MemoryExperiment<'a> + Sync,
+    clean: impl Fn(usize, usize) -> u64 + Sync,
     report: impl FnMut(usize, LerEstimate) + Send,
 ) {
     let budgets: Vec<_> = targets
@@ -1002,7 +1023,9 @@ fn schedule<'a, S>(
             let mut chunk = Some(first);
             while let Some(c) = chunk {
                 let start = c * 64;
-                let mask = exp.sample_batch_with(config, start, 64.min(shots - start), &mut batch);
+                let count = 64.min(shots - start);
+                let mask =
+                    exp.sample_batch_masked(config, start, count, clean(point, c), &mut batch);
                 let (next, finished) = lock().finish(point, c, mask);
                 if let Some(estimate) = finished {
                     publish(point, estimate);
@@ -1047,13 +1070,15 @@ pub struct LerPoint<'a> {
 /// join the unfinished point with the most chunks left, so the slowest point
 /// does not run alone at the end. Fixed and adaptive points may be mixed, and
 /// every estimate is bit-identical to the point's own [`MemoryExperiment::run`]
-/// at any worker count. Workers keep one experiment per distinct code.
+/// at any worker count. Workers keep one experiment per distinct code. A code's
+/// uniform points skip the shots a shared table proves error-free at each.
 pub fn estimate_points(
     points: &[LerPoint<'_>],
     config: &MemoryConfig,
     on_point: impl FnMut(usize, LerEstimate) + Send,
 ) {
     let targets: Vec<_> = points.iter().map(|point| point.precision).collect();
+    let clean = CleanShots::new(points, config);
     schedule(
         &targets,
         config,
@@ -1082,8 +1107,99 @@ pub fn estimate_points(
             }
             &*exp
         },
+        |point, chunk| clean.mask(config, point, chunk),
         on_point,
     );
+}
+
+/// Which shots of a sweep's uniform points draw no error, drawn once per code.
+///
+/// A uniform channel with noiseless measurement draws once per data qubit, plus
+/// a Pauli draw after each hit. So a shot is error-free at threshold `t` exactly
+/// when its first `n` draws are all at least `t`; else the first one below `t`
+/// is a hit. A code with two or more uniform points gets one byte per shot: how
+/// many of its distinct uniform thresholds the shot's smallest draw reaches
+/// (at most 255), ranked per chunk by the first worker to need it. The point at
+/// the `i`-th threshold skips the lanes ranked above `i`.
+struct CleanShots {
+    /// Per point: its code's table and its threshold's index there.
+    slots: Vec<Option<(usize, usize)>>,
+    /// Per table: the code's qubit count, distinct uniform thresholds ascending, chunks.
+    tables: Vec<(usize, Vec<u64>, Vec<ChunkRanks>)>,
+}
+
+/// One 64-shot chunk's shot ranks, filled by the first worker to need them.
+type ChunkRanks = OnceLock<[u8; 64]>;
+
+impl CleanShots {
+    fn new(points: &[LerPoint<'_>], config: &MemoryConfig) -> Self {
+        // (code, threshold, chunks, point) of each uniform point that samples.
+        let mut uniform: Vec<_> = points
+            .iter()
+            .enumerate()
+            .filter(|(_, point)| point.channel.is_none_or(ChannelSpec::is_uniform))
+            .map(|(i, point)| {
+                let model = HardwareNoiseModel::new(NoiseParameters::new(point.p), point.latency);
+                let shots = point.precision.map_or(config.shots, |t| t.max_shots);
+                let code = std::ptr::from_ref(point.code);
+                (code, uniform_threshold(&model), shots.div_ceil(64), i)
+            })
+            .filter(|u| u.2 > 0)
+            .collect();
+        uniform.sort_unstable_by_key(|u| u.0);
+        let mut clean = CleanShots {
+            slots: vec![None; points.len()],
+            tables: Vec::new(),
+        };
+        for code in uniform
+            .chunk_by(|a, b| a.0 == b.0)
+            .filter(|code| code.len() > 1)
+        {
+            let mut thresholds: Vec<u64> = code.iter().map(|u| u.1).collect();
+            thresholds.sort_unstable();
+            thresholds.dedup();
+            for &(_, t, _, i) in code {
+                let level = thresholds.partition_point(|&u| u < t);
+                clean.slots[i] = Some((clean.tables.len(), level));
+            }
+            let chunks = code.iter().map(|u| u.2).max().unwrap_or(0);
+            let n = points[code[0].3].code.num_qubits();
+            let chunks = (0..chunks).map(|_| OnceLock::new()).collect();
+            clean.tables.push((n, thresholds, chunks));
+        }
+        clean
+    }
+
+    /// The lanes of `chunk` that draw no error at `point` (none without a
+    /// table). Ranking a chunk stops a shot's draws at one below every threshold.
+    fn mask(&self, config: &MemoryConfig, point: usize, chunk: usize) -> u64 {
+        let Some((table, level)) = self.slots[point] else {
+            return 0;
+        };
+        let (n, thresholds, chunks) = &self.tables[table];
+        let ranks = chunks[chunk].get_or_init(|| {
+            std::array::from_fn(|k| {
+                let mut rng = StdRng::seed_from_u64(config.shot_seed(chunk * 64 + k));
+                let mut smallest = u64::MAX;
+                for _ in 0..*n {
+                    smallest = smallest.min(rng.next_u64() >> 11);
+                    if smallest < thresholds[0] {
+                        break;
+                    }
+                }
+                u8::try_from(thresholds.partition_point(|&t| t <= smallest)).unwrap_or(u8::MAX)
+            })
+        });
+        ranks.iter().enumerate().fold(0, |mask, (k, &rank)| {
+            mask | u64::from(usize::from(rank) > level) << k
+        })
+    }
+}
+
+/// The draw threshold of every data qubit under `model`'s uniform channel:
+/// the one [`MemoryExperiment::set_model`] binds and [`CleanShots`] ranks.
+fn uniform_threshold(model: &HardwareNoiseModel) -> u64 {
+    bernoulli_threshold(model.effective_error_rate())
 }
 
 /// The integer threshold of a Bernoulli(`p`) draw: `next_u64() >> 11 < t`
@@ -1570,6 +1686,65 @@ mod tests {
     }
 
     #[test]
+    fn clean_masks_are_the_lanes_where_the_scalar_oracle_draws_no_error() {
+        // Four uniform points on one code, two at one rate, so the table ranks
+        // three thresholds; a biased point and the other code's single uniform
+        // point get no table. At every point and chunk the mask must be
+        // exactly the lanes whose scalar draws hit no qubit.
+        let code = bb_72_12_6().expect("valid");
+        let other = qec::codes::hgp_100().expect("valid");
+        let cfg = MemoryConfig {
+            shots: 200,
+            ..MemoryConfig::default()
+        };
+        let biased = ChannelSpec::Biased { meas_ratio: 2.0 };
+        let point = |code, p, channel| LerPoint {
+            code,
+            p,
+            latency: 0.0,
+            channel,
+            precision: None,
+        };
+        let points = [
+            point(&code, 3e-3, None),
+            point(&code, 1e-2, Some(&ChannelSpec::Uniform)),
+            point(&code, 3e-3, None),
+            point(&code, 3e-2, None),
+            point(&code, 3e-2, Some(&biased)),
+            point(&other, 3e-2, None),
+        ];
+        let clean = CleanShots::new(&points, &cfg);
+        assert_eq!(clean.tables.len(), 1);
+        assert_eq!(clean.tables[0].1.len(), 3);
+        assert_eq!(clean.tables[0].2.len(), 4);
+        assert!(clean.slots[4].is_none() && clean.slots[5].is_none());
+        let mut scratch = crate::oracle::ShotScratch::default();
+        let (mut some_clean, mut some_drawn) = (false, false);
+        for (i, point) in points.iter().enumerate() {
+            let model = HardwareNoiseModel::new(NoiseParameters::new(point.p), 0.0);
+            let n = point.code.num_qubits();
+            let channel = ErrorChannel::uniform(n, model.effective_error_rate());
+            let oracle = crate::oracle::ScalarSampler::new(point.code, channel, 1);
+            for chunk in 0..4 {
+                let want = (0..64).fold(0u64, |mask, k| {
+                    let mut rng = StdRng::seed_from_u64(cfg.shot_seed(chunk * 64 + k));
+                    let drawn = oracle.draw_data_errors(&mut rng, &mut scratch);
+                    mask | u64::from(!drawn) << k
+                });
+                let got = clean.mask(&cfg, i, chunk);
+                if clean.slots[i].is_some() {
+                    assert_eq!(got, want, "point {i}, chunk {chunk}");
+                    some_clean |= want != 0;
+                    some_drawn |= want != u64::MAX;
+                } else {
+                    assert_eq!(got, 0, "point {i} has no table");
+                }
+            }
+        }
+        assert!(some_clean && some_drawn);
+    }
+
+    #[test]
     fn estimate_points_handles_empty_input() {
         assert!(estimates_of(&[], &MemoryConfig::default()).is_empty());
     }
@@ -1864,6 +2039,7 @@ mod tests {
                 update(|s| s.2 += 1);
                 &exp
             },
+            |_, _| 0,
             |point, estimate| {
                 if reported.is_empty() {
                     update(|s| s.1 = true);

@@ -69,16 +69,7 @@ impl<'a> ScalarSampler<'a> {
     /// the Z-sector check flips, then (only if the X sector did not already
     /// fail) the X-sector check flips.
     pub fn sample_one_with<R: Rng>(&self, rng: &mut R, scratch: &mut ShotScratch) -> bool {
-        let n = self.code.num_qubits();
-        scratch.x_error.clear();
-        scratch.x_error.resize(n, false);
-        scratch.z_error.clear();
-        scratch.z_error.resize(n, false);
-        for (q, &pq) in self.channel.data().iter().enumerate() {
-            if rng.gen_bool(pq) {
-                depolarize(rng, scratch, q);
-            }
-        }
+        self.draw_data_errors(rng, scratch);
         // The X decoder consumes Z-stabilizer checks (the tail of the channel's
         // check-major layout), the Z decoder consumes X-stabilizer checks.
         let (x_check_rates, z_check_rates) = if self.channel.has_measurement_noise() {
@@ -122,6 +113,26 @@ impl<'a> ScalarSampler<'a> {
             &mut scratch.residual,
         );
         self.code.z_error_is_logical(&scratch.residual)
+    }
+}
+
+impl ScalarSampler<'_> {
+    /// Draws one shot's data-qubit errors into `scratch`, the first step of
+    /// [`ScalarSampler::sample_one_with`]; returns whether any qubit drew one.
+    pub fn draw_data_errors<R: Rng>(&self, rng: &mut R, scratch: &mut ShotScratch) -> bool {
+        let n = self.code.num_qubits();
+        scratch.x_error.clear();
+        scratch.x_error.resize(n, false);
+        scratch.z_error.clear();
+        scratch.z_error.resize(n, false);
+        let mut any = false;
+        for (q, &pq) in self.channel.data().iter().enumerate() {
+            if rng.gen_bool(pq) {
+                depolarize(rng, scratch, q);
+                any = true;
+            }
+        }
+        any
     }
 }
 

@@ -572,6 +572,65 @@ proptest! {
     }
 }
 
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(3).with_seed(0x5EED_C1EA))]
+
+    #[test]
+    fn sweeps_sharing_clean_shots_match_each_points_own_run(seed in 0u64..1000) {
+        // Each code gets a clean-shot table: two points at one threshold, a
+        // near-zero rate (a rate of exactly zero is rejected by
+        // `NoiseParameters`) and random further points, uniform or biased,
+        // fixed or adaptive (budgets and caps mostly not a multiple of 64),
+        // in random order. At 1 to 4 threads every estimate must be the
+        // point's own `run`, which draws every shot.
+        let codes = [
+            qec::codes::bb_72_12_6().expect("valid"),
+            qec::codes::hgp_100().expect("valid"),
+        ];
+        let specs = [ChannelSpec::Uniform, ChannelSpec::Biased { meas_ratio: 2.0 }];
+        let mut rng = StdRng::seed_from_u64(seed);
+        let config = MemoryConfig {
+            shots: rng.gen_range(65..200),
+            bp_iterations: 8,
+            threads: 1,
+            seed: 0xC1C1_0DE5 ^ seed,
+        };
+        let rates = [3e-3, 1e-2, 2.5e-2];
+        let mut points = Vec::new();
+        for code in &codes {
+            // `spec` indexes `specs`; `None` is the default uniform channel.
+            let mut point = |p: f64, latency: f64, spec: Option<usize>, rng: &mut StdRng| {
+                let precision = rng.gen_bool(0.5).then(|| {
+                    PrecisionTarget::new(rng.gen_range(0.2..0.6), rng.gen_range(1..6), rng.gen_range(65..260))
+                });
+                let channel = spec.map(|s| &specs[s]);
+                points.push(LerPoint { code, p, latency, channel, precision });
+            };
+            let (p, latency) = (rates[rng.gen_range(0..rates.len())], 0.01 * rng.gen_range(0..2) as f64);
+            point(p, latency, None, &mut rng);
+            point(p, latency, Some(0), &mut rng);
+            point(1e-9, 0.0, None, &mut rng);
+            for _ in 0..rng.gen_range(1..4) {
+                let (p, latency) = (rates[rng.gen_range(0..rates.len())], 0.01 * rng.gen_range(0..2) as f64);
+                let spec = rng.gen_bool(0.3).then_some(1);
+                point(p, latency, spec, &mut rng);
+            }
+        }
+        for i in (1..points.len()).rev() {
+            points.swap(i, rng.gen_range(0..=i));
+        }
+        let want: Vec<LerEstimate> = points.iter().map(|pt| single_thread_estimate(pt, &config)).collect();
+        for threads in 1..=4 {
+            let mut got = vec![None; points.len()];
+            estimate_points(&points, &MemoryConfig { threads, ..config }, |i, est| {
+                got[i] = Some(est);
+            });
+            let got: Vec<LerEstimate> = got.into_iter().map(|est| est.expect("reported")).collect();
+            prop_assert_eq!(&got, &want, "threads {}", threads);
+        }
+    }
+}
+
 /// Whether `syndrome` is consistent according to the decoder: the verdict of
 /// a one-iteration BP run, which is decided by the left-kernel parity.
 fn left_kernel_verdict(

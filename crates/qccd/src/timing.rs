@@ -137,9 +137,10 @@ impl OperationTimes {
         }
     }
 
-    /// Returns a copy with every gate and shuttling duration scaled by `1 - r`,
-    /// implementing the paper's Fig. 18 sensitivity sweep (`r` is the fractional
-    /// reduction, e.g. `0.3` for "30 % faster operations").
+    /// Returns a copy with every operation duration scaled by `1 - r` (`r` is the
+    /// fractional reduction, e.g. `0.3` for "30 % faster operations"): gates,
+    /// shuttling, measurement and preparation. Fig. 18 sweeps it; the paper's
+    /// Fig. 18 reduces gate and shuttle times only.
     ///
     /// # Panics
     ///
