@@ -1,13 +1,14 @@
 //! Shared infrastructure for the benchmark harness that regenerates every table and
 //! figure of the paper.
 //!
-//! Each figure has its own `harness = false` bench target under `benches/`; all of
-//! them are thin frontends over [`runner`], which handles argument parsing,
-//! Monte-Carlo configuration, sweep-cache control, and aligned-table / JSON
-//! output. The helpers here cover code selection and table formatting. Every
-//! run option — flag, default, effect — is listed in the README's options
-//! table.
+//! Every figure is one entry of [`figures::FIGURES`], and one `harness = false`
+//! bench target, `figures`, runs them: the named ones, or all of them followed
+//! by EXPERIMENTS.md. [`runner`] handles argument parsing, Monte-Carlo
+//! configuration, sweep-cache control and the `*.table.json` output. The
+//! helpers here cover code selection and table formatting. Every run option —
+//! flag, default, effect — is listed in the README's options table.
 
+pub mod figures;
 pub mod runner;
 
 use qec::codes::{self, CatalogEntry};

@@ -1,21 +1,21 @@
-//! The shared figure runner every bench binary fronts.
+//! The run configuration every bench target shares.
 //!
-//! A figure binary is three lines: pick codes, call its `cyclone::experiments`
-//! declaration, format rows into a [`Table`]. Everything else — the run
-//! configuration, sweep-cache control, and table/JSON emission — lives
-//! here, so the binaries share one frontend instead of one copy of the loop
-//! each.
+//! A run resolves its [`RunContext`] here: the Monte-Carlo configuration, the
+//! sweep options and the cache location. The figure suite
+//! ([`crate::figures`]) also writes each table's `*.table.json` through
+//! this module.
 //!
 //! # Configuration
 //!
 //! Every option is one row of `OPTIONS`: its flag, its default and its parser.
 //! The options table in the README lists the same rows with their effects, and
-//! a test keeps the two in step. Flags go after `--` (`cargo bench -p bench
-//! --bench figNN -- --shots 2000`). Every value parses or is an error naming
-//! the flag and the value, and so is an unknown argument (except the `--bench`
-//! that cargo appends). The one environment variable is `CYCLONE_SIMD`, which
-//! the decoder reads when it is built; any other `CYCLONE_*` variable is an
-//! error (a retired option or a typo would otherwise change nothing).
+//! a test keeps the two in step. Flags go after `--`, and after the figure
+//! names if any (`cargo bench -p bench --bench figures -- fig14_bb_ler --shots
+//! 2000`). Every value parses or is an error naming the flag and the value,
+//! and so is an unknown argument (except the `--bench` that cargo appends).
+//! The one environment variable is `CYCLONE_SIMD`, which the decoder reads
+//! when it is built; any other `CYCLONE_*` variable is an error (a retired
+//! option or a typo would otherwise change nothing).
 
 use crate::Table;
 use cyclone::experiments::HETERO_DEFAULT_RATIOS;
@@ -247,30 +247,36 @@ pub(crate) fn check_environment<'a>(
     Ok(())
 }
 
-impl RunContext {
-    /// Resolves the context from the process arguments and checks the
-    /// environment. A malformed value, an unknown argument or a `CYCLONE_*`
-    /// variable other than a well-formed `CYCLONE_SIMD` is printed and exits
-    /// the process with status 2, before anything is built.
-    pub fn from_env() -> Self {
-        let args: Vec<String> = std::env::args().skip(1).collect();
-        let vars: Vec<(String, String)> = std::env::vars_os()
-            .map(|(name, value)| {
-                (
-                    name.to_string_lossy().into(),
-                    value.to_string_lossy().into(),
-                )
-            })
-            .collect();
-        check_environment(
-            vars.iter()
-                .map(|(name, value)| (name.as_str(), value.as_str())),
-        )
-        .and_then(|()| Self::from_args(&args))
-        .unwrap_or_else(|err| {
-            eprintln!("error: {err}");
-            std::process::exit(2)
+/// Checks the environment, then parses the process arguments with `parse`. A
+/// malformed value, an unknown argument or a `CYCLONE_*` variable other than a
+/// well-formed `CYCLONE_SIMD` is printed and exits the process with status 2,
+/// before anything is built.
+pub fn args_or_exit<T>(parse: impl FnOnce(&[String]) -> Result<T, String>) -> T {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let vars: Vec<(String, String)> = std::env::vars_os()
+        .map(|(name, value)| {
+            (
+                name.to_string_lossy().into(),
+                value.to_string_lossy().into(),
+            )
         })
+        .collect();
+    check_environment(
+        vars.iter()
+            .map(|(name, value)| (name.as_str(), value.as_str())),
+    )
+    .and_then(|()| parse(&args))
+    .unwrap_or_else(|err| {
+        eprintln!("error: {err}");
+        std::process::exit(2)
+    })
+}
+
+impl RunContext {
+    /// Resolves the context from the process arguments, through
+    /// [`args_or_exit`].
+    pub fn from_env() -> Self {
+        args_or_exit(Self::from_args)
     }
 
     /// Resolves the context from explicit arguments: defaults, then flags.
@@ -360,65 +366,14 @@ pub fn default_sweep_dir() -> PathBuf {
     PathBuf::from(concat!(env!("CARGO_MANIFEST_DIR"), "/../../sweeps"))
 }
 
-/// A figure's printable result: the table plus optional trailing note lines
-/// (crossover points, best configurations, headline ratios).
-#[derive(Debug, Clone)]
-pub struct FigureReport {
-    /// The figure's table.
-    pub table: Table,
-    /// Free-form lines printed after the table, each preceded by a blank line.
-    pub notes: Vec<String>,
-}
-
-impl FigureReport {
-    /// A report with trailing notes.
-    pub fn with_notes(table: Table, notes: Vec<String>) -> Self {
-        FigureReport { table, notes }
-    }
-}
-
-impl From<Table> for FigureReport {
-    fn from(table: Table) -> Self {
-        FigureReport {
-            table,
-            notes: Vec::new(),
-        }
-    }
-}
-
-/// Runs one figure: resolves the context, builds the report, prints it, and (when
-/// caching is enabled) records the rendered rows as `sweeps/<name>.table.json` so
-/// every figure leaves a machine-readable artifact next to the sweep cache.
-pub fn figure<R: Into<FigureReport>>(
-    name: &str,
-    title: &str,
-    build: impl FnOnce(&RunContext) -> R,
-) {
-    let context = RunContext::from_env();
-    let report: FigureReport = build(&context).into();
-    report.table.print(title);
-    if let Some(target) = &context.sweep.precision {
-        println!(
-            "(adaptive sampling: target rse {}, >={} failures, <={} shots/point)",
-            target.target_rse, target.min_failures, target.max_shots
-        );
-    }
-    if let NoiseFlag::Biased(ratio) = context.noise {
-        println!("(noise channel: measurement flips at {ratio}x the data rate on every point)");
-    }
-    for note in &report.notes {
-        println!("\n{note}");
-    }
-    if let Some(dir) = context.cache_dir() {
-        if let Err(err) = write_table_json(dir, name, title, &report.table) {
-            eprintln!("warning: could not write {name}.table.json: {err}");
-        }
-    }
-}
-
 /// Writes a rendered table as `<dir>/<name>.table.json`, atomically (a killed
 /// run leaves the previous file or none, never a torn one).
-fn write_table_json(dir: &Path, name: &str, title: &str, table: &Table) -> std::io::Result<()> {
+pub(crate) fn write_table_json(
+    dir: &Path,
+    name: &str,
+    title: &str,
+    table: &Table,
+) -> std::io::Result<()> {
     let mut root = BTreeMap::new();
     root.insert("figure".to_string(), Value::from(name));
     root.insert("title".to_string(), Value::from(title));

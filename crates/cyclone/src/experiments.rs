@@ -1,7 +1,8 @@
 //! Experiment runners that regenerate every figure of the paper's evaluation.
 //!
-//! Each figure is declared once, here; its `bench` binary and `experiments_md`
-//! (which writes `EXPERIMENTS.md`) both call the declaration. Its **operating
+//! Each figure is declared once, here; its one entry in the bench crate's
+//! figure list calls the declaration, and the run that prints the tables
+//! writes `EXPERIMENTS.md` from the same rows. Its **operating
 //! points** are constants of the figure ([`FIG9_REDUCTIONS`], `FIGNN_P`, …) or
 //! values it derives (Fig. 13's trap counts, the default [`OperationTimes`]); a
 //! parameter is left only where a caller varies it (the code lists, `fig_hetero`'s

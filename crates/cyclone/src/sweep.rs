@@ -22,7 +22,7 @@
 //!   [`crate::sweep_cache`], whose one validating reader this engine uses: a
 //!   missing file, or one that `sweep-cache verify` rejects, serves no point and
 //!   every point is recomputed. Cache files are written atomically (temp file +
-//!   rename in the same directory), so a crash or two figure binaries sharing a
+//!   rename in the same directory), so a crash or two figure runs sharing a
 //!   cache directory can never leave or observe a torn file;
 //! * optionally samples **adaptively**: a [`PrecisionTarget`] on the options (or on
 //!   an individual point) stops each point at a target relative standard error /
